@@ -14,11 +14,10 @@ from .core import (
     GroundSet,
     HypothesisClass,
     LossFunction,
-    RegretTrace,
-    RoundRecord,
     SmoothnessCertificate,
     TableClass,
     ThresholdClass,
+    Trajectory,
     UniformIntervalMeasure,
     absolute_loss,
     finalize_regret,
@@ -36,11 +35,10 @@ __all__ = [
     "GroundSet",
     "HypothesisClass",
     "LossFunction",
-    "RegretTrace",
-    "RoundRecord",
     "SmoothnessCertificate",
     "TableClass",
     "ThresholdClass",
+    "Trajectory",
     "UniformIntervalMeasure",
     "absolute_loss",
     "finalize_regret",

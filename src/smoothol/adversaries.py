@@ -85,7 +85,6 @@ class Adversary:
         self.certificate = certificate
         self.label_rule = label_rule
         self.rng = rng
-        self.history: list[tuple[ContextPoint, float, Optional[float]]] = []
 
     def conditional_probs(self) -> np.ndarray:
         """Exact conditional context distribution for the next round (finite sets only)."""
@@ -96,9 +95,7 @@ class Adversary:
 
     def next_round(self, last_prediction: Optional[float] = None) -> tuple[ContextPoint, float]:
         ctx = self._draw_context()
-        label = float(self.label_rule(ctx, last_prediction, self.rng))
-        self.history.append((ctx, label, last_prediction))
-        return ctx, label
+        return ctx, float(self.label_rule(ctx, last_prediction, self.rng))
 
 
 class IidAdversary(Adversary):
@@ -194,6 +191,8 @@ class HiddenMuThresholdAdversary(Adversary):
         self._x_num = 0  # current coordinate, times 2^48
         self._lo_num = 0  # consistent thresholds lie in (lo, hi]
         self._hi_num = self._scale
+        # (context, label, last_prediction) per round, for the recurrence and empirical_mu
+        self.history: list[tuple[ContextPoint, float, Optional[float]]] = []
 
     def conditional_probs(self) -> np.ndarray:
         raise ValueError("not checkable exactly")
@@ -348,8 +347,11 @@ def tilted_smooth_probs(mu_probs: np.ndarray, sigma: float, beta: float = 0.35) 
     def mass(lam: float) -> float:
         return float(np.minimum(lam * raw, cap).sum())
 
+    # sum(cap) can round below 1 when sigma is within ulps of 1; mass(hi) reaches
+    # sum(cap) once hi >= 1/sigma (raw >= 1, cap <= 1/sigma), so the doubling ends
+    target = min(1.0, float(cap.sum()))
     lo, hi = 0.0, 1.0
-    while mass(hi) < 1.0:
+    while mass(hi) < target:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

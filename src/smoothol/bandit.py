@@ -22,7 +22,6 @@ from .core import (
     ContextPoint,
     FiniteMeasure,
     GroundSet,
-    HypothesisClass,
     TableClass,
     square_loss,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "product_ground",
     "product_measure",
     "product_class",
-    "BanditRound",
     "BanditResult",
     "run_square_cb",
     "default_gamma",
@@ -52,16 +50,16 @@ def igw_distribution(predictions: np.ndarray, gamma: float) -> np.ndarray:
     K = len(predictions)
     if K < 2:
         raise ValueError("need at least two actions")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (0.0 < gamma < math.inf):
+        raise ValueError("gamma must be positive and finite")
+    if not np.all(np.isfinite(predictions)):
+        raise ValueError("predictions must be finite")
     star = int(np.argmin(predictions))
     gaps = predictions - predictions[star]
     p = 1.0 / (K + gamma * gaps)
     p[star] = 0.0
-    residual = 1.0 - p.sum()
     # each non-greedy term is at most 1/K, so the residual is at least 1/K
-    assert residual > 0.0, "residual mass must stay positive for gamma > 0"
-    p[star] = residual
+    p[star] = 1.0 - p.sum()
     return p
 
 
@@ -128,41 +126,18 @@ def default_gamma(T: int, K: int, sigma: float, L: float = 2.0,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BanditRound:
-    t: int
-    x_id: int
-    predictions: np.ndarray      # per-action predicted losses, clamped to [0, 1]
-    action_distribution: np.ndarray
-    action: int
-    observed_loss: float
-    all_losses: np.ndarray       # realized loss vector (for regret accounting)
-    oracle_calls_so_far: int
-
-
-@dataclass
 class BanditResult:
-    rounds: list[BanditRound]
+    """One run's columns, round t at row t - 1, and the regrets derived from them."""
+
+    x_ids: np.ndarray          # (T,) context atoms
+    actions: np.ndarray        # (T,) chosen actions
+    predictions: np.ndarray    # (T, K) predicted losses, clamped to [0, 1]
+    distributions: np.ndarray  # (T, K) action distributions
+    losses: np.ndarray         # (T, K) realized loss vectors
     reg_cb: float
     reg_sq: float
     gamma: float
     oracle_calls: int
-
-    def recompute_reg_sq(self, klass: HypothesisClass, K: int) -> float:
-        """Independent recomputation of the square-loss regret from the trace."""
-        ids = np.array([joint_id(r.x_id, r.action, K) for r in self.rounds])
-        losses = np.array([r.observed_loss for r in self.rounds])
-        preds = np.array([r.predictions[r.action] for r in self.rounds])
-        learner = float(((preds - losses) ** 2).sum())
-        values = klass.evaluate_block(ContextBlock(ids=ids))
-        best = float((((values - losses[None, :]) ** 2).sum(axis=1)).min())
-        return learner - best
-
-
-def best_policy_losses(f_star: np.ndarray, x_ids: np.ndarray,
-                       all_losses: np.ndarray) -> float:
-    """Realized loss of the policy that plays argmin_a f*(x, a) each round."""
-    actions = np.argmin(f_star[x_ids], axis=1)
-    return float(all_losses[np.arange(len(x_ids)), actions].sum())
 
 
 def run_square_cb(context_adversary, regressor, K: int, T: int,
@@ -188,8 +163,11 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
         def loss_sampler(x_id: int, rng: np.random.Generator) -> np.ndarray:
             return (rng.random(K) < f_star[x_id]).astype(np.float64)
 
-    rounds: list[BanditRound] = []
-    oracle = regressor.oracle
+    x_ids = np.empty(T, dtype=np.int64)
+    actions = np.empty(T, dtype=np.int64)
+    predictions = np.empty((T, K))
+    distributions = np.empty((T, K))
+    losses = np.empty((T, K))
     for t in range(1, T + 1):
         h = regressor.select() if regressor.proper else None
         x_point, _ = context_adversary.next_round(last_prediction=None)
@@ -209,25 +187,21 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
             p = action_rule(preds, gamma)
             action = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
             action = min(action, K - 1)
-        losses = loss_sampler(x_id, rng)
-        observed = float(losses[action])
-        regressor.observe(joint_points[action], observed)
-        rounds.append(BanditRound(t, x_id, preds, p, action, observed, losses,
-                                  oracle.calls))
+        row_losses = loss_sampler(x_id, rng)
+        regressor.observe(joint_points[action], float(row_losses[action]))
+        x_ids[t - 1], actions[t - 1] = x_id, action
+        predictions[t - 1], distributions[t - 1], losses[t - 1] = preds, p, row_losses
 
-    x_ids = np.array([r.x_id for r in rounds])
-    all_losses = np.vstack([r.all_losses for r in rounds])
-    learner_loss = float(sum(r.observed_loss for r in rounds))
-    reg_cb = learner_loss - best_policy_losses(f_star, x_ids, all_losses)
-
-    preds_chosen = np.array([r.predictions[r.action] for r in rounds])
-    chosen_losses = np.array([r.observed_loss for r in rounds])
-    learner_sq = float(((preds_chosen - chosen_losses) ** 2).sum())
-    ids = np.array([joint_id(r.x_id, r.action, K) for r in rounds])
-    values = regressor.klass.evaluate_block(ContextBlock(ids=ids))
-    best_sq = float((((values - chosen_losses[None, :]) ** 2).sum(axis=1)).min())
-    reg_sq = learner_sq - best_sq
-    return BanditResult(rounds, reg_cb, reg_sq, gamma, oracle.calls)
+    rows = np.arange(T)
+    observed = losses[rows, actions]
+    # against the policy that plays argmin_a f*(x, a) each round
+    best_cb = float(losses[rows, np.argmin(f_star[x_ids], axis=1)].sum())
+    reg_cb = float(observed.sum()) - best_cb
+    learner_sq = float(((predictions[rows, actions] - observed) ** 2).sum())
+    values = regressor.klass.evaluate_block(ContextBlock(ids=joint_id(x_ids, actions, K)))
+    best_sq = float((((values - observed[None, :]) ** 2).sum(axis=1)).min())
+    return BanditResult(x_ids, actions, predictions, distributions, losses,
+                        reg_cb, learner_sq - best_sq, gamma, regressor.oracle.calls)
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +232,24 @@ def build_bandit_pieces(raw: dict, seed: int):
         raise ConfigError(f"bad bandit config: {exc}") from exc
     if regressor_name not in REGRESSORS:
         raise ConfigError(f"unknown regressor {regressor_name!r}; valid: {REGRESSORS}")
-    if not (0.0 < sigma <= 1.0) or T < 1 or K < 1:
-        raise ConfigError("bad bandit config: K, T, sigma out of range")
+    if not (0.0 < sigma <= 1.0) or T < 1 or K < 1 or atoms < 1:
+        raise ConfigError("bad bandit config: K, T, sigma, atoms out of range")
 
     ground_x = GroundSet.grid(atoms)
     mu_x = FiniteMeasure.uniform(ground_x)
-    if class_spec.get("type", "random_product") == "random_product":
-        H = int(class_spec.get("H", 4))
-        class_rng = make_rng(int(raw.get("class_seed", 7)), 9)
-        values = class_rng.random((H, atoms, K))
-    else:
-        values = np.asarray(class_spec["values"], dtype=float)
-    klass = product_class(values)
-    f_star = values[f_star_index]
+    try:
+        if class_spec.get("type", "random_product") == "random_product":
+            H = int(class_spec.get("H", 4))
+            class_rng = make_rng(int(raw.get("class_seed", 7)), 9)
+            values = class_rng.random((H, atoms, K))
+        else:
+            values = np.asarray(class_spec["values"], dtype=float)
+        klass = product_class(values)
+        if values.shape[1:] != (atoms, K):
+            raise ValueError(f"values must be (H, {atoms}, {K}), got {values.shape}")
+        f_star = values[f_star_index]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad bandit class: {exc}") from exc
 
     adversary_rng = make_rng(seed, 0)
     p = mu_x.probs.copy() if sigma >= 1.0 else tilted_smooth_probs(mu_x.probs, sigma)

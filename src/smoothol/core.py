@@ -1,4 +1,4 @@
-"""Shared domain types: contexts, hypothesis classes, losses, traces, smoothness certificates.
+"""Shared domain types: contexts, hypothesis classes, losses, trajectories, smoothness certificates.
 
 Conventions used throughout the package:
 
@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,10 +31,9 @@ __all__ = [
     "square_loss",
     "scaled_square_loss",
     "SmoothnessCertificate",
-    "RoundRecord",
-    "RegretTrace",
+    "Trajectory",
+    "regret_curve",
     "finalize_regret",
-    "comparator_losses",
     "make_rng",
     "DomainMismatchError",
     "EmptyTraceError",
@@ -75,9 +74,6 @@ class ContextPoint:
             raise ValueError("context needs an id or a coordinate")
         if self.coordinate is not None and not (0.0 <= self.coordinate <= 1.0):
             raise ValueError(f"coordinate {self.coordinate} outside [0, 1]")
-
-    def label_for_csv(self) -> str:
-        return str(self.id) if self.id is not None else repr(float(self.coordinate))
 
 
 @dataclass
@@ -380,49 +376,77 @@ LOSSES = {
 
 
 # ---------------------------------------------------------------------------
-# Regret traces
+# Trajectories and regret
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RoundRecord:
-    t: int
-    context: ContextPoint
-    label: float
-    prediction: float
-    instant_loss: float
-    oracle_calls_so_far: int
-    hypothesis_index: Optional[int] = None  # proper learners only
+_REGRET_CHUNK = 1024  # rounds per comparator block: memory O(H * chunk), not O(H * T)
 
 
-@dataclass
-class RegretTrace:
-    rounds: list[RoundRecord] = field(default_factory=list)
-    cumulative_regret: Optional[float] = None
+class Trajectory:
+    """One seeded run, held columnar and preallocated: round t is row t - 1.
 
-    def append(self, record: RoundRecord) -> None:
-        if self.rounds and record.oracle_calls_so_far < self.rounds[-1].oracle_calls_so_far:
-            raise ValueError("oracle call count must be nondecreasing")
-        self.rounds.append(record)
+    Contexts without an atom id store -1 in ``ids``, those without a
+    coordinate NaN in ``coords``.  Everything a run reports derives from these.
+    """
+
+    def __init__(self, T: int):
+        self.ids = np.full(T, -1, dtype=np.int64)
+        self.coords = np.full(T, np.nan)
+        self.labels = np.empty(T)
+        self.predictions = np.empty(T)
+        self.instant_loss = np.empty(T)
+        self.oracle_calls = np.zeros(T, dtype=np.int64)  # completed by the end of each round
+        self.n = 0
 
     def __len__(self) -> int:
-        return len(self.rounds)
+        return self.n
+
+    def append(self, context: ContextPoint, label: float, prediction: float,
+               instant_loss: float, oracle_calls: int) -> None:
+        t = self.n
+        if t and oracle_calls < self.oracle_calls[t - 1]:
+            raise ValueError("oracle call count must be nondecreasing")
+        self.ids[t] = -1 if context.id is None else context.id
+        self.coords[t] = np.nan if context.coordinate is None else context.coordinate
+        self.labels[t], self.predictions[t], self.instant_loss[t] = label, prediction, instant_loss
+        self.oracle_calls[t] = oracle_calls
+        self.n = t + 1
+
+    def hypothesis_losses(self, klass: HypothesisClass, loss: LossFunction):
+        """Yield (start, stop, (H, stop - start) hypothesis losses), chunk by chunk."""
+        for start in range(0, self.n, _REGRET_CHUNK):
+            stop = min(start + _REGRET_CHUNK, self.n)
+            ids, coords = self.ids[start:stop], self.coords[start:stop]
+            block = ContextBlock(ids=ids if np.all(ids >= 0) else None,
+                                 coords=None if np.isnan(coords).any() else coords)
+            values = klass.evaluate_block(block)
+            yield start, stop, loss.evaluate_array(values, self.labels[None, start:stop])
 
 
-def comparator_losses(trace: RegretTrace, klass: HypothesisClass,
-                      loss: LossFunction) -> np.ndarray:
-    """Cumulative loss of every hypothesis on the trace, by exhaustive scan."""
-    block = ContextBlock.from_points([r.context for r in trace.rounds])
-    labels = np.array([r.label for r in trace.rounds], dtype=np.float64)
-    preds = klass.evaluate_block(block)
-    return loss.evaluate_array(preds, labels[None, :]).sum(axis=1)
+def regret_curve(traj: Trajectory, klass: HypothesisClass,
+                 loss: LossFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative regret after every round, and each hypothesis's total loss.
+
+    Both sums run round by round (``np.cumsum`` is sequential) from a leading
+    0.0, with each chunk's running totals carried in as a leading column, so
+    every entry equals the per-round ``total += loss`` recurrence bit for bit.
+    """
+    learner = np.cumsum(np.concatenate(([0.0], traj.instant_loss[:traj.n])))[1:]
+    regret = np.empty(traj.n)
+    totals = np.zeros(len(klass))
+    for start, stop, losses in traj.hypothesis_losses(klass, loss):
+        running = np.cumsum(np.hstack([totals[:, None], losses]), axis=1)[:, 1:]
+        regret[start:stop] = learner[start:stop] - running.min(axis=0)
+        totals = running[:, -1]
+    return regret, totals
 
 
-def finalize_regret(trace: RegretTrace, klass: HypothesisClass,
-                    loss: LossFunction) -> RegretTrace:
-    """Fill in cumulative regret against the best hypothesis in hindsight."""
-    if not trace.rounds:
+def finalize_regret(traj: Trajectory, klass: HypothesisClass, loss: LossFunction) -> float:
+    """Regret against the best hypothesis in hindsight, summed in a different
+    order from ``regret_curve`` (pairwise), so each checks the other."""
+    if not traj.n:
         raise EmptyTraceError("empty trace")
-    totals = comparator_losses(trace, klass, loss)
-    learner = float(sum(r.instant_loss for r in trace.rounds))
-    trace.cumulative_regret = learner - float(totals.min())
-    return trace
+    totals = np.zeros(len(klass))
+    for _, _, losses in traj.hypothesis_losses(klass, loss):
+        totals += losses.sum(axis=1)
+    return float(traj.instant_loss[:traj.n].sum()) - float(totals.min())

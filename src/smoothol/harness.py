@@ -27,13 +27,13 @@ from .core import (
     HypothesisClass,
     LOSSES,
     LossFunction,
-    RegretTrace,
-    RoundRecord,
     TableClass,
     ThresholdClass,
+    Trajectory,
     UniformIntervalMeasure,
     finalize_regret,
     make_rng,
+    regret_curve,
 )
 from .ftpl import FtplLearner, FtplSchedule, schedule
 from .oracle import ErmOracle
@@ -125,6 +125,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown adversary {kind!r}; valid: {', '.join(ADVERSARY_KINDS)}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; valid: {', '.join(LOSSES)}")
+        if name == "relax-linear" and self.loss != "linear":
+            raise ConfigError(f"relax-linear needs the linear loss, not {self.loss!r}")
+        if self.ground.get("type", "grid") == "grid" and int(self.ground.get("atoms", 64)) < 1:
+            raise ConfigError("ground.atoms must be at least 1")
+        lo, hi = LOSSES[self.loss]().domain
+        try:  # labels, and the values of threshold classes, are +/-1
+            values = np.append(np.asarray(self.klass.get("values", []), dtype=float), [-1, 1])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad class values: {exc}") from exc
+        if values.min() < lo or values.max() > hi:
+            raise ConfigError(f"labels and class values must lie in the {self.loss} "
+                              f"loss domain [{lo}, {hi}]")
 
     def to_dict(self) -> dict:
         return {
@@ -257,13 +269,13 @@ class SeedOutcome:
     checkpoint_regrets: dict[int, float]
     oracle_calls: int
     wall_time_s: float
-    rows: list[dict]
+    trajectory: Trajectory
+    regret: np.ndarray  # cumulative regret after each round
     comparator_range: tuple[float, float]  # (best, worst) hypothesis cumulative loss
-    trace: Optional[RegretTrace] = None
 
 
 def run_seed(cfg: ExperimentConfig, seed: int) -> SeedOutcome:
-    """One full trajectory; returns the trace rows plus summary figures."""
+    """One full trajectory; returns its record plus summary figures."""
     t0 = time.perf_counter()
     ground, mu_default = build_ground_and_mu(cfg)
     klass = build_class(cfg, ground)
@@ -276,17 +288,12 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedOutcome:
     learner = build_learner(cfg, klass, loss, mu_learner, oracle,
                             make_rng(seed, _STREAM_LEARNER))
 
-    checkpoints = set(cfg.checkpoints or [max(1, cfg.T // 2), cfg.T])
     lo, hi = loss.output_range
-    rows: list[dict] = []
-    checkpoint_regrets: dict[int, float] = {}
-    comparator = np.zeros(len(klass))
-    cum_loss = 0.0
+    traj = Trajectory(cfg.T)
     last_prediction: Optional[float] = None
-    trace = RegretTrace()
-
     for t in range(1, cfg.T + 1):
-        h_t = learner.select() if learner.proper else None
+        if learner.proper:
+            learner.select()
         context, label = adversary.next_round(last_prediction)
         yhat = learner.predict(context)
         if not (-1.0 - 1e-9 <= yhat <= 1.0 + 1e-9):
@@ -295,49 +302,36 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedOutcome:
         if not (lo - 1e-9 <= instant <= hi + 1e-9):
             raise InvariantViolation(f"loss {instant} outside declared range at round {t}")
         learner.observe(context, label)
-        comparator += loss.evaluate_array(
-            klass.evaluate_block(ContextBlock.single(context))[:, 0], label)
-        cum_loss += instant
-        running_regret = cum_loss - float(comparator.min())
-        trace.append(RoundRecord(t, context, label, yhat, instant, oracle.calls,
-                                 hypothesis_index=h_t))
-        rows.append({
-            "t": t,
-            "context": context.label_for_csv(),
-            "label": label,
-            "prediction": yhat,
-            "instant_loss": instant,
-            "cumulative_regret": running_regret,
-            "oracle_calls": oracle.calls,
-        })
-        if t in checkpoints:
-            checkpoint_regrets[t] = running_regret
+        traj.append(context, label, yhat, instant, oracle.calls)
         last_prediction = yhat
 
-    finalize_regret(trace, klass, loss)
-    final_regret = rows[-1]["cumulative_regret"]
-    if abs(trace.cumulative_regret - final_regret) > 1e-9:
+    regret, totals = regret_curve(traj, klass, loss)
+    final_regret = float(regret[-1])
+    if abs(finalize_regret(traj, klass, loss) - final_regret) > 1e-9:
         raise InvariantViolation("running regret disagrees with finalized regret")
+    checkpoints = set(cfg.checkpoints or [max(1, cfg.T // 2), cfg.T])
     return SeedOutcome(
         seed=seed,
         final_regret=final_regret,
-        checkpoint_regrets=checkpoint_regrets,
+        checkpoint_regrets={t: float(regret[t - 1]) for t in range(1, cfg.T + 1)
+                            if t in checkpoints},
         oracle_calls=oracle.calls,
         wall_time_s=time.perf_counter() - t0,
-        rows=rows,
-        comparator_range=(float(comparator.min()), float(comparator.max())),
-        trace=trace,
+        trajectory=traj,
+        regret=regret,
+        comparator_range=(float(totals.min()), float(totals.max())),
     )
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    header = "t,context,label,prediction,instant_loss,cumulative_regret,oracle_calls"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r['t']},{r['context']},{r['label']!r},{r['prediction']!r},"
-            f"{r['instant_loss']!r},{r['cumulative_regret']!r},{r['oracle_calls']}"
-        )
+def rows_to_csv(outcome: SeedOutcome) -> str:
+    """The per-round CSV trace; floats print as Python reprs, so reruns match byte for byte."""
+    traj = outcome.trajectory
+    rows = zip(range(1, len(traj) + 1), traj.ids.tolist(), traj.coords.tolist(),
+               traj.labels.tolist(), traj.predictions.tolist(), traj.instant_loss.tolist(),
+               outcome.regret.tolist(), traj.oracle_calls.tolist())
+    lines = ["t,context,label,prediction,instant_loss,cumulative_regret,oracle_calls"]
+    lines += [f"{t},{i if i >= 0 else repr(c)},{y!r},{yhat!r},{inst!r},{reg!r},{calls}"
+              for t, i, c, y, yhat, inst, reg, calls in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -381,7 +375,7 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryRecord:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         for o in outcomes:
-            (out / f"trace_seed{o.seed}.csv").write_text(rows_to_csv(o.rows))
+            (out / f"trace_seed{o.seed}.csv").write_text(rows_to_csv(o))
         (out / "summary.json").write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
     return summary
 

@@ -77,10 +77,10 @@ def draw_playout(mu, rounds_left: int, k: int, rng: np.random.Generator) -> Play
 
 
 class RelaxState:
-    """Shared bookkeeping for the relaxation ops: horizon, playout width, history.
+    """Shared bookkeeping for the relaxation ops: horizon, playout width, round count.
 
-    The observed rounds live both here (for diagnostics) and in the oracle's
-    shared prefix as weight-1 main-loss rows, appended via ``observe``.
+    The observed rounds live in the oracle's shared prefix as weight-1
+    main-loss rows, appended via ``observe``.
     """
 
     def __init__(self, loss: LossFunction, T: int, sigma: float,
@@ -99,7 +99,6 @@ class RelaxState:
         self.grid = np.linspace(-1.0, 1.0, grid_size)
         self.delta = 1.0 / (L * math.sqrt(T))
         self.t = 0
-        self.history: list[tuple[ContextPoint, float]] = []
         self.last_branch_values: Optional[tuple[float, float]] = None
 
     @property
@@ -108,7 +107,6 @@ class RelaxState:
         return self.T - (self.t + 1)
 
     def observe(self, context: ContextPoint, label: float, oracle: ErmOracle) -> None:
-        self.history.append((context, label))
         oracle.extend_prefix(context, label)
         self.t += 1
 

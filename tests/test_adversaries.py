@@ -271,3 +271,26 @@ def test_tilted_probs_property(n, sigma, beta):
     assert abs(p.sum() - 1.0) < 1e-9
     assert np.all(p <= mu / sigma + 1e-9)
     assert np.all(p >= -1e-15)
+
+
+def test_tilted_probs_sigma_within_ulps_of_one_terminates():
+    """n = 14, sigma = 1 - 2^-52: sum(mu)/sigma rounds below 1, so the mass can
+    never reach 1; the bracket must stop growing where every atom is capped."""
+    import signal
+
+    def timeout(signum, frame):
+        raise TimeoutError("tilted_smooth_probs did not terminate")
+
+    n, sigma = 14, 1.0 - 2.0 ** -52
+    mu = np.full(n, 1.0 / n)
+    assert (mu / sigma).sum() < 1.0
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        p = tilted_smooth_probs(mu, sigma)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert abs(p.sum() - 1.0) <= 1e-12
+    assert np.all(p <= mu / sigma)
+    FiniteMeasure(GroundSet(size=n), p)  # accepted as a probability vector

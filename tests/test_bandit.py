@@ -11,12 +11,14 @@ from smoothol.bandit import (
     compose_smoothness,
     default_gamma,
     igw_distribution,
+    joint_id,
     product_class,
     product_measure,
     run_bandit_experiment,
     run_square_cb,
 )
 from smoothol.core import (
+    ContextBlock,
     FiniteMeasure,
     GroundSet,
     SmoothnessCertificate,
@@ -58,6 +60,14 @@ def test_igw_validation():
         igw_distribution(np.array([0.5]), gamma=1.0)
     with pytest.raises(ValueError):
         igw_distribution(np.array([0.5, 0.2]), gamma=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_igw_rejects_non_finite_predictions(bad):
+    with pytest.raises(ValueError, match="finite"):
+        igw_distribution(np.array([0.5, bad, 0.2]), gamma=3.0)
+    with pytest.raises(ValueError, match="finite"):
+        igw_distribution(np.array([0.5, 0.2]), gamma=bad)
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,19 +136,40 @@ def _bandit_pieces(seed, K=2, atoms=8, H=4, T=60, sigma=0.5):
     return adversary, regressor, values[0], klass
 
 
+def _observed(result):
+    return result.losses[np.arange(len(result.actions)), result.actions]
+
+
+def _recompute_reg_sq(result, klass, K):
+    """Square-loss regret from the result's columns, row by row."""
+    learner, ids, observed = 0.0, [], []
+    for x_id, action, preds, losses in zip(result.x_ids, result.actions,
+                                           result.predictions, result.losses):
+        learner += (preds[action] - losses[action]) ** 2
+        ids.append(joint_id(int(x_id), int(action), K))
+        observed.append(losses[action])
+    values = klass.evaluate_block(ContextBlock(ids=np.array(ids)))
+    best = min(sum((v - y) ** 2 for v, y in zip(row, observed)) for row in values)
+    return learner - best
+
+
 def test_square_cb_round_trip_and_bookkeeping():
     adversary, regressor, f_star, klass = _bandit_pieces(seed=0)
     gamma = default_gamma(60, 2, 0.5, n_hypotheses=4)
     result = run_square_cb(adversary, regressor, K=2, T=60, f_star=f_star,
                            gamma=gamma, rng=make_rng(0, 2))
-    assert len(result.rounds) == 60
+    assert result.x_ids.shape == result.actions.shape == (60,)
+    assert result.predictions.shape == result.distributions.shape \
+        == result.losses.shape == (60, 2)
     assert result.oracle_calls == 60  # one call per round for the proper regressor
-    for r in result.rounds:
-        assert abs(r.action_distribution.sum() - 1.0) < 1e-12
-        assert np.all(r.action_distribution > 0)
-        assert r.observed_loss in (0.0, 1.0)
+    np.testing.assert_allclose(result.distributions.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(result.distributions > 0)
+    assert set(_observed(result).tolist()) <= {0.0, 1.0}
     # square-loss regret recomputation from the trace
-    assert result.recompute_reg_sq(klass, K=2) == pytest.approx(result.reg_sq, abs=1e-9)
+    assert _recompute_reg_sq(result, klass, K=2) == pytest.approx(result.reg_sq, abs=1e-9)
+    # contextual-bandit regret against the policy greedy in f_star
+    best = result.losses[np.arange(60), np.argmin(f_star[result.x_ids], axis=1)].sum()
+    assert result.reg_cb == pytest.approx(_observed(result).sum() - best, abs=1e-9)
 
 
 def test_square_cb_single_action_has_zero_regret():
@@ -146,7 +177,7 @@ def test_square_cb_single_action_has_zero_regret():
     result = run_square_cb(adversary, regressor, K=1, T=40, f_star=f_star,
                            gamma=5.0, rng=make_rng(1, 2))
     assert result.reg_cb == pytest.approx(0.0, abs=1e-12)
-    assert all(r.action == 0 for r in result.rounds)
+    assert np.all(result.actions == 0)
 
 
 def test_square_cb_realizable_mean_structure():
@@ -154,8 +185,7 @@ def test_square_cb_realizable_mean_structure():
     adversary, regressor, f_star, klass = _bandit_pieces(seed=2, T=400)
     result = run_square_cb(adversary, regressor, K=2, T=400, f_star=f_star,
                            gamma=20.0, rng=make_rng(2, 2))
-    losses = np.vstack([r.all_losses for r in result.rounds])
-    xs = np.array([r.x_id for r in result.rounds])
+    losses, xs = result.losses, result.x_ids
     for atom in np.unique(xs):
         mask = xs == atom
         if mask.sum() >= 50:
@@ -179,8 +209,7 @@ def test_relax_regressor_runs_inside_reduction():
                                     ErmOracle(klass, square_loss()), make_rng(3, 1), k=4)
     result = run_square_cb(adversary, regressor, K=K, T=T, f_star=values[0],
                            gamma=10.0, rng=make_rng(3, 2))
-    for r in result.rounds:
-        assert np.all((r.predictions >= 0.0) & (r.predictions <= 1.0))
+    assert np.all((result.predictions >= 0.0) & (result.predictions <= 1.0))
     # improper regressor: |S| oracle calls per action per round
     grid_size = len(regressor.state.grid)
     assert result.oracle_calls == T * K * grid_size
@@ -210,8 +239,7 @@ def test_out_of_range_predictions_are_clamped_with_warning(caplog):
         result = run_square_cb(adversary, StubRegressor(klass), K=K, T=3,
                                f_star=values[0], gamma=10.0, rng=make_rng(4, 1))
     assert any("clamp" in rec.message for rec in caplog.records)
-    for r in result.rounds:
-        assert np.all(r.predictions == 1.0)
+    assert np.all(result.predictions == 1.0)
 
 
 def test_action_rule_is_swappable():
@@ -223,8 +251,7 @@ def test_action_rule_is_swappable():
 
     result = run_square_cb(adversary, regressor, K=2, T=30, f_star=f_star,
                            gamma=3.0, rng=make_rng(5, 2), action_rule=uniform_rule)
-    for r in result.rounds:
-        np.testing.assert_allclose(r.action_distribution, [0.5, 0.5])
+    np.testing.assert_allclose(result.distributions, np.full((30, 2), 0.5))
 
 
 def test_run_bandit_experiment_config_surface(tmp_path):

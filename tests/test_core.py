@@ -11,14 +11,14 @@ from smoothol.core import (
     FiniteMeasure,
     GroundSet,
     LOSSES,
-    RegretTrace,
-    RoundRecord,
     TableClass,
     ThresholdClass,
+    Trajectory,
     absolute_loss,
     finalize_regret,
     linear_loss,
     make_rng,
+    regret_curve,
 )
 
 from conftest import random_table_class
@@ -161,9 +161,9 @@ def test_linear_loss_values():
 # ---------------------------------------------------------------------------
 
 def _trace(rows):
-    trace = RegretTrace()
+    trace = Trajectory(len(rows))
     for i, (ctx, y, yhat, inst) in enumerate(rows, start=1):
-        trace.append(RoundRecord(i, ctx, y, yhat, inst, oracle_calls_so_far=i))
+        trace.append(ctx, y, yhat, inst, oracle_calls=i)
     return trace
 
 
@@ -171,8 +171,7 @@ def test_finalize_regret_single_round_perfect(sign_constants):
     loss = linear_loss()
     ctx = ContextPoint(id=0, coordinate=0.0)
     trace = _trace([(ctx, 1.0, 1.0, loss.evaluate(1.0, 1.0))])
-    finalize_regret(trace, sign_constants, loss)
-    assert trace.cumulative_regret == pytest.approx(0.0, abs=1e-12)
+    assert finalize_regret(trace, sign_constants, loss) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_finalize_regret_maximal_mismatch(sign_constants):
@@ -180,8 +179,10 @@ def test_finalize_regret_maximal_mismatch(sign_constants):
     ctx = ContextPoint(id=1, coordinate=1 / 3)
     rows = [(ctx, 1.0, -1.0, loss.evaluate(-1.0, 1.0))] * 2
     trace = _trace(rows)
-    finalize_regret(trace, sign_constants, loss)
-    assert trace.cumulative_regret == pytest.approx(2.0, abs=1e-12)
+    assert finalize_regret(trace, sign_constants, loss) == pytest.approx(2.0, abs=1e-12)
+    regret, totals = regret_curve(trace, sign_constants, loss)
+    assert regret.tolist() == [1.0, 2.0]
+    assert totals.tolist() == [0.0, 2.0]
 
 
 def test_finalize_regret_matches_bruteforce_recomputation():
@@ -195,7 +196,6 @@ def test_finalize_regret_matches_bruteforce_recomputation():
         yhat = float(rng.uniform(-1, 1))
         rows.append((ctx, y, yhat, loss.evaluate(yhat, y)))
     trace = _trace(rows)
-    finalize_regret(trace, klass, loss)
 
     # independent recomputation with plain python loops
     best = min(
@@ -203,12 +203,53 @@ def test_finalize_regret_matches_bruteforce_recomputation():
         for h in range(len(klass))
     )
     expected = sum(r[3] for r in rows) - best
-    assert trace.cumulative_regret == pytest.approx(expected, abs=1e-9)
+    assert finalize_regret(trace, klass, loss) == pytest.approx(expected, abs=1e-9)
+    assert regret_curve(trace, klass, loss)[0][-1] == pytest.approx(expected, abs=1e-9)
+
+
+def test_regret_curve_chunks_match_per_round_recurrence():
+    """Past one comparator chunk, the curve still equals the += recurrence exactly."""
+    rng = make_rng(12, 0)
+    klass = random_table_class(rng, 7, 9)
+    loss = absolute_loss()
+    T = 2500
+    trace = Trajectory(T)
+    comparator, cum_loss, expected = np.zeros(len(klass)), 0.0, []
+    for t in range(1, T + 1):
+        ctx = klass.ground.point(int(rng.integers(9)))
+        y, yhat = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
+        inst = loss.evaluate(yhat, y)
+        trace.append(ctx, y, yhat, inst, oracle_calls=t)
+        comparator += loss.evaluate_array(
+            klass.evaluate_block(ContextBlock.single(ctx))[:, 0], y)
+        cum_loss += inst
+        expected.append(cum_loss - float(comparator.min()))
+    regret, totals = regret_curve(trace, klass, loss)
+    assert regret.tolist() == expected
+    assert totals.tolist() == comparator.tolist()
+    assert finalize_regret(trace, klass, loss) == pytest.approx(expected[-1], abs=1e-9)
+
+
+def test_trajectory_columns_hold_ids_and_coordinates():
+    trace = Trajectory(3)
+    trace.append(ContextPoint(id=2, coordinate=0.5), 1.0, 0.25, 0.375, 1)
+    trace.append(ContextPoint(coordinate=0.75), -1.0, -0.5, 0.25, 1)
+    assert len(trace) == 2
+    assert trace.ids[:2].tolist() == [2, -1]
+    assert trace.coords[:2].tolist() == [0.5, 0.75]
+    assert trace.labels[:2].tolist() == [1.0, -1.0]
+    assert trace.predictions[:2].tolist() == [0.25, -0.5]
+    assert trace.instant_loss[:2].tolist() == [0.375, 0.25]
+    # the second round has no atom id, so a table class cannot score the trace
+    with pytest.raises(DomainMismatchError):
+        finalize_regret(trace, TableClass(np.ones((1, 4))), linear_loss())
+    thresholds = ThresholdClass(np.array([0.6]))  # wrong on both rounds: loss 1 each
+    assert finalize_regret(trace, thresholds, linear_loss()) == pytest.approx(0.625 - 2.0)
 
 
 def test_finalize_regret_empty_trace_errors(sign_constants):
     with pytest.raises(EmptyTraceError, match="empty trace"):
-        finalize_regret(RegretTrace(), sign_constants, linear_loss())
+        finalize_regret(Trajectory(3), sign_constants, linear_loss())
 
 
 def test_regret_lower_bounds(sign_constants):
@@ -221,24 +262,23 @@ def test_regret_lower_bounds(sign_constants):
         yhat = float(rng.uniform(-1, 1))
         rows.append((ctx, y, yhat, loss.evaluate(yhat, y)))
     trace = _trace(rows)
-    finalize_regret(trace, sign_constants, loss)
     width = loss.output_range[1] - loss.output_range[0]
-    assert trace.cumulative_regret >= -width * len(rows) - 1e-9
+    assert finalize_regret(trace, sign_constants, loss) >= -width * len(rows) - 1e-9
 
     # perfect comparator: labels all +1 and f=+1 in the class, so regret >= 0
     rows = [(sign_constants.ground.point(0), 1.0, float(rng.uniform(-1, 1)), None)]
     rows = [(c, y, p, loss.evaluate(p, y)) for c, y, p, _ in rows * 10]
     trace = _trace(rows)
-    finalize_regret(trace, sign_constants, loss)
-    assert trace.cumulative_regret >= -1e-12
+    assert finalize_regret(trace, sign_constants, loss) >= -1e-12
+    assert np.all(regret_curve(trace, sign_constants, loss)[0] >= -1e-12)
 
 
 def test_oracle_call_counter_must_be_nondecreasing():
-    trace = RegretTrace()
+    trace = Trajectory(2)
     ctx = ContextPoint(id=0, coordinate=0.0)
-    trace.append(RoundRecord(1, ctx, 1.0, 1.0, 0.0, oracle_calls_so_far=5))
+    trace.append(ctx, 1.0, 1.0, 0.0, oracle_calls=5)
     with pytest.raises(ValueError):
-        trace.append(RoundRecord(2, ctx, 1.0, 1.0, 0.0, oracle_calls_so_far=4))
+        trace.append(ctx, 1.0, 1.0, 0.0, oracle_calls=4)
 
 
 # ---------------------------------------------------------------------------

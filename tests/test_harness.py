@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from smoothol.cli import main as cli_main
+from smoothol.core import ContextBlock, ContextPoint, LOSSES
 from smoothol.harness import (
     ConfigError,
     ExperimentConfig,
     LEARNER_NAMES,
+    build_class,
+    build_ground_and_mu,
+    rows_to_csv,
     run_experiment,
     run_seed,
     sweep,
@@ -87,26 +91,66 @@ def test_every_learner_is_deterministic_per_seed(learner):
     cfg = ExperimentConfig.from_dict(_base_config(learner={"name": learner}, T=6))
     a = run_seed(cfg, 7)
     b = run_seed(cfg, 7)
-    assert a.rows == b.rows
+    assert rows_to_csv(a) == rows_to_csv(b)
     c = run_seed(cfg, 8)
-    assert a.rows != c.rows
+    assert rows_to_csv(a) != rows_to_csv(c)
 
 
 def test_trace_oracle_accounting_totals():
     cfg = ExperimentConfig.from_dict(_base_config(learner={"name": "relax-linear"}, T=9))
     outcome = run_seed(cfg, 0)
-    assert outcome.oracle_calls == outcome.rows[-1]["oracle_calls"] == 2 * 9
+    assert outcome.oracle_calls == outcome.trajectory.oracle_calls[-1] == 2 * 9
     for name in ("ftpl-cls", "ftpl-dual", "ftpl-single"):
         cfg = ExperimentConfig.from_dict(_base_config(learner={"name": name}, T=9))
         outcome = run_seed(cfg, 0)
-        assert outcome.oracle_calls == outcome.rows[-1]["oracle_calls"] == 9
+        assert outcome.oracle_calls == outcome.trajectory.oracle_calls[-1] == 9
+
+
+# learner -> a loss it runs with, so every loss shape is exercised
+_DIFF_LOSSES = {"relax-linear": "linear", "relax-general": "absolute",
+                "ftpl-cls": "linear", "ftpl-dual": "absolute", "ftpl-single": "scaled_square"}
+
+
+@pytest.mark.parametrize("ground", ["grid", "interval"])
+@pytest.mark.parametrize("learner", list(LEARNER_NAMES))
+def test_regret_column_matches_per_round_reference(learner, ground):
+    """The columnar regret equals the per-round comparator recurrence exactly."""
+    cfg = ExperimentConfig.from_dict(_base_config(
+        learner={"name": learner}, loss=_DIFF_LOSSES[learner], T=25,
+        adversary={"kind": "iid", "p": "tilted" if ground == "grid" else "mu",
+                   "labels": {"rule": "noisy_comparator", "threshold": 0.5,
+                              "flip_prob": 0.1}},
+        ground={"type": "grid", "atoms": 16} if ground == "grid" else {"type": "interval"},
+        checkpoints=[1, 7, 25]))
+    outcome = run_seed(cfg, 3)
+    klass = build_class(cfg, build_ground_and_mu(cfg)[0])
+    loss = LOSSES[cfg.loss]()
+
+    traj = outcome.trajectory
+    comparator = np.zeros(len(klass))
+    cum_loss = 0.0
+    expected = []
+    for i, c, y, inst in zip(traj.ids.tolist(), traj.coords.tolist(),
+                             traj.labels.tolist(), traj.instant_loss.tolist()):
+        ctx = ContextPoint(id=i if i >= 0 else None,
+                           coordinate=None if np.isnan(c) else c)
+        comparator += loss.evaluate_array(
+            klass.evaluate_block(ContextBlock.single(ctx))[:, 0], y)
+        cum_loss += inst
+        expected.append(cum_loss - float(comparator.min()))
+
+    column = [line.split(",")[5] for line in rows_to_csv(outcome).splitlines()[1:]]
+    assert column == [repr(r) for r in expected]
+    assert outcome.final_regret == expected[-1]
+    assert outcome.checkpoint_regrets == {t: expected[t - 1] for t in (1, 7, 25)}
+    assert outcome.comparator_range == (float(comparator.min()), float(comparator.max()))
 
 
 def test_dual_learner_heavy_tail_complexity_regime():
     cfg = ExperimentConfig.from_dict(_base_config(
         learner={"name": "ftpl-dual", "p": 4.0}, T=16))
     outcome = run_seed(cfg, 0)
-    assert len(outcome.rows) == 16
+    assert len(outcome.trajectory) == 16
 
 
 def test_hidden_mu_config_runs_on_interval_ground():
@@ -117,7 +161,7 @@ def test_hidden_mu_config_runs_on_interval_ground():
         T=12, sigma=1 / 12, seeds=[0],
     ))
     outcome = run_seed(cfg, 0)
-    assert len(outcome.rows) == 12
+    assert len(outcome.trajectory) == 12
 
 
 def test_schedule_overrides_reach_the_learner():
@@ -155,7 +199,7 @@ def test_rademacher_gap_config():
     ))
     cfg.klass = {"type": "table", "values": values}
     outcome = run_seed(cfg, 1)
-    assert len(outcome.rows) == 8
+    assert len(outcome.trajectory) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +277,31 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(_base_config(learner={"name": "nope"})))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"ground": {"type": "grid", "atoms": 0}},
+    {"learner": {"name": "relax-linear"}, "loss": "absolute"},
+    {"loss": "square"},  # +/-1 thresholds leave the [0, 1] square-loss domain
+    {"class": {"type": "table", "values": [[0.5] * 15 + [1.5]]}},
+], ids=["zero-atoms", "relax-linear-absolute", "square-on-thresholds", "table-over-one"])
+def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(_base_config(**overrides)))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_bandit_class_outside_unit_interval_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "bandit.json"
+    values = np.full((2, 4, 2), 0.5)
+    values[1, 0, 0] = 1.5
+    cfg_path.write_text(json.dumps({
+        "K": 2, "sigma": 0.5, "T": 12, "seeds": [0], "ground": {"atoms": 4},
+        "class": {"type": "table", "values": values.tolist()},
+    }))
+    assert cli_main(["bandit", "--config", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
 
 
