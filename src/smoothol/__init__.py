@@ -26,7 +26,7 @@ from .core import (
     scaled_square_loss,
     square_loss,
 )
-from .oracle import ErmOracle, ErmQuery, ErmResult, WeightedExample
+from .oracle import ErmOracle, ErmQuery, ErmResult
 
 __all__ = [
     "ContextBlock",
@@ -49,5 +49,4 @@ __all__ = [
     "ErmOracle",
     "ErmQuery",
     "ErmResult",
-    "WeightedExample",
 ]

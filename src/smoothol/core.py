@@ -101,15 +101,6 @@ class ContextBlock:
     def single(point: ContextPoint) -> "ContextBlock":
         return ContextBlock.from_points([point])
 
-    def points(self) -> list[ContextPoint]:
-        n = len(self)
-        out = []
-        for i in range(n):
-            cid = int(self.ids[i]) if self.ids is not None else None
-            cc = float(self.coords[i]) if self.coords is not None else None
-            out.append(ContextPoint(id=cid, coordinate=cc))
-        return out
-
 
 @dataclass(frozen=True)
 class GroundSet:

@@ -147,7 +147,8 @@ class FtplSchedule:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.eta < 0 or self.n < 1 or self.zeta < 0:
+        if self.eta < 0 or self.n < 1 or self.zeta < 0 or (
+                self.epsilon is not None and not self.epsilon > 0):
             raise ValueError("schedule parameters out of range")
         if self.variant == "single":
             if abs(self.eta - math.sqrt(self.n)) > 1e-9:
@@ -203,70 +204,52 @@ def schedule(T: int, sigma: float, L: float = 1.0, d_or_p: Optional[float] = Non
 # Selection rules (one oracle call each)
 # ---------------------------------------------------------------------------
 
-def _history_blocks(query: ErmQuery, history) -> bool:
-    """Attach explicit history rows; returns whether the oracle prefix stands in."""
-    if history is None:
-        return True
-    points = [h[0] for h in history]
-    labels = np.array([h[1] for h in history], dtype=np.float64)
-    if len(points):
-        query.add_block(MAIN, ContextBlock.from_points(points), labels,
-                        np.ones(len(points)))
-    return False
-
-
 def _finish(query: ErmQuery, oracle: ErmOracle, zeta: float,
-            rng: Optional[np.random.Generator], include_prefix: bool) -> int:
+            rng: Optional[np.random.Generator]) -> int:
     if zeta > 0:
-        result = oracle.approximate(query, zeta, rng, include_prefix=include_prefix)
-    else:
-        result = oracle.exact(query, include_prefix=include_prefix)
-    return result.hypothesis_index
+        return oracle.approximate(query, zeta, rng).hypothesis_index
+    return oracle.exact(query).hypothesis_index
 
 
-def ftpl_select_classification(history, pert: GaussianPerturbation, eta: float,
+def ftpl_select_classification(pert: GaussianPerturbation, eta: float,
                                oracle: ErmOracle, zeta: float = 0.0,
                                rng: Optional[np.random.Generator] = None) -> int:
     """argmin_f L(f) + eta * omega(f), one oracle call.
 
-    ``history`` is a sequence of (context, label) pairs, or None to use the
-    rows previously appended to the oracle's shared prefix.
+    L(f) is the running loss held in the oracle's history prefix (a partial
+    objective); the perturbation enters as identity rows.
     """
     if pert.normalization != "inv_sqrt_n" or pert.labels is not None:
         raise ValueError("classification variant uses the normalized, label-free process")
-    query = ErmQuery()
-    include_prefix = _history_blocks(query, history)
-    weights = eta * pert.scale * pert.coeffs
-    query.add_block(IDENTITY, pert.contexts, np.zeros(pert.n), weights)
-    return _finish(query, oracle, zeta, rng, include_prefix)
+    query = ErmQuery().add_partial(oracle.prefix)
+    query.add_block(IDENTITY, pert.contexts, np.zeros(pert.n), eta * pert.scale * pert.coeffs)
+    return _finish(query, oracle, zeta, rng)
 
 
-def ftpl_select_dual(history, pert_m: GaussianPerturbation, pert_n: GaussianPerturbation,
+def ftpl_select_dual(pert_m: GaussianPerturbation, pert_n: GaussianPerturbation,
                      eta: float, oracle: ErmOracle, zeta: float = 0.0,
                      rng: Optional[np.random.Generator] = None) -> int:
-    """argmin_f L(f) + eta * omega(f) + omega'(f), one oracle call."""
+    """argmin_f L(f) + eta * omega(f) + omega'(f), one oracle call; L(f) from the prefix."""
     if pert_m.normalization != "inv_sqrt_n" or pert_m.labels is not None:
         raise ValueError("first process must be normalized and label-free")
     if pert_n.normalization != "none" or pert_n.labels is None:
         raise ValueError("second process must be unnormalized with label anchors")
-    query = ErmQuery()
-    include_prefix = _history_blocks(query, history)
+    query = ErmQuery().add_partial(oracle.prefix)
     query.add_block(IDENTITY, pert_m.contexts, np.zeros(pert_m.n),
                     eta * pert_m.scale * pert_m.coeffs)
     query.add_block(MAIN, pert_n.contexts, pert_n.labels, pert_n.coeffs)
-    return _finish(query, oracle, zeta, rng, include_prefix)
+    return _finish(query, oracle, zeta, rng)
 
 
-def ftpl_select_single(history, pert: GaussianPerturbation, eta_over_sqrt_n: float,
+def ftpl_select_single(pert: GaussianPerturbation, eta_over_sqrt_n: float,
                        oracle: ErmOracle, zeta: float = 0.0,
                        rng: Optional[np.random.Generator] = None) -> int:
-    """argmin_f L(f) + (eta/sqrt n) * omega'(f), one oracle call."""
+    """argmin_f L(f) + (eta/sqrt n) * omega'(f), one oracle call; L(f) from the prefix."""
     if pert.normalization != "none" or pert.labels is None:
         raise ValueError("single variant uses the unnormalized label-anchor process")
-    query = ErmQuery()
-    include_prefix = _history_blocks(query, history)
+    query = ErmQuery().add_partial(oracle.prefix)
     query.add_block(MAIN, pert.contexts, pert.labels, eta_over_sqrt_n * pert.coeffs)
-    return _finish(query, oracle, zeta, rng, include_prefix)
+    return _finish(query, oracle, zeta, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +285,16 @@ class FtplLearner:
         s = self.sched
         if self.variant == "classification":
             pert = draw_perturbation(self.mu, s.n, self.rng)
-            idx = ftpl_select_classification(None, pert, s.eta, self.oracle,
-                                             s.zeta, self.rng)
+            idx = ftpl_select_classification(pert, s.eta, self.oracle, s.zeta, self.rng)
         elif self.variant == "dual":
             pert_m = draw_perturbation(self.mu, s.m or s.n, self.rng)
             pert_n = draw_perturbation(self.mu, s.n, self.rng, normalization="none",
                                        eps=s.epsilon, label_range=self.label_range)
-            idx = ftpl_select_dual(None, pert_m, pert_n, s.eta, self.oracle,
-                                   s.zeta, self.rng)
+            idx = ftpl_select_dual(pert_m, pert_n, s.eta, self.oracle, s.zeta, self.rng)
         else:
             pert = draw_perturbation(self.mu, s.n, self.rng, normalization="none",
                                      eps=s.epsilon, label_range=self.label_range)
-            idx = ftpl_select_single(None, pert, s.eta / math.sqrt(s.n), self.oracle,
+            idx = ftpl_select_single(pert, s.eta / math.sqrt(s.n), self.oracle,
                                      s.zeta, self.rng)
         self.selected = idx
         return idx

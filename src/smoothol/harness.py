@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 LEARNER_NAMES = ("relax-linear", "relax-general", "ftpl-cls", "ftpl-dual", "ftpl-single")
+FTPL_VARIANTS = {"ftpl-cls": "classification", "ftpl-dual": "dual", "ftpl-single": "single"}
 ADVERSARY_KINDS = ("iid", "adaptive_mixture", "hidden_mu_threshold", "rademacher_gap")
 SWEEPABLE = ("T", "sigma", "learner", "k", "seeds")
 
@@ -127,9 +128,20 @@ class ExperimentConfig:
             raise ConfigError(f"unknown loss {self.loss!r}; valid: {', '.join(LOSSES)}")
         if name == "relax-linear" and self.loss != "linear":
             raise ConfigError(f"relax-linear needs the linear loss, not {self.loss!r}")
-        if self.ground.get("type", "grid") == "grid" and int(self.ground.get("atoms", 64)) < 1:
-            raise ConfigError("ground.atoms must be at least 1")
-        lo, hi = LOSSES[self.loss]().domain
+        # counts arrive as ints; integral floats are normalized in place
+        for part, spec, key in (("ground", self.ground, "atoms"), ("class", self.klass, "m"),
+                                ("learner", self.learner, "k"), ("learner", self.learner, "n"),
+                                ("learner", self.learner, "m")):
+            if spec.get(key) is not None:
+                spec[key] = _positive_int(spec[key], f"{part}.{key}")
+        loss = LOSSES[self.loss]()
+        try:  # build what the run builds from plain numbers, so it fails here
+            build_class(self, build_ground_and_mu(self)[0])
+            if name in FTPL_VARIANTS:
+                build_schedule(self, loss)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        lo, hi = loss.domain
         try:  # labels, and the values of threshold classes, are +/-1
             values = np.append(np.asarray(self.klass.get("values", []), dtype=float), [-1, 1])
         except (TypeError, ValueError) as exc:
@@ -145,6 +157,14 @@ class ExperimentConfig:
             "ground": self.ground, "output_dir": self.output_dir,
             "checkpoints": self.checkpoints,
         }
+
+
+def _positive_int(value, name: str) -> int:
+    """value as an int >= 1; a fraction, a string or a bool is a config error."""
+    if isinstance(value, bool) or not (isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer())) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, not {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +188,7 @@ def build_class(cfg: ExperimentConfig, ground) -> HypothesisClass:
     kind = cfg.klass.get("type")
     if kind == "thresholds":
         thresholds = ThresholdClass.grid(int(cfg.klass.get("m", 64)))
-        if ground is not None and ground.coords is not None \
-                and cfg.klass.get("tabulate", True):
+        if ground is not None and ground.coords is not None:
             # on a finite grid the class restricts to an explicit sign table,
             # which evaluates much faster at long horizons
             values = thresholds.evaluate_block(ContextBlock(coords=ground.coords))
@@ -237,8 +256,14 @@ def build_learner(cfg: ExperimentConfig, klass: HypothesisClass, loss: LossFunct
         cls = RelaxLinearLearner if name == "relax-linear" else RelaxGeneralLearner
         return cls(klass, loss, mu, cfg.T, cfg.sigma, oracle, rng,
                    k=spec.get("k"))
-    variant = {"ftpl-cls": "classification", "ftpl-dual": "dual",
-               "ftpl-single": "single"}[name]
+    return FtplLearner(FTPL_VARIANTS[name], klass, loss, mu, build_schedule(cfg, loss),
+                       oracle, rng)
+
+
+def build_schedule(cfg: ExperimentConfig, loss: LossFunction) -> FtplSchedule:
+    """The FTPL variant's default schedule, with the config's overrides applied."""
+    spec = cfg.learner
+    variant = FTPL_VARIANTS[spec["name"]]
     sched = schedule(cfg.T, cfg.sigma, L=loss.lipschitz_L,
                      d_or_p=spec.get("p"), variant=variant,
                      zeta=float(spec.get("zeta", 0.0)))
@@ -255,7 +280,7 @@ def build_learner(cfg: ExperimentConfig, klass: HypothesisClass, loss: LossFunct
         if variant == "single" and "n" in overrides and "eta" not in overrides:
             merged["eta"] = math.sqrt(merged["n"])
         sched = FtplSchedule(**merged)
-    return FtplLearner(variant, klass, loss, mu, sched, oracle, rng)
+    return sched
 
 
 # ---------------------------------------------------------------------------

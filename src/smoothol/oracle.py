@@ -9,41 +9,28 @@ slack zeta the returned hypothesis satisfies
 
 (or + zeta flat, if the total-weight scaling is switched off).
 
-Queries are columnar: a list of row blocks, each a (selector, contexts,
-labels, weights) group.  Learners with a long history may append their
-observed rounds to the oracle's shared prefix once per round; the oracle keeps
-the per-hypothesis partial objective incrementally, and queries opt in with
-``include_prefix=True``.  The prefix rows are logically part of the query.
+A query is a list of partials plus columnar row blocks, each block a
+(selector, contexts, labels, weights) group.  A partial holds rows evaluated
+once into a per-hypothesis objective (``ErmOracle.partial``): the history
+``prefix``, extended once per observed round, is one; a relaxation round's
+playout, shared by all its branch queries, is another.  An optional log
+writes one JSON line per call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterator, Optional, Sequence
+from typing import IO, Optional
 
 import numpy as np
 
 from .core import ContextBlock, ContextPoint, HypothesisClass, LossFunction
 
-__all__ = ["WeightedExample", "RowBlock", "ErmQuery", "ErmResult", "ErmOracle"]
+__all__ = ["RowBlock", "Partial", "ErmQuery", "ErmResult", "ErmOracle"]
 
 MAIN = "main_loss"
 IDENTITY = "identity_loss"
-
-
-@dataclass(frozen=True)
-class WeightedExample:
-    """One oracle input row: (context, label, weight) plus a loss selector."""
-
-    context: ContextPoint
-    label: float
-    weight: float
-    loss_selector: str = MAIN
-
-    def __post_init__(self):
-        if self.loss_selector not in (MAIN, IDENTITY):
-            raise ValueError(f"unknown loss selector {self.loss_selector!r}")
 
 
 @dataclass
@@ -53,46 +40,73 @@ class RowBlock:
     labels: np.ndarray
     weights: np.ndarray
 
+    def __post_init__(self):
+        if self.selector not in (MAIN, IDENTITY):
+            raise ValueError(f"unknown loss selector {self.selector!r}")
+        self.labels = np.asarray(self.labels, dtype=np.float64)
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        if not (len(self.contexts) == len(self.labels) == len(self.weights)):
+            raise ValueError("block arrays must share a length")
+
     def __len__(self) -> int:
         return len(self.weights)
 
 
-class ErmQuery:
-    """A weighted ERM instance, built from rows or from columnar blocks."""
+class Partial:
+    """Rows already evaluated: per-hypothesis objective, row count and sum |w|.
 
-    def __init__(self, rows: Optional[Sequence[WeightedExample]] = None):
+    sum |w| is read only by approximate calls and the log, so it is taken
+    from the (unchanged) weights on first read.
+    """
+
+    def __init__(self, objective: np.ndarray, weights: np.ndarray):
+        self.objective = objective
+        self.rows = len(weights)
+        self._weights: Optional[np.ndarray] = weights
+        self._abs_weight = 0.0
+
+    @property
+    def abs_weight(self) -> float:
+        if self._weights is not None:
+            self._abs_weight = float(np.abs(self._weights).sum())
+            self._weights = None
+        return self._abs_weight
+
+    def extend(self, other: "Partial") -> None:
+        """Add another partial's rows to these, in place."""
+        self.objective += other.objective
+        self._abs_weight = self.abs_weight + other.abs_weight
+        self.rows += other.rows
+
+
+class ErmQuery:
+    """A weighted ERM instance: partial objectives plus columnar row blocks."""
+
+    def __init__(self):
+        self.partials: list[Partial] = []
         self.blocks: list[RowBlock] = []
-        for row in rows or ():
-            self.add_block(
-                row.loss_selector,
-                ContextBlock.single(row.context),
-                np.array([row.label], dtype=np.float64),
-                np.array([row.weight], dtype=np.float64),
-            )
+
+    def add_partial(self, partial: Partial) -> "ErmQuery":
+        self.partials.append(partial)
+        return self
 
     def add_block(self, selector: str, contexts: ContextBlock,
                   labels: np.ndarray, weights: np.ndarray) -> "ErmQuery":
-        if selector not in (MAIN, IDENTITY):
-            raise ValueError(f"unknown loss selector {selector!r}")
-        labels = np.asarray(labels, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if not (len(contexts) == len(labels) == len(weights)):
-            raise ValueError("block arrays must share a length")
-        if len(weights):
-            self.blocks.append(RowBlock(selector, contexts, labels, weights))
+        block = RowBlock(selector, contexts, labels, weights)
+        if len(block):
+            self.blocks.append(block)
         return self
 
     @property
     def n_rows(self) -> int:
+        """Rows of the row blocks; partial rows are counted by each partial."""
         return sum(len(b) for b in self.blocks)
 
     def total_abs_weight(self) -> float:
-        return float(sum(np.abs(b.weights).sum() for b in self.blocks))
-
-    def iter_rows(self) -> Iterator[WeightedExample]:
-        for b in self.blocks:
-            for p, y, w in zip(b.contexts.points(), b.labels, b.weights):
-                yield WeightedExample(p, float(y), float(w), b.selector)
+        total = float(sum(np.abs(b.weights).sum() for b in self.blocks))
+        for p in self.partials:
+            total += p.abs_weight
+        return total
 
 
 @dataclass(frozen=True)
@@ -117,9 +131,7 @@ class ErmOracle:
         self.scale_slack_by_total_weight = scale_slack_by_total_weight
         self.log_stream = log_stream
         self._calls = 0
-        self._prefix_objective = np.zeros(len(klass), dtype=np.float64)
-        self._prefix_abs_weight = 0.0
-        self._prefix_rows = 0
+        self.prefix = Partial(np.zeros(len(klass), dtype=np.float64), np.zeros(0))
 
     # -- call accounting ----------------------------------------------------
     @property
@@ -127,21 +139,18 @@ class ErmOracle:
         """Number of completed oracle queries (exact or approximate)."""
         return self._calls
 
-    # -- shared history prefix ----------------------------------------------
+    # -- partial objectives -------------------------------------------------
+    def partial(self, selector: str, contexts: ContextBlock,
+                labels: np.ndarray, weights: np.ndarray) -> Partial:
+        """Evaluate a row block once, for any number of queries; not an oracle call."""
+        block = RowBlock(selector, contexts, labels, weights)
+        return Partial(self._block_objective(block), block.weights)
+
     def extend_prefix(self, context: ContextPoint, label: float,
                       weight: float = 1.0, selector: str = MAIN) -> None:
-        """Append a row to the shared prefix shipped with include_prefix queries."""
-        block = ContextBlock.single(context)
-        y = np.array([label], dtype=np.float64)
-        w = np.array([weight], dtype=np.float64)
-        self._prefix_objective += self._block_objective(RowBlock(selector, block, y, w))
-        self._prefix_abs_weight += abs(weight)
-        self._prefix_rows += 1
-
-    def reset_prefix(self) -> None:
-        self._prefix_objective = np.zeros(len(self.klass), dtype=np.float64)
-        self._prefix_abs_weight = 0.0
-        self._prefix_rows = 0
+        """Append one row to the shared history prefix, in place."""
+        self.prefix.extend(self.partial(selector, ContextBlock.single(context),
+                                        [label], [weight]))
 
     # -- objective evaluation -----------------------------------------------
     def _block_objective(self, block: RowBlock) -> np.ndarray:
@@ -151,16 +160,22 @@ class ErmOracle:
         values = self.klass.evaluate_block(block.contexts)
         return self.main_loss.evaluate_array(values, block.labels[None, :]) @ block.weights
 
-    def objective_vector(self, query: ErmQuery, include_prefix: bool = False) -> np.ndarray:
-        obj = self._prefix_objective.copy() if include_prefix else np.zeros(len(self.klass))
+    def objective_vector(self, query: ErmQuery) -> np.ndarray:
+        """Partials in order, starting from a copy of the first, then the row blocks."""
+        if query.partials:
+            obj = query.partials[0].objective.copy()
+            for p in query.partials[1:]:
+                obj += p.objective
+        else:
+            obj = np.zeros(len(self.klass))
         for block in query.blocks:
             obj += self._block_objective(block)
         return obj
 
     # -- queries --------------------------------------------------------------
-    def exact(self, query: ErmQuery, include_prefix: bool = False) -> ErmResult:
+    def exact(self, query: ErmQuery) -> ErmResult:
         """Exact minimizer (zeta = 0); ties resolve to the lowest index."""
-        obj = self.objective_vector(query, include_prefix)
+        obj = self.objective_vector(query)
         idx = int(np.argmin(obj))
         self._calls += 1
         result = ErmResult(idx, float(obj[idx]))
@@ -168,8 +183,7 @@ class ErmOracle:
         return result
 
     def approximate(self, query: ErmQuery, zeta: float,
-                    rng: Optional[np.random.Generator] = None,
-                    include_prefix: bool = False) -> ErmResult:
+                    rng: Optional[np.random.Generator] = None) -> ErmResult:
         """zeta-approximate minimizer.
 
         Runs the exact scan, then with probability 1/2 returns a uniformly
@@ -180,13 +194,11 @@ class ErmOracle:
         """
         if zeta < 0:
             raise ValueError("zeta must be nonnegative")
-        obj = self.objective_vector(query, include_prefix)
+        obj = self.objective_vector(query)
         idx = int(np.argmin(obj))
         if zeta > 0 and rng is not None and rng.random() < 0.5:
-            total = query.total_abs_weight() + (
-                self._prefix_abs_weight if include_prefix else 0.0
-            )
-            slack = zeta * total if self.scale_slack_by_total_weight else zeta
+            slack = zeta * query.total_abs_weight() if self.scale_slack_by_total_weight \
+                else zeta
             admissible = np.flatnonzero(obj <= obj[idx] + slack)
             others = admissible[admissible != idx]
             if len(others):
@@ -200,18 +212,13 @@ class ErmOracle:
     def _log(self, query: ErmQuery, result: ErmResult) -> None:
         if self.log_stream is None:
             return
+        rows = {MAIN: 0, IDENTITY: 0}
+        for b in query.blocks:
+            rows[b.selector] += len(b)
         record = {
-            "prefix_rows": self._prefix_rows,
-            "rows": [
-                {
-                    "context": row.context.id if row.context.id is not None
-                    else row.context.coordinate,
-                    "y": row.label,
-                    "w": row.weight,
-                    "loss": row.loss_selector,
-                }
-                for row in query.iter_rows()
-            ],
+            "rows": rows,
+            "partial_rows": sum(p.rows for p in query.partials),
+            "abs_weight": query.total_abs_weight(),
             "result_index": result.hypothesis_index,
             "objective": result.objective_value,
         }

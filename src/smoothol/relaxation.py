@@ -8,9 +8,12 @@ horizon from the base measure with Rademacher signs, and plays
 where L_t(f) is the running loss of f including the candidate label y for the
 current round.  The inner supremum over the class is one weighted ERM call
 (identity rows for the playout carry negated weights because the oracle
-minimizes).  For linear loss the outer problem collapses to a closed form
-needing two oracle calls; in general the interval is discretized at scale
-1/(L*sqrt(T)) and the outer minimization runs a three-point convex search.
+minimizes).  The playout rows are the same in every branch of a round, so
+they are evaluated once into a partial objective that all branch queries
+share; the oracle call count does not change.  For linear loss the outer
+problem collapses to a closed form needing two oracle calls; in general the
+interval is discretized at scale 1/(L*sqrt(T)) and the outer minimization
+runs a three-point convex search.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .core import (
     HypothesisClass,
     LossFunction,
 )
-from .oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
+from .oracle import IDENTITY, MAIN, ErmOracle, ErmQuery, Partial
 
 __all__ = [
     "PlayoutDraw",
@@ -99,7 +102,8 @@ class RelaxState:
         self.grid = np.linspace(-1.0, 1.0, grid_size)
         self.delta = 1.0 / (L * math.sqrt(T))
         self.t = 0
-        self.last_branch_values: Optional[tuple[float, float]] = None
+        # (a_+, a_-) after predict_linear, Phi(y) over the grid after predict_general
+        self.last_branch_values: Optional[tuple[float, ...]] = None
 
     @property
     def rounds_left(self) -> int:
@@ -111,26 +115,22 @@ class RelaxState:
         self.t += 1
 
 
-def _playout_block(playout: PlayoutDraw, weight_scale: float) -> tuple[ContextBlock, np.ndarray]:
-    """Identity-loss rows for a playout.
+def _playout_partial(playout: PlayoutDraw, weight_scale: float, oracle: ErmOracle) -> Partial:
+    """The playout's identity rows, evaluated once for every query that shares them.
 
     The oracle minimizes while the relaxation takes a supremum, so playout
     weights enter negated: weight_scale is -6L for predictions, -2L for the
-    Monte-Carlo relaxation value.  Duplicate atoms need no merging here; the
-    class-level ``identity_dot`` routes already batch them.
+    Monte-Carlo relaxation value.
     """
     weights = weight_scale * playout.signs.astype(np.float64).ravel()
-    return playout.contexts, weights
+    return oracle.partial(IDENTITY, playout.contexts, np.zeros(len(weights)), weights)
 
 
-def _branch_query(playout_block: tuple[ContextBlock, np.ndarray],
-                  x_t: ContextPoint, y: float) -> ErmQuery:
-    block, weights = playout_block
-    q = ErmQuery()
-    if len(weights):
-        q.add_block(IDENTITY, block, np.zeros(len(weights)), weights)
-    q.add_block(MAIN, ContextBlock.single(x_t), np.array([y]), np.array([1.0]))
-    return q
+def _branch_value(oracle: ErmOracle, playout: Partial, x_t: ContextBlock, y: float) -> float:
+    """sup_f [ playout(f) - L_t(f) - l(f(x_t), y) ], one oracle call."""
+    query = ErmQuery().add_partial(oracle.prefix).add_partial(playout)
+    query.add_block(MAIN, x_t, np.array([y]), np.array([1.0]))
+    return -oracle.exact(query).objective_value
 
 
 def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextPoint,
@@ -144,10 +144,10 @@ def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextPoint,
     """
     if state.loss.kind != "linear":
         raise ValueError("linear loss required")
-    L = state.loss.lipschitz_L
-    pb = _playout_block(playout, -6.0 * L)
-    a_plus = -oracle.exact(_branch_query(pb, x_t, 1.0), include_prefix=True).objective_value
-    a_minus = -oracle.exact(_branch_query(pb, x_t, -1.0), include_prefix=True).objective_value
+    shared = _playout_partial(playout, -6.0 * state.loss.lipschitz_L, oracle)
+    x_block = ContextBlock.single(x_t)
+    a_plus = _branch_value(oracle, shared, x_block, 1.0)
+    a_minus = _branch_value(oracle, shared, x_block, -1.0)
     state.last_branch_values = (a_plus, a_minus)
     return float(np.clip(a_plus - a_minus, -1.0, 1.0))
 
@@ -198,12 +198,10 @@ def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextPoint,
     over yhat then runs the three-point search on cached branch values.
     """
     S = state.grid
-    L = state.loss.lipschitz_L
-    pb = _playout_block(playout, -6.0 * L)
-    phi = np.array([
-        -oracle.exact(_branch_query(pb, x_t, float(y)), include_prefix=True).objective_value
-        for y in S
-    ])
+    shared = _playout_partial(playout, -6.0 * state.loss.lipschitz_L, oracle)
+    x_block = ContextBlock.single(x_t)
+    phi = np.array([_branch_value(oracle, shared, x_block, float(y)) for y in S])
+    state.last_branch_values = tuple(phi.tolist())
     loss_matrix = state.loss.evaluate_array(S[:, None], S[None, :])
     outer = loss_matrix + phi[None, :]
 
@@ -232,11 +230,9 @@ def estimate_relaxation(state: RelaxState, oracle: ErmOracle, num_playouts: int,
     values = np.empty(num_playouts)
     for i in range(num_playouts):
         playout = draw_playout(mu, rounds_left, state.k, rng)
-        block, weights = _playout_block(playout, -2.0 * L)
-        q = ErmQuery()
-        if len(weights):
-            q.add_block(IDENTITY, block, np.zeros(len(weights)), weights)
-        values[i] = -oracle.exact(q, include_prefix=True).objective_value
+        q = ErmQuery().add_partial(oracle.prefix)
+        q.add_partial(_playout_partial(playout, -2.0 * L, oracle))
+        values[i] = -oracle.exact(q).objective_value
     tail = rounds_left ** 3 * math.exp(-state.sigma * state.k)
     std_error = float(values.std(ddof=1) / math.sqrt(num_playouts))
     return RelaxationEstimate(float(values.mean() + tail), std_error, num_playouts)

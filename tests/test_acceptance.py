@@ -304,14 +304,14 @@ def test_criterion_07_ftpl_exactness():
                 before = oracle.calls
                 if variant == "classification":
                     pert = draw_perturbation(mu, sched.n, rng)
-                    idx = ftpl_select_classification(None, pert, sched.eta, oracle)
+                    idx = ftpl_select_classification(pert, sched.eta, oracle)
                     direct = cumulative + sched.eta * pert.scale * (
                         values[:, pert.contexts.ids] @ pert.coeffs)
                 elif variant == "dual":
                     pert_m = draw_perturbation(mu, sched.m, rng)
                     pert_n = draw_perturbation(mu, sched.n, rng, normalization="none",
                                                eps=sched.epsilon)
-                    idx = ftpl_select_dual(None, pert_m, pert_n, sched.eta, oracle)
+                    idx = ftpl_select_dual(pert_m, pert_n, sched.eta, oracle)
                     direct = (cumulative
                               + sched.eta * pert_m.scale * (
                                   values[:, pert_m.contexts.ids] @ pert_m.coeffs)
@@ -321,7 +321,7 @@ def test_criterion_07_ftpl_exactness():
                     pert = draw_perturbation(mu, sched.n, rng, normalization="none",
                                              eps=sched.epsilon)
                     scale = sched.eta / math.sqrt(sched.n)
-                    idx = ftpl_select_single(None, pert, scale, oracle)
+                    idx = ftpl_select_single(pert, scale, oracle)
                     direct = cumulative + scale * (
                         loss.evaluate_array(values[:, pert.contexts.ids],
                                             pert.labels[None, :]) @ pert.coeffs)

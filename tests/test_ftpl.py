@@ -123,6 +123,14 @@ def _history(rng, klass, t):
              float(rng.choice([-1.0, 1.0]))) for _ in range(t)]
 
 
+def _oracle_with(klass, loss, history):
+    """A fresh oracle whose history prefix holds ``history``."""
+    oracle = ErmOracle(klass, loss)
+    for ctx, y in history:
+        oracle.extend_prefix(ctx, y)
+    return oracle
+
+
 def test_singleton_class_always_selected():
     ground = GroundSet.grid(4)
     klass = TableClass(np.array([[1.0, -1.0, 1.0, -1.0]]), ground=ground)
@@ -130,7 +138,7 @@ def test_singleton_class_always_selected():
     oracle = ErmOracle(klass, linear_loss())
     rng = make_rng(42, 0)
     pert = draw_perturbation(mu, 8, rng)
-    assert ftpl_select_classification([], pert, 3.0, oracle) == 0
+    assert ftpl_select_classification(pert, 3.0, oracle) == 0
 
 
 def test_zero_eta_is_follow_the_leader():
@@ -138,10 +146,9 @@ def test_zero_eta_is_follow_the_leader():
     klass = random_table_class(rng, 8, 10, binary=True)
     mu = FiniteMeasure.uniform(klass.ground)
     loss = linear_loss()
-    oracle = ErmOracle(klass, loss)
     history = _history(rng, klass, 25)
     pert = draw_perturbation(mu, 50, rng)
-    idx = ftpl_select_classification(history, pert, eta=0.0, oracle=oracle)
+    idx = ftpl_select_classification(pert, eta=0.0, oracle=_oracle_with(klass, loss, history))
     cumulative = np.zeros(len(klass))
     for ctx, y in history:
         for h in range(len(klass)):
@@ -154,11 +161,10 @@ def test_dual_zero_eta_zero_n_is_follow_the_leader():
     klass = random_table_class(rng, 6, 8)
     mu = FiniteMeasure.uniform(klass.ground)
     loss = linear_loss()
-    oracle = ErmOracle(klass, loss)
     history = _history(rng, klass, 15)
     pert_m = draw_perturbation(mu, 20, rng)
     pert_n = draw_perturbation(mu, 0, rng, normalization="none", eps=0.5)
-    idx = ftpl_select_dual(history, pert_m, pert_n, eta=0.0, oracle=oracle)
+    idx = ftpl_select_dual(pert_m, pert_n, eta=0.0, oracle=_oracle_with(klass, loss, history))
     cumulative = np.zeros(len(klass))
     for ctx, y in history:
         for h in range(len(klass)):
@@ -171,10 +177,10 @@ def test_single_zero_scale_is_follow_the_leader():
     klass = random_table_class(rng, 5, 9)
     mu = FiniteMeasure.uniform(klass.ground)
     loss = linear_loss()
-    oracle = ErmOracle(klass, loss)
     history = _history(rng, klass, 12)
     pert = draw_perturbation(mu, 30, rng, normalization="none", eps=0.25)
-    idx = ftpl_select_single(history, pert, eta_over_sqrt_n=0.0, oracle=oracle)
+    idx = ftpl_select_single(pert, eta_over_sqrt_n=0.0,
+                             oracle=_oracle_with(klass, loss, history))
     cumulative = np.zeros(len(klass))
     for ctx, y in history:
         for h in range(len(klass)):
@@ -193,7 +199,7 @@ def test_symmetric_pair_selected_equally_often():
     picks = 0
     for _ in range(n_trials):
         pert = draw_perturbation(mu, 16, rng)
-        picks += ftpl_select_classification([], pert, eta=1.0, oracle=oracle) == 0
+        picks += ftpl_select_classification(pert, eta=1.0, oracle=oracle) == 0
     se = math.sqrt(0.25 / n_trials)
     assert abs(picks / n_trials - 0.5) <= 3 * se
 
@@ -214,24 +220,24 @@ def test_selection_matches_exhaustive_recomputation(variant):
     klass = random_table_class(rng, 7, 9, binary=(variant == "classification"))
     mu = FiniteMeasure.uniform(klass.ground)
     loss = linear_loss()
-    oracle = ErmOracle(klass, loss)
     for trial in range(40):
         history = _history(rng, klass, int(rng.integers(0, 20)))
+        oracle = _oracle_with(klass, loss, history)
         eta = float(rng.uniform(0.1, 5.0))
         before = oracle.calls
         if variant == "classification":
             pert = draw_perturbation(mu, 12, rng)
-            idx = ftpl_select_classification(history, pert, eta, oracle)
+            idx = ftpl_select_classification(pert, eta, oracle)
             direct = _direct_objective(klass, loss, history, [(eta, pert, False)])
         elif variant == "dual":
             pert_m = draw_perturbation(mu, 10, rng)
             pert_n = draw_perturbation(mu, 8, rng, normalization="none", eps=0.5)
-            idx = ftpl_select_dual(history, pert_m, pert_n, eta, oracle)
+            idx = ftpl_select_dual(pert_m, pert_n, eta, oracle)
             direct = _direct_objective(klass, loss, history,
                                        [(eta, pert_m, False), (1.0, pert_n, True)])
         else:
             pert = draw_perturbation(mu, 9, rng, normalization="none", eps=0.25)
-            idx = ftpl_select_single(history, pert, eta, oracle)
+            idx = ftpl_select_single(pert, eta, oracle)
             direct = _direct_objective(klass, loss, history, [(eta, pert, True)])
         assert oracle.calls - before == 1
         assert idx == int(np.argmin(direct))
@@ -255,7 +261,7 @@ def test_perturbation_validation():
     labeled = draw_perturbation(mu, 5, rng, normalization="none", eps=0.5)
     oracle = ErmOracle(random_table_class(rng, 3, 4), linear_loss())
     with pytest.raises(ValueError, match="normalized"):
-        ftpl_select_classification([], labeled, 1.0, oracle)
+        ftpl_select_classification(labeled, 1.0, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +319,8 @@ def test_switch_probability_nonincreasing_in_eta():
         ctx = klass.ground.point(int(hist_rng.integers(klass.ground.size)))
         history += [(ctx, 1.0), (ctx, -1.0)]
     extra = _history(make_rng(9, 2), klass, 1)
-    oracle = ErmOracle(klass, loss)
+    oracle_t = _oracle_with(klass, loss, history)
+    oracle_next = _oracle_with(klass, loss, history + extra)
     trials = 1500
     rates = []
     for eta in (1.0, 10.0, 100.0):
@@ -321,8 +328,8 @@ def test_switch_probability_nonincreasing_in_eta():
         sub_rng = make_rng(9, 3)
         for _ in range(trials):
             pert = draw_perturbation(mu, 32, sub_rng)
-            f_t = ftpl_select_classification(history, pert, eta, oracle)
-            f_next = ftpl_select_classification(history + extra, pert, eta, oracle)
+            f_t = ftpl_select_classification(pert, eta, oracle_t)
+            f_next = ftpl_select_classification(pert, eta, oracle_next)
             switches += f_t != f_next
         rates.append(switches / trials)
     se = math.sqrt(0.25 / trials)
@@ -375,12 +382,12 @@ def test_approximate_selection_respects_slack_band():
     klass = random_table_class(rng, 10, 8, binary=True)
     mu = FiniteMeasure.uniform(klass.ground)
     loss = linear_loss()
-    oracle = ErmOracle(klass, loss)
     history = _history(rng, klass, 20)
+    oracle = _oracle_with(klass, loss, history)
     zeta = 0.05
     for _ in range(50):
         pert = draw_perturbation(mu, 16, rng)
-        idx = ftpl_select_classification(history, pert, 2.0, oracle, zeta=zeta, rng=rng)
+        idx = ftpl_select_classification(pert, 2.0, oracle, zeta=zeta, rng=rng)
         obj = np.zeros(len(klass))
         for ctx, y in history:
             for h in range(len(klass)):

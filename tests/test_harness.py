@@ -285,7 +285,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     {"learner": {"name": "relax-linear"}, "loss": "absolute"},
     {"loss": "square"},  # +/-1 thresholds leave the [0, 1] square-loss domain
     {"class": {"type": "table", "values": [[0.5] * 15 + [1.5]]}},
-], ids=["zero-atoms", "relax-linear-absolute", "square-on-thresholds", "table-over-one"])
+    {"ground": {"type": "grid", "atoms": 2.5}},
+    {"ground": {"type": "grid", "atoms": "abc"}},
+    {"ground": {"type": "grid", "atoms": 16, "mu_probs": [0.5, 0.5]}},
+    {"learner": {"name": "relax-linear", "k": 0}},
+    {"learner": {"name": "relax-linear", "k": 2.5}},
+    {"learner": {"name": "relax-linear", "k": "x"}},
+    {"learner": {"name": "ftpl-dual", "n": "x"}},
+    {"learner": {"name": "ftpl-cls", "zeta": "x"}},
+    {"learner": {"name": "ftpl-cls", "eta": -1}},
+    {"class": {"type": "thresholds", "m": 2.5}},
+], ids=["zero-atoms", "relax-linear-absolute", "square-on-thresholds", "table-over-one",
+        "fractional-atoms", "string-atoms", "mu-probs-length", "zero-k", "fractional-k",
+        "string-k", "string-n", "string-zeta", "negative-eta", "fractional-class-m"])
 def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(_base_config(**overrides)))

@@ -11,25 +11,30 @@ from smoothol.core import (
     linear_loss,
     make_rng,
 )
-from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery, WeightedExample
+from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 
 from conftest import random_table_class
 
 
-def _row(ctx_id, y, w, selector=MAIN):
-    return WeightedExample(ContextPoint(id=ctx_id), y, w, selector)
+def _query(*rows):
+    """A query of one-row blocks, each row (atom id, label, weight[, selector])."""
+    q = ErmQuery()
+    for ctx_id, y, w, *selector in rows:
+        q.add_block(selector[0] if selector else MAIN, ContextBlock(ids=np.array([ctx_id])),
+                    np.array([y]), np.array([w]))
+    return q
 
 
 def test_single_positive_example_selects_plus_one(sign_constants):
     oracle = ErmOracle(sign_constants, linear_loss())
-    res = oracle.exact(ErmQuery([_row(0, 1.0, 1.0)]))
+    res = oracle.exact(_query((0, 1.0, 1.0)))
     assert res.hypothesis_index == 0  # f = +1 listed first
     assert res.calls_consumed == 1
 
 
 def test_negative_weight_flips_the_objective(sign_constants):
     oracle = ErmOracle(sign_constants, linear_loss())
-    res = oracle.exact(ErmQuery([_row(0, 1.0, -1.0)]))
+    res = oracle.exact(_query((0, 1.0, -1.0)))
     assert res.hypothesis_index == 1  # f = -1 now minimizes
 
 
@@ -42,7 +47,7 @@ def test_empty_query_returns_lowest_index(sign_constants):
 
 def test_exact_is_pure(sign_constants):
     oracle = ErmOracle(sign_constants, linear_loss())
-    q = ErmQuery([_row(0, 1.0, 2.0), _row(1, -1.0, -0.5, IDENTITY)])
+    q = _query((0, 1.0, 2.0), (1, -1.0, -0.5, IDENTITY))
     r1 = oracle.exact(q)
     r2 = oracle.exact(q)
     assert r1 == r2
@@ -52,22 +57,22 @@ def test_call_counter(sign_constants):
     oracle = ErmOracle(sign_constants, linear_loss())
     assert oracle.calls == 0
     for _ in range(3):
-        oracle.exact(ErmQuery([_row(0, 1.0, 1.0)]))
+        oracle.exact(_query((0, 1.0, 1.0)))
     assert oracle.calls == 3
-    oracle.approximate(ErmQuery([_row(0, 1.0, 1.0)]), zeta=0.5, rng=make_rng(0, 0))
+    oracle.approximate(_query((0, 1.0, 1.0)), zeta=0.5, rng=make_rng(0, 0))
     assert oracle.calls == 4
 
 
 def test_zeta_zero_is_exact(sign_constants):
     oracle = ErmOracle(sign_constants, linear_loss())
-    q = ErmQuery([_row(0, 1.0, 1.0)])
+    q = _query((0, 1.0, 1.0))
     assert oracle.approximate(q, zeta=0.0, rng=make_rng(1, 0)).hypothesis_index == \
         oracle.exact(q).hypothesis_index
 
 
 def test_large_zeta_widens_admissible_set_but_respects_bound(sign_constants):
     oracle = ErmOracle(sign_constants, linear_loss())
-    q = ErmQuery([_row(0, 1.0, 1.0)])  # objective gap 1, sum |w| = 1
+    q = _query((0, 1.0, 1.0))  # objective gap 1, sum |w| = 1
     rng = make_rng(2, 0)
     seen = set()
     for _ in range(100):
@@ -80,7 +85,7 @@ def test_large_zeta_widens_admissible_set_but_respects_bound(sign_constants):
 
 def test_tiny_zeta_with_separated_objectives_matches_exact(sign_constants):
     oracle = ErmOracle(sign_constants, linear_loss())
-    q = ErmQuery([_row(0, 1.0, 1.0)])
+    q = _query((0, 1.0, 1.0))
     rng = make_rng(3, 0)
     for _ in range(20):
         assert oracle.approximate(q, zeta=1e-12, rng=rng).hypothesis_index == 0
@@ -89,7 +94,7 @@ def test_tiny_zeta_with_separated_objectives_matches_exact(sign_constants):
 def test_flat_slack_convention(sign_constants):
     oracle = ErmOracle(sign_constants, linear_loss(), scale_slack_by_total_weight=False)
     # objective gap is 2 here (weights 2), flat zeta = 1 admits only the minimizer
-    q = ErmQuery([_row(0, 1.0, 2.0)])
+    q = _query((0, 1.0, 2.0))
     rng = make_rng(4, 0)
     for _ in range(50):
         assert oracle.approximate(q, zeta=1.0, rng=rng).hypothesis_index == 0
@@ -112,51 +117,73 @@ def test_objective_value_matches_row_recomputation():
     q.add_block(IDENTITY, klass.ground.block(ids2), np.zeros(10), rng.normal(size=10))
     res = oracle.exact(q)
     manual = 0.0
-    for row in q.iter_rows():
-        v = klass.evaluate(res.hypothesis_index, row.context)
-        term = v if row.loss_selector == IDENTITY else loss.evaluate(v, row.label)
-        manual += row.weight * term
+    for block in q.blocks:
+        for ctx_id, y, w in zip(block.contexts.ids, block.labels, block.weights):
+            v = klass.evaluate(res.hypothesis_index, klass.ground.point(int(ctx_id)))
+            term = v if block.selector == IDENTITY else loss.evaluate(v, float(y))
+            manual += float(w) * term
     assert res.objective_value == pytest.approx(manual, abs=1e-9)
 
 
-def test_prefix_matches_explicit_rows():
+def test_partial_equals_same_rows_as_block():
+    """History rows fed as the prefix, or as an explicit partial, or as a row block
+    give the same answers: exact minimizer and value, and the approximate slack band."""
     rng = make_rng(7, 0)
     klass = random_table_class(rng, 6, 8)
     loss = linear_loss()
-    with_prefix = ErmOracle(klass, loss)
-    plain = ErmOracle(klass, loss)
+    oracle = ErmOracle(klass, loss)
     history = [(klass.ground.point(int(rng.integers(8))), float(rng.choice([-1, 1])))
                for _ in range(40)]
     for ctx, y in history:
-        with_prefix.extend_prefix(ctx, y)
-
-    extra = ErmQuery()
-    ids = rng.integers(0, 8, size=5)
-    extra.add_block(IDENTITY, klass.ground.block(ids), np.zeros(5), rng.normal(size=5))
-
-    explicit = ErmQuery()
+        oracle.extend_prefix(ctx, y)
     pts = ContextBlock.from_points([c for c, _ in history])
-    explicit.add_block(MAIN, pts, np.array([y for _, y in history]), np.ones(len(history)))
-    explicit.add_block(IDENTITY, klass.ground.block(ids), np.zeros(5),
-                       extra.blocks[0].weights)
+    ys = np.array([y for _, y in history])
+    ids = rng.integers(0, 8, size=5)
+    extra_w = rng.normal(size=5)
 
-    r1 = with_prefix.exact(extra, include_prefix=True)
-    r2 = plain.exact(explicit)
-    assert r1.hypothesis_index == r2.hypothesis_index
-    assert r1.objective_value == pytest.approx(r2.objective_value, abs=1e-9)
+    def with_extra(q):
+        return q.add_block(IDENTITY, klass.ground.block(ids), np.zeros(5), extra_w)
+
+    via_prefix = with_extra(ErmQuery().add_partial(oracle.prefix))
+    via_partial = with_extra(ErmQuery().add_partial(
+        oracle.partial(MAIN, pts, ys, np.ones(len(history)))))
+    explicit = with_extra(ErmQuery().add_block(MAIN, pts, ys, np.ones(len(history))))
+
+    r2 = oracle.exact(explicit)
+    for q in (via_prefix, via_partial):
+        r1 = oracle.exact(q)
+        assert r1.hypothesis_index == r2.hypothesis_index
+        assert r1.objective_value == pytest.approx(r2.objective_value, abs=1e-9)
+        assert q.total_abs_weight() == pytest.approx(explicit.total_abs_weight(), abs=1e-9)
+        assert q.n_rows == 5  # n_rows counts row-block rows only
+
+    zeta = 0.02
+    band = zeta * explicit.total_abs_weight()
+    best = oracle.objective_vector(explicit).min()
+    for q in (via_prefix, via_partial, explicit):
+        seen = {oracle.approximate(q, zeta, make_rng(8, i)).hypothesis_index
+                for i in range(40)}
+        objs = oracle.objective_vector(explicit)
+        assert seen == set(np.flatnonzero(objs <= best + band).tolist())
 
 
 def test_query_log_is_line_delimited_json(sign_constants):
     stream = io.StringIO()
     oracle = ErmOracle(sign_constants, linear_loss(), log_stream=stream)
-    oracle.exact(ErmQuery([_row(0, 1.0, 1.0), _row(2, -1.0, 0.5, IDENTITY)]))
-    oracle.exact(ErmQuery([_row(1, -1.0, 2.0)]))
+    oracle.extend_prefix(ContextPoint(id=1), 1.0)
+    oracle.exact(_query((0, 1.0, 1.0), (2, -1.0, 0.5, IDENTITY)))
+    oracle.exact(_query((1, -1.0, 2.0)).add_partial(oracle.prefix))
     lines = stream.getvalue().strip().splitlines()
     assert len(lines) == 2
     rec = json.loads(lines[0])
     assert rec["result_index"] == 0
-    assert len(rec["rows"]) == 2
-    assert rec["rows"][1]["loss"] == IDENTITY
+    assert rec["rows"] == {MAIN: 1, IDENTITY: 1}
+    assert rec["partial_rows"] == 0
+    assert rec["abs_weight"] == 1.5
+    assert rec["objective"] == 0.5
+    rec = json.loads(lines[1])
+    assert rec["rows"] == {MAIN: 1, IDENTITY: 0}
+    assert (rec["partial_rows"], rec["abs_weight"]) == (1, 3.0)
 
 
 def test_add_block_rejects_unknown_selector(sign_constants):
@@ -165,12 +192,14 @@ def test_add_block_rejects_unknown_selector(sign_constants):
         q.add_block("hinge", ContextBlock.from_points([ContextPoint(id=0)]),
                     np.array([1.0]), np.array([1.0]))
     with pytest.raises(ValueError, match="selector"):
-        WeightedExample(ContextPoint(id=0), 1.0, 1.0, "hinge")
+        ErmOracle(sign_constants, linear_loss()).partial(
+            "hinge", ContextBlock(ids=np.array([0])), np.array([1.0]), np.array([1.0]))
 
 
 def test_domain_mismatch_propagates(sign_constants):
     oracle = ErmOracle(sign_constants, linear_loss())
-    q = ErmQuery([WeightedExample(ContextPoint(coordinate=0.5), 1.0, 1.0)])
+    q = ErmQuery().add_block(MAIN, ContextBlock(coords=np.array([0.5])),
+                             np.array([1.0]), np.array([1.0]))
     with pytest.raises(DomainMismatchError, match="domain mismatch"):
         oracle.exact(q)
 

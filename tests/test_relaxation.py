@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from smoothol.core import (
+    ContextBlock,
     FiniteMeasure,
     GroundSet,
     TableClass,
+    ThresholdClass,
+    UniformIntervalMeasure,
     absolute_loss,
     linear_loss,
     make_rng,
     scaled_square_loss,
 )
-from smoothol.oracle import ErmOracle
+from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 from smoothol.relaxation import (
     PlayoutDraw,
     RelaxLinearLearner,
@@ -268,6 +271,46 @@ def test_predict_general_oracle_budget():
     used = oracle.calls - before
     assert used <= cap
     assert used == S  # branch values are cached across the outer search
+
+
+# ---------------------------------------------------------------------------
+# shared playout partial against per-branch playout rows
+# ---------------------------------------------------------------------------
+
+def _reference_branch_value(oracle, playout, x, y, L):
+    """One branch with the playout as an identity row block of its own query."""
+    weights = -6.0 * L * playout.signs.astype(np.float64).ravel()
+    q = ErmQuery().add_partial(oracle.prefix)
+    q.add_block(IDENTITY, playout.contexts, np.zeros(len(weights)), weights)
+    q.add_block(MAIN, ContextBlock.single(x), np.array([y]), np.array([1.0]))
+    return -float(oracle.objective_vector(q).min())
+
+
+@pytest.mark.parametrize("space", ["table-grid", "thresholds-interval"])
+def test_shared_playout_matches_per_branch_rows(space):
+    rng = make_rng(11, 0)
+    if space == "table-grid":
+        klass = random_table_class(rng, 12, 16)
+        mu = FiniteMeasure.uniform(klass.ground)
+    else:
+        klass, mu = ThresholdClass.grid(24), UniformIntervalMeasure()
+    T = 12
+    lin, gen = linear_loss(), absolute_loss()
+    o_lin, o_gen = ErmOracle(klass, lin), ErmOracle(klass, gen)
+    s_lin, s_gen = RelaxState(lin, T, 0.5, k=4), RelaxState(gen, T, 0.5, k=4)
+    for t in range(1, T + 1):
+        playout = draw_playout(mu, T - t, 4, rng)
+        x = mu.sample_point(rng)
+        predict_linear(s_lin, playout, x, o_lin)
+        predict_general(s_gen, playout, x, o_gen)
+        assert s_lin.last_branch_values == tuple(
+            _reference_branch_value(o_lin, playout, x, y, lin.lipschitz_L) for y in (1.0, -1.0))
+        assert s_gen.last_branch_values == tuple(
+            _reference_branch_value(o_gen, playout, x, float(y), gen.lipschitz_L)
+            for y in s_gen.grid)
+        y = float(rng.choice([-1.0, 1.0]))
+        s_lin.observe(x, y, o_lin)
+        s_gen.observe(x, y, o_gen)
 
 
 # ---------------------------------------------------------------------------
