@@ -17,21 +17,23 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
+from .core import (  # the product-space helpers are re-exported here
     ContextBlock,
     ContextPoint,
-    FiniteMeasure,
-    GroundSet,
-    TableClass,
-    square_loss,
+    compose_smoothness,
+    joint_id,
+    make_rng,
+    product_class,
+    product_measure,
 )
+from .harness import ExperimentConfig, build_pieces, write_outputs
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "igw_distribution",
     "compose_smoothness",
-    "product_ground",
+    "joint_id",
     "product_measure",
     "product_class",
     "BanditResult",
@@ -63,61 +65,14 @@ def igw_distribution(predictions: np.ndarray, gamma: float) -> np.ndarray:
     return p
 
 
-def compose_smoothness(sigma_context: float, K: int) -> float:
-    """Joint smoothness of (context, action) pairs: sigma/K.
-
-    Composes the context bound with the universal fact that every
-    distribution on [K] is 1/K-smooth w.r.t. uniform (the product of a
-    sigma-smooth and a sigma'-smooth coordinate is sigma*sigma'-smooth).
-    """
-    if not (0.0 < sigma_context <= 1.0):
-        raise ValueError("sigma must lie in (0, 1]")
-    if K < 1:
-        raise ValueError("K must be positive")
-    return sigma_context / K
-
-
-# ---------------------------------------------------------------------------
-# Product-space plumbing: atoms are (context_atom, action) pairs
-# ---------------------------------------------------------------------------
-
-def joint_id(x_id: int, action: int, K: int) -> int:
-    return x_id * K + action
-
-
-def product_ground(ground_x: GroundSet, K: int) -> GroundSet:
-    return GroundSet(size=ground_x.size * K)
-
-
-def product_measure(mu_x: FiniteMeasure, K: int) -> FiniteMeasure:
-    """mu x Unif([K]) over joint atoms."""
-    probs = np.repeat(mu_x.probs / K, K)
-    return FiniteMeasure(product_ground(mu_x.ground, K), probs)
-
-
-def product_class(values: np.ndarray) -> TableClass:
-    """Hypotheses f: X x [K] -> [0, 1] from a (H, N, K) value tensor."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 3:
-        raise ValueError("values must be (n_hypotheses, n_atoms, K)")
-    if np.any(values < 0.0) or np.any(values > 1.0):
-        raise ValueError("bandit regression values must lie in [0, 1]")
-    H, N, K = values.shape
-    return TableClass(values.reshape(H, N * K), kind="real")
-
-
-def default_gamma(T: int, K: int, sigma: float, L: float = 2.0,
-                  rademacher_proxy: Optional[float] = None,
-                  n_hypotheses: Optional[int] = None) -> float:
+def default_gamma(T: int, K: int, sigma: float, L: float = 2.0, *,
+                  n_hypotheses: int) -> float:
     """gamma = 12 log(T) sqrt(T sigma / (L * R_hat)).
 
-    R_hat defaults to the finite-class bound sqrt(2 T log H); L = 2 is the
-    square-loss Lipschitz constant on [0, 1].
+    R_hat is the finite-class bound sqrt(2 T log H); L = 2 is the square-loss
+    Lipschitz constant on [0, 1].
     """
-    if rademacher_proxy is None:
-        if n_hypotheses is None:
-            raise ValueError("need a Rademacher proxy or the class size")
-        rademacher_proxy = math.sqrt(2.0 * T * math.log(max(n_hypotheses, 2)))
+    rademacher_proxy = math.sqrt(2.0 * T * math.log(max(n_hypotheses, 2)))
     return 12.0 * math.log(max(T, 2)) * math.sqrt(T * sigma / (L * rademacher_proxy))
 
 
@@ -143,13 +98,12 @@ class BanditResult:
 def run_square_cb(context_adversary, regressor, K: int, T: int,
                   f_star: np.ndarray, gamma: float,
                   rng: np.random.Generator,
-                  loss_sampler: Optional[Callable] = None,
                   action_rule: Optional[Callable] = None) -> BanditResult:
     """SquareCB with a plugged-in online square-loss regressor.
 
     ``context_adversary`` yields sigma-smooth contexts over a finite ground
     set; ``f_star`` is the (N, K) conditional-mean loss table, realizable
-    inside the regressor's class; losses default to Bernoulli(f*(x, a)).
+    inside the regressor's class; losses are Bernoulli(f*(x, a)).
     ``regressor`` is a learner over the product class (proper learners commit
     once per round; improper ones are queried once per action).
     ``action_rule(predictions, gamma)`` maps predicted losses to an action
@@ -159,24 +113,22 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
         raise ValueError("K must be positive")
     if action_rule is None:
         action_rule = igw_distribution
-    if loss_sampler is None:
-        def loss_sampler(x_id: int, rng: np.random.Generator) -> np.ndarray:
-            return (rng.random(K) < f_star[x_id]).astype(np.float64)
 
     x_ids = np.empty(T, dtype=np.int64)
     actions = np.empty(T, dtype=np.int64)
     predictions = np.empty((T, K))
     distributions = np.empty((T, K))
     losses = np.empty((T, K))
+    all_actions = np.arange(K)
     for t in range(1, T + 1):
         h = regressor.select() if regressor.proper else None
         x_point, _ = context_adversary.next_round(last_prediction=None)
         x_id = x_point.id
-        joint_points = [ContextPoint(id=joint_id(x_id, a, K)) for a in range(K)]
+        joint_ids = joint_id(x_id, all_actions, K)
         if h is not None:
-            preds = np.array([regressor.klass.evaluate(h, p) for p in joint_points])
+            preds = regressor.klass.evaluate_block(ContextBlock(ids=joint_ids))[h]
         else:
-            preds = np.array([regressor.predict(p) for p in joint_points])
+            preds = np.array([regressor.predict(ContextPoint(id=int(j))) for j in joint_ids])
         if np.any((preds < 0.0) | (preds > 1.0)):
             logger.warning("round %d: regressor prediction outside [0, 1]; clamping", t)
             preds = np.clip(preds, 0.0, 1.0)
@@ -187,8 +139,8 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
             p = action_rule(preds, gamma)
             action = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
             action = min(action, K - 1)
-        row_losses = loss_sampler(x_id, rng)
-        regressor.observe(joint_points[action], float(row_losses[action]))
+        row_losses = (rng.random(K) < f_star[x_id]).astype(np.float64)
+        regressor.observe(ContextPoint(id=int(joint_ids[action])), float(row_losses[action]))
         x_ids[t - 1], actions[t - 1] = x_id, action
         predictions[t - 1], distributions[t - 1], losses[t - 1] = preds, p, row_losses
 
@@ -208,84 +160,28 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
 # Config-driven entry point (CLI `bandit` subcommand)
 # ---------------------------------------------------------------------------
 
-REGRESSORS = ("ftpl-dual", "relax-general")
+def build_bandit_pieces(cfg: ExperimentConfig, seed: int):
+    """(adversary, regressor, f_star, gamma) for one seed of a bandit config.
 
-
-def build_bandit_pieces(raw: dict, seed: int):
-    """Assemble (adversary, regressor, f_star, gamma) for one seeded bandit run."""
-    from .adversaries import IidAdversary, tilted_smooth_probs, rademacher_labels
-    from .core import SmoothnessCertificate, make_rng
-    from .ftpl import FtplLearner, schedule
-    from .harness import ConfigError
-    from .oracle import ErmOracle
-    from .relaxation import RelaxGeneralLearner
-
-    try:
-        K = int(raw["K"])
-        sigma = float(raw["sigma"])
-        T = int(raw["T"])
-        regressor_name = raw.get("regressor", "ftpl-dual")
-        atoms = int(raw.get("ground", {}).get("atoms", 16))
-        class_spec = raw.get("class", {"type": "random_product", "H": 4})
-        f_star_index = int(raw.get("f_star_index", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad bandit config: {exc}") from exc
-    if regressor_name not in REGRESSORS:
-        raise ConfigError(f"unknown regressor {regressor_name!r}; valid: {REGRESSORS}")
-    if not (0.0 < sigma <= 1.0) or T < 1 or K < 1 or atoms < 1:
-        raise ConfigError("bad bandit config: K, T, sigma, atoms out of range")
-
-    ground_x = GroundSet.grid(atoms)
-    mu_x = FiniteMeasure.uniform(ground_x)
-    try:
-        if class_spec.get("type", "random_product") == "random_product":
-            H = int(class_spec.get("H", 4))
-            class_rng = make_rng(int(raw.get("class_seed", 7)), 9)
-            values = class_rng.random((H, atoms, K))
-        else:
-            values = np.asarray(class_spec["values"], dtype=float)
-        klass = product_class(values)
-        if values.shape[1:] != (atoms, K):
-            raise ValueError(f"values must be (H, {atoms}, {K}), got {values.shape}")
-        f_star = values[f_star_index]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad bandit class: {exc}") from exc
-
-    adversary_rng = make_rng(seed, 0)
-    p = mu_x.probs.copy() if sigma >= 1.0 else tilted_smooth_probs(mu_x.probs, sigma)
-    adversary = IidAdversary(SmoothnessCertificate(sigma=sigma, mu=mu_x),
-                             rademacher_labels(), adversary_rng, p=p)
-
-    sigma_joint = compose_smoothness(sigma, K)
-    mu_joint = product_measure(mu_x, K)
-    oracle = ErmOracle(klass, square_loss())
-    learner_rng = make_rng(seed, 1)
-    if regressor_name == "ftpl-dual":
-        sched = schedule(T, sigma_joint, L=2.0, variant="dual")
-        regressor = FtplLearner("dual", klass, square_loss(), mu_joint, sched,
-                                oracle, learner_rng, label_range=(0.0, 1.0))
-    else:
-        regressor = RelaxGeneralLearner(klass, square_loss(), mu_joint, T,
-                                        sigma_joint, oracle, learner_rng,
-                                        k=raw.get("k"))
-    gamma = raw.get("gamma")
+    Rng streams: adversary (seed, 0), regressor (seed, 1); the class draws
+    from (class_seed, 9) and the actions from (seed, 2).
+    """
+    klass, loss, adversary, regressor = build_pieces(cfg, make_rng(seed, 0), make_rng(seed, 1))
+    K = cfg.bandit["K"]
+    f_star = klass.values[cfg.bandit["f_star_index"]].reshape(-1, K)
+    gamma = cfg.bandit["gamma"]
     if gamma is None:
-        gamma = default_gamma(T, K, sigma, L=2.0, n_hypotheses=len(klass))
-    return adversary, regressor, f_star, float(gamma), K, T
+        gamma = default_gamma(cfg.T, K, cfg.sigma, L=loss.lipschitz_L, n_hypotheses=len(klass))
+    return adversary, regressor, f_star, gamma
 
 
 def run_bandit_experiment(raw: dict) -> dict:
-    """All seeds of a bandit config; returns (and optionally persists) a summary."""
-    from .core import make_rng
-    from .harness import ConfigError
-
-    seeds = [int(s) for s in raw.get("seeds", [0])]
-    if not seeds:
-        raise ConfigError("seeds must be nonempty")
+    """All seeds of a bandit config; returns the summary, also written under output_dir."""
+    cfg = ExperimentConfig.from_dict(raw, bandit=True)
     per_seed = []
-    for seed in seeds:
-        adversary, regressor, f_star, gamma, K, T = build_bandit_pieces(raw, seed)
-        result = run_square_cb(adversary, regressor, K, T, f_star, gamma,
+    for seed in cfg.seeds:
+        adversary, regressor, f_star, gamma = build_bandit_pieces(cfg, seed)
+        result = run_square_cb(adversary, regressor, cfg.bandit["K"], cfg.T, f_star, gamma,
                                make_rng(seed, 2))
         per_seed.append({
             "seed": seed,
@@ -304,12 +200,5 @@ def run_bandit_experiment(raw: dict) -> dict:
         },
         "config": raw,
     }
-    out_dir = raw.get("output_dir")
-    if out_dir:
-        from pathlib import Path
-        import json
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "bandit_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    write_outputs(cfg, "bandit_summary.json", summary)
     return summary

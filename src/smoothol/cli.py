@@ -18,32 +18,35 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     InvariantViolation,
+    read_config,
     run_experiment,
     sweep,
     sweep_to_long_csv,
 )
 
 
-def _parse_values(text: str, param: str) -> list:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if param == "T" or param == "k":
-        return [int(p) for p in parts]
-    if param == "sigma":
-        return [float(p) for p in parts]
-    return parts
+def _parse_values(text: str) -> list:
+    """Comma-separated values, each a JSON number (or other JSON value) where it parses as one."""
+    values = []
+    for part in (p.strip() for p in text.split(",") if p.strip()):
+        try:
+            values.append(json.loads(part))
+        except json.JSONDecodeError:
+            values.append(part)
+    return values
 
 
 def cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+    cfg = ExperimentConfig.from_dict(read_config(args.config))
     summary = run_experiment(cfg)
-    json.dump(summary.to_dict(), sys.stdout, indent=2)
+    json.dump(summary, sys.stdout, indent=2)
     print()
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    values = _parse_values(args.values, args.param)
+    cfg = ExperimentConfig.from_dict(read_config(args.config))
+    values = _parse_values(args.values)
     summaries = sweep(cfg, args.param, values)
     csv_text = sweep_to_long_csv(args.param, values, summaries)
     if cfg.output_dir:
@@ -71,11 +74,7 @@ def cmd_couple_test(args) -> int:
 
 
 def cmd_bandit(args) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    summary = run_bandit_experiment(raw)
+    summary = run_bandit_experiment(read_config(args.config))
     json.dump(summary, sys.stdout, indent=2)
     print()
     return 0

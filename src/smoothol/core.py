@@ -25,6 +25,10 @@ __all__ = [
     "HypothesisClass",
     "TableClass",
     "ThresholdClass",
+    "compose_smoothness",
+    "joint_id",
+    "product_measure",
+    "product_class",
     "LossFunction",
     "linear_loss",
     "absolute_loss",
@@ -310,6 +314,45 @@ class ThresholdClass(HypothesisClass):
         prefix = np.concatenate(([0.0], np.cumsum(w[order])))
         below = prefix[np.searchsorted(x[order], self.thetas, side="left")]
         return prefix[-1] - 2.0 * below
+
+
+# ---------------------------------------------------------------------------
+# Product spaces: atoms are (context_atom, action) pairs
+# ---------------------------------------------------------------------------
+
+def compose_smoothness(sigma_context: float, K: int) -> float:
+    """Joint smoothness of (context, action) pairs: sigma/K.
+
+    Composes the context bound with the universal fact that every
+    distribution on [K] is 1/K-smooth w.r.t. uniform (the product of a
+    sigma-smooth and a sigma'-smooth coordinate is sigma*sigma'-smooth).
+    """
+    if not (0.0 < sigma_context <= 1.0):
+        raise ValueError("sigma must lie in (0, 1]")
+    if K < 1:
+        raise ValueError("K must be positive")
+    return sigma_context / K
+
+
+def joint_id(x_id: int, action: int, K: int) -> int:
+    return x_id * K + action
+
+
+def product_measure(mu_x: FiniteMeasure, K: int) -> FiniteMeasure:
+    """mu x Unif([K]) over joint atoms."""
+    probs = np.repeat(mu_x.probs / K, K)
+    return FiniteMeasure(GroundSet(size=mu_x.ground.size * K), probs)
+
+
+def product_class(values: np.ndarray) -> TableClass:
+    """Hypotheses f: X x [K] -> [0, 1] from a (H, N, K) value tensor."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 3:
+        raise ValueError("values must be (n_hypotheses, n_atoms, K)")
+    if np.any(values < 0.0) or np.any(values > 1.0):
+        raise ValueError("bandit regression values must lie in [0, 1]")
+    H, N, K = values.shape
+    return TableClass(values.reshape(H, N * K), kind="real")
 
 
 # ---------------------------------------------------------------------------

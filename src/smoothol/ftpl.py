@@ -262,8 +262,7 @@ class FtplLearner:
     proper = True
 
     def __init__(self, variant: str, klass: HypothesisClass, loss: LossFunction, mu,
-                 sched: FtplSchedule, oracle: ErmOracle, rng: np.random.Generator,
-                 label_range: tuple[float, float] = (-1.0, 1.0)):
+                 sched: FtplSchedule, oracle: ErmOracle, rng: np.random.Generator):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; valid: {VARIANTS}")
         if variant == "classification" and klass.kind != "binary":
@@ -277,7 +276,6 @@ class FtplLearner:
         self.sched = sched
         self.oracle = oracle
         self.rng = rng
-        self.label_range = label_range
         self.selected: Optional[int] = None
 
     def select(self) -> int:
@@ -289,11 +287,11 @@ class FtplLearner:
         elif self.variant == "dual":
             pert_m = draw_perturbation(self.mu, s.m or s.n, self.rng)
             pert_n = draw_perturbation(self.mu, s.n, self.rng, normalization="none",
-                                       eps=s.epsilon, label_range=self.label_range)
+                                       eps=s.epsilon, label_range=self.loss.domain)
             idx = ftpl_select_dual(pert_m, pert_n, s.eta, self.oracle, s.zeta, self.rng)
         else:
             pert = draw_perturbation(self.mu, s.n, self.rng, normalization="none",
-                                     eps=s.epsilon, label_range=self.label_range)
+                                     eps=s.epsilon, label_range=self.loss.domain)
             idx = ftpl_select_single(pert, s.eta / math.sqrt(s.n), self.oracle,
                                      s.zeta, self.rng)
         self.selected = idx

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -27,12 +27,16 @@ from .core import (
     HypothesisClass,
     LOSSES,
     LossFunction,
+    SmoothnessCertificate,
     TableClass,
     ThresholdClass,
     Trajectory,
     UniformIntervalMeasure,
+    compose_smoothness,
     finalize_regret,
     make_rng,
+    product_class,
+    product_measure,
     regret_curve,
 )
 from .ftpl import FtplLearner, FtplSchedule, schedule
@@ -44,7 +48,7 @@ __all__ = [
     "InvariantViolation",
     "ExperimentConfig",
     "SeedOutcome",
-    "SummaryRecord",
+    "read_config",
     "run_seed",
     "run_experiment",
     "sweep",
@@ -53,6 +57,7 @@ __all__ = [
 ]
 
 LEARNER_NAMES = ("relax-linear", "relax-general", "ftpl-cls", "ftpl-dual", "ftpl-single")
+REGRESSORS = ("ftpl-dual", "relax-general")  # the learners a bandit config may name
 FTPL_VARIANTS = {"ftpl-cls": "classification", "ftpl-dual": "dual", "ftpl-single": "single"}
 ADVERSARY_KINDS = ("iid", "adaptive_mixture", "hidden_mu_threshold", "rademacher_gap")
 SWEEPABLE = ("T", "sigma", "learner", "k", "seeds")
@@ -82,73 +87,77 @@ class ExperimentConfig:
     ground: dict = field(default_factory=lambda: {"type": "grid", "atoms": 64})
     output_dir: Optional[str] = None
     checkpoints: Optional[list[int]] = None
+    # set for bandit configs: K, class_seed, f_star_index and gamma (None: the default)
+    bandit: Optional[dict] = None
 
     @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
+    def from_dict(raw: dict, bandit: bool = False) -> "ExperimentConfig":
+        """A checked run config, or with ``bandit`` a checked ``smoothol bandit`` config."""
         try:
+            spec = _bandit_as_run(raw) if bandit else raw
             cfg = ExperimentConfig(
-                learner=dict(raw["learner"]),
-                adversary=dict(raw["adversary"]),
-                klass=dict(raw["class"]),
-                loss=str(raw["loss"]),
-                T=int(raw["T"]),
-                sigma=float(raw["sigma"]),
-                seeds=[int(s) for s in raw["seeds"]],
-                ground=dict(raw.get("ground", {"type": "grid", "atoms": 64})),
-                output_dir=raw.get("output_dir"),
-                checkpoints=raw.get("checkpoints"),
+                learner=dict(spec["learner"]),
+                adversary=dict(spec["adversary"]),
+                klass=dict(spec["class"]),
+                loss=str(spec["loss"]),
+                T=spec["T"],
+                sigma=float(spec["sigma"]),
+                seeds=list(spec["seeds"]),
+                ground=dict(spec.get("ground", {"type": "grid", "atoms": 64})),
+                output_dir=spec.get("output_dir"),
+                checkpoints=spec.get("checkpoints"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            if bandit:
+                gamma = raw.get("gamma")
+                cfg.bandit = {"K": raw["K"], "class_seed": raw.get("class_seed", 7),
+                              "f_star_index": raw.get("f_star_index", 0),
+                              "gamma": None if gamma is None else float(gamma)}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         cfg.validate()
         return cfg
 
-    @staticmethod
-    def from_file(path: str | Path) -> "ExperimentConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return ExperimentConfig.from_dict(raw)
-
     def validate(self) -> None:
-        if self.T < 1:
-            raise ConfigError("T must be at least 1")
+        # integers arrive as ints; integral floats are normalized in place
+        self.T = _integer(self.T, "T")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        self.seeds = [_integer(s, "seeds", low=0) for s in self.seeds]
         if not (0.0 < self.sigma <= 1.0):
             raise ConfigError("sigma must lie in (0, 1]")
         name = self.learner.get("name")
-        if name not in LEARNER_NAMES:
-            raise ConfigError(f"unknown learner {name!r}; valid: {', '.join(LEARNER_NAMES)}")
-        kind = self.adversary.get("kind")
-        if kind not in ADVERSARY_KINDS:
-            raise ConfigError(f"unknown adversary {kind!r}; valid: {', '.join(ADVERSARY_KINDS)}")
+        role, names = (("learner", LEARNER_NAMES) if self.bandit is None
+                       else ("regressor", REGRESSORS))
+        if name not in names:
+            raise ConfigError(f"unknown {role} {name!r}; valid: {', '.join(names)}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; valid: {', '.join(LOSSES)}")
-        if name == "relax-linear" and self.loss != "linear":
-            raise ConfigError(f"relax-linear needs the linear loss, not {self.loss!r}")
-        # counts arrive as ints; integral floats are normalized in place
         for part, spec, key in (("ground", self.ground, "atoms"), ("class", self.klass, "m"),
-                                ("learner", self.learner, "k"), ("learner", self.learner, "n"),
-                                ("learner", self.learner, "m")):
+                                ("class", self.klass, "H"), ("learner", self.learner, "k"),
+                                ("learner", self.learner, "n"), ("learner", self.learner, "m")):
             if spec.get(key) is not None:
-                spec[key] = _positive_int(spec[key], f"{part}.{key}")
-        loss = LOSSES[self.loss]()
-        try:  # build what the run builds from plain numbers, so it fails here
-            build_class(self, build_ground_and_mu(self)[0])
-            if name in FTPL_VARIANTS:
-                build_schedule(self, loss)
-        except (TypeError, ValueError) as exc:
+                spec[key] = _integer(spec[key], f"{part}.{key}")
+        if self.bandit is not None:
+            for key, low in (("K", 1), ("class_seed", 0), ("f_star_index", 0)):
+                self.bandit[key] = _integer(self.bandit[key], key, low)
+        try:  # build what the run builds, so it fails here; an unkeyed rng is no seed's stream
+            klass, loss, _, _ = build_pieces(self, make_rng(0), make_rng(0))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         lo, hi = loss.domain
-        try:  # labels, and the values of threshold classes, are +/-1
-            values = np.append(np.asarray(self.klass.get("values", []), dtype=float), [-1, 1])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad class values: {exc}") from exc
+        # labels, and the values of threshold classes, are +/-1; a bandit's labels are 0/1 losses
+        labels = [-1, 1] if self.bandit is None else [0, 1]
+        values = np.append(klass.values if isinstance(klass, TableClass) else [], labels)
         if values.min() < lo or values.max() > hi:
             raise ConfigError(f"labels and class values must lie in the {self.loss} "
                               f"loss domain [{lo}, {hi}]")
+        if self.bandit is not None:
+            if self.bandit["f_star_index"] >= len(klass):
+                raise ConfigError(f"f_star_index must index one of the class's {len(klass)} "
+                                  f"hypotheses, not {self.bandit['f_star_index']}")
+            gamma = self.bandit["gamma"]
+            if gamma is not None and not 0.0 < gamma < math.inf:
+                raise ConfigError(f"gamma must be positive and finite, not {gamma}")
 
     def to_dict(self) -> dict:
         return {
@@ -159,11 +168,32 @@ class ExperimentConfig:
         }
 
 
-def _positive_int(value, name: str) -> int:
-    """value as an int >= 1; a fraction, a string or a bool is a config error."""
+def read_config(path: str | Path) -> dict:
+    """The JSON object in ``path``; an unreadable file or bad JSON is a config error."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
+def _bandit_as_run(raw: dict) -> dict:
+    """A bandit config's run part: a square-loss regressor and i.i.d. tilted contexts."""
+    return {
+        "learner": {"name": raw.get("regressor", "ftpl-dual"), "k": raw.get("k")},
+        "adversary": {"kind": "iid", "p": "tilted"},
+        "class": {"type": "random_product", "H": 4, **raw.get("class", {})},
+        "loss": "square",
+        "T": raw["T"], "sigma": raw["sigma"], "seeds": raw.get("seeds", [0]),
+        "ground": {"type": "grid", "atoms": raw.get("ground", {}).get("atoms", 16)},
+        "output_dir": raw.get("output_dir"),
+    }
+
+
+def _integer(value, name: str, low: int = 1) -> int:
+    """value as an int >= low; a fraction, a string or a bool is a config error."""
     if isinstance(value, bool) or not (isinstance(value, int) or (
-            isinstance(value, float) and value.is_integer())) or value < 1:
-        raise ConfigError(f"{name} must be a positive integer, not {value!r}")
+            isinstance(value, float) and value.is_integer())) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, not {value!r}")
     return int(value)
 
 
@@ -186,6 +216,17 @@ def build_ground_and_mu(cfg: ExperimentConfig):
 
 def build_class(cfg: ExperimentConfig, ground) -> HypothesisClass:
     kind = cfg.klass.get("type")
+    if cfg.bandit is not None:  # f(x, a) in [0, 1] for the grid's atoms x and K actions a
+        K = cfg.bandit["K"]
+        if kind == "random_product":
+            values = make_rng(cfg.bandit["class_seed"], 9).random((cfg.klass["H"], ground.size, K))
+        elif kind == "table":
+            values = np.asarray(cfg.klass["values"], dtype=float)
+        else:
+            raise ConfigError(f"unknown bandit class type {kind!r}; valid: random_product, table")
+        if values.shape[1:] != (ground.size, K):
+            raise ConfigError(f"class values must be (H, {ground.size}, {K}), got {values.shape}")
+        return product_class(values)
     if kind == "thresholds":
         thresholds = ThresholdClass.grid(int(cfg.klass.get("m", 64)))
         if ground is not None and ground.coords is not None:
@@ -215,10 +256,8 @@ def build_label_rule(spec: dict) -> adv.LabelRule:
 
 
 def build_adversary(cfg: ExperimentConfig, mu, klass, rng: np.random.Generator):
-    kind = cfg.adversary["kind"]
+    kind = cfg.adversary.get("kind")
     label_rule = build_label_rule(cfg.adversary.get("labels", {}))
-    from .core import SmoothnessCertificate
-
     if kind == "iid":
         cert = SmoothnessCertificate(sigma=cfg.sigma, mu=mu)
         p_spec = cfg.adversary.get("p", "mu")
@@ -245,7 +284,27 @@ def build_adversary(cfg: ExperimentConfig, mu, klass, rng: np.random.Generator):
         return adv.build_rademacher_gap_adversary(
             cfg.sigma, int(cfg.adversary.get("m", 2)), klass, mu.ground, rng,
             scale=float(cfg.adversary.get("scale", 1.0)), label_rule=label_rule)
-    raise ConfigError(f"unknown adversary kind {kind!r}")
+    raise ConfigError(f"unknown adversary {kind!r}; valid: {', '.join(ADVERSARY_KINDS)}")
+
+
+def build_pieces(cfg: ExperimentConfig, adversary_rng: np.random.Generator,
+                 learner_rng: np.random.Generator):
+    """(klass, loss, adversary, learner) of one run; the learner holds its own oracle.
+
+    A bandit's learner is its regressor, which sees (context, action) pairs:
+    sigma/K-smooth with respect to mu x Unif([K]).
+    """
+    ground, mu = build_ground_and_mu(cfg)
+    klass = build_class(cfg, ground)
+    loss = LOSSES[cfg.loss]()
+    adversary = build_adversary(cfg, mu, klass, adversary_rng)
+    if cfg.bandit is not None:
+        K = cfg.bandit["K"]
+        cfg, mu = replace(cfg, sigma=compose_smoothness(cfg.sigma, K)), product_measure(mu, K)
+    elif adversary.certificate.mu is not None:
+        mu = adversary.certificate.mu  # learners use the adversary's base measure when shared
+    learner = build_learner(cfg, klass, loss, mu, ErmOracle(klass, loss), learner_rng)
+    return klass, loss, adversary, learner
 
 
 def build_learner(cfg: ExperimentConfig, klass: HypothesisClass, loss: LossFunction,
@@ -302,16 +361,9 @@ class SeedOutcome:
 def run_seed(cfg: ExperimentConfig, seed: int) -> SeedOutcome:
     """One full trajectory; returns its record plus summary figures."""
     t0 = time.perf_counter()
-    ground, mu_default = build_ground_and_mu(cfg)
-    klass = build_class(cfg, ground)
-    loss = LOSSES[cfg.loss]()
-    adversary = build_adversary(cfg, mu_default, klass,
-                                make_rng(seed, _STREAM_ADVERSARY))
-    # learners use the adversary's declared base measure when it is shared
-    mu_learner = adversary.certificate.mu if adversary.certificate.mu is not None else mu_default
-    oracle = ErmOracle(klass, loss)
-    learner = build_learner(cfg, klass, loss, mu_learner, oracle,
-                            make_rng(seed, _STREAM_LEARNER))
+    klass, loss, adversary, learner = build_pieces(cfg, make_rng(seed, _STREAM_ADVERSARY),
+                                                   make_rng(seed, _STREAM_LEARNER))
+    oracle = learner.oracle
 
     lo, hi = loss.output_range
     traj = Trajectory(cfg.T)
@@ -360,18 +412,7 @@ def rows_to_csv(outcome: SeedOutcome) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class SummaryRecord:
-    per_seed: list[dict]
-    aggregate: dict
-    config: dict
-
-    def to_dict(self) -> dict:
-        return {"per_seed": self.per_seed, "aggregate": self.aggregate,
-                "config": self.config}
-
-
-def summarize(cfg: ExperimentConfig, outcomes: list[SeedOutcome]) -> SummaryRecord:
+def summarize(cfg: ExperimentConfig, outcomes: list[SeedOutcome]) -> dict:
     finals = np.array([o.final_regret for o in outcomes])
     per_seed = [
         {
@@ -389,24 +430,30 @@ def summarize(cfg: ExperimentConfig, outcomes: list[SeedOutcome]) -> SummaryReco
         "mean_oracle_calls": float(np.mean([o.oracle_calls for o in outcomes])),
         "total_wall_time_s": float(sum(o.wall_time_s for o in outcomes)),
     }
-    return SummaryRecord(per_seed, aggregate, cfg.to_dict())
+    return {"per_seed": per_seed, "aggregate": aggregate, "config": cfg.to_dict()}
 
 
-def run_experiment(cfg: ExperimentConfig) -> SummaryRecord:
-    """All seeds of one config; persists traces and the summary when output_dir is set."""
-    outcomes = [run_seed(cfg, seed) for seed in cfg.seeds]
-    summary = summarize(cfg, outcomes)
+def write_outputs(cfg: ExperimentConfig, name: str, summary: dict,
+                  outcomes: list[SeedOutcome] = ()) -> None:
+    """Write each outcome's trace CSV and the summary as ``name`` under output_dir, if set."""
     if cfg.output_dir:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         for o in outcomes:
             (out / f"trace_seed{o.seed}.csv").write_text(rows_to_csv(o))
-        (out / "summary.json").write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
+        (out / name).write_text(json.dumps(summary, indent=2) + "\n")
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """All seeds of one config; returns the summary and persists it with the traces."""
+    outcomes = [run_seed(cfg, seed) for seed in cfg.seeds]
+    summary = summarize(cfg, outcomes)
+    write_outputs(cfg, "summary.json", summary, outcomes)
     return summary
 
 
-def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[SummaryRecord]:
-    """One run_experiment per parameter value; emits summaries in value order."""
+def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[dict]:
+    """One run_experiment per parameter value, checked by the loader; a seeds value is one seed."""
     if param not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {param!r}; valid: {', '.join(SWEEPABLE)}")
     summaries = []
@@ -415,13 +462,11 @@ def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[SummaryRecord
         if param == "learner":
             raw["learner"] = {**raw["learner"], "name": value}
         elif param == "k":
-            raw["learner"] = {**raw["learner"], "k": int(value)}
-        elif param == "T":
-            raw["T"] = int(value)
-        elif param == "sigma":
-            raw["sigma"] = float(value)
+            raw["learner"] = {**raw["learner"], "k": value}
         elif param == "seeds":
-            raw["seeds"] = list(value)
+            raw["seeds"] = [value]
+        else:  # T, sigma
+            raw[param] = value
         sub = ExperimentConfig.from_dict(raw)
         if cfg.output_dir:
             sub.output_dir = str(Path(cfg.output_dir) / f"{param}={value}")
@@ -429,10 +474,10 @@ def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[SummaryRecord
     return summaries
 
 
-def sweep_to_long_csv(param: str, values: list, summaries: list[SummaryRecord]) -> str:
+def sweep_to_long_csv(param: str, values: list, summaries: list[dict]) -> str:
     """Long-format rows suitable for regret-vs-parameter plots."""
     lines = [f"{param},seed,final_regret,oracle_calls"]
     for value, summary in zip(values, summaries):
-        for row in summary.per_seed:
+        for row in summary["per_seed"]:
             lines.append(f"{value},{row['seed']},{row['final_regret']!r},{row['oracle_calls']}")
     return "\n".join(lines) + "\n"

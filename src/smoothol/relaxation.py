@@ -271,7 +271,7 @@ class RelaxLinearLearner(_RelaxLearnerBase):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         if self.state.loss.kind != "linear":
-            raise ValueError("linear loss required")
+            raise ValueError(f"linear loss required, not {self.state.loss.kind!r}")
 
     def predict(self, x_t: ContextPoint) -> float:
         return predict_linear(self.state, self._fresh_playout(), x_t, self.oracle)

@@ -131,8 +131,7 @@ def _bandit_pieces(seed, K=2, atoms=8, H=4, T=60, sigma=0.5):
     sigma_joint = compose_smoothness(sigma, K)
     sched = schedule(T, sigma_joint, L=2.0, variant="dual")
     regressor = FtplLearner("dual", klass, square_loss(), product_measure(mu_x, K),
-                            sched, ErmOracle(klass, square_loss()), make_rng(seed, 1),
-                            label_range=(0.0, 1.0))
+                            sched, ErmOracle(klass, square_loss()), make_rng(seed, 1))
     return adversary, regressor, values[0], klass
 
 
@@ -274,3 +273,38 @@ def test_run_bandit_experiment_validates():
     with pytest.raises(ConfigError, match="regressor"):
         run_bandit_experiment({"K": 2, "sigma": 0.5, "T": 10, "seeds": [0],
                                "regressor": "nope"})
+
+
+@pytest.mark.parametrize("regressor", ["ftpl-dual", "relax-general"])
+def test_run_bandit_experiment_keeps_its_rng_streams(regressor):
+    """The config path draws exactly what pieces built by hand on the documented
+    streams draw: adversary (seed, 0), regressor (seed, 1), actions (seed, 2),
+    class (class_seed, 9)."""
+    from smoothol.relaxation import RelaxGeneralLearner
+
+    K, atoms, H, T, sigma, class_seed = 2, 6, 3, 25, 0.5, 5
+    raw = {"K": K, "sigma": sigma, "T": T, "seeds": [0, 3], "regressor": regressor,
+           "ground": {"atoms": atoms}, "class": {"type": "random_product", "H": H},
+           "class_seed": class_seed, "k": 2}
+    values = make_rng(class_seed, 9).random((H, atoms, K))
+    klass = product_class(values)
+    mu_x = FiniteMeasure.uniform(GroundSet.grid(atoms))
+    sigma_joint = compose_smoothness(sigma, K)
+    gamma = default_gamma(T, K, sigma, L=2.0, n_hypotheses=H)
+    expected = []
+    for seed in raw["seeds"]:
+        adversary = IidAdversary(SmoothnessCertificate(sigma=sigma, mu=mu_x),
+                                 rademacher_labels(), make_rng(seed, 0),
+                                 p=tilted_smooth_probs(mu_x.probs, sigma))
+        oracle = ErmOracle(klass, square_loss())
+        if regressor == "ftpl-dual":
+            sched = schedule(T, sigma_joint, L=2.0, variant="dual")
+            learner = FtplLearner("dual", klass, square_loss(), product_measure(mu_x, K),
+                                  sched, oracle, make_rng(seed, 1))
+        else:
+            learner = RelaxGeneralLearner(klass, square_loss(), product_measure(mu_x, K), T,
+                                          sigma_joint, oracle, make_rng(seed, 1), k=2)
+        result = run_square_cb(adversary, learner, K, T, values[0], gamma, make_rng(seed, 2))
+        expected.append({"seed": seed, "reg_cb": result.reg_cb, "reg_sq": result.reg_sq,
+                         "gamma": result.gamma, "oracle_calls": result.oracle_calls})
+    assert run_bandit_experiment(raw)["per_seed"] == expected

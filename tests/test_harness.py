@@ -68,7 +68,7 @@ def test_single_round_single_seed(tmp_path):
     cfg = ExperimentConfig.from_dict(
         _base_config(T=1, seeds=[3], output_dir=str(tmp_path)))
     summary = run_experiment(cfg)
-    assert len(summary.per_seed) == 1
+    assert len(summary["per_seed"]) == 1
     csv_path = tmp_path / "trace_seed3.csv"
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 2  # header + one round
@@ -79,11 +79,11 @@ def test_single_round_single_seed(tmp_path):
 def test_aggregate_mean_matches_per_seed_rows():
     cfg = ExperimentConfig.from_dict(_base_config(seeds=list(range(10))))
     summary = run_experiment(cfg)
-    finals = [r["final_regret"] for r in summary.per_seed]
+    finals = [r["final_regret"] for r in summary["per_seed"]]
     assert len(finals) == 10
-    assert summary.aggregate["mean_final_regret"] == pytest.approx(np.mean(finals), abs=1e-9)
-    assert summary.aggregate["std_final_regret"] == pytest.approx(np.std(finals, ddof=1),
-                                                                  abs=1e-9)
+    assert summary["aggregate"]["mean_final_regret"] == pytest.approx(np.mean(finals), abs=1e-9)
+    assert summary["aggregate"]["std_final_regret"] == pytest.approx(np.std(finals, ddof=1),
+                                                                     abs=1e-9)
 
 
 @pytest.mark.parametrize("learner", list(LEARNER_NAMES))
@@ -193,11 +193,10 @@ def test_rademacher_gap_config():
     cfg = ExperimentConfig.from_dict(_base_config(
         learner={"name": "ftpl-dual"},
         adversary={"kind": "rademacher_gap", "m": 2, "scale": 2.0},
-        klass=None,
         ground={"type": "grid", "atoms": 3},
         T=8,
+        **{"class": {"type": "table", "values": values}},
     ))
-    cfg.klass = {"type": "table", "values": values}
     outcome = run_seed(cfg, 1)
     assert len(outcome.trajectory) == 8
 
@@ -210,7 +209,7 @@ def test_sweep_over_horizon():
     cfg = ExperimentConfig.from_dict(_base_config(seeds=[0, 1]))
     summaries = sweep(cfg, "T", [5, 10])
     assert len(summaries) == 2
-    assert summaries[0].config["T"] == 5
+    assert summaries[0]["config"]["T"] == 5
     csv_text = sweep_to_long_csv("T", [5, 10], summaries)
     assert csv_text.splitlines()[0] == "T,seed,final_regret,oracle_calls"
     assert len(csv_text.strip().splitlines()) == 1 + 4
@@ -220,8 +219,8 @@ def test_sweep_over_learner_shares_seeds_and_adversary(tmp_path):
     cfg = ExperimentConfig.from_dict(
         _base_config(seeds=[0, 1], T=6, output_dir=str(tmp_path)))
     summaries = sweep(cfg, "learner", ["relax-linear", "ftpl-cls"])
-    assert [s.config["learner"]["name"] for s in summaries] == ["relax-linear", "ftpl-cls"]
-    assert all(len(s.per_seed) == 2 for s in summaries)
+    assert [s["config"]["learner"]["name"] for s in summaries] == ["relax-linear", "ftpl-cls"]
+    assert all(len(s["per_seed"]) == 2 for s in summaries)
     # traces for both learners persist side by side
     for name in ("relax-linear", "ftpl-cls"):
         assert (tmp_path / f"learner={name}" / "trace_seed0.csv").exists()
@@ -252,7 +251,7 @@ def test_sweep_sigma_regret_grows_as_smoothness_shrinks():
         T=300, seeds=list(range(10)), ground={"type": "grid", "atoms": 64},
     ))
     summaries = sweep(cfg, "sigma", [1.0, 0.5, 0.1])
-    finals = np.array([[r["final_regret"] for r in s.per_seed] for s in summaries])
+    finals = np.array([[r["final_regret"] for r in s["per_seed"]] for s in summaries])
     means = finals.mean(axis=1)
     assert means[0] <= means[1] + 1e-9 <= means[2] + 2e-9
     per_seed_trend = sum(finals[0, i] <= finals[2, i] + 1e-9 for i in range(10))
@@ -295,9 +294,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     {"learner": {"name": "ftpl-cls", "zeta": "x"}},
     {"learner": {"name": "ftpl-cls", "eta": -1}},
     {"class": {"type": "thresholds", "m": 2.5}},
+    {"adversary": {"kind": "rademacher_gap"}},  # thresholds have no point where all f = 0
+    {"adversary": {"kind": "hidden_mu_threshold"}, "T": 1},
+    {"adversary": {"kind": "iid", "p": [0.5, 0.5]}},
+    {"T": 2.5},
+    {"seeds": [1.5]},
+    {"seeds": [-1]},
 ], ids=["zero-atoms", "relax-linear-absolute", "square-on-thresholds", "table-over-one",
         "fractional-atoms", "string-atoms", "mu-probs-length", "zero-k", "fractional-k",
-        "string-k", "string-n", "string-zeta", "negative-eta", "fractional-class-m"])
+        "string-k", "string-n", "string-zeta", "negative-eta", "fractional-class-m",
+        "rademacher-gap-on-thresholds", "hidden-mu-one-round", "iid-p-length",
+        "fractional-T", "fractional-seed", "negative-seed"])
 def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(_base_config(**overrides)))
@@ -305,16 +312,35 @@ def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cli_bandit_class_outside_unit_interval_exits_2(tmp_path, capsys):
-    cfg_path = tmp_path / "bandit.json"
+def _bandit_table_outside_unit_interval():
     values = np.full((2, 4, 2), 0.5)
     values[1, 0, 0] = 1.5
-    cfg_path.write_text(json.dumps({
-        "K": 2, "sigma": 0.5, "T": 12, "seeds": [0], "ground": {"atoms": 4},
-        "class": {"type": "table", "values": values.tolist()},
-    }))
+    return {"ground": {"atoms": 4}, "class": {"type": "table", "values": values.tolist()}}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"ground": {"atoms": 4.7}},
+    {"regressor": "relax-general", "k": "x"},
+    {"gamma": -3},
+    {"seeds": ["a"]},
+    {"K": 0},
+    {"class": {"type": "random_product", "H": 0}},
+    {"f_star_index": 9},
+    {"f_star_index": 1.5},
+    _bandit_table_outside_unit_interval(),
+], ids=["fractional-atoms", "string-k", "negative-gamma", "string-seed", "zero-K", "zero-H",
+        "f-star-index-out-of-range", "fractional-f-star-index", "class-outside-unit-interval"])
+def test_cli_bandit_config_errors_exit_2(tmp_path, capsys, monkeypatch, overrides):
+    from smoothol import bandit
+
+    def no_rounds(*args, **kwargs):
+        raise AssertionError("a bandit round ran on a bad config")
+
+    monkeypatch.setattr(bandit, "run_square_cb", no_rounds)
+    cfg_path = tmp_path / "bandit.json"
+    cfg_path.write_text(json.dumps({"K": 2, "sigma": 0.5, "T": 12, "seeds": [0], **overrides}))
     assert cli_main(["bandit", "--config", str(cfg_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_cli_couple_test(capsys):
@@ -333,6 +359,26 @@ def test_cli_sweep(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "T,seed,final_regret,oracle_calls"
+
+
+def test_cli_sweep_seeds_value_is_one_seed(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(T=4)))
+    rc = cli_main(["sweep", "--config", str(cfg_path), "--param", "seeds",
+                   "--values", "12,3"])
+    assert rc == 0
+    rows = [line.split(",")[:2] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["12", "12"], ["3", "3"]]
+
+
+@pytest.mark.parametrize("param, values", [("k", "2.5"), ("sigma", "x"), ("T", "2.5"),
+                                           ("seeds", "1.5")])
+def test_cli_sweep_bad_value_exits_2(tmp_path, capsys, param, values):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(learner={"name": "relax-linear"}, T=4)))
+    rc = cli_main(["sweep", "--config", str(cfg_path), "--param", param, "--values", values])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_cli_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
