@@ -65,7 +65,7 @@ def igw_distribution(predictions: np.ndarray, gamma: float) -> np.ndarray:
     return p
 
 
-def default_gamma(T: int, K: int, sigma: float, L: float = 2.0, *,
+def default_gamma(T: int, sigma: float, L: float = 2.0, *,
                   n_hypotheses: int) -> float:
     """gamma = 12 log(T) sqrt(T sigma / (L * R_hat)).
 
@@ -171,7 +171,7 @@ def build_bandit_pieces(cfg: ExperimentConfig, seed: int):
     f_star = klass.values[cfg.bandit["f_star_index"]].reshape(-1, K)
     gamma = cfg.bandit["gamma"]
     if gamma is None:
-        gamma = default_gamma(cfg.T, K, cfg.sigma, L=loss.lipschitz_L, n_hypotheses=len(klass))
+        gamma = default_gamma(cfg.T, cfg.sigma, L=loss.lipschitz_L, n_hypotheses=len(klass))
     return adversary, regressor, f_star, gamma
 
 

@@ -58,16 +58,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_couple_test(args) -> int:
-    ground = GroundSet(size=args.atoms)
-    mu = FiniteMeasure.uniform(ground)
-    if args.concentrated:
-        p = concentrated_p(mu, args.sigma)
-    elif args.sigma >= 1.0:
-        p = mu.probs.copy()
-    else:
-        p = tilted_smooth_probs(mu.probs, args.sigma)
-    config = CouplingConfig(mu_probs=mu.probs, p_probs=p, sigma=args.sigma, k=args.k)
-    report = validate_coupling(config, args.trials, make_rng(args.seed, 0))
+    if not 0.0 < args.sigma <= 1.0:
+        raise ConfigError(f"--sigma must lie in (0, 1], not {args.sigma}")
+    if args.k < 0:
+        raise ConfigError(f"--k must be at least 0, not {args.k}")
+    try:  # the ground set rejects --atoms < 1, the validation too few --trials
+        mu = FiniteMeasure.uniform(GroundSet(size=args.atoms))
+        p = (concentrated_p(mu, args.sigma) if args.concentrated
+             else tilted_smooth_probs(mu.probs, args.sigma))
+        config = CouplingConfig(mu_probs=mu.probs, p_probs=p, sigma=args.sigma, k=args.k)
+        report = validate_coupling(config, args.trials, make_rng(args.seed, 0))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     json.dump(report.to_dict(), sys.stdout, indent=2)
     print()
     return 0

@@ -236,6 +236,14 @@ class HypothesisClass:
     def identity_dot(self, block: ContextBlock, weights: np.ndarray) -> np.ndarray:
         return self.evaluate_block(block) @ np.asarray(weights, dtype=np.float64)
 
+    def cell_measure(self, mu) -> FiniteMeasure:
+        """``mu`` on cells where every hypothesis is constant, one representative atom
+        per cell with the cell's mass; each atom of a finite ``mu`` is its own cell."""
+        if not mu.finite:
+            raise ValueError(f"{type(self).__name__} has no finite cell partition "
+                             f"of the continuous base measure")
+        return mu
+
 
 class TableClass(HypothesisClass):
     """Explicit table of hypothesis values over a finite ground set."""
@@ -314,6 +322,14 @@ class ThresholdClass(HypothesisClass):
         prefix = np.concatenate(([0.0], np.cumsum(w[order])))
         below = prefix[np.searchsorted(x[order], self.thetas, side="left")]
         return prefix[-1] - 2.0 * below
+
+    def cell_measure(self, mu) -> FiniteMeasure:
+        """On the uniform interval, the m+1 gaps [left, right) between the sorted
+        thresholds (clipped to [0, 1]), each represented by its left end, with its length."""
+        if not isinstance(mu, UniformIntervalMeasure):
+            return super().cell_measure(mu)
+        left = np.concatenate(([0.0], np.sort(np.clip(self.thetas, 0.0, 1.0))))
+        return FiniteMeasure(GroundSet(size=len(left), coords=left), np.diff(left, append=1.0))
 
 
 # ---------------------------------------------------------------------------

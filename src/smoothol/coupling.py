@@ -133,7 +133,7 @@ def validate_coupling(config: CouplingConfig, trials: int,
     (1 - sigma)^k.
     """
     if trials < 1000:
-        raise ValueError("insufficient trials")
+        raise ValueError(f"insufficient trials: need at least 1000, not {trials}")
     xs, z, hit = _couple_trials(config, trials, rng)
     n = len(config.mu_probs)
 

@@ -137,6 +137,14 @@ class ExperimentConfig:
                                 ("learner", self.learner, "n"), ("learner", self.learner, "m")):
             if spec.get(key) is not None:
                 spec[key] = _integer(spec[key], f"{part}.{key}")
+        if self.checkpoints is not None:
+            if not isinstance(self.checkpoints, list):
+                raise ConfigError(f"checkpoints must be a list of rounds, "
+                                  f"not {self.checkpoints!r}")
+            self.checkpoints = [_integer(t, "checkpoints") for t in self.checkpoints]
+            if any(t > self.T for t in self.checkpoints):
+                raise ConfigError(f"checkpoints must be rounds in [1, {self.T}], "
+                                  f"not {self.checkpoints}")
         if self.bandit is not None:
             for key, low in (("K", 1), ("class_seed", 0), ("f_star_index", 0)):
                 self.bandit[key] = _integer(self.bandit[key], key, low)

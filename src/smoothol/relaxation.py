@@ -8,9 +8,12 @@ horizon from the base measure with Rademacher signs, and plays
 where L_t(f) is the running loss of f including the candidate label y for the
 current round.  The inner supremum over the class is one weighted ERM call
 (identity rows for the playout carry negated weights because the oracle
-minimizes).  The playout rows are the same in every branch of a round, so
-they are evaluated once into a partial objective that all branch queries
-share; the oracle call count does not change.  For linear loss the outer
+minimizes).  The playout reaches the oracle only through sum eps f(x), so it
+is drawn as one signed count per cell of the class's cell measure (cells on
+which every hypothesis is constant) instead of point by point; the law is the
+same.  The playout rows are the same in every branch of a round, so they are
+evaluated once into a partial objective that all branch queries share; the
+oracle call count does not change.  For linear loss the outer
 problem collapses to a closed form needing two oracle calls; in general the
 interval is discretized at scale 1/(L*sqrt(T)) and the outer minimization
 runs a three-point convex search.
@@ -53,30 +56,34 @@ def default_playout_width(T: int, sigma: float) -> int:
 
 @dataclass
 class PlayoutDraw:
-    """Sampled future contexts and signs for rounds t+1..T, k columns per round."""
+    """Rounds t+1..T, k draws each, as net Rademacher counts per cell.
 
-    contexts: ContextBlock  # flattened, row-major over (rounds_left, k)
-    signs: np.ndarray       # int8 in {-1, +1}, shape (rounds_left, k)
+    ``signs[c]`` is n_c^+ - n_c^-, the +1 draws landing in cell c minus the -1
+    draws; sum_i eps_i f(x_i) = sum_c signs[c] * f(contexts[c]) for every f
+    constant on each cell.
+    """
+
+    contexts: ContextBlock  # one representative per cell
+    signs: np.ndarray       # int, one net count per cell
     rounds_left: int
     k: int
 
     def __post_init__(self):
-        if self.signs.shape != (self.rounds_left, self.k):
-            raise ValueError("signs must have shape (rounds_left, k)")
-        if len(self.contexts) != self.rounds_left * self.k:
-            raise ValueError("contexts must hold rounds_left * k points")
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.rounds_left, self.k)
+        if len(self.signs) != len(self.contexts):
+            raise ValueError("signs must hold one net count per context")
+        n, drawn = self.rounds_left * self.k, int(np.abs(self.signs).sum())
+        if drawn > n or (n - drawn) % 2:
+            raise ValueError("net counts must come from rounds_left * k signed draws")
 
 
 def draw_playout(mu, rounds_left: int, k: int, rng: np.random.Generator) -> PlayoutDraw:
-    """Fresh i.i.d. playout: contexts from mu, independent Rademacher signs."""
-    n = rounds_left * k
-    contexts = mu.sample_block(rng, n)
-    signs = (2 * rng.integers(0, 2, size=(rounds_left, k), dtype=np.int8) - 1).astype(np.int8)
-    return PlayoutDraw(contexts=contexts, signs=signs, rounds_left=rounds_left, k=k)
+    """rounds_left * k i.i.d. draws from the finite measure mu (a class's cell
+    measure) with Rademacher signs, counted per (atom, sign) by one multinomial."""
+    half = mu.probs / 2.0
+    counts = rng.multinomial(rounds_left * k, np.concatenate((half, half)))
+    size = len(half)
+    return PlayoutDraw(contexts=mu.ground.block(np.arange(size)),
+                       signs=counts[:size] - counts[size:], rounds_left=rounds_left, k=k)
 
 
 class RelaxState:
@@ -227,9 +234,10 @@ def estimate_relaxation(state: RelaxState, oracle: ErmOracle, num_playouts: int,
         raise ValueError("need at least two playouts")
     L = state.loss.lipschitz_L
     rounds_left = state.T - state.t
+    cells = oracle.klass.cell_measure(mu)
     values = np.empty(num_playouts)
     for i in range(num_playouts):
-        playout = draw_playout(mu, rounds_left, state.k, rng)
+        playout = draw_playout(cells, rounds_left, state.k, rng)
         q = ErmQuery().add_partial(oracle.prefix)
         q.add_partial(_playout_partial(playout, -2.0 * L, oracle))
         values[i] = -oracle.exact(q).objective_value
@@ -247,14 +255,14 @@ class _RelaxLearnerBase:
                  sigma: float, oracle: ErmOracle, rng: np.random.Generator,
                  k: Optional[int] = None):
         self.klass = klass
-        self.mu = mu
+        self.cells = klass.cell_measure(mu)
         self.oracle = oracle
         self.rng = rng
         self.state = RelaxState(loss, T, sigma, k=k)
         self.last_playout: Optional[PlayoutDraw] = None
 
     def _fresh_playout(self) -> PlayoutDraw:
-        playout = draw_playout(self.mu, self.state.rounds_left, self.state.k, self.rng)
+        playout = draw_playout(self.cells, self.state.rounds_left, self.state.k, self.rng)
         self.last_playout = playout
         return playout
 

@@ -154,7 +154,7 @@ def _recompute_reg_sq(result, klass, K):
 
 def test_square_cb_round_trip_and_bookkeeping():
     adversary, regressor, f_star, klass = _bandit_pieces(seed=0)
-    gamma = default_gamma(60, 2, 0.5, n_hypotheses=4)
+    gamma = default_gamma(60, 0.5, n_hypotheses=4)
     result = run_square_cb(adversary, regressor, K=2, T=60, f_star=f_star,
                            gamma=gamma, rng=make_rng(0, 2))
     assert result.x_ids.shape == result.actions.shape == (60,)
@@ -290,7 +290,7 @@ def test_run_bandit_experiment_keeps_its_rng_streams(regressor):
     klass = product_class(values)
     mu_x = FiniteMeasure.uniform(GroundSet.grid(atoms))
     sigma_joint = compose_smoothness(sigma, K)
-    gamma = default_gamma(T, K, sigma, L=2.0, n_hypotheses=H)
+    gamma = default_gamma(T, sigma, L=2.0, n_hypotheses=H)
     expected = []
     for seed in raw["seeds"]:
         adversary = IidAdversary(SmoothnessCertificate(sigma=sigma, mu=mu_x),

@@ -300,11 +300,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     {"T": 2.5},
     {"seeds": [1.5]},
     {"seeds": [-1]},
+    {"checkpoints": 5},
+    {"checkpoints": ["a"]},
+    {"checkpoints": [0]},
+    {"checkpoints": [11]},  # T + 1
 ], ids=["zero-atoms", "relax-linear-absolute", "square-on-thresholds", "table-over-one",
         "fractional-atoms", "string-atoms", "mu-probs-length", "zero-k", "fractional-k",
         "string-k", "string-n", "string-zeta", "negative-eta", "fractional-class-m",
         "rademacher-gap-on-thresholds", "hidden-mu-one-round", "iid-p-length",
-        "fractional-T", "fractional-seed", "negative-seed"])
+        "fractional-T", "fractional-seed", "negative-seed", "int-checkpoints",
+        "string-checkpoint", "zero-checkpoint", "checkpoint-past-T"])
 def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(_base_config(**overrides)))
@@ -349,6 +354,22 @@ def test_cli_couple_test(capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert {"x_marginal_pvalue", "z_marginal_pvalue", "miss_rate", "bound"} <= set(report)
+
+
+@pytest.mark.parametrize("flags", [
+    {"--atoms": "0"},
+    {"--sigma": "0"},
+    {"--sigma": "1.5"},
+    {"--k": "-1"},
+    {"--k": "0", "--trials": "10"},
+    {"--trials": "0"},
+    {"--seed": "-1"},
+], ids=["zero-atoms", "zero-sigma", "sigma-above-one", "negative-k", "few-trials-no-k",
+        "zero-trials", "negative-seed"])
+def test_cli_couple_test_flag_errors_exit_2(capsys, flags):
+    args = {"--sigma": "0.5", "--k": "3", "--trials": "2000", **flags}
+    assert cli_main(["couple-test", *(part for item in args.items() for part in item)]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_cli_sweep(tmp_path, capsys):

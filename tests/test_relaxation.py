@@ -1,7 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from smoothol.core import (
     ContextBlock,
@@ -105,11 +109,90 @@ def test_three_point_random_convex_with_plateaus(seed):
 def test_playout_dimensions_and_signs():
     mu = FiniteMeasure.uniform(GroundSet.grid(6))
     playout = draw_playout(mu, 7, 3, make_rng(0, 0))
-    assert playout.dims == (7, 3)
-    assert len(playout.contexts) == 21
-    assert set(np.unique(playout.signs)) <= {-1, 1}
+    assert len(playout.contexts) == len(playout.signs) == 6
+    assert np.array_equal(playout.contexts.ids, np.arange(6))
+    drawn = int(np.abs(playout.signs).sum())
+    assert drawn <= 21 and (21 - drawn) % 2 == 0
     with pytest.raises(ValueError):
         PlayoutDraw(playout.contexts, playout.signs[:3], 7, 3)
+    for signs in ([22, 0, 0, 0, 0, 0], [20, 0, 0, 0, 0, 0]):  # too many draws, wrong parity
+        with pytest.raises(ValueError):
+            PlayoutDraw(playout.contexts, np.array(signs), 7, 3)
+
+
+def _explicit_net_signs(mu, n, rng):
+    """Reference playout: n points from mu with +/-1 signs, folded into per-atom net counts."""
+    ids = mu.sample_ids(rng, n)
+    signs = 2 * rng.integers(0, 2, size=n) - 1
+    return np.bincount(ids, weights=signs, minlength=mu.ground.size).astype(np.int64)
+
+
+def test_playout_counts_match_exact_law_and_explicit_sampling():
+    """Net-sign vectors of 3 draws on 3 atoms: exact pmf vs histogram and explicit draws."""
+    probs = np.array([0.5, 0.3, 0.2])
+    mu = FiniteMeasure(GroundSet.grid(3), probs)
+    n, draws = 3, 20_000
+    pmf: dict[tuple, float] = {}
+    for cells in itertools.product(range(3), (-1, 1), repeat=n):
+        net, mass = [0, 0, 0], 1.0
+        for atom, sign in zip(cells[::2], cells[1::2]):
+            net[atom] += sign
+            mass *= probs[atom] / 2.0
+        pmf[tuple(net)] = pmf.get(tuple(net), 0.0) + mass
+    outcomes = sorted(pmf)
+    expected = np.array([pmf[o] for o in outcomes]) * draws
+    assert math.isclose(expected.sum(), draws)
+
+    rng = make_rng(12, 0)
+    histogram = [tuple(draw_playout(mu, n, 1, rng).signs) for _ in range(draws)]
+    rng = make_rng(12, 1)
+    explicit = [tuple(_explicit_net_signs(mu, n, rng)) for _ in range(draws)]
+    for sample in (histogram, explicit):
+        assert set(sample) <= set(outcomes)
+        observed = np.array([sample.count(o) for o in outcomes])
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(atoms=st.integers(1, 12), rounds_left=st.integers(0, 40), k=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_playout_counts_property(atoms, rounds_left, k, seed):
+    rng = make_rng(seed, 0)
+    mu = FiniteMeasure(GroundSet.grid(atoms), rng.dirichlet(np.ones(atoms)))
+    playout = draw_playout(mu, rounds_left, k, rng)
+    n, drawn = rounds_left * k, int(np.abs(playout.signs).sum())
+    assert len(playout.signs) == len(playout.contexts) == atoms
+    assert drawn <= n and (n - drawn) % 2 == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_threshold_cell_measure_gaps(seed):
+    rng = make_rng(13, seed)
+    thetas = rng.random(int(rng.integers(1, 40)))
+    thetas[: len(thetas) // 4] = thetas[-1]  # repeated thresholds leave empty gaps
+    thetas = np.append(thetas, [0.0, 1.0, -0.25, 1.5])  # ends, and thresholds clipped to them
+    klass = ThresholdClass(thetas)
+    cells = klass.cell_measure(UniformIntervalMeasure())
+    left = cells.ground.coords
+    assert len(cells.probs) == len(thetas) + 1
+    assert cells.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(cells.probs, np.diff(left, append=1.0))
+    x = np.concatenate((rng.random(2000), np.clip(thetas, 0.0, 1.0)))
+    gap = np.searchsorted(left, x, side="right") - 1
+    assert np.array_equal(klass.evaluate_block(ContextBlock(coords=x)),
+                          klass.evaluate_block(ContextBlock(coords=left[gap])))
+
+
+def test_cell_measure_finite_is_identity_and_continuous_needs_cells():
+    klass = random_table_class(make_rng(14, 0), 3, 5)
+    mu = FiniteMeasure.uniform(klass.ground)
+    assert klass.cell_measure(mu) is mu
+    assert ThresholdClass.grid(4).cell_measure(mu) is mu
+    with pytest.raises(ValueError, match="cell partition"):
+        klass.cell_measure(UniformIntervalMeasure())
+    with pytest.raises(ValueError, match="cell partition"):
+        RelaxLinearLearner(klass, linear_loss(), UniformIntervalMeasure(), 4, 0.5,
+                           ErmOracle(klass, linear_loss()), make_rng(14, 1))
 
 
 def test_default_playout_width_controls_tail():
@@ -294,12 +377,13 @@ def test_shared_playout_matches_per_branch_rows(space):
         mu = FiniteMeasure.uniform(klass.ground)
     else:
         klass, mu = ThresholdClass.grid(24), UniformIntervalMeasure()
+    cells = klass.cell_measure(mu)
     T = 12
     lin, gen = linear_loss(), absolute_loss()
     o_lin, o_gen = ErmOracle(klass, lin), ErmOracle(klass, gen)
     s_lin, s_gen = RelaxState(lin, T, 0.5, k=4), RelaxState(gen, T, 0.5, k=4)
     for t in range(1, T + 1):
-        playout = draw_playout(mu, T - t, 4, rng)
+        playout = draw_playout(cells, T - t, 4, rng)
         x = mu.sample_point(rng)
         predict_linear(s_lin, playout, x, o_lin)
         predict_general(s_gen, playout, x, o_gen)
