@@ -191,7 +191,7 @@ class HiddenMuThresholdAdversary(Adversary):
         self._x_num = 0  # current coordinate, times 2^48
         self._lo_num = 0  # consistent thresholds lie in (lo, hi]
         self._hi_num = self._scale
-        # (context, label, last_prediction) per round, for the recurrence and empirical_mu
+        # (context, label, last_prediction) per round, for the recurrence
         self.history: list[tuple[ContextPoint, float, Optional[float]]] = []
 
     def conditional_probs(self) -> np.ndarray:
@@ -225,11 +225,6 @@ class HiddenMuThresholdAdversary(Adversary):
         if self._lo_num >= self._hi_num:
             raise ValueError("constraint interval collapsed (only exact for t <= 50)")
         return self._hi_num / self._scale
-
-    def empirical_mu(self) -> tuple[np.ndarray, np.ndarray]:
-        """Realized contexts and uniform weights: the hidden smoothing measure."""
-        xs = np.array([c.coordinate for c, _, _ in self.history])
-        return xs, np.full(len(xs), 1.0 / max(len(xs), 1))
 
 
 class RademacherGapAdversary(Adversary):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .core import FiniteMeasure
 
@@ -130,8 +129,11 @@ def validate_coupling(config: CouplingConfig, trials: int,
 
     Chi-square p-values compare the x sample to p and the pooled candidate
     sample to mu; ``bound`` is the exact per-round miss probability
-    (1 - sigma)^k.
+    (1 - sigma)^k.  scipy is imported here, not at module level, so that
+    ``run``, ``sweep`` and ``bandit`` never load it.
     """
+    from scipy import stats
+
     if trials < 1000:
         raise ValueError(f"insufficient trials: need at least 1000, not {trials}")
     xs, z, hit = _couple_trials(config, trials, rng)

@@ -7,9 +7,14 @@ anchor points sampled from the base measure:
     omega'(f) = sum_j gamma'_j l(f(Z'_j), y'_j)           (unnormalized, label anchors)
 
 with gamma i.i.d. standard normal and label anchors y'_j uniform on an
-epsilon-grid.  Each round the learner draws fresh perturbations and commits,
-via a single weighted ERM call, to the hypothesis minimizing running loss plus
-perturbation -- before the round's context is revealed.
+epsilon-grid.  The processes see the anchors only through the sum of gamma
+over each cell of the class's cell measure (each (cell, label) pair for
+omega'), and given the cell counts n_c ~ Multinomial(n, mu) that sum is
+N(0, n_c); so a process is drawn as one multinomial and one normal per cell,
+with the same law, whenever there are fewer cells than anchors.  Each round
+the learner draws fresh perturbations and commits, via a single weighted ERM
+call, to the hypothesis minimizing running loss plus perturbation -- before
+the round's context is revealed.
 
 Three variants ship, differing in which processes they add and how they are
 scaled; ``schedule`` returns each variant's parameter choices as a function of
@@ -24,29 +29,20 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    ContextBlock,
-    ContextPoint,
-    FiniteMeasure,
-    GroundSet,
-    HypothesisClass,
-    LossFunction,
-    TableClass,
-)
+from .core import ContextBlock, ContextPoint, HypothesisClass, LossFunction
 from .oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 
 __all__ = [
     "epsilon_grid",
     "GaussianPerturbation",
+    "fewer_cells",
     "draw_perturbation",
-    "omega_values",
     "FtplSchedule",
     "schedule",
     "ftpl_select_classification",
     "ftpl_select_dual",
     "ftpl_select_single",
     "FtplLearner",
-    "with_anchor_point",
 ]
 
 
@@ -70,26 +66,32 @@ def epsilon_grid(eps: float, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
 
 @dataclass
 class GaussianPerturbation:
-    """Anchor points with standard-normal coefficients; labels present for omega'."""
+    """n anchors as contexts with normal coefficients; labels present for omega'.
+
+    Drawn per anchor there is one context per anchor with an N(0, 1)
+    coefficient; drawn per cell there is one context per cell with the
+    cell's summed coefficients, N(0, n_c) given its anchor count n_c.
+    """
 
     contexts: ContextBlock
     coeffs: np.ndarray
     normalization: str = "inv_sqrt_n"  # "inv_sqrt_n" | "none"
     labels: Optional[np.ndarray] = None
+    n: Optional[int] = None  # anchors drawn; defaults to one per context
 
     def __post_init__(self):
         if self.normalization not in ("inv_sqrt_n", "none"):
             raise ValueError("normalization must be inv_sqrt_n or none")
         if len(self.coeffs) != len(self.contexts):
-            raise ValueError("one coefficient per anchor")
+            raise ValueError("one coefficient per context")
         if self.labels is not None and len(self.labels) != len(self.contexts):
-            raise ValueError("one label per anchor")
+            raise ValueError("one label per context")
         if self.labels is not None and self.normalization == "inv_sqrt_n":
             raise ValueError("label-anchor processes are unnormalized")
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs)
+        if self.n is None:
+            self.n = len(self.coeffs)
+        if self.n < 0:
+            raise ValueError("anchor count must be nonnegative")
 
     @property
     def scale(self) -> float:
@@ -98,34 +100,40 @@ class GaussianPerturbation:
         return 1.0 / math.sqrt(self.n)
 
 
+def fewer_cells(cells, n: int, grid: Optional[np.ndarray] = None) -> bool:
+    """Whether the finite measure ``cells`` has fewer (cell, grid label) pairs than n."""
+    return cells.finite and cells.ground.size * (1 if grid is None else len(grid)) < n
+
+
 def draw_perturbation(mu, n: int, rng: np.random.Generator,
                       normalization: str = "inv_sqrt_n",
                       eps: Optional[float] = None,
                       label_range: tuple[float, float] = (-1.0, 1.0),
-                      ) -> GaussianPerturbation:
-    """Fresh anchors from mu with N(0,1) coefficients; eps adds grid labels."""
-    contexts = mu.sample_block(rng, n)
-    coeffs = rng.standard_normal(n)
-    labels = None
-    if eps is not None:
-        grid = epsilon_grid(eps, *label_range)
-        labels = grid[rng.integers(0, len(grid), size=n)]
-    return GaussianPerturbation(contexts, coeffs, normalization, labels)
+                      grid: Optional[np.ndarray] = None,
+                      per_cell: Optional[bool] = None) -> GaussianPerturbation:
+    """n anchors from mu with N(0,1) coefficients; eps (or a built ``grid``) adds labels.
 
-
-def omega_values(pert: GaussianPerturbation, klass: HypothesisClass,
-                 loss: Optional[LossFunction] = None) -> np.ndarray:
-    """Per-hypothesis perturbation value, by direct evaluation over the class.
-
-    With labels and a loss this is omega'(f) = sum_j gamma_j l(f(Z_j), y_j);
-    otherwise omega(f) = scale * sum_i gamma_i f(Z_i).
+    Per cell, the atoms of the finite mu (times the grid labels) are the cells:
+    one ``rng.multinomial(n, cell masses)`` and one standard normal z_c per
+    cell give the coefficient sqrt(n_c) * z_c.  Per anchor, every anchor is
+    drawn from mu.  ``per_cell`` defaults to ``fewer_cells(mu, n, grid)``.
     """
-    if pert.labels is not None:
-        if loss is None:
-            raise ValueError("label anchors need a loss")
-        values = klass.evaluate_block(pert.contexts)
-        return loss.evaluate_array(values, pert.labels[None, :]) @ pert.coeffs
-    return pert.scale * klass.identity_dot(pert.contexts, pert.coeffs)
+    if grid is None and eps is not None:
+        grid = epsilon_grid(eps, *label_range)
+    if per_cell is None:
+        per_cell = fewer_cells(mu, n, grid)
+    if not per_cell:
+        contexts = mu.sample_block(rng, n)
+        coeffs = rng.standard_normal(n)
+        labels = None if grid is None else grid[rng.integers(0, len(grid), size=n)]
+        return GaussianPerturbation(contexts, coeffs, normalization, labels)
+    ids, probs, labels = np.arange(mu.ground.size), mu.probs, None
+    if grid is not None:  # cell-major (cell, label) pairs, each of mass mu_c / |grid|
+        ids, probs = np.repeat(ids, len(grid)), np.repeat(probs / len(grid), len(grid))
+        labels = np.tile(grid, mu.ground.size)
+    counts = rng.multinomial(n, probs)
+    coeffs = np.sqrt(counts) * rng.standard_normal(len(counts))
+    return GaussianPerturbation(mu.ground.block(ids), coeffs, normalization, labels, n)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +230,7 @@ def ftpl_select_classification(pert: GaussianPerturbation, eta: float,
     if pert.normalization != "inv_sqrt_n" or pert.labels is not None:
         raise ValueError("classification variant uses the normalized, label-free process")
     query = ErmQuery().add_partial(oracle.prefix)
-    query.add_block(IDENTITY, pert.contexts, np.zeros(pert.n), eta * pert.scale * pert.coeffs)
+    query.add_block(IDENTITY, pert.contexts, np.zeros(len(pert.coeffs)), eta * pert.scale * pert.coeffs)
     return _finish(query, oracle, zeta, rng)
 
 
@@ -235,7 +243,7 @@ def ftpl_select_dual(pert_m: GaussianPerturbation, pert_n: GaussianPerturbation,
     if pert_n.normalization != "none" or pert_n.labels is None:
         raise ValueError("second process must be unnormalized with label anchors")
     query = ErmQuery().add_partial(oracle.prefix)
-    query.add_block(IDENTITY, pert_m.contexts, np.zeros(pert_m.n),
+    query.add_block(IDENTITY, pert_m.contexts, np.zeros(len(pert_m.coeffs)),
                     eta * pert_m.scale * pert_m.coeffs)
     query.add_block(MAIN, pert_n.contexts, pert_n.labels, pert_n.coeffs)
     return _finish(query, oracle, zeta, rng)
@@ -273,27 +281,45 @@ class FtplLearner:
         self.klass = klass
         self.loss = loss
         self.mu = mu
+        self.cells = klass.cell_measure(mu)
         self.sched = sched
+        self.grid = None if variant == "classification" else \
+            epsilon_grid(sched.epsilon, *loss.domain)
         self.oracle = oracle
         self.rng = rng
         self.selected: Optional[int] = None
+        # each process's draw, per cell or per anchor, is fixed here
+        self._omega = self._process(sched.m or sched.n, None)
+        self._omega_label = self._process(sched.n, self.grid)
+
+    def _process(self, n: int, grid: Optional[np.ndarray]) -> tuple:
+        """The arguments of one process's draws: measure, anchors, labels, per cell.
+
+        Per cell only with fewer cells than anchors, and only for an exact
+        oracle: the approximate oracle's slack reads sum |w|, which merging
+        a cell's anchors into one coefficient changes.
+        """
+        per_cell = self.sched.zeta == 0 and fewer_cells(self.cells, n, grid)
+        return (self.cells if per_cell else self.mu), n, grid, per_cell
+
+    def _draw(self, process: tuple) -> GaussianPerturbation:
+        mu, n, grid, per_cell = process
+        return draw_perturbation(mu, n, self.rng, "inv_sqrt_n" if grid is None else "none",
+                                 grid=grid, per_cell=per_cell)
 
     def select(self) -> int:
         """Draw fresh perturbations and commit to this round's hypothesis."""
         s = self.sched
         if self.variant == "classification":
-            pert = draw_perturbation(self.mu, s.n, self.rng)
-            idx = ftpl_select_classification(pert, s.eta, self.oracle, s.zeta, self.rng)
+            idx = ftpl_select_classification(self._draw(self._omega), s.eta, self.oracle,
+                                             s.zeta, self.rng)
         elif self.variant == "dual":
-            pert_m = draw_perturbation(self.mu, s.m or s.n, self.rng)
-            pert_n = draw_perturbation(self.mu, s.n, self.rng, normalization="none",
-                                       eps=s.epsilon, label_range=self.loss.domain)
+            pert_m = self._draw(self._omega)
+            pert_n = self._draw(self._omega_label)
             idx = ftpl_select_dual(pert_m, pert_n, s.eta, self.oracle, s.zeta, self.rng)
         else:
-            pert = draw_perturbation(self.mu, s.n, self.rng, normalization="none",
-                                     eps=s.epsilon, label_range=self.loss.domain)
-            idx = ftpl_select_single(pert, s.eta / math.sqrt(s.n), self.oracle,
-                                     s.zeta, self.rng)
+            idx = ftpl_select_single(self._draw(self._omega_label), s.eta / math.sqrt(s.n),
+                                     self.oracle, s.zeta, self.rng)
         self.selected = idx
         return idx
 
@@ -306,22 +332,3 @@ class FtplLearner:
         self.oracle.extend_prefix(context, label)
         self.selected = None
 
-
-def with_anchor_point(klass: TableClass, mu: FiniteMeasure,
-                      ) -> tuple[TableClass, FiniteMeasure]:
-    """Append a point where every hypothesis equals 1 and reweight the base measure.
-
-    The new measure is (1/3) mu + (2/3) delta_{x*}, which lower-bounds every
-    hypothesis norm under empirical anchor measures.  Off by default; the
-    stability tests switch it on.
-    """
-    values = np.hstack([klass.values, np.ones((len(klass), 1))])
-    old_ground = klass.ground
-    coords = None
-    if old_ground.coords is not None:
-        # keep coordinates valid; park x* at an arbitrary interior point
-        coords = np.concatenate([old_ground.coords, [0.5]])
-    ground = GroundSet(size=old_ground.size + 1, coords=coords)
-    new_klass = TableClass(values, ground=ground, kind=klass.kind)
-    probs = np.concatenate([mu.probs / 3.0, [2.0 / 3.0]])
-    return new_klass, FiniteMeasure(ground, probs)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -139,3 +144,14 @@ def test_scalar_couple_round_matches_construction_statistics():
     target = 1 - (1 - sigma) ** k
     se = np.sqrt(target * (1 - target) / 20_000)
     assert abs(hits / 20_000 - target) <= 4 * se
+
+
+def test_cli_import_does_not_load_scipy():
+    """scipy is imported by validate_coupling alone, so run/sweep/bandit never pay for it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, smoothol.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

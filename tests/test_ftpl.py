@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from smoothol import ftpl
 from smoothol.core import (
     ContextPoint,
     FiniteMeasure,
     GroundSet,
     TableClass,
+    ThresholdClass,
+    UniformIntervalMeasure,
     linear_loss,
     make_rng,
 )
@@ -19,16 +23,51 @@ from smoothol.ftpl import (
     GaussianPerturbation,
     draw_perturbation,
     epsilon_grid,
+    fewer_cells,
     ftpl_select_classification,
     ftpl_select_dual,
     ftpl_select_single,
-    omega_values,
     schedule,
-    with_anchor_point,
 )
 from smoothol.oracle import ErmOracle
 
 from conftest import random_table_class
+
+
+def omega_values(pert, klass, loss=None):
+    """Reference: each hypothesis's perturbation value by direct evaluation.
+
+    With labels and a loss this is omega'(f) = sum_j gamma_j l(f(Z_j), y_j);
+    otherwise omega(f) = scale * sum_i gamma_i f(Z_i).
+    """
+    values = klass.evaluate_block(pert.contexts)
+    if pert.labels is not None:
+        return loss.evaluate_array(values, pert.labels[None, :]) @ pert.coeffs
+    return pert.scale * (values @ pert.coeffs)
+
+
+def with_anchor_point(klass, mu):
+    """Append a point where every hypothesis equals 1 and reweight the base measure.
+
+    The new measure is (1/3) mu + (2/3) delta_{x*}, which lower-bounds every
+    hypothesis norm under empirical anchor measures.
+    """
+    values = np.hstack([klass.values, np.ones((len(klass), 1))])
+    coords = None
+    if klass.ground.coords is not None:
+        coords = np.concatenate([klass.ground.coords, [0.5]])  # x* at an interior point
+    ground = GroundSet(size=klass.ground.size + 1, coords=coords)
+    probs = np.concatenate([mu.probs / 3.0, [2.0 / 3.0]])
+    return TableClass(values, ground=ground, kind=klass.kind), FiniteMeasure(ground, probs)
+
+
+def _explicit_perturbation(mu, n, rng, grid=None):
+    """Reference: every anchor drawn from mu (with a uniform grid label), N(0, 1) each."""
+    contexts = mu.sample_block(rng, n)
+    coeffs = rng.standard_normal(n)
+    if grid is None:
+        return GaussianPerturbation(contexts, coeffs)
+    return GaussianPerturbation(contexts, coeffs, "none", grid[rng.integers(0, len(grid), n)])
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +321,137 @@ def test_omega_covariance_matches_empirical_kernel():
     emp = omegas.T @ omegas / draws
     se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target ** 2) / draws)
     assert np.all(np.abs(emp - target) <= 4 * se)
+
+
+# ---------------------------------------------------------------------------
+# per-cell draws against the explicit per-anchor reference
+# ---------------------------------------------------------------------------
+
+_CELL_PROBS = np.array([0.5, 0.3, 0.2])
+# zeros on some atoms leave omega(f) an atom at 0 when those cells are empty
+_CELL_VALUES = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [1.0, -0.5, 0.25]])
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["omega", "omega-prime"])
+def test_cell_draws_match_explicit_anchors_in_law(labelled):
+    """3 atoms, n = 4: omega(f) (or omega'(f)) per f, per cell against per anchor, by KS."""
+    mu = FiniteMeasure(GroundSet.grid(3), _CELL_PROBS)
+    klass, loss = TableClass(_CELL_VALUES, ground=mu.ground), linear_loss()
+    grid = epsilon_grid(1.0) if labelled else None
+    n, draws = 4, 20_000
+    rng_cells, rng_explicit = make_rng(14, 0), make_rng(14, 1)
+    cells, explicit = [], []
+    for _ in range(draws):
+        pert = draw_perturbation(mu, n, rng_cells, "none" if labelled else "inv_sqrt_n",
+                                 grid=grid, per_cell=True)
+        cells.append(omega_values(pert, klass, loss))
+        explicit.append(omega_values(_explicit_perturbation(mu, n, rng_explicit, grid),
+                                     klass, loss))
+    cells, explicit = np.array(cells), np.array(explicit)
+    for f in range(len(klass)):
+        assert stats.ks_2samp(cells[:, f], explicit[:, f]).pvalue > 1e-3
+
+
+def test_empty_cell_probability_is_binomial():
+    """A cell's coefficient is 0 exactly when no anchor lands in it: (1 - mu_c)^n."""
+    mu = FiniteMeasure(GroundSet.grid(3), _CELL_PROBS)
+    n, draws = 4, 20_000
+    rng = make_rng(15, 0)
+    zeros = np.zeros(3, dtype=np.int64)
+    for _ in range(draws):
+        zeros += draw_perturbation(mu, n, rng).coeffs == 0.0
+    for c in range(3):
+        assert stats.binomtest(int(zeros[c]), draws, (1 - _CELL_PROBS[c]) ** n).pvalue > 1e-3
+
+
+@settings(max_examples=80, deadline=None)
+@given(atoms=st.integers(1, 12), n=st.integers(0, 60),
+       eps=st.sampled_from([None, 2.0, 1.0, 0.5]), seed=st.integers(0, 2 ** 32 - 1))
+def test_perturbation_cells_property(atoms, n, eps, seed):
+    mu = FiniteMeasure(GroundSet.grid(atoms), make_rng(seed, 0).dirichlet(np.ones(atoms)))
+    grid = None if eps is None else epsilon_grid(eps)
+    normalization = "inv_sqrt_n" if eps is None else "none"
+    pert = draw_perturbation(mu, n, make_rng(seed, 1), normalization, eps=eps)
+    assert pert.n == n
+    assert len(pert.coeffs) == len(pert.contexts)
+    if eps is None:
+        assert pert.scale == (1.0 / math.sqrt(n) if n else 1.0)
+    else:
+        assert pert.scale == 1.0 and set(pert.labels) <= set(grid)
+    cells = atoms * (1 if grid is None else len(grid))
+    if cells < n:
+        assert len(pert.coeffs) == cells
+        if grid is not None:  # every (cell, label) pair exactly once
+            assert len(set(zip(pert.contexts.ids, pert.labels))) == cells
+        else:
+            assert np.array_equal(pert.contexts.ids, np.arange(atoms))
+    else:
+        reference = _explicit_perturbation(mu, n, make_rng(seed, 1), grid)
+        assert np.array_equal(pert.contexts.ids, reference.contexts.ids)
+        assert np.array_equal(pert.coeffs, reference.coeffs)
+        assert pert.labels is None or np.array_equal(pert.labels, reference.labels)
+
+
+@pytest.mark.parametrize("variant", ["classification", "dual", "single"])
+@pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
+def test_approximate_oracle_learner_draws_every_anchor(variant, interval):
+    """With zeta > 0 every process is drawn per anchor from mu, in the order it always was."""
+    loss = linear_loss()
+    if interval:
+        klass, mu = ThresholdClass.grid(8), UniformIntervalMeasure()
+    else:
+        klass = random_table_class(make_rng(16, 0), 6, 5, binary=(variant == "classification"))
+        mu = FiniteMeasure.uniform(klass.ground)
+    sched = schedule(60, 0.5, L=loss.lipschitz_L, variant=variant, zeta=0.05)
+    learner = FtplLearner(variant, klass, loss, mu, sched, ErmOracle(klass, loss),
+                          make_rng(16, 1))
+    oracle, rng = ErmOracle(klass, loss), make_rng(16, 1)
+    grid = learner.grid
+    history = make_rng(16, 2)
+    for _ in range(40):
+        if variant == "classification":
+            idx = ftpl_select_classification(_explicit_perturbation(mu, sched.n, rng),
+                                             sched.eta, oracle, sched.zeta, rng)
+        elif variant == "dual":
+            pert_m = _explicit_perturbation(mu, sched.m, rng)
+            pert_n = _explicit_perturbation(mu, sched.n, rng, grid)
+            idx = ftpl_select_dual(pert_m, pert_n, sched.eta, oracle, sched.zeta, rng)
+        else:
+            idx = ftpl_select_single(_explicit_perturbation(mu, sched.n, rng, grid),
+                                     sched.eta / math.sqrt(sched.n), oracle, sched.zeta, rng)
+        assert learner.select() == idx
+        x, y = mu.sample_point(history), float(history.choice([-1.0, 1.0]))
+        learner.observe(x, y)
+        oracle.extend_prefix(x, y)
+
+
+def test_exact_learner_draws_per_cell_only_below_the_anchor_count():
+    loss = linear_loss()
+    klass = ThresholdClass.grid(8)
+    sched = schedule(60, 0.5, L=loss.lipschitz_L, variant="dual")
+    learner = FtplLearner("dual", klass, loss, UniformIntervalMeasure(), sched,
+                          ErmOracle(klass, loss), make_rng(17, 0))
+    assert learner.cells.ground.size == 9  # the m + 1 gaps between thresholds
+    assert fewer_cells(learner.cells, sched.n)  # 9 cells against 11 anchors
+    assert learner._omega == (learner.cells, sched.n, None, True)
+    assert not fewer_cells(learner.cells, sched.n, learner.grid)
+    assert learner._omega_label == (learner.mu, sched.n, learner.grid, False)
+
+
+def test_learner_builds_the_label_grid_once(monkeypatch):
+    rng = make_rng(18, 0)
+    klass = random_table_class(rng, 4, 6)
+    mu = FiniteMeasure.uniform(klass.ground)
+    loss = linear_loss()
+    sched = schedule(50, 0.5, L=loss.lipschitz_L, variant="dual")
+    learner = FtplLearner("dual", klass, loss, mu, sched, ErmOracle(klass, loss),
+                          make_rng(18, 1))
+    calls = []
+    monkeypatch.setattr(ftpl, "epsilon_grid", lambda *a: calls.append(a))
+    for _ in range(5):
+        learner.select()
+        learner.observe(klass.ground.point(0), 1.0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
