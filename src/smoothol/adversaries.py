@@ -252,10 +252,6 @@ class RademacherGapAdversary(Adversary):
         atom = int(self.rng.choice(self.shatter_ids))
         return self.certificate.mu.ground.point(atom)
 
-    def sample_mu(self, size: int) -> np.ndarray:
-        """Draw atom ids from mu (for checking the mixture weights)."""
-        return self.certificate.mu.sample_ids(self.rng, size)
-
 
 def _is_shattered(klass: HypothesisClass, ground: GroundSet,
                   ids: np.ndarray, scale: float) -> bool:

@@ -13,29 +13,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (  # the product-space helpers are re-exported here
-    ContextBlock,
-    ContextPoint,
-    compose_smoothness,
-    joint_id,
-    make_rng,
-    product_class,
-    product_measure,
-)
+from .core import ContextBlock, ContextPoint, joint_id, make_rng
 from .harness import ExperimentConfig, build_pieces, write_outputs
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "igw_distribution",
-    "compose_smoothness",
-    "joint_id",
-    "product_measure",
-    "product_class",
     "BanditResult",
     "run_square_cb",
     "default_gamma",
@@ -97,22 +84,18 @@ class BanditResult:
 
 def run_square_cb(context_adversary, regressor, K: int, T: int,
                   f_star: np.ndarray, gamma: float,
-                  rng: np.random.Generator,
-                  action_rule: Optional[Callable] = None) -> BanditResult:
+                  rng: np.random.Generator) -> BanditResult:
     """SquareCB with a plugged-in online square-loss regressor.
 
     ``context_adversary`` yields sigma-smooth contexts over a finite ground
     set; ``f_star`` is the (N, K) conditional-mean loss table, realizable
     inside the regressor's class; losses are Bernoulli(f*(x, a)).
     ``regressor`` is a learner over the product class (proper learners commit
-    once per round; improper ones are queried once per action).
-    ``action_rule(predictions, gamma)`` maps predicted losses to an action
-    distribution and defaults to inverse-gap weighting.
+    once per round; improper ones are queried once per action).  Actions are
+    drawn by inverse-gap weighting of the predicted losses.
     """
     if K < 1:
         raise ValueError("K must be positive")
-    if action_rule is None:
-        action_rule = igw_distribution
 
     x_ids = np.empty(T, dtype=np.int64)
     actions = np.empty(T, dtype=np.int64)
@@ -136,7 +119,7 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
             p = np.array([1.0])
             action = 0
         else:
-            p = action_rule(preds, gamma)
+            p = igw_distribution(preds, gamma)
             action = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
             action = min(action, K - 1)
         row_losses = (rng.random(K) < f_star[x_id]).astype(np.float64)

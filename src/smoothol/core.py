@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -92,18 +92,11 @@ class ContextBlock:
         return 0 if arr is None else int(arr.shape[0])
 
     @staticmethod
-    def from_points(points: Sequence[ContextPoint]) -> "ContextBlock":
-        has_ids = all(p.id is not None for p in points)
-        has_coords = all(p.coordinate is not None for p in points)
-        ids = np.array([p.id for p in points], dtype=np.int64) if has_ids else None
-        coords = (
-            np.array([p.coordinate for p in points], dtype=np.float64) if has_coords else None
-        )
-        return ContextBlock(ids=ids, coords=coords)
-
-    @staticmethod
     def single(point: ContextPoint) -> "ContextBlock":
-        return ContextBlock.from_points([point])
+        ids = None if point.id is None else np.array([point.id], dtype=np.int64)
+        coords = (None if point.coordinate is None
+                  else np.array([point.coordinate], dtype=np.float64))
+        return ContextBlock(ids=ids, coords=coords)
 
 
 @dataclass(frozen=True)
@@ -145,6 +138,8 @@ class FiniteMeasure:
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (ground.size,):
             raise ValueError("probability vector length must match ground set")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(probs < -1e-15):
             raise ValueError("negative probability")
         if abs(float(probs.sum()) - 1.0) > 1e-12:

@@ -11,51 +11,16 @@ exactly, the Z_j stay i.i.d. mu, and the fallback fires with probability
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import FiniteMeasure
 
-__all__ = ["CouplingDraw", "couple_round", "CouplingConfig", "CouplingReport",
-           "validate_coupling"]
+__all__ = ["CouplingConfig", "CouplingReport", "validate_coupling"]
 
 
 class SmoothnessViolation(ValueError):
     pass
-
-
-@dataclass
-class CouplingDraw:
-    x: int | float
-    candidates: np.ndarray
-    accepted: np.ndarray  # indices into candidates
-    hit: bool
-
-
-def couple_round(density_ratio: Callable[[np.ndarray], np.ndarray], sigma: float, k: int,
-                 mu_sampler: Callable[[np.random.Generator, int], np.ndarray],
-                 fallback_p_sampler: Callable[[np.random.Generator], int | float],
-                 rng: np.random.Generator) -> CouplingDraw:
-    """One coupled draw.
-
-    ``density_ratio`` is the (vectorized) dp/dmu, valued in [0, 1/sigma];
-    ``mu_sampler(rng, n)`` returns n base-measure samples; the fallback
-    sampler draws a single point from p itself.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    z = mu_sampler(rng, k)
-    ratios = np.asarray(density_ratio(z), dtype=np.float64)
-    if np.any(ratios > 1.0 / sigma + 1e-9):
-        raise SmoothnessViolation("smoothness violated")
-    accept_probs = np.clip(sigma * ratios, 0.0, 1.0)
-    accepted = np.flatnonzero(rng.random(k) < accept_probs)
-    if len(accepted):
-        pick = accepted[int(rng.integers(len(accepted)))]
-        return CouplingDraw(x=z[pick], candidates=z, accepted=accepted, hit=True)
-    return CouplingDraw(x=fallback_p_sampler(rng), candidates=z,
-                        accepted=accepted, hit=False)
 
 
 @dataclass(frozen=True)
@@ -97,7 +62,6 @@ class CouplingReport:
 def _couple_trials(config: CouplingConfig, trials: int,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized batch of coupled rounds; returns (x ids, Z ids, hit flags)."""
-    n = len(config.mu_probs)
     ratio = config.density_ratio()
     if np.any(ratio > 1.0 / config.sigma + 1e-9):
         raise SmoothnessViolation("smoothness violated")
@@ -114,10 +78,10 @@ def _couple_trials(config: CouplingConfig, trials: int,
     xs = np.empty(trials, dtype=np.int64)
     # uniform pick among accepted candidates: index the r-th accepted column
     r = (rng.random(trials) * np.maximum(counts, 1)).astype(np.int64)
-    cum = np.cumsum(accept, axis=1)
-    pick_col = np.argmax(cum > r[:, None], axis=1)
     rows = np.flatnonzero(hit)
-    xs[rows] = z[rows, pick_col[rows]]
+    if len(rows):  # with k = 0 no row hits, and there is no column to take argmax over
+        pick_col = np.argmax(np.cumsum(accept[rows], axis=1) > r[rows, None], axis=1)
+        xs[rows] = z[rows, pick_col]
     misses = np.flatnonzero(~hit)
     xs[misses] = np.searchsorted(p_cdf, rng.random(len(misses)), side="right")
     return xs, z, hit

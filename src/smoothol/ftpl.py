@@ -108,7 +108,6 @@ def fewer_cells(cells, n: int, grid: Optional[np.ndarray] = None) -> bool:
 def draw_perturbation(mu, n: int, rng: np.random.Generator,
                       normalization: str = "inv_sqrt_n",
                       eps: Optional[float] = None,
-                      label_range: tuple[float, float] = (-1.0, 1.0),
                       grid: Optional[np.ndarray] = None,
                       per_cell: Optional[bool] = None) -> GaussianPerturbation:
     """n anchors from mu with N(0,1) coefficients; eps (or a built ``grid``) adds labels.
@@ -119,7 +118,7 @@ def draw_perturbation(mu, n: int, rng: np.random.Generator,
     drawn from mu.  ``per_cell`` defaults to ``fewer_cells(mu, n, grid)``.
     """
     if grid is None and eps is not None:
-        grid = epsilon_grid(eps, *label_range)
+        grid = epsilon_grid(eps)
     if per_cell is None:
         per_cell = fewer_cells(mu, n, grid)
     if not per_cell:
@@ -155,7 +154,7 @@ class FtplSchedule:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.eta < 0 or self.n < 1 or self.zeta < 0 or (
+        if not (0 <= self.eta < math.inf and 0 <= self.zeta < math.inf) or self.n < 1 or (
                 self.epsilon is not None and not self.epsilon > 0):
             raise ValueError("schedule parameters out of range")
         if self.variant == "single":

@@ -5,9 +5,7 @@ where each row selects either the problem's main loss or the identity "loss"
 l_id(yhat, y) = yhat.  Weights may be negative; for an approximate oracle with
 slack zeta the returned hypothesis satisfies
 
-    objective(f_hat) <= min_f objective(f) + zeta * sum_i |w_i|
-
-(or + zeta flat, if the total-weight scaling is switched off).
+    objective(f_hat) <= min_f objective(f) + zeta * sum_i |w_i|.
 
 A query is a list of partials plus columnar row blocks, each block a
 (selector, contexts, labels, weights) group.  A partial holds rows evaluated
@@ -72,11 +70,11 @@ class Partial:
             self._weights = None
         return self._abs_weight
 
-    def extend(self, other: "Partial") -> None:
-        """Add another partial's rows to these, in place."""
-        self.objective += other.objective
-        self._abs_weight = self.abs_weight + other.abs_weight
-        self.rows += other.rows
+    def add_row(self, objective: np.ndarray) -> None:
+        """Add one weight-1 row's per-hypothesis objective, in place."""
+        self.objective += objective
+        self._abs_weight = self.abs_weight + 1.0
+        self.rows += 1
 
 
 class ErmQuery:
@@ -113,22 +111,18 @@ class ErmQuery:
 class ErmResult:
     hypothesis_index: int
     objective_value: float
-    calls_consumed: int = 1
 
 
 class ErmOracle:
     """Exact and zeta-approximate weighted ERM over a finite class.
 
-    ``scale_slack_by_total_weight`` picks the slack convention: True means the
-    admissible band is zeta * sum|w_i| wide, False means a flat zeta band.
+    The approximate oracle's admissible band is zeta * sum|w_i| wide.
     """
 
     def __init__(self, klass: HypothesisClass, main_loss: LossFunction,
-                 scale_slack_by_total_weight: bool = True,
                  log_stream: Optional[IO[str]] = None):
         self.klass = klass
         self.main_loss = main_loss
-        self.scale_slack_by_total_weight = scale_slack_by_total_weight
         self.log_stream = log_stream
         self._calls = 0
         self.prefix = Partial(np.zeros(len(klass), dtype=np.float64), np.zeros(0))
@@ -146,11 +140,10 @@ class ErmOracle:
         block = RowBlock(selector, contexts, labels, weights)
         return Partial(self._block_objective(block), block.weights)
 
-    def extend_prefix(self, context: ContextPoint, label: float,
-                      weight: float = 1.0, selector: str = MAIN) -> None:
-        """Append one row to the shared history prefix, in place."""
-        self.prefix.extend(self.partial(selector, ContextBlock.single(context),
-                                        [label], [weight]))
+    def extend_prefix(self, context: ContextPoint, label: float) -> None:
+        """Add the observed round's weight-1 main-loss row to the shared history prefix."""
+        values = self.klass.evaluate_block(ContextBlock.single(context))[:, 0]
+        self.prefix.add_row(self.main_loss.evaluate_array(values, label))
 
     # -- objective evaluation -----------------------------------------------
     def _block_objective(self, block: RowBlock) -> np.ndarray:
@@ -197,9 +190,7 @@ class ErmOracle:
         obj = self.objective_vector(query)
         idx = int(np.argmin(obj))
         if zeta > 0 and rng is not None and rng.random() < 0.5:
-            slack = zeta * query.total_abs_weight() if self.scale_slack_by_total_weight \
-                else zeta
-            admissible = np.flatnonzero(obj <= obj[idx] + slack)
+            admissible = np.flatnonzero(obj <= obj[idx] + zeta * query.total_abs_weight())
             others = admissible[admissible != idx]
             if len(others):
                 idx = int(rng.choice(others))

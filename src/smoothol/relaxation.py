@@ -42,7 +42,6 @@ __all__ = [
     "predict_linear",
     "predict_general",
     "three_point_min",
-    "estimate_relaxation",
     "RelaxLinearLearner",
     "RelaxGeneralLearner",
     "default_playout_width",
@@ -94,7 +93,7 @@ class RelaxState:
     """
 
     def __init__(self, loss: LossFunction, T: int, sigma: float,
-                 k: Optional[int] = None, grid_size: Optional[int] = None):
+                 k: Optional[int] = None):
         if T < 1:
             raise ValueError("horizon must be at least 1")
         self.loss = loss
@@ -104,9 +103,7 @@ class RelaxState:
         if self.k < 1:
             raise ValueError("playout width k must be at least 1")
         L = loss.lipschitz_L
-        if grid_size is None:
-            grid_size = max(2, math.ceil(2.0 * L * math.sqrt(T) - 1e-9))
-        self.grid = np.linspace(-1.0, 1.0, grid_size)
+        self.grid = np.linspace(-1.0, 1.0, max(2, math.ceil(2.0 * L * math.sqrt(T) - 1e-9)))
         self.delta = 1.0 / (L * math.sqrt(T))
         self.t = 0
         # (a_+, a_-) after predict_linear, Phi(y) over the grid after predict_general
@@ -122,14 +119,13 @@ class RelaxState:
         self.t += 1
 
 
-def _playout_partial(playout: PlayoutDraw, weight_scale: float, oracle: ErmOracle) -> Partial:
+def _playout_partial(playout: PlayoutDraw, L: float, oracle: ErmOracle) -> Partial:
     """The playout's identity rows, evaluated once for every query that shares them.
 
-    The oracle minimizes while the relaxation takes a supremum, so playout
-    weights enter negated: weight_scale is -6L for predictions, -2L for the
-    Monte-Carlo relaxation value.
+    The oracle minimizes while the relaxation takes a supremum, so the
+    playout's 6L weight per net sign enters negated.
     """
-    weights = weight_scale * playout.signs.astype(np.float64).ravel()
+    weights = -6.0 * L * playout.signs.astype(np.float64).ravel()
     return oracle.partial(IDENTITY, playout.contexts, np.zeros(len(weights)), weights)
 
 
@@ -151,7 +147,7 @@ def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextPoint,
     """
     if state.loss.kind != "linear":
         raise ValueError("linear loss required")
-    shared = _playout_partial(playout, -6.0 * state.loss.lipschitz_L, oracle)
+    shared = _playout_partial(playout, state.loss.lipschitz_L, oracle)
     x_block = ContextBlock.single(x_t)
     a_plus = _branch_value(oracle, shared, x_block, 1.0)
     a_minus = _branch_value(oracle, shared, x_block, -1.0)
@@ -205,7 +201,7 @@ def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextPoint,
     over yhat then runs the three-point search on cached branch values.
     """
     S = state.grid
-    shared = _playout_partial(playout, -6.0 * state.loss.lipschitz_L, oracle)
+    shared = _playout_partial(playout, state.loss.lipschitz_L, oracle)
     x_block = ContextBlock.single(x_t)
     phi = np.array([_branch_value(oracle, shared, x_block, float(y)) for y in S])
     state.last_branch_values = tuple(phi.tolist())
@@ -214,36 +210,6 @@ def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextPoint,
 
     idx = three_point_min(lambda i: float(outer[i].max()), S)
     return float(S[idx])
-
-
-@dataclass
-class RelaxationEstimate:
-    mean: float
-    std_error: float
-    num_playouts: int
-
-
-def estimate_relaxation(state: RelaxState, oracle: ErmOracle, num_playouts: int,
-                        rng: np.random.Generator, mu) -> RelaxationEstimate:
-    """Monte-Carlo value of the playout relaxation after the observed history.
-
-    Averages sup_f [ 2L sum eps f(x_future) - L_t(f) ] over fresh playouts and
-    adds the deterministic (T - t)^3 e^{-sigma k} remainder.
-    """
-    if num_playouts < 2:
-        raise ValueError("need at least two playouts")
-    L = state.loss.lipschitz_L
-    rounds_left = state.T - state.t
-    cells = oracle.klass.cell_measure(mu)
-    values = np.empty(num_playouts)
-    for i in range(num_playouts):
-        playout = draw_playout(cells, rounds_left, state.k, rng)
-        q = ErmQuery().add_partial(oracle.prefix)
-        q.add_partial(_playout_partial(playout, -2.0 * L, oracle))
-        values[i] = -oracle.exact(q).objective_value
-    tail = rounds_left ** 3 * math.exp(-state.sigma * state.k)
-    std_error = float(values.std(ddof=1) / math.sqrt(num_playouts))
-    return RelaxationEstimate(float(values.mean() + tail), std_error, num_playouts)
 
 
 class _RelaxLearnerBase:

@@ -218,8 +218,8 @@ def test_gap_adversary_density_and_marginals():
                         np.full(len(adv.shatter_ids), n / len(adv.shatter_ids))).pvalue
     assert p > 0.01
 
-    # mu-sampler: x* frequency near 1 - sigma
-    draws = adv.sample_mu(100_000)
+    # mu itself: x* frequency near 1 - sigma
+    draws = adv.certificate.mu.sample_ids(adv.rng, 100_000)
     frac = np.mean(draws == adv.star_id)
     se = np.sqrt(sigma * (1 - sigma) / 100_000)
     assert abs(frac - (1 - sigma)) <= 3 * se

@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 
 from smoothol.adversaries import IidAdversary, rademacher_labels, tilted_smooth_probs
 from smoothol.bandit import (
-    compose_smoothness,
     default_gamma,
     igw_distribution,
-    joint_id,
-    product_class,
-    product_measure,
     run_bandit_experiment,
     run_square_cb,
 )
@@ -22,7 +18,11 @@ from smoothol.core import (
     FiniteMeasure,
     GroundSet,
     SmoothnessCertificate,
+    compose_smoothness,
+    joint_id,
     make_rng,
+    product_class,
+    product_measure,
     square_loss,
 )
 from smoothol.ftpl import FtplLearner, schedule
@@ -239,18 +239,6 @@ def test_out_of_range_predictions_are_clamped_with_warning(caplog):
                                f_star=values[0], gamma=10.0, rng=make_rng(4, 1))
     assert any("clamp" in rec.message for rec in caplog.records)
     assert np.all(result.predictions == 1.0)
-
-
-def test_action_rule_is_swappable():
-    """The reduction takes any predictions -> distribution map in place of IGW."""
-    adversary, regressor, f_star, klass = _bandit_pieces(seed=5, T=30)
-
-    def uniform_rule(predictions, gamma):
-        return np.full(len(predictions), 1.0 / len(predictions))
-
-    result = run_square_cb(adversary, regressor, K=2, T=30, f_star=f_star,
-                           gamma=3.0, rng=make_rng(5, 2), action_rule=uniform_rule)
-    np.testing.assert_allclose(result.distributions, np.full((30, 2), 0.5))
 
 
 def test_run_bandit_experiment_config_surface(tmp_path):

@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -12,9 +14,42 @@ from smoothol.coupling import (
     CouplingConfig,
     SmoothnessViolation,
     concentrated_p,
-    couple_round,
     validate_coupling,
 )
+
+
+@dataclass
+class CouplingDraw:
+    x: int | float
+    candidates: np.ndarray
+    accepted: np.ndarray  # indices into candidates
+    hit: bool
+
+
+def couple_round(density_ratio: Callable[[np.ndarray], np.ndarray], sigma: float, k: int,
+                 mu_sampler: Callable[[np.random.Generator, int], np.ndarray],
+                 fallback_p_sampler: Callable[[np.random.Generator], int | float],
+                 rng: np.random.Generator) -> CouplingDraw:
+    """One coupled draw, round by round: the scalar reference for the batched
+    ``coupling._couple_trials``.
+
+    ``density_ratio`` is the (vectorized) dp/dmu, valued in [0, 1/sigma];
+    ``mu_sampler(rng, n)`` returns n base-measure samples; the fallback
+    sampler draws a single point from p itself.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    z = mu_sampler(rng, k)
+    ratios = np.asarray(density_ratio(z), dtype=np.float64)
+    if np.any(ratios > 1.0 / sigma + 1e-9):
+        raise SmoothnessViolation("smoothness violated")
+    accept_probs = np.clip(sigma * ratios, 0.0, 1.0)
+    accepted = np.flatnonzero(rng.random(k) < accept_probs)
+    if len(accepted):
+        pick = accepted[int(rng.integers(len(accepted)))]
+        return CouplingDraw(x=z[pick], candidates=z, accepted=accepted, hit=True)
+    return CouplingDraw(x=fallback_p_sampler(rng), candidates=z,
+                        accepted=accepted, hit=False)
 
 
 def _uniform(n):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -304,12 +305,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     {"checkpoints": ["a"]},
     {"checkpoints": [0]},
     {"checkpoints": [11]},  # T + 1
+    # json writes and reads the NaN and Infinity literals
+    {"ground": {"type": "grid", "atoms": 16, "mu_probs": [math.nan] + [1 / 15] * 15}},
+    {"adversary": {"kind": "iid", "p": [math.nan] + [1 / 15] * 15}},
+    {"adversary": {"kind": "iid", "p": "tilted", "beta": math.nan}},
+    {"learner": {"name": "ftpl-cls", "eta": math.nan}},
+    {"learner": {"name": "ftpl-cls", "zeta": math.inf}},
 ], ids=["zero-atoms", "relax-linear-absolute", "square-on-thresholds", "table-over-one",
         "fractional-atoms", "string-atoms", "mu-probs-length", "zero-k", "fractional-k",
         "string-k", "string-n", "string-zeta", "negative-eta", "fractional-class-m",
         "rademacher-gap-on-thresholds", "hidden-mu-one-round", "iid-p-length",
         "fractional-T", "fractional-seed", "negative-seed", "int-checkpoints",
-        "string-checkpoint", "zero-checkpoint", "checkpoint-past-T"])
+        "string-checkpoint", "zero-checkpoint", "checkpoint-past-T", "nan-mu-probs", "nan-iid-p",
+        "nan-beta", "nan-eta", "infinite-zeta"])
 def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(_base_config(**overrides)))
@@ -354,6 +362,15 @@ def test_cli_couple_test(capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert {"x_marginal_pvalue", "z_marginal_pvalue", "miss_rate", "bound"} <= set(report)
+
+
+def test_cli_couple_test_without_candidates_always_falls_back(capsys):
+    rc = cli_main(["couple-test", "--sigma", "0.5", "--k", "0", "--trials", "2000"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["miss_rate"] == report["bound"] == 1.0
+    assert report["z_marginal_pvalue"] == 1.0
+    assert report["x_marginal_pvalue"] > 1e-3  # every x is a fallback draw from p
 
 
 @pytest.mark.parametrize("flags", [

