@@ -9,7 +9,6 @@ SquareCB reduction for smoothed contextual bandits.
 
 from .core import (
     ContextBlock,
-    ContextPoint,
     FiniteMeasure,
     GroundSet,
     HypothesisClass,
@@ -30,7 +29,6 @@ from .oracle import ErmOracle, ErmQuery, ErmResult
 
 __all__ = [
     "ContextBlock",
-    "ContextPoint",
     "FiniteMeasure",
     "GroundSet",
     "HypothesisClass",

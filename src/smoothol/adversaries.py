@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    ContextPoint,
+    ContextBlock,
     FiniteMeasure,
     GroundSet,
     HypothesisClass,
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 # A label rule maps (context, last_prediction, rng) -> label in [-1, 1].
-LabelRule = Callable[[ContextPoint, Optional[float], np.random.Generator], float]
+LabelRule = Callable[[ContextBlock, Optional[float], np.random.Generator], float]
 
 
 def noisy_comparator_labels(target: Callable[[float], float],
@@ -90,10 +90,10 @@ class Adversary:
         """Exact conditional context distribution for the next round (finite sets only)."""
         raise NotImplementedError
 
-    def _draw_context(self) -> ContextPoint:
+    def _draw_context(self) -> ContextBlock:
         raise NotImplementedError
 
-    def next_round(self, last_prediction: Optional[float] = None) -> tuple[ContextPoint, float]:
+    def next_round(self, last_prediction: Optional[float] = None) -> tuple[ContextBlock, float]:
         ctx = self._draw_context()
         return ctx, float(self.label_rule(ctx, last_prediction, self.rng))
 
@@ -119,7 +119,7 @@ class IidAdversary(Adversary):
             raise ValueError("not checkable exactly")
         return self._p.probs
 
-    def _draw_context(self) -> ContextPoint:
+    def _draw_context(self) -> ContextBlock:
         return self._p.sample_point(self.rng)
 
 
@@ -155,13 +155,13 @@ class AdaptiveMixtureAdversary(Adversary):
         probs[a] += w
         return probs
 
-    def _draw_context(self) -> ContextPoint:
+    def _draw_context(self) -> ContextBlock:
         probs = self.conditional_probs()
         cdf = np.cumsum(probs)
         atom = int(np.searchsorted(cdf, self.rng.random(), side="right"))
         atom = min(atom, len(probs) - 1)
         self._counts[atom] += 1
-        return self.certificate.mu.ground.point(atom)
+        return self.certificate.mu.ground.block(np.array([atom]))
 
 
 _DYADIC_BITS = 48  # exact integer/2^48 arithmetic; increments clamp beyond this
@@ -192,12 +192,12 @@ class HiddenMuThresholdAdversary(Adversary):
         self._lo_num = 0  # consistent thresholds lie in (lo, hi]
         self._hi_num = self._scale
         # (context, label, last_prediction) per round, for the recurrence
-        self.history: list[tuple[ContextPoint, float, Optional[float]]] = []
+        self.history: list[tuple[ContextBlock, float, Optional[float]]] = []
 
     def conditional_probs(self) -> np.ndarray:
         raise ValueError("not checkable exactly")
 
-    def next_round(self, last_prediction: Optional[float] = None) -> tuple[ContextPoint, float]:
+    def next_round(self, last_prediction: Optional[float] = None) -> tuple[ContextBlock, float]:
         self._t += 1
         t = self._t
         if t == 1:
@@ -212,7 +212,7 @@ class HiddenMuThresholdAdversary(Adversary):
             self._x_num = self._x_num - int(prev_y) * step
             self._x_num = min(max(self._x_num, 0), self._scale)
             y = 1.0 if self.rng.random() < 0.5 else -1.0
-        ctx = ContextPoint(coordinate=self._x_num / self._scale)
+        ctx = ContextBlock(coords=np.array([self._x_num / self._scale]))
         if y > 0:
             self._hi_num = min(self._hi_num, self._x_num)
         else:
@@ -248,9 +248,9 @@ class RademacherGapAdversary(Adversary):
         probs[self.shatter_ids] = 1.0 / len(self.shatter_ids)
         return probs
 
-    def _draw_context(self) -> ContextPoint:
+    def _draw_context(self) -> ContextBlock:
         atom = int(self.rng.choice(self.shatter_ids))
-        return self.certificate.mu.ground.point(atom)
+        return self.certificate.mu.ground.block(np.array([atom]))
 
 
 def _is_shattered(klass: HypothesisClass, ground: GroundSet,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContextBlock, ContextPoint, joint_id, make_rng
+from .core import ContextBlock, joint_id, make_rng
 from .harness import ExperimentConfig, build_pieces, write_outputs
 
 logger = logging.getLogger(__name__)
@@ -111,7 +111,8 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
         if h is not None:
             preds = regressor.klass.evaluate_block(ContextBlock(ids=joint_ids))[h]
         else:
-            preds = np.array([regressor.predict(ContextPoint(id=int(j))) for j in joint_ids])
+            preds = np.array([regressor.predict(ContextBlock(ids=joint_ids[a:a + 1]))
+                              for a in all_actions])
         if np.any((preds < 0.0) | (preds > 1.0)):
             logger.warning("round %d: regressor prediction outside [0, 1]; clamping", t)
             preds = np.clip(preds, 0.0, 1.0)
@@ -123,7 +124,8 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
             action = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
             action = min(action, K - 1)
         row_losses = (rng.random(K) < f_star[x_id]).astype(np.float64)
-        regressor.observe(ContextPoint(id=int(joint_ids[action])), float(row_losses[action]))
+        regressor.observe(ContextBlock(ids=joint_ids[action:action + 1]),
+                          float(row_losses[action]))
         x_ids[t - 1], actions[t - 1] = x_id, action
         predictions[t - 1], distributions[t - 1], losses[t - 1] = preds, p, row_losses
 

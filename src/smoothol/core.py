@@ -17,7 +17,6 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
-    "ContextPoint",
     "ContextBlock",
     "GroundSet",
     "FiniteMeasure",
@@ -67,22 +66,11 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ContextPoint:
-    """A covariate: an index into a finite ground set and/or a point in [0, 1]."""
-
-    id: Optional[int] = None
-    coordinate: Optional[float] = None
-
-    def __post_init__(self):
-        if self.id is None and self.coordinate is None:
-            raise ValueError("context needs an id or a coordinate")
-        if self.coordinate is not None and not (0.0 <= self.coordinate <= 1.0):
-            raise ValueError(f"coordinate {self.coordinate} outside [0, 1]")
-
-
-@dataclass
 class ContextBlock:
-    """A batch of contexts held columnar: integer atom ids and/or coordinates."""
+    """A batch of contexts held columnar: integer atom ids and/or coordinates.
+
+    A round's context is a one-row block; ``id`` and ``coordinate`` read that row.
+    """
 
     ids: Optional[np.ndarray] = None
     coords: Optional[np.ndarray] = None
@@ -91,12 +79,13 @@ class ContextBlock:
         arr = self.ids if self.ids is not None else self.coords
         return 0 if arr is None else int(arr.shape[0])
 
-    @staticmethod
-    def single(point: ContextPoint) -> "ContextBlock":
-        ids = None if point.id is None else np.array([point.id], dtype=np.int64)
-        coords = (None if point.coordinate is None
-                  else np.array([point.coordinate], dtype=np.float64))
-        return ContextBlock(ids=ids, coords=coords)
+    @property
+    def id(self) -> Optional[int]:
+        return None if self.ids is None else int(self.ids[0])
+
+    @property
+    def coordinate(self) -> Optional[float]:
+        return None if self.coords is None else float(self.coords[0])
 
 
 @dataclass(frozen=True)
@@ -117,10 +106,6 @@ class GroundSet:
         """Atoms at size evenly spaced coordinates spanning [0, 1]."""
         coords = np.linspace(0.0, 1.0, size) if size > 1 else np.array([0.5])
         return GroundSet(size=size, coords=coords)
-
-    def point(self, atom: int) -> ContextPoint:
-        coord = float(self.coords[atom]) if self.coords is not None else None
-        return ContextPoint(id=int(atom), coordinate=coord)
 
     def block(self, ids: np.ndarray) -> ContextBlock:
         coords = self.coords[ids] if self.coords is not None else None
@@ -166,8 +151,8 @@ class FiniteMeasure:
     def sample_block(self, rng: np.random.Generator, size: int) -> ContextBlock:
         return self.ground.block(self.sample_ids(rng, size))
 
-    def sample_point(self, rng: np.random.Generator) -> ContextPoint:
-        return self.ground.point(int(self.sample_ids(rng, 1)[0]))
+    def sample_point(self, rng: np.random.Generator) -> ContextBlock:
+        return self.sample_block(rng, 1)
 
 
 class UniformIntervalMeasure:
@@ -183,8 +168,8 @@ class UniformIntervalMeasure:
     def sample_block(self, rng: np.random.Generator, size: int) -> ContextBlock:
         return ContextBlock(ids=None, coords=rng.random(size))
 
-    def sample_point(self, rng: np.random.Generator) -> ContextPoint:
-        return ContextPoint(coordinate=float(rng.random()))
+    def sample_point(self, rng: np.random.Generator) -> ContextBlock:
+        return self.sample_block(rng, 1)
 
 
 @dataclass(frozen=True)
@@ -222,11 +207,6 @@ class HypothesisClass:
 
     def evaluate_block(self, block: ContextBlock) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
-
-    def evaluate(self, h: int, point: ContextPoint) -> float:
-        if not (0 <= h < len(self)):
-            raise IndexError(f"hypothesis index {h} out of range")
-        return float(self.evaluate_block(ContextBlock.single(point))[h, 0])
 
     def identity_dot(self, block: ContextBlock, weights: np.ndarray) -> np.ndarray:
         return self.evaluate_block(block) @ np.asarray(weights, dtype=np.float64)
@@ -446,7 +426,7 @@ class Trajectory:
     def __len__(self) -> int:
         return self.n
 
-    def append(self, context: ContextPoint, label: float, prediction: float,
+    def append(self, context: ContextBlock, label: float, prediction: float,
                instant_loss: float, oracle_calls: int) -> None:
         t = self.n
         if t and oracle_calls < self.oracle_calls[t - 1]:

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ContextBlock, ContextPoint, HypothesisClass, LossFunction
+from .core import ContextBlock, HypothesisClass, LossFunction
 from .oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 
 __all__ = [
@@ -155,7 +155,7 @@ class FtplSchedule:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not (0 <= self.eta < math.inf and 0 <= self.zeta < math.inf) or self.n < 1 or (
-                self.epsilon is not None and not self.epsilon > 0):
+                self.epsilon is not None and not 0 < self.epsilon < math.inf):
             raise ValueError("schedule parameters out of range")
         if self.variant == "single":
             if abs(self.eta - math.sqrt(self.n)) > 1e-9:
@@ -322,12 +322,12 @@ class FtplLearner:
         self.selected = idx
         return idx
 
-    def predict(self, x_t: ContextPoint) -> float:
+    def predict(self, x_t: ContextBlock) -> float:
         if self.selected is None:
             raise RuntimeError("select() must run before the context is revealed")
-        return self.klass.evaluate(self.selected, x_t)
+        return float(self.klass.evaluate_block(x_t)[self.selected, 0])
 
-    def observe(self, context: ContextPoint, label: float) -> None:
+    def observe(self, context: ContextBlock, label: float) -> None:
         self.oracle.extend_prefix(context, label)
         self.selected = None
 

@@ -254,8 +254,11 @@ def build_class(cfg: ExperimentConfig, ground) -> HypothesisClass:
 def build_label_rule(spec: dict) -> adv.LabelRule:
     rule = spec.get("rule", "rademacher")
     if rule == "noisy_comparator":
-        target = adv.make_threshold_target(float(spec.get("threshold", 0.5)))
-        return adv.noisy_comparator_labels(target, float(spec.get("flip_prob", 0.1)))
+        theta, flip_prob = float(spec.get("threshold", 0.5)), float(spec.get("flip_prob", 0.1))
+        if not (math.isfinite(theta) and 0.0 <= flip_prob <= 1.0):
+            raise ConfigError(f"noisy_comparator needs a finite threshold and flip_prob in "
+                              f"[0, 1], not {theta} and {flip_prob}")
+        return adv.noisy_comparator_labels(adv.make_threshold_target(theta), flip_prob)
     if rule == "rademacher":
         return adv.rademacher_labels()
     if rule == "adversarial_flip":
@@ -290,7 +293,7 @@ def build_adversary(cfg: ExperimentConfig, mu, klass, rng: np.random.Generator):
         if mu is None or not mu.finite:
             raise ConfigError("rademacher_gap needs a finite ground set")
         return adv.build_rademacher_gap_adversary(
-            cfg.sigma, int(cfg.adversary.get("m", 2)), klass, mu.ground, rng,
+            cfg.sigma, _integer(cfg.adversary.get("m", 2), "adversary.m"), klass, mu.ground, rng,
             scale=float(cfg.adversary.get("scale", 1.0)), label_rule=label_rule)
     raise ConfigError(f"unknown adversary {kind!r}; valid: {', '.join(ADVERSARY_KINDS)}")
 

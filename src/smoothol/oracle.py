@@ -23,7 +23,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .core import ContextBlock, ContextPoint, HypothesisClass, LossFunction
+from .core import ContextBlock, HypothesisClass, LossFunction
 
 __all__ = ["RowBlock", "Partial", "ErmQuery", "ErmResult", "ErmOracle"]
 
@@ -140,9 +140,9 @@ class ErmOracle:
         block = RowBlock(selector, contexts, labels, weights)
         return Partial(self._block_objective(block), block.weights)
 
-    def extend_prefix(self, context: ContextPoint, label: float) -> None:
+    def extend_prefix(self, context: ContextBlock, label: float) -> None:
         """Add the observed round's weight-1 main-loss row to the shared history prefix."""
-        values = self.klass.evaluate_block(ContextBlock.single(context))[:, 0]
+        values = self.klass.evaluate_block(context)[:, 0]
         self.prefix.add_row(self.main_loss.evaluate_array(values, label))
 
     # -- objective evaluation -----------------------------------------------

@@ -29,7 +29,6 @@ import numpy as np
 
 from .core import (
     ContextBlock,
-    ContextPoint,
     HypothesisClass,
     LossFunction,
 )
@@ -114,7 +113,7 @@ class RelaxState:
         """Future rounds after the one currently being played."""
         return self.T - (self.t + 1)
 
-    def observe(self, context: ContextPoint, label: float, oracle: ErmOracle) -> None:
+    def observe(self, context: ContextBlock, label: float, oracle: ErmOracle) -> None:
         oracle.extend_prefix(context, label)
         self.t += 1
 
@@ -136,7 +135,7 @@ def _branch_value(oracle: ErmOracle, playout: Partial, x_t: ContextBlock, y: flo
     return -oracle.exact(query).objective_value
 
 
-def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextPoint,
+def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
                    oracle: ErmOracle) -> float:
     """Two-call closed form for linear loss l(yhat, y) = (1 - yhat*y)/2.
 
@@ -148,9 +147,8 @@ def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextPoint,
     if state.loss.kind != "linear":
         raise ValueError("linear loss required")
     shared = _playout_partial(playout, state.loss.lipschitz_L, oracle)
-    x_block = ContextBlock.single(x_t)
-    a_plus = _branch_value(oracle, shared, x_block, 1.0)
-    a_minus = _branch_value(oracle, shared, x_block, -1.0)
+    a_plus = _branch_value(oracle, shared, x_t, 1.0)
+    a_minus = _branch_value(oracle, shared, x_t, -1.0)
     state.last_branch_values = (a_plus, a_minus)
     return float(np.clip(a_plus - a_minus, -1.0, 1.0))
 
@@ -192,7 +190,7 @@ def three_point_min(values_oracle: Callable[[int], float], grid: np.ndarray) -> 
     return best
 
 
-def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextPoint,
+def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
                     oracle: ErmOracle) -> float:
     """Grid min-max for a general convex Lipschitz loss.
 
@@ -202,8 +200,7 @@ def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextPoint,
     """
     S = state.grid
     shared = _playout_partial(playout, state.loss.lipschitz_L, oracle)
-    x_block = ContextBlock.single(x_t)
-    phi = np.array([_branch_value(oracle, shared, x_block, float(y)) for y in S])
+    phi = np.array([_branch_value(oracle, shared, x_t, float(y)) for y in S])
     state.last_branch_values = tuple(phi.tolist())
     loss_matrix = state.loss.evaluate_array(S[:, None], S[None, :])
     outer = loss_matrix + phi[None, :]
@@ -232,10 +229,10 @@ class _RelaxLearnerBase:
         self.last_playout = playout
         return playout
 
-    def observe(self, context: ContextPoint, label: float) -> None:
+    def observe(self, context: ContextBlock, label: float) -> None:
         self.state.observe(context, label, self.oracle)
 
-    def predict(self, x_t: ContextPoint) -> float:  # pragma: no cover - abstract
+    def predict(self, x_t: ContextBlock) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -247,12 +244,12 @@ class RelaxLinearLearner(_RelaxLearnerBase):
         if self.state.loss.kind != "linear":
             raise ValueError(f"linear loss required, not {self.state.loss.kind!r}")
 
-    def predict(self, x_t: ContextPoint) -> float:
+    def predict(self, x_t: ContextBlock) -> float:
         return predict_linear(self.state, self._fresh_playout(), x_t, self.oracle)
 
 
 class RelaxGeneralLearner(_RelaxLearnerBase):
     name = "relax-general"
 
-    def predict(self, x_t: ContextPoint) -> float:
+    def predict(self, x_t: ContextBlock) -> float:
         return predict_general(self.state, self._fresh_playout(), x_t, self.oracle)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smoothol.core import FiniteMeasure, GroundSet, TableClass
+from smoothol.core import ContextBlock, FiniteMeasure, GroundSet, TableClass
 
 
 @pytest.fixture
@@ -10,6 +10,11 @@ def sign_constants():
     ground = GroundSet.grid(4)
     values = np.vstack([np.ones(4), -np.ones(4)])
     return TableClass(values, ground=ground)
+
+
+def atom(ground: GroundSet, i: int) -> ContextBlock:
+    """The one-row context of atom ``i``: a round's context."""
+    return ground.block(np.array([i]))
 
 
 def random_table_class(rng: np.random.Generator, n_hyp: int, n_atoms: int,

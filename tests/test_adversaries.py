@@ -241,14 +241,15 @@ def test_label_rules():
     rng = make_rng(13, 0)
     target = make_threshold_target(0.5)
     rule = noisy_comparator_labels(target, flip_prob=0.0)
-    from smoothol.core import ContextPoint
+    from smoothol.core import ContextBlock
 
-    assert rule(ContextPoint(coordinate=0.9), None, rng) == 1.0
-    assert rule(ContextPoint(coordinate=0.1), None, rng) == -1.0
+    high, low = ContextBlock(coords=np.array([0.9])), ContextBlock(coords=np.array([0.1]))
+    assert rule(high, None, rng) == 1.0
+    assert rule(low, None, rng) == -1.0
     flip = adversarial_flip_labels()
-    assert flip(ContextPoint(coordinate=0.1), None, rng) == 1.0
-    assert flip(ContextPoint(coordinate=0.1), 0.7, rng) == -1.0
-    assert flip(ContextPoint(coordinate=0.1), -0.7, rng) == 1.0
+    assert flip(low, None, rng) == 1.0
+    assert flip(low, 0.7, rng) == -1.0
+    assert flip(low, -0.7, rng) == 1.0
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.3, 0.1])

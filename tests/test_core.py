@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from smoothol.core import (
     ContextBlock,
-    ContextPoint,
     DomainMismatchError,
     EmptyTraceError,
     FiniteMeasure,
@@ -14,6 +15,7 @@ from smoothol.core import (
     TableClass,
     ThresholdClass,
     Trajectory,
+    UniformIntervalMeasure,
     absolute_loss,
     finalize_regret,
     linear_loss,
@@ -21,22 +23,12 @@ from smoothol.core import (
     regret_curve,
 )
 
-from conftest import random_table_class
+from conftest import atom, random_table_class
 
 
 # ---------------------------------------------------------------------------
 # contexts, ground sets, measures
 # ---------------------------------------------------------------------------
-
-def test_context_point_needs_id_or_coordinate():
-    with pytest.raises(ValueError):
-        ContextPoint()
-    with pytest.raises(ValueError):
-        ContextPoint(coordinate=1.5)
-    ContextPoint(id=3)
-    ContextPoint(coordinate=0.25)
-    ContextPoint(id=0, coordinate=0.0)
-
 
 def test_ground_grid_coords_span_unit_interval():
     g = GroundSet.grid(5)
@@ -73,6 +65,24 @@ def test_finite_measure_sampling_is_seeded():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("mu", [FiniteMeasure.uniform(GroundSet.grid(7)),
+                                FiniteMeasure(GroundSet.grid(3), np.array([0.2, 0.3, 0.5])),
+                                UniformIntervalMeasure()])
+def test_sample_point_is_the_one_row_sample_block(mu):
+    for key in range(5):
+        x = mu.sample_point(make_rng(4, key))
+        row = mu.sample_block(make_rng(4, key), 1)
+        assert len(x) == 1
+        for got, want in ((x.ids, row.ids), (x.coords, row.coords)):
+            assert (got is None and want is None) or np.array_equal(got, want)
+        assert x.id == (None if row.ids is None else int(row.ids[0]))
+        assert x.coordinate == (None if row.coords is None else float(row.coords[0]))
+        if not mu.finite:  # the same double as the scalar draw
+            assert x.coordinate == make_rng(4, key).random()
+    with pytest.raises(FrozenInstanceError):
+        x.coords = np.array([0.5])
+
+
 # ---------------------------------------------------------------------------
 # hypothesis classes
 # ---------------------------------------------------------------------------
@@ -105,8 +115,8 @@ def test_threshold_class_outputs_are_signs():
     vals = klass.evaluate_block(ContextBlock(coords=xs))
     assert set(np.unique(vals)) <= {-1.0, 1.0}
     # lowest threshold fires first
-    assert klass.evaluate(0, ContextPoint(coordinate=0.9)) == 1.0
-    assert klass.evaluate(7, ContextPoint(coordinate=0.0)) == -1.0
+    assert klass.evaluate_block(ContextBlock(coords=np.array([0.9])))[0, 0] == 1.0
+    assert klass.evaluate_block(ContextBlock(coords=np.array([0.0])))[7, 0] == -1.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -169,14 +179,14 @@ def _trace(rows):
 
 def test_finalize_regret_single_round_perfect(sign_constants):
     loss = linear_loss()
-    ctx = ContextPoint(id=0, coordinate=0.0)
+    ctx = atom(sign_constants.ground, 0)
     trace = _trace([(ctx, 1.0, 1.0, loss.evaluate(1.0, 1.0))])
     assert finalize_regret(trace, sign_constants, loss) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_finalize_regret_maximal_mismatch(sign_constants):
     loss = linear_loss()
-    ctx = ContextPoint(id=1, coordinate=1 / 3)
+    ctx = atom(sign_constants.ground, 1)
     rows = [(ctx, 1.0, -1.0, loss.evaluate(-1.0, 1.0))] * 2
     trace = _trace(rows)
     assert finalize_regret(trace, sign_constants, loss) == pytest.approx(2.0, abs=1e-12)
@@ -191,7 +201,7 @@ def test_finalize_regret_matches_bruteforce_recomputation():
     loss = absolute_loss()
     rows = []
     for t in range(20):
-        ctx = klass.ground.point(int(rng.integers(6)))
+        ctx = atom(klass.ground, int(rng.integers(6)))
         y = float(rng.uniform(-1, 1))
         yhat = float(rng.uniform(-1, 1))
         rows.append((ctx, y, yhat, loss.evaluate(yhat, y)))
@@ -199,7 +209,7 @@ def test_finalize_regret_matches_bruteforce_recomputation():
 
     # independent recomputation with plain python loops
     best = min(
-        sum(loss.evaluate(klass.evaluate(h, ctx), y) for ctx, y, _, _ in rows)
+        sum(loss.evaluate(klass.evaluate_block(ctx)[h, 0], y) for ctx, y, _, _ in rows)
         for h in range(len(klass))
     )
     expected = sum(r[3] for r in rows) - best
@@ -216,12 +226,12 @@ def test_regret_curve_chunks_match_per_round_recurrence():
     trace = Trajectory(T)
     comparator, cum_loss, expected = np.zeros(len(klass)), 0.0, []
     for t in range(1, T + 1):
-        ctx = klass.ground.point(int(rng.integers(9)))
+        ctx = atom(klass.ground, int(rng.integers(9)))
         y, yhat = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
         inst = loss.evaluate(yhat, y)
         trace.append(ctx, y, yhat, inst, oracle_calls=t)
         comparator += loss.evaluate_array(
-            klass.evaluate_block(ContextBlock.single(ctx))[:, 0], y)
+            klass.evaluate_block(ctx)[:, 0], y)
         cum_loss += inst
         expected.append(cum_loss - float(comparator.min()))
     regret, totals = regret_curve(trace, klass, loss)
@@ -232,8 +242,8 @@ def test_regret_curve_chunks_match_per_round_recurrence():
 
 def test_trajectory_columns_hold_ids_and_coordinates():
     trace = Trajectory(3)
-    trace.append(ContextPoint(id=2, coordinate=0.5), 1.0, 0.25, 0.375, 1)
-    trace.append(ContextPoint(coordinate=0.75), -1.0, -0.5, 0.25, 1)
+    trace.append(ContextBlock(ids=np.array([2]), coords=np.array([0.5])), 1.0, 0.25, 0.375, 1)
+    trace.append(ContextBlock(coords=np.array([0.75])), -1.0, -0.5, 0.25, 1)
     assert len(trace) == 2
     assert trace.ids[:2].tolist() == [2, -1]
     assert trace.coords[:2].tolist() == [0.5, 0.75]
@@ -257,7 +267,7 @@ def test_regret_lower_bounds(sign_constants):
     rng = make_rng(5, 1)
     rows = []
     for t in range(30):
-        ctx = sign_constants.ground.point(int(rng.integers(4)))
+        ctx = atom(sign_constants.ground, int(rng.integers(4)))
         y = float(rng.choice([-1.0, 1.0]))
         yhat = float(rng.uniform(-1, 1))
         rows.append((ctx, y, yhat, loss.evaluate(yhat, y)))
@@ -266,7 +276,7 @@ def test_regret_lower_bounds(sign_constants):
     assert finalize_regret(trace, sign_constants, loss) >= -width * len(rows) - 1e-9
 
     # perfect comparator: labels all +1 and f=+1 in the class, so regret >= 0
-    rows = [(sign_constants.ground.point(0), 1.0, float(rng.uniform(-1, 1)), None)]
+    rows = [(atom(sign_constants.ground, 0), 1.0, float(rng.uniform(-1, 1)), None)]
     rows = [(c, y, p, loss.evaluate(p, y)) for c, y, p, _ in rows * 10]
     trace = _trace(rows)
     assert finalize_regret(trace, sign_constants, loss) >= -1e-12
@@ -275,7 +285,7 @@ def test_regret_lower_bounds(sign_constants):
 
 def test_oracle_call_counter_must_be_nondecreasing():
     trace = Trajectory(2)
-    ctx = ContextPoint(id=0, coordinate=0.0)
+    ctx = ContextBlock(ids=np.array([0]), coords=np.array([0.0]))
     trace.append(ctx, 1.0, 1.0, 0.0, oracle_calls=5)
     with pytest.raises(ValueError):
         trace.append(ctx, 1.0, 1.0, 0.0, oracle_calls=4)

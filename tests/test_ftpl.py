@@ -8,7 +8,6 @@ from scipy import stats
 
 from smoothol import ftpl
 from smoothol.core import (
-    ContextPoint,
     FiniteMeasure,
     GroundSet,
     TableClass,
@@ -31,7 +30,7 @@ from smoothol.ftpl import (
 )
 from smoothol.oracle import ErmOracle
 
-from conftest import random_table_class
+from conftest import atom, random_table_class
 
 
 def omega_values(pert, klass, loss=None):
@@ -158,7 +157,7 @@ def test_single_schedule_enforces_coupling():
 # ---------------------------------------------------------------------------
 
 def _history(rng, klass, t):
-    return [(klass.ground.point(int(rng.integers(klass.ground.size))),
+    return [(atom(klass.ground, int(rng.integers(klass.ground.size))),
              float(rng.choice([-1.0, 1.0]))) for _ in range(t)]
 
 
@@ -191,7 +190,7 @@ def test_zero_eta_is_follow_the_leader():
     cumulative = np.zeros(len(klass))
     for ctx, y in history:
         for h in range(len(klass)):
-            cumulative[h] += loss.evaluate(klass.evaluate(h, ctx), y)
+            cumulative[h] += loss.evaluate(klass.evaluate_block(ctx)[h, 0], y)
     assert idx == int(np.argmin(cumulative))
 
 
@@ -207,7 +206,7 @@ def test_dual_zero_eta_zero_n_is_follow_the_leader():
     cumulative = np.zeros(len(klass))
     for ctx, y in history:
         for h in range(len(klass)):
-            cumulative[h] += loss.evaluate(klass.evaluate(h, ctx), y)
+            cumulative[h] += loss.evaluate(klass.evaluate_block(ctx)[h, 0], y)
     assert idx == int(np.argmin(cumulative))
 
 
@@ -223,7 +222,7 @@ def test_single_zero_scale_is_follow_the_leader():
     cumulative = np.zeros(len(klass))
     for ctx, y in history:
         for h in range(len(klass)):
-            cumulative[h] += loss.evaluate(klass.evaluate(h, ctx), y)
+            cumulative[h] += loss.evaluate(klass.evaluate_block(ctx)[h, 0], y)
     assert idx == int(np.argmin(cumulative))
 
 
@@ -247,7 +246,7 @@ def _direct_objective(klass, loss, history, terms):
     obj = np.zeros(len(klass))
     for ctx, y in history:
         for h in range(len(klass)):
-            obj[h] += loss.evaluate(klass.evaluate(h, ctx), y)
+            obj[h] += loss.evaluate(klass.evaluate_block(ctx)[h, 0], y)
     for scale, pert, with_loss in terms:
         obj += scale * omega_values(pert, klass, loss if with_loss else None)
     return obj
@@ -450,7 +449,7 @@ def test_learner_builds_the_label_grid_once(monkeypatch):
     monkeypatch.setattr(ftpl, "epsilon_grid", lambda *a: calls.append(a))
     for _ in range(5):
         learner.select()
-        learner.observe(klass.ground.point(0), 1.0)
+        learner.observe(atom(klass.ground, 0), 1.0)
     assert calls == []
 
 
@@ -465,7 +464,7 @@ def test_with_anchor_point_wrapper():
     wrapped, mu2 = with_anchor_point(klass, mu)
     star = wrapped.ground.size - 1
     for h in range(len(wrapped)):
-        assert wrapped.evaluate(h, ContextPoint(id=star, coordinate=0.5)) == 1.0
+        assert wrapped.evaluate_block(atom(wrapped.ground, star))[h, 0] == 1.0
     assert mu2.probs[star] == pytest.approx(2 / 3)
     np.testing.assert_allclose(mu2.probs[:-1], mu.probs / 3)
 
@@ -486,7 +485,7 @@ def test_switch_probability_nonincreasing_in_eta():
     hist_rng = make_rng(9, 1)
     history = []
     for _ in range(15):
-        ctx = klass.ground.point(int(hist_rng.integers(klass.ground.size)))
+        ctx = atom(klass.ground, int(hist_rng.integers(klass.ground.size)))
         history += [(ctx, 1.0), (ctx, -1.0)]
     extra = _history(make_rng(9, 2), klass, 1)
     oracle_t = _oracle_with(klass, loss, history)
@@ -520,13 +519,13 @@ def test_learner_enforces_properness_order():
     learner = FtplLearner("classification", klass, loss, mu, sched,
                           ErmOracle(klass, loss), make_rng(10, 1))
     with pytest.raises(RuntimeError, match="select"):
-        learner.predict(klass.ground.point(0))
+        learner.predict(atom(klass.ground, 0))
     h = learner.select()
-    yhat = learner.predict(klass.ground.point(0))
-    assert yhat == klass.evaluate(h, klass.ground.point(0))
-    learner.observe(klass.ground.point(0), 1.0)
+    yhat = learner.predict(atom(klass.ground, 0))
+    assert yhat == klass.evaluate_block(atom(klass.ground, 0))[h, 0]
+    learner.observe(atom(klass.ground, 0), 1.0)
     with pytest.raises(RuntimeError):
-        learner.predict(klass.ground.point(1))  # must re-select each round
+        learner.predict(atom(klass.ground, 1))  # must re-select each round
 
 
 def test_learner_variant_validation():
@@ -561,7 +560,7 @@ def test_approximate_selection_respects_slack_band():
         obj = np.zeros(len(klass))
         for ctx, y in history:
             for h in range(len(klass)):
-                obj[h] += loss.evaluate(klass.evaluate(h, ctx), y)
+                obj[h] += loss.evaluate(klass.evaluate_block(ctx)[h, 0], y)
         obj += 2.0 * omega_values(pert, klass)
         total_abs = len(history) + np.abs(2.0 * pert.scale * pert.coeffs).sum()
         assert obj[idx] <= obj.min() + zeta * total_abs + 1e-9

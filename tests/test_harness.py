@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from smoothol.cli import main as cli_main
-from smoothol.core import ContextBlock, ContextPoint, LOSSES
+from smoothol.core import ContextBlock, LOSSES
 from smoothol.harness import (
     ConfigError,
     ExperimentConfig,
@@ -133,10 +133,9 @@ def test_regret_column_matches_per_round_reference(learner, ground):
     expected = []
     for i, c, y, inst in zip(traj.ids.tolist(), traj.coords.tolist(),
                              traj.labels.tolist(), traj.instant_loss.tolist()):
-        ctx = ContextPoint(id=i if i >= 0 else None,
-                           coordinate=None if np.isnan(c) else c)
-        comparator += loss.evaluate_array(
-            klass.evaluate_block(ContextBlock.single(ctx))[:, 0], y)
+        ctx = ContextBlock(ids=np.array([i]) if i >= 0 else None,
+                           coords=None if np.isnan(c) else np.array([c]))
+        comparator += loss.evaluate_array(klass.evaluate_block(ctx)[:, 0], y)
         cum_loss += inst
         expected.append(cum_loss - float(comparator.min()))
 
@@ -189,15 +188,17 @@ def test_schedule_overrides_reach_the_learner():
     assert learner.sched.n == 16 and learner.sched.eta == 4.0
 
 
-def test_rademacher_gap_config():
+def _rademacher_gap(m):
+    """Overrides for a rademacher_gap run: atom 0 is x*, atoms 1 and 2 are shattered."""
     values = [[0.0, 1.0, 1.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0], [0.0, -1.0, -1.0]]
-    cfg = ExperimentConfig.from_dict(_base_config(
-        learner={"name": "ftpl-dual"},
-        adversary={"kind": "rademacher_gap", "m": 2, "scale": 2.0},
-        ground={"type": "grid", "atoms": 3},
-        T=8,
-        **{"class": {"type": "table", "values": values}},
-    ))
+    return {"learner": {"name": "ftpl-dual"},
+            "adversary": {"kind": "rademacher_gap", "m": m, "scale": 2.0},
+            "ground": {"type": "grid", "atoms": 3},
+            "class": {"type": "table", "values": values}}
+
+
+def test_rademacher_gap_config():
+    cfg = ExperimentConfig.from_dict(_base_config(T=8, **_rademacher_gap(2)))
     outcome = run_seed(cfg, 1)
     assert len(outcome.trajectory) == 8
 
@@ -280,6 +281,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _labels(**rule):
+    labels = {"rule": "noisy_comparator", "threshold": 0.5, "flip_prob": 0.1, **rule}
+    return {"adversary": {"kind": "iid", "p": "tilted", "labels": labels}}
+
+
 @pytest.mark.parametrize("overrides", [
     {"ground": {"type": "grid", "atoms": 0}},
     {"learner": {"name": "relax-linear"}, "loss": "absolute"},
@@ -311,13 +317,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     {"adversary": {"kind": "iid", "p": "tilted", "beta": math.nan}},
     {"learner": {"name": "ftpl-cls", "eta": math.nan}},
     {"learner": {"name": "ftpl-cls", "zeta": math.inf}},
+    {"learner": {"name": "ftpl-dual", "epsilon": math.inf}},
+    _labels(flip_prob=math.nan),
+    _labels(flip_prob=3.0),
+    _labels(threshold=math.nan),
+    _rademacher_gap(2.5),
+    _rademacher_gap("2"),
 ], ids=["zero-atoms", "relax-linear-absolute", "square-on-thresholds", "table-over-one",
         "fractional-atoms", "string-atoms", "mu-probs-length", "zero-k", "fractional-k",
         "string-k", "string-n", "string-zeta", "negative-eta", "fractional-class-m",
         "rademacher-gap-on-thresholds", "hidden-mu-one-round", "iid-p-length",
         "fractional-T", "fractional-seed", "negative-seed", "int-checkpoints",
         "string-checkpoint", "zero-checkpoint", "checkpoint-past-T", "nan-mu-probs", "nan-iid-p",
-        "nan-beta", "nan-eta", "infinite-zeta"])
+        "nan-beta", "nan-eta", "infinite-zeta", "infinite-epsilon", "nan-flip-prob",
+        "flip-prob-above-one", "nan-threshold", "fractional-adversary-m", "string-adversary-m"])
 def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(_base_config(**overrides)))

@@ -6,7 +6,6 @@ import pytest
 
 from smoothol.core import (
     ContextBlock,
-    ContextPoint,
     DomainMismatchError,
     ThresholdClass,
     linear_loss,
@@ -15,7 +14,7 @@ from smoothol.core import (
 )
 from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 
-from conftest import random_table_class
+from conftest import atom, random_table_class
 
 
 def _query(*rows):
@@ -116,7 +115,7 @@ def test_objective_value_matches_row_recomputation():
     manual = 0.0
     for block in q.blocks:
         for ctx_id, y, w in zip(block.contexts.ids, block.labels, block.weights):
-            v = klass.evaluate(res.hypothesis_index, klass.ground.point(int(ctx_id)))
+            v = klass.evaluate_block(atom(klass.ground, int(ctx_id)))[res.hypothesis_index, 0]
             term = v if block.selector == IDENTITY else loss.evaluate(v, float(y))
             manual += float(w) * term
     assert res.objective_value == pytest.approx(manual, abs=1e-9)
@@ -129,7 +128,7 @@ def test_partial_equals_same_rows_as_block():
     klass = random_table_class(rng, 6, 8)
     loss = linear_loss()
     oracle = ErmOracle(klass, loss)
-    history = [(klass.ground.point(int(rng.integers(8))), float(rng.choice([-1, 1])))
+    history = [(atom(klass.ground, int(rng.integers(8))), float(rng.choice([-1, 1])))
                for _ in range(40)]
     for ctx, y in history:
         oracle.extend_prefix(ctx, y)
@@ -170,15 +169,15 @@ def test_prefix_is_the_in_order_sum_of_one_row_partials(space, loss):
     rng = make_rng(9, 0)
     if space == "table-grid":
         klass = random_table_class(rng, 6, 8)
-        points = [klass.ground.point(int(i)) for i in rng.integers(8, size=40)]
+        points = [atom(klass.ground, int(i)) for i in rng.integers(8, size=40)]
     else:
         klass = ThresholdClass.grid(16)
-        points = [ContextPoint(coordinate=float(c)) for c in rng.random(40)]
+        points = [ContextBlock(coords=np.array([c])) for c in rng.random(40)]
     oracle = ErmOracle(klass, loss())
     expected = np.zeros(len(klass))
     for x, y in zip(points, rng.uniform(-1, 1, 40)):
         oracle.extend_prefix(x, float(y))
-        expected += oracle.partial(MAIN, ContextBlock.single(x), [y], [1.0]).objective
+        expected += oracle.partial(MAIN, x, [y], [1.0]).objective
     assert np.array_equal(oracle.prefix.objective, expected)
     assert (oracle.prefix.rows, oracle.prefix.abs_weight) == (40, 40.0)
 
@@ -186,7 +185,7 @@ def test_prefix_is_the_in_order_sum_of_one_row_partials(space, loss):
 def test_query_log_is_line_delimited_json(sign_constants):
     stream = io.StringIO()
     oracle = ErmOracle(sign_constants, linear_loss(), log_stream=stream)
-    oracle.extend_prefix(ContextPoint(id=1), 1.0)
+    oracle.extend_prefix(ContextBlock(ids=np.array([1])), 1.0)
     oracle.exact(_query((0, 1.0, 1.0), (2, -1.0, 0.5, IDENTITY)))
     oracle.exact(_query((1, -1.0, 2.0)).add_partial(oracle.prefix))
     lines = stream.getvalue().strip().splitlines()
@@ -205,8 +204,7 @@ def test_query_log_is_line_delimited_json(sign_constants):
 def test_add_block_rejects_unknown_selector(sign_constants):
     q = ErmQuery()
     with pytest.raises(ValueError, match="selector"):
-        q.add_block("hinge", ContextBlock.single(ContextPoint(id=0)),
-                    np.array([1.0]), np.array([1.0]))
+        q.add_block("hinge", ContextBlock(ids=np.array([0])), np.array([1.0]), np.array([1.0]))
     with pytest.raises(ValueError, match="selector"):
         ErmOracle(sign_constants, linear_loss()).partial(
             "hinge", ContextBlock(ids=np.array([0])), np.array([1.0]), np.array([1.0]))

@@ -218,7 +218,7 @@ def test_predict_linear_symmetric_class_predicts_zero():
     loss = linear_loss()
     oracle = ErmOracle(klass, loss)
     state = RelaxState(loss, T=1, sigma=0.5, k=2)
-    yhat = predict_linear(state, _empty_playout(mu), ground.point(2), oracle)
+    yhat = predict_linear(state, _empty_playout(mu), ground.block(np.array([2])), oracle)
     assert yhat == pytest.approx(0.0, abs=1e-12)
     a_plus, a_minus = state.last_branch_values
     assert a_plus == pytest.approx(a_minus, abs=1e-12)
@@ -230,7 +230,7 @@ def test_predict_linear_requires_linear_loss():
     state = RelaxState(absolute_loss(), T=2, sigma=0.5, k=1)
     oracle = ErmOracle(klass, absolute_loss())
     with pytest.raises(ValueError, match="linear loss required"):
-        predict_linear(state, _empty_playout(mu), klass.ground.point(0), oracle)
+        predict_linear(state, _empty_playout(mu), klass.ground.block(np.array([0])), oracle)
 
 
 def test_predict_linear_sign_convention_hand_expanded():
@@ -244,7 +244,7 @@ def test_predict_linear_sign_convention_hand_expanded():
     ground = GroundSet.grid(3)
     klass = TableClass(np.vstack([np.ones(3), -np.ones(3)]), ground=ground)
     loss = linear_loss()
-    x_t = ground.point(1)
+    x_t = ground.block(np.array([1]))
     for sign, want_ap, want_am, want_yhat in ((1, 3.0, 2.0, 1.0), (-1, 2.0, 3.0, -1.0)):
         oracle = ErmOracle(klass, loss)
         state = RelaxState(loss, T=2, sigma=0.5, k=1)
@@ -331,7 +331,7 @@ def test_predict_general_single_hypothesis_tracks_it():
     oracle = ErmOracle(klass, loss)
     state = RelaxState(loss, T=16, sigma=0.5, k=1)
     for atom in range(4):
-        yhat = predict_general(state, _empty_playout(mu), ground.point(atom), oracle)
+        yhat = predict_general(state, _empty_playout(mu), ground.block(np.array([atom])), oracle)
         target = klass.values[0, atom]
         # grid spacing bounds the match quality
         spacing = state.grid[1] - state.grid[0]
@@ -365,7 +365,7 @@ def _reference_branch_value(oracle, playout, x, y, L):
     weights = -6.0 * L * playout.signs.astype(np.float64).ravel()
     q = ErmQuery().add_partial(oracle.prefix)
     q.add_block(IDENTITY, playout.contexts, np.zeros(len(weights)), weights)
-    q.add_block(MAIN, ContextBlock.single(x), np.array([y]), np.array([1.0]))
+    q.add_block(MAIN, x, np.array([y]), np.array([1.0]))
     return -float(oracle.objective_vector(q).min())
 
 
@@ -446,7 +446,7 @@ def test_estimate_relaxation_terminal_round_is_deterministic():
         y = float(rng.choice([-1.0, 1.0]))
         state.observe(x, y, oracle)
         for h in range(len(klass)):
-            totals[h] += loss.evaluate(klass.evaluate(h, x), y)
+            totals[h] += loss.evaluate(klass.evaluate_block(x)[h, 0], y)
     before = oracle.calls
     est = estimate_relaxation(state, oracle, 8, rng, mu)
     assert oracle.calls - before == 8  # one oracle call per playout
