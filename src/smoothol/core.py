@@ -51,6 +51,10 @@ class EmptyTraceError(ValueError):
     """Raised when finalizing a trace with no rounds."""
 
 
+# largest draw count that ``Generator.multinomial`` takes (it reads the count as an int64)
+MAX_DRAWS = 2**63 - 1
+
+
 def make_rng(seed: int, *key: int) -> np.random.Generator:
     """Philox generator for ``seed``, split hierarchically by integer ``key``.
 

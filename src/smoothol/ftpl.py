@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ContextBlock, HypothesisClass, LossFunction
+from .core import MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction
 from .oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 
 __all__ = [
@@ -157,6 +157,9 @@ class FtplSchedule:
         if not (0 <= self.eta < math.inf and 0 <= self.zeta < math.inf) or self.n < 1 or (
                 self.epsilon is not None and not 0 < self.epsilon < math.inf):
             raise ValueError("schedule parameters out of range")
+        if self.n > MAX_DRAWS or (self.m is not None and self.m > MAX_DRAWS):
+            raise ValueError(f"anchor counts must be at most 2^63 - 1, the most draws one "
+                             f"multinomial takes (n = {self.n}, m = {self.m})")
         if self.variant == "single":
             if abs(self.eta - math.sqrt(self.n)) > 1e-9:
                 raise ValueError("single variant couples eta = sqrt(n)")

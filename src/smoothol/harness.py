@@ -150,7 +150,7 @@ class ExperimentConfig:
                 self.bandit[key] = _integer(self.bandit[key], key, low)
         try:  # build what the run builds, so it fails here; an unkeyed rng is no seed's stream
             klass, loss, _, _ = build_pieces(self, make_rng(0), make_rng(0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
         lo, hi = loss.domain
         # labels, and the values of threshold classes, are +/-1; a bandit's labels are 0/1 losses

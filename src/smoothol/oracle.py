@@ -11,15 +11,17 @@ A query is a list of partials plus columnar row blocks, each block a
 (selector, contexts, labels, weights) group.  A partial holds rows evaluated
 once into a per-hypothesis objective (``ErmOracle.partial``): the history
 ``prefix``, extended once per observed round, is one; a relaxation round's
-playout, shared by all its branch queries, is another.  An optional log
-writes one JSON line per call.
+playout, shared by all its branch queries, is another.  A family of
+exact queries that differ only in the label of one weight-1 main-loss row
+is answered by one evaluation (``ErmOracle.exact_labels``) and still counts
+as one call per label.  An optional log writes one JSON line per call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO, Iterable, Optional
 
 import numpy as np
 
@@ -130,7 +132,7 @@ class ErmOracle:
     # -- call accounting ----------------------------------------------------
     @property
     def calls(self) -> int:
-        """Number of completed oracle queries (exact or approximate)."""
+        """Number of completed oracle queries; ``exact_labels`` counts one per label."""
         return self._calls
 
     # -- partial objectives -------------------------------------------------
@@ -172,8 +174,33 @@ class ErmOracle:
         idx = int(np.argmin(obj))
         self._calls += 1
         result = ErmResult(idx, float(obj[idx]))
-        self._log(query, result)
+        self._log(query, [(idx, result.objective_value)])
         return result
+
+    def exact_labels(self, query: ErmQuery, x_t: ContextBlock,
+                     labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``exact`` of query plus a weight-1 main-loss row (x_t, y), for each label y.
+
+        The query and f(x_t) are evaluated once and every label's objective is
+        formed from them with the same float operations ``exact`` performs, so
+        the results are equal to one ``exact`` call per label.  Counts and
+        logs one call per label; returns the minimizing indices and their
+        objective values.
+        """
+        labels = np.asarray(labels, dtype=np.float64)
+        base = self.objective_vector(query)
+        values = self.klass.evaluate_block(x_t)[:, 0]
+        obj = base[None, :] + self.main_loss.evaluate_array(values[None, :], labels[:, None])
+        idx = obj.argmin(axis=1)
+        best = obj[np.arange(len(labels)), idx]
+        self._calls += len(labels)
+        if self.log_stream is not None and len(labels):
+            # every label's query has the same rows and weights; only results differ
+            one = ErmQuery()
+            one.partials, one.blocks = query.partials, list(query.blocks)
+            one.add_block(MAIN, x_t, labels[:1], np.ones(1))
+            self._log(one, zip(idx.tolist(), best.tolist()))
+        return idx, best
 
     def approximate(self, query: ErmQuery, zeta: float,
                     rng: Optional[np.random.Generator] = None) -> ErmResult:
@@ -196,21 +223,22 @@ class ErmOracle:
                 idx = int(rng.choice(others))
         self._calls += 1
         result = ErmResult(idx, float(obj[idx]))
-        self._log(query, result)
+        self._log(query, [(idx, result.objective_value)])
         return result
 
     # -- logging --------------------------------------------------------------
-    def _log(self, query: ErmQuery, result: ErmResult) -> None:
+    def _log(self, query: ErmQuery, results: Iterable[tuple[int, float]]) -> None:
+        """One record per (index, objective) result of the query."""
         if self.log_stream is None:
             return
         rows = {MAIN: 0, IDENTITY: 0}
         for b in query.blocks:
             rows[b.selector] += len(b)
-        record = {
+        head = {
             "rows": rows,
             "partial_rows": sum(p.rows for p in query.partials),
             "abs_weight": query.total_abs_weight(),
-            "result_index": result.hypothesis_index,
-            "objective": result.objective_value,
         }
-        self.log_stream.write(json.dumps(record) + "\n")
+        for idx, value in results:
+            record = {**head, "result_index": idx, "objective": value}
+            self.log_stream.write(json.dumps(record) + "\n")

@@ -11,9 +11,10 @@ current round.  The inner supremum over the class is one weighted ERM call
 minimizes).  The playout reaches the oracle only through sum eps f(x), so it
 is drawn as one signed count per cell of the class's cell measure (cells on
 which every hypothesis is constant) instead of point by point; the law is the
-same.  The playout rows are the same in every branch of a round, so they are
-evaluated once into a partial objective that all branch queries share; the
-oracle call count does not change.  For linear loss the outer
+same.  A round's branch queries differ only in the label of the current
+round's row, so they are answered by one ``ErmOracle.exact_labels``
+evaluation of prefix + playout + f(x_t), which still counts and logs one
+oracle call per label.  For linear loss the outer
 problem collapses to a closed form needing two oracle calls; in general the
 interval is discretized at scale 1/(L*sqrt(T)) and the outer minimization
 runs a three-point convex search.
@@ -23,16 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    ContextBlock,
-    HypothesisClass,
-    LossFunction,
-)
-from .oracle import IDENTITY, MAIN, ErmOracle, ErmQuery, Partial
+from .core import MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction
+from .oracle import IDENTITY, ErmOracle, ErmQuery, Partial
 
 __all__ = [
     "PlayoutDraw",
@@ -101,12 +99,20 @@ class RelaxState:
         self.k = k if k is not None else default_playout_width(T, sigma)
         if self.k < 1:
             raise ValueError("playout width k must be at least 1")
+        if (T - 1) * self.k > MAX_DRAWS:
+            raise ValueError(f"playout width k = {self.k} is too large for T = {T}: (T - 1) * k "
+                             f"must be at most 2^63 - 1, the most draws one multinomial takes")
         L = loss.lipschitz_L
         self.grid = np.linspace(-1.0, 1.0, max(2, math.ceil(2.0 * L * math.sqrt(T) - 1e-9)))
         self.delta = 1.0 / (L * math.sqrt(T))
         self.t = 0
         # (a_+, a_-) after predict_linear, Phi(y) over the grid after predict_general
         self.last_branch_values: Optional[tuple[float, ...]] = None
+
+    @cached_property
+    def outer_loss(self) -> np.ndarray:
+        """l(yhat, y) over grid x grid, one row per yhat; built on first use."""
+        return self.loss.evaluate_array(self.grid[:, None], self.grid[None, :])
 
     @property
     def rounds_left(self) -> int:
@@ -128,11 +134,12 @@ def _playout_partial(playout: PlayoutDraw, L: float, oracle: ErmOracle) -> Parti
     return oracle.partial(IDENTITY, playout.contexts, np.zeros(len(weights)), weights)
 
 
-def _branch_value(oracle: ErmOracle, playout: Partial, x_t: ContextBlock, y: float) -> float:
-    """sup_f [ playout(f) - L_t(f) - l(f(x_t), y) ], one oracle call."""
-    query = ErmQuery().add_partial(oracle.prefix).add_partial(playout)
-    query.add_block(MAIN, x_t, np.array([y]), np.array([1.0]))
-    return -oracle.exact(query).objective_value
+def _branch_values(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
+                   oracle: ErmOracle, labels: np.ndarray) -> np.ndarray:
+    """sup_f [ playout(f) - L_t(f) - l(f(x_t), y) ] per label y, one oracle call each."""
+    shared = _playout_partial(playout, state.loss.lipschitz_L, oracle)
+    query = ErmQuery().add_partial(oracle.prefix).add_partial(shared)
+    return -oracle.exact_labels(query, x_t, labels)[1]
 
 
 def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
@@ -146,9 +153,7 @@ def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
     """
     if state.loss.kind != "linear":
         raise ValueError("linear loss required")
-    shared = _playout_partial(playout, state.loss.lipschitz_L, oracle)
-    a_plus = _branch_value(oracle, shared, x_t, 1.0)
-    a_minus = _branch_value(oracle, shared, x_t, -1.0)
+    a_plus, a_minus = _branch_values(state, playout, x_t, oracle, np.array([1.0, -1.0])).tolist()
     state.last_branch_values = (a_plus, a_minus)
     return float(np.clip(a_plus - a_minus, -1.0, 1.0))
 
@@ -198,15 +203,12 @@ def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
     inner scan costs |S| oracle calls once per round; the outer minimization
     over yhat then runs the three-point search on cached branch values.
     """
-    S = state.grid
-    shared = _playout_partial(playout, state.loss.lipschitz_L, oracle)
-    phi = np.array([_branch_value(oracle, shared, x_t, float(y)) for y in S])
+    phi = _branch_values(state, playout, x_t, oracle, state.grid)
     state.last_branch_values = tuple(phi.tolist())
-    loss_matrix = state.loss.evaluate_array(S[:, None], S[None, :])
-    outer = loss_matrix + phi[None, :]
+    worst = (state.outer_loss + phi[None, :]).max(axis=1)  # sup_y per candidate yhat
 
-    idx = three_point_min(lambda i: float(outer[i].max()), S)
-    return float(S[idx])
+    idx = three_point_min(lambda i: worst[i], state.grid)
+    return float(state.grid[idx])
 
 
 class _RelaxLearnerBase:

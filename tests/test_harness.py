@@ -323,6 +323,9 @@ def _labels(**rule):
     _labels(threshold=math.nan),
     _rademacher_gap(2.5),
     _rademacher_gap("2"),
+    {"sigma": 1e-40},  # n = ceil(T / sqrt(sigma)) FTPL anchors pass 2^63 - 1
+    {"learner": {"name": "relax-linear"}, "sigma": 1e-40},  # (T - 1) * k playout draws do
+    {"learner": {"name": "ftpl-dual"}, "sigma": 5e-324},  # sqrt(T / sigma) is infinite
 ], ids=["zero-atoms", "relax-linear-absolute", "square-on-thresholds", "table-over-one",
         "fractional-atoms", "string-atoms", "mu-probs-length", "zero-k", "fractional-k",
         "string-k", "string-n", "string-zeta", "negative-eta", "fractional-class-m",
@@ -330,7 +333,8 @@ def _labels(**rule):
         "fractional-T", "fractional-seed", "negative-seed", "int-checkpoints",
         "string-checkpoint", "zero-checkpoint", "checkpoint-past-T", "nan-mu-probs", "nan-iid-p",
         "nan-beta", "nan-eta", "infinite-zeta", "infinite-epsilon", "nan-flip-prob",
-        "flip-prob-above-one", "nan-threshold", "fractional-adversary-m", "string-adversary-m"])
+        "flip-prob-above-one", "nan-threshold", "fractional-adversary-m", "string-adversary-m",
+        "tiny-sigma-ftpl-anchors", "tiny-sigma-relax-playout", "subnormal-sigma-ftpl-dual"])
 def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(_base_config(**overrides)))

@@ -7,7 +7,9 @@ import pytest
 from smoothol.core import (
     ContextBlock,
     DomainMismatchError,
+    TableClass,
     ThresholdClass,
+    absolute_loss,
     linear_loss,
     make_rng,
     scaled_square_loss,
@@ -180,6 +182,66 @@ def test_prefix_is_the_in_order_sum_of_one_row_partials(space, loss):
         expected += oracle.partial(MAIN, x, [y], [1.0]).objective
     assert np.array_equal(oracle.prefix.objective, expected)
     assert (oracle.prefix.rows, oracle.prefix.abs_weight) == (40, 40.0)
+
+
+@pytest.mark.parametrize("loss", [linear_loss, absolute_loss, scaled_square_loss],
+                         ids=["linear", "absolute", "scaled-square"])
+@pytest.mark.parametrize("space", ["table-grid", "thresholds-interval"])
+def test_exact_labels_matches_one_exact_call_per_label(space, loss):
+    """One evaluation for a family of queries that differ in one row's label gives
+    each label's ``exact`` answer bit for bit, with its call count and log line."""
+    rng = make_rng(12, 0)
+    if space == "table-grid":
+        table = random_table_class(rng, 6, 8, binary=True)
+        # each hypothesis twice: every minimum is a tie, won by the first copy
+        klass = TableClass(np.vstack([table.values, table.values]), ground=table.ground)
+
+        def contexts(n):
+            return klass.ground.block(rng.integers(8, size=n))
+    else:
+        klass = ThresholdClass.grid(16)
+
+        def contexts(n):
+            return ContextBlock(coords=rng.random(n))
+    stream = io.StringIO()
+
+    def drain():
+        text = stream.getvalue()
+        stream.seek(0)
+        stream.truncate()
+        return text
+
+    oracle = ErmOracle(klass, loss(), log_stream=stream)
+    for _ in range(10):
+        oracle.extend_prefix(contexts(1), float(rng.choice([-1.0, 1.0])))
+    shared = oracle.partial(IDENTITY, contexts(6), np.zeros(6), rng.normal(size=6))
+    labels = np.concatenate([np.linspace(-1.0, 1.0, 7), [1.0, -1.0]])
+
+    for _ in range(5):
+        x_t, extra, extra_w = contexts(1), contexts(3), rng.normal(size=3)
+
+        def query():
+            return ErmQuery().add_partial(oracle.prefix).add_partial(shared).add_block(
+                IDENTITY, extra, np.zeros(3), extra_w)
+
+        calls = oracle.calls
+        idx, values = oracle.exact_labels(query(), x_t, labels)
+        assert oracle.calls == calls + len(labels)
+        batched_log = drain()
+        per_label = [oracle.exact(query().add_block(MAIN, x_t, np.array([y]), np.array([1.0])))
+                     for y in labels]
+        assert idx.tolist() == [r.hypothesis_index for r in per_label]
+        assert values.tolist() == [r.objective_value for r in per_label]
+        assert batched_log == drain()
+        assert len(batched_log.splitlines()) == len(labels)
+        if space == "table-grid":
+            assert idx.max() < 6
+
+    calls = oracle.calls
+    idx, values = oracle.exact_labels(query(), x_t, np.array([]))
+    assert (idx.shape, values.shape) == ((0,), (0,))
+    assert oracle.calls == calls
+    assert drain() == ""
 
 
 def test_query_log_is_line_delimited_json(sign_constants):
