@@ -332,7 +332,8 @@ def tilted_smooth_probs(mu_probs: np.ndarray, sigma: float, beta: float = 0.35) 
     mu_probs = np.asarray(mu_probs, dtype=np.float64)
     if sigma >= 1.0:
         return mu_probs.copy()
-    cap = mu_probs / sigma
+    with np.errstate(over="ignore"):  # an infinite cap is no cap
+        cap = mu_probs / sigma
     raw = np.exp(beta * np.arange(len(mu_probs)))
 
     def mass(lam: float) -> float:

@@ -10,7 +10,7 @@ exactly, the Z_j stay i.i.d. mu, and the fallback fires with probability
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,13 +50,7 @@ class CouplingReport:
     trials: int
 
     def to_dict(self) -> dict:
-        return {
-            "x_marginal_pvalue": self.x_marginal_pvalue,
-            "z_marginal_pvalue": self.z_marginal_pvalue,
-            "miss_rate": self.miss_rate,
-            "bound": self.bound,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 def _couple_trials(config: CouplingConfig, trials: int,

@@ -14,7 +14,8 @@ N(0, n_c); so a process is drawn as one multinomial and one normal per cell,
 with the same law, whenever there are fewer cells than anchors.  Each round
 the learner draws fresh perturbations and commits, via a single weighted ERM
 call, to the hypothesis minimizing running loss plus perturbation -- before
-the round's context is revealed.
+the round's context is revealed.  The oracle holds the running loss as its
+history, so the call's query is the perturbation's row blocks alone.
 
 Three variants ship, differing in which processes they add and how they are
 scaled; ``schedule`` returns each variant's parameter choices as a function of
@@ -214,52 +215,43 @@ def schedule(T: int, sigma: float, L: float = 1.0, d_or_p: Optional[float] = Non
 # Selection rules (one oracle call each)
 # ---------------------------------------------------------------------------
 
-def _finish(query: ErmQuery, oracle: ErmOracle, zeta: float,
-            rng: Optional[np.random.Generator]) -> int:
-    if zeta > 0:
-        return oracle.approximate(query, zeta, rng).hypothesis_index
-    return oracle.exact(query).hypothesis_index
-
-
 def ftpl_select_classification(pert: GaussianPerturbation, eta: float,
                                oracle: ErmOracle, zeta: float = 0.0,
                                rng: Optional[np.random.Generator] = None) -> int:
     """argmin_f L(f) + eta * omega(f), one oracle call.
 
-    L(f) is the running loss held in the oracle's history prefix (a partial
-    objective); the perturbation enters as identity rows.
+    L(f) is the running loss held in the oracle's history; the perturbation
+    enters as identity rows.
     """
     if pert.normalization != "inv_sqrt_n" or pert.labels is not None:
         raise ValueError("classification variant uses the normalized, label-free process")
-    query = ErmQuery().add_partial(oracle.prefix)
-    query.add_block(IDENTITY, pert.contexts, np.zeros(len(pert.coeffs)), eta * pert.scale * pert.coeffs)
-    return _finish(query, oracle, zeta, rng)
+    query = ErmQuery().add_block(IDENTITY, pert.contexts, np.zeros(len(pert.coeffs)),
+                                 eta * pert.scale * pert.coeffs)
+    return oracle.approximate(query, zeta, rng).hypothesis_index
 
 
 def ftpl_select_dual(pert_m: GaussianPerturbation, pert_n: GaussianPerturbation,
                      eta: float, oracle: ErmOracle, zeta: float = 0.0,
                      rng: Optional[np.random.Generator] = None) -> int:
-    """argmin_f L(f) + eta * omega(f) + omega'(f), one oracle call; L(f) from the prefix."""
+    """argmin_f L(f) + eta * omega(f) + omega'(f), one oracle call; L(f) from the history."""
     if pert_m.normalization != "inv_sqrt_n" or pert_m.labels is not None:
         raise ValueError("first process must be normalized and label-free")
     if pert_n.normalization != "none" or pert_n.labels is None:
         raise ValueError("second process must be unnormalized with label anchors")
-    query = ErmQuery().add_partial(oracle.prefix)
-    query.add_block(IDENTITY, pert_m.contexts, np.zeros(len(pert_m.coeffs)),
-                    eta * pert_m.scale * pert_m.coeffs)
+    query = ErmQuery().add_block(IDENTITY, pert_m.contexts, np.zeros(len(pert_m.coeffs)),
+                                 eta * pert_m.scale * pert_m.coeffs)
     query.add_block(MAIN, pert_n.contexts, pert_n.labels, pert_n.coeffs)
-    return _finish(query, oracle, zeta, rng)
+    return oracle.approximate(query, zeta, rng).hypothesis_index
 
 
 def ftpl_select_single(pert: GaussianPerturbation, eta_over_sqrt_n: float,
                        oracle: ErmOracle, zeta: float = 0.0,
                        rng: Optional[np.random.Generator] = None) -> int:
-    """argmin_f L(f) + (eta/sqrt n) * omega'(f), one oracle call; L(f) from the prefix."""
+    """argmin_f L(f) + (eta/sqrt n) * omega'(f), one oracle call; L(f) from the history."""
     if pert.normalization != "none" or pert.labels is None:
         raise ValueError("single variant uses the unnormalized label-anchor process")
-    query = ErmQuery().add_partial(oracle.prefix)
-    query.add_block(MAIN, pert.contexts, pert.labels, eta_over_sqrt_n * pert.coeffs)
-    return _finish(query, oracle, zeta, rng)
+    query = ErmQuery().add_block(MAIN, pert.contexts, pert.labels, eta_over_sqrt_n * pert.coeffs)
+    return oracle.approximate(query, zeta, rng).hypothesis_index
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,10 @@ class ExperimentConfig:
                 self.bandit[key] = _integer(self.bandit[key], key, low)
         try:  # build what the run builds, so it fails here; an unkeyed rng is no seed's stream
             klass, loss, _, _ = build_pieces(self, make_rng(0), make_rng(0))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:  # sqrt(T / sigma) or log(T) / sigma is infinite
+            raise ConfigError(f"sigma = {self.sigma} is too small for T = {self.T}: an anchor "
+                              f"count or playout width overflows ({exc})") from exc
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         lo, hi = loss.domain
         # labels, and the values of threshold classes, are +/-1; a bandit's labels are 0/1 losses
@@ -334,23 +337,18 @@ def build_schedule(cfg: ExperimentConfig, loss: LossFunction) -> FtplSchedule:
     """The FTPL variant's default schedule, with the config's overrides applied."""
     spec = cfg.learner
     variant = FTPL_VARIANTS[spec["name"]]
-    sched = schedule(cfg.T, cfg.sigma, L=loss.lipschitz_L,
-                     d_or_p=spec.get("p"), variant=variant,
-                     zeta=float(spec.get("zeta", 0.0)))
+    try:
+        sched = schedule(cfg.T, cfg.sigma, L=loss.lipschitz_L,
+                         d_or_p=spec.get("p"), variant=variant,
+                         zeta=float(spec.get("zeta", 0.0)))
+    except ValueError as exc:  # a tiny sigma drives eta or the anchor count out of range
+        raise ValueError(f"FTPL schedule for T = {cfg.T}, sigma = {cfg.sigma}: {exc}") from exc
     overrides = {k: spec[k] for k in ("eta", "n", "m", "epsilon") if k in spec}
-    if overrides:
-        merged = {
-            "variant": sched.variant,
-            "eta": float(overrides.get("eta", sched.eta)),
-            "n": int(overrides.get("n", sched.n)),
-            "m": overrides.get("m", sched.m),
-            "epsilon": overrides.get("epsilon", sched.epsilon),
-            "zeta": sched.zeta,
-        }
-        if variant == "single" and "n" in overrides and "eta" not in overrides:
-            merged["eta"] = math.sqrt(merged["n"])
-        sched = FtplSchedule(**merged)
-    return sched
+    if "eta" in overrides:
+        overrides["eta"] = float(overrides["eta"])
+    elif variant == "single" and "n" in overrides:
+        overrides["eta"] = math.sqrt(overrides["n"])
+    return replace(sched, **overrides)
 
 
 # ---------------------------------------------------------------------------

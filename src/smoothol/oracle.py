@@ -7,14 +7,15 @@ slack zeta the returned hypothesis satisfies
 
     objective(f_hat) <= min_f objective(f) + zeta * sum_i |w_i|.
 
-A query is a list of partials plus columnar row blocks, each block a
-(selector, contexts, labels, weights) group.  A partial holds rows evaluated
-once into a per-hypothesis objective (``ErmOracle.partial``): the history
-``prefix``, extended once per observed round, is one; a relaxation round's
-playout, shared by all its branch queries, is another.  A family of
-exact queries that differ only in the label of one weight-1 main-loss row
-is answered by one evaluation (``ErmOracle.exact_labels``) and still counts
-as one call per label.  An optional log writes one JSON line per call.
+The oracle holds the observed history: one weight-1 main-loss row per round,
+added by ``extend_prefix`` to a per-hypothesis objective, the ``prefix``.  A
+query is only the rows a learner adds to that history (FTPL's perturbation, a
+relaxation round's playout), as columnar row blocks, each block a (selector,
+contexts, labels, weights) group; every call answers history + blocks.  A
+family of exact queries that differ only in the label of one weight-1
+main-loss row is answered by one evaluation (``ErmOracle.exact_labels``) and
+still counts as one call per label.  An optional log writes one JSON line per
+call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .core import ContextBlock, HypothesisClass, LossFunction
 
-__all__ = ["RowBlock", "Partial", "ErmQuery", "ErmResult", "ErmOracle"]
+__all__ = ["RowBlock", "ErmQuery", "ErmResult", "ErmOracle"]
 
 MAIN = "main_loss"
 IDENTITY = "identity_loss"
@@ -52,43 +53,11 @@ class RowBlock:
         return len(self.weights)
 
 
-class Partial:
-    """Rows already evaluated: per-hypothesis objective, row count and sum |w|.
-
-    sum |w| is read only by approximate calls and the log, so it is taken
-    from the (unchanged) weights on first read.
-    """
-
-    def __init__(self, objective: np.ndarray, weights: np.ndarray):
-        self.objective = objective
-        self.rows = len(weights)
-        self._weights: Optional[np.ndarray] = weights
-        self._abs_weight = 0.0
-
-    @property
-    def abs_weight(self) -> float:
-        if self._weights is not None:
-            self._abs_weight = float(np.abs(self._weights).sum())
-            self._weights = None
-        return self._abs_weight
-
-    def add_row(self, objective: np.ndarray) -> None:
-        """Add one weight-1 row's per-hypothesis objective, in place."""
-        self.objective += objective
-        self._abs_weight = self.abs_weight + 1.0
-        self.rows += 1
-
-
 class ErmQuery:
-    """A weighted ERM instance: partial objectives plus columnar row blocks."""
+    """The rows a weighted ERM instance adds to the oracle's history, as row blocks."""
 
     def __init__(self):
-        self.partials: list[Partial] = []
         self.blocks: list[RowBlock] = []
-
-    def add_partial(self, partial: Partial) -> "ErmQuery":
-        self.partials.append(partial)
-        return self
 
     def add_block(self, selector: str, contexts: ContextBlock,
                   labels: np.ndarray, weights: np.ndarray) -> "ErmQuery":
@@ -99,14 +68,11 @@ class ErmQuery:
 
     @property
     def n_rows(self) -> int:
-        """Rows of the row blocks; partial rows are counted by each partial."""
+        """Rows of the row blocks; the history's rows are the oracle's ``prefix_rows``."""
         return sum(len(b) for b in self.blocks)
 
     def total_abs_weight(self) -> float:
-        total = float(sum(np.abs(b.weights).sum() for b in self.blocks))
-        for p in self.partials:
-            total += p.abs_weight
-        return total
+        return float(sum(np.abs(b.weights).sum() for b in self.blocks))
 
 
 @dataclass(frozen=True)
@@ -118,7 +84,8 @@ class ErmResult:
 class ErmOracle:
     """Exact and zeta-approximate weighted ERM over a finite class.
 
-    The approximate oracle's admissible band is zeta * sum|w_i| wide.
+    The approximate oracle's admissible band is zeta * sum|w_i| wide, the sum
+    running over the query's rows and the history's weight-1 rows.
     """
 
     def __init__(self, klass: HypothesisClass, main_loss: LossFunction,
@@ -127,7 +94,8 @@ class ErmOracle:
         self.main_loss = main_loss
         self.log_stream = log_stream
         self._calls = 0
-        self.prefix = Partial(np.zeros(len(klass), dtype=np.float64), np.zeros(0))
+        self.prefix = np.zeros(len(klass), dtype=np.float64)  # history objective per hypothesis
+        self.prefix_rows = 0
 
     # -- call accounting ----------------------------------------------------
     @property
@@ -135,17 +103,12 @@ class ErmOracle:
         """Number of completed oracle queries; ``exact_labels`` counts one per label."""
         return self._calls
 
-    # -- partial objectives -------------------------------------------------
-    def partial(self, selector: str, contexts: ContextBlock,
-                labels: np.ndarray, weights: np.ndarray) -> Partial:
-        """Evaluate a row block once, for any number of queries; not an oracle call."""
-        block = RowBlock(selector, contexts, labels, weights)
-        return Partial(self._block_objective(block), block.weights)
-
+    # -- history ---------------------------------------------------------------
     def extend_prefix(self, context: ContextBlock, label: float) -> None:
-        """Add the observed round's weight-1 main-loss row to the shared history prefix."""
+        """Add the observed round's weight-1 main-loss row to the history."""
         values = self.klass.evaluate_block(context)[:, 0]
-        self.prefix.add_row(self.main_loss.evaluate_array(values, label))
+        self.prefix += self.main_loss.evaluate_array(values, label)
+        self.prefix_rows += 1
 
     # -- objective evaluation -----------------------------------------------
     def _block_objective(self, block: RowBlock) -> np.ndarray:
@@ -156,26 +119,19 @@ class ErmOracle:
         return self.main_loss.evaluate_array(values, block.labels[None, :]) @ block.weights
 
     def objective_vector(self, query: ErmQuery) -> np.ndarray:
-        """Partials in order, starting from a copy of the first, then the row blocks."""
-        if query.partials:
-            obj = query.partials[0].objective.copy()
-            for p in query.partials[1:]:
-                obj += p.objective
-        else:
-            obj = np.zeros(len(self.klass))
+        """A copy of the history objective plus each row block's, in order."""
+        obj = self.prefix.copy()
         for block in query.blocks:
             obj += self._block_objective(block)
         return obj
 
+    def _abs_weight(self, query: ErmQuery) -> float:
+        return query.total_abs_weight() + self.prefix_rows
+
     # -- queries --------------------------------------------------------------
     def exact(self, query: ErmQuery) -> ErmResult:
         """Exact minimizer (zeta = 0); ties resolve to the lowest index."""
-        obj = self.objective_vector(query)
-        idx = int(np.argmin(obj))
-        self._calls += 1
-        result = ErmResult(idx, float(obj[idx]))
-        self._log(query, [(idx, result.objective_value)])
-        return result
+        return self.approximate(query, 0.0)
 
     def exact_labels(self, query: ErmQuery, x_t: ContextBlock,
                      labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,14 +153,14 @@ class ErmOracle:
         if self.log_stream is not None and len(labels):
             # every label's query has the same rows and weights; only results differ
             one = ErmQuery()
-            one.partials, one.blocks = query.partials, list(query.blocks)
+            one.blocks = list(query.blocks)
             one.add_block(MAIN, x_t, labels[:1], np.ones(1))
             self._log(one, zip(idx.tolist(), best.tolist()))
         return idx, best
 
     def approximate(self, query: ErmQuery, zeta: float,
                     rng: Optional[np.random.Generator] = None) -> ErmResult:
-        """zeta-approximate minimizer.
+        """zeta-approximate minimizer; with zeta = 0 the exact one, and no rng draw.
 
         Runs the exact scan, then with probability 1/2 returns a uniformly
         random *other* hypothesis still inside the admissible slack band, so
@@ -217,7 +173,7 @@ class ErmOracle:
         obj = self.objective_vector(query)
         idx = int(np.argmin(obj))
         if zeta > 0 and rng is not None and rng.random() < 0.5:
-            admissible = np.flatnonzero(obj <= obj[idx] + zeta * query.total_abs_weight())
+            admissible = np.flatnonzero(obj <= obj[idx] + zeta * self._abs_weight(query))
             others = admissible[admissible != idx]
             if len(others):
                 idx = int(rng.choice(others))
@@ -234,11 +190,8 @@ class ErmOracle:
         rows = {MAIN: 0, IDENTITY: 0}
         for b in query.blocks:
             rows[b.selector] += len(b)
-        head = {
-            "rows": rows,
-            "partial_rows": sum(p.rows for p in query.partials),
-            "abs_weight": query.total_abs_weight(),
-        }
+        head = {"rows": rows, "prefix_rows": self.prefix_rows,
+                "abs_weight": self._abs_weight(query)}
         for idx, value in results:
             record = {**head, "result_index": idx, "objective": value}
             self.log_stream.write(json.dumps(record) + "\n")

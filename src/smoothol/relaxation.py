@@ -6,18 +6,19 @@ horizon from the base measure with Rademacher signs, and plays
     yhat_t = argmin_{yhat} sup_{y} { l(yhat, y) + sup_f [ 6L sum eps f(x_future) - L_t(f) ] }
 
 where L_t(f) is the running loss of f including the candidate label y for the
-current round.  The inner supremum over the class is one weighted ERM call
-(identity rows for the playout carry negated weights because the oracle
-minimizes).  The playout reaches the oracle only through sum eps f(x), so it
-is drawn as one signed count per cell of the class's cell measure (cells on
-which every hypothesis is constant) instead of point by point; the law is the
-same.  A round's branch queries differ only in the label of the current
-round's row, so they are answered by one ``ErmOracle.exact_labels``
-evaluation of prefix + playout + f(x_t), which still counts and logs one
-oracle call per label.  For linear loss the outer
-problem collapses to a closed form needing two oracle calls; in general the
-interval is discretized at scale 1/(L*sqrt(T)) and the outer minimization
-runs a three-point convex search.
+current round.  The inner supremum over the class is one weighted ERM call:
+the oracle holds the observed history, and the playout enters as one block of
+identity rows, with negated weights because the oracle minimizes.  The
+playout reaches the oracle only through sum eps f(x), so it is drawn as one
+signed count per cell of the class's cell measure (cells on which every
+hypothesis is constant) instead of point by point; the law is the same.  A
+round's branch queries differ only in the label of the current round's row,
+so they are answered by one ``ErmOracle.exact_labels`` evaluation of the
+history, the playout and f(x_t), which still counts and logs one oracle call
+per label.
+For linear loss the outer problem collapses to a closed form needing two
+oracle calls; in general the interval is discretized at scale 1/(L*sqrt(T))
+and the outer minimization runs a three-point convex search.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction
-from .oracle import IDENTITY, ErmOracle, ErmQuery, Partial
+from .oracle import IDENTITY, ErmOracle, ErmQuery
 
 __all__ = [
     "PlayoutDraw",
@@ -85,7 +86,7 @@ def draw_playout(mu, rounds_left: int, k: int, rng: np.random.Generator) -> Play
 class RelaxState:
     """Shared bookkeeping for the relaxation ops: horizon, playout width, round count.
 
-    The observed rounds live in the oracle's shared prefix as weight-1
+    The observed rounds live in the oracle's history as weight-1
     main-loss rows, appended via ``observe``.
     """
 
@@ -124,21 +125,15 @@ class RelaxState:
         self.t += 1
 
 
-def _playout_partial(playout: PlayoutDraw, L: float, oracle: ErmOracle) -> Partial:
-    """The playout's identity rows, evaluated once for every query that shares them.
+def _branch_values(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
+                   oracle: ErmOracle, labels: np.ndarray) -> np.ndarray:
+    """sup_f [ playout(f) - L_t(f) - l(f(x_t), y) ] per label y, one oracle call each.
 
     The oracle minimizes while the relaxation takes a supremum, so the
     playout's 6L weight per net sign enters negated.
     """
-    weights = -6.0 * L * playout.signs.astype(np.float64).ravel()
-    return oracle.partial(IDENTITY, playout.contexts, np.zeros(len(weights)), weights)
-
-
-def _branch_values(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
-                   oracle: ErmOracle, labels: np.ndarray) -> np.ndarray:
-    """sup_f [ playout(f) - L_t(f) - l(f(x_t), y) ] per label y, one oracle call each."""
-    shared = _playout_partial(playout, state.loss.lipschitz_L, oracle)
-    query = ErmQuery().add_partial(oracle.prefix).add_partial(shared)
+    weights = -6.0 * state.loss.lipschitz_L * playout.signs.astype(np.float64).ravel()
+    query = ErmQuery().add_block(IDENTITY, playout.contexts, np.zeros(len(weights)), weights)
     return -oracle.exact_labels(query, x_t, labels)[1]
 
 

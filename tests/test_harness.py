@@ -326,6 +326,10 @@ def _labels(**rule):
     {"sigma": 1e-40},  # n = ceil(T / sqrt(sigma)) FTPL anchors pass 2^63 - 1
     {"learner": {"name": "relax-linear"}, "sigma": 1e-40},  # (T - 1) * k playout draws do
     {"learner": {"name": "ftpl-dual"}, "sigma": 5e-324},  # sqrt(T / sigma) is infinite
+    {"learner": {"name": "relax-linear"}, "sigma": 5e-324},  # so is 3 log(T) / sigma
+    {"learner": {"name": "relax-general"}, "sigma": 5e-324},
+    {"sigma": 5e-324},  # the ftpl-cls eta is infinite
+    {"learner": {"name": "ftpl-single"}, "sigma": 5e-324},  # n passes 2^63 - 1
 ], ids=["zero-atoms", "relax-linear-absolute", "square-on-thresholds", "table-over-one",
         "fractional-atoms", "string-atoms", "mu-probs-length", "zero-k", "fractional-k",
         "string-k", "string-n", "string-zeta", "negative-eta", "fractional-class-m",
@@ -334,12 +338,17 @@ def _labels(**rule):
         "string-checkpoint", "zero-checkpoint", "checkpoint-past-T", "nan-mu-probs", "nan-iid-p",
         "nan-beta", "nan-eta", "infinite-zeta", "infinite-epsilon", "nan-flip-prob",
         "flip-prob-above-one", "nan-threshold", "fractional-adversary-m", "string-adversary-m",
-        "tiny-sigma-ftpl-anchors", "tiny-sigma-relax-playout", "subnormal-sigma-ftpl-dual"])
+        "tiny-sigma-ftpl-anchors", "tiny-sigma-relax-playout", "subnormal-sigma-ftpl-dual",
+        "subnormal-sigma-relax-linear", "subnormal-sigma-relax-general",
+        "subnormal-sigma-ftpl-cls", "subnormal-sigma-ftpl-single"])
 def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(_base_config(**overrides)))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if overrides.get("sigma") == 5e-324:  # the message names the cause
+        assert "sigma" in err
 
 
 def _bandit_table_outside_unit_interval():

@@ -124,45 +124,43 @@ def test_objective_value_matches_row_recomputation():
 
 
 def test_partial_equals_same_rows_as_block():
-    """History rows fed as the prefix, or as an explicit partial, or as a row block
-    give the same answers: exact minimizer and value, and the approximate slack band."""
+    """History rows fed through ``extend_prefix``, or given in the same order as
+    explicit one-row main-loss blocks to a fresh oracle, give the same answers:
+    exact minimizer and objective bit for bit, and the same approximate slack band."""
     rng = make_rng(7, 0)
     klass = random_table_class(rng, 6, 8)
     loss = linear_loss()
-    oracle = ErmOracle(klass, loss)
+    oracle, fresh = ErmOracle(klass, loss), ErmOracle(klass, loss)
     history = [(atom(klass.ground, int(rng.integers(8))), float(rng.choice([-1, 1])))
                for _ in range(40)]
     for ctx, y in history:
         oracle.extend_prefix(ctx, y)
-    pts = klass.ground.block(np.array([c.id for c, _ in history]))
-    ys = np.array([y for _, y in history])
     ids = rng.integers(0, 8, size=5)
     extra_w = rng.normal(size=5)
 
     def with_extra(q):
         return q.add_block(IDENTITY, klass.ground.block(ids), np.zeros(5), extra_w)
 
-    via_prefix = with_extra(ErmQuery().add_partial(oracle.prefix))
-    via_partial = with_extra(ErmQuery().add_partial(
-        oracle.partial(MAIN, pts, ys, np.ones(len(history)))))
-    explicit = with_extra(ErmQuery().add_block(MAIN, pts, ys, np.ones(len(history))))
+    via_prefix = with_extra(ErmQuery())
+    explicit = ErmQuery()
+    for ctx, y in history:
+        explicit.add_block(MAIN, ctx, [y], [1.0])
+    explicit = with_extra(explicit)
+    assert via_prefix.n_rows == 5  # n_rows counts row-block rows only
+    assert oracle.prefix_rows == 40
 
-    r2 = oracle.exact(explicit)
-    for q in (via_prefix, via_partial):
-        r1 = oracle.exact(q)
-        assert r1.hypothesis_index == r2.hypothesis_index
-        assert r1.objective_value == pytest.approx(r2.objective_value, abs=1e-9)
-        assert q.total_abs_weight() == pytest.approx(explicit.total_abs_weight(), abs=1e-9)
-        assert q.n_rows == 5  # n_rows counts row-block rows only
+    r1, r2 = oracle.exact(via_prefix), fresh.exact(explicit)
+    assert r1.hypothesis_index == r2.hypothesis_index
+    assert r1.objective_value == r2.objective_value
+    assert np.array_equal(oracle.objective_vector(via_prefix), fresh.objective_vector(explicit))
 
     zeta = 0.02
-    band = zeta * explicit.total_abs_weight()
-    best = oracle.objective_vector(explicit).min()
-    for q in (via_prefix, via_partial, explicit):
-        seen = {oracle.approximate(q, zeta, make_rng(8, i)).hypothesis_index
-                for i in range(40)}
-        objs = oracle.objective_vector(explicit)
-        assert seen == set(np.flatnonzero(objs <= best + band).tolist())
+    objs = fresh.objective_vector(explicit)
+    band = set(np.flatnonzero(objs <= objs.min() + zeta * explicit.total_abs_weight()).tolist())
+    assert len(band) > 1
+    for o, q in ((oracle, via_prefix), (fresh, explicit)):
+        seen = {o.approximate(q, zeta, make_rng(8, i)).hypothesis_index for i in range(40)}
+        assert seen == band
 
 
 @pytest.mark.parametrize("loss", [linear_loss, scaled_square_loss], ids=["linear", "scaled-square"])
@@ -175,13 +173,13 @@ def test_prefix_is_the_in_order_sum_of_one_row_partials(space, loss):
     else:
         klass = ThresholdClass.grid(16)
         points = [ContextBlock(coords=np.array([c])) for c in rng.random(40)]
-    oracle = ErmOracle(klass, loss())
+    oracle, fresh = ErmOracle(klass, loss()), ErmOracle(klass, loss())
     expected = np.zeros(len(klass))
     for x, y in zip(points, rng.uniform(-1, 1, 40)):
         oracle.extend_prefix(x, float(y))
-        expected += oracle.partial(MAIN, x, [y], [1.0]).objective
-    assert np.array_equal(oracle.prefix.objective, expected)
-    assert (oracle.prefix.rows, oracle.prefix.abs_weight) == (40, 40.0)
+        expected += fresh.objective_vector(ErmQuery().add_block(MAIN, x, [y], [1.0]))
+    assert np.array_equal(oracle.prefix, expected)
+    assert oracle.prefix_rows == 40
 
 
 @pytest.mark.parametrize("loss", [linear_loss, absolute_loss, scaled_square_loss],
@@ -214,14 +212,14 @@ def test_exact_labels_matches_one_exact_call_per_label(space, loss):
     oracle = ErmOracle(klass, loss(), log_stream=stream)
     for _ in range(10):
         oracle.extend_prefix(contexts(1), float(rng.choice([-1.0, 1.0])))
-    shared = oracle.partial(IDENTITY, contexts(6), np.zeros(6), rng.normal(size=6))
+    shared, shared_w = contexts(6), rng.normal(size=6)
     labels = np.concatenate([np.linspace(-1.0, 1.0, 7), [1.0, -1.0]])
 
     for _ in range(5):
         x_t, extra, extra_w = contexts(1), contexts(3), rng.normal(size=3)
 
         def query():
-            return ErmQuery().add_partial(oracle.prefix).add_partial(shared).add_block(
+            return ErmQuery().add_block(IDENTITY, shared, np.zeros(6), shared_w).add_block(
                 IDENTITY, extra, np.zeros(3), extra_w)
 
         calls = oracle.calls
@@ -247,29 +245,26 @@ def test_exact_labels_matches_one_exact_call_per_label(space, loss):
 def test_query_log_is_line_delimited_json(sign_constants):
     stream = io.StringIO()
     oracle = ErmOracle(sign_constants, linear_loss(), log_stream=stream)
-    oracle.extend_prefix(ContextBlock(ids=np.array([1])), 1.0)
     oracle.exact(_query((0, 1.0, 1.0), (2, -1.0, 0.5, IDENTITY)))
-    oracle.exact(_query((1, -1.0, 2.0)).add_partial(oracle.prefix))
+    oracle.extend_prefix(ContextBlock(ids=np.array([1])), 1.0)
+    oracle.exact(_query((1, -1.0, 2.0)))
     lines = stream.getvalue().strip().splitlines()
     assert len(lines) == 2
     rec = json.loads(lines[0])
     assert rec["result_index"] == 0
     assert rec["rows"] == {MAIN: 1, IDENTITY: 1}
-    assert rec["partial_rows"] == 0
+    assert rec["prefix_rows"] == 0
     assert rec["abs_weight"] == 1.5
     assert rec["objective"] == 0.5
     rec = json.loads(lines[1])
     assert rec["rows"] == {MAIN: 1, IDENTITY: 0}
-    assert (rec["partial_rows"], rec["abs_weight"]) == (1, 3.0)
+    assert (rec["prefix_rows"], rec["abs_weight"]) == (1, 3.0)
 
 
 def test_add_block_rejects_unknown_selector(sign_constants):
     q = ErmQuery()
     with pytest.raises(ValueError, match="selector"):
         q.add_block("hinge", ContextBlock(ids=np.array([0])), np.array([1.0]), np.array([1.0]))
-    with pytest.raises(ValueError, match="selector"):
-        ErmOracle(sign_constants, linear_loss()).partial(
-            "hinge", ContextBlock(ids=np.array([0])), np.array([1.0]), np.array([1.0]))
 
 
 def test_domain_mismatch_propagates(sign_constants):

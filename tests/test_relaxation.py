@@ -357,14 +357,13 @@ def test_predict_general_oracle_budget():
 
 
 # ---------------------------------------------------------------------------
-# shared playout partial against per-branch playout rows
+# all branches from one evaluation against one query per branch
 # ---------------------------------------------------------------------------
 
 def _reference_branch_value(oracle, playout, x, y, L):
     """One branch with the playout as an identity row block of its own query."""
     weights = -6.0 * L * playout.signs.astype(np.float64).ravel()
-    q = ErmQuery().add_partial(oracle.prefix)
-    q.add_block(IDENTITY, playout.contexts, np.zeros(len(weights)), weights)
+    q = ErmQuery().add_block(IDENTITY, playout.contexts, np.zeros(len(weights)), weights)
     q.add_block(MAIN, x, np.array([y]), np.array([1.0]))
     return -float(oracle.objective_vector(q).min())
 
@@ -424,8 +423,7 @@ def estimate_relaxation(state: RelaxState, oracle: ErmOracle, num_playouts: int,
     for i in range(num_playouts):
         playout = draw_playout(cells, rounds_left, state.k, rng)
         weights = -2.0 * L * playout.signs.astype(np.float64)  # the oracle minimizes
-        q = ErmQuery().add_partial(oracle.prefix)
-        q.add_partial(oracle.partial(IDENTITY, playout.contexts, np.zeros(len(weights)), weights))
+        q = ErmQuery().add_block(IDENTITY, playout.contexts, np.zeros(len(weights)), weights)
         values[i] = -oracle.exact(q).objective_value
     tail = rounds_left ** 3 * math.exp(-state.sigma * state.k)
     std_error = float(values.std(ddof=1) / math.sqrt(num_playouts))
