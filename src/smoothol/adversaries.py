@@ -1,4 +1,5 @@
-"""Smooth data sources: i.i.d., adaptive-mixture, and two adversarial stress constructions.
+"""Smooth data sources: i.i.d. (the Rademacher-gap instance among them), adaptive-mixture,
+and the hidden-mu threshold adversary.
 
 Every adversary emits (context, label) pairs round by round and carries a
 smoothness certificate (sigma, mu).  On finite ground sets the conditional
@@ -33,7 +34,6 @@ __all__ = [
     "IidAdversary",
     "AdaptiveMixtureAdversary",
     "HiddenMuThresholdAdversary",
-    "RademacherGapAdversary",
     "build_rademacher_gap_adversary",
     "SmoothnessReport",
     "verify_smoothness",
@@ -44,12 +44,13 @@ __all__ = [
 LabelRule = Callable[[ContextBlock, Optional[float], np.random.Generator], float]
 
 
-def noisy_comparator_labels(target: Callable[[float], float],
-                            flip_prob: float) -> LabelRule:
-    """Labels from a target function of the coordinate, sign-flipped with flip_prob."""
+def noisy_comparator_labels(theta: float, flip_prob: float) -> LabelRule:
+    """Labels x >= theta -> +1, else -1, of the coordinate (the id where there is
+    none), sign-flipped with flip_prob."""
 
     def rule(ctx, last_prediction, rng):
-        y = float(target(ctx.coordinate if ctx.coordinate is not None else ctx.id))
+        x = ctx.coordinate if ctx.coordinate is not None else ctx.id
+        y = 1.0 if x >= theta else -1.0
         if rng.random() < flip_prob:
             y = -y
         return y
@@ -78,8 +79,6 @@ def adversarial_flip_labels() -> LabelRule:
 class Adversary:
     """Base class: stateful generator of sigma-smooth (context, label) rounds."""
 
-    kind: str = "base"
-
     def __init__(self, certificate: SmoothnessCertificate,
                  label_rule: LabelRule, rng: np.random.Generator):
         self.certificate = certificate
@@ -100,8 +99,6 @@ class Adversary:
 
 class IidAdversary(Adversary):
     """Contexts i.i.d. from a fixed distribution p with density <= 1/sigma w.r.t. mu."""
-
-    kind = "iid"
 
     def __init__(self, certificate: SmoothnessCertificate, label_rule: LabelRule,
                  rng: np.random.Generator, p: Optional[np.ndarray] = None):
@@ -130,8 +127,6 @@ class AdaptiveMixtureAdversary(Adversary):
     the largest point-mass weight that keeps the density ratio at exactly
     1/sigma: p_t = w * delta_a + (1 - w) * mu.
     """
-
-    kind = "adaptive_mixture"
 
     def __init__(self, certificate: SmoothnessCertificate, label_rule: LabelRule,
                  rng: np.random.Generator):
@@ -178,8 +173,6 @@ class HiddenMuThresholdAdversary(Adversary):
     which the learner never sees; the certificate therefore carries mu = None.
     """
 
-    kind = "hidden_mu_threshold"
-
     def __init__(self, T: int, rng: np.random.Generator):
         if T < 2:
             raise ValueError("need at least two rounds")
@@ -211,8 +204,10 @@ class HiddenMuThresholdAdversary(Adversary):
             step = 1 << (_DYADIC_BITS - min(t - 2, _DYADIC_BITS))
             self._x_num = self._x_num - int(prev_y) * step
             self._x_num = min(max(self._x_num, 0), self._scale)
-            y = 1.0 if self.rng.random() < 0.5 else -1.0
+            y = None  # a Rademacher draw at the new context
         ctx = ContextBlock(coords=np.array([self._x_num / self._scale]))
+        if y is None:
+            y = self.label_rule(ctx, last_prediction, self.rng)
         if y > 0:
             self._hi_num = min(self._hi_num, self._x_num)
         else:
@@ -225,32 +220,6 @@ class HiddenMuThresholdAdversary(Adversary):
         if self._lo_num >= self._hi_num:
             raise ValueError("constraint interval collapsed (only exact for t <= 50)")
         return self._hi_num / self._scale
-
-
-class RademacherGapAdversary(Adversary):
-    """i.i.d. uniform draws from a shattering set, smooth w.r.t. a mass-at-x* mixture.
-
-    mu puts 1 - sigma on a distinguished atom x* where every hypothesis
-    vanishes and sigma spread uniformly over m shattering atoms; p_t is
-    uniform on the shattering atoms, with density exactly 1/sigma there.
-    """
-
-    kind = "rademacher_gap"
-
-    def __init__(self, certificate: SmoothnessCertificate, label_rule: LabelRule,
-                 rng: np.random.Generator, shatter_ids: np.ndarray, star_id: int):
-        super().__init__(certificate, label_rule, rng)
-        self.shatter_ids = np.asarray(shatter_ids, dtype=np.int64)
-        self.star_id = int(star_id)
-
-    def conditional_probs(self) -> np.ndarray:
-        probs = np.zeros(self.certificate.mu.ground.size)
-        probs[self.shatter_ids] = 1.0 / len(self.shatter_ids)
-        return probs
-
-    def _draw_context(self) -> ContextBlock:
-        atom = int(self.rng.choice(self.shatter_ids))
-        return self.certificate.mu.ground.block(np.array([atom]))
 
 
 def _is_shattered(klass: HypothesisClass, ground: GroundSet,
@@ -269,8 +238,13 @@ def build_rademacher_gap_adversary(sigma: float, shatter_set_size: int,
                                    rng: np.random.Generator,
                                    scale: float = 1.0,
                                    label_rule: Optional[LabelRule] = None,
-                                   ) -> RademacherGapAdversary:
-    """Locate x* and a shattering set inside ``ground`` and assemble the adversary."""
+                                   ) -> IidAdversary:
+    """i.i.d. uniform draws from a shattering set inside ``ground``.
+
+    mu puts 1 - sigma on a distinguished atom x* where every hypothesis
+    vanishes and sigma spread uniformly over the shattering atoms; p is
+    uniform on the shattering atoms, with density exactly 1/sigma there.
+    """
     values = klass.evaluate_block(ground.block(np.arange(ground.size)))
     star_candidates = np.flatnonzero(np.all(values == 0.0, axis=0))
     if len(star_candidates) == 0:
@@ -282,13 +256,12 @@ def build_rademacher_gap_adversary(sigma: float, shatter_set_size: int,
     ids = others[:shatter_set_size]
     if not _is_shattered(klass, ground, ids, scale):
         raise ValueError("class does not shatter the candidate set at the given scale")
-    probs = np.zeros(ground.size)
-    probs[star_id] = 1.0 - sigma
-    probs[ids] += sigma / shatter_set_size
-    mu = FiniteMeasure(ground, probs)
-    cert = SmoothnessCertificate(sigma=sigma, mu=mu)
-    return RademacherGapAdversary(cert, label_rule or rademacher_labels(), rng,
-                                  shatter_ids=ids, star_id=star_id)
+    mu, p = np.zeros(ground.size), np.zeros(ground.size)
+    mu[star_id] = 1.0 - sigma
+    mu[ids] += sigma / shatter_set_size
+    p[ids] = 1.0 / shatter_set_size
+    cert = SmoothnessCertificate(sigma=sigma, mu=FiniteMeasure(ground, mu))
+    return IidAdversary(cert, label_rule or rademacher_labels(), rng, p=p)
 
 
 @dataclass(frozen=True)
@@ -322,18 +295,21 @@ def verify_smoothness(adversary: Adversary, num_probes: int) -> SmoothnessReport
     return SmoothnessReport(worst, bound, worst <= bound + 1e-9)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an infinite cap or tilt; a NaN p is refused
 def tilted_smooth_probs(mu_probs: np.ndarray, sigma: float, beta: float = 0.35) -> np.ndarray:
     """An exponentially tilted distribution water-filled under the density cap 1/sigma.
 
     Solves p_i = min(lam * e^{beta i}, mu_i / sigma) with lam chosen by bisection
     so the masses sum to one.  A nontrivial sigma-smooth stand-in for p in
-    tests; for sigma = 1 it collapses to mu.
+    tests; for sigma = 1 it collapses to mu.  An atom whose tilt overflows sits at
+    its cap; a tilt step e^beta out of float range, or no finite p, raises ValueError.
     """
+    if not abs(beta) <= np.log(np.finfo(np.float64).max):
+        raise ValueError(f"the tilt step e^{beta} is out of float range")
     mu_probs = np.asarray(mu_probs, dtype=np.float64)
     if sigma >= 1.0:
         return mu_probs.copy()
-    with np.errstate(over="ignore"):  # an infinite cap is no cap
-        cap = mu_probs / sigma
+    cap = mu_probs / sigma
     raw = np.exp(beta * np.arange(len(mu_probs)))
 
     def mass(lam: float) -> float:
@@ -353,13 +329,6 @@ def tilted_smooth_probs(mu_probs: np.ndarray, sigma: float, beta: float = 0.35) 
             hi = mid
     p = np.minimum(hi * raw, cap)
     p /= p.sum()
+    if not np.isfinite(p).all():  # lam overflowed: the tilt underflows where mass is needed
+        raise ValueError(f"the tilt e^({beta} i) leaves no finite p under the caps")
     return np.minimum(p, cap)
-
-
-def make_threshold_target(theta: float) -> Callable[[float], float]:
-    """Sign comparator x >= theta -> +1, else -1."""
-
-    def target(x: float) -> float:
-        return 1.0 if x >= theta else -1.0
-
-    return target

@@ -255,13 +255,15 @@ def build_class(cfg: ExperimentConfig, ground) -> HypothesisClass:
 
 
 def build_label_rule(spec: dict) -> adv.LabelRule:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"adversary.labels must be an object, not {spec!r}")
     rule = spec.get("rule", "rademacher")
     if rule == "noisy_comparator":
         theta, flip_prob = float(spec.get("threshold", 0.5)), float(spec.get("flip_prob", 0.1))
         if not (math.isfinite(theta) and 0.0 <= flip_prob <= 1.0):
             raise ConfigError(f"noisy_comparator needs a finite threshold and flip_prob in "
                               f"[0, 1], not {theta} and {flip_prob}")
-        return adv.noisy_comparator_labels(adv.make_threshold_target(theta), flip_prob)
+        return adv.noisy_comparator_labels(theta, flip_prob)
     if rule == "rademacher":
         return adv.rademacher_labels()
     if rule == "adversarial_flip":
@@ -280,8 +282,11 @@ def build_adversary(cfg: ExperimentConfig, mu, klass, rng: np.random.Generator):
         elif p_spec == "tilted":
             if not mu.finite:
                 raise ConfigError("tilted p needs a finite ground set")
-            p = adv.tilted_smooth_probs(mu.probs, cfg.sigma,
-                                        beta=float(cfg.adversary.get("beta", 0.35)))
+            beta = float(cfg.adversary.get("beta", 0.35))
+            try:
+                p = adv.tilted_smooth_probs(mu.probs, cfg.sigma, beta=beta)
+            except ValueError as exc:
+                raise ConfigError(f"adversary.beta on {mu.ground.size} atoms: {exc}") from exc
         elif isinstance(p_spec, list):
             p = np.asarray(p_spec, dtype=float)
         else:
@@ -291,6 +296,9 @@ def build_adversary(cfg: ExperimentConfig, mu, klass, rng: np.random.Generator):
         cert = SmoothnessCertificate(sigma=cfg.sigma, mu=mu)
         return adv.AdaptiveMixtureAdversary(cert, label_rule, rng)
     if kind == "hidden_mu_threshold":
+        if mu.finite:  # a grid's class is a table over atom ids
+            raise ConfigError("adversary.kind 'hidden_mu_threshold' emits coordinates in [0, 1]; "
+                              "it needs ground.type 'interval', not 'grid'")
         return adv.HiddenMuThresholdAdversary(cfg.T, rng)
     if kind == "rademacher_gap":
         if mu is None or not mu.finite:
@@ -337,9 +345,11 @@ def build_schedule(cfg: ExperimentConfig, loss: LossFunction) -> FtplSchedule:
     """The FTPL variant's default schedule, with the config's overrides applied."""
     spec = cfg.learner
     variant = FTPL_VARIANTS[spec["name"]]
+    p = spec.get("p")
+    if p is not None and not (type(p) in (int, float) and math.isfinite(p)):  # no bool
+        raise ConfigError(f"learner.p must be a finite complexity exponent, not {p!r}")
     try:
-        sched = schedule(cfg.T, cfg.sigma, L=loss.lipschitz_L,
-                         d_or_p=spec.get("p"), variant=variant,
+        sched = schedule(cfg.T, cfg.sigma, L=loss.lipschitz_L, d_or_p=p, variant=variant,
                          zeta=float(spec.get("zeta", 0.0)))
     except ValueError as exc:  # a tiny sigma drives eta or the anchor count out of range
         raise ValueError(f"FTPL schedule for T = {cfg.T}, sigma = {cfg.sigma}: {exc}") from exc

@@ -17,8 +17,8 @@ so they are answered by one ``ErmOracle.exact_labels`` evaluation of the
 history, the playout and f(x_t), which still counts and logs one oracle call
 per label.
 For linear loss the outer problem collapses to a closed form needing two
-oracle calls; in general the interval is discretized at scale 1/(L*sqrt(T))
-and the outer minimization runs a three-point convex search.
+oracle calls; in general the interval is discretized into ceil(2 L sqrt(T))
+labels and the outer minimization runs a three-point convex search.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ class RelaxState:
                              f"must be at most 2^63 - 1, the most draws one multinomial takes")
         L = loss.lipschitz_L
         self.grid = np.linspace(-1.0, 1.0, max(2, math.ceil(2.0 * L * math.sqrt(T) - 1e-9)))
-        self.delta = 1.0 / (L * math.sqrt(T))
         self.t = 0
         # (a_+, a_-) after predict_linear, Phi(y) over the grid after predict_general
         self.last_branch_values: Optional[tuple[float, ...]] = None
@@ -206,10 +205,12 @@ def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
     return float(state.grid[idx])
 
 
-class _RelaxLearnerBase:
-    """Improper learner: fresh playout per round, predictions via the min-max rule."""
+class RelaxGeneralLearner:
+    """Improper learner: a fresh playout per round, predictions via ``rule``."""
 
+    name = "relax-general"
     proper = False
+    rule = staticmethod(predict_general)
 
     def __init__(self, klass: HypothesisClass, loss: LossFunction, mu, T: int,
                  sigma: float, oracle: ErmOracle, rng: np.random.Generator,
@@ -221,32 +222,20 @@ class _RelaxLearnerBase:
         self.state = RelaxState(loss, T, sigma, k=k)
         self.last_playout: Optional[PlayoutDraw] = None
 
-    def _fresh_playout(self) -> PlayoutDraw:
-        playout = draw_playout(self.cells, self.state.rounds_left, self.state.k, self.rng)
-        self.last_playout = playout
-        return playout
+    def predict(self, x_t: ContextBlock) -> float:
+        self.last_playout = draw_playout(self.cells, self.state.rounds_left, self.state.k,
+                                         self.rng)
+        return self.rule(self.state, self.last_playout, x_t, self.oracle)
 
     def observe(self, context: ContextBlock, label: float) -> None:
         self.state.observe(context, label, self.oracle)
 
-    def predict(self, x_t: ContextBlock) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
 
-
-class RelaxLinearLearner(_RelaxLearnerBase):
+class RelaxLinearLearner(RelaxGeneralLearner):
     name = "relax-linear"
+    rule = staticmethod(predict_linear)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         if self.state.loss.kind != "linear":
             raise ValueError(f"linear loss required, not {self.state.loss.kind!r}")
-
-    def predict(self, x_t: ContextBlock) -> float:
-        return predict_linear(self.state, self._fresh_playout(), x_t, self.oracle)
-
-
-class RelaxGeneralLearner(_RelaxLearnerBase):
-    name = "relax-general"
-
-    def predict(self, x_t: ContextBlock) -> float:
-        return predict_general(self.state, self._fresh_playout(), x_t, self.oracle)

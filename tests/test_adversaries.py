@@ -12,7 +12,6 @@ from smoothol.adversaries import (
     IidAdversary,
     adversarial_flip_labels,
     build_rademacher_gap_adversary,
-    make_threshold_target,
     noisy_comparator_labels,
     rademacher_labels,
     tilted_smooth_probs,
@@ -208,19 +207,22 @@ def test_gap_adversary_density_and_marginals():
     assert np.allclose(probs[on_support] / mu[on_support], 1.0 / sigma)
 
     # p_t draws are uniform over the shattering atoms
+    # x* carries mu's mass but none of p's; the shattering atoms carry all of p's
+    (star_id,) = np.flatnonzero((mu > 0) & (probs == 0))
+    shatter_ids = np.flatnonzero(on_support)
     n = 100_000
     counts = np.zeros(klass.ground.size)
     for _ in range(n):
         ctx, _ = adv.next_round()
         counts[ctx.id] += 1
-    assert counts[adv.star_id] == 0
-    p = stats.chisquare(counts[adv.shatter_ids],
-                        np.full(len(adv.shatter_ids), n / len(adv.shatter_ids))).pvalue
+    assert counts[star_id] == 0
+    p = stats.chisquare(counts[shatter_ids],
+                        np.full(len(shatter_ids), n / len(shatter_ids))).pvalue
     assert p > 0.01
 
     # mu itself: x* frequency near 1 - sigma
     draws = adv.certificate.mu.sample_ids(adv.rng, 100_000)
-    frac = np.mean(draws == adv.star_id)
+    frac = np.mean(draws == star_id)
     se = np.sqrt(sigma * (1 - sigma) / 100_000)
     assert abs(frac - (1 - sigma)) <= 3 * se
 
@@ -239,8 +241,7 @@ def test_gap_adversary_sigma_one_density_ratio_one():
 
 def test_label_rules():
     rng = make_rng(13, 0)
-    target = make_threshold_target(0.5)
-    rule = noisy_comparator_labels(target, flip_prob=0.0)
+    rule = noisy_comparator_labels(0.5, flip_prob=0.0)
     from smoothol.core import ContextBlock
 
     high, low = ContextBlock(coords=np.array([0.9])), ContextBlock(coords=np.array([0.1]))
@@ -272,6 +273,28 @@ def test_tilted_probs_property(n, sigma, beta):
     assert abs(p.sum() - 1.0) < 1e-9
     assert np.all(p <= mu / sigma + 1e-9)
     assert np.all(p >= -1e-15)
+
+
+@pytest.mark.parametrize("n, sigma", [(2100, 0.5), (2100, 0.01), (5000, 0.2)])
+def test_tilted_probs_where_the_tilt_overflows(n, sigma):
+    """With the default beta = 0.35, e^(beta i) overflows past atom 2028; an
+    infinite tilt is an atom at its cap, and no warning is printed."""
+    mu = np.full(n, 1.0 / n)
+    p = tilted_smooth_probs(mu, sigma)
+    assert abs(p.sum() - 1.0) < 1e-9
+    assert np.all(p <= mu / sigma)
+    assert np.all(np.diff(p) >= 0)  # the tilt rises with i
+    assert np.all(p[2029:] == p.max())
+
+
+@pytest.mark.parametrize("beta, match", [(1e6, "out of float range"),
+                                         (-1e6, "out of float range"),
+                                         (float("nan"), "out of float range"),
+                                         (-200.0, "no finite p")])
+def test_tilted_probs_refuse_a_beta_out_of_range(beta, match):
+    # beta = -200 on 16 atoms: e^(beta i) is 0 past the fourth atom, whose caps hold half the mass
+    with pytest.raises(ValueError, match=match):
+        tilted_smooth_probs(np.full(16, 1.0 / 16), 0.5, beta=beta)
 
 
 def test_tilted_probs_sigma_within_ulps_of_one_terminates():

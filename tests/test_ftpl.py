@@ -96,15 +96,26 @@ def test_epsilon_grid_unit_range():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=1e-3, max_value=3.0, allow_nan=False))
-def test_epsilon_grid_properties(eps):
+@given(st.one_of(st.floats(min_value=1e-3, max_value=3.0).map(lambda eps: (eps, False)),
+                 st.integers(1, 2000).map(lambda k: (2.0 / k, True))))
+def test_epsilon_grid_properties(case):
+    eps, divides_two = case
     grid = epsilon_grid(eps)
     assert len(grid) >= 1
-    assert grid.min() >= -1.0 - 1e-12 and grid.max() <= 1.0 + 1e-12
+    assert grid.min() >= -1.0 and grid.max() <= 1.0
     assert np.all(np.diff(grid) > 0)  # strictly sorted, no duplicates
     # every interior point is an integer multiple of eps
     interior = grid[(np.abs(grid) < 1.0 - 1e-12)]
     np.testing.assert_allclose(interior / eps, np.round(interior / eps), atol=1e-9)
+    # every multiple of eps in [-1, 1] is on the grid
+    k = np.arange(math.ceil(-1.0 / eps), math.floor(1.0 / eps) + 1)
+    multiples = k[np.abs(k * eps) <= 1.0] * eps
+    assert np.abs(multiples[:, None] - grid[None, :]).min(axis=1).max() <= 1e-12
+    if divides_two:  # both endpoints join
+        assert grid[0] == -1.0 and grid[-1] == 1.0
+    mu = FiniteMeasure.uniform(GroundSet(size=3))
+    pert = draw_perturbation(mu, 20, make_rng(0, 0), normalization="none", eps=eps)
+    assert np.isin(pert.labels, grid).all()
 
 
 # ---------------------------------------------------------------------------

@@ -286,69 +286,94 @@ def _labels(**rule):
     return {"adversary": {"kind": "iid", "p": "tilted", "labels": labels}}
 
 
-@pytest.mark.parametrize("overrides", [
-    {"ground": {"type": "grid", "atoms": 0}},
-    {"learner": {"name": "relax-linear"}, "loss": "absolute"},
-    {"loss": "square"},  # +/-1 thresholds leave the [0, 1] square-loss domain
-    {"class": {"type": "table", "values": [[0.5] * 15 + [1.5]]}},
-    {"ground": {"type": "grid", "atoms": 2.5}},
-    {"ground": {"type": "grid", "atoms": "abc"}},
-    {"ground": {"type": "grid", "atoms": 16, "mu_probs": [0.5, 0.5]}},
-    {"learner": {"name": "relax-linear", "k": 0}},
-    {"learner": {"name": "relax-linear", "k": 2.5}},
-    {"learner": {"name": "relax-linear", "k": "x"}},
-    {"learner": {"name": "ftpl-dual", "n": "x"}},
-    {"learner": {"name": "ftpl-cls", "zeta": "x"}},
-    {"learner": {"name": "ftpl-cls", "eta": -1}},
-    {"class": {"type": "thresholds", "m": 2.5}},
-    {"adversary": {"kind": "rademacher_gap"}},  # thresholds have no point where all f = 0
-    {"adversary": {"kind": "hidden_mu_threshold"}, "T": 1},
-    {"adversary": {"kind": "iid", "p": [0.5, 0.5]}},
-    {"T": 2.5},
-    {"seeds": [1.5]},
-    {"seeds": [-1]},
-    {"checkpoints": 5},
-    {"checkpoints": ["a"]},
-    {"checkpoints": [0]},
-    {"checkpoints": [11]},  # T + 1
+def _case(case_id, overrides, *fields):
+    """A config that must exit 2 at load, with the fields its message must name."""
+    return pytest.param(overrides, fields, id=case_id)
+
+
+@pytest.mark.parametrize("overrides, fields", [
+    _case("zero-atoms", {"ground": {"type": "grid", "atoms": 0}}),
+    _case("relax-linear-absolute", {"learner": {"name": "relax-linear"}, "loss": "absolute"}),
+    # +/-1 thresholds leave the [0, 1] square-loss domain
+    _case("square-on-thresholds", {"loss": "square"}),
+    _case("table-over-one", {"class": {"type": "table", "values": [[0.5] * 15 + [1.5]]}}),
+    _case("fractional-atoms", {"ground": {"type": "grid", "atoms": 2.5}}),
+    _case("string-atoms", {"ground": {"type": "grid", "atoms": "abc"}}),
+    _case("mu-probs-length", {"ground": {"type": "grid", "atoms": 16, "mu_probs": [0.5, 0.5]}}),
+    _case("zero-k", {"learner": {"name": "relax-linear", "k": 0}}),
+    _case("fractional-k", {"learner": {"name": "relax-linear", "k": 2.5}}),
+    _case("string-k", {"learner": {"name": "relax-linear", "k": "x"}}),
+    _case("string-n", {"learner": {"name": "ftpl-dual", "n": "x"}}),
+    _case("string-zeta", {"learner": {"name": "ftpl-cls", "zeta": "x"}}),
+    _case("negative-eta", {"learner": {"name": "ftpl-cls", "eta": -1}}),
+    _case("fractional-class-m", {"class": {"type": "thresholds", "m": 2.5}}),
+    # thresholds have no point where all f = 0
+    _case("rademacher-gap-on-thresholds", {"adversary": {"kind": "rademacher_gap"}}),
+    _case("hidden-mu-one-round",
+          {"adversary": {"kind": "hidden_mu_threshold"}, "T": 1, "ground": {"type": "interval"}}),
+    _case("iid-p-length", {"adversary": {"kind": "iid", "p": [0.5, 0.5]}}),
+    _case("fractional-T", {"T": 2.5}),
+    _case("fractional-seed", {"seeds": [1.5]}),
+    _case("negative-seed", {"seeds": [-1]}),
+    _case("int-checkpoints", {"checkpoints": 5}),
+    _case("string-checkpoint", {"checkpoints": ["a"]}),
+    _case("zero-checkpoint", {"checkpoints": [0]}),
+    _case("checkpoint-past-T", {"checkpoints": [11]}),  # T + 1
     # json writes and reads the NaN and Infinity literals
-    {"ground": {"type": "grid", "atoms": 16, "mu_probs": [math.nan] + [1 / 15] * 15}},
-    {"adversary": {"kind": "iid", "p": [math.nan] + [1 / 15] * 15}},
-    {"adversary": {"kind": "iid", "p": "tilted", "beta": math.nan}},
-    {"learner": {"name": "ftpl-cls", "eta": math.nan}},
-    {"learner": {"name": "ftpl-cls", "zeta": math.inf}},
-    {"learner": {"name": "ftpl-dual", "epsilon": math.inf}},
-    _labels(flip_prob=math.nan),
-    _labels(flip_prob=3.0),
-    _labels(threshold=math.nan),
-    _rademacher_gap(2.5),
-    _rademacher_gap("2"),
-    {"sigma": 1e-40},  # n = ceil(T / sqrt(sigma)) FTPL anchors pass 2^63 - 1
-    {"learner": {"name": "relax-linear"}, "sigma": 1e-40},  # (T - 1) * k playout draws do
-    {"learner": {"name": "ftpl-dual"}, "sigma": 5e-324},  # sqrt(T / sigma) is infinite
-    {"learner": {"name": "relax-linear"}, "sigma": 5e-324},  # so is 3 log(T) / sigma
-    {"learner": {"name": "relax-general"}, "sigma": 5e-324},
-    {"sigma": 5e-324},  # the ftpl-cls eta is infinite
-    {"learner": {"name": "ftpl-single"}, "sigma": 5e-324},  # n passes 2^63 - 1
-], ids=["zero-atoms", "relax-linear-absolute", "square-on-thresholds", "table-over-one",
-        "fractional-atoms", "string-atoms", "mu-probs-length", "zero-k", "fractional-k",
-        "string-k", "string-n", "string-zeta", "negative-eta", "fractional-class-m",
-        "rademacher-gap-on-thresholds", "hidden-mu-one-round", "iid-p-length",
-        "fractional-T", "fractional-seed", "negative-seed", "int-checkpoints",
-        "string-checkpoint", "zero-checkpoint", "checkpoint-past-T", "nan-mu-probs", "nan-iid-p",
-        "nan-beta", "nan-eta", "infinite-zeta", "infinite-epsilon", "nan-flip-prob",
-        "flip-prob-above-one", "nan-threshold", "fractional-adversary-m", "string-adversary-m",
-        "tiny-sigma-ftpl-anchors", "tiny-sigma-relax-playout", "subnormal-sigma-ftpl-dual",
-        "subnormal-sigma-relax-linear", "subnormal-sigma-relax-general",
-        "subnormal-sigma-ftpl-cls", "subnormal-sigma-ftpl-single"])
-def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides):
+    _case("nan-mu-probs",
+          {"ground": {"type": "grid", "atoms": 16, "mu_probs": [math.nan] + [1 / 15] * 15}}),
+    _case("nan-iid-p", {"adversary": {"kind": "iid", "p": [math.nan] + [1 / 15] * 15}}),
+    _case("nan-beta", {"adversary": {"kind": "iid", "p": "tilted", "beta": math.nan}},
+          "adversary.beta"),
+    _case("nan-eta", {"learner": {"name": "ftpl-cls", "eta": math.nan}}),
+    _case("infinite-zeta", {"learner": {"name": "ftpl-cls", "zeta": math.inf}}),
+    _case("infinite-epsilon", {"learner": {"name": "ftpl-dual", "epsilon": math.inf}}),
+    _case("nan-flip-prob", _labels(flip_prob=math.nan)),
+    _case("flip-prob-above-one", _labels(flip_prob=3.0)),
+    _case("nan-threshold", _labels(threshold=math.nan)),
+    _case("fractional-adversary-m", _rademacher_gap(2.5)),
+    _case("string-adversary-m", _rademacher_gap("2")),
+    # n = ceil(T / sqrt(sigma)) FTPL anchors pass 2^63 - 1
+    _case("tiny-sigma-ftpl-anchors", {"sigma": 1e-40}),
+    # (T - 1) * k playout draws do
+    _case("tiny-sigma-relax-playout", {"learner": {"name": "relax-linear"}, "sigma": 1e-40}),
+    # sqrt(T / sigma) is infinite
+    _case("subnormal-sigma-ftpl-dual", {"learner": {"name": "ftpl-dual"}, "sigma": 5e-324},
+          "sigma"),
+    # so is 3 log(T) / sigma
+    _case("subnormal-sigma-relax-linear", {"learner": {"name": "relax-linear"}, "sigma": 5e-324},
+          "sigma"),
+    _case("subnormal-sigma-relax-general",
+          {"learner": {"name": "relax-general"}, "sigma": 5e-324}, "sigma"),
+    _case("subnormal-sigma-ftpl-cls", {"sigma": 5e-324}, "sigma"),  # the ftpl-cls eta is infinite
+    # n passes 2^63 - 1
+    _case("subnormal-sigma-ftpl-single", {"learner": {"name": "ftpl-single"}, "sigma": 5e-324},
+          "sigma"),
+    _case("list-labels", {"adversary": {"kind": "iid", "labels": [1]}}, "adversary.labels"),
+    # a grid's class is a table over atom ids, the adversary emits coordinates
+    _case("hidden-mu-on-grid", {"adversary": {"kind": "hidden_mu_threshold"}},
+          "adversary.kind", "ground.type"),
+    # the tilt step e^beta overflows, or underflows to 0
+    _case("huge-beta", {"adversary": {"kind": "iid", "p": "tilted", "beta": 1e6}},
+          "adversary.beta"),
+    _case("huge-negative-beta", {"adversary": {"kind": "iid", "p": "tilted", "beta": -1e6}},
+          "adversary.beta"),
+    # e^(beta i) underflows to 0 past the fourth atom, and four caps hold half the mass
+    _case("underflowing-tilt", {"adversary": {"kind": "iid", "p": "tilted", "beta": -200}},
+          "adversary.beta"),
+    _case("nan-p", {"learner": {"name": "ftpl-dual", "p": math.nan}}, "learner.p"),
+    _case("infinite-p", {"learner": {"name": "ftpl-dual", "p": math.inf}}, "learner.p"),
+    _case("negative-infinite-p", {"learner": {"name": "ftpl-dual", "p": -math.inf}}, "learner.p"),
+    _case("bool-p", {"learner": {"name": "ftpl-dual", "p": True}}, "learner.p"),
+])
+def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides, fields):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(_base_config(**overrides)))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
-    if overrides.get("sigma") == 5e-324:  # the message names the cause
-        assert "sigma" in err
+    for field in fields:  # the message names the cause
+        assert field in err
 
 
 def _bandit_table_outside_unit_interval():
@@ -388,6 +413,30 @@ def test_cli_couple_test(capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert {"x_marginal_pvalue", "z_marginal_pvalue", "miss_rate", "bound"} <= set(report)
+
+
+# with the default beta = 0.35, the tilt e^(beta i) overflows past atom 2028;
+# those atoms sit at their cap, and the run goes on without a warning
+def test_cli_run_tilted_p_on_a_grid_where_the_tilt_overflows(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(T=4, ground={"type": "grid", "atoms": 2100})))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 0
+    assert "aggregate" in json.loads(capsys.readouterr().out)
+
+
+def test_cli_bandit_on_a_grid_where_the_tilt_overflows(tmp_path, capsys):
+    cfg_path = tmp_path / "bandit.json"
+    cfg_path.write_text(json.dumps({"K": 2, "sigma": 0.5, "T": 12, "seeds": [0],
+                                    "ground": {"atoms": 2100}}))
+    assert cli_main(["bandit", "--config", str(cfg_path)]) == 0
+    assert "per_seed" in json.loads(capsys.readouterr().out)
+
+
+def test_cli_couple_test_on_a_grid_where_the_tilt_overflows(capsys):
+    rc = cli_main(["couple-test", "--sigma", "0.5", "--k", "3", "--atoms", "2100",
+                   "--trials", "2000", "--seed", "1"])
+    assert rc == 0
+    assert "miss_rate" in json.loads(capsys.readouterr().out)
 
 
 def test_cli_couple_test_without_candidates_always_falls_back(capsys):

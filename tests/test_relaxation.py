@@ -312,12 +312,13 @@ def test_predict_general_agrees_with_linear_within_delta():
     o2 = ErmOracle(klass, loss)
     s1 = RelaxState(loss, T, 0.5)
     s2 = RelaxState(loss, T, 0.5)
+    delta = 1.0 / (loss.lipschitz_L * math.sqrt(T))
     for t in range(1, T + 1):
         playout = draw_playout(mu, T - t, s1.k, rng)
         x = mu.sample_point(rng)
         y_lin = predict_linear(s1, playout, x, o1)
         y_gen = predict_general(s2, playout, x, o2)
-        assert abs(y_lin - y_gen) <= s1.delta + 1e-9
+        assert abs(y_lin - y_gen) <= delta + 1e-9
         y = float(rng.choice([-1.0, 1.0]))
         s1.observe(x, y, o1)
         s2.observe(x, y, o2)
