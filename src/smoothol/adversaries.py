@@ -295,14 +295,25 @@ def verify_smoothness(adversary: Adversary, num_probes: int) -> SmoothnessReport
     return SmoothnessReport(worst, bound, worst <= bound + 1e-9)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an infinite cap or tilt; a NaN p is refused
+def _least(mass: Callable[[float], float], lo: float, hi: float) -> float:
+    """The least float x in (lo, hi] with mass(x) >= 1, for nondecreasing mass and
+    mass(lo) < 1: bisection down to adjacent floats, so any bracket gives the same x."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if mass(mid) < 1.0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+# an infinite cap or tilt, and the log of a zero cap; a NaN p is refused
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def tilted_smooth_probs(mu_probs: np.ndarray, sigma: float, beta: float = 0.35) -> np.ndarray:
     """An exponentially tilted distribution water-filled under the density cap 1/sigma.
 
     Solves p_i = min(lam * e^{beta i}, mu_i / sigma) with lam chosen by bisection
-    so the masses sum to one.  A nontrivial sigma-smooth stand-in for p in
-    tests; for sigma = 1 it collapses to mu.  An atom whose tilt overflows sits at
-    its cap; a tilt step e^beta out of float range, or no finite p, raises ValueError.
+    so the masses sum to one, in log(lam) where lam is below the normal floats.
+    A nontrivial sigma-smooth stand-in for p in tests; for sigma = 1 it collapses
+    to mu.  A tilt step e^beta out of float range, or no finite p, raises ValueError.
     """
     if not abs(beta) <= np.log(np.finfo(np.float64).max):
         raise ValueError(f"the tilt step e^{beta} is out of float range")
@@ -310,7 +321,8 @@ def tilted_smooth_probs(mu_probs: np.ndarray, sigma: float, beta: float = 0.35) 
     if sigma >= 1.0:
         return mu_probs.copy()
     cap = mu_probs / sigma
-    raw = np.exp(beta * np.arange(len(mu_probs)))
+    tilt = beta * np.arange(len(mu_probs))
+    raw = np.exp(tilt)
 
     def mass(lam: float) -> float:
         return float(np.minimum(lam * raw, cap).sum())
@@ -318,16 +330,17 @@ def tilted_smooth_probs(mu_probs: np.ndarray, sigma: float, beta: float = 0.35) 
     # sum(cap) can round below 1 when sigma is within ulps of 1; mass(hi) reaches
     # sum(cap) once hi >= 1/sigma (raw >= 1, cap <= 1/sigma), so the doubling ends
     target = min(1.0, float(cap.sum()))
-    lo, hi = 0.0, 1.0
+    hi = 1.0
     while mass(hi) < target:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mass(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    p = np.minimum(hi * raw, cap)
+    lam = _least(mass, 0.0, hi)
+    # an overflowed tilt holds its cap at every lam > 0, so a normal lam leaves it a cap < 1 <
+    # lam e^709; else bisect in log(lam), from a mass of at most 1/2 to every atom at its cap
+    if lam < np.finfo(np.float64).tiny:
+        log_lam = _least(lambda ell: float(np.minimum(np.exp(ell + tilt), cap).sum()),
+                         -np.log(2.0 * len(cap)) - tilt.max(), float(np.max(np.log(cap) - tilt)))
+        lam, raw = 1.0, np.exp(log_lam + tilt)
+    p = np.minimum(lam * raw, cap)
     p /= p.sum()
     if not np.isfinite(p).all():  # lam overflowed: the tilt underflows where mass is needed
         raise ValueError(f"the tilt e^({beta} i) leaves no finite p under the caps")

@@ -154,9 +154,8 @@ def build_bandit_pieces(cfg: ExperimentConfig, seed: int):
     klass, loss, adversary, regressor = build_pieces(cfg, make_rng(seed, 0), make_rng(seed, 1))
     K = cfg.bandit["K"]
     f_star = klass.values[cfg.bandit["f_star_index"]].reshape(-1, K)
-    gamma = cfg.bandit["gamma"]
-    if gamma is None:
-        gamma = default_gamma(cfg.T, cfg.sigma, L=loss.lipschitz_L, n_hypotheses=len(klass))
+    gamma = cfg.bandit.get("gamma") or default_gamma(cfg.T, cfg.sigma, L=loss.lipschitz_L,
+                                                     n_hypotheses=len(klass))  # gamma > 0
     return adversary, regressor, f_star, gamma
 
 

@@ -66,6 +66,26 @@ SWEEPABLE = ("T", "sigma", "learner", "k", "seeds")
 _STREAM_ADVERSARY = 0
 _STREAM_LEARNER = 1
 
+_INF, _POSITIVE = math.inf, 5e-324  # as a low bound, the least positive float means > 0
+# Every numeric config field, read once at load: (section, key, low, high, kind).  A value
+# is a finite JSON number in [low, high], integral for kind int, stored as kind (None: as
+# given, for the config echo).  Section "" is the top level, where seeds and checkpoints
+# are lists; "bandit" is the top level of a bandit config.
+NUMBERS = (
+    ("", "T", 1, _INF, int), ("", "sigma", _POSITIVE, 1.0, float), ("", "seeds", 0, _INF, int),
+    ("", "checkpoints", 1, _INF, int), ("ground", "atoms", 1, _INF, int),
+    ("class", "m", 1, _INF, int), ("class", "H", 1, _INF, int), ("learner", "k", 1, _INF, int),
+    ("learner", "n", 1, _INF, int), ("learner", "m", 1, _INF, int),
+    ("learner", "eta", 0.0, _INF, None), ("learner", "epsilon", _POSITIVE, _INF, None),
+    ("learner", "zeta", 0.0, _INF, None), ("learner", "p", -_INF, _INF, None),
+    ("adversary", "beta", -_INF, _INF, None), ("adversary", "m", 1, _INF, int),
+    ("adversary", "scale", -_INF, _INF, None),
+    ("adversary.labels", "threshold", -_INF, _INF, None),
+    ("adversary.labels", "flip_prob", 0.0, 1.0, None), ("bandit", "K", 1, _INF, int),
+    ("bandit", "class_seed", 0, _INF, int), ("bandit", "f_star_index", 0, _INF, int),
+    ("bandit", "gamma", _POSITIVE, _INF, float),
+)
+
 
 class ConfigError(ValueError):
     """Unresolvable or invalid experiment configuration (CLI exit code 2)."""
@@ -87,7 +107,7 @@ class ExperimentConfig:
     ground: dict = field(default_factory=lambda: {"type": "grid", "atoms": 64})
     output_dir: Optional[str] = None
     checkpoints: Optional[list[int]] = None
-    # set for bandit configs: K, class_seed, f_star_index and gamma (None: the default)
+    # set for bandit configs: K, class_seed, f_star_index and gamma (absent: the default)
     bandit: Optional[dict] = None
 
     @staticmethod
@@ -101,30 +121,36 @@ class ExperimentConfig:
                 klass=dict(spec["class"]),
                 loss=str(spec["loss"]),
                 T=spec["T"],
-                sigma=float(spec["sigma"]),
+                sigma=spec["sigma"],
                 seeds=list(spec["seeds"]),
                 ground=dict(spec.get("ground", {"type": "grid", "atoms": 64})),
                 output_dir=spec.get("output_dir"),
                 checkpoints=spec.get("checkpoints"),
             )
-            if bandit:
-                gamma = raw.get("gamma")
+            if bandit:  # an absent gamma is the default
                 cfg.bandit = {"K": raw["K"], "class_seed": raw.get("class_seed", 7),
                               "f_star_index": raw.get("f_star_index", 0),
-                              "gamma": None if gamma is None else float(gamma)}
+                              **{key: raw[key] for key in ("gamma",) if key in raw}}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        # integers arrive as ints; integral floats are normalized in place
-        self.T = _integer(self.T, "T")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
-        self.seeds = [_integer(s, "seeds", low=0) for s in self.seeds]
-        if not (0.0 < self.sigma <= 1.0):
-            raise ConfigError("sigma must lie in (0, 1]")
+        if not isinstance(self.checkpoints, (list, type(None))):
+            raise ConfigError(f"checkpoints must be a list of rounds, not {self.checkpoints!r}")
+        sections = {"": vars(self), "ground": self.ground, "class": self.klass,
+                    "learner": self.learner, "adversary": self.adversary,
+                    "adversary.labels": self.adversary.get("labels"), "bandit": self.bandit}
+        for section, key, low, high, kind in NUMBERS:  # checked numbers are stored in place
+            spec = sections[section]  # no object: its builder fails; None checkpoints: the default
+            if type(spec) is dict and key in spec and (spec[key], key) != (None, "checkpoints"):
+                name = f"{section}.{key}" if section not in ("", "bandit") else key
+                spec[key] = ([_number(v, name, low, high, kind) for v in spec[key]]
+                             if key in ("seeds", "checkpoints")
+                             else _number(spec[key], name, low, high, kind))
         name = self.learner.get("name")
         role, names = (("learner", LEARNER_NAMES) if self.bandit is None
                        else ("regressor", REGRESSORS))
@@ -132,22 +158,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown {role} {name!r}; valid: {', '.join(names)}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; valid: {', '.join(LOSSES)}")
-        for part, spec, key in (("ground", self.ground, "atoms"), ("class", self.klass, "m"),
-                                ("class", self.klass, "H"), ("learner", self.learner, "k"),
-                                ("learner", self.learner, "n"), ("learner", self.learner, "m")):
-            if spec.get(key) is not None:
-                spec[key] = _integer(spec[key], f"{part}.{key}")
-        if self.checkpoints is not None:
-            if not isinstance(self.checkpoints, list):
-                raise ConfigError(f"checkpoints must be a list of rounds, "
-                                  f"not {self.checkpoints!r}")
-            self.checkpoints = [_integer(t, "checkpoints") for t in self.checkpoints]
-            if any(t > self.T for t in self.checkpoints):
-                raise ConfigError(f"checkpoints must be rounds in [1, {self.T}], "
-                                  f"not {self.checkpoints}")
-        if self.bandit is not None:
-            for key, low in (("K", 1), ("class_seed", 0), ("f_star_index", 0)):
-                self.bandit[key] = _integer(self.bandit[key], key, low)
+        if any(t > self.T for t in self.checkpoints or ()):
+            raise ConfigError(f"checkpoints must lie in [1, {self.T}], not {self.checkpoints}")
         try:  # build what the run builds, so it fails here; an unkeyed rng is no seed's stream
             klass, loss, _, _ = build_pieces(self, make_rng(0), make_rng(0))
         except OverflowError as exc:  # sqrt(T / sigma) or log(T) / sigma is infinite
@@ -162,13 +174,9 @@ class ExperimentConfig:
         if values.min() < lo or values.max() > hi:
             raise ConfigError(f"labels and class values must lie in the {self.loss} "
                               f"loss domain [{lo}, {hi}]")
-        if self.bandit is not None:
-            if self.bandit["f_star_index"] >= len(klass):
-                raise ConfigError(f"f_star_index must index one of the class's {len(klass)} "
-                                  f"hypotheses, not {self.bandit['f_star_index']}")
-            gamma = self.bandit["gamma"]
-            if gamma is not None and not 0.0 < gamma < math.inf:
-                raise ConfigError(f"gamma must be positive and finite, not {gamma}")
+        if self.bandit is not None and self.bandit["f_star_index"] >= len(klass):
+            raise ConfigError(f"f_star_index must index one of the class's {len(klass)} "
+                              f"hypotheses, not {self.bandit['f_star_index']}")
 
     def to_dict(self) -> dict:
         return {
@@ -190,7 +198,8 @@ def read_config(path: str | Path) -> dict:
 def _bandit_as_run(raw: dict) -> dict:
     """A bandit config's run part: a square-loss regressor and i.i.d. tilted contexts."""
     return {
-        "learner": {"name": raw.get("regressor", "ftpl-dual"), "k": raw.get("k")},
+        "learner": {"name": raw.get("regressor", "ftpl-dual"),
+                    **{key: raw[key] for key in ("k",) if key in raw}},
         "adversary": {"kind": "iid", "p": "tilted"},
         "class": {"type": "random_product", "H": 4, **raw.get("class", {})},
         "loss": "square",
@@ -200,12 +209,15 @@ def _bandit_as_run(raw: dict) -> dict:
     }
 
 
-def _integer(value, name: str, low: int = 1) -> int:
-    """value as an int >= low; a fraction, a string or a bool is a config error."""
-    if isinstance(value, bool) or not (isinstance(value, int) or (
-            isinstance(value, float) and value.is_integer())) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, not {value!r}")
-    return int(value)
+def _number(value, name: str, low: float, high: float, kind: Optional[type]):
+    """value, a finite JSON number in [low, high] (integral for kind int), stored as kind."""
+    if (type(value) not in (int, float) or not abs(value) <= float(np.finfo(np.float64).max)
+            or not low <= value <= high or kind is int and value % 1):
+        left = "(0" if low == _POSITIVE else "(-inf" if low == -_INF else f"[{low}"
+        right = "inf)" if high == _INF else f"{high}]"
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{name} must be {what} in {left}, {right}, not {value!r}")
+    return value if kind is None else kind(value)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +227,7 @@ def _integer(value, name: str, low: int = 1) -> int:
 def build_ground_and_mu(cfg: ExperimentConfig):
     kind = cfg.ground.get("type", "grid")
     if kind == "grid":
-        ground = GroundSet.grid(int(cfg.ground.get("atoms", 64)))
+        ground = GroundSet.grid(cfg.ground.get("atoms", 64))
         probs = cfg.ground.get("mu_probs")
         mu = (FiniteMeasure(ground, np.asarray(probs, dtype=float))
               if probs is not None else FiniteMeasure.uniform(ground))
@@ -239,7 +251,7 @@ def build_class(cfg: ExperimentConfig, ground) -> HypothesisClass:
             raise ConfigError(f"class values must be (H, {ground.size}, {K}), got {values.shape}")
         return product_class(values)
     if kind == "thresholds":
-        thresholds = ThresholdClass.grid(int(cfg.klass.get("m", 64)))
+        thresholds = ThresholdClass.grid(cfg.klass.get("m", 64))
         if ground is not None and ground.coords is not None:
             # on a finite grid the class restricts to an explicit sign table,
             # which evaluates much faster at long horizons
@@ -259,11 +271,7 @@ def build_label_rule(spec: dict) -> adv.LabelRule:
         raise ConfigError(f"adversary.labels must be an object, not {spec!r}")
     rule = spec.get("rule", "rademacher")
     if rule == "noisy_comparator":
-        theta, flip_prob = float(spec.get("threshold", 0.5)), float(spec.get("flip_prob", 0.1))
-        if not (math.isfinite(theta) and 0.0 <= flip_prob <= 1.0):
-            raise ConfigError(f"noisy_comparator needs a finite threshold and flip_prob in "
-                              f"[0, 1], not {theta} and {flip_prob}")
-        return adv.noisy_comparator_labels(theta, flip_prob)
+        return adv.noisy_comparator_labels(spec.get("threshold", 0.5), spec.get("flip_prob", 0.1))
     if rule == "rademacher":
         return adv.rademacher_labels()
     if rule == "adversarial_flip":
@@ -282,9 +290,8 @@ def build_adversary(cfg: ExperimentConfig, mu, klass, rng: np.random.Generator):
         elif p_spec == "tilted":
             if not mu.finite:
                 raise ConfigError("tilted p needs a finite ground set")
-            beta = float(cfg.adversary.get("beta", 0.35))
             try:
-                p = adv.tilted_smooth_probs(mu.probs, cfg.sigma, beta=beta)
+                p = adv.tilted_smooth_probs(mu.probs, cfg.sigma, cfg.adversary.get("beta", 0.35))
             except ValueError as exc:
                 raise ConfigError(f"adversary.beta on {mu.ground.size} atoms: {exc}") from exc
         elif isinstance(p_spec, list):
@@ -303,9 +310,8 @@ def build_adversary(cfg: ExperimentConfig, mu, klass, rng: np.random.Generator):
     if kind == "rademacher_gap":
         if mu is None or not mu.finite:
             raise ConfigError("rademacher_gap needs a finite ground set")
-        return adv.build_rademacher_gap_adversary(
-            cfg.sigma, _integer(cfg.adversary.get("m", 2), "adversary.m"), klass, mu.ground, rng,
-            scale=float(cfg.adversary.get("scale", 1.0)), label_rule=label_rule)
+        return adv.build_rademacher_gap_adversary(cfg.sigma, cfg.adversary.get("m", 2), klass,
+            mu.ground, rng, scale=cfg.adversary.get("scale", 1.0), label_rule=label_rule)
     raise ConfigError(f"unknown adversary {kind!r}; valid: {', '.join(ADVERSARY_KINDS)}")
 
 
@@ -345,18 +351,13 @@ def build_schedule(cfg: ExperimentConfig, loss: LossFunction) -> FtplSchedule:
     """The FTPL variant's default schedule, with the config's overrides applied."""
     spec = cfg.learner
     variant = FTPL_VARIANTS[spec["name"]]
-    p = spec.get("p")
-    if p is not None and not (type(p) in (int, float) and math.isfinite(p)):  # no bool
-        raise ConfigError(f"learner.p must be a finite complexity exponent, not {p!r}")
     try:
-        sched = schedule(cfg.T, cfg.sigma, L=loss.lipschitz_L, d_or_p=p, variant=variant,
-                         zeta=float(spec.get("zeta", 0.0)))
+        sched = schedule(cfg.T, cfg.sigma, L=loss.lipschitz_L, d_or_p=spec.get("p"),
+                         variant=variant, zeta=spec.get("zeta", 0.0))
     except ValueError as exc:  # a tiny sigma drives eta or the anchor count out of range
         raise ValueError(f"FTPL schedule for T = {cfg.T}, sigma = {cfg.sigma}: {exc}") from exc
     overrides = {k: spec[k] for k in ("eta", "n", "m", "epsilon") if k in spec}
-    if "eta" in overrides:
-        overrides["eta"] = float(overrides["eta"])
-    elif variant == "single" and "n" in overrides:
+    if variant == "single" and "n" in overrides and "eta" not in overrides:
         overrides["eta"] = math.sqrt(overrides["n"])
     return replace(sched, **overrides)
 
@@ -475,6 +476,8 @@ def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[dict]:
     """One run_experiment per parameter value, checked by the loader; a seeds value is one seed."""
     if param not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {param!r}; valid: {', '.join(SWEEPABLE)}")
+    if param == "k" and cfg.learner["name"] in FTPL_VARIANTS:
+        raise ConfigError(f"cannot sweep learner.k: {cfg.learner['name']} has no playout width")
     summaries = []
     for value in values:
         raw = cfg.to_dict()

@@ -277,14 +277,21 @@ def test_tilted_probs_property(n, sigma, beta):
 
 @pytest.mark.parametrize("n, sigma", [(2100, 0.5), (2100, 0.01), (5000, 0.2)])
 def test_tilted_probs_where_the_tilt_overflows(n, sigma):
-    """With the default beta = 0.35, e^(beta i) overflows past atom 2028; an
-    infinite tilt is an atom at its cap, and no warning is printed."""
+    """With the default beta = 0.35, e^(beta i) overflows past atom 2028 and the
+    level lam is below 2^-200; p is still min(lam e^(beta i), mu_i / sigma), and
+    no warning is printed."""
     mu = np.full(n, 1.0 / n)
+    cap = mu / sigma
     p = tilted_smooth_probs(mu, sigma)
-    assert abs(p.sum() - 1.0) < 1e-9
-    assert np.all(p <= mu / sigma)
+    assert abs(p.sum() - 1.0) <= 1e-12
+    assert np.all(p <= cap)
     assert np.all(np.diff(p) >= 0)  # the tilt rises with i
-    assert np.all(p[2029:] == p.max())
+    assert p[-1] >= cap[-1] * (1 - 1e-12)  # the top atom sits at its cap
+    # one ratio p / e^(beta i) below the caps, compared in logs where p is a normal float
+    below = (p < cap * (1 - 1e-9)) & (p >= np.finfo(np.float64).tiny)
+    log_ratio = np.log(p[below]) - 0.35 * np.flatnonzero(below)
+    assert below.sum() > n / 10
+    np.testing.assert_allclose(log_ratio, log_ratio[-1], rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("beta, match", [(1e6, "out of float range"),

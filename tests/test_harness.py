@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothol.cli import main as cli_main
 from smoothol.core import ContextBlock, LOSSES
@@ -10,6 +17,7 @@ from smoothol.harness import (
     ConfigError,
     ExperimentConfig,
     LEARNER_NAMES,
+    NUMBERS,
     build_class,
     build_ground_and_mu,
     rows_to_csv,
@@ -292,49 +300,68 @@ def _case(case_id, overrides, *fields):
 
 
 @pytest.mark.parametrize("overrides, fields", [
-    _case("zero-atoms", {"ground": {"type": "grid", "atoms": 0}}),
+    _case("zero-atoms", {"ground": {"type": "grid", "atoms": 0}}, "ground.atoms"),
     _case("relax-linear-absolute", {"learner": {"name": "relax-linear"}, "loss": "absolute"}),
     # +/-1 thresholds leave the [0, 1] square-loss domain
     _case("square-on-thresholds", {"loss": "square"}),
     _case("table-over-one", {"class": {"type": "table", "values": [[0.5] * 15 + [1.5]]}}),
-    _case("fractional-atoms", {"ground": {"type": "grid", "atoms": 2.5}}),
-    _case("string-atoms", {"ground": {"type": "grid", "atoms": "abc"}}),
+    _case("fractional-atoms", {"ground": {"type": "grid", "atoms": 2.5}}, "ground.atoms"),
+    _case("string-atoms", {"ground": {"type": "grid", "atoms": "abc"}}, "ground.atoms"),
     _case("mu-probs-length", {"ground": {"type": "grid", "atoms": 16, "mu_probs": [0.5, 0.5]}}),
-    _case("zero-k", {"learner": {"name": "relax-linear", "k": 0}}),
-    _case("fractional-k", {"learner": {"name": "relax-linear", "k": 2.5}}),
-    _case("string-k", {"learner": {"name": "relax-linear", "k": "x"}}),
-    _case("string-n", {"learner": {"name": "ftpl-dual", "n": "x"}}),
-    _case("string-zeta", {"learner": {"name": "ftpl-cls", "zeta": "x"}}),
-    _case("negative-eta", {"learner": {"name": "ftpl-cls", "eta": -1}}),
-    _case("fractional-class-m", {"class": {"type": "thresholds", "m": 2.5}}),
+    _case("zero-k", {"learner": {"name": "relax-linear", "k": 0}}, "learner.k"),
+    _case("fractional-k", {"learner": {"name": "relax-linear", "k": 2.5}}, "learner.k"),
+    _case("string-k", {"learner": {"name": "relax-linear", "k": "x"}}, "learner.k"),
+    _case("string-n", {"learner": {"name": "ftpl-dual", "n": "x"}}, "learner.n"),
+    _case("string-zeta", {"learner": {"name": "ftpl-cls", "zeta": "x"}}, "learner.zeta"),
+    _case("bool-zeta", {"learner": {"name": "ftpl-cls", "zeta": True}}, "learner.zeta"),
+    _case("negative-eta", {"learner": {"name": "ftpl-cls", "eta": -1}}, "learner.eta"),
+    _case("string-eta", {"learner": {"name": "ftpl-cls", "eta": "x"}}, "learner.eta"),
+    _case("numeric-string-eta", {"learner": {"name": "ftpl-cls", "eta": "2"}}, "learner.eta"),
+    _case("string-epsilon", {"learner": {"name": "ftpl-dual", "epsilon": "x"}},
+          "learner.epsilon"),
+    _case("fractional-class-m", {"class": {"type": "thresholds", "m": 2.5}}, "class.m"),
     # thresholds have no point where all f = 0
     _case("rademacher-gap-on-thresholds", {"adversary": {"kind": "rademacher_gap"}}),
     _case("hidden-mu-one-round",
           {"adversary": {"kind": "hidden_mu_threshold"}, "T": 1, "ground": {"type": "interval"}}),
     _case("iid-p-length", {"adversary": {"kind": "iid", "p": [0.5, 0.5]}}),
-    _case("fractional-T", {"T": 2.5}),
-    _case("fractional-seed", {"seeds": [1.5]}),
-    _case("negative-seed", {"seeds": [-1]}),
-    _case("int-checkpoints", {"checkpoints": 5}),
-    _case("string-checkpoint", {"checkpoints": ["a"]}),
-    _case("zero-checkpoint", {"checkpoints": [0]}),
-    _case("checkpoint-past-T", {"checkpoints": [11]}),  # T + 1
+    _case("fractional-T", {"T": 2.5}, "T"),
+    _case("fractional-seed", {"seeds": [1.5]}, "seeds"),
+    _case("negative-seed", {"seeds": [-1]}, "seeds"),
+    _case("int-checkpoints", {"checkpoints": 5}, "checkpoints"),
+    _case("string-checkpoint", {"checkpoints": ["a"]}, "checkpoints"),
+    _case("zero-checkpoint", {"checkpoints": [0]}, "checkpoints"),
+    _case("checkpoint-past-T", {"checkpoints": [11]}, "checkpoints"),  # T + 1
+    # sigma = true was 1, the i.i.d. regime
+    _case("bool-sigma", {"sigma": True}, "sigma"),
+    _case("numeric-string-sigma", {"sigma": "0.5"}, "sigma"),
+    _case("string-sigma", {"sigma": "x"}, "sigma"),
     # json writes and reads the NaN and Infinity literals
     _case("nan-mu-probs",
           {"ground": {"type": "grid", "atoms": 16, "mu_probs": [math.nan] + [1 / 15] * 15}}),
     _case("nan-iid-p", {"adversary": {"kind": "iid", "p": [math.nan] + [1 / 15] * 15}}),
     _case("nan-beta", {"adversary": {"kind": "iid", "p": "tilted", "beta": math.nan}},
           "adversary.beta"),
-    _case("nan-eta", {"learner": {"name": "ftpl-cls", "eta": math.nan}}),
-    _case("infinite-zeta", {"learner": {"name": "ftpl-cls", "zeta": math.inf}}),
-    _case("infinite-epsilon", {"learner": {"name": "ftpl-dual", "epsilon": math.inf}}),
-    _case("nan-flip-prob", _labels(flip_prob=math.nan)),
-    _case("flip-prob-above-one", _labels(flip_prob=3.0)),
-    _case("nan-threshold", _labels(threshold=math.nan)),
-    _case("fractional-adversary-m", _rademacher_gap(2.5)),
-    _case("string-adversary-m", _rademacher_gap("2")),
+    _case("bool-beta", {"adversary": {"kind": "iid", "p": "tilted", "beta": True}},
+          "adversary.beta"),
+    _case("string-beta", {"adversary": {"kind": "iid", "p": "tilted", "beta": "x"}},
+          "adversary.beta"),
+    _case("nan-eta", {"learner": {"name": "ftpl-cls", "eta": math.nan}}, "learner.eta"),
+    _case("infinite-zeta", {"learner": {"name": "ftpl-cls", "zeta": math.inf}}, "learner.zeta"),
+    _case("infinite-epsilon", {"learner": {"name": "ftpl-dual", "epsilon": math.inf}},
+          "learner.epsilon"),
+    _case("nan-flip-prob", _labels(flip_prob=math.nan), "adversary.labels.flip_prob"),
+    _case("flip-prob-above-one", _labels(flip_prob=3.0), "adversary.labels.flip_prob"),
+    # flip_prob = true flipped every label
+    _case("bool-flip-prob", _labels(flip_prob=True), "adversary.labels.flip_prob"),
+    _case("string-flip-prob", _labels(flip_prob="x"), "adversary.labels.flip_prob"),
+    _case("nan-threshold", _labels(threshold=math.nan), "adversary.labels.threshold"),
+    _case("string-threshold", _labels(threshold="x"), "adversary.labels.threshold"),
+    _case("numeric-string-threshold", _labels(threshold="0.3"), "adversary.labels.threshold"),
+    _case("fractional-adversary-m", _rademacher_gap(2.5), "adversary.m"),
+    _case("string-adversary-m", _rademacher_gap("2"), "adversary.m"),
     # n = ceil(T / sqrt(sigma)) FTPL anchors pass 2^63 - 1
-    _case("tiny-sigma-ftpl-anchors", {"sigma": 1e-40}),
+    _case("tiny-sigma-ftpl-anchors", {"sigma": 1e-40}, "sigma"),
     # (T - 1) * k playout draws do
     _case("tiny-sigma-relax-playout", {"learner": {"name": "relax-linear"}, "sigma": 1e-40}),
     # sqrt(T / sigma) is infinite
@@ -382,19 +409,23 @@ def _bandit_table_outside_unit_interval():
     return {"ground": {"atoms": 4}, "class": {"type": "table", "values": values.tolist()}}
 
 
-@pytest.mark.parametrize("overrides", [
-    {"ground": {"atoms": 4.7}},
-    {"regressor": "relax-general", "k": "x"},
-    {"gamma": -3},
-    {"seeds": ["a"]},
-    {"K": 0},
-    {"class": {"type": "random_product", "H": 0}},
-    {"f_star_index": 9},
-    {"f_star_index": 1.5},
-    _bandit_table_outside_unit_interval(),
-], ids=["fractional-atoms", "string-k", "negative-gamma", "string-seed", "zero-K", "zero-H",
-        "f-star-index-out-of-range", "fractional-f-star-index", "class-outside-unit-interval"])
-def test_cli_bandit_config_errors_exit_2(tmp_path, capsys, monkeypatch, overrides):
+@pytest.mark.parametrize("overrides, fields", [
+    _case("fractional-atoms", {"ground": {"atoms": 4.7}}, "ground.atoms"),
+    # a bandit's k is its regressor's playout width
+    _case("string-k", {"regressor": "relax-general", "k": "x"}, "learner.k"),
+    _case("negative-gamma", {"gamma": -3}, "gamma"),
+    _case("bool-gamma", {"gamma": True}, "gamma"),
+    _case("numeric-string-gamma", {"gamma": "3"}, "gamma"),
+    _case("bool-sigma", {"sigma": True}, "sigma"),
+    _case("string-sigma", {"sigma": "x"}, "sigma"),
+    _case("string-seed", {"seeds": ["a"]}, "seeds"),
+    _case("zero-K", {"K": 0}, "K"),
+    _case("zero-H", {"class": {"type": "random_product", "H": 0}}, "class.H"),
+    _case("f-star-index-out-of-range", {"f_star_index": 9}, "f_star_index"),
+    _case("fractional-f-star-index", {"f_star_index": 1.5}, "f_star_index"),
+    _case("class-outside-unit-interval", _bandit_table_outside_unit_interval()),
+])
+def test_cli_bandit_config_errors_exit_2(tmp_path, capsys, monkeypatch, overrides, fields):
     from smoothol import bandit
 
     def no_rounds(*args, **kwargs):
@@ -404,7 +435,105 @@ def test_cli_bandit_config_errors_exit_2(tmp_path, capsys, monkeypatch, override
     cfg_path = tmp_path / "bandit.json"
     cfg_path.write_text(json.dumps({"K": 2, "sigma": 0.5, "T": 12, "seeds": [0], **overrides}))
     assert cli_main(["bandit", "--config", str(cfg_path)]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    for field in fields:  # the message names the cause
+        assert field in err
+
+
+# ---------------------------------------------------------------------------
+# config fuzzer: every row of harness.NUMBERS, one field at a time
+# ---------------------------------------------------------------------------
+
+_FUZZ_RUN = _base_config(T=3, adversary=_labels()["adversary"])
+_FUZZ_BANDIT = {"K": 2, "sigma": 0.5, "T": 3, "seeds": [0], "ground": {"atoms": 4}}
+
+
+def _raw_path(command, section, key):
+    """Where a table row sits in a raw run or bandit config; None where that config has none."""
+    if command == "run":
+        return None if section == "bandit" else (*section.split("."), key) if section else (key,)
+    if section in ("", "bandit"):  # a bandit config sets no checkpoints
+        return None if key == "checkpoints" else (key,)
+    # the bandit mapping reads ground.atoms, every class key, and k for its regressor
+    return {("ground", "atoms"): ("ground", "atoms"), ("learner", "k"): ("k",)}.get(
+        (section, key), (section, key) if section == "class" else None)
+
+
+def _field_name(row):
+    section, key = row[:2]
+    return key if section in ("", "bandit") else f"{section}.{key}"
+
+
+_FUZZ_FIELDS = [
+    pytest.param(command, row, path, id=f"{command}-{_field_name(row)}")
+    for command in ("run", "bandit") for row in NUMBERS
+    if (path := _raw_path(command, row[0], row[1])) is not None
+]
+
+
+def _run_with(command, path, value):
+    """(exit code, stderr) of ``smoothol command`` on the base config with path set to value."""
+    raw = json.loads(json.dumps(_FUZZ_RUN if command == "run" else _FUZZ_BANDIT))
+    spec = raw
+    for part in path[:-1]:
+        spec = spec.setdefault(part, {})
+    spec[path[-1]] = [value] if path[-1] in ("seeds", "checkpoints") else value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli_main([command, "--config", str(cfg_path)])  # any other exception fails
+    return rc, err.getvalue()
+
+
+def _past_bounds(low, high, kind):
+    """The values just outside each finite bound: one integer out for kind int."""
+    past = []
+    if low > -math.inf:
+        past.append(low - 1 if kind is int else math.nextafter(low, -math.inf))
+    if high < math.inf:
+        past.append(high + 1 if kind is int else math.nextafter(high, math.inf))
+    return past
+
+
+def _assert_refused(command, row, path, value):
+    rc, err = _run_with(command, path, value)
+    assert rc == 2, (value, err)
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and _field_name(row) in err, (value, err)
+
+
+@pytest.mark.parametrize("command, row, path", _FUZZ_FIELDS)
+def test_config_fuzzer_refuses_each_bad_number_naming_its_field(command, row, path):
+    low, high, kind = row[2:]
+    bad = ["0.5", True, False, math.nan, math.inf, -math.inf, [], {}]
+    bad += _past_bounds(low, high, kind) + ([max(low, 0) + 0.5] if kind is int else [])
+    for value in bad:
+        _assert_refused(command, row, path, value)
+    # an in-range value still runs; an integer field takes an integral float
+    in_range = min(max(1, low), high)
+    assert _run_with(command, path, float(in_range) if kind is int else in_range)[0] == 0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(field=st.sampled_from([p.values for p in _FUZZ_FIELDS]), data=st.data())
+def test_config_fuzzer_refuses_drawn_strings_and_out_of_range_numbers(field, data):
+    command, row, path = field
+    low, high, kind = row[2:]
+    bad = [st.text(max_size=4), st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf])]
+    if low > -math.inf:
+        bad += [st.floats(max_value=math.nextafter(low, -math.inf), allow_infinity=False),
+                st.integers(max_value=math.ceil(low) - 1)]
+    if high < math.inf:
+        bad += [st.floats(min_value=math.nextafter(high, math.inf), allow_infinity=False),
+                st.integers(min_value=math.floor(high) + 1)]
+    if kind is int:  # a fraction in range
+        bad.append(st.floats(max(low, 0), 1e15).filter(lambda v: not v.is_integer()))
+    _assert_refused(command, row, path, data.draw(st.one_of(bad)))
 
 
 def test_cli_couple_test(capsys):
@@ -484,14 +613,21 @@ def test_cli_sweep_seeds_value_is_one_seed(tmp_path, capsys):
     assert rows == [["12", "12"], ["3", "3"]]
 
 
-@pytest.mark.parametrize("param, values", [("k", "2.5"), ("sigma", "x"), ("T", "2.5"),
-                                           ("seeds", "1.5")])
-def test_cli_sweep_bad_value_exits_2(tmp_path, capsys, param, values):
+@pytest.mark.parametrize("param, values, learner, field", [
+    pytest.param("k", "2.5", "relax-linear", "learner.k", id="k-2.5"),
+    pytest.param("sigma", "x", "relax-linear", "sigma", id="sigma-x"),
+    pytest.param("T", "2.5", "relax-linear", "T", id="T-2.5"),
+    pytest.param("seeds", "1.5", "relax-linear", "seeds", id="seeds-1.5"),
+    # FTPL has no playout width: each k would run the same config
+    pytest.param("k", "1,50", "ftpl-cls", "learner.k", id="k-on-ftpl"),
+])
+def test_cli_sweep_bad_value_exits_2(tmp_path, capsys, param, values, learner, field):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(_base_config(learner={"name": "relax-linear"}, T=4)))
+    cfg_path.write_text(json.dumps(_base_config(learner={"name": learner}, T=4)))
     rc = cli_main(["sweep", "--config", str(cfg_path), "--param", param, "--values", values])
     assert rc == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err and field in err
 
 
 def test_cli_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
