@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,16 +95,20 @@ class ContextBlock:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """A finite set of atoms 0..size-1, optionally embedded in [0, 1]."""
+    """A finite set of atoms 0..size-1, optionally embedded in [0, 1]; ``ids``, if
+    given, is the atom id each atom's context carries (a cell's representative)."""
 
     size: int
     coords: Optional[np.ndarray] = None
+    ids: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("ground set must be nonempty")
         if self.coords is not None and len(self.coords) != self.size:
             raise ValueError("coords length must match size")
+        if self.ids is not None and len(self.ids) != self.size:
+            raise ValueError("ids length must match size")
 
     @staticmethod
     def grid(size: int) -> "GroundSet":
@@ -112,8 +117,9 @@ class GroundSet:
         return GroundSet(size=size, coords=coords)
 
     def block(self, ids: np.ndarray) -> ContextBlock:
+        ids = np.asarray(ids, dtype=np.int64)
         coords = self.coords[ids] if self.coords is not None else None
-        return ContextBlock(ids=np.asarray(ids, dtype=np.int64), coords=coords)
+        return ContextBlock(ids=ids if self.ids is None else self.ids[ids], coords=coords)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +152,11 @@ class FiniteMeasure:
     @property
     def finite(self) -> bool:
         return True
+
+    @cached_property
+    def atoms(self) -> ContextBlock:
+        """Every atom in order, as one block built on first use."""
+        return self.ground.block(np.arange(self.ground.size))
 
     def sample_ids(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self._uniform:
@@ -217,11 +228,26 @@ class HypothesisClass:
 
     def cell_measure(self, mu) -> FiniteMeasure:
         """``mu`` on cells where every hypothesis is constant, one representative atom
-        per cell with the cell's mass; each atom of a finite ``mu`` is its own cell."""
+        per cell with the cell's mass.
+
+        A cell of a finite ``mu`` is a maximal set of atoms with equal value
+        columns; its mass is their sum, its representative its first atom, and
+        cells follow their first atoms.  With every column distinct this is
+        ``mu`` itself.
+        """
         if not mu.finite:
             raise ValueError(f"{type(self).__name__} has no finite cell partition "
                              f"of the continuous base measure")
-        return mu
+        # hashed, not sorted: a first sort pages in numpy's sort kernels, ~0.3 MB of peak RSS
+        cells: dict = {}  # column bytes -> cell, numbered in first-atom order; -0.0 joins 0.0
+        index = np.array([cells.setdefault(column.tobytes(), len(cells))
+                          for column in self.evaluate_block(mu.atoms).T + 0.0])
+        if len(cells) == len(index):
+            return mu
+        first = np.flatnonzero(np.diff(np.maximum.accumulate(index), prepend=-1))  # new cells
+        reps = mu.ground.block(first)
+        return FiniteMeasure(GroundSet(len(first), coords=reps.coords, ids=reps.ids),
+                             np.bincount(index, weights=mu.probs))
 
 
 class TableClass(HypothesisClass):

@@ -9,9 +9,10 @@ anchor points sampled from the base measure:
 with gamma i.i.d. standard normal and label anchors y'_j uniform on an
 epsilon-grid.  The processes see the anchors only through the sum of gamma
 over each cell of the class's cell measure (each (cell, label) pair for
-omega'), and given the cell counts n_c ~ Multinomial(n, mu) that sum is
-N(0, n_c); so a process is drawn as one multinomial and one normal per cell,
-with the same law, whenever there are fewer cells than anchors.  Each round
+omega'); on a finite base measure a cell is a maximal group of atoms with
+equal value columns.  Given the cell counts n_c ~ Multinomial(n, mu) that sum
+is N(0, n_c), so a process is drawn as one multinomial and one normal per
+cell, with the same law, whenever there are fewer cells than anchors.  Each round
 the learner draws fresh perturbations and commits, via a single weighted ERM
 call, to the hypothesis minimizing running loss plus perturbation -- before
 the round's context is revealed.  The oracle holds the running loss as its
@@ -113,7 +114,8 @@ def draw_perturbation(mu, n: int, rng: np.random.Generator,
                       per_cell: Optional[bool] = None) -> GaussianPerturbation:
     """n anchors from mu with N(0,1) coefficients; eps (or a built ``grid``) adds labels.
 
-    Per cell, the atoms of the finite mu (times the grid labels) are the cells:
+    Per cell, the atoms of the finite mu (a class's cell measure; times the
+    grid labels) are the cells:
     one ``rng.multinomial(n, cell masses)`` and one standard normal z_c per
     cell give the coefficient sqrt(n_c) * z_c.  Per anchor, every anchor is
     drawn from mu.  ``per_cell`` defaults to ``fewer_cells(mu, n, grid)``.
@@ -127,13 +129,13 @@ def draw_perturbation(mu, n: int, rng: np.random.Generator,
         coeffs = rng.standard_normal(n)
         labels = None if grid is None else grid[rng.integers(0, len(grid), size=n)]
         return GaussianPerturbation(contexts, coeffs, normalization, labels)
-    ids, probs, labels = np.arange(mu.ground.size), mu.probs, None
+    contexts, probs, labels = mu.atoms, mu.probs, None
     if grid is not None:  # cell-major (cell, label) pairs, each of mass mu_c / |grid|
-        ids, probs = np.repeat(ids, len(grid)), np.repeat(probs / len(grid), len(grid))
-        labels = np.tile(grid, mu.ground.size)
+        contexts = mu.ground.block(np.repeat(np.arange(mu.ground.size), len(grid)))
+        probs, labels = np.repeat(probs / len(grid), len(grid)), np.tile(grid, mu.ground.size)
     counts = rng.multinomial(n, probs)
     coeffs = np.sqrt(counts) * rng.standard_normal(len(counts))
-    return GaussianPerturbation(mu.ground.block(ids), coeffs, normalization, labels, n)
+    return GaussianPerturbation(contexts, coeffs, normalization, labels, n)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,12 @@ __all__ = [
     "ADVERSARY_KINDS",
 ]
 
-LEARNER_NAMES = ("relax-linear", "relax-general", "ftpl-cls", "ftpl-dual", "ftpl-single")
+# the fields each learner reads besides its name; a config that sets another is refused
+LEARNER_FIELDS = {"relax-linear": ("k",), "relax-general": ("k",),
+                  "ftpl-cls": ("eta", "n", "zeta"),
+                  "ftpl-dual": ("eta", "n", "m", "epsilon", "zeta", "p"),
+                  "ftpl-single": ("eta", "n", "epsilon", "zeta")}
+LEARNER_NAMES = tuple(LEARNER_FIELDS)
 REGRESSORS = ("ftpl-dual", "relax-general")  # the learners a bandit config may name
 FTPL_VARIANTS = {"ftpl-cls": "classification", "ftpl-dual": "dual", "ftpl-single": "single"}
 ADVERSARY_KINDS = ("iid", "adaptive_mixture", "hidden_mu_threshold", "rademacher_gap")
@@ -156,6 +161,10 @@ class ExperimentConfig:
                        else ("regressor", REGRESSORS))
         if name not in names:
             raise ConfigError(f"unknown {role} {name!r}; valid: {', '.join(names)}")
+        unread = [key for key in self.learner if key not in ("name", *LEARNER_FIELDS[name])]
+        if unread and self.bandit is None:  # a bandit's one learner field, k, ftpl-dual ignores
+            raise ConfigError(f"learner.{unread[0]} is not a field of {name}, which reads "
+                              f"{', '.join(LEARNER_FIELDS[name])}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; valid: {', '.join(LOSSES)}")
         if any(t > self.T for t in self.checkpoints or ()):
@@ -473,11 +482,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[dict]:
-    """One run_experiment per parameter value, checked by the loader; a seeds value is one seed."""
+    """One run_experiment per parameter value, checked by the loader; a seeds value is one seed.
+
+    A k on an FTPL learner, which has no playout width, is refused like any unread field."""
     if param not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {param!r}; valid: {', '.join(SWEEPABLE)}")
-    if param == "k" and cfg.learner["name"] in FTPL_VARIANTS:
-        raise ConfigError(f"cannot sweep learner.k: {cfg.learner['name']} has no playout width")
     summaries = []
     for value in values:
         raw = cfg.to_dict()

@@ -10,8 +10,10 @@ current round.  The inner supremum over the class is one weighted ERM call:
 the oracle holds the observed history, and the playout enters as one block of
 identity rows, with negated weights because the oracle minimizes.  The
 playout reaches the oracle only through sum eps f(x), so it is drawn as one
-signed count per cell of the class's cell measure (cells on which every
-hypothesis is constant) instead of point by point; the law is the same.  A
+signed count per cell of the class's cell measure instead of point by point;
+the law is the same.  A cell is a set on which every hypothesis is constant:
+on a finite base measure, a maximal group of atoms with equal value columns,
+drawn as its first atom with the group's mass.  A
 round's branch queries differ only in the label of the current round's row,
 so they are answered by one ``ErmOracle.exact_labels`` evaluation of the
 history, the playout and f(x_t), which still counts and logs one oracle call
@@ -79,8 +81,8 @@ def draw_playout(mu, rounds_left: int, k: int, rng: np.random.Generator) -> Play
     half = mu.probs / 2.0
     counts = rng.multinomial(rounds_left * k, np.concatenate((half, half)))
     size = len(half)
-    return PlayoutDraw(contexts=mu.ground.block(np.arange(size)),
-                       signs=counts[:size] - counts[size:], rounds_left=rounds_left, k=k)
+    return PlayoutDraw(contexts=mu.atoms, signs=counts[:size] - counts[size:],
+                       rounds_left=rounds_left, k=k)
 
 
 class RelaxState:

@@ -1,0 +1,173 @@
+"""Cells of a finite base measure: maximal sets of atoms with equal value columns.
+
+The playout and the FTPL perturbations see the class only through per-cell
+sums, so drawing them over the cells must give the law of drawing them over
+the atoms; these tests check the partition itself and that law.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
+
+from smoothol.core import (
+    ContextBlock,
+    FiniteMeasure,
+    GroundSet,
+    TableClass,
+    ThresholdClass,
+    linear_loss,
+    make_rng,
+    product_class,
+    product_measure,
+)
+from smoothol.ftpl import epsilon_grid, draw_perturbation
+from smoothol.oracle import ErmOracle
+from smoothol.relaxation import RelaxLinearLearner, draw_playout
+
+
+def _cell_of_atoms(klass, mu, cells) -> np.ndarray:
+    """Each atom's cell: the one representative whose column equals the atom's."""
+    atoms = klass.evaluate_block(mu.atoms).T
+    reps = klass.evaluate_block(cells.atoms).T
+    match = (atoms[:, None, :] == reps[None, :, :]).all(axis=2)
+    assert np.array_equal(match.sum(axis=1), np.ones(len(atoms)))  # one cell each
+    return match.argmax(axis=1)
+
+
+def _shuffled_table(rng):
+    """4 distinct columns, each repeated on 3 atoms spread across a 12-atom grid."""
+    columns = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0],
+                        [0.5, 0.0, -0.5, 0.25]])
+    klass = TableClass(columns[:, rng.permutation(np.arange(12) % 4)], ground=GroundSet.grid(12))
+    return klass, FiniteMeasure(klass.ground, rng.dirichlet(np.ones(12)))
+
+
+# ---------------------------------------------------------------------------
+# the partition
+# ---------------------------------------------------------------------------
+
+def test_ground_set_id_map():
+    ground = GroundSet(3, coords=np.array([0.1, 0.4, 0.9]), ids=np.array([4, 7, 9]))
+    block = ground.block(np.array([2, 0]))
+    assert np.array_equal(block.ids, [9, 4]) and np.array_equal(block.coords, [0.9, 0.1])
+    with pytest.raises(ValueError, match="ids length"):
+        GroundSet(3, ids=np.array([4, 7]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(atoms=st.integers(1, 24), distinct=st.integers(1, 6), n_hyp=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cell_partition_property(atoms, distinct, n_hyp, seed):
+    rng = make_rng(seed, 0)
+    columns = np.round(rng.uniform(-1.0, 1.0, (n_hyp, distinct)), 1)  # may repeat too
+    values = columns[:, rng.integers(0, distinct, atoms)]
+    probs = rng.dirichlet(np.ones(atoms))
+    probs[rng.random(atoms) < 0.2] = 0.0  # cells of mass 0 are cells too
+    if probs.sum() == 0.0:
+        probs[0] = 1.0
+    klass = TableClass(values, ground=GroundSet.grid(atoms))
+    mu = FiniteMeasure(klass.ground, probs / probs.sum())
+    cells = klass.cell_measure(mu)
+    reps = cells.atoms.ids
+    cell_of = _cell_of_atoms(klass, mu, cells)
+    # every atom's column equals its representative's, and the representatives differ
+    assert np.array_equal(values, values[:, reps[cell_of]])
+    assert np.array_equal(np.unique(cell_of), np.arange(len(reps)))
+    # each representative is its cell's first atom, and cells follow them
+    assert np.array_equal(reps, [np.flatnonzero(cell_of == c)[0] for c in range(len(reps))])
+    assert np.all(np.diff(reps) > 0)
+    assert np.array_equal(cells.atoms.coords, klass.ground.coords[reps])
+    # a cell's mass is its atoms' mass
+    for c in range(len(reps)):
+        assert cells.probs[c] == pytest.approx(mu.probs[cell_of == c].sum(), abs=1e-15)
+    distinct_columns = len(np.unique(values.T, axis=0)) == atoms
+    assert (cells is mu) == distinct_columns
+
+
+def test_distinct_columns_keep_mu_itself():
+    """The bandit's random product class has distinct columns, so its stream is unchanged."""
+    klass = product_class(make_rng(7, 9).random((4, 16, 2)))
+    mu = product_measure(FiniteMeasure.uniform(GroundSet.grid(16)), 2)
+    assert klass.cell_measure(mu) is mu
+
+
+def test_threshold_grid_table_has_one_cell_per_gap():
+    """64 thresholds restricted to 256 grid atoms: 65 distinct columns."""
+    ground = GroundSet.grid(256)
+    values = ThresholdClass.grid(64).evaluate_block(ContextBlock(coords=ground.coords))
+    klass, loss = TableClass(values, ground=ground, kind="binary"), linear_loss()
+    learner = RelaxLinearLearner(klass, loss, FiniteMeasure.uniform(ground), 6, 0.5,
+                                 ErmOracle(klass, loss), make_rng(31, 0))
+    assert learner.cells.ground.size == 65
+    assert learner.cells.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    contexts = []
+    for t in range(3):  # the representatives' block is built once, not per round
+        x = FiniteMeasure.uniform(ground).sample_point(make_rng(31, 1 + t))
+        learner.predict(x)
+        contexts.append(learner.last_playout.contexts)
+        learner.observe(x, 1.0)
+    assert all(block is learner.cells.atoms for block in contexts)
+
+
+# ---------------------------------------------------------------------------
+# per-cell draws against per-atom draws of the same class
+# ---------------------------------------------------------------------------
+
+def _same_law_pvalue(a, b, bins=None):
+    """Chi-square p-value that samples a and b share one law, over their values or
+    over ``bins`` pooled quantile bins; values seen fewer than 10 times are pooled."""
+    if bins is not None:
+        edges = np.unique(np.quantile(np.concatenate((a, b)), np.linspace(0, 1, bins + 1)))
+        a, b = np.digitize(a, edges[1:-1]), np.digitize(b, edges[1:-1])
+    values = np.union1d(a, b)
+    table = np.array([[np.sum(s == v) for v in values] for s in (a, b)])
+    rare = table.sum(axis=0) < 10
+    if rare.any():
+        table = np.column_stack((table[:, ~rare], table[:, rare].sum(axis=1)))
+    return stats.chi2_contingency(table).pvalue
+
+
+def test_playout_per_cell_matches_per_atom_in_law():
+    klass, mu = _shuffled_table(make_rng(32, 0))
+    cells = klass.cell_measure(mu)
+    cell_of = _cell_of_atoms(klass, mu, cells)
+    draws = 20_000
+    rng_cells, rng_atoms = make_rng(32, 1), make_rng(32, 2)
+    per_cell = np.array([draw_playout(cells, 3, 2, rng_cells).signs for _ in range(draws)])
+    per_atom = np.array([np.bincount(cell_of, weights=draw_playout(mu, 3, 2, rng_atoms).signs)
+                         for _ in range(draws)])
+    assert per_cell.shape == per_atom.shape == (draws, 4)
+    for c in range(4):  # each cell's net sign count
+        assert _same_law_pvalue(per_cell[:, c], per_atom[:, c]) > 1e-3
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["omega", "omega-prime"])
+def test_perturbation_per_cell_matches_per_atom_in_law(labelled):
+    """Each cell's (or each (cell, label) pair's) summed coefficient, n = 30 anchors."""
+    klass, mu = _shuffled_table(make_rng(33, 0))
+    cells = klass.cell_measure(mu)
+    cell_of = _cell_of_atoms(klass, mu, cells)
+    grid = epsilon_grid(1.0) if labelled else None
+    normalization = "none" if labelled else "inv_sqrt_n"
+    pairs = 4 * (1 if grid is None else len(grid))
+    draws = 20_000
+    rng_cells, rng_atoms = make_rng(33, 1), make_rng(33, 2)
+
+    def folded(pert):  # coefficients summed per (cell, label) pair, cell-major
+        index = cell_of[pert.contexts.ids]
+        if grid is not None:
+            index = index * len(grid) + np.searchsorted(grid, pert.labels)
+        return np.bincount(index, weights=pert.coeffs, minlength=pairs)
+
+    per_cell, per_atom = [], []
+    for _ in range(draws):
+        pert = draw_perturbation(cells, 30, rng_cells, normalization, grid=grid, per_cell=True)
+        assert len(pert.coeffs) == pairs
+        per_cell.append(folded(pert))
+        per_atom.append(folded(draw_perturbation(mu, 30, rng_atoms, normalization, grid=grid,
+                                                 per_cell=True)))
+    per_cell, per_atom = np.array(per_cell), np.array(per_atom)
+    for pair in range(pairs):
+        assert _same_law_pvalue(per_cell[:, pair], per_atom[:, pair], bins=10) > 1e-3

@@ -16,6 +16,7 @@ from smoothol.core import ContextBlock, LOSSES
 from smoothol.harness import (
     ConfigError,
     ExperimentConfig,
+    LEARNER_FIELDS,
     LEARNER_NAMES,
     NUMBERS,
     build_class,
@@ -392,6 +393,20 @@ def _case(case_id, overrides, *fields):
     _case("infinite-p", {"learner": {"name": "ftpl-dual", "p": math.inf}}, "learner.p"),
     _case("negative-infinite-p", {"learner": {"name": "ftpl-dual", "p": -math.inf}}, "learner.p"),
     _case("bool-p", {"learner": {"name": "ftpl-dual", "p": True}}, "learner.p"),
+    # a field the named learner does not read
+    _case("eta-on-relax-linear", {"learner": {"name": "relax-linear", "eta": 5}},
+          "learner.eta", "relax-linear"),
+    _case("n-on-relax-linear", {"learner": {"name": "relax-linear", "n": 3}}, "learner.n"),
+    _case("zeta-on-relax-general", {"learner": {"name": "relax-general", "zeta": 0.5}},
+          "learner.zeta"),
+    _case("k-on-ftpl-cls", {"learner": {"name": "ftpl-cls", "k": 7}}, "learner.k", "ftpl-cls"),
+    _case("m-on-ftpl-cls", {"learner": {"name": "ftpl-cls", "m": 7}}, "learner.m"),
+    _case("epsilon-on-ftpl-cls", {"learner": {"name": "ftpl-cls", "epsilon": 0.5}},
+          "learner.epsilon"),
+    _case("k-on-ftpl-dual", {"learner": {"name": "ftpl-dual", "k": 7}}, "learner.k"),
+    _case("p-on-ftpl-single", {"learner": {"name": "ftpl-single", "p": 3.0}}, "learner.p"),
+    _case("m-on-ftpl-single", {"learner": {"name": "ftpl-single", "m": 7}}, "learner.m"),
+    _case("unknown-learner-field", {"learner": {"name": "ftpl-dual", "lr": 0.1}}, "learner.lr"),
 ])
 def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides, fields):
     cfg_path = tmp_path / "bad.json"
@@ -401,6 +416,13 @@ def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides, fie
     assert "config error" in err
     for field in fields:  # the message names the cause
         assert field in err
+
+
+@pytest.mark.parametrize("name", LEARNER_NAMES)
+def test_each_learner_loads_with_every_field_it_reads(name):
+    values = {"k": 2, "eta": 2.0, "n": 4, "m": 4, "epsilon": 0.5, "zeta": 0.0, "p": 1.0}
+    learner = {"name": name, **{key: values[key] for key in LEARNER_FIELDS[name]}}
+    assert ExperimentConfig.from_dict(_base_config(learner=learner, T=4)).learner == learner
 
 
 def _bandit_table_outside_unit_interval():
@@ -475,6 +497,9 @@ _FUZZ_FIELDS = [
 def _run_with(command, path, value):
     """(exit code, stderr) of ``smoothol command`` on the base config with path set to value."""
     raw = json.loads(json.dumps(_FUZZ_RUN if command == "run" else _FUZZ_BANDIT))
+    if command == "run" and path[0] == "learner":  # the first learner that reads the field
+        raw["learner"]["name"] = next(name for name, keys in LEARNER_FIELDS.items()
+                                      if path[1] in keys)
     spec = raw
     for part in path[:-1]:
         spec = spec.setdefault(part, {})

@@ -183,11 +183,21 @@ def test_threshold_cell_measure_gaps(seed):
                           klass.evaluate_block(ContextBlock(coords=left[gap])))
 
 
-def test_cell_measure_finite_is_identity_and_continuous_needs_cells():
-    klass = random_table_class(make_rng(14, 0), 3, 5)
+def test_cell_measure_finite_groups_equal_columns_and_continuous_needs_cells():
+    """A cell is a maximal set of atoms with equal columns, and its mass is their sum."""
+    values = np.array([[1.0, -1.0, 1.0, 1.0, -1.0], [0.5, 0.2, 0.5, 0.5, 0.2]])
+    table = TableClass(values, ground=GroundSet.grid(5))
+    cells = table.cell_measure(FiniteMeasure(table.ground, [0.1, 0.2, 0.3, 0.15, 0.25]))
+    assert np.array_equal(cells.atoms.ids, [0, 1])  # each cell's first atom
+    assert np.array_equal(cells.atoms.coords, table.ground.coords[[0, 1]])
+    assert np.allclose(cells.probs, [0.1 + 0.3 + 0.15, 0.2 + 0.25])
+    # thresholds at 1/8, 3/8, 5/8, 7/8 on atoms at 0, 1/8, ..., 1: the gaps hold 1, 2, 2, 2, 2
+    cells = ThresholdClass.grid(4).cell_measure(FiniteMeasure.uniform(GroundSet.grid(9)))
+    assert np.array_equal(cells.atoms.ids, [0, 1, 3, 5, 7])
+    assert np.allclose(cells.probs, np.array([1, 2, 2, 2, 2]) / 9)
+    klass = random_table_class(make_rng(14, 0), 3, 5)  # every column distinct
     mu = FiniteMeasure.uniform(klass.ground)
     assert klass.cell_measure(mu) is mu
-    assert ThresholdClass.grid(4).cell_measure(mu) is mu
     with pytest.raises(ValueError, match="cell partition"):
         klass.cell_measure(UniformIntervalMeasure())
     with pytest.raises(ValueError, match="cell partition"):
