@@ -53,18 +53,32 @@ __all__ = [
     "run_experiment",
     "sweep",
     "LEARNER_NAMES",
-    "ADVERSARY_KINDS",
 ]
 
-# the fields each learner reads besides its name; a config that sets another is refused
-LEARNER_FIELDS = {"relax-linear": ("k",), "relax-general": ("k",),
-                  "ftpl-cls": ("eta", "n", "zeta"),
-                  "ftpl-dual": ("eta", "n", "m", "epsilon", "zeta", "p"),
-                  "ftpl-single": ("eta", "n", "epsilon", "zeta")}
-LEARNER_NAMES = tuple(LEARNER_FIELDS)
-REGRESSORS = ("ftpl-dual", "relax-general")  # the learners a bandit config may name
+# Where each config field may appear: section -> (the key naming its kind, the kind when that
+# key is absent, {kind: the fields it reads}); the top level's kind is its command.
+KINDS = {
+    "": (None, None, {"run": "learner adversary class loss T sigma seeds ground output_dir "
+                             "checkpoints",
+                      "bandit": "K T sigma seeds regressor k ground class class_seed "
+                                "f_star_index gamma output_dir"}),
+    "learner": ("name", None, {"relax-linear": "k", "relax-general": "k",
+                               "ftpl-cls": "eta n zeta", "ftpl-dual": "eta n m epsilon zeta p",
+                               "ftpl-single": "eta n epsilon zeta"}),
+    "adversary": ("kind", None, {"iid": "p beta labels",  # beta only with p "tilted"
+                                 "adaptive_mixture": "labels", "hidden_mu_threshold": "",
+                                 "rademacher_gap": "m scale labels"}),
+    "adversary.labels": ("rule", "rademacher", {"noisy_comparator": "threshold flip_prob",
+                                                "rademacher": "", "adversarial_flip": ""}),
+    "class": ("type", None, {"thresholds": "m", "table": "values", "random_product": "H"}),
+    "ground": ("type", "grid", {"grid": "atoms mu_probs", "interval": ""}),
+}
+# each command's kinds where it may not name them all; random_product is a bandit's class
+NAMED = {"run": {"class": ("thresholds", "table")},
+         "bandit": {"learner": ("ftpl-dual", "relax-general"),
+                    "class": ("random_product", "table"), "ground": ("grid",)}}
+LEARNER_NAMES = tuple(KINDS["learner"][2])
 FTPL_VARIANTS = {"ftpl-cls": "classification", "ftpl-dual": "dual", "ftpl-single": "single"}
-ADVERSARY_KINDS = ("iid", "adaptive_mixture", "hidden_mu_threshold", "rademacher_gap")
 SWEEPABLE = ("T", "sigma", "learner", "k", "seeds")
 
 # rng stream indices, fixed so reruns reproduce draws exactly
@@ -138,33 +152,41 @@ class ExperimentConfig:
                               **{key: raw[key] for key in ("gamma",) if key in raw}}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
-        cfg.validate()
+        cfg.validate(raw)
         return cfg
 
-    def validate(self) -> None:
+    def validate(self, raw: dict) -> None:  # raw: the JSON object that this config loads
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if not isinstance(self.checkpoints, (list, type(None))):
             raise ConfigError(f"checkpoints must be a list of rounds, not {self.checkpoints!r}")
-        sections = {"": vars(self), "ground": self.ground, "class": self.klass,
-                    "learner": self.learner, "adversary": self.adversary,
-                    "adversary.labels": self.adversary.get("labels"), "bandit": self.bandit}
+        command = "run" if self.bandit is None else "bandit"
+        sections = {"": raw, "learner": self.learner, "adversary": self.adversary,
+                    "adversary.labels": self.adversary.get("labels", {}), "class": self.klass,
+                    "ground": self.ground}
+        for section, (key, default, kinds) in KINDS.items():
+            spec, regressor = sections[section], (section, command) == ("learner", "bandit")
+            if type(spec) is not dict:
+                raise ConfigError(f"{section} must be an object, not {spec!r}")
+            kind = spec.get(key, default) if section else command
+            names = NAMED[command].get(section, tuple(kinds))
+            if kind not in names:
+                raise ConfigError(f"unknown {'regressor' if regressor else f'{section}.{key}'} "
+                                  f"{kind!r}; valid: {', '.join(names)}")
+            reads = [f for f in kinds[kind].split() if f != "beta" or spec.get("p") == "tilted"]
+            reads += ["k"] * regressor  # both regressors share a bandit's k
+            unread = [f"{section}.{f}".lstrip(".") for f in spec if f not in (key, *reads)]
+            if unread:
+                raise ConfigError(f"{unread[0]} is not a field of {section or 'config'} {kind!r}, "
+                                  f"which reads {', '.join(reads) or 'no other field'}")
+        sections.update({"": vars(self), "bandit": self.bandit})
         for section, key, low, high, kind in NUMBERS:  # checked numbers are stored in place
-            spec = sections[section]  # no object: its builder fails; None checkpoints: the default
+            spec = sections[section]  # None checkpoints: the default
             if type(spec) is dict and key in spec and (spec[key], key) != (None, "checkpoints"):
                 name = f"{section}.{key}" if section not in ("", "bandit") else key
                 spec[key] = ([_number(v, name, low, high, kind) for v in spec[key]]
                              if key in ("seeds", "checkpoints")
                              else _number(spec[key], name, low, high, kind))
-        name = self.learner.get("name")
-        role, names = (("learner", LEARNER_NAMES) if self.bandit is None
-                       else ("regressor", REGRESSORS))
-        if name not in names:
-            raise ConfigError(f"unknown {role} {name!r}; valid: {', '.join(names)}")
-        unread = [key for key in self.learner if key not in ("name", *LEARNER_FIELDS[name])]
-        if unread and self.bandit is None:  # a bandit's one learner field, k, ftpl-dual ignores
-            raise ConfigError(f"learner.{unread[0]} is not a field of {name}, which reads "
-                              f"{', '.join(LEARNER_FIELDS[name])}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; valid: {', '.join(LOSSES)}")
         if any(t > self.T for t in self.checkpoints or ()):
@@ -188,12 +210,9 @@ class ExperimentConfig:
                               f"hypotheses, not {self.bandit['f_star_index']}")
 
     def to_dict(self) -> dict:
-        return {
-            "learner": self.learner, "adversary": self.adversary, "class": self.klass,
-            "loss": self.loss, "T": self.T, "sigma": self.sigma, "seeds": self.seeds,
-            "ground": self.ground, "output_dir": self.output_dir,
-            "checkpoints": self.checkpoints,
-        }
+        """The run config's top-level keys, in the order of ``KINDS``, and their values."""
+        return {key: getattr(self, "klass" if key == "class" else key)
+                for key in KINDS[""][2]["run"].split()}
 
 
 def read_config(path: str | Path) -> dict:
@@ -206,14 +225,15 @@ def read_config(path: str | Path) -> dict:
 
 def _bandit_as_run(raw: dict) -> dict:
     """A bandit config's run part: a square-loss regressor and i.i.d. tilted contexts."""
+    klass = {"type": "random_product", **raw.get("class", {})}  # the user's keys, to be checked
     return {
         "learner": {"name": raw.get("regressor", "ftpl-dual"),
                     **{key: raw[key] for key in ("k",) if key in raw}},
         "adversary": {"kind": "iid", "p": "tilted"},
-        "class": {"type": "random_product", "H": 4, **raw.get("class", {})},
+        "class": {"H": 4, **klass} if klass["type"] == "random_product" else klass,
         "loss": "square",
         "T": raw["T"], "sigma": raw["sigma"], "seeds": raw.get("seeds", [0]),
-        "ground": {"type": "grid", "atoms": raw.get("ground", {}).get("atoms", 16)},
+        "ground": {"type": "grid", "atoms": 16, **raw.get("ground", {})},
         "output_dir": raw.get("output_dir"),
     }
 
@@ -234,28 +254,20 @@ def _number(value, name: str, low: float, high: float, kind: Optional[type]):
 # ---------------------------------------------------------------------------
 
 def build_ground_and_mu(cfg: ExperimentConfig):
-    kind = cfg.ground.get("type", "grid")
-    if kind == "grid":
-        ground = GroundSet.grid(cfg.ground.get("atoms", 64))
-        probs = cfg.ground.get("mu_probs")
-        mu = (FiniteMeasure(ground, np.asarray(probs, dtype=float))
-              if probs is not None else FiniteMeasure.uniform(ground))
-        return ground, mu
-    if kind == "interval":
+    if cfg.ground.get("type", "grid") == "interval":
         return None, UniformIntervalMeasure()
-    raise ConfigError(f"unknown ground set type {kind!r}")
+    ground = GroundSet.grid(cfg.ground.get("atoms", 64))
+    probs = cfg.ground.get("mu_probs")
+    return ground, (FiniteMeasure(ground, np.asarray(probs, dtype=float))
+                    if probs is not None else FiniteMeasure.uniform(ground))
 
 
 def build_class(cfg: ExperimentConfig, ground) -> HypothesisClass:
     kind = cfg.klass.get("type")
     if cfg.bandit is not None:  # f(x, a) in [0, 1] for the grid's atoms x and K actions a
         K = cfg.bandit["K"]
-        if kind == "random_product":
-            values = make_rng(cfg.bandit["class_seed"], 9).random((cfg.klass["H"], ground.size, K))
-        elif kind == "table":
-            values = np.asarray(cfg.klass["values"], dtype=float)
-        else:
-            raise ConfigError(f"unknown bandit class type {kind!r}; valid: random_product, table")
+        values = (make_rng(cfg.bandit["class_seed"], 9).random((cfg.klass["H"], ground.size, K))
+                  if kind == "random_product" else np.asarray(cfg.klass["values"], dtype=float))
         if values.shape[1:] != (ground.size, K):
             raise ConfigError(f"class values must be (H, {ground.size}, {K}), got {values.shape}")
         return product_class(values)
@@ -267,32 +279,24 @@ def build_class(cfg: ExperimentConfig, ground) -> HypothesisClass:
             values = thresholds.evaluate_block(ContextBlock(coords=ground.coords))
             return TableClass(values, ground=ground, kind="binary")
         return thresholds
-    if kind == "table":
-        values = np.asarray(cfg.klass["values"], dtype=float)
-        if ground is None:
-            raise ConfigError("table classes need a finite ground set")
-        return TableClass(values, ground=ground)
-    raise ConfigError(f"unknown class type {kind!r}; valid: thresholds, table")
+    values = np.asarray(cfg.klass["values"], dtype=float)
+    if ground is None:
+        raise ConfigError("table classes need a finite ground set")
+    return TableClass(values, ground=ground)
 
 
 def build_label_rule(spec: dict) -> adv.LabelRule:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"adversary.labels must be an object, not {spec!r}")
     rule = spec.get("rule", "rademacher")
     if rule == "noisy_comparator":
         return adv.noisy_comparator_labels(spec.get("threshold", 0.5), spec.get("flip_prob", 0.1))
-    if rule == "rademacher":
-        return adv.rademacher_labels()
-    if rule == "adversarial_flip":
-        return adv.adversarial_flip_labels()
-    raise ConfigError(f"unknown label rule {rule!r}")
+    return adv.rademacher_labels() if rule == "rademacher" else adv.adversarial_flip_labels()
 
 
 def build_adversary(cfg: ExperimentConfig, mu, klass, rng: np.random.Generator):
     kind = cfg.adversary.get("kind")
     label_rule = build_label_rule(cfg.adversary.get("labels", {}))
+    cert = SmoothnessCertificate(sigma=cfg.sigma, mu=mu)
     if kind == "iid":
-        cert = SmoothnessCertificate(sigma=cfg.sigma, mu=mu)
         p_spec = cfg.adversary.get("p", "mu")
         if p_spec == "mu":
             p = None
@@ -309,19 +313,16 @@ def build_adversary(cfg: ExperimentConfig, mu, klass, rng: np.random.Generator):
             raise ConfigError(f"unknown iid p spec {p_spec!r}")
         return adv.IidAdversary(cert, label_rule, rng, p=p)
     if kind == "adaptive_mixture":
-        cert = SmoothnessCertificate(sigma=cfg.sigma, mu=mu)
         return adv.AdaptiveMixtureAdversary(cert, label_rule, rng)
     if kind == "hidden_mu_threshold":
         if mu.finite:  # a grid's class is a table over atom ids
             raise ConfigError("adversary.kind 'hidden_mu_threshold' emits coordinates in [0, 1]; "
                               "it needs ground.type 'interval', not 'grid'")
         return adv.HiddenMuThresholdAdversary(cfg.T, rng)
-    if kind == "rademacher_gap":
-        if mu is None or not mu.finite:
-            raise ConfigError("rademacher_gap needs a finite ground set")
-        return adv.build_rademacher_gap_adversary(cfg.sigma, cfg.adversary.get("m", 2), klass,
-            mu.ground, rng, scale=cfg.adversary.get("scale", 1.0), label_rule=label_rule)
-    raise ConfigError(f"unknown adversary {kind!r}; valid: {', '.join(ADVERSARY_KINDS)}")
+    if mu is None or not mu.finite:
+        raise ConfigError("rademacher_gap needs a finite ground set")
+    return adv.build_rademacher_gap_adversary(cfg.sigma, cfg.adversary.get("m", 2), klass,
+        mu.ground, rng, scale=cfg.adversary.get("scale", 1.0), label_rule=label_rule)
 
 
 def build_pieces(cfg: ExperimentConfig, adversary_rng: np.random.Generator,
@@ -487,7 +488,7 @@ def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[dict]:
     A k on an FTPL learner, which has no playout width, is refused like any unread field."""
     if param not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {param!r}; valid: {', '.join(SWEEPABLE)}")
-    summaries = []
+    subs = []  # every value loads before any runs, so a bad one exits 2 with no output
     for value in values:
         raw = cfg.to_dict()
         if param == "learner":
@@ -498,11 +499,10 @@ def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[dict]:
             raw["seeds"] = [value]
         else:  # T, sigma
             raw[param] = value
-        sub = ExperimentConfig.from_dict(raw)
+        subs.append(ExperimentConfig.from_dict(raw))
         if cfg.output_dir:
-            sub.output_dir = str(Path(cfg.output_dir) / f"{param}={value}")
-        summaries.append(run_experiment(sub))
-    return summaries
+            subs[-1].output_dir = str(Path(cfg.output_dir) / f"{param}={value}")
+    return [run_experiment(sub) for sub in subs]
 
 
 def sweep_to_long_csv(param: str, values: list, summaries: list[dict]) -> str:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -16,8 +17,9 @@ from smoothol.core import ContextBlock, LOSSES
 from smoothol.harness import (
     ConfigError,
     ExperimentConfig,
-    LEARNER_FIELDS,
+    KINDS,
     LEARNER_NAMES,
+    NAMED,
     NUMBERS,
     build_class,
     build_ground_and_mu,
@@ -27,6 +29,9 @@ from smoothol.harness import (
     sweep,
     sweep_to_long_csv,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _base_config(**overrides):
@@ -245,6 +250,26 @@ def test_sweep_over_learner_shares_seeds_and_adversary(tmp_path):
     assert [r["label"] for r in rows_a] == [r["label"] for r in rows_b]
 
 
+@pytest.mark.parametrize("param, values, learner", [
+    pytest.param("T", "5,0", {"name": "ftpl-cls"}, id="T-zero-last"),
+    pytest.param("learner", "relax-linear,ftpl-cls", {"name": "relax-general", "k": 2},
+                 id="k-on-ftpl-last"),
+])
+def test_cli_sweep_loads_every_value_before_it_runs_any(tmp_path, capsys, monkeypatch, param,
+                                                        values, learner):
+    from smoothol import harness
+
+    ran = []
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda cfg: ran.append(cfg) or run_experiment(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg_path.write_text(json.dumps(_base_config(learner=learner, T=4, output_dir=str(out))))
+    rc = cli_main(["sweep", "--config", str(cfg_path), "--param", param, "--values", values])
+    assert rc == 2 and "config error:" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
+
+
 def test_sweep_rejects_unknown_parameter():
     cfg = ExperimentConfig.from_dict(_base_config())
     with pytest.raises(ConfigError, match="cannot sweep"):
@@ -258,8 +283,8 @@ def test_sweep_sigma_regret_grows_as_smoothness_shrinks():
         adversary={"kind": "iid", "p": "mu",
                    "labels": {"rule": "noisy_comparator", "threshold": 0.5,
                               "flip_prob": 0.1}},
-        klass={"type": "thresholds", "m": 16},
         T=300, seeds=list(range(10)), ground={"type": "grid", "atoms": 64},
+        **{"class": {"type": "thresholds", "m": 16}},
     ))
     summaries = sweep(cfg, "sigma", [1.0, 0.5, 0.1])
     finals = np.array([[r["final_regret"] for r in s["per_seed"]] for s in summaries])
@@ -407,6 +432,22 @@ def _case(case_id, overrides, *fields):
     _case("p-on-ftpl-single", {"learner": {"name": "ftpl-single", "p": 3.0}}, "learner.p"),
     _case("m-on-ftpl-single", {"learner": {"name": "ftpl-single", "m": 7}}, "learner.m"),
     _case("unknown-learner-field", {"learner": {"name": "ftpl-dual", "lr": 0.1}}, "learner.lr"),
+    # a field that the section's kind does not read, or a key that no config reads
+    _case("m-and-scale-on-iid",
+          {"adversary": {"kind": "iid", "p": "tilted", "m": 3, "scale": 2.0}}, "adversary.m"),
+    _case("beta-with-p-mu", {"adversary": {"kind": "iid", "p": "mu", "beta": 5.0}},
+          "adversary.beta"),
+    _case("threshold-on-rademacher-labels",
+          {"adversary": {"kind": "iid", "labels": {"rule": "rademacher", "threshold": 0.3}}},
+          "adversary.labels.threshold"),
+    _case("top-level-typo", {"chekpoints": [1]}, "chekpoints"),
+    _case("ground-typo", {"ground": {"type": "grid", "atom": 8}}, "ground.atom"),
+    _case("H-on-thresholds", {"class": {"type": "thresholds", "H": 9}}, "class.H"),
+    _case("labels-on-hidden-mu",
+          {"adversary": {"kind": "hidden_mu_threshold", "labels": {"rule": "rademacher"}},
+           "ground": {"type": "interval"}}, "adversary.labels"),
+    _case("random-product-in-a-run", {"class": {"type": "random_product", "H": 4}}, "class.type"),
+    _case("null-labels", {"adversary": {"kind": "iid", "labels": None}}, "adversary.labels"),
 ])
 def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides, fields):
     cfg_path = tmp_path / "bad.json"
@@ -418,11 +459,51 @@ def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides, fie
         assert field in err
 
 
-@pytest.mark.parametrize("name", LEARNER_NAMES)
-def test_each_learner_loads_with_every_field_it_reads(name):
-    values = {"k": 2, "eta": 2.0, "n": 4, "m": 4, "epsilon": 0.5, "zeta": 0.0, "p": 1.0}
-    learner = {"name": name, **{key: values[key] for key in LEARNER_FIELDS[name]}}
-    assert ExperimentConfig.from_dict(_base_config(learner=learner, T=4)).learner == learner
+# a value for each field of KINDS, named as a config error names it
+_FIELD_VALUES = {
+    "learner.k": 2, "learner.eta": 2.0, "learner.n": 4, "learner.m": 4, "learner.epsilon": 0.5,
+    "learner.zeta": 0.0, "learner.p": 1.0, "adversary.p": "tilted", "adversary.beta": 0.35,
+    "adversary.labels": {"rule": "adversarial_flip"}, "adversary.m": 2, "adversary.scale": 2.0,
+    "adversary.labels.threshold": 0.5, "adversary.labels.flip_prob": 0.1, "class.m": 8,
+    "class.values": [[1.0] * 16, [-1.0] * 16], "class.H": 3, "ground.atoms": 16,
+    "ground.mu_probs": [1 / 16] * 16,
+}
+# a bandit config that sets every top-level key
+_FULL_BANDIT = {"K": 2, "T": 4, "sigma": 0.5, "seeds": [0], "regressor": "relax-general", "k": 2,
+                "ground": {"atoms": 4}, "class": {"type": "random_product", "H": 3},
+                "class_seed": 7, "f_star_index": 0, "gamma": 10.0, "output_dir": None}
+
+
+def _kind_base(kind):
+    """(bandit, raw config) on which kind loads: what it needs elsewhere in the config."""
+    if kind in ("bandit", "random_product"):
+        return True, json.loads(json.dumps(_FULL_BANDIT))
+    return False, _base_config(T=4, checkpoints=[2], output_dir=None, **{
+        "hidden_mu_threshold": {"ground": {"type": "interval"}},
+        "interval": {"adversary": {"kind": "iid", "p": "mu"}},
+        "rademacher_gap": _rademacher_gap(2)}.get(kind, {}))
+
+
+@pytest.mark.parametrize("section, kind", [
+    pytest.param(section, kind, id=f"{section or 'top'}-{kind}")
+    for section, (_, _, kinds) in KINDS.items() for kind in kinds])
+def test_each_kind_loads_with_every_field_it_reads(section, kind):
+    key, _, kinds = KINDS[section]
+    bandit, raw = _kind_base(kind)
+    if not section:  # the base sets every top-level key
+        assert sorted(raw) == sorted(kinds[kind].split())
+        ExperimentConfig.from_dict(raw, bandit=bandit)
+        return
+    spec = {key: kind, **{f: _FIELD_VALUES[f"{section}.{f}"] for f in kinds[kind].split()}}
+    *parents, last = section.split(".")
+    target = raw
+    for part in parents:
+        target = target[part]
+    target[last] = spec
+    loaded = ExperimentConfig.from_dict(raw, bandit=bandit).to_dict()
+    for part in section.split("."):
+        loaded = loaded[part]
+    assert loaded == spec
 
 
 def _bandit_table_outside_unit_interval():
@@ -446,6 +527,12 @@ def _bandit_table_outside_unit_interval():
     _case("f-star-index-out-of-range", {"f_star_index": 9}, "f_star_index"),
     _case("fractional-f-star-index", {"f_star_index": 1.5}, "f_star_index"),
     _case("class-outside-unit-interval", _bandit_table_outside_unit_interval()),
+    _case("interval-ground", {"ground": {"type": "interval", "atoms": 8}}, "ground.type"),
+    _case("m-on-random-product", {"class": {"type": "random_product", "H": 4, "m": 9}},
+          "class.m"),
+    _case("loss", {"loss": "linear"}, "loss"),
+    _case("thresholds-class", {"class": {"type": "thresholds", "m": 8}}, "class.type"),
+    _case("ftpl-cls-regressor", {"regressor": "ftpl-cls"}, "regressor", "relax-general"),
 ])
 def test_cli_bandit_config_errors_exit_2(tmp_path, capsys, monkeypatch, overrides, fields):
     from smoothol import bandit
@@ -471,15 +558,20 @@ _FUZZ_RUN = _base_config(T=3, adversary=_labels()["adversary"])
 _FUZZ_BANDIT = {"K": 2, "sigma": 0.5, "T": 3, "seeds": [0], "ground": {"atoms": 4}}
 
 
+def _kinds_reading(command, section, key):
+    """The kinds of section that command may name and that read key, in the table's order."""
+    kinds = KINDS[section][2]
+    return [kind for kind in NAMED[command].get(section, kinds) if key in kinds[kind].split()]
+
+
 def _raw_path(command, section, key):
     """Where a table row sits in a raw run or bandit config; None where that config has none."""
-    if command == "run":
-        return None if section == "bandit" else (*section.split("."), key) if section else (key,)
-    if section in ("", "bandit"):  # a bandit config sets no checkpoints
-        return None if key == "checkpoints" else (key,)
-    # the bandit mapping reads ground.atoms, every class key, and k for its regressor
-    return {("ground", "atoms"): ("ground", "atoms"), ("learner", "k"): ("k",)}.get(
-        (section, key), (section, key) if section == "class" else None)
+    if section in ("", "bandit"):
+        return (key,) if key in KINDS[""][2][command].split() else None
+    if command == "bandit" and section not in ("class", "ground"):
+        # the bandit mapping passes on k for its regressor, and the class and ground objects
+        return ("k",) if (section, key) == ("learner", "k") else None
+    return (*section.split("."), key)
 
 
 def _field_name(row):
@@ -495,14 +587,19 @@ _FUZZ_FIELDS = [
 
 
 def _run_with(command, path, value):
-    """(exit code, stderr) of ``smoothol command`` on the base config with path set to value."""
+    """(exit code, stderr) of ``smoothol command`` on the base config with path set to value.
+
+    In a run config, the path's section names the first kind that reads the field."""
     raw = json.loads(json.dumps(_FUZZ_RUN if command == "run" else _FUZZ_BANDIT))
-    if command == "run" and path[0] == "learner":  # the first learner that reads the field
-        raw["learner"]["name"] = next(name for name, keys in LEARNER_FIELDS.items()
-                                      if path[1] in keys)
+    section = ".".join(path[:-1])
+    kinds = _kinds_reading(command, section, path[-1]) if command == "run" and section else []
+    if kinds[:1] == ["rademacher_gap"]:  # it needs a class that shatters part of the ground
+        raw.update(_rademacher_gap(2))
     spec = raw
     for part in path[:-1]:
         spec = spec.setdefault(part, {})
+    if kinds:
+        spec[KINDS[section][0]] = kinds[0]
     spec[path[-1]] = [value] if path[-1] in ("seeds", "checkpoints") else value
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "cfg.json"
@@ -539,9 +636,14 @@ def test_config_fuzzer_refuses_each_bad_number_naming_its_field(command, row, pa
     bad += _past_bounds(low, high, kind) + ([max(low, 0) + 0.5] if kind is int else [])
     for value in bad:
         _assert_refused(command, row, path, value)
-    # an in-range value still runs; an integer field takes an integral float
+    # an in-range value still runs, and an integer field takes an integral float, where a kind
+    # of the command reads the field (class.H on a run and class.m on a bandit are refused)
     in_range = min(max(1, low), high)
-    assert _run_with(command, path, float(in_range) if kind is int else in_range)[0] == 0
+    in_range = float(in_range) if kind is int else in_range
+    if len(path) == 1 or _kinds_reading(command, ".".join(path[:-1]), path[-1]):
+        assert _run_with(command, path, in_range)[0] == 0
+    else:
+        _assert_refused(command, row, path, in_range)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -559,6 +661,36 @@ def test_config_fuzzer_refuses_drawn_strings_and_out_of_range_numbers(field, dat
     if kind is int:  # a fraction in range
         bad.append(st.floats(max(low, 0), 1e15).filter(lambda v: not v.is_integer()))
     _assert_refused(command, row, path, data.draw(st.one_of(bad)))
+
+
+# a bandit config sets its top level, class and ground; the mapping fixes its other sections
+@pytest.mark.parametrize("command, section", [
+    pytest.param(command, section, id=f"{command}-{section or 'top'}")
+    for command in ("run", "bandit") for section in KINDS
+    if command == "run" or section in ("", "class", "ground")])
+def test_config_fuzzer_refuses_an_unknown_key_naming_it(command, section):
+    rc, err = _run_with(command, (*section.split("."), "colour") if section else ("colour",), 1)
+    assert rc == 2 and "Traceback" not in err
+    assert err.startswith("config error:") and f"{section}.colour".lstrip(".") in err, err
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_each_shipped_config_runs(tmp_path, capsys, path):
+    raw = json.loads(path.read_text())
+    raw.update(T=5, seeds=raw["seeds"][:1], output_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / path.name
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["bandit" if "K" in raw else "run", "--config", str(cfg_path)]) == 0, \
+        capsys.readouterr().err
+    assert any((tmp_path / "out").iterdir())
+
+
+def test_readme_names_every_kind_and_field_of_the_table():
+    words = set(re.findall(r"[\w-]+", (ROOT / "README.md").read_text()))
+    for section, (key, _, kinds) in KINDS.items():
+        for kind, fields in kinds.items():
+            missing = {kind, *fields.split(), *([key] if key else [])} - words
+            assert not missing, (section, kind, missing)
 
 
 def test_cli_couple_test(capsys):
