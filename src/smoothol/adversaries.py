@@ -4,7 +4,8 @@ and the hidden-mu threshold adversary.
 Every adversary emits (context, label) pairs round by round and carries a
 smoothness certificate (sigma, mu).  On finite ground sets the conditional
 context distribution of each shipped kind keeps its density below 1/sigma
-with respect to mu, which ``verify_smoothness`` checks by direct ratio.
+with respect to mu: an i.i.d. adversary checks its explicit p when it is
+built, and the adaptive mixture holds its ratio at 1/sigma by construction.
 
 Label strategies are parametric (noisy comparator, Rademacher, adversarial
 flip); they do not exhaust what an unconstrained label adversary could do.
@@ -12,7 +13,6 @@ flip); they do not exhaust what an unconstrained label adversary could do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,6 +23,7 @@ from .core import (
     GroundSet,
     HypothesisClass,
     SmoothnessCertificate,
+    density_ratio,
 )
 
 __all__ = [
@@ -35,8 +36,6 @@ __all__ = [
     "AdaptiveMixtureAdversary",
     "HiddenMuThresholdAdversary",
     "build_rademacher_gap_adversary",
-    "SmoothnessReport",
-    "verify_smoothness",
     "tilted_smooth_probs",
 ]
 
@@ -85,10 +84,6 @@ class Adversary:
         self.label_rule = label_rule
         self.rng = rng
 
-    def conditional_probs(self) -> np.ndarray:
-        """Exact conditional context distribution for the next round (finite sets only)."""
-        raise NotImplementedError
-
     def _draw_context(self) -> ContextBlock:
         raise NotImplementedError
 
@@ -98,26 +93,22 @@ class Adversary:
 
 
 class IidAdversary(Adversary):
-    """Contexts i.i.d. from a fixed distribution p with density <= 1/sigma w.r.t. mu."""
+    """Contexts i.i.d. from ``p``: mu, or an explicit p with density <= 1/sigma w.r.t. mu."""
 
     def __init__(self, certificate: SmoothnessCertificate, label_rule: LabelRule,
                  rng: np.random.Generator, p: Optional[np.ndarray] = None):
         super().__init__(certificate, label_rule, rng)
         mu = certificate.mu
         if p is None:
-            self._p = mu
+            self.p = mu
         else:
             if not mu.finite:
                 raise ValueError("explicit p requires a finite base measure")
-            self._p = FiniteMeasure(mu.ground, np.asarray(p, dtype=np.float64))
-
-    def conditional_probs(self) -> np.ndarray:
-        if not self._p.finite:
-            raise ValueError("not checkable exactly")
-        return self._p.probs
+            self.p = FiniteMeasure(mu.ground, p)
+            density_ratio(self.p.probs, mu.probs, certificate.sigma)
 
     def _draw_context(self) -> ContextBlock:
-        return self._p.sample_point(self.rng)
+        return self.p.sample_point(self.rng)
 
 
 class AdaptiveMixtureAdversary(Adversary):
@@ -139,6 +130,7 @@ class AdaptiveMixtureAdversary(Adversary):
         return int(np.argmin(self._counts))
 
     def conditional_probs(self) -> np.ndarray:
+        """The next round's context distribution, p_t above."""
         mu = self.certificate.mu.probs
         sigma = self.certificate.sigma
         a = self._target_atom()
@@ -186,9 +178,6 @@ class HiddenMuThresholdAdversary(Adversary):
         self._hi_num = self._scale
         # (context, label, last_prediction) per round, for the recurrence
         self.history: list[tuple[ContextBlock, float, Optional[float]]] = []
-
-    def conditional_probs(self) -> np.ndarray:
-        raise ValueError("not checkable exactly")
 
     def next_round(self, last_prediction: Optional[float] = None) -> tuple[ContextBlock, float]:
         self._t += 1
@@ -262,37 +251,6 @@ def build_rademacher_gap_adversary(sigma: float, shatter_set_size: int,
     p[ids] = 1.0 / shatter_set_size
     cert = SmoothnessCertificate(sigma=sigma, mu=FiniteMeasure(ground, mu))
     return IidAdversary(cert, label_rule or rademacher_labels(), rng, p=p)
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    max_density_ratio: float
-    bound: float
-    passed: bool
-
-
-def verify_smoothness(adversary: Adversary, num_probes: int) -> SmoothnessReport:
-    """Probe ``num_probes`` rounds and compare exact conditional densities to 1/sigma.
-
-    Consumes rounds on the given adversary instance; pass a fresh one.  Only
-    finite ground sets are exactly checkable.
-    """
-    cert = adversary.certificate
-    if cert.mu is None or not cert.mu.finite:
-        raise ValueError("not checkable exactly")
-    mu = cert.mu.probs
-    support = mu > 0
-    worst = 0.0
-    for _ in range(num_probes):
-        p = adversary.conditional_probs()
-        if np.any(p[~support] > 0):
-            worst = np.inf
-            break
-        ratio = float(np.max(p[support] / mu[support]))
-        worst = max(worst, ratio)
-        adversary.next_round(last_prediction=0.0)
-    bound = 1.0 / cert.sigma
-    return SmoothnessReport(worst, bound, worst <= bound + 1e-9)
 
 
 def _least(mass: Callable[[float], float], lo: float, hi: float) -> float:

@@ -35,6 +35,8 @@ __all__ = [
     "square_loss",
     "scaled_square_loss",
     "SmoothnessCertificate",
+    "SmoothnessViolation",
+    "density_ratio",
     "Trajectory",
     "regret_curve",
     "finalize_regret",
@@ -201,6 +203,25 @@ class SmoothnessCertificate:
     def __post_init__(self):
         if not (0.0 < self.sigma <= 1.0):
             raise ValueError("sigma must lie in (0, 1]")
+
+
+class SmoothnessViolation(ValueError):
+    """A fixed p is not sigma-smooth with respect to mu."""
+
+
+def density_ratio(p: np.ndarray, mu: np.ndarray, sigma: float) -> np.ndarray:
+    """dp/dmu of probability vectors (0 off mu's support).  Raises SmoothnessViolation where p
+    has mass off that support or sigma * dp/dmu passes 1 + 1e-9 (relative: for a tiny sigma,
+    rounding alone moves 1/sigma by more than any absolute 1e-9)."""
+    support = mu > 0
+    if np.any(p[~support] > 0):
+        raise SmoothnessViolation("p puts mass off the support of mu")
+    ratio = np.zeros(len(mu))
+    ratio[support] = p[support] / mu[support]
+    if sigma * ratio.max() > 1.0 + 1e-9:
+        raise SmoothnessViolation(f"p has density {ratio.max():.6g} with respect to mu, "
+                                  f"above 1/sigma = {1.0 / sigma:.6g}")
+    return ratio
 
 
 # ---------------------------------------------------------------------------

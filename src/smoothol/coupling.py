@@ -14,13 +14,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import FiniteMeasure
+from .core import FiniteMeasure, density_ratio
 
 __all__ = ["CouplingConfig", "CouplingReport", "validate_coupling"]
-
-
-class SmoothnessViolation(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -31,14 +27,6 @@ class CouplingConfig:
     p_probs: np.ndarray
     sigma: float
     k: int
-
-    def density_ratio(self) -> np.ndarray:
-        ratio = np.zeros(len(self.mu_probs))
-        support = self.mu_probs > 0
-        ratio[support] = self.p_probs[support] / self.mu_probs[support]
-        if np.any(self.p_probs[~support] > 0):
-            raise SmoothnessViolation("p is not absolutely continuous w.r.t. mu")
-        return ratio
 
 
 @dataclass
@@ -56,9 +44,7 @@ class CouplingReport:
 def _couple_trials(config: CouplingConfig, trials: int,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized batch of coupled rounds; returns (x ids, Z ids, hit flags)."""
-    ratio = config.density_ratio()
-    if np.any(ratio > 1.0 / config.sigma + 1e-9):
-        raise SmoothnessViolation("smoothness violated")
+    ratio = density_ratio(config.p_probs, config.mu_probs, config.sigma)
     mu_cdf = np.cumsum(config.mu_probs)
     mu_cdf[-1] = 1.0
     p_cdf = np.cumsum(config.p_probs)

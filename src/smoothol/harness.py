@@ -86,6 +86,7 @@ _STREAM_ADVERSARY = 0
 _STREAM_LEARNER = 1
 
 _INF, _POSITIVE = math.inf, 5e-324  # as a low bound, the least positive float means > 0
+_MAX = float(np.finfo(np.float64).max)
 # Every numeric config field, read once at load: (section, key, low, high, kind).  A value
 # is a finite JSON number in [low, high], integral for kind int, stored as kind (None: as
 # given, for the config echo).  Section "" is the top level, where seeds and checkpoints
@@ -133,6 +134,9 @@ class ExperimentConfig:
     def from_dict(raw: dict, bandit: bool = False) -> "ExperimentConfig":
         """A checked run config, or with ``bandit`` a checked ``smoothol bandit`` config."""
         try:
+            for key in ("learner", "adversary", "class", "ground"):  # dict() would take pairs
+                if type(raw.get(key, {})) is not dict:
+                    raise ConfigError(f"{key} must be an object, not {raw[key]!r}")
             spec = _bandit_as_run(raw) if bandit else raw
             cfg = ExperimentConfig(
                 learner=dict(spec["learner"]),
@@ -160,6 +164,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if not isinstance(self.checkpoints, (list, type(None))):
             raise ConfigError(f"checkpoints must be a list of rounds, not {self.checkpoints!r}")
+        if not isinstance(self.output_dir, (str, type(None))):
+            raise ConfigError(f"output_dir must be a path string or null, not {self.output_dir!r}")
         command = "run" if self.bandit is None else "bandit"
         sections = {"": raw, "learner": self.learner, "adversary": self.adversary,
                     "adversary.labels": self.adversary.get("labels", {}), "class": self.klass,
@@ -240,13 +246,23 @@ def _bandit_as_run(raw: dict) -> dict:
 
 def _number(value, name: str, low: float, high: float, kind: Optional[type]):
     """value, a finite JSON number in [low, high] (integral for kind int), stored as kind."""
-    if (type(value) not in (int, float) or not abs(value) <= float(np.finfo(np.float64).max)
+    if (type(value) not in (int, float) or not abs(value) <= _MAX
             or not low <= value <= high or kind is int and value % 1):
         left = "(0" if low == _POSITIVE else "(-inf" if low == -_INF else f"[{low}"
         right = "inf)" if high == _INF else f"{high}]"
         what = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{name} must be {what} in {left}, {right}, not {value!r}")
     return value if kind is None else kind(value)
+
+
+def _array(value, name: str, shape: tuple) -> np.ndarray:
+    """value, nested lists of finite JSON numbers in shape (None: any length), as floats."""
+    arr = np.array(value, dtype=object)  # ragged lists nest only as deep as they agree
+    if (arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape))
+            or not all(type(v) in (int, float) and abs(v) <= _MAX for v in arr.flat)):
+        want = str(tuple("H" if n is None else n for n in shape)).replace("'", "")
+        raise ConfigError(f"{name} must be finite numbers in shape {want}, not {value!r:.60}")
+    return arr.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +274,7 @@ def build_ground_and_mu(cfg: ExperimentConfig):
         return None, UniformIntervalMeasure()
     ground = GroundSet.grid(cfg.ground.get("atoms", 64))
     probs = cfg.ground.get("mu_probs")
-    return ground, (FiniteMeasure(ground, np.asarray(probs, dtype=float))
+    return ground, (FiniteMeasure(ground, _array(probs, "ground.mu_probs", (ground.size,)))
                     if probs is not None else FiniteMeasure.uniform(ground))
 
 
@@ -266,11 +282,10 @@ def build_class(cfg: ExperimentConfig, ground) -> HypothesisClass:
     kind = cfg.klass.get("type")
     if cfg.bandit is not None:  # f(x, a) in [0, 1] for the grid's atoms x and K actions a
         K = cfg.bandit["K"]
-        values = (make_rng(cfg.bandit["class_seed"], 9).random((cfg.klass["H"], ground.size, K))
-                  if kind == "random_product" else np.asarray(cfg.klass["values"], dtype=float))
-        if values.shape[1:] != (ground.size, K):
-            raise ConfigError(f"class values must be (H, {ground.size}, {K}), got {values.shape}")
-        return product_class(values)
+        if kind == "random_product":
+            return product_class(make_rng(cfg.bandit["class_seed"], 9).random(
+                (cfg.klass["H"], ground.size, K)))
+        return product_class(_array(cfg.klass["values"], "class.values", (None, ground.size, K)))
     if kind == "thresholds":
         thresholds = ThresholdClass.grid(cfg.klass.get("m", 64))
         if ground is not None and ground.coords is not None:
@@ -279,10 +294,10 @@ def build_class(cfg: ExperimentConfig, ground) -> HypothesisClass:
             values = thresholds.evaluate_block(ContextBlock(coords=ground.coords))
             return TableClass(values, ground=ground, kind="binary")
         return thresholds
-    values = np.asarray(cfg.klass["values"], dtype=float)
     if ground is None:
         raise ConfigError("table classes need a finite ground set")
-    return TableClass(values, ground=ground)
+    return TableClass(_array(cfg.klass["values"], "class.values", (None, ground.size)),
+                      ground=ground)
 
 
 def build_label_rule(spec: dict) -> adv.LabelRule:
@@ -297,21 +312,20 @@ def build_adversary(cfg: ExperimentConfig, mu, klass, rng: np.random.Generator):
     label_rule = build_label_rule(cfg.adversary.get("labels", {}))
     cert = SmoothnessCertificate(sigma=cfg.sigma, mu=mu)
     if kind == "iid":
-        p_spec = cfg.adversary.get("p", "mu")
-        if p_spec == "mu":
-            p = None
-        elif p_spec == "tilted":
-            if not mu.finite:
-                raise ConfigError("tilted p needs a finite ground set")
+        p_spec, p = cfg.adversary.get("p", "mu"), None
+        if p_spec != "mu" and not mu.finite:
+            raise ConfigError(f"adversary.p {p_spec!r:.60} needs a finite ground set")
+        if p_spec == "tilted":
             try:
                 p = adv.tilted_smooth_probs(mu.probs, cfg.sigma, cfg.adversary.get("beta", 0.35))
             except ValueError as exc:
                 raise ConfigError(f"adversary.beta on {mu.ground.size} atoms: {exc}") from exc
-        elif isinstance(p_spec, list):
-            p = np.asarray(p_spec, dtype=float)
-        else:
-            raise ConfigError(f"unknown iid p spec {p_spec!r}")
-        return adv.IidAdversary(cert, label_rule, rng, p=p)
+        elif p_spec != "mu":
+            p = _array(p_spec, "adversary.p (unless 'mu' or 'tilted')", (mu.ground.size,))
+        try:  # a listed p may not sum to 1, or may pass the density cap
+            return adv.IidAdversary(cert, label_rule, rng, p=p)
+        except ValueError as exc:
+            raise ConfigError(f"adversary.p at sigma = {cfg.sigma}: {exc}") from exc
     if kind == "adaptive_mixture":
         return adv.AdaptiveMixtureAdversary(cert, label_rule, rng)
     if kind == "hidden_mu_threshold":

@@ -14,15 +14,13 @@ relaxation round's playout), as columnar row blocks, each block a (selector,
 contexts, labels, weights) group; every call answers history + blocks.  A
 family of exact queries that differ only in the label of one weight-1
 main-loss row is answered by one evaluation (``ErmOracle.exact_labels``) and
-still counts as one call per label.  An optional log writes one JSON line per
-call.
+still counts as one call per label.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -88,11 +86,9 @@ class ErmOracle:
     running over the query's rows and the history's weight-1 rows.
     """
 
-    def __init__(self, klass: HypothesisClass, main_loss: LossFunction,
-                 log_stream: Optional[IO[str]] = None):
+    def __init__(self, klass: HypothesisClass, main_loss: LossFunction):
         self.klass = klass
         self.main_loss = main_loss
-        self.log_stream = log_stream
         self._calls = 0
         self.prefix = np.zeros(len(klass), dtype=np.float64)  # history objective per hypothesis
         self.prefix_rows = 0
@@ -139,9 +135,9 @@ class ErmOracle:
 
         The query and f(x_t) are evaluated once and every label's objective is
         formed from them with the same float operations ``exact`` performs, so
-        the results are equal to one ``exact`` call per label.  Counts and
-        logs one call per label; returns the minimizing indices and their
-        objective values.
+        the results are equal to one ``exact`` call per label.  Counts one
+        call per label; returns the minimizing indices and their objective
+        values.
         """
         labels = np.asarray(labels, dtype=np.float64)
         base = self.objective_vector(query)
@@ -150,12 +146,6 @@ class ErmOracle:
         idx = obj.argmin(axis=1)
         best = obj[np.arange(len(labels)), idx]
         self._calls += len(labels)
-        if self.log_stream is not None and len(labels):
-            # every label's query has the same rows and weights; only results differ
-            one = ErmQuery()
-            one.blocks = list(query.blocks)
-            one.add_block(MAIN, x_t, labels[:1], np.ones(1))
-            self._log(one, zip(idx.tolist(), best.tolist()))
         return idx, best
 
     def approximate(self, query: ErmQuery, zeta: float,
@@ -178,20 +168,4 @@ class ErmOracle:
             if len(others):
                 idx = int(rng.choice(others))
         self._calls += 1
-        result = ErmResult(idx, float(obj[idx]))
-        self._log(query, [(idx, result.objective_value)])
-        return result
-
-    # -- logging --------------------------------------------------------------
-    def _log(self, query: ErmQuery, results: Iterable[tuple[int, float]]) -> None:
-        """One record per (index, objective) result of the query."""
-        if self.log_stream is None:
-            return
-        rows = {MAIN: 0, IDENTITY: 0}
-        for b in query.blocks:
-            rows[b.selector] += len(b)
-        head = {"rows": rows, "prefix_rows": self.prefix_rows,
-                "abs_weight": self._abs_weight(query)}
-        for idx, value in results:
-            record = {**head, "result_index": idx, "objective": value}
-            self.log_stream.write(json.dumps(record) + "\n")
+        return ErmResult(idx, float(obj[idx]))

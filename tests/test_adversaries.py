@@ -15,13 +15,14 @@ from smoothol.adversaries import (
     noisy_comparator_labels,
     rademacher_labels,
     tilted_smooth_probs,
-    verify_smoothness,
 )
 from smoothol.core import (
     FiniteMeasure,
     GroundSet,
     SmoothnessCertificate,
+    SmoothnessViolation,
     TableClass,
+    density_ratio,
     make_rng,
 )
 
@@ -54,22 +55,49 @@ def test_iid_explicit_p_is_used():
     assert ids <= {0, 1}
 
 
+def test_iid_refuses_p_above_the_density_cap():
+    n = 100
+    probs = np.full(n, 0.1 / (n - 1))
+    probs[42] = 0.9
+    probs /= probs.sum()
+    with pytest.raises(SmoothnessViolation, match=r"density 90 .*1/sigma = 2$"):
+        IidAdversary(_uniform_cert(n, 0.5), rademacher_labels(), make_rng(9, 0), p=probs)
+
+
+def test_iid_refuses_p_off_the_support_of_mu():
+    cert = SmoothnessCertificate(0.5, FiniteMeasure(GroundSet.grid(3), [0.5, 0.5, 0.0]))
+    with pytest.raises(SmoothnessViolation, match="support"):
+        IidAdversary(cert, rademacher_labels(), make_rng(9, 1), p=[0.5, 0.0, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # adaptive mixture
 # ---------------------------------------------------------------------------
 
 def test_adaptive_mixture_density_bound_exact_every_round():
-    sigma = 0.5
-    cert = _uniform_cert(10, sigma)
-    adv = AdaptiveMixtureAdversary(cert, rademacher_labels(), make_rng(2, 0))
-    for t in range(200):
-        probs = adv.conditional_probs()
-        assert abs(probs.sum() - 1.0) < 1e-12
-        ratio = probs / cert.mu.probs
-        assert np.max(ratio) <= 1.0 / sigma + 1e-9
+    for sigma, seed in ((0.5, 2), (0.25, 8)):
+        cert = _uniform_cert(10, sigma)
+        adv = AdaptiveMixtureAdversary(cert, rademacher_labels(), make_rng(seed, 0))
+        targets = set()
+        for t in range(200):
+            probs = adv.conditional_probs()
+            targets.add(int(np.argmax(probs)))
+            assert abs(probs.sum() - 1.0) < 1e-12
+            ratio = probs / cert.mu.probs
+            # the target atom sits exactly at the cap
+            assert np.max(ratio) == pytest.approx(1.0 / sigma, rel=1e-12)
+            adv.next_round(last_prediction=0.5)
+        assert len(targets) > 1  # adaptivity: the point mass moves with history
+
+
+def test_verify_smoothness_adaptive_quarter():
+    cert = _uniform_cert(10, 0.25)
+    adv = AdaptiveMixtureAdversary(cert, rademacher_labels(), make_rng(8, 0))
+    worst = 0.0
+    for _ in range(50):
+        worst = max(worst, density_ratio(adv.conditional_probs(), cert.mu.probs, 0.25).max())
         adv.next_round(last_prediction=0.5)
-    # adaptivity: the point mass moves with history
-    assert len({tuple(np.round(adv.conditional_probs(), 12))}) == 1
+    assert worst <= 4.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -134,43 +162,6 @@ def test_hidden_mu_hardness_any_learner_errs_half_the_time():
         assert abs(mean - T / 2) <= 3 * np.sqrt(T)
 
 
-def test_hidden_mu_not_exactly_checkable():
-    adv = HiddenMuThresholdAdversary(T=10, rng=make_rng(6, 0))
-    with pytest.raises(ValueError, match="not checkable exactly"):
-        verify_smoothness(adv, 3)
-
-
-# ---------------------------------------------------------------------------
-# verify_smoothness
-# ---------------------------------------------------------------------------
-
-def test_verify_smoothness_iid_sigma_one_ratio_one():
-    adv = IidAdversary(_uniform_cert(8, 1.0), rademacher_labels(), make_rng(7, 0))
-    report = verify_smoothness(adv, 5)
-    assert report.max_density_ratio == pytest.approx(1.0, abs=1e-12)
-    assert report.passed
-
-
-def test_verify_smoothness_adaptive_quarter():
-    adv = AdaptiveMixtureAdversary(_uniform_cert(10, 0.25), rademacher_labels(),
-                                   make_rng(8, 0))
-    report = verify_smoothness(adv, 50)
-    assert report.max_density_ratio <= 4.0 + 1e-9
-    assert report.passed
-
-
-def test_verify_smoothness_flags_broken_source():
-    n = 100
-    probs = np.full(n, 0.1 / (n - 1))
-    probs[42] = 0.9
-    probs /= probs.sum()
-    adv = IidAdversary(_uniform_cert(n, 0.5), rademacher_labels(), make_rng(9, 0),
-                       p=probs)
-    report = verify_smoothness(adv, 3)
-    assert not report.passed
-    assert report.max_density_ratio == pytest.approx(90.0, rel=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # rademacher-gap construction
 # ---------------------------------------------------------------------------
@@ -199,9 +190,7 @@ def test_gap_adversary_density_and_marginals():
     klass = _gap_class(2)
     adv = build_rademacher_gap_adversary(sigma, 2, klass, klass.ground,
                                          make_rng(11, 0), scale=2.0)
-    report = verify_smoothness(adv, 10)
-    assert report.passed
-    probs = adv.conditional_probs()
+    probs = adv.p.probs
     mu = adv.certificate.mu.probs
     on_support = probs > 0
     assert np.allclose(probs[on_support] / mu[on_support], 1.0 / sigma)
@@ -231,8 +220,18 @@ def test_gap_adversary_sigma_one_density_ratio_one():
     klass = _gap_class(2)
     adv = build_rademacher_gap_adversary(1.0, 2, klass, klass.ground,
                                          make_rng(12, 0), scale=2.0)
-    report = verify_smoothness(adv, 5)
-    assert report.max_density_ratio == pytest.approx(1.0, abs=1e-9)
+    ratio = density_ratio(adv.p.probs, adv.certificate.mu.probs, 1.0)
+    assert ratio.max() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_gap_adversary_at_the_cap_builds_for_a_tiny_sigma():
+    """Its density is 1/sigma up to rounding, which at sigma = 1e-9 passes 1/sigma + 1e-9;
+    the check's tolerance is relative, so the construction still builds."""
+    klass = _gap_class(5)
+    adv = build_rademacher_gap_adversary(1e-9, 5, klass, klass.ground, make_rng(12, 1),
+                                         scale=2.0)
+    ratio = density_ratio(adv.p.probs, adv.certificate.mu.probs, 1e-9)
+    assert ratio.max() > 1.0 / 1e-9 + 1e-9  # what an absolute tolerance would refuse
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,8 @@ import numpy as np
 import pytest
 
 from smoothol.adversaries import tilted_smooth_probs
-from smoothol.core import FiniteMeasure, GroundSet, make_rng
-from smoothol.coupling import (
-    CouplingConfig,
-    SmoothnessViolation,
-    concentrated_p,
-    validate_coupling,
-)
+from smoothol.core import FiniteMeasure, GroundSet, SmoothnessViolation, make_rng
+from smoothol.coupling import CouplingConfig, concentrated_p, validate_coupling
 
 
 @dataclass
@@ -95,6 +90,17 @@ def test_density_ratio_above_bound_is_rejected():
     with pytest.raises(SmoothnessViolation, match="smoothness violated"):
         couple_round(lambda z: np.full(len(z), 5.0), 0.5, 3, mu_sampler, fallback,
                      make_rng(2, 0))
+
+
+@pytest.mark.parametrize("p, match", [
+    ([0.9, 0.05, 0.05, 0.0], "density 2.25 .*1/sigma = 2$"),
+    ([0.25, 0.25, 0.25, 0.25], "off the support"),
+])
+def test_validate_coupling_refuses_a_p_that_is_not_smooth(p, match):
+    mu = np.array([0.4, 0.3, 0.3, 0.0])
+    cfg = CouplingConfig(mu, np.array(p), 0.5, 2)
+    with pytest.raises(SmoothnessViolation, match=match):
+        validate_coupling(cfg, 1000, make_rng(3, 1))
 
 
 def test_validate_coupling_needs_enough_trials():

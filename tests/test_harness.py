@@ -270,6 +270,16 @@ def test_cli_sweep_loads_every_value_before_it_runs_any(tmp_path, capsys, monkey
     assert ran == [] and not out.exists()
 
 
+def test_cli_sweep_refuses_a_number_output_dir_before_it_runs(tmp_path, capsys, monkeypatch):
+    from smoothol import harness
+
+    monkeypatch.setattr(harness, "run_experiment", lambda cfg: pytest.fail("a value ran"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(T=4, output_dir=5)))
+    rc = cli_main(["sweep", "--config", str(cfg_path), "--param", "T", "--values", "3,4"])
+    assert rc == 2 and "output_dir" in capsys.readouterr().err
+
+
 def test_sweep_rejects_unknown_parameter():
     cfg = ExperimentConfig.from_dict(_base_config())
     with pytest.raises(ConfigError, match="cannot sweep"):
@@ -333,7 +343,8 @@ def _case(case_id, overrides, *fields):
     _case("table-over-one", {"class": {"type": "table", "values": [[0.5] * 15 + [1.5]]}}),
     _case("fractional-atoms", {"ground": {"type": "grid", "atoms": 2.5}}, "ground.atoms"),
     _case("string-atoms", {"ground": {"type": "grid", "atoms": "abc"}}, "ground.atoms"),
-    _case("mu-probs-length", {"ground": {"type": "grid", "atoms": 16, "mu_probs": [0.5, 0.5]}}),
+    _case("mu-probs-length", {"ground": {"type": "grid", "atoms": 16, "mu_probs": [0.5, 0.5]}},
+          "ground.mu_probs", "(16,)"),
     _case("zero-k", {"learner": {"name": "relax-linear", "k": 0}}, "learner.k"),
     _case("fractional-k", {"learner": {"name": "relax-linear", "k": 2.5}}, "learner.k"),
     _case("string-k", {"learner": {"name": "relax-linear", "k": "x"}}, "learner.k"),
@@ -350,7 +361,7 @@ def _case(case_id, overrides, *fields):
     _case("rademacher-gap-on-thresholds", {"adversary": {"kind": "rademacher_gap"}}),
     _case("hidden-mu-one-round",
           {"adversary": {"kind": "hidden_mu_threshold"}, "T": 1, "ground": {"type": "interval"}}),
-    _case("iid-p-length", {"adversary": {"kind": "iid", "p": [0.5, 0.5]}}),
+    _case("iid-p-length", {"adversary": {"kind": "iid", "p": [0.5, 0.5]}}, "adversary.p"),
     _case("fractional-T", {"T": 2.5}, "T"),
     _case("fractional-seed", {"seeds": [1.5]}, "seeds"),
     _case("negative-seed", {"seeds": [-1]}, "seeds"),
@@ -364,8 +375,10 @@ def _case(case_id, overrides, *fields):
     _case("string-sigma", {"sigma": "x"}, "sigma"),
     # json writes and reads the NaN and Infinity literals
     _case("nan-mu-probs",
-          {"ground": {"type": "grid", "atoms": 16, "mu_probs": [math.nan] + [1 / 15] * 15}}),
-    _case("nan-iid-p", {"adversary": {"kind": "iid", "p": [math.nan] + [1 / 15] * 15}}),
+          {"ground": {"type": "grid", "atoms": 16, "mu_probs": [math.nan] + [1 / 15] * 15}},
+          "ground.mu_probs"),
+    _case("nan-iid-p", {"adversary": {"kind": "iid", "p": [math.nan] + [1 / 15] * 15}},
+          "adversary.p"),
     _case("nan-beta", {"adversary": {"kind": "iid", "p": "tilted", "beta": math.nan}},
           "adversary.beta"),
     _case("bool-beta", {"adversary": {"kind": "iid", "p": "tilted", "beta": True}},
@@ -448,6 +461,26 @@ def _case(case_id, overrides, *fields):
            "ground": {"type": "interval"}}, "adversary.labels"),
     _case("random-product-in-a-run", {"class": {"type": "random_product", "H": 4}}, "class.type"),
     _case("null-labels", {"adversary": {"kind": "iid", "labels": None}}, "adversary.labels"),
+    # density 4 on the first of 4 uniform atoms, against the cap 1/sigma = 2
+    _case("p-above-the-density-cap", {"ground": {"type": "grid", "atoms": 4},
+                                      "adversary": {"kind": "iid", "p": [1, 0, 0, 0]}},
+          "adversary.p", "sigma = 0.5", "density 4 ", "1/sigma = 2"),
+    _case("p-summing-to-eight", {"adversary": {"kind": "iid", "p": [0.5] * 16}}, "adversary.p"),
+    _case("string-in-p", {"adversary": {"kind": "iid", "p": ["a"] + [1 / 15] * 15}},
+          "adversary.p"),
+    _case("p-on-the-interval", {"adversary": {"kind": "iid", "p": [1.0]},
+                                "ground": {"type": "interval"}}, "adversary.p"),
+    _case("bool-mu-probs", {"ground": {"type": "grid", "atoms": 2, "mu_probs": [True, False]}},
+          "ground.mu_probs"),
+    _case("bool-in-table-values",
+          {"class": {"type": "table", "values": [[True] + [1.0] * 15, [-1.0] * 16]}},
+          "class.values"),
+    _case("ragged-table-values", {"class": {"type": "table", "values": [[1.0] * 16, [1.0]]}},
+          "class.values", "(H, 16)"),
+    _case("number-output-dir", {"output_dir": 5}, "output_dir"),
+    # dict() would read a list of pairs as an object
+    _case("learner-as-pairs", {"learner": [["name", "ftpl-cls"]]}, "learner must be an object"),
+    _case("learner-as-a-list", {"learner": [1]}, "learner must be an object"),
 ])
 def test_cli_config_errors_known_at_load_exit_2(tmp_path, capsys, overrides, fields):
     cfg_path = tmp_path / "bad.json"
@@ -533,6 +566,15 @@ def _bandit_table_outside_unit_interval():
     _case("loss", {"loss": "linear"}, "loss"),
     _case("thresholds-class", {"class": {"type": "thresholds", "m": 8}}, "class.type"),
     _case("ftpl-cls-regressor", {"regressor": "ftpl-cls"}, "regressor", "relax-general"),
+    _case("number-output-dir", {"output_dir": 5}, "output_dir"),
+    _case("class-as-pairs", {"class": [["type", "table"]]}, "class must be an object"),
+    _case("ground-as-pairs", {"ground": [["atoms", 4]]}, "ground must be an object"),
+    _case("bool-in-table-values",
+          {"ground": {"atoms": 2}, "class": {"type": "table", "values": [[[True, 0.5]] * 2]}},
+          "class.values"),
+    _case("table-values-of-the-wrong-shape",
+          {"ground": {"atoms": 2}, "class": {"type": "table", "values": [[[0.5] * 3] * 2]}},
+          "class.values", "(H, 2, 2)"),
 ])
 def test_cli_bandit_config_errors_exit_2(tmp_path, capsys, monkeypatch, overrides, fields):
     from smoothol import bandit

@@ -1,6 +1,3 @@
-import io
-import json
-
 import numpy as np
 import pytest
 
@@ -187,7 +184,7 @@ def test_prefix_is_the_in_order_sum_of_one_row_partials(space, loss):
 @pytest.mark.parametrize("space", ["table-grid", "thresholds-interval"])
 def test_exact_labels_matches_one_exact_call_per_label(space, loss):
     """One evaluation for a family of queries that differ in one row's label gives
-    each label's ``exact`` answer bit for bit, with its call count and log line."""
+    each label's ``exact`` answer bit for bit, with its call count."""
     rng = make_rng(12, 0)
     if space == "table-grid":
         table = random_table_class(rng, 6, 8, binary=True)
@@ -201,15 +198,7 @@ def test_exact_labels_matches_one_exact_call_per_label(space, loss):
 
         def contexts(n):
             return ContextBlock(coords=rng.random(n))
-    stream = io.StringIO()
-
-    def drain():
-        text = stream.getvalue()
-        stream.seek(0)
-        stream.truncate()
-        return text
-
-    oracle = ErmOracle(klass, loss(), log_stream=stream)
+    oracle = ErmOracle(klass, loss())
     for _ in range(10):
         oracle.extend_prefix(contexts(1), float(rng.choice([-1.0, 1.0])))
     shared, shared_w = contexts(6), rng.normal(size=6)
@@ -225,13 +214,10 @@ def test_exact_labels_matches_one_exact_call_per_label(space, loss):
         calls = oracle.calls
         idx, values = oracle.exact_labels(query(), x_t, labels)
         assert oracle.calls == calls + len(labels)
-        batched_log = drain()
         per_label = [oracle.exact(query().add_block(MAIN, x_t, np.array([y]), np.array([1.0])))
                      for y in labels]
         assert idx.tolist() == [r.hypothesis_index for r in per_label]
         assert values.tolist() == [r.objective_value for r in per_label]
-        assert batched_log == drain()
-        assert len(batched_log.splitlines()) == len(labels)
         if space == "table-grid":
             assert idx.max() < 6
 
@@ -239,26 +225,6 @@ def test_exact_labels_matches_one_exact_call_per_label(space, loss):
     idx, values = oracle.exact_labels(query(), x_t, np.array([]))
     assert (idx.shape, values.shape) == ((0,), (0,))
     assert oracle.calls == calls
-    assert drain() == ""
-
-
-def test_query_log_is_line_delimited_json(sign_constants):
-    stream = io.StringIO()
-    oracle = ErmOracle(sign_constants, linear_loss(), log_stream=stream)
-    oracle.exact(_query((0, 1.0, 1.0), (2, -1.0, 0.5, IDENTITY)))
-    oracle.extend_prefix(ContextBlock(ids=np.array([1])), 1.0)
-    oracle.exact(_query((1, -1.0, 2.0)))
-    lines = stream.getvalue().strip().splitlines()
-    assert len(lines) == 2
-    rec = json.loads(lines[0])
-    assert rec["result_index"] == 0
-    assert rec["rows"] == {MAIN: 1, IDENTITY: 1}
-    assert rec["prefix_rows"] == 0
-    assert rec["abs_weight"] == 1.5
-    assert rec["objective"] == 0.5
-    rec = json.loads(lines[1])
-    assert rec["rows"] == {MAIN: 1, IDENTITY: 0}
-    assert (rec["prefix_rows"], rec["abs_weight"]) == (1, 3.0)
 
 
 def test_add_block_rejects_unknown_selector(sign_constants):
