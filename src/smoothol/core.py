@@ -234,6 +234,9 @@ class HypothesisClass:
     Subclasses implement ``evaluate_block``; ``identity_dot`` may be overridden
     with a faster route for computing sum_i w_i f(x_i) simultaneously for all
     hypotheses (it must agree with the generic one up to float summation order).
+    The oracle calls it only for identity rows that carry no value matrix:
+    per-anchor FTPL draws, whose contexts change every round.  Blocks over a
+    learner's fixed cells carry ``evaluate_block`` of the cells, made once.
     """
 
     kind: str = "real"  # "binary" | "real"

@@ -12,8 +12,10 @@ over each cell of the class's cell measure (each (cell, label) pair for
 omega'); on a finite base measure a cell is a maximal group of atoms with
 equal value columns.  Given the cell counts n_c ~ Multinomial(n, mu) that sum
 is N(0, n_c), so a process is drawn as one multinomial and one normal per
-cell, with the same law, whenever there are fewer cells than anchors.  Each round
-the learner draws fresh perturbations and commits, via a single weighted ERM
+cell, with the same law, whenever there are fewer cells than anchors; the
+cells are fixed, so the learner evaluates the class on them once and every
+per-cell draw carries that value matrix to the oracle.  Each round the
+learner draws fresh perturbations and commits, via a single weighted ERM
 call, to the hypothesis minimizing running loss plus perturbation -- before
 the round's context is revealed.  The oracle holds the running loss as its
 history, so the call's query is the perturbation's row blocks alone.
@@ -80,6 +82,7 @@ class GaussianPerturbation:
     normalization: str = "inv_sqrt_n"  # "inv_sqrt_n" | "none"
     labels: Optional[np.ndarray] = None
     n: Optional[int] = None  # anchors drawn; defaults to one per context
+    values: Optional[np.ndarray] = None  # f(contexts) per hypothesis f, for the oracle
 
     def __post_init__(self):
         if self.normalization not in ("inv_sqrt_n", "none"):
@@ -107,18 +110,26 @@ def fewer_cells(cells, n: int, grid: Optional[np.ndarray] = None) -> bool:
     return cells.finite and cells.ground.size * (1 if grid is None else len(grid)) < n
 
 
+def _pairs(mu, grid: np.ndarray) -> tuple[ContextBlock, np.ndarray]:
+    """The cell-major (cell, label) pairs of the finite mu's atoms and the label grid."""
+    return (mu.ground.block(np.repeat(np.arange(mu.ground.size), len(grid))),
+            np.tile(grid, mu.ground.size))
+
+
 def draw_perturbation(mu, n: int, rng: np.random.Generator,
                       normalization: str = "inv_sqrt_n",
                       eps: Optional[float] = None,
                       grid: Optional[np.ndarray] = None,
-                      per_cell: Optional[bool] = None) -> GaussianPerturbation:
+                      per_cell: Optional[bool] = None,
+                      values: Optional[np.ndarray] = None) -> GaussianPerturbation:
     """n anchors from mu with N(0,1) coefficients; eps (or a built ``grid``) adds labels.
 
     Per cell, the atoms of the finite mu (a class's cell measure; times the
     grid labels) are the cells:
     one ``rng.multinomial(n, cell masses)`` and one standard normal z_c per
-    cell give the coefficient sqrt(n_c) * z_c.  Per anchor, every anchor is
-    drawn from mu.  ``per_cell`` defaults to ``fewer_cells(mu, n, grid)``.
+    cell give the coefficient sqrt(n_c) * z_c, and the draw carries
+    ``values``, the class's value matrix on those cells.  Per anchor, every
+    anchor is drawn from mu.  ``per_cell`` defaults to ``fewer_cells(mu, n, grid)``.
     """
     if grid is None and eps is not None:
         grid = epsilon_grid(eps)
@@ -130,12 +141,11 @@ def draw_perturbation(mu, n: int, rng: np.random.Generator,
         labels = None if grid is None else grid[rng.integers(0, len(grid), size=n)]
         return GaussianPerturbation(contexts, coeffs, normalization, labels)
     contexts, probs, labels = mu.atoms, mu.probs, None
-    if grid is not None:  # cell-major (cell, label) pairs, each of mass mu_c / |grid|
-        contexts = mu.ground.block(np.repeat(np.arange(mu.ground.size), len(grid)))
-        probs, labels = np.repeat(probs / len(grid), len(grid)), np.tile(grid, mu.ground.size)
+    if grid is not None:  # each (cell, label) pair has mass mu_c / |grid|
+        (contexts, labels), probs = _pairs(mu, grid), np.repeat(probs / len(grid), len(grid))
     counts = rng.multinomial(n, probs)
     coeffs = np.sqrt(counts) * rng.standard_normal(len(counts))
-    return GaussianPerturbation(contexts, coeffs, normalization, labels, n)
+    return GaussianPerturbation(contexts, coeffs, normalization, labels, n, values)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +238,7 @@ def ftpl_select_classification(pert: GaussianPerturbation, eta: float,
     if pert.normalization != "inv_sqrt_n" or pert.labels is not None:
         raise ValueError("classification variant uses the normalized, label-free process")
     query = ErmQuery().add_block(IDENTITY, pert.contexts, np.zeros(len(pert.coeffs)),
-                                 eta * pert.scale * pert.coeffs)
+                                 eta * pert.scale * pert.coeffs, pert.values)
     return oracle.approximate(query, zeta, rng).hypothesis_index
 
 
@@ -241,8 +251,8 @@ def ftpl_select_dual(pert_m: GaussianPerturbation, pert_n: GaussianPerturbation,
     if pert_n.normalization != "none" or pert_n.labels is None:
         raise ValueError("second process must be unnormalized with label anchors")
     query = ErmQuery().add_block(IDENTITY, pert_m.contexts, np.zeros(len(pert_m.coeffs)),
-                                 eta * pert_m.scale * pert_m.coeffs)
-    query.add_block(MAIN, pert_n.contexts, pert_n.labels, pert_n.coeffs)
+                                 eta * pert_m.scale * pert_m.coeffs, pert_m.values)
+    query.add_block(MAIN, pert_n.contexts, pert_n.labels, pert_n.coeffs, pert_n.values)
     return oracle.approximate(query, zeta, rng).hypothesis_index
 
 
@@ -252,7 +262,8 @@ def ftpl_select_single(pert: GaussianPerturbation, eta_over_sqrt_n: float,
     """argmin_f L(f) + (eta/sqrt n) * omega'(f), one oracle call; L(f) from the history."""
     if pert.normalization != "none" or pert.labels is None:
         raise ValueError("single variant uses the unnormalized label-anchor process")
-    query = ErmQuery().add_block(MAIN, pert.contexts, pert.labels, eta_over_sqrt_n * pert.coeffs)
+    query = ErmQuery().add_block(MAIN, pert.contexts, pert.labels, eta_over_sqrt_n * pert.coeffs,
+                                 pert.values)
     return oracle.approximate(query, zeta, rng).hypothesis_index
 
 
@@ -289,19 +300,23 @@ class FtplLearner:
         self._omega_label = self._process(sched.n, self.grid)
 
     def _process(self, n: int, grid: Optional[np.ndarray]) -> tuple:
-        """The arguments of one process's draws: measure, anchors, labels, per cell.
+        """The arguments of one process's draws: measure, anchors, labels, per cell, and
+        per cell the class's values on its contexts (the cells, or with labels the
+        cell-major (cell, label) pairs).
 
         Per cell only with fewer cells than anchors, and only for an exact
         oracle: the approximate oracle's slack reads sum |w|, which merging
         a cell's anchors into one coefficient changes.
         """
-        per_cell = self.sched.zeta == 0 and fewer_cells(self.cells, n, grid)
-        return (self.cells if per_cell else self.mu), n, grid, per_cell
+        if not (self.sched.zeta == 0 and fewer_cells(self.cells, n, grid)):
+            return self.mu, n, grid, False, None
+        contexts = self.cells.atoms if grid is None else _pairs(self.cells, grid)[0]
+        return self.cells, n, grid, True, self.klass.evaluate_block(contexts)
 
     def _draw(self, process: tuple) -> GaussianPerturbation:
-        mu, n, grid, per_cell = process
+        mu, n, grid, per_cell, values = process
         return draw_perturbation(mu, n, self.rng, "inv_sqrt_n" if grid is None else "none",
-                                 grid=grid, per_cell=per_cell)
+                                 grid=grid, per_cell=per_cell, values=values)
 
     def select(self) -> int:
         """Draw fresh perturbations and commit to this round's hypothesis."""

@@ -255,14 +255,20 @@ def _number(value, name: str, low: float, high: float, kind: Optional[type]):
     return value if kind is None else kind(value)
 
 
-def _array(value, name: str, shape: tuple) -> np.ndarray:
-    """value, nested lists of finite JSON numbers in shape (None: any length), as floats."""
+def _array(value, name: str, shape: tuple, low: float, high: float) -> np.ndarray:
+    """value, nested lists of JSON numbers in [low, high] in shape (None: any length), as floats."""
     arr = np.array(value, dtype=object)  # ragged lists nest only as deep as they agree
     if (arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape))
             or not all(type(v) in (int, float) and abs(v) <= _MAX for v in arr.flat)):
         want = str(tuple("H" if n is None else n for n in shape)).replace("'", "")
         raise ConfigError(f"{name} must be finite numbers in shape {want}, not {value!r:.60}")
-    return arr.astype(np.float64)
+    out = arr.astype(np.float64)
+    outside = np.argwhere((out < low) | (out > high))
+    if len(outside):
+        index = tuple(outside[0])
+        raise ConfigError(f"{name} entries must lie in [{low}, {high}], not {arr[index]!r} at "
+                          + "".join(f"[{i}]" for i in index))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +280,7 @@ def build_ground_and_mu(cfg: ExperimentConfig):
         return None, UniformIntervalMeasure()
     ground = GroundSet.grid(cfg.ground.get("atoms", 64))
     probs = cfg.ground.get("mu_probs")
-    return ground, (FiniteMeasure(ground, _array(probs, "ground.mu_probs", (ground.size,)))
+    return ground, (FiniteMeasure(ground, _array(probs, "ground.mu_probs", (ground.size,), 0, 1))
                     if probs is not None else FiniteMeasure.uniform(ground))
 
 
@@ -285,7 +291,8 @@ def build_class(cfg: ExperimentConfig, ground) -> HypothesisClass:
         if kind == "random_product":
             return product_class(make_rng(cfg.bandit["class_seed"], 9).random(
                 (cfg.klass["H"], ground.size, K)))
-        return product_class(_array(cfg.klass["values"], "class.values", (None, ground.size, K)))
+        return product_class(_array(cfg.klass["values"], "class.values", (None, ground.size, K),
+                                     0, 1))
     if kind == "thresholds":
         thresholds = ThresholdClass.grid(cfg.klass.get("m", 64))
         if ground is not None and ground.coords is not None:
@@ -296,7 +303,7 @@ def build_class(cfg: ExperimentConfig, ground) -> HypothesisClass:
         return thresholds
     if ground is None:
         raise ConfigError("table classes need a finite ground set")
-    return TableClass(_array(cfg.klass["values"], "class.values", (None, ground.size)),
+    return TableClass(_array(cfg.klass["values"], "class.values", (None, ground.size), -1, 1),
                       ground=ground)
 
 
@@ -321,7 +328,7 @@ def build_adversary(cfg: ExperimentConfig, mu, klass, rng: np.random.Generator):
             except ValueError as exc:
                 raise ConfigError(f"adversary.beta on {mu.ground.size} atoms: {exc}") from exc
         elif p_spec != "mu":
-            p = _array(p_spec, "adversary.p (unless 'mu' or 'tilted')", (mu.ground.size,))
+            p = _array(p_spec, "adversary.p (unless 'mu' or 'tilted')", (mu.ground.size,), 0, 1)
         try:  # a listed p may not sum to 1, or may pass the density cap
             return adv.IidAdversary(cert, label_rule, rng, p=p)
         except ValueError as exc:

@@ -15,6 +15,8 @@ contexts, labels, weights) group; every call answers history + blocks.  A
 family of exact queries that differ only in the label of one weight-1
 main-loss row is answered by one evaluation (``ErmOracle.exact_labels``) and
 still counts as one call per label.
+A block over fixed contexts (a learner's cells) may carry the class's values
+there, evaluated once, which the oracle reads instead of the contexts.
 """
 
 from __future__ import annotations
@@ -34,10 +36,14 @@ IDENTITY = "identity_loss"
 
 @dataclass
 class RowBlock:
+    """Rows sharing a loss selector; ``values``, if given, is f(contexts) for every
+    hypothesis f, (H, rows), which the oracle reads in place of evaluating the contexts."""
+
     selector: str
     contexts: ContextBlock
     labels: np.ndarray
     weights: np.ndarray
+    values: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.selector not in (MAIN, IDENTITY):
@@ -46,6 +52,10 @@ class RowBlock:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if not (len(self.contexts) == len(self.labels) == len(self.weights)):
             raise ValueError("block arrays must share a length")
+        if self.values is not None and (self.values.ndim != 2
+                                        or self.values.shape[1] != len(self.weights)):
+            raise ValueError(f"block values must be (H, {len(self.weights)}), "
+                             f"not {self.values.shape}")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -57,9 +67,9 @@ class ErmQuery:
     def __init__(self):
         self.blocks: list[RowBlock] = []
 
-    def add_block(self, selector: str, contexts: ContextBlock,
-                  labels: np.ndarray, weights: np.ndarray) -> "ErmQuery":
-        block = RowBlock(selector, contexts, labels, weights)
+    def add_block(self, selector: str, contexts: ContextBlock, labels: np.ndarray,
+                  weights: np.ndarray, values: Optional[np.ndarray] = None) -> "ErmQuery":
+        block = RowBlock(selector, contexts, labels, weights, values)
         if len(block):
             self.blocks.append(block)
         return self
@@ -108,10 +118,16 @@ class ErmOracle:
 
     # -- objective evaluation -----------------------------------------------
     def _block_objective(self, block: RowBlock) -> np.ndarray:
+        # identity rows ignore labels: contribution is sum_i w_i f(x_i)
+        values = block.values
+        if values is None:
+            if block.selector == IDENTITY:
+                return self.klass.identity_dot(block.contexts, block.weights)
+            values = self.klass.evaluate_block(block.contexts)
+        elif len(values) != len(self.prefix):
+            raise ValueError(f"block values hold {len(values)} hypotheses, not {len(self.prefix)}")
         if block.selector == IDENTITY:
-            # identity rows ignore labels: contribution is sum_i w_i f(x_i)
-            return self.klass.identity_dot(block.contexts, block.weights)
-        values = self.klass.evaluate_block(block.contexts)
+            return values @ block.weights
         return self.main_loss.evaluate_array(values, block.labels[None, :]) @ block.weights
 
     def objective_vector(self, query: ErmQuery) -> np.ndarray:

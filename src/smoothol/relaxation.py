@@ -13,7 +13,9 @@ playout reaches the oracle only through sum eps f(x), so it is drawn as one
 signed count per cell of the class's cell measure instead of point by point;
 the law is the same.  A cell is a set on which every hypothesis is constant:
 on a finite base measure, a maximal group of atoms with equal value columns,
-drawn as its first atom with the group's mass.  A
+drawn as its first atom with the group's mass.  The cells are the same
+every round, so the learner evaluates the class on them once and each
+playout carries that value matrix to the oracle.  A
 round's branch queries differ only in the label of the current round's row,
 so they are answered by one ``ErmOracle.exact_labels`` evaluation of the
 history, the playout and f(x_t), which still counts and logs one oracle call
@@ -66,6 +68,7 @@ class PlayoutDraw:
     signs: np.ndarray       # int, one net count per cell
     rounds_left: int
     k: int
+    values: Optional[np.ndarray] = None  # f(contexts) per hypothesis f, for the oracle
 
     def __post_init__(self):
         if len(self.signs) != len(self.contexts):
@@ -75,14 +78,16 @@ class PlayoutDraw:
             raise ValueError("net counts must come from rounds_left * k signed draws")
 
 
-def draw_playout(mu, rounds_left: int, k: int, rng: np.random.Generator) -> PlayoutDraw:
+def draw_playout(mu, rounds_left: int, k: int, rng: np.random.Generator,
+                 values: Optional[np.ndarray] = None) -> PlayoutDraw:
     """rounds_left * k i.i.d. draws from the finite measure mu (a class's cell
-    measure) with Rademacher signs, counted per (atom, sign) by one multinomial."""
+    measure) with Rademacher signs, counted per (atom, sign) by one multinomial;
+    ``values`` is the class's value matrix on mu's atoms, carried by the draw."""
     half = mu.probs / 2.0
     counts = rng.multinomial(rounds_left * k, np.concatenate((half, half)))
     size = len(half)
     return PlayoutDraw(contexts=mu.atoms, signs=counts[:size] - counts[size:],
-                       rounds_left=rounds_left, k=k)
+                       rounds_left=rounds_left, k=k, values=values)
 
 
 class RelaxState:
@@ -134,7 +139,8 @@ def _branch_values(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
     playout's 6L weight per net sign enters negated.
     """
     weights = -6.0 * state.loss.lipschitz_L * playout.signs.astype(np.float64).ravel()
-    query = ErmQuery().add_block(IDENTITY, playout.contexts, np.zeros(len(weights)), weights)
+    query = ErmQuery().add_block(IDENTITY, playout.contexts, np.zeros(len(weights)), weights,
+                                 playout.values)
     return -oracle.exact_labels(query, x_t, labels)[1]
 
 
@@ -219,6 +225,7 @@ class RelaxGeneralLearner:
                  k: Optional[int] = None):
         self.klass = klass
         self.cells = klass.cell_measure(mu)
+        self.values = klass.evaluate_block(self.cells.atoms)  # (H, cells), read every round
         self.oracle = oracle
         self.rng = rng
         self.state = RelaxState(loss, T, sigma, k=k)
@@ -226,7 +233,7 @@ class RelaxGeneralLearner:
 
     def predict(self, x_t: ContextBlock) -> float:
         self.last_playout = draw_playout(self.cells, self.state.rounds_left, self.state.k,
-                                         self.rng)
+                                         self.rng, self.values)
         return self.rule(self.state, self.last_playout, x_t, self.oracle)
 
     def observe(self, context: ContextBlock, label: float) -> None:

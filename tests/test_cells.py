@@ -5,6 +5,8 @@ sums, so drawing them over the cells must give the law of drawing them over
 the atoms; these tests check the partition itself and that law.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,17 @@ from smoothol.core import (
     GroundSet,
     TableClass,
     ThresholdClass,
+    UniformIntervalMeasure,
+    absolute_loss,
     linear_loss,
     make_rng,
     product_class,
     product_measure,
+    scaled_square_loss,
 )
-from smoothol.ftpl import epsilon_grid, draw_perturbation
-from smoothol.oracle import ErmOracle
+from smoothol import ftpl
+from smoothol.ftpl import FtplLearner, epsilon_grid, draw_perturbation, schedule
+from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 from smoothol.relaxation import RelaxLinearLearner, draw_playout
 
 
@@ -171,3 +177,103 @@ def test_perturbation_per_cell_matches_per_atom_in_law(labelled):
     per_cell, per_atom = np.array(per_cell), np.array(per_atom)
     for pair in range(pairs):
         assert _same_law_pvalue(per_cell[:, pair], per_atom[:, pair], bins=10) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the value matrix: each learner evaluates the class on its cells once, and its
+# per-cell blocks carry that matrix to the oracle; each route is checked against
+# evaluating the block's contexts, the route the oracle takes without it
+# ---------------------------------------------------------------------------
+
+def _threshold_space(interval):
+    """64 thresholds on the interval, or as a table on the 256-atom grid."""
+    thresholds = ThresholdClass.grid(64)
+    if interval:
+        return thresholds, UniformIntervalMeasure()
+    ground = GroundSet.grid(256)
+    table = TableClass(thresholds.evaluate_block(ContextBlock(coords=ground.coords)),
+                       ground=ground, kind="binary")
+    return table, FiniteMeasure.uniform(ground)
+
+
+@pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
+def test_playout_value_matrix_matches_both_evaluations_bit_for_bit(interval):
+    klass, mu = _threshold_space(interval)
+    loss = linear_loss()
+    learner = RelaxLinearLearner(klass, loss, mu, 2000, 0.2, ErmOracle(klass, loss),
+                                 make_rng(34, 0))
+    cells = learner.cells
+    assert len(cells.atoms) == 65 and np.array_equal(learner.values,
+                                                      klass.evaluate_block(cells.atoms))
+    rng, oracle = make_rng(34, 1), ErmOracle(klass, loss)  # no history: the block's own sum
+    for _ in range(2000):
+        playout = draw_playout(cells, int(rng.integers(1, 2000)), learner.state.k, rng,
+                               learner.values)
+        w = -6.0 * loss.lipschitz_L * playout.signs.astype(np.float64)
+        fast = oracle.objective_vector(
+            ErmQuery().add_block(IDENTITY, cells.atoms, np.zeros(65), w, playout.values))
+        assert np.array_equal(fast, klass.identity_dot(cells.atoms, w))
+        assert np.array_equal(fast, klass.evaluate_block(cells.atoms) @ w)
+
+
+@pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
+def test_relaxation_rounds_never_reach_identity_dot(interval, monkeypatch):
+    klass, mu = _threshold_space(interval)
+    loss = linear_loss()
+    learner = RelaxLinearLearner(klass, loss, mu, 50, 0.2, ErmOracle(klass, loss),
+                                 make_rng(35, 0))
+
+    def refuse(*args):
+        raise AssertionError("a playout was evaluated again")
+
+    monkeypatch.setattr(type(klass), "identity_dot", refuse)
+    rng = make_rng(35, 1)
+    for _ in range(10):
+        x = mu.sample_point(rng)
+        learner.predict(x)
+        learner.observe(x, float(rng.choice([-1.0, 1.0])))
+
+
+@pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
+def test_per_cell_gaussian_coefficients_match_identity_dot_within_1e12(interval):
+    """V @ w against identity_dot, which sums the same products in another order:
+    within 1e-12 * sum|w|, the scale of the sum.  Against evaluating the cells it is
+    the same product of equal arrays, so equal bit for bit."""
+    klass, mu = _threshold_space(interval)
+    cells = klass.cell_measure(mu)
+    values = klass.evaluate_block(cells.atoms)
+    rng, oracle = make_rng(36, 0), ErmOracle(klass, linear_loss())
+    for _ in range(2000):
+        pert = draw_perturbation(cells, 14_143, rng, per_cell=True, values=values)
+        w = 71.3 * pert.scale * pert.coeffs
+        fast = oracle.objective_vector(
+            ErmQuery().add_block(IDENTITY, pert.contexts, np.zeros(65), w, pert.values))
+        assert np.array_equal(fast, klass.evaluate_block(pert.contexts) @ w)
+        tol = 1e-12 * np.abs(w).sum()
+        assert np.abs(fast - klass.identity_dot(pert.contexts, w)).max() <= tol
+
+
+@pytest.mark.parametrize("loss", [linear_loss(), absolute_loss(), scaled_square_loss()],
+                         ids=lambda loss: loss.kind)
+def test_per_cell_label_anchor_values_match_evaluating_the_pairs_bit_for_bit(loss, monkeypatch):
+    """omega' per cell: the learner's value matrix over its (cell, label) pairs gives
+    the oracle's loss(values, labels) @ w of evaluating the pairs, bit for bit."""
+    klass, mu = _threshold_space(False)
+    sched = schedule(40, 0.5, L=loss.lipschitz_L, variant="single")
+    sched = replace(sched, n=10**6, eta=1e3)  # more anchors than (cell, label) pairs
+    learner = FtplLearner("single", klass, loss, mu, sched, ErmOracle(klass, loss),
+                          make_rng(37, 0))
+    drawn, draw = [], ftpl.draw_perturbation
+    monkeypatch.setattr(ftpl, "draw_perturbation", lambda *a, **kw: drawn.append(draw(*a, **kw))
+                        or drawn[-1])
+    block_oracle = ErmOracle(klass, loss)
+    for _ in range(50):
+        learner.select()
+        pert = drawn[-1]
+        assert pert.values is not None and len(pert.coeffs) == 65 * len(learner.grid)
+        reference = loss.evaluate_array(klass.evaluate_block(pert.contexts),
+                                        pert.labels[None, :]) @ pert.coeffs
+        carried = ErmQuery().add_block(MAIN, pert.contexts, pert.labels, pert.coeffs, pert.values)
+        evaluated = ErmQuery().add_block(MAIN, pert.contexts, pert.labels, pert.coeffs)
+        assert np.array_equal(block_oracle.objective_vector(carried), reference)
+        assert np.array_equal(block_oracle.objective_vector(evaluated), reference)

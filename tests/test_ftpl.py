@@ -435,7 +435,7 @@ def test_approximate_oracle_learner_draws_every_anchor(variant, interval):
         oracle.extend_prefix(x, y)
 
 
-def test_exact_learner_draws_per_cell_only_below_the_anchor_count():
+def test_exact_learner_draws_per_cell_only_below_the_anchor_count(monkeypatch):
     loss = linear_loss()
     klass = ThresholdClass.grid(8)
     sched = schedule(60, 0.5, L=loss.lipschitz_L, variant="dual")
@@ -443,9 +443,23 @@ def test_exact_learner_draws_per_cell_only_below_the_anchor_count():
                           ErmOracle(klass, loss), make_rng(17, 0))
     assert learner.cells.ground.size == 9  # the m + 1 gaps between thresholds
     assert fewer_cells(learner.cells, sched.n)  # 9 cells against 11 anchors
-    assert learner._omega == (learner.cells, sched.n, None, True)
     assert not fewer_cells(learner.cells, sched.n, learner.grid)
-    assert learner._omega_label == (learner.mu, sched.n, learner.grid, False)
+    drawn, draw = [], ftpl.draw_perturbation
+    monkeypatch.setattr(ftpl, "draw_perturbation", lambda *a, **kw: drawn.append(draw(*a, **kw))
+                        or drawn[-1])
+    history = make_rng(17, 1)
+    for _ in range(3):
+        learner.select()
+        learner.observe(UniformIntervalMeasure().sample_point(history), 1.0)
+    assert len(drawn) == 6
+    for omega, omega_label in zip(drawn[::2], drawn[1::2]):
+        # omega per cell: one coefficient at each gap's left end, with the class's values there
+        assert omega.n == sched.n and omega.labels is None
+        assert np.array_equal(omega.contexts.coords, learner.cells.atoms.coords)
+        assert np.array_equal(omega.values, klass.evaluate_block(learner.cells.atoms))
+        # omega' per anchor: one coefficient per anchor drawn from mu, evaluated by the oracle
+        assert omega_label.n == len(omega_label.coeffs) == sched.n
+        assert omega_label.values is None and omega_label.labels is not None
 
 
 def test_learner_builds_the_label_grid_once(monkeypatch):

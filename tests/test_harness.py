@@ -340,7 +340,8 @@ def _case(case_id, overrides, *fields):
     _case("relax-linear-absolute", {"learner": {"name": "relax-linear"}, "loss": "absolute"}),
     # +/-1 thresholds leave the [0, 1] square-loss domain
     _case("square-on-thresholds", {"loss": "square"}),
-    _case("table-over-one", {"class": {"type": "table", "values": [[0.5] * 15 + [1.5]]}}),
+    _case("table-over-one", {"class": {"type": "table", "values": [[0.5] * 15 + [1.5]]}},
+          "class.values", "not 1.5 at [0][15]"),
     _case("fractional-atoms", {"ground": {"type": "grid", "atoms": 2.5}}, "ground.atoms"),
     _case("string-atoms", {"ground": {"type": "grid", "atoms": "abc"}}, "ground.atoms"),
     _case("mu-probs-length", {"ground": {"type": "grid", "atoms": 16, "mu_probs": [0.5, 0.5]}},
@@ -559,7 +560,8 @@ def _bandit_table_outside_unit_interval():
     _case("zero-H", {"class": {"type": "random_product", "H": 0}}, "class.H"),
     _case("f-star-index-out-of-range", {"f_star_index": 9}, "f_star_index"),
     _case("fractional-f-star-index", {"f_star_index": 1.5}, "f_star_index"),
-    _case("class-outside-unit-interval", _bandit_table_outside_unit_interval()),
+    _case("class-outside-unit-interval", _bandit_table_outside_unit_interval(),
+          "class.values", "not 1.5 at [1][0][0]"),
     _case("interval-ground", {"ground": {"type": "interval", "atoms": 8}}, "ground.type"),
     _case("m-on-random-product", {"class": {"type": "random_product", "H": 4, "m": 9}},
           "class.m"),
@@ -643,6 +645,11 @@ def _run_with(command, path, value):
     if kinds:
         spec[KINDS[section][0]] = kinds[0]
     spec[path[-1]] = [value] if path[-1] in ("seeds", "checkpoints") else value
+    return _exit_of(command, raw)
+
+
+def _exit_of(command, raw):
+    """(exit code, stderr) of ``smoothol command`` on the config raw."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
@@ -703,6 +710,70 @@ def test_config_fuzzer_refuses_drawn_strings_and_out_of_range_numbers(field, dat
     if kind is int:  # a fraction in range
         bad.append(st.floats(max(low, 0), 1e15).filter(lambda v: not v.is_integer()))
     _assert_refused(command, row, path, data.draw(st.one_of(bad)))
+
+
+# ---------------------------------------------------------------------------
+# config fuzzer: the array fields, one mutation at a time
+# ---------------------------------------------------------------------------
+
+# (command, field, its section's other keys in the fuzz base config, a valid value, low, high)
+_ARRAYS = [
+    ("run", "class.values", {"type": "table"}, [[1.0] * 16, [-1.0] * 8 + [1.0] * 8], -1, 1),
+    ("run", "ground.mu_probs", {"type": "grid", "atoms": 16}, [1 / 16] * 16, 0, 1),
+    ("run", "adversary.p", {"kind": "iid", "labels": {"rule": "rademacher"}}, [1 / 16] * 16, 0, 1),
+    ("bandit", "class.values", {"type": "table"}, [[[0.5, 1.0]] * 4, [[0.0, 0.25]] * 4], 0, 1),
+    ("bandit", "ground.mu_probs", {"atoms": 4}, [0.25] * 4, 0, 1),
+]
+
+
+def _replaced(value, index, leaf):
+    """A copy of the nested lists value with the number at index replaced by leaf."""
+    out = json.loads(json.dumps(value))
+    row = out
+    for i in index[:-1]:
+        row = row[i]
+    row[index[-1]] = leaf
+    return out
+
+
+def _short(value):
+    """value with every innermost list one number short."""
+    return [_short(row) for row in value] if isinstance(value[0], list) else value[:-1]
+
+
+def _array_mutations(valid, low, high):
+    """(mutation, the entry and index its message must end with, or None) of the array valid."""
+    shape = np.shape(valid)
+    first, last = (0,) * len(shape), tuple(n - 1 for n in shape)
+    number = np.array(valid)[first]
+    yield [], None
+    yield {}, None  # an object where the list belongs
+    yield _replaced(valid, first, [number]), None  # a list where a number belongs
+    yield _replaced(valid, first, {"x": number}), None  # an object where a number belongs
+    yield _short(valid), None
+    yield ([_short(valid[0])] + valid[1:]) if len(shape) > 1 else valid + [[number]], None  # ragged
+    for index in (first, last):
+        for bad in (low - 0.5, math.nextafter(low, -math.inf), high + 1,
+                    math.nextafter(high, math.inf)):
+            at = "".join(f"[{i}]" for i in index)
+            yield _replaced(valid, index, bad), f"not {bad!r} at {at}"
+
+
+@pytest.mark.parametrize("command, field, section, valid, low, high", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _ARRAYS])
+def test_config_fuzzer_refuses_each_bad_array_naming_its_field(command, field, section,
+                                                               valid, low, high):
+    base = _FUZZ_RUN if command == "run" else _FUZZ_BANDIT
+    name, key = field.split(".")
+    assert _exit_of(command, {**base, name: {**section, key: valid}}) == (0, "")
+    rc, err = _exit_of(command, {**base, name: [section, valid]})  # a list where an object belongs
+    assert rc == 2 and err.startswith("config error:") and f"{name} must be an object" in err, err
+    for value, entry in _array_mutations(valid, low, high):
+        rc, err = _exit_of(command, {**base, name: {**section, key: value}})
+        assert rc == 2 and "Traceback" not in err, (value, err)
+        assert err.startswith("config error:") and field in err, (value, err)
+        if entry is not None:  # out of range: the message names the bounds and the entry
+            assert f"must lie in [{low}, {high}]" in err and err.rstrip().endswith(entry), err
 
 
 # a bandit config sets its top level, class and ground; the mapping fixes its other sections

@@ -233,6 +233,17 @@ def test_add_block_rejects_unknown_selector(sign_constants):
         q.add_block("hinge", ContextBlock(ids=np.array([0])), np.array([1.0]), np.array([1.0]))
 
 
+def test_block_values_of_the_wrong_shape_raise(sign_constants):
+    ctx, zeros, ones = ContextBlock(ids=np.array([0, 1])), np.zeros(2), np.ones(2)
+    for values in (np.ones(2), np.ones((2, 3)), np.ones((2, 2, 1))):  # (H, rows) is (2, 2)
+        with pytest.raises(ValueError, match="block values must be"):
+            ErmQuery().add_block(IDENTITY, ctx, zeros, ones, values)
+    for selector in (IDENTITY, MAIN):
+        query = ErmQuery().add_block(selector, ctx, ones, ones, np.ones((3, 2)))
+        with pytest.raises(ValueError, match="3 hypotheses"):
+            ErmOracle(sign_constants, linear_loss()).exact(query)
+
+
 def test_domain_mismatch_propagates(sign_constants):
     oracle = ErmOracle(sign_constants, linear_loss())
     q = ErmQuery().add_block(MAIN, ContextBlock(coords=np.array([0.5])),
