@@ -57,6 +57,9 @@ class EmptyTraceError(ValueError):
 # largest draw count that ``Generator.multinomial`` takes (it reads the count as an int64)
 MAX_DRAWS = 2**63 - 1
 
+# most rounds whose history-free draws (playouts, perturbations) a learner makes at once
+BLOCK = 64
+
 
 def make_rng(seed: int, *key: int) -> np.random.Generator:
     """Philox generator for ``seed``, split hierarchically by integer ``key``.
@@ -85,6 +88,10 @@ class ContextBlock:
     def __len__(self) -> int:
         arr = self.ids if self.ids is not None else self.coords
         return 0 if arr is None else int(arr.shape[0])
+
+    def __getitem__(self, rows: slice) -> "ContextBlock":
+        return ContextBlock(ids=None if self.ids is None else self.ids[rows],
+                            coords=None if self.coords is None else self.coords[rows])
 
     @property
     def id(self) -> Optional[int]:
@@ -231,7 +238,9 @@ def density_ratio(p: np.ndarray, mu: np.ndarray, sigma: float) -> np.ndarray:
 class HypothesisClass:
     """Finite, enumerable class of functions mapping contexts into [-1, 1].
 
-    Subclasses implement ``evaluate_block``; ``identity_dot`` may be overridden
+    Subclasses implement ``evaluate_block``, returning a C-contiguous
+    (H, len(block)) array, so that equal value matrices sum in one order;
+    ``identity_dot`` may be overridden
     with a faster route for computing sum_i w_i f(x_i) simultaneously for all
     hypotheses (it must agree with the generic one up to float summation order).
     The oracle calls it only for identity rows that carry no value matrix:
@@ -306,7 +315,7 @@ class TableClass(HypothesisClass):
 
     def evaluate_block(self, block: ContextBlock) -> np.ndarray:
         ids = self._check_ids(block)
-        return self.values[:, ids]
+        return self.values.take(ids, axis=1)  # C-contiguous, as every class returns
 
     def identity_dot(self, block: ContextBlock, weights: np.ndarray) -> np.ndarray:
         ids = self._check_ids(block)

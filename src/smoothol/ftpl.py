@@ -15,10 +15,18 @@ is N(0, n_c), so a process is drawn as one multinomial and one normal per
 cell, with the same law, whenever there are fewer cells than anchors; the
 cells are fixed, so the learner evaluates the class on them once and every
 per-cell draw carries that value matrix to the oracle.  Each round the
-learner draws fresh perturbations and commits, via a single weighted ERM
-call, to the hypothesis minimizing running loss plus perturbation -- before
-the round's context is revealed.  The oracle holds the running loss as its
-history, so the call's query is the perturbation's row blocks alone.
+learner commits, via a single weighted ERM call, to the hypothesis
+minimizing running loss plus a fresh perturbation -- before the round's
+context is revealed.  The oracle holds the running loss as its history, so
+the call's query is the perturbation's row blocks alone.
+
+The perturbations never read the history, so the learner draws them for up
+to ``core.BLOCK`` rounds at once (fewer when a round's arrays are large, and
+none past the schedule's horizon), with one call per kind of draw, and the
+oracle evaluates the block's rows together at its first round; each round
+still makes its one oracle call.  The rounds' draws are independent as
+before, but they no longer interleave round by round, so the stream differs
+from drawing each round alone.
 
 Three variants ship, differing in which processes they add and how they are
 scaled; ``schedule`` returns each variant's parameter choices as a function of
@@ -33,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction
+from .core import BLOCK, MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction
 from .oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 
 __all__ = [
@@ -74,27 +82,30 @@ class GaussianPerturbation:
 
     Drawn per anchor there is one context per anchor with an N(0, 1)
     coefficient; drawn per cell there is one context per cell with the
-    cell's summed coefficients, N(0, n_c) given its anchor count n_c.
+    cell's summed coefficients, N(0, n_c) given its anchor count n_c.  A
+    block of rounds has one row of coefficients per round, over contexts
+    (and labels) shared by every round or drawn per round, round-major.
     """
 
     contexts: ContextBlock
     coeffs: np.ndarray
     normalization: str = "inv_sqrt_n"  # "inv_sqrt_n" | "none"
     labels: Optional[np.ndarray] = None
-    n: Optional[int] = None  # anchors drawn; defaults to one per context
+    n: Optional[int] = None  # anchors drawn per round; defaults to one per context
     values: Optional[np.ndarray] = None  # f(contexts) per hypothesis f, for the oracle
 
     def __post_init__(self):
         if self.normalization not in ("inv_sqrt_n", "none"):
             raise ValueError("normalization must be inv_sqrt_n or none")
-        if len(self.coeffs) != len(self.contexts):
+        rows = self.coeffs.shape[-1]
+        if len(self.contexts) not in (rows, self.coeffs.size):
             raise ValueError("one coefficient per context")
         if self.labels is not None and len(self.labels) != len(self.contexts):
             raise ValueError("one label per context")
         if self.labels is not None and self.normalization == "inv_sqrt_n":
             raise ValueError("label-anchor processes are unnormalized")
         if self.n is None:
-            self.n = len(self.coeffs)
+            self.n = rows
         if self.n < 0:
             raise ValueError("anchor count must be nonnegative")
 
@@ -121,7 +132,8 @@ def draw_perturbation(mu, n: int, rng: np.random.Generator,
                       eps: Optional[float] = None,
                       grid: Optional[np.ndarray] = None,
                       per_cell: Optional[bool] = None,
-                      values: Optional[np.ndarray] = None) -> GaussianPerturbation:
+                      values: Optional[np.ndarray] = None,
+                      rounds: Optional[int] = None) -> GaussianPerturbation:
     """n anchors from mu with N(0,1) coefficients; eps (or a built ``grid``) adds labels.
 
     Per cell, the atoms of the finite mu (a class's cell measure; times the
@@ -130,21 +142,25 @@ def draw_perturbation(mu, n: int, rng: np.random.Generator,
     cell give the coefficient sqrt(n_c) * z_c, and the draw carries
     ``values``, the class's value matrix on those cells.  Per anchor, every
     anchor is drawn from mu.  ``per_cell`` defaults to ``fewer_cells(mu, n, grid)``.
+    With ``rounds``, a block of that many independent rounds is drawn at
+    once, each kind of draw in one call: coefficients (rounds, contexts),
+    and per anchor rounds * n anchors, round-major.
     """
     if grid is None and eps is not None:
         grid = epsilon_grid(eps)
     if per_cell is None:
         per_cell = fewer_cells(mu, n, grid)
     if not per_cell:
-        contexts = mu.sample_block(rng, n)
-        coeffs = rng.standard_normal(n)
-        labels = None if grid is None else grid[rng.integers(0, len(grid), size=n)]
-        return GaussianPerturbation(contexts, coeffs, normalization, labels)
+        size = n if rounds is None else rounds * n
+        contexts = mu.sample_block(rng, size)
+        coeffs = rng.standard_normal(n if rounds is None else (rounds, n))
+        labels = None if grid is None else grid[rng.integers(0, len(grid), size=size)]
+        return GaussianPerturbation(contexts, coeffs, normalization, labels, n)
     contexts, probs, labels = mu.atoms, mu.probs, None
     if grid is not None:  # each (cell, label) pair has mass mu_c / |grid|
         (contexts, labels), probs = _pairs(mu, grid), np.repeat(probs / len(grid), len(grid))
-    counts = rng.multinomial(n, probs)
-    coeffs = np.sqrt(counts) * rng.standard_normal(len(counts))
+    counts = rng.multinomial(n, probs, size=rounds)
+    coeffs = np.sqrt(counts) * rng.standard_normal(counts.shape)
     return GaussianPerturbation(contexts, coeffs, normalization, labels, n, values)
 
 
@@ -163,6 +179,7 @@ class FtplSchedule:
     m: Optional[int] = None
     epsilon: Optional[float] = None
     zeta: float = 0.0
+    T: Optional[int] = None  # the horizon it was made for; no learner draws past it
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -170,6 +187,8 @@ class FtplSchedule:
         if not (0 <= self.eta < math.inf and 0 <= self.zeta < math.inf) or self.n < 1 or (
                 self.epsilon is not None and not 0 < self.epsilon < math.inf):
             raise ValueError("schedule parameters out of range")
+        if self.T is not None and self.T < 1:
+            raise ValueError("horizon must be at least 1")
         if self.n > MAX_DRAWS or (self.m is not None and self.m > MAX_DRAWS):
             raise ValueError(f"anchor counts must be at most 2^63 - 1, the most draws one "
                              f"multinomial takes (n = {self.n}, m = {self.m})")
@@ -203,7 +222,7 @@ def schedule(T: int, sigma: float, L: float = 1.0, d_or_p: Optional[float] = Non
         log_term = max(math.log(T * L / sigma), 0.0)
         eta = math.sqrt(T * log_term / sigma)
         return FtplSchedule("classification", eta=eta, n=_ceil(T / math.sqrt(sigma)),
-                            zeta=zeta)
+                            zeta=zeta, T=T)
     if variant == "dual":
         p = d_or_p
         if p is not None and p >= 2.0:
@@ -214,18 +233,37 @@ def schedule(T: int, sigma: float, L: float = 1.0, d_or_p: Optional[float] = Non
             eta = T ** (2.0 / 3.0) * sigma ** (-1.0 / 3.0)
             n = _ceil(math.sqrt(T / sigma))
             eps = T ** (-1.0 / 3.0)
-        return FtplSchedule("dual", eta=eta, n=n, m=n, epsilon=eps, zeta=zeta)
+        return FtplSchedule("dual", eta=eta, n=n, m=n, epsilon=eps, zeta=zeta, T=T)
     if variant == "single":
         eta0 = T ** (5.0 / 12.0) * sigma ** (-0.25)
         n = _ceil(eta0 ** 2)
         eps = T ** (-0.75) * sigma ** (-0.25)
-        return FtplSchedule("single", eta=math.sqrt(n), n=n, epsilon=eps, zeta=zeta)
+        return FtplSchedule("single", eta=math.sqrt(n), n=n, epsilon=eps, zeta=zeta, T=T)
     raise ValueError(f"unknown variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
-# Selection rules (one oracle call each)
+# Selection rules (one oracle call each), and the queries they answer
 # ---------------------------------------------------------------------------
+
+def _query(omega: Optional[GaussianPerturbation], omega_label: Optional[GaussianPerturbation],
+           eta: float, label_scale: float) -> ErmQuery:
+    """eta * omega(f) as identity rows plus label_scale * omega'(f) as main-loss rows at
+    the label anchors, one round per row of coefficients; a variant may lack either."""
+    coeffs = (omega or omega_label).coeffs
+    query = ErmQuery(1 if coeffs.ndim == 1 else len(coeffs))
+    if omega is not None:
+        if omega.normalization != "inv_sqrt_n" or omega.labels is not None:
+            raise ValueError("omega is the normalized, label-free process")
+        query.add_block(IDENTITY, omega.contexts, np.zeros(len(omega.contexts)),
+                        eta * omega.scale * omega.coeffs, omega.values)
+    if omega_label is not None:
+        if omega_label.normalization != "none" or omega_label.labels is None:
+            raise ValueError("omega' is the unnormalized process with label anchors")
+        query.add_block(MAIN, omega_label.contexts, omega_label.labels,
+                        label_scale * omega_label.coeffs, omega_label.values)
+    return query
+
 
 def ftpl_select_classification(pert: GaussianPerturbation, eta: float,
                                oracle: ErmOracle, zeta: float = 0.0,
@@ -235,44 +273,40 @@ def ftpl_select_classification(pert: GaussianPerturbation, eta: float,
     L(f) is the running loss held in the oracle's history; the perturbation
     enters as identity rows.
     """
-    if pert.normalization != "inv_sqrt_n" or pert.labels is not None:
-        raise ValueError("classification variant uses the normalized, label-free process")
-    query = ErmQuery().add_block(IDENTITY, pert.contexts, np.zeros(len(pert.coeffs)),
-                                 eta * pert.scale * pert.coeffs, pert.values)
-    return oracle.approximate(query, zeta, rng).hypothesis_index
+    return oracle.approximate(_query(pert, None, eta, 1.0), zeta, rng).hypothesis_index
 
 
 def ftpl_select_dual(pert_m: GaussianPerturbation, pert_n: GaussianPerturbation,
                      eta: float, oracle: ErmOracle, zeta: float = 0.0,
                      rng: Optional[np.random.Generator] = None) -> int:
     """argmin_f L(f) + eta * omega(f) + omega'(f), one oracle call; L(f) from the history."""
-    if pert_m.normalization != "inv_sqrt_n" or pert_m.labels is not None:
-        raise ValueError("first process must be normalized and label-free")
-    if pert_n.normalization != "none" or pert_n.labels is None:
-        raise ValueError("second process must be unnormalized with label anchors")
-    query = ErmQuery().add_block(IDENTITY, pert_m.contexts, np.zeros(len(pert_m.coeffs)),
-                                 eta * pert_m.scale * pert_m.coeffs, pert_m.values)
-    query.add_block(MAIN, pert_n.contexts, pert_n.labels, pert_n.coeffs, pert_n.values)
-    return oracle.approximate(query, zeta, rng).hypothesis_index
+    return oracle.approximate(_query(pert_m, pert_n, eta, 1.0), zeta, rng).hypothesis_index
 
 
 def ftpl_select_single(pert: GaussianPerturbation, eta_over_sqrt_n: float,
                        oracle: ErmOracle, zeta: float = 0.0,
                        rng: Optional[np.random.Generator] = None) -> int:
     """argmin_f L(f) + (eta/sqrt n) * omega'(f), one oracle call; L(f) from the history."""
-    if pert.normalization != "none" or pert.labels is None:
-        raise ValueError("single variant uses the unnormalized label-anchor process")
-    query = ErmQuery().add_block(MAIN, pert.contexts, pert.labels, eta_over_sqrt_n * pert.coeffs,
-                                 pert.values)
-    return oracle.approximate(query, zeta, rng).hypothesis_index
+    return oracle.approximate(_query(None, pert, 0.0, eta_over_sqrt_n), zeta,
+                              rng).hypothesis_index
 
 
 # ---------------------------------------------------------------------------
 # Learner wrapper
 # ---------------------------------------------------------------------------
 
+# most elements the per-round arrays of a block may hold, summed over its rounds: a
+# process's contexts per round, times H for per-anchor main-loss rows (their gather)
+BLOCK_ELEMENTS = 2**17
+
+
 class FtplLearner:
-    """Proper learner: commits to a hypothesis before each round's context arrives."""
+    """Proper learner: commits to a hypothesis before each round's context arrives.
+
+    Perturbations are drawn a block of rounds at a time: ``BLOCK`` rounds, or
+    fewer so that the block's arrays stay within ``BLOCK_ELEMENTS`` (one
+    round at least), and none past the schedule's horizon ``sched.T``.
+    """
 
     proper = True
 
@@ -295,9 +329,16 @@ class FtplLearner:
         self.oracle = oracle
         self.rng = rng
         self.selected: Optional[int] = None
-        # each process's draw, per cell or per anchor, is fixed here
-        self._omega = self._process(sched.m or sched.n, None)
-        self._omega_label = self._process(sched.n, self.grid)
+        # (omega, omega'): each process's draw, per cell or per anchor, is fixed here;
+        # None for a process the variant does not add
+        self._processes = (
+            None if variant == "single" else self._process(sched.m or sched.n, None),
+            None if variant == "classification" else self._process(sched.n, self.grid))
+        self._block_rounds = max(1, min(BLOCK, BLOCK_ELEMENTS // max(
+            self._elements(p) for p in self._processes if p)))
+        self._query: Optional[ErmQuery] = None  # the current block's rows
+        self._next = 0                          # its next unanswered round
+        self._t = 0                             # rounds selected
 
     def _process(self, n: int, grid: Optional[np.ndarray]) -> tuple:
         """The arguments of one process's draws: measure, anchors, labels, per cell, and
@@ -313,26 +354,40 @@ class FtplLearner:
         contexts = self.cells.atoms if grid is None else _pairs(self.cells, grid)[0]
         return self.cells, n, grid, True, self.klass.evaluate_block(contexts)
 
-    def _draw(self, process: tuple) -> GaussianPerturbation:
+    def _elements(self, process: tuple) -> int:
+        """Elements of one round of the process in a block."""
+        _, n, grid, per_cell, values = process
+        if per_cell:
+            return values.shape[1]
+        return n * (1 if grid is None else len(self.klass))
+
+    def _draw(self, process: Optional[tuple], rounds: int) -> Optional[GaussianPerturbation]:
+        if process is None:
+            return None
         mu, n, grid, per_cell, values = process
         return draw_perturbation(mu, n, self.rng, "inv_sqrt_n" if grid is None else "none",
-                                 grid=grid, per_cell=per_cell, values=values)
+                                 grid=grid, per_cell=per_cell, values=values, rounds=rounds)
+
+    def _draw_block(self) -> ErmQuery:
+        """The next block's perturbations, as one query with a round per row."""
+        rounds = self._block_rounds
+        if self.sched.T is not None:
+            rounds = max(1, min(rounds, self.sched.T - self._t))
+        omega, omega_label = (self._draw(p, rounds) for p in self._processes)
+        s = self.sched
+        if self.variant == "single":
+            return _query(None, omega_label, 0.0, s.eta / math.sqrt(s.n))
+        return _query(omega, omega_label, s.eta, 1.0)
 
     def select(self) -> int:
-        """Draw fresh perturbations and commit to this round's hypothesis."""
-        s = self.sched
-        if self.variant == "classification":
-            idx = ftpl_select_classification(self._draw(self._omega), s.eta, self.oracle,
-                                             s.zeta, self.rng)
-        elif self.variant == "dual":
-            pert_m = self._draw(self._omega)
-            pert_n = self._draw(self._omega_label)
-            idx = ftpl_select_dual(pert_m, pert_n, s.eta, self.oracle, s.zeta, self.rng)
-        else:
-            idx = ftpl_select_single(self._draw(self._omega_label), s.eta / math.sqrt(s.n),
-                                     self.oracle, s.zeta, self.rng)
-        self.selected = idx
-        return idx
+        """Commit to this round's hypothesis, under the round's fresh perturbations."""
+        if self._query is None or self._next == self._query.rounds:
+            self._query, self._next = self._draw_block(), 0
+        self.selected = self.oracle.approximate(self._query, self.sched.zeta, self.rng,
+                                                self._next).hypothesis_index
+        self._next += 1
+        self._t += 1
+        return self.selected
 
     def predict(self, x_t: ContextBlock) -> float:
         if self.selected is None:
@@ -342,4 +397,3 @@ class FtplLearner:
     def observe(self, context: ContextBlock, label: float) -> None:
         self.oracle.extend_prefix(context, label)
         self.selected = None
-

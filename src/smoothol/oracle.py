@@ -17,6 +17,15 @@ main-loss row is answered by one evaluation (``ErmOracle.exact_labels``) and
 still counts as one call per label.
 A block over fixed contexts (a learner's cells) may carry the class's values
 there, evaluated once, which the oracle reads instead of the contexts.
+
+A query may stack the history-free rows of several rounds, drawn at once:
+each block then holds one weight row per round.  The oracle evaluates every
+round of a query together at its first call on it (a (rounds x H) product
+for blocks over fixed contexts; one gather, one loss and one row sum for
+per-round main-loss contexts) and keeps the result with the query, so each
+later call on round i adds only the history.  A call is still counted when
+a round is answered, not when its rows are evaluated; a single-round query
+is the one-round case of the same evaluation.
 """
 
 from __future__ import annotations
@@ -36,8 +45,14 @@ IDENTITY = "identity_loss"
 
 @dataclass
 class RowBlock:
-    """Rows sharing a loss selector; ``values``, if given, is f(contexts) for every
-    hypothesis f, (H, rows), which the oracle reads in place of evaluating the contexts."""
+    """Rows sharing a loss selector, for one round or a stack of rounds.
+
+    ``weights`` is (rows,) for one round, or (rounds, rows) with one weight
+    row per round.  ``contexts`` and ``labels`` hold one set of rows shared
+    by every round, or one set per round, round-major.  ``values``, if given,
+    is f(contexts) for every hypothesis f, (H, len(contexts)), which the
+    oracle reads in place of evaluating the contexts.
+    """
 
     selector: str
     contexts: ContextBlock
@@ -50,43 +65,72 @@ class RowBlock:
             raise ValueError(f"unknown loss selector {self.selector!r}")
         self.labels = np.asarray(self.labels, dtype=np.float64)
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if not (len(self.contexts) == len(self.labels) == len(self.weights)):
+        n = len(self.contexts)
+        if self.weights.ndim not in (1, 2) or len(self.labels) != n or \
+                n not in (len(self), self.rounds * len(self)):
             raise ValueError("block arrays must share a length")
-        if self.values is not None and (self.values.ndim != 2
-                                        or self.values.shape[1] != len(self.weights)):
-            raise ValueError(f"block values must be (H, {len(self.weights)}), "
-                             f"not {self.values.shape}")
+        if self.values is not None and (self.values.ndim != 2 or self.values.shape[1] != n):
+            raise ValueError(f"block values must be (H, {n}), not {self.values.shape}")
+
+    @property
+    def rounds(self) -> int:
+        return 1 if self.weights.ndim == 1 else len(self.weights)
 
     def __len__(self) -> int:
-        return len(self.weights)
+        """Rows per round."""
+        return self.weights.shape[-1]
 
 
 class ErmQuery:
-    """The rows a weighted ERM instance adds to the oracle's history, as row blocks."""
+    """The rows a weighted ERM instance adds to the oracle's history, as row blocks.
 
-    def __init__(self):
+    A query holds ``rounds`` rounds, and each block one weight row per round
+    (a plain weight vector for one round); round i's instance is row i of
+    every block.  The oracle's first call on the query evaluates every
+    round and keeps the result in ``evaluated``; adding a block drops it.
+    """
+
+    def __init__(self, rounds: int = 1):
+        if rounds < 1:
+            raise ValueError("a query holds at least one round")
+        self.rounds = rounds
         self.blocks: list[RowBlock] = []
+        self.evaluated: Optional[tuple] = None  # (oracle, (rounds, H) objective per block)
 
     def add_block(self, selector: str, contexts: ContextBlock, labels: np.ndarray,
                   weights: np.ndarray, values: Optional[np.ndarray] = None) -> "ErmQuery":
         block = RowBlock(selector, contexts, labels, weights, values)
+        if block.rounds != self.rounds:
+            raise ValueError(f"block holds {block.rounds} rounds, not the query's {self.rounds}")
         if len(block):
             self.blocks.append(block)
+            self.evaluated = None
         return self
 
     @property
     def n_rows(self) -> int:
-        """Rows of the row blocks; the history's rows are the oracle's ``prefix_rows``."""
+        """Rows per round of the row blocks; the history's rows are the oracle's ``prefix_rows``."""
         return sum(len(b) for b in self.blocks)
 
-    def total_abs_weight(self) -> float:
-        return float(sum(np.abs(b.weights).sum() for b in self.blocks))
+    def total_abs_weight(self, index: int = 0) -> float:
+        """sum |w_i| over round ``index``'s rows."""
+        return float(sum(np.abs(b.weights.reshape(self.rounds, -1)[index]).sum()
+                         for b in self.blocks))
 
 
 @dataclass(frozen=True)
 class ErmResult:
     hypothesis_index: int
     objective_value: float
+
+
+def _row_sums(terms: np.ndarray, weights: np.ndarray, shared: bool) -> np.ndarray:
+    """(rounds, H): each round's weights times its columns of the (H, columns) terms,
+    which hold one set of rows for every round, or each round's rows in turn."""
+    if shared:
+        return weights @ terms.T
+    per_round = terms.reshape(len(terms), len(weights), -1).transpose(1, 0, 2)
+    return np.matmul(per_round, weights[:, :, None])[:, :, 0]
 
 
 class ErmOracle:
@@ -118,36 +162,46 @@ class ErmOracle:
 
     # -- objective evaluation -----------------------------------------------
     def _block_objective(self, block: RowBlock) -> np.ndarray:
-        # identity rows ignore labels: contribution is sum_i w_i f(x_i)
+        """(rounds, H): each round's sum_i w_i l_i(f(x_i), y_i) over the block's rows."""
+        rows = len(block)
+        weights = block.weights.reshape(block.rounds, rows)
+        shared = len(block.contexts) == rows  # one set of rows for every round
         values = block.values
         if values is None:
-            if block.selector == IDENTITY:
-                return self.klass.identity_dot(block.contexts, block.weights)
+            if block.selector == IDENTITY:  # identity rows ignore labels: sum_i w_i f(x_i)
+                return np.array([self.klass.identity_dot(
+                    block.contexts if shared else block.contexts[i * rows:(i + 1) * rows], w)
+                    for i, w in enumerate(weights)])
             values = self.klass.evaluate_block(block.contexts)
         elif len(values) != len(self.prefix):
             raise ValueError(f"block values hold {len(values)} hypotheses, not {len(self.prefix)}")
-        if block.selector == IDENTITY:
-            return values @ block.weights
-        return self.main_loss.evaluate_array(values, block.labels[None, :]) @ block.weights
+        if block.selector == MAIN:
+            # the loss matrix is freed before the values: the other order let the allocator
+            # return both (H x rows) arrays to the system every round, and fault them back in
+            return _row_sums(self.main_loss.evaluate_array(values, block.labels[None, :]),
+                             weights, shared)
+        return _row_sums(values, weights, shared)
 
-    def objective_vector(self, query: ErmQuery) -> np.ndarray:
-        """A copy of the history objective plus each row block's, in order."""
+    def objective_vector(self, query: ErmQuery, index: int = 0) -> np.ndarray:
+        """A copy of the history objective plus round ``index``'s row blocks', in order.
+
+        Every round of the query is evaluated at the first call on it.
+        """
+        if query.evaluated is None or query.evaluated[0] is not self:
+            query.evaluated = (self, [self._block_objective(b) for b in query.blocks])
         obj = self.prefix.copy()
-        for block in query.blocks:
-            obj += self._block_objective(block)
+        for block_objective in query.evaluated[1]:
+            obj += block_objective[index]
         return obj
 
-    def _abs_weight(self, query: ErmQuery) -> float:
-        return query.total_abs_weight() + self.prefix_rows
-
     # -- queries --------------------------------------------------------------
-    def exact(self, query: ErmQuery) -> ErmResult:
-        """Exact minimizer (zeta = 0); ties resolve to the lowest index."""
-        return self.approximate(query, 0.0)
+    def exact(self, query: ErmQuery, index: int = 0) -> ErmResult:
+        """Exact minimizer (zeta = 0) of round ``index``; ties resolve to the lowest index."""
+        return self.approximate(query, 0.0, index=index)
 
-    def exact_labels(self, query: ErmQuery, x_t: ContextBlock,
-                     labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``exact`` of query plus a weight-1 main-loss row (x_t, y), for each label y.
+    def exact_labels(self, query: ErmQuery, x_t: ContextBlock, labels: np.ndarray,
+                     index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """``exact`` of round ``index`` plus a weight-1 main-loss row (x_t, y), for each label y.
 
         The query and f(x_t) are evaluated once and every label's objective is
         formed from them with the same float operations ``exact`` performs, so
@@ -156,7 +210,7 @@ class ErmOracle:
         values.
         """
         labels = np.asarray(labels, dtype=np.float64)
-        base = self.objective_vector(query)
+        base = self.objective_vector(query, index)
         values = self.klass.evaluate_block(x_t)[:, 0]
         obj = base[None, :] + self.main_loss.evaluate_array(values[None, :], labels[:, None])
         idx = obj.argmin(axis=1)
@@ -165,8 +219,9 @@ class ErmOracle:
         return idx, best
 
     def approximate(self, query: ErmQuery, zeta: float,
-                    rng: Optional[np.random.Generator] = None) -> ErmResult:
-        """zeta-approximate minimizer; with zeta = 0 the exact one, and no rng draw.
+                    rng: Optional[np.random.Generator] = None, index: int = 0) -> ErmResult:
+        """zeta-approximate minimizer of round ``index``; with zeta = 0 the exact one, and no
+        rng draw.
 
         Runs the exact scan, then with probability 1/2 returns a uniformly
         random *other* hypothesis still inside the admissible slack band, so
@@ -176,10 +231,11 @@ class ErmOracle:
         """
         if zeta < 0:
             raise ValueError("zeta must be nonnegative")
-        obj = self.objective_vector(query)
-        idx = int(np.argmin(obj))
+        obj = self.objective_vector(query, index)
+        idx = int(obj.argmin())
         if zeta > 0 and rng is not None and rng.random() < 0.5:
-            admissible = np.flatnonzero(obj <= obj[idx] + zeta * self._abs_weight(query))
+            band = zeta * (query.total_abs_weight(index) + self.prefix_rows)
+            admissible = np.flatnonzero(obj <= obj[idx] + band)
             others = admissible[admissible != idx]
             if len(others):
                 idx = int(rng.choice(others))

@@ -20,6 +20,12 @@ round's branch queries differ only in the label of the current round's row,
 so they are answered by one ``ErmOracle.exact_labels`` evaluation of the
 history, the playout and f(x_t), which still counts and logs one oracle call
 per label.
+The playouts never read the history, so the learner draws them for up to
+``core.BLOCK`` predictions at once, one multinomial over an array of
+rounds_left whose stream is that of the same draws made one by one, and the
+oracle evaluates the block's playout rows as one (block x H) product at its
+first round; each prediction still makes its own oracle calls, and the
+traces are those of drawing every playout at its round.
 For linear loss the outer problem collapses to a closed form needing two
 oracle calls; in general the interval is discretized into ceil(2 L sqrt(T))
 labels and the outer minimization runs a three-point convex search.
@@ -34,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction
+from .core import BLOCK, MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction
 from .oracle import IDENTITY, ErmOracle, ErmQuery
 
 __all__ = [
@@ -61,32 +67,37 @@ class PlayoutDraw:
 
     ``signs[c]`` is n_c^+ - n_c^-, the +1 draws landing in cell c minus the -1
     draws; sum_i eps_i f(x_i) = sum_c signs[c] * f(contexts[c]) for every f
-    constant on each cell.
+    constant on each cell.  A block of playouts has an array ``rounds_left``
+    and one row of ``signs`` per entry.
     """
 
     contexts: ContextBlock  # one representative per cell
-    signs: np.ndarray       # int, one net count per cell
-    rounds_left: int
+    signs: np.ndarray       # int, one net count per cell (per playout of a block)
+    rounds_left: int | np.ndarray
     k: int
     values: Optional[np.ndarray] = None  # f(contexts) per hypothesis f, for the oracle
 
     def __post_init__(self):
-        if len(self.signs) != len(self.contexts):
+        if self.signs.shape[-1] != len(self.contexts):
             raise ValueError("signs must hold one net count per context")
-        n, drawn = self.rounds_left * self.k, int(np.abs(self.signs).sum())
-        if drawn > n or (n - drawn) % 2:
+        n, drawn = np.asarray(self.rounds_left) * self.k, np.abs(self.signs).sum(axis=-1)
+        if n.shape != drawn.shape or np.any(drawn > n) or np.any((n - drawn) % 2):
             raise ValueError("net counts must come from rounds_left * k signed draws")
 
 
-def draw_playout(mu, rounds_left: int, k: int, rng: np.random.Generator,
+def draw_playout(mu, rounds_left: int | np.ndarray, k: int, rng: np.random.Generator,
                  values: Optional[np.ndarray] = None) -> PlayoutDraw:
     """rounds_left * k i.i.d. draws from the finite measure mu (a class's cell
     measure) with Rademacher signs, counted per (atom, sign) by one multinomial;
-    ``values`` is the class's value matrix on mu's atoms, carried by the draw."""
+    ``values`` is the class's value matrix on mu's atoms, carried by the draw.
+
+    An array of rounds_left draws a block, one playout per entry, with one
+    multinomial call whose stream is that of the same calls made one by one.
+    """
     half = mu.probs / 2.0
     counts = rng.multinomial(rounds_left * k, np.concatenate((half, half)))
     size = len(half)
-    return PlayoutDraw(contexts=mu.atoms, signs=counts[:size] - counts[size:],
+    return PlayoutDraw(contexts=mu.atoms, signs=counts[..., :size] - counts[..., size:],
                        rounds_left=rounds_left, k=k, values=values)
 
 
@@ -115,6 +126,8 @@ class RelaxState:
         self.t = 0
         # (a_+, a_-) after predict_linear, Phi(y) over the grid after predict_general
         self.last_branch_values: Optional[tuple[float, ...]] = None
+        self._playout: Optional[PlayoutDraw] = None  # the last playout and its query
+        self._query: Optional[ErmQuery] = None
 
     @cached_property
     def outer_loss(self) -> np.ndarray:
@@ -130,22 +143,30 @@ class RelaxState:
         oracle.extend_prefix(context, label)
         self.t += 1
 
+    def playout_query(self, playout: PlayoutDraw) -> ErmQuery:
+        """The playout's identity rows, one round per playout of a block, weighted 6L
+        per net sign and negated, because the oracle minimizes while the relaxation
+        takes a supremum.  The last playout's query is kept, so that the oracle
+        evaluates a block's playouts once."""
+        if self._playout is not playout:
+            weights = -6.0 * self.loss.lipschitz_L * playout.signs.astype(np.float64)
+            query = ErmQuery(1 if weights.ndim == 1 else len(weights))
+            self._query = query.add_block(IDENTITY, playout.contexts,
+                                          np.zeros(len(playout.contexts)), weights,
+                                          playout.values)
+            self._playout = playout
+        return self._query
+
 
 def _branch_values(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
-                   oracle: ErmOracle, labels: np.ndarray) -> np.ndarray:
-    """sup_f [ playout(f) - L_t(f) - l(f(x_t), y) ] per label y, one oracle call each.
-
-    The oracle minimizes while the relaxation takes a supremum, so the
-    playout's 6L weight per net sign enters negated.
-    """
-    weights = -6.0 * state.loss.lipschitz_L * playout.signs.astype(np.float64).ravel()
-    query = ErmQuery().add_block(IDENTITY, playout.contexts, np.zeros(len(weights)), weights,
-                                 playout.values)
-    return -oracle.exact_labels(query, x_t, labels)[1]
+                   oracle: ErmOracle, labels: np.ndarray, index: int) -> np.ndarray:
+    """sup_f [ playout(f) - L_t(f) - l(f(x_t), y) ] per label y, one oracle call each,
+    for the playout ``index`` of a block."""
+    return -oracle.exact_labels(state.playout_query(playout), x_t, labels, index)[1]
 
 
 def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
-                   oracle: ErmOracle) -> float:
+                   oracle: ErmOracle, index: int = 0) -> float:
     """Two-call closed form for linear loss l(yhat, y) = (1 - yhat*y)/2.
 
     The inner maximization over the label is attained at y = +/-1, so two ERM
@@ -155,7 +176,8 @@ def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
     """
     if state.loss.kind != "linear":
         raise ValueError("linear loss required")
-    a_plus, a_minus = _branch_values(state, playout, x_t, oracle, np.array([1.0, -1.0])).tolist()
+    a_plus, a_minus = _branch_values(state, playout, x_t, oracle, np.array([1.0, -1.0]),
+                                     index).tolist()
     state.last_branch_values = (a_plus, a_minus)
     return float(np.clip(a_plus - a_minus, -1.0, 1.0))
 
@@ -198,14 +220,14 @@ def three_point_min(values_oracle: Callable[[int], float], grid: np.ndarray) -> 
 
 
 def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
-                    oracle: ErmOracle) -> float:
+                    oracle: ErmOracle, index: int = 0) -> float:
     """Grid min-max for a general convex Lipschitz loss.
 
     The label-branch values Phi(y) do not depend on yhat, so the exhaustive
     inner scan costs |S| oracle calls once per round; the outer minimization
     over yhat then runs the three-point search on cached branch values.
     """
-    phi = _branch_values(state, playout, x_t, oracle, state.grid)
+    phi = _branch_values(state, playout, x_t, oracle, state.grid, index)
     state.last_branch_values = tuple(phi.tolist())
     worst = (state.outer_loss + phi[None, :]).max(axis=1)  # sup_y per candidate yhat
 
@@ -214,7 +236,13 @@ def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
 
 
 class RelaxGeneralLearner:
-    """Improper learner: a fresh playout per round, predictions via ``rule``."""
+    """Improper learner: a fresh playout per prediction, predictions via ``rule``.
+
+    Playouts are drawn a block at a time: up to ``BLOCK`` of them, as many
+    per round as the last complete round asked for (one at a time until a
+    round is complete), and none past round T.  A prediction whose round is
+    not the block's next one draws a new block.
+    """
 
     name = "relax-general"
     proper = False
@@ -229,15 +257,30 @@ class RelaxGeneralLearner:
         self.oracle = oracle
         self.rng = rng
         self.state = RelaxState(loss, T, sigma, k=k)
-        self.last_playout: Optional[PlayoutDraw] = None
+        self._playouts: Optional[PlayoutDraw] = None  # the current block
+        self._next = 0       # its next unused playout
+        self._asked = 0      # predictions asked in the current round
+        self._per_round = 0  # predictions asked in the last complete round
 
     def predict(self, x_t: ContextBlock) -> float:
-        self.last_playout = draw_playout(self.cells, self.state.rounds_left, self.state.k,
-                                         self.rng, self.values)
-        return self.rule(self.state, self.last_playout, x_t, self.oracle)
+        rounds_left = self.state.rounds_left
+        block = self._playouts
+        if block is None or self._next == len(block.rounds_left) or \
+                block.rounds_left[self._next] != rounds_left:
+            self._playouts, self._next = self._draw_block(rounds_left), 0
+        self._next += 1
+        self._asked += 1
+        return self.rule(self.state, self._playouts, x_t, self.oracle, self._next - 1)
+
+    def _draw_block(self, rounds_left: int) -> PlayoutDraw:
+        per_round = self._per_round
+        rounds = max(1, min(BLOCK // per_round, rounds_left + 1)) if per_round else 1
+        block = np.repeat(np.arange(rounds_left, rounds_left - rounds, -1), max(per_round, 1))
+        return draw_playout(self.cells, block, self.state.k, self.rng, self.values)
 
     def observe(self, context: ContextBlock, label: float) -> None:
         self.state.observe(context, label, self.oracle)
+        self._per_round, self._asked = self._asked, 0
 
 
 class RelaxLinearLearner(RelaxGeneralLearner):

@@ -1,0 +1,404 @@
+"""Block draws: playouts and perturbations drawn for many rounds at once.
+
+A learner's randomness never reads the history, so it draws a block of
+rounds with one call per kind of draw, and the oracle evaluates the block's
+rows together.  These tests hold each fast path to a naive reference: the
+block's rows against one query per round and a direct evaluation, the
+relaxation's stream against drawing every playout at its round, and the FTPL
+selections against per-round draws in law.  They also bound the blocks in
+memory and in the horizon.
+"""
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from smoothol import ftpl, relaxation
+from smoothol.bandit import run_square_cb
+from smoothol.core import (
+    BLOCK,
+    ContextBlock,
+    FiniteMeasure,
+    GroundSet,
+    SmoothnessCertificate,
+    TableClass,
+    ThresholdClass,
+    UniformIntervalMeasure,
+    absolute_loss,
+    compose_smoothness,
+    linear_loss,
+    make_rng,
+    product_class,
+    product_measure,
+    scaled_square_loss,
+    square_loss,
+)
+from smoothol.adversaries import IidAdversary, rademacher_labels
+from smoothol.ftpl import (
+    BLOCK_ELEMENTS,
+    FtplLearner,
+    FtplSchedule,
+    draw_perturbation,
+    epsilon_grid,
+    ftpl_select_classification,
+    ftpl_select_dual,
+    ftpl_select_single,
+    schedule,
+)
+from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
+from smoothol.relaxation import (
+    RelaxGeneralLearner,
+    RelaxLinearLearner,
+    draw_playout,
+    predict_general,
+    predict_linear,
+)
+
+LOSSES = [linear_loss(), absolute_loss(), scaled_square_loss()]
+
+
+def _space(interval):
+    """64 thresholds on the interval, or as a table on the 256-atom grid."""
+    thresholds = ThresholdClass.grid(64)
+    if interval:
+        return thresholds, UniformIntervalMeasure()
+    ground = GroundSet.grid(256)
+    table = TableClass(thresholds.evaluate_block(ContextBlock(coords=ground.coords)),
+                       ground=ground, kind="binary")
+    return table, FiniteMeasure.uniform(ground)
+
+
+def _spy(monkeypatch, module, name):
+    """Record every result of ``module.name`` as the learners call it."""
+    drawn, draw = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: drawn.append(draw(*a, **kw)) or drawn[-1])
+    return drawn
+
+
+# ---------------------------------------------------------------------------
+# the oracle: a block's rounds against one query per round
+# ---------------------------------------------------------------------------
+
+ROUTES = ["identity-cells", "main-cells", "identity-anchors", "main-anchors"]
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
+def test_block_objective_matches_one_query_per_round(interval, route, loss):
+    """Rows over fixed cells carry their values; per-anchor rows are drawn per round.
+    Each round of the block agrees with its own query and with evaluating the round's
+    rows directly within 1e-12 * sum|w|."""
+    klass, mu = _space(interval)
+    rng, rounds = make_rng(50, 0), 17
+    oracle = ErmOracle(klass, loss)
+    for x in (mu.sample_point(rng) for _ in range(5)):
+        oracle.extend_prefix(x, float(rng.choice([-1.0, 1.0])))
+    cells = klass.cell_measure(mu)
+    selector = IDENTITY if route.startswith("identity") else MAIN
+    if route.endswith("cells"):
+        contexts, values = cells.atoms, klass.evaluate_block(cells.atoms)
+        labels = rng.uniform(-1.0, 1.0, len(contexts))
+        weights = rng.normal(size=(rounds, len(contexts))) * 40.0
+        per_round = [(contexts, labels, w) for w in weights]
+    else:
+        n, values = 50, None
+        contexts, labels = mu.sample_block(rng, rounds * n), rng.uniform(-1.0, 1.0, rounds * n)
+        weights = rng.normal(size=(rounds, n)) * 40.0
+        per_round = [(contexts[i * n:(i + 1) * n], labels[i * n:(i + 1) * n], weights[i])
+                     for i in range(rounds)]
+    block = ErmQuery(rounds).add_block(selector, contexts, labels, weights, values)
+    for i, (ctx, y, w) in enumerate(per_round):
+        own = oracle.objective_vector(ErmQuery().add_block(
+            selector, ctx, y, w, None if values is None else values))
+        f = klass.evaluate_block(ctx)
+        direct = oracle.prefix + (f @ w if selector == IDENTITY
+                                  else loss.evaluate_array(f, y[None, :]) @ w)
+        tol = 1e-12 * np.abs(w).sum()
+        assert np.abs(oracle.objective_vector(block, i) - own).max() <= tol
+        assert np.abs(own - direct).max() <= tol
+        own_weight = ErmQuery().add_block(selector, ctx, y, w).total_abs_weight()
+        assert block.total_abs_weight(i) == own_weight
+
+
+@pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
+def test_block_of_playouts_equals_one_query_per_round_bit_for_bit(interval):
+    """+-1 values times integer playout weights sum exactly, in any order: the block's
+    rounds, their own queries and the branch values of ``exact_labels`` agree bit for bit."""
+    klass, mu = _space(interval)
+    loss = linear_loss()
+    learner = RelaxLinearLearner(klass, loss, mu, 2000, 0.2, ErmOracle(klass, loss),
+                                 make_rng(51, 0))
+    oracle, rng = learner.oracle, make_rng(51, 1)
+    for x in (mu.sample_point(rng) for _ in range(7)):
+        oracle.extend_prefix(x, float(rng.choice([-1.0, 1.0])))
+    rounds_left = rng.integers(0, 2000, size=BLOCK)
+    playouts = draw_playout(learner.cells, rounds_left, learner.state.k, rng, learner.values)
+    assert playouts.signs.shape == (BLOCK, 65)
+    block = learner.state.playout_query(playouts)
+    assert learner.state.playout_query(playouts) is block  # built once per block
+    x_t, labels = mu.sample_point(rng), np.array([1.0, -1.0])
+    for i, signs in enumerate(playouts.signs):
+        w = -3.0 * signs.astype(np.float64)
+        own = ErmQuery().add_block(IDENTITY, learner.cells.atoms, np.zeros(65), w, learner.values)
+        assert np.array_equal(oracle.objective_vector(block, i), oracle.objective_vector(own))
+        assert np.array_equal(oracle.objective_vector(own), oracle.prefix + learner.values @ w)
+        for a, b in zip(oracle.exact_labels(block, x_t, labels, i),
+                        oracle.exact_labels(own, x_t, labels)):
+            assert np.array_equal(a, b)
+
+
+def test_queries_refuse_blocks_of_another_round_count():
+    ctx = ContextBlock(ids=np.array([0, 1]))
+    with pytest.raises(ValueError, match="holds 3 rounds, not the query's 2"):
+        ErmQuery(2).add_block(IDENTITY, ctx, np.zeros(2), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="share a length"):  # 2 rounds of 3 rows over 2 contexts
+        ErmQuery(2).add_block(IDENTITY, ctx, np.zeros(2), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="at least one round"):
+        ErmQuery(0)
+
+
+# ---------------------------------------------------------------------------
+# class values: one layout for every class
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
+def test_class_values_are_c_contiguous(interval):
+    klass, mu = _space(interval)
+    rng = make_rng(52, 0)
+    for size in (1, 2, 65, 1000):
+        values = klass.evaluate_block(mu.sample_block(rng, size))
+        assert values.shape == (64, size) and values.flags.c_contiguous
+
+
+def test_equal_table_values_give_equal_row_sums():
+    """A copy of a table's values (here repeated per label) sums like the gather itself."""
+    table = TableClass(np.round(make_rng(53, 0).uniform(-1.0, 1.0, (64, 256)), 6))
+    rng, grid = make_rng(53, 1), epsilon_grid(0.1)
+    ids = rng.integers(0, 256, 40)
+    pairs = ContextBlock(ids=np.repeat(ids, len(grid)))
+    labels, w = np.tile(grid, len(ids)), rng.normal(size=len(ids) * len(grid))
+    repeated = np.repeat(table.evaluate_block(ContextBlock(ids=ids)), len(grid), axis=1)
+    loss = scaled_square_loss()
+    assert np.array_equal(loss.evaluate_array(repeated, labels[None, :]) @ w,
+                          loss.evaluate_array(table.evaluate_block(pairs), labels[None, :]) @ w)
+
+
+# ---------------------------------------------------------------------------
+# the relaxation: the stream of drawing every playout at its round
+# ---------------------------------------------------------------------------
+
+class _OnePlayoutAtATime(RelaxGeneralLearner):
+    """Reference: every prediction draws its own playout, as the learner once did."""
+
+    def predict(self, x_t):
+        playout = draw_playout(self.cells, self.state.rounds_left, self.state.k, self.rng,
+                               self.values)
+        return self.rule(self.state, playout, x_t, self.oracle)
+
+
+@pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
+@pytest.mark.parametrize("rule", [predict_linear, predict_general], ids=["linear", "general"])
+def test_relaxation_predictions_equal_one_playout_per_round(rule, interval):
+    klass, mu = _space(interval)
+    loss, T = (linear_loss(), 150) if rule is predict_linear else (absolute_loss(), 140)
+    learners = []
+    for cls in (RelaxGeneralLearner, _OnePlayoutAtATime):
+        learner = cls(klass, loss, mu, T, 0.2, ErmOracle(klass, loss), make_rng(54, 0))
+        learner.rule = rule
+        learners.append(learner)
+    rng = make_rng(54, 1)
+    for _ in range(T):
+        x, y = mu.sample_point(rng), float(rng.choice([-1.0, 1.0]))
+        block, single = (learner.predict(x) for learner in learners)
+        assert block == single
+        assert learners[0].oracle.calls == learners[1].oracle.calls
+        for learner in learners:
+            learner.observe(x, y)
+
+
+def _bandit_relax(cls, T):
+    atoms, K = 6, 3
+    values = make_rng(55, 0).random((4, atoms, K))
+    klass = product_class(values)
+    mu_x = FiniteMeasure.uniform(GroundSet.grid(atoms))
+    adversary = IidAdversary(SmoothnessCertificate(sigma=0.5, mu=mu_x), rademacher_labels(),
+                             make_rng(55, 1))
+    regressor = cls(klass, square_loss(), product_measure(mu_x, K), T, compose_smoothness(0.5, K),
+                    ErmOracle(klass, square_loss()), make_rng(55, 2), k=3)
+    return run_square_cb(adversary, regressor, K=K, T=T, f_star=values[0], gamma=10.0,
+                         rng=make_rng(55, 3))
+
+
+def test_bandit_relax_regressor_gets_a_fresh_playout_per_prediction(monkeypatch):
+    """K predictions per round, each with its own playout: the first round one at a time,
+    then K per round of each block, with the stream of drawing them one by one."""
+    T = 40
+    drawn = _spy(monkeypatch, relaxation, "draw_playout")
+    result = _bandit_relax(RelaxGeneralLearner, T)
+    rounds_left = np.concatenate([np.atleast_1d(p.rounds_left) for p in drawn])
+    assert np.array_equal(rounds_left, np.repeat(np.arange(T - 1, -1, -1), 3))
+    assert [np.size(p.rounds_left) for p in drawn] == [1, 1, 1, 63, 54]
+    reference = _bandit_relax(_OnePlayoutAtATime, T)
+    assert np.array_equal(result.predictions, reference.predictions)
+    assert np.array_equal(result.actions, reference.actions)
+
+
+# ---------------------------------------------------------------------------
+# FTPL: block selections against per-round selections, in law
+# ---------------------------------------------------------------------------
+
+def _same_law_pvalue(a, b):
+    """Chi-square p-value that two samples of indices share one law; values seen fewer
+    than 10 times are pooled."""
+    values = np.union1d(a, b)
+    table = np.array([[np.sum(s == v) for v in values] for s in (a, b)])
+    rare = table.sum(axis=0) < 10
+    if rare.any():
+        table = np.column_stack((table[:, ~rare], table[:, rare].sum(axis=1)))
+    return stats.chi2_contingency(table).pvalue
+
+
+DRAWS = {"per-cell": (200, 0.0), "per-anchor": (5, 0.0), "per-anchor-zeta": (200, 0.05)}
+
+
+# each variant's eta, and the history's rows: the leader's lead is of the order of
+# the perturbation's spread, so that a change of its scale moves the selection
+VARIANTS = {"classification": (3.0, 3), "dual": (0.5, 3), "single": (None, 9)}
+
+
+@pytest.mark.parametrize("draw", list(DRAWS))
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_ftpl_block_selections_match_per_round_selections_in_law(variant, draw):
+    """The learner's block draws against one draw per round through the single-round
+    selection rules, under one fixed history: the selected hypothesis has one law."""
+    n, zeta = DRAWS[draw]
+    eta, rows = VARIANTS[variant]
+    ground = GroundSet.grid(32)
+    klass = TableClass(ThresholdClass.grid(8).evaluate_block(ContextBlock(coords=ground.coords)),
+                       ground=ground, kind="binary")
+    mu, loss = FiniteMeasure.uniform(ground), linear_loss()
+    sched = FtplSchedule(variant, eta=eta or np.sqrt(n), n=n, m=n, zeta=zeta,
+                         epsilon=None if variant == "classification" else 0.5)
+    learner = FtplLearner(variant, klass, loss, mu, sched, ErmOracle(klass, loss),
+                          make_rng(56, 0))
+    per_cell = draw == "per-cell"
+    assert all(p[3] == per_cell for p in learner._processes if p)
+    oracle, rng = ErmOracle(klass, loss), make_rng(56, 1)
+    for t in range(rows):  # labels of the threshold at 1/2, one row in three flipped
+        x = (9 + 7 * t) % 32
+        y = (1.0 if x >= 16 else -1.0) * (-1.0 if t % 3 == 2 else 1.0)
+        for o in (learner.oracle, oracle):
+            o.extend_prefix(ground.block(np.array([x])), y)
+    draws = 4000
+    block = np.array([learner.select() for _ in range(draws)])
+    measure = learner.cells if per_cell else mu
+
+    def one(grid=None):
+        values = None
+        if per_cell:
+            contexts = measure.atoms if grid is None else ftpl._pairs(measure, grid)[0]
+            values = klass.evaluate_block(contexts)
+        return draw_perturbation(measure, n, rng, "inv_sqrt_n" if grid is None else "none",
+                                 grid=grid, per_cell=per_cell, values=values)
+
+    if variant == "classification":
+        single = [ftpl_select_classification(one(), sched.eta, oracle, zeta, rng)
+                  for _ in range(draws)]
+    elif variant == "dual":
+        single = [ftpl_select_dual(one(), one(learner.grid), sched.eta, oracle, zeta, rng)
+                  for _ in range(draws)]
+    else:
+        single = [ftpl_select_single(one(learner.grid), 1.0, oracle, zeta, rng)
+                  for _ in range(draws)]
+    assert len(np.unique(block)) >= 3  # the perturbation matters
+    assert _same_law_pvalue(block, np.array(single)) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# bounded blocks: memory and horizon
+# ---------------------------------------------------------------------------
+
+def _held_bytes(query, *arrays):
+    """Bytes of a block's weights, its evaluated objectives and the given arrays."""
+    held = sum(b.weights.nbytes + sum(a.nbytes for a in (b.contexts.ids, b.contexts.coords,
+                                                           b.labels) if a is not None)
+               for b in query.blocks)
+    held += sum(obj.nbytes for obj in query.evaluated[1]) if query.evaluated else 0
+    return held + sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("variant", ["relax-linear", "ftpl-cls"])
+def test_block_buffers_hold_the_same_bytes_at_any_horizon(variant):
+    """Built at T = 10^3 and at T = 10^6, a learner's first full block holds as many
+    bytes: the block length is a constant and a round's rows, one per cell, do not grow
+    with T.  (Label anchors do: the epsilon grid refines with T.)"""
+    klass, mu = _space(False)
+    loss = linear_loss()
+    held = []
+    for T in (10**3, 10**6):
+        oracle, rng = ErmOracle(klass, loss), make_rng(57, 0)
+        if variant == "relax-linear":
+            learner = RelaxLinearLearner(klass, loss, mu, T, 0.2, oracle, rng)
+            x = mu.sample_point(rng)
+            learner.predict(x)  # the first round's playout is drawn alone,
+            learner.observe(x, 1.0)
+            learner.predict(x)  # then a block of BLOCK rounds
+            playouts = learner._playouts
+            assert len(playouts.rounds_left) == BLOCK
+            held.append(_held_bytes(learner.state.playout_query(playouts), playouts.signs,
+                                    playouts.rounds_left))
+        else:
+            sched = schedule(T, 0.2, L=loss.lipschitz_L, variant="classification")
+            learner = FtplLearner("classification", klass, loss, mu, sched, oracle, rng)
+            learner.select()
+            assert learner._query.rounds == BLOCK
+            held.append(_held_bytes(learner._query))
+    assert held[0] == held[1]
+
+
+def test_per_anchor_blocks_stay_under_the_element_cap():
+    """ftpl-single on the grid at T = 4,000 and sigma = 0.2 gathers H * n ~ 1.4e5 elements
+    per round, above the cap, so it draws one round at a time; smaller per-anchor
+    processes fill a block up to the cap."""
+    klass, mu = _space(False)
+    loss = linear_loss()
+    sched = schedule(4000, 0.2, L=loss.lipschitz_L, variant="single")
+    learner = FtplLearner("single", klass, loss, mu, sched, ErmOracle(klass, loss),
+                          make_rng(58, 0))
+    process = learner._processes[1]
+    assert not process[3] and learner._elements(process) == 64 * sched.n > BLOCK_ELEMENTS
+    assert learner._block_rounds == 1
+    # per round, omega's identity rows hold n elements, omega''s main-loss gather H * n
+    for variant, n, rounds in (("classification", 100, BLOCK), ("dual", 100, 20),
+                               ("dual", 1000, 2), ("dual", 4000, 1)):
+        sched = FtplSchedule(variant, eta=1.0, n=n, m=n, epsilon=0.01, zeta=0.05)
+        learner = FtplLearner(variant, klass, loss, mu, sched, ErmOracle(klass, loss),
+                              make_rng(58, 1))
+        assert learner._block_rounds == rounds
+        elements = max(learner._elements(p) for p in learner._processes if p)
+        assert elements == (n if variant == "classification" else 64 * n)
+        assert rounds == 1 or rounds * elements <= BLOCK_ELEMENTS
+
+
+def test_no_learner_draws_past_the_horizon(monkeypatch):
+    klass, mu = _space(False)
+    loss, T = linear_loss(), 70
+    perts = _spy(monkeypatch, ftpl, "draw_perturbation")
+    sched = schedule(T, 0.2, L=loss.lipschitz_L, variant="classification")
+    learner = FtplLearner("classification", klass, loss, mu, sched, ErmOracle(klass, loss),
+                          make_rng(59, 0))
+    for _ in range(T):
+        learner.select()
+    assert [len(p.coeffs) for p in perts] == [BLOCK, T - BLOCK]
+    learner.select()  # a round past the horizon draws that round alone
+    assert len(perts[-1].coeffs) == 1
+    playouts = _spy(monkeypatch, relaxation, "draw_playout")
+    learner = RelaxLinearLearner(klass, loss, mu, T, 0.2, ErmOracle(klass, loss),
+                                 make_rng(59, 1))
+    for _ in range(T):
+        x = mu.sample_point(make_rng(59, 2))
+        learner.predict(x)
+        learner.observe(x, 1.0)
+    assert [p.rounds_left.tolist() for p in playouts] == [
+        [T - 1], list(range(T - 2, T - 2 - BLOCK, -1)), list(range(T - 2 - BLOCK, -1, -1))]

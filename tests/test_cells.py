@@ -27,7 +27,7 @@ from smoothol.core import (
     product_measure,
     scaled_square_loss,
 )
-from smoothol import ftpl
+from smoothol import ftpl, relaxation
 from smoothol.ftpl import FtplLearner, epsilon_grid, draw_perturbation, schedule
 from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 from smoothol.relaxation import RelaxLinearLearner, draw_playout
@@ -99,7 +99,7 @@ def test_distinct_columns_keep_mu_itself():
     assert klass.cell_measure(mu) is mu
 
 
-def test_threshold_grid_table_has_one_cell_per_gap():
+def test_threshold_grid_table_has_one_cell_per_gap(monkeypatch):
     """64 thresholds restricted to 256 grid atoms: 65 distinct columns."""
     ground = GroundSet.grid(256)
     values = ThresholdClass.grid(64).evaluate_block(ContextBlock(coords=ground.coords))
@@ -108,13 +108,15 @@ def test_threshold_grid_table_has_one_cell_per_gap():
                                  ErmOracle(klass, loss), make_rng(31, 0))
     assert learner.cells.ground.size == 65
     assert learner.cells.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    contexts = []
+    drawn, draw = [], relaxation.draw_playout
+    monkeypatch.setattr(relaxation, "draw_playout",
+                        lambda *a, **kw: drawn.append(draw(*a, **kw)) or drawn[-1])
     for t in range(3):  # the representatives' block is built once, not per round
         x = FiniteMeasure.uniform(ground).sample_point(make_rng(31, 1 + t))
         learner.predict(x)
-        contexts.append(learner.last_playout.contexts)
         learner.observe(x, 1.0)
-    assert all(block is learner.cells.atoms for block in contexts)
+    assert len(drawn) == 2  # round 1 alone, then rounds 2..6 as one block
+    assert all(playout.contexts is learner.cells.atoms for playout in drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +259,8 @@ def test_per_cell_gaussian_coefficients_match_identity_dot_within_1e12(interval)
                          ids=lambda loss: loss.kind)
 def test_per_cell_label_anchor_values_match_evaluating_the_pairs_bit_for_bit(loss, monkeypatch):
     """omega' per cell: the learner's value matrix over its (cell, label) pairs gives
-    the oracle's loss(values, labels) @ w of evaluating the pairs, bit for bit."""
+    the oracle's loss(values, labels) @ w of evaluating the pairs, bit for bit, round
+    by round; the block's rounds, evaluated together, agree within 1e-12 * sum|w|."""
     klass, mu = _threshold_space(False)
     sched = schedule(40, 0.5, L=loss.lipschitz_L, variant="single")
     sched = replace(sched, n=10**6, eta=1e3)  # more anchors than (cell, label) pairs
@@ -266,14 +269,20 @@ def test_per_cell_label_anchor_values_match_evaluating_the_pairs_bit_for_bit(los
     drawn, draw = [], ftpl.draw_perturbation
     monkeypatch.setattr(ftpl, "draw_perturbation", lambda *a, **kw: drawn.append(draw(*a, **kw))
                         or drawn[-1])
-    block_oracle = ErmOracle(klass, loss)
     for _ in range(50):
         learner.select()
-        pert = drawn[-1]
-        assert pert.values is not None and len(pert.coeffs) == 65 * len(learner.grid)
-        reference = loss.evaluate_array(klass.evaluate_block(pert.contexts),
-                                        pert.labels[None, :]) @ pert.coeffs
-        carried = ErmQuery().add_block(MAIN, pert.contexts, pert.labels, pert.coeffs, pert.values)
-        evaluated = ErmQuery().add_block(MAIN, pert.contexts, pert.labels, pert.coeffs)
-        assert np.array_equal(block_oracle.objective_vector(carried), reference)
-        assert np.array_equal(block_oracle.objective_vector(evaluated), reference)
+    assert [len(pert.coeffs) for pert in drawn] == [40] + [1] * 10  # T = 40, then one by one
+    block_oracle = ErmOracle(klass, loss)
+    for pert in drawn:
+        assert pert.values is not None and pert.coeffs.shape[1] == 65 * len(learner.grid)
+        losses = loss.evaluate_array(klass.evaluate_block(pert.contexts), pert.labels[None, :])
+        stacked = ErmQuery(len(pert.coeffs)).add_block(MAIN, pert.contexts, pert.labels,
+                                                      pert.coeffs, pert.values)
+        for i, w in enumerate(pert.coeffs):
+            reference = losses @ w
+            carried = ErmQuery().add_block(MAIN, pert.contexts, pert.labels, w, pert.values)
+            evaluated = ErmQuery().add_block(MAIN, pert.contexts, pert.labels, w)
+            assert np.array_equal(block_oracle.objective_vector(carried), reference)
+            assert np.array_equal(block_oracle.objective_vector(evaluated), reference)
+            gap = np.abs(block_oracle.objective_vector(stacked, i) - reference).max()
+            assert gap <= 1e-12 * np.abs(w).sum()

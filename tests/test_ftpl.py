@@ -405,7 +405,8 @@ def test_perturbation_cells_property(atoms, n, eps, seed):
 @pytest.mark.parametrize("variant", ["classification", "dual", "single"])
 @pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
 def test_approximate_oracle_learner_draws_every_anchor(variant, interval):
-    """With zeta > 0 every process is drawn per anchor from mu, in the order it always was."""
+    """With zeta > 0 every process is drawn per anchor from mu: the horizon's 60 rounds as
+    one block, each process's anchors, then coefficients, then labels, in one call each."""
     loss = linear_loss()
     if interval:
         klass, mu = ThresholdClass.grid(8), UniformIntervalMeasure()
@@ -418,17 +419,28 @@ def test_approximate_oracle_learner_draws_every_anchor(variant, interval):
     oracle, rng = ErmOracle(klass, loss), make_rng(16, 1)
     grid = learner.grid
     history = make_rng(16, 2)
-    for _ in range(40):
+    blocks = []  # each process's 60 rounds of anchors, in the learner's draw order
+    if variant != "single":
+        blocks.append(_explicit_perturbation(mu, 60 * (sched.m or sched.n), rng))
+    if variant != "classification":
+        blocks.append(_explicit_perturbation(mu, 60 * sched.n, rng, grid))
+
+    def round_of(block, t):
+        n = len(block.coeffs) // 60
+        rows = slice(t * n, (t + 1) * n)
+        return GaussianPerturbation(block.contexts[rows], block.coeffs[rows],
+                                    block.normalization,
+                                    None if block.labels is None else block.labels[rows])
+
+    for t in range(40):
+        perts = [round_of(block, t) for block in blocks]
         if variant == "classification":
-            idx = ftpl_select_classification(_explicit_perturbation(mu, sched.n, rng),
-                                             sched.eta, oracle, sched.zeta, rng)
+            idx = ftpl_select_classification(perts[0], sched.eta, oracle, sched.zeta, rng)
         elif variant == "dual":
-            pert_m = _explicit_perturbation(mu, sched.m, rng)
-            pert_n = _explicit_perturbation(mu, sched.n, rng, grid)
-            idx = ftpl_select_dual(pert_m, pert_n, sched.eta, oracle, sched.zeta, rng)
+            idx = ftpl_select_dual(perts[0], perts[1], sched.eta, oracle, sched.zeta, rng)
         else:
-            idx = ftpl_select_single(_explicit_perturbation(mu, sched.n, rng, grid),
-                                     sched.eta / math.sqrt(sched.n), oracle, sched.zeta, rng)
+            idx = ftpl_select_single(perts[0], sched.eta / math.sqrt(sched.n), oracle,
+                                     sched.zeta, rng)
         assert learner.select() == idx
         x, y = mu.sample_point(history), float(history.choice([-1.0, 1.0]))
         learner.observe(x, y)
@@ -451,15 +463,17 @@ def test_exact_learner_draws_per_cell_only_below_the_anchor_count(monkeypatch):
     for _ in range(3):
         learner.select()
         learner.observe(UniformIntervalMeasure().sample_point(history), 1.0)
-    assert len(drawn) == 6
-    for omega, omega_label in zip(drawn[::2], drawn[1::2]):
-        # omega per cell: one coefficient at each gap's left end, with the class's values there
-        assert omega.n == sched.n and omega.labels is None
-        assert np.array_equal(omega.contexts.coords, learner.cells.atoms.coords)
-        assert np.array_equal(omega.values, klass.evaluate_block(learner.cells.atoms))
-        # omega' per anchor: one coefficient per anchor drawn from mu, evaluated by the oracle
-        assert omega_label.n == len(omega_label.coeffs) == sched.n
-        assert omega_label.values is None and omega_label.labels is not None
+    assert len(drawn) == 2  # one block of the horizon's 60 rounds, each process drawn once
+    omega, omega_label = drawn
+    # omega per cell: one coefficient at each gap's left end per round, with the class's
+    # values there
+    assert omega.n == sched.n and omega.labels is None and omega.coeffs.shape == (60, 9)
+    assert np.array_equal(omega.contexts.coords, learner.cells.atoms.coords)
+    assert np.array_equal(omega.values, klass.evaluate_block(learner.cells.atoms))
+    # omega' per anchor: one coefficient per anchor drawn from mu, evaluated by the oracle
+    assert omega_label.n == sched.n and omega_label.coeffs.shape == (60, sched.n)
+    assert len(omega_label.contexts) == len(omega_label.labels) == 60 * sched.n
+    assert omega_label.values is None
 
 
 def test_learner_builds_the_label_grid_once(monkeypatch):

@@ -20,6 +20,7 @@ from smoothol.core import (
     make_rng,
     scaled_square_loss,
 )
+from smoothol import relaxation
 from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 from smoothol.relaxation import (
     PlayoutDraw,
@@ -260,7 +261,7 @@ def test_predict_linear_sign_convention_hand_expanded():
         state = RelaxState(loss, T=2, sigma=0.5, k=1)
         playout = PlayoutDraw(
             contexts=ground.block(np.array([0])),
-            signs=np.array([[sign]], dtype=np.int8),
+            signs=np.array([sign], dtype=np.int8),
             rounds_left=1, k=1,
         )
         yhat = predict_linear(state, playout, x_t, oracle)
@@ -521,19 +522,21 @@ def test_relax_linear_learner_rejects_other_losses():
                            ErmOracle(klass, absolute_loss()), make_rng(9, 1))
 
 
-def test_relax_learner_round_trip_and_fresh_playouts():
+def test_relax_learner_round_trip_and_fresh_playouts(monkeypatch):
     rng = make_rng(10, 0)
     klass = random_table_class(rng, 4, 6)
     mu = FiniteMeasure.uniform(klass.ground)
     loss = linear_loss()
     learner = RelaxLinearLearner(klass, loss, mu, 5, 0.5,
                                  ErmOracle(klass, loss), make_rng(10, 1))
-    seen = []
+    drawn, draw = [], relaxation.draw_playout
+    monkeypatch.setattr(relaxation, "draw_playout",
+                        lambda *a, **kw: drawn.append(draw(*a, **kw)) or drawn[-1])
     for t in range(5):
         x = mu.sample_point(rng)
         yhat = learner.predict(x)
         assert -1 <= yhat <= 1
-        seen.append(learner.last_playout)
         learner.observe(x, 1.0)
-    # playouts are drawn fresh each round and shrink with the horizon
-    assert [p.rounds_left for p in seen] == [4, 3, 2, 1, 0]
+    # one fresh playout per round, shrinking with the horizon: the first round's alone,
+    # then the rest as one block that stops at round T
+    assert [p.rounds_left.tolist() for p in drawn] == [[4], [3, 2, 1, 0]]
