@@ -170,7 +170,6 @@ class HiddenMuThresholdAdversary(Adversary):
             raise ValueError("need at least two rounds")
         super().__init__(SmoothnessCertificate(sigma=1.0 / T, mu=None),
                          rademacher_labels(), rng)
-        self.T = T
         self._t = 0
         self._scale = 1 << _DYADIC_BITS
         self._x_num = 0  # current coordinate, times 2^48

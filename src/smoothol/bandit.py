@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContextBlock, joint_id, make_rng
+from .core import ContextBlock, Trajectory, finalize_regret, joint_id, make_rng, square_loss
 from .harness import ExperimentConfig, build_pieces, write_outputs
 
 logger = logging.getLogger(__name__)
@@ -69,17 +69,16 @@ def default_gamma(T: int, sigma: float, L: float = 2.0, *,
 
 @dataclass
 class BanditResult:
-    """One run's columns, round t at row t - 1, and the regrets derived from them."""
+    """The regressor's rounds, and the regrets read from them.
 
-    x_ids: np.ndarray          # (T,) context atoms
-    actions: np.ndarray        # (T,) chosen actions
-    predictions: np.ndarray    # (T, K) predicted losses, clamped to [0, 1]
-    distributions: np.ndarray  # (T, K) action distributions
-    losses: np.ndarray         # (T, K) realized loss vectors
+    Round t is the trajectory's row t - 1: its context is the chosen (x, a)
+    pair, its label the observed loss and its prediction the predicted loss
+    of a, clamped to [0, 1].
+    """
+
+    trajectory: Trajectory
     reg_cb: float
     reg_sq: float
-    gamma: float
-    oracle_calls: int
 
 
 def run_square_cb(context_adversary, regressor, K: int, T: int,
@@ -97,11 +96,9 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
     if K < 1:
         raise ValueError("K must be positive")
 
-    x_ids = np.empty(T, dtype=np.int64)
-    actions = np.empty(T, dtype=np.int64)
-    predictions = np.empty((T, K))
-    distributions = np.empty((T, K))
-    losses = np.empty((T, K))
+    traj = Trajectory(T)
+    greedy = np.argmin(f_star, axis=1)  # reg_cb's comparator policy
+    reg_cb = 0.0
     all_actions = np.arange(K)
     for t in range(1, T + 1):
         h = regressor.select() if regressor.proper else None
@@ -116,29 +113,21 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
         if np.any((preds < 0.0) | (preds > 1.0)):
             logger.warning("round %d: regressor prediction outside [0, 1]; clamping", t)
             preds = np.clip(preds, 0.0, 1.0)
-        if K == 1:
-            p = np.array([1.0])
-            action = 0
-        else:
+        action = 0
+        if K > 1:
             p = igw_distribution(preds, gamma)
             action = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
             action = min(action, K - 1)
         row_losses = (rng.random(K) < f_star[x_id]).astype(np.float64)
-        regressor.observe(ContextBlock(ids=joint_ids[action:action + 1]),
-                          float(row_losses[action]))
-        x_ids[t - 1], actions[t - 1] = x_id, action
-        predictions[t - 1], distributions[t - 1], losses[t - 1] = preds, p, row_losses
+        pair, observed = ContextBlock(ids=joint_ids[action:action + 1]), float(row_losses[action])
+        regressor.observe(pair, observed)
+        miss = float(preds[action]) - observed
+        # miss * miss rounds as finalize_regret's array square does; a scalar's ** 2 may not
+        traj.append(pair, observed, float(preds[action]), miss * miss, regressor.oracle.calls)
+        reg_cb += observed - row_losses[greedy[x_id]]
 
-    rows = np.arange(T)
-    observed = losses[rows, actions]
-    # against the policy that plays argmin_a f*(x, a) each round
-    best_cb = float(losses[rows, np.argmin(f_star[x_ids], axis=1)].sum())
-    reg_cb = float(observed.sum()) - best_cb
-    learner_sq = float(((predictions[rows, actions] - observed) ** 2).sum())
-    values = regressor.klass.evaluate_block(ContextBlock(ids=joint_id(x_ids, actions, K)))
-    best_sq = float((((values - observed[None, :]) ** 2).sum(axis=1)).min())
-    return BanditResult(x_ids, actions, predictions, distributions, losses,
-                        reg_cb, learner_sq - best_sq, gamma, regressor.oracle.calls)
+    return BanditResult(traj, float(reg_cb),
+                        finalize_regret(traj, regressor.klass, square_loss()))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +160,8 @@ def run_bandit_experiment(raw: dict) -> dict:
             "seed": seed,
             "reg_cb": result.reg_cb,
             "reg_sq": result.reg_sq,
-            "gamma": result.gamma,
-            "oracle_calls": result.oracle_calls,
+            "gamma": gamma,
+            "oracle_calls": int(result.trajectory.oracle_calls[-1]),
         })
     reg_cbs = np.array([r["reg_cb"] for r in per_seed])
     summary = {

@@ -309,7 +309,11 @@ class TableClass(HypothesisClass):
         if block.ids is None:
             raise DomainMismatchError("domain mismatch: table class needs atom ids")
         ids = block.ids
-        if len(ids) and (ids.min() < 0 or ids.max() >= self.values.shape[1]):
+        if len(ids) == 1:  # a round's context: one int compare, no numpy reduction
+            lo = hi = ids.item()
+        else:
+            lo, hi = (ids.min(), ids.max()) if len(ids) else (0, 0)
+        if lo < 0 or hi >= self.values.shape[1]:
             raise DomainMismatchError("domain mismatch: atom id out of range")
         return ids
 

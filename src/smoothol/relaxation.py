@@ -114,7 +114,6 @@ class RelaxState:
             raise ValueError("horizon must be at least 1")
         self.loss = loss
         self.T = T
-        self.sigma = sigma
         self.k = k if k is not None else default_playout_width(T, sigma)
         if self.k < 1:
             raise ValueError("playout width k must be at least 1")

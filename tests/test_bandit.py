@@ -18,8 +18,8 @@ from smoothol.core import (
     FiniteMeasure,
     GroundSet,
     SmoothnessCertificate,
+    Trajectory,
     compose_smoothness,
-    joint_id,
     make_rng,
     product_class,
     product_measure,
@@ -135,40 +135,37 @@ def _bandit_pieces(seed, K=2, atoms=8, H=4, T=60, sigma=0.5):
     return adversary, regressor, values[0], klass
 
 
-def _observed(result):
-    return result.losses[np.arange(len(result.actions)), result.actions]
-
-
-def _recompute_reg_sq(result, klass, K):
-    """Square-loss regret from the result's columns, row by row."""
-    learner, ids, observed = 0.0, [], []
-    for x_id, action, preds, losses in zip(result.x_ids, result.actions,
-                                           result.predictions, result.losses):
-        learner += (preds[action] - losses[action]) ** 2
-        ids.append(joint_id(int(x_id), int(action), K))
-        observed.append(losses[action])
-    values = klass.evaluate_block(ContextBlock(ids=np.array(ids)))
-    best = min(sum((v - y) ** 2 for v, y in zip(row, observed)) for row in values)
+def _recompute_reg_sq(traj, klass):
+    """Square-loss regret from the trajectory's rows, row by row."""
+    learner = sum((pred - y) ** 2 for pred, y in zip(traj.predictions, traj.labels))
+    values = klass.evaluate_block(ContextBlock(ids=traj.ids))
+    best = min(sum((v - y) ** 2 for v, y in zip(row, traj.labels)) for row in values)
     return learner - best
 
 
+def _record_nbytes(traj):
+    return sum(a.nbytes for a in vars(traj).values() if isinstance(a, np.ndarray))
+
+
 def test_square_cb_round_trip_and_bookkeeping():
-    adversary, regressor, f_star, klass = _bandit_pieces(seed=0)
+    adversary, regressor, values0, klass = _bandit_pieces(seed=0)
+    f_star = (values0 > 0.5).astype(np.float64)  # 0/1 means: every loss is deterministic
     gamma = default_gamma(60, 0.5, n_hypotheses=4)
     result = run_square_cb(adversary, regressor, K=2, T=60, f_star=f_star,
                            gamma=gamma, rng=make_rng(0, 2))
-    assert result.x_ids.shape == result.actions.shape == (60,)
-    assert result.predictions.shape == result.distributions.shape \
-        == result.losses.shape == (60, 2)
-    assert result.oracle_calls == 60  # one call per round for the proper regressor
-    np.testing.assert_allclose(result.distributions.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(result.distributions > 0)
-    assert set(_observed(result).tolist()) <= {0.0, 1.0}
+    traj = result.trajectory
+    assert len(traj) == 60
+    # one call per round for the proper regressor, counted after each observe
+    assert np.array_equal(traj.oracle_calls, np.arange(1, 61))
+    x_ids, actions = np.divmod(traj.ids, 2)
+    assert np.array_equal(traj.labels, f_star[x_ids, actions])
+    assert np.all(np.isnan(traj.coords))
+    np.testing.assert_array_equal(traj.instant_loss, (traj.predictions - traj.labels) ** 2)
     # square-loss regret recomputation from the trace
-    assert _recompute_reg_sq(result, klass, K=2) == pytest.approx(result.reg_sq, abs=1e-9)
+    assert _recompute_reg_sq(traj, klass) == pytest.approx(result.reg_sq, abs=1e-9)
     # contextual-bandit regret against the policy greedy in f_star
-    best = result.losses[np.arange(60), np.argmin(f_star[result.x_ids], axis=1)].sum()
-    assert result.reg_cb == pytest.approx(_observed(result).sum() - best, abs=1e-9)
+    best = f_star[x_ids, np.argmin(f_star[x_ids], axis=1)].sum()
+    assert result.reg_cb == traj.labels.sum() - best
 
 
 def test_square_cb_single_action_has_zero_regret():
@@ -176,21 +173,37 @@ def test_square_cb_single_action_has_zero_regret():
     result = run_square_cb(adversary, regressor, K=1, T=40, f_star=f_star,
                            gamma=5.0, rng=make_rng(1, 2))
     assert result.reg_cb == pytest.approx(0.0, abs=1e-12)
-    assert np.all(result.actions == 0)
+    assert len(result.trajectory) == 40
+    assert np.all((result.trajectory.ids >= 0) & (result.trajectory.ids < 8))  # joint id = x
+
+
+def test_square_cb_record_does_not_grow_with_K():
+    """The record is the regressor's trajectory: 48 bytes a round, whatever K is."""
+    T, nbytes = 60, []
+    for K in (2, 8):
+        adversary, regressor, f_star, klass = _bandit_pieces(seed=5, K=K, T=T)
+        result = run_square_cb(adversary, regressor, K=K, T=T, f_star=f_star,
+                               gamma=10.0, rng=make_rng(5, 2))
+        assert [type(v) for v in vars(result).values()] == [Trajectory, float, float]
+        nbytes.append(_record_nbytes(result.trajectory))
+    assert nbytes == [48 * T, 48 * T]
 
 
 def test_square_cb_realizable_mean_structure():
-    """Conditional means of the Bernoulli losses equal f_star exactly."""
+    """Observed losses on each (x, a) pair average to f_star(x, a)."""
     adversary, regressor, f_star, klass = _bandit_pieces(seed=2, T=400)
     result = run_square_cb(adversary, regressor, K=2, T=400, f_star=f_star,
                            gamma=20.0, rng=make_rng(2, 2))
-    losses, xs = result.losses, result.x_ids
-    for atom in np.unique(xs):
-        mask = xs == atom
+    traj = result.trajectory
+    tested = 0
+    for joint in np.unique(traj.ids):
+        mask = traj.ids == joint
         if mask.sum() >= 50:
-            emp = losses[mask].mean(axis=0)
+            emp = traj.labels[mask].mean()
             se = 3 / math.sqrt(mask.sum())
-            assert np.all(np.abs(emp - f_star[atom]) <= se + 0.05)
+            assert abs(emp - f_star.ravel()[joint]) <= se + 0.05
+            tested += 1
+    assert tested >= 2
 
 
 def test_relax_regressor_runs_inside_reduction():
@@ -208,10 +221,11 @@ def test_relax_regressor_runs_inside_reduction():
                                     ErmOracle(klass, square_loss()), make_rng(3, 1), k=4)
     result = run_square_cb(adversary, regressor, K=K, T=T, f_star=values[0],
                            gamma=10.0, rng=make_rng(3, 2))
-    assert np.all((result.predictions >= 0.0) & (result.predictions <= 1.0))
+    preds = result.trajectory.predictions
+    assert np.all((preds >= 0.0) & (preds <= 1.0))
     # improper regressor: |S| oracle calls per action per round
     grid_size = len(regressor.state.grid)
-    assert result.oracle_calls == T * K * grid_size
+    assert result.trajectory.oracle_calls[-1] == T * K * grid_size
 
 
 def test_out_of_range_predictions_are_clamped_with_warning(caplog):
@@ -238,7 +252,7 @@ def test_out_of_range_predictions_are_clamped_with_warning(caplog):
         result = run_square_cb(adversary, StubRegressor(klass), K=K, T=3,
                                f_star=values[0], gamma=10.0, rng=make_rng(4, 1))
     assert any("clamp" in rec.message for rec in caplog.records)
-    assert np.all(result.predictions == 1.0)
+    assert np.all(result.trajectory.predictions == 1.0)
 
 
 def test_run_bandit_experiment_config_surface(tmp_path):
@@ -294,5 +308,6 @@ def test_run_bandit_experiment_keeps_its_rng_streams(regressor):
                                           sigma_joint, oracle, make_rng(seed, 1), k=2)
         result = run_square_cb(adversary, learner, K, T, values[0], gamma, make_rng(seed, 2))
         expected.append({"seed": seed, "reg_cb": result.reg_cb, "reg_sq": result.reg_sq,
-                         "gamma": result.gamma, "oracle_calls": result.oracle_calls})
+                         "gamma": gamma,
+                         "oracle_calls": int(result.trajectory.oracle_calls[-1])})
     assert run_bandit_experiment(raw)["per_seed"] == expected

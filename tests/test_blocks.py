@@ -218,6 +218,7 @@ def test_relaxation_predictions_equal_one_playout_per_round(rule, interval):
 
 
 def _bandit_relax(cls, T):
+    """The run's trajectory and every prediction its regressor made, in order."""
     atoms, K = 6, 3
     values = make_rng(55, 0).random((4, atoms, K))
     klass = product_class(values)
@@ -226,8 +227,11 @@ def _bandit_relax(cls, T):
                              make_rng(55, 1))
     regressor = cls(klass, square_loss(), product_measure(mu_x, K), T, compose_smoothness(0.5, K),
                     ErmOracle(klass, square_loss()), make_rng(55, 2), k=3)
-    return run_square_cb(adversary, regressor, K=K, T=T, f_star=values[0], gamma=10.0,
-                         rng=make_rng(55, 3))
+    predictions, predict = [], regressor.predict
+    regressor.predict = lambda x: predictions.append(predict(x)) or predictions[-1]
+    result = run_square_cb(adversary, regressor, K=K, T=T, f_star=values[0], gamma=10.0,
+                           rng=make_rng(55, 3))
+    return result.trajectory, predictions
 
 
 def test_bandit_relax_regressor_gets_a_fresh_playout_per_prediction(monkeypatch):
@@ -235,13 +239,13 @@ def test_bandit_relax_regressor_gets_a_fresh_playout_per_prediction(monkeypatch)
     then K per round of each block, with the stream of drawing them one by one."""
     T = 40
     drawn = _spy(monkeypatch, relaxation, "draw_playout")
-    result = _bandit_relax(RelaxGeneralLearner, T)
+    traj, predictions = _bandit_relax(RelaxGeneralLearner, T)
     rounds_left = np.concatenate([np.atleast_1d(p.rounds_left) for p in drawn])
     assert np.array_equal(rounds_left, np.repeat(np.arange(T - 1, -1, -1), 3))
     assert [np.size(p.rounds_left) for p in drawn] == [1, 1, 1, 63, 54]
-    reference = _bandit_relax(_OnePlayoutAtATime, T)
-    assert np.array_equal(result.predictions, reference.predictions)
-    assert np.array_equal(result.actions, reference.actions)
+    reference_traj, reference = _bandit_relax(_OnePlayoutAtATime, T)
+    assert len(predictions) == T * 3 and predictions == reference  # bit for bit
+    assert np.array_equal(traj.ids, reference_traj.ids)  # the chosen (x, a) pairs
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,20 @@ def test_table_class_domain_mismatch():
         klass.evaluate_block(ContextBlock(ids=np.array([5])))
 
 
+@pytest.mark.parametrize("method", ["evaluate_block", "identity_dot"])
+@pytest.mark.parametrize("ids", [[-1], [2], [0, -1, 1], [1, 2, 0]],
+                         ids=["one-row-minus-1", "one-row-width", "rows-minus-1", "rows-width"])
+def test_table_class_rejects_ids_outside_the_table(method, ids):
+    """Id -1 would wrap to the last atom in ``take``; id = width is past the end."""
+    klass = TableClass(np.array([[1.0, -1.0], [0.5, 0.25]]))  # width 2
+    block = ContextBlock(ids=np.array(ids))
+    args = (block,) if method == "evaluate_block" else (block, np.ones(len(ids)))
+    with pytest.raises(DomainMismatchError, match="out of range"):
+        getattr(klass, method)(*args)
+    in_range = ContextBlock(ids=np.clip(np.array(ids), 0, 1))
+    getattr(klass, method)(*((in_range,) + args[1:]))
+
+
 def test_threshold_class_outputs_are_signs():
     klass = ThresholdClass.grid(8)
     xs = np.linspace(0, 1, 33)

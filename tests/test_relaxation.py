@@ -419,7 +419,7 @@ class RelaxationEstimate:
     num_playouts: int
 
 
-def estimate_relaxation(state: RelaxState, oracle: ErmOracle, num_playouts: int,
+def estimate_relaxation(state: RelaxState, sigma: float, oracle: ErmOracle, num_playouts: int,
                         rng: np.random.Generator, mu) -> RelaxationEstimate:
     """Monte-Carlo value of the playout relaxation after the observed history.
 
@@ -437,7 +437,7 @@ def estimate_relaxation(state: RelaxState, oracle: ErmOracle, num_playouts: int,
         weights = -2.0 * L * playout.signs.astype(np.float64)  # the oracle minimizes
         q = ErmQuery().add_block(IDENTITY, playout.contexts, np.zeros(len(weights)), weights)
         values[i] = -oracle.exact(q).objective_value
-    tail = rounds_left ** 3 * math.exp(-state.sigma * state.k)
+    tail = rounds_left ** 3 * math.exp(-sigma * state.k)
     std_error = float(values.std(ddof=1) / math.sqrt(num_playouts))
     return RelaxationEstimate(float(values.mean() + tail), std_error, num_playouts)
 
@@ -458,7 +458,7 @@ def test_estimate_relaxation_terminal_round_is_deterministic():
         for h in range(len(klass)):
             totals[h] += loss.evaluate(klass.evaluate_block(x)[h, 0], y)
     before = oracle.calls
-    est = estimate_relaxation(state, oracle, 8, rng, mu)
+    est = estimate_relaxation(state, 0.5, oracle, 8, rng, mu)
     assert oracle.calls - before == 8  # one oracle call per playout
     assert est.std_error == 0.0
     assert est.mean == pytest.approx(-totals.min(), abs=1e-9)
@@ -472,7 +472,7 @@ def test_estimate_relaxation_symmetric_class_nonnegative():
     loss = linear_loss()
     oracle = ErmOracle(klass, loss)
     state = RelaxState(loss, T=6, sigma=0.5, k=2)
-    est = estimate_relaxation(state, oracle, 20, make_rng(6, 0), mu)
+    est = estimate_relaxation(state, 0.5, oracle, 20, make_rng(6, 0), mu)
     tail = 6 ** 3 * math.exp(-0.5 * state.k)
     assert est.mean - tail >= -1e-9  # sup of a sign-symmetric process
 
@@ -482,7 +482,7 @@ def test_estimate_relaxation_needs_two_playouts():
     mu = FiniteMeasure.uniform(klass.ground)
     state = RelaxState(linear_loss(), 4, 0.5, k=1)
     with pytest.raises(ValueError):
-        estimate_relaxation(state, ErmOracle(klass, linear_loss()), 1, make_rng(7, 1), mu)
+        estimate_relaxation(state, 0.5, ErmOracle(klass, linear_loss()), 1, make_rng(7, 1), mu)
 
 
 def test_relaxation_admissibility_along_smooth_trajectory():
@@ -498,14 +498,14 @@ def test_relaxation_admissibility_along_smooth_trajectory():
     learner_state = RelaxState(loss, T, sigma=0.5)
     playouts = 200
     for t in range(1, T + 1):
-        before = estimate_relaxation(state, oracle, playouts, make_rng(80, t), mu)
+        before = estimate_relaxation(state, 0.5, oracle, playouts, make_rng(80, t), mu)
         x = mu.sample_point(rng)
         playout = draw_playout(mu, T - t, learner_state.k, rng)
         yhat = predict_linear(learner_state, playout, x, learner_oracle)
         y = float(rng.choice([-1.0, 1.0]))
         state.observe(x, y, oracle)
         learner_state.observe(x, y, learner_oracle)
-        after = estimate_relaxation(state, oracle, playouts, make_rng(81, t), mu)
+        after = estimate_relaxation(state, 0.5, oracle, playouts, make_rng(81, t), mu)
         combined_se = 3 * (before.std_error + after.std_error)
         assert loss.evaluate(yhat, y) + after.mean <= before.mean + combined_se + 1e-9
 
