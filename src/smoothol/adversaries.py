@@ -18,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
+    BLOCK,
     ContextBlock,
     FiniteMeasure,
     GroundSet,
@@ -39,7 +40,9 @@ __all__ = [
     "tilted_smooth_probs",
 ]
 
-# A label rule maps (context, last_prediction, rng) -> label in [-1, 1].
+# A label rule maps (context, last_prediction, rng) -> label in [-1, 1].  A rule that draws
+# one double a round and reads no prediction also has ``block(contexts, u)``: the list of
+# labels of a block of contexts, each at its round's double in u.
 LabelRule = Callable[[ContextBlock, Optional[float], np.random.Generator], float]
 
 
@@ -47,20 +50,29 @@ def noisy_comparator_labels(theta: float, flip_prob: float) -> LabelRule:
     """Labels x >= theta -> +1, else -1, of the coordinate (the id where there is
     none), sign-flipped with flip_prob."""
 
-    def rule(ctx, last_prediction, rng):
-        x = ctx.coordinate if ctx.coordinate is not None else ctx.id
+    def label(x, v):  # v: the round's double
         y = 1.0 if x >= theta else -1.0
-        if rng.random() < flip_prob:
-            y = -y
-        return y
+        return -y if v < flip_prob else y
 
+    def rule(ctx, last_prediction, rng):
+        return label(ctx.coordinate if ctx.coordinate is not None else ctx.id, rng.random())
+
+    def block(contexts, u):
+        x = contexts.coords if contexts.coords is not None else contexts.ids
+        return list(map(label, x.tolist(), u.tolist()))
+
+    rule.block = block
     return rule
 
 
 def rademacher_labels() -> LabelRule:
-    def rule(ctx, last_prediction, rng):
-        return 1.0 if rng.random() < 0.5 else -1.0
+    def label(v):
+        return 1.0 if v < 0.5 else -1.0
 
+    def rule(ctx, last_prediction, rng):
+        return label(rng.random())
+
+    rule.block = lambda contexts, u: list(map(label, u.tolist()))
     return rule
 
 
@@ -93,7 +105,14 @@ class Adversary:
 
 
 class IidAdversary(Adversary):
-    """Contexts i.i.d. from ``p``: mu, or an explicit p with density <= 1/sigma w.r.t. mu."""
+    """Contexts i.i.d. from ``p``: mu, or an explicit p with density <= 1/sigma w.r.t. mu.
+
+    Where a round draws one double for its context (p is not uniform on a finite
+    ground set) and one for its label (the rule has a ``block`` form), rounds are
+    drawn ``BLOCK`` at a time from ``rng.random((BLOCK, 2))``, which holds the
+    doubles that per-round draws would take, in the same order.  The rounds are
+    then the same, but the generator runs up to BLOCK - 1 rounds ahead.
+    """
 
     def __init__(self, certificate: SmoothnessCertificate, label_rule: LabelRule,
                  rng: np.random.Generator, p: Optional[np.ndarray] = None):
@@ -106,9 +125,22 @@ class IidAdversary(Adversary):
                 raise ValueError("explicit p requires a finite base measure")
             self.p = FiniteMeasure(mu.ground, p)
             density_ratio(self.p.probs, mu.probs, certificate.sigma)
+        self._block_labels = None if self.p.draws_integers else getattr(label_rule, "block", None)
+        self._contexts, self._labels, self._next = None, [], 0  # the rounds drawn ahead
 
     def _draw_context(self) -> ContextBlock:
         return self.p.sample_point(self.rng)
+
+    def next_round(self, last_prediction: Optional[float] = None) -> tuple[ContextBlock, float]:
+        if self._block_labels is None:
+            return super().next_round(last_prediction)
+        if self._next == len(self._labels):
+            u = self.rng.random((BLOCK, 2)).T.copy()  # rows: the contexts', the labels'
+            self._contexts = self.p.block_at(u[0])
+            self._labels, self._next = self._block_labels(self._contexts, u[1]), 0
+        i = self._next
+        self._next += 1
+        return self._contexts[i:i + 1], self._labels[i]
 
 
 class AdaptiveMixtureAdversary(Adversary):

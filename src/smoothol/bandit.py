@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .core import ContextBlock, Trajectory, finalize_regret, joint_id, make_rng, square_loss
+from .core import BLOCK, ContextBlock, Trajectory, finalize_regret, joint_id, make_rng, square_loss
 from .harness import ExperimentConfig, build_pieces, write_outputs
 
 logger = logging.getLogger(__name__)
@@ -92,42 +94,61 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
     ``regressor`` is a learner over the product class (proper learners commit
     once per round; improper ones are queried once per action).  Actions are
     drawn by inverse-gap weighting of the predicted losses.
+
+    No round's uniforms depend on the history, so they are drawn ``BLOCK``
+    rounds at a time (none past T), in the order per-round draws take them.
+    A proper regressor's predictions at x under hypothesis h are fixed, so
+    their clamped copy and IGW CDF are computed once per (h, x).
     """
     if K < 1:
         raise ValueError("K must be positive")
 
     traj = Trajectory(T)
-    greedy = np.argmin(f_star, axis=1)  # reg_cb's comparator policy
+    means = f_star.tolist()
+    greedy = np.argmin(f_star, axis=1).tolist()  # reg_cb's comparator policy
+    laws: dict = {}  # (h, x) -> _action_law of a proper regressor's h at x: at most H * N
     reg_cb = 0.0
     all_actions = np.arange(K)
-    for t in range(1, T + 1):
-        h = regressor.select() if regressor.proper else None
-        x_point, _ = context_adversary.next_round(last_prediction=None)
-        x_id = x_point.id
-        joint_ids = joint_id(x_id, all_actions, K)
-        if h is not None:
-            preds = regressor.klass.evaluate_block(ContextBlock(ids=joint_ids))[h]
-        else:
-            preds = np.array([regressor.predict(ContextBlock(ids=joint_ids[a:a + 1]))
-                              for a in all_actions])
-        if np.any((preds < 0.0) | (preds > 1.0)):
-            logger.warning("round %d: regressor prediction outside [0, 1]; clamping", t)
-            preds = np.clip(preds, 0.0, 1.0)
-        action = 0
-        if K > 1:
-            p = igw_distribution(preds, gamma)
-            action = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
-            action = min(action, K - 1)
-        row_losses = (rng.random(K) < f_star[x_id]).astype(np.float64)
-        pair, observed = ContextBlock(ids=joint_ids[action:action + 1]), float(row_losses[action])
-        regressor.observe(pair, observed)
-        miss = float(preds[action]) - observed
-        # miss * miss rounds as finalize_regret's array square does; a scalar's ** 2 may not
-        traj.append(pair, observed, float(preds[action]), miss * miss, regressor.oracle.calls)
-        reg_cb += observed - row_losses[greedy[x_id]]
+    width = K + (K > 1)  # a round's uniforms: its action's (if K > 1), then one per action's loss
+    for start in range(0, T, BLOCK):
+        for t, u in enumerate(rng.random((min(BLOCK, T - start), width)).tolist(), start + 1):
+            h = regressor.select() if regressor.proper else None
+            x = context_adversary.next_round(last_prediction=None)[0].id
+            law = laws.get((h, x))  # an improper regressor's predictions are never stored
+            if law is None:
+                joint_ids = joint_id(x, all_actions, K)
+                if h is not None:
+                    preds = regressor.klass.evaluate_block(ContextBlock(ids=joint_ids))[h]
+                else:
+                    preds = np.array([regressor.predict(ContextBlock(ids=joint_ids[a:a + 1]))
+                                      for a in all_actions])
+                law = _action_law(preds, gamma)
+                if h is not None:
+                    laws[h, x] = law
+            preds, cdf, clamped = law
+            if clamped:
+                logger.warning("round %d: regressor prediction outside [0, 1]; clamping", t)
+            action = 0 if cdf is None else min(bisect_right(cdf, u[0]), K - 1)
+            losses_u, mean = u[width - K:], means[x]
+            observed = 1.0 if losses_u[action] < mean[action] else 0.0
+            pair = ContextBlock(ids=np.array([joint_id(x, action, K)]))
+            regressor.observe(pair, observed)
+            miss = preds[action] - observed
+            # miss * miss rounds as finalize_regret's array square does
+            traj.append(pair, observed, preds[action], miss * miss, regressor.oracle.calls)
+            reg_cb += observed - (1.0 if losses_u[greedy[x]] < mean[greedy[x]] else 0.0)
 
-    return BanditResult(traj, float(reg_cb),
-                        finalize_regret(traj, regressor.klass, square_loss()))
+    return BanditResult(traj, reg_cb, finalize_regret(traj, regressor.klass, square_loss()))
+
+
+def _action_law(preds: np.ndarray, gamma: float) -> tuple[list, Optional[list], bool]:
+    """Predicted losses clamped to [0, 1], the CDF of their inverse-gap weighting
+    (None for one action), and whether any prediction needed clamping."""
+    clamped = bool(np.any((preds < 0.0) | (preds > 1.0)))
+    if clamped:
+        preds = np.clip(preds, 0.0, 1.0)
+    cdf = np.cumsum(igw_distribution(preds, gamma)).tolist() if len(preds) > 1 else None
+    return preds.tolist(), cdf, clamped
 
 
 # ---------------------------------------------------------------------------

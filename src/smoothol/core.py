@@ -57,7 +57,8 @@ class EmptyTraceError(ValueError):
 # largest draw count that ``Generator.multinomial`` takes (it reads the count as an int64)
 MAX_DRAWS = 2**63 - 1
 
-# most rounds whose history-free draws (playouts, perturbations) a learner makes at once
+# most rounds whose history-free draws (playouts, perturbations, an i.i.d. adversary's rounds,
+# SquareCB's uniforms) are made at once
 BLOCK = 64
 
 
@@ -152,7 +153,8 @@ class FiniteMeasure:
         self.probs = np.maximum(probs, 0.0)
         self._cdf = np.cumsum(self.probs)
         self._cdf[-1] = 1.0
-        self._uniform = bool(np.all(np.abs(self.probs - 1.0 / ground.size) < 1e-15))
+        # a uniform p draws integer ids; any other draws one double per id, through the CDF
+        self.draws_integers = bool(np.all(np.abs(self.probs - 1.0 / ground.size) < 1e-15))
 
     @staticmethod
     def uniform(ground: GroundSet) -> "FiniteMeasure":
@@ -167,10 +169,18 @@ class FiniteMeasure:
         """Every atom in order, as one block built on first use."""
         return self.ground.block(np.arange(self.ground.size))
 
+    def _ids_at(self, u: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self._cdf, u, side="right").astype(np.int64)
+
     def sample_ids(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self._uniform:
+        if self.draws_integers:
             return rng.integers(0, self.ground.size, size=size, dtype=np.int64)
-        return np.searchsorted(self._cdf, rng.random(size), side="right").astype(np.int64)
+        return self._ids_at(rng.random(size))
+
+    def block_at(self, u: np.ndarray) -> ContextBlock:
+        """The atoms at uniforms ``u``, through the CDF: the contexts ``sample_block``
+        draws from ``rng.random(size)`` unless ``draws_integers``."""
+        return self.ground.block(self._ids_at(u))
 
     def sample_block(self, rng: np.random.Generator, size: int) -> ContextBlock:
         return self.ground.block(self.sample_ids(rng, size))
@@ -184,13 +194,18 @@ class UniformIntervalMeasure:
 
     ground = None
     probs = None
+    draws_integers = False
 
     @property
     def finite(self) -> bool:
         return False
 
+    def block_at(self, u: np.ndarray) -> ContextBlock:
+        """The points at uniforms ``u``: ``u`` itself."""
+        return ContextBlock(ids=None, coords=u)
+
     def sample_block(self, rng: np.random.Generator, size: int) -> ContextBlock:
-        return ContextBlock(ids=None, coords=rng.random(size))
+        return self.block_at(rng.random(size))
 
     def sample_point(self, rng: np.random.Generator) -> ContextBlock:
         return self.sample_block(rng, 1)
@@ -449,14 +464,26 @@ def absolute_loss() -> LossFunction:
     return LossFunction("absolute", 0.5, lambda a, b: np.abs(a - b) / 2.0)
 
 
+# squares by multiplication: a numpy scalar's ** 2 calls pow, which can round differently
+# from the d * d an array's ** 2 computes, so ``evaluate`` would not match ``evaluate_array``
+def _square(a, b):
+    d = a - b
+    return d * d
+
+
+def _scaled_square(a, b):
+    d = (a - b) / 2.0
+    return d * d
+
+
 def square_loss() -> LossFunction:
     """l(yhat, y) = (yhat - y)^2 on the [0, 1] prediction/label domain (L = 2)."""
-    return LossFunction("square", 2.0, lambda a, b: (a - b) ** 2, domain=(0.0, 1.0))
+    return LossFunction("square", 2.0, _square, domain=(0.0, 1.0))
 
 
 def scaled_square_loss() -> LossFunction:
     """l(yhat, y) = ((yhat - y)/2)^2 on [-1, 1]^2; strictly convex, L = 1."""
-    return LossFunction("custom", 1.0, lambda a, b: ((a - b) / 2.0) ** 2)
+    return LossFunction("custom", 1.0, _scaled_square)
 
 
 LOSSES = {

@@ -17,6 +17,7 @@ from smoothol.adversaries import (
     tilted_smooth_probs,
 )
 from smoothol.core import (
+    BLOCK,
     FiniteMeasure,
     GroundSet,
     SmoothnessCertificate,
@@ -232,6 +233,109 @@ def test_gap_adversary_at_the_cap_builds_for_a_tiny_sigma():
                                          scale=2.0)
     ratio = density_ratio(adv.p.probs, adv.certificate.mu.probs, 1e-9)
     assert ratio.max() > 1.0 / 1e-9 + 1e-9  # what an absolute tolerance would refuse
+
+
+# ---------------------------------------------------------------------------
+# rounds drawn ahead, against the per-round reference
+# ---------------------------------------------------------------------------
+
+def _reference_rounds(p, rule, rng, T):
+    """Each round drawn as it comes: p's context, then the rule's label."""
+    rounds, last = [], None
+    for _ in range(T):
+        ctx = p.sample_point(rng)
+        y = float(rule(ctx, last, rng))
+        rounds.append((ctx, y))
+        last = -y  # a prediction for the flip rule to read
+    return rounds
+
+
+def _adversary_rounds(adv, T):
+    rounds, last = [], None
+    for _ in range(T):
+        ctx, y = adv.next_round(last)
+        rounds.append((ctx, y))
+        last = -y
+    return rounds
+
+
+def _assert_same_rounds(got, want):
+    assert len(got) == len(want)
+    for (ctx, y), (ref, y_ref) in zip(got, want):
+        assert type(y) is float and y == y_ref
+        for a, b in ((ctx.ids, ref.ids), (ctx.coords, ref.coords)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_position(a, b):
+    """Whether two generators stand at the same point of the same stream."""
+    return repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+def _tilted_grid(rule, rng):
+    mu = FiniteMeasure.uniform(GroundSet.grid(32))
+    return IidAdversary(SmoothnessCertificate(sigma=0.3, mu=mu), rule, rng,
+                        p=tilted_smooth_probs(mu.probs, 0.3))
+
+
+def _interval(rule, rng):
+    from smoothol.core import UniformIntervalMeasure
+
+    return IidAdversary(SmoothnessCertificate(sigma=0.3, mu=UniformIntervalMeasure()), rule, rng)
+
+
+def _gap_source(rule, rng):
+    klass = _gap_class(3)
+    return build_rademacher_gap_adversary(0.4, 3, klass, klass.ground, rng, scale=2.0,
+                                          label_rule=rule)
+
+
+def _ids_only(rule, rng):
+    """A tilted p on a ground set without coordinates: the comparator reads the id."""
+    mu = FiniteMeasure.uniform(GroundSet(size=20))
+    return IidAdversary(SmoothnessCertificate(sigma=0.5, mu=mu), rule, rng,
+                        p=tilted_smooth_probs(mu.probs, 0.5))
+
+
+_SOURCES = {"tilted-grid": _tilted_grid, "interval": _interval, "gap": _gap_source,
+            "ids-only": _ids_only}
+_RULES = {"noisy-comparator": lambda: noisy_comparator_labels(0.4, 0.3),
+          "comparator-on-ids": lambda: noisy_comparator_labels(7, 0.2),
+          "rademacher": rademacher_labels}
+
+
+@pytest.mark.parametrize("T", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("rule", sorted(_RULES))
+@pytest.mark.parametrize("source", sorted(_SOURCES))
+def test_iid_rounds_drawn_ahead_match_per_round_draws(source, rule, T):
+    adv = _SOURCES[source](_RULES[rule](), make_rng(40, T))
+    assert adv._block_labels is not None  # this source and rule draw ahead
+    reference = make_rng(40, T)
+    _assert_same_rounds(_adversary_rounds(adv, T),
+                        _reference_rounds(adv.p, _RULES[rule](), reference, T))
+    # the generator stands at the end of the last block: up to BLOCK - 1 rounds ahead
+    _reference_rounds(adv.p, _RULES[rule](), reference, -T % BLOCK)
+    assert _same_position(adv.rng, reference)
+
+
+@pytest.mark.parametrize("case", ["uniform-p", "adversarial-flip"])
+def test_iid_rounds_that_cannot_draw_ahead_draw_per_round(case):
+    """A uniform p draws integers, and the flip rule reads the last prediction: both
+    still draw round by round, so the generator is never ahead of the rounds asked for."""
+    if case == "uniform-p":
+        adv = IidAdversary(_uniform_cert(16, 0.5), noisy_comparator_labels(0.5, 0.2),
+                           make_rng(41, 0))
+    else:
+        adv = _tilted_grid(adversarial_flip_labels(), make_rng(41, 0))
+    assert adv._block_labels is None
+    reference, done = make_rng(41, 0), 0
+    for T in (1, 63, 64, 65):
+        want = _reference_rounds(adv.p, adv.label_rule, reference, T - done)
+        _assert_same_rounds(_adversary_rounds(adv, T - done), want)
+        assert _same_position(adv.rng, reference)
+        done = T
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,11 @@ from smoothol.core import (
     FiniteMeasure,
     GroundSet,
     SmoothnessCertificate,
+    TableClass,
     Trajectory,
     compose_smoothness,
+    finalize_regret,
+    joint_id,
     make_rng,
     product_class,
     product_measure,
@@ -311,3 +314,125 @@ def test_run_bandit_experiment_keeps_its_rng_streams(regressor):
                          "gamma": gamma,
                          "oracle_calls": int(result.trajectory.oracle_calls[-1])})
     assert run_bandit_experiment(raw)["per_seed"] == expected
+
+
+# ---------------------------------------------------------------------------
+# the loop against its per-round reference
+# ---------------------------------------------------------------------------
+
+def _reference_square_cb(context_adversary, regressor, K, T, f_star, gamma, rng):
+    """SquareCB drawn round by round, with every round's predictions and IGW law
+    computed afresh: the loop that ``run_square_cb`` must reproduce bit for bit."""
+    traj = Trajectory(T)
+    greedy = np.argmin(f_star, axis=1)
+    reg_cb = 0.0
+    all_actions = np.arange(K)
+    for t in range(1, T + 1):
+        h = regressor.select() if regressor.proper else None
+        x_point, _ = context_adversary.next_round(last_prediction=None)
+        x_id = x_point.id
+        joint_ids = joint_id(x_id, all_actions, K)
+        if h is not None:
+            preds = regressor.klass.evaluate_block(ContextBlock(ids=joint_ids))[h]
+        else:
+            preds = np.array([regressor.predict(ContextBlock(ids=joint_ids[a:a + 1]))
+                              for a in all_actions])
+        if np.any((preds < 0.0) | (preds > 1.0)):
+            logging.getLogger("smoothol.bandit").warning(
+                "round %d: regressor prediction outside [0, 1]; clamping", t)
+            preds = np.clip(preds, 0.0, 1.0)
+        action = 0
+        if K > 1:
+            p = igw_distribution(preds, gamma)
+            action = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
+            action = min(action, K - 1)
+        row_losses = (rng.random(K) < f_star[x_id]).astype(np.float64)
+        pair, observed = ContextBlock(ids=joint_ids[action:action + 1]), float(row_losses[action])
+        regressor.observe(pair, observed)
+        miss = float(preds[action]) - observed
+        traj.append(pair, observed, float(preds[action]), miss * miss, regressor.oracle.calls)
+        reg_cb += observed - row_losses[greedy[x_id]]
+    return traj, float(reg_cb), finalize_regret(traj, regressor.klass, square_loss())
+
+
+def _loop_pieces(regressor, K, seed, clamped, atoms=5, H=3, T=150):
+    """Pieces on a fresh seed each call, so two runs see the same streams.  With
+    ``clamped`` the class's table has negative entries, which the loop clamps."""
+    from smoothol.relaxation import RelaxGeneralLearner
+
+    values = make_rng(90, K).random((H, atoms, K))
+    if clamped:
+        values[1:] = 2.0 * values[1:] - 1.0  # values in [-1, 1): not a product class
+    klass = TableClass(values.reshape(H, atoms * K))
+    mu_x = FiniteMeasure.uniform(GroundSet.grid(atoms))
+    adversary = IidAdversary(SmoothnessCertificate(sigma=0.5, mu=mu_x), rademacher_labels(),
+                             make_rng(seed, 0), p=tilted_smooth_probs(mu_x.probs, 0.5))
+    sigma_joint, oracle = compose_smoothness(0.5, K), ErmOracle(klass, square_loss())
+    if regressor == "ftpl-dual":
+        sched = schedule(T, sigma_joint, L=2.0, variant="dual")
+        learner = FtplLearner("dual", klass, square_loss(), product_measure(mu_x, K), sched,
+                              oracle, make_rng(seed, 1))
+    else:
+        T = 20  # K * |S| oracle calls a round
+        learner = RelaxGeneralLearner(klass, square_loss(), product_measure(mu_x, K), T,
+                                      sigma_joint, oracle, make_rng(seed, 1), k=2)
+    f_star = np.clip(values[0], 0.0, 1.0)
+    return adversary, learner, K, T, f_star, 6.0, make_rng(seed, 2)
+
+
+@pytest.mark.parametrize("clamped", [False, True], ids=["in-range", "clamped"])
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("regressor", ["ftpl-dual", "relax-general"])
+def test_square_cb_matches_the_per_round_loop(regressor, K, clamped, caplog):
+    with caplog.at_level(logging.WARNING):
+        want_traj, want_cb, want_sq = _reference_square_cb(
+            *_loop_pieces(regressor, K, 7, clamped))
+        want_warnings = [rec.getMessage() for rec in caplog.records]
+        caplog.clear()
+        result = run_square_cb(*_loop_pieces(regressor, K, 7, clamped))
+        warnings = [rec.getMessage() for rec in caplog.records]
+    traj = result.trajectory
+    assert len(traj) == len(want_traj)
+    for name in ("ids", "coords", "labels", "predictions", "instant_loss", "oracle_calls"):
+        assert getattr(traj, name).tobytes() == getattr(want_traj, name).tobytes(), name
+    assert type(result.reg_cb) is float and result.reg_cb == want_cb
+    assert result.reg_sq == want_sq
+    assert warnings == want_warnings  # one per clamped round, with its round number
+    assert bool(warnings) == clamped
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_square_cb_holds_one_igw_law_per_hypothesis_and_context(K, monkeypatch):
+    """A proper regressor's law at (h, x) is computed on the first round that reaches
+    (h, x), and its CDF is np.cumsum of igw_distribution of the clamped row."""
+    from smoothol import bandit
+
+    laws, selected = [], []
+    action_law = bandit._action_law
+
+    def spy(preds, gamma):
+        law = action_law(preds, gamma)
+        laws.append((preds.copy(), gamma, law))
+        return law
+
+    monkeypatch.setattr(bandit, "_action_law", spy)
+    pieces = _loop_pieces("ftpl-dual", K, 8, clamped=True)
+    regressor = pieces[1]
+    select = regressor.select
+
+    def recording_select():
+        selected.append(select())
+        return selected[-1]
+
+    regressor.select = recording_select
+    traj = run_square_cb(*pieces).trajectory
+    rows = regressor.klass.values.reshape(len(regressor.klass), -1, K)
+    visited = list(dict.fromkeys(zip(selected, (traj.ids // K).tolist())))
+    assert len(laws) == len(visited) <= rows.shape[0] * rows.shape[1]
+    assert any(law[2] for _, _, law in laws)  # some rows needed clamping
+    for (h, x), (preds, gamma, (clamped_preds, cdf, clamped)) in zip(visited, laws):
+        assert preds.tobytes() == rows[h, x].tobytes()
+        row = np.clip(rows[h, x], 0.0, 1.0)
+        assert clamped == bool(np.any(rows[h, x] < 0.0))
+        assert np.array(clamped_preds).tobytes() == row.tobytes()
+        assert np.array(cdf).tobytes() == np.cumsum(igw_distribution(row, gamma)).tobytes()

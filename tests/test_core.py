@@ -180,6 +180,29 @@ def test_linear_loss_values():
     assert loss.evaluate(0.0, 1.0) == 0.5
 
 
+# each loss as its array form computed it before the squares became products
+_ARRAY_FORMS = {"linear": lambda a, b: (1.0 - a * b) / 2.0,
+                "absolute": lambda a, b: np.abs(a - b) / 2.0,
+                "square": lambda a, b: (a - b) ** 2,
+                "scaled_square": lambda a, b: ((a - b) / 2.0) ** 2}
+
+
+@pytest.mark.parametrize("name", list(LOSSES))
+def test_loss_scalar_and_array_forms_are_bit_equal(name):
+    """``evaluate`` on numpy scalars rounds as ``evaluate_array`` does, and the array
+    results are those of the forms above, on 10^5 random pairs over the domain
+    (half of them with a label at an end of it)."""
+    loss = LOSSES[name]()
+    lo, hi = loss.domain
+    rng = make_rng(50, len(name))
+    yhat, y = rng.uniform(lo, hi, (2, 100_000))
+    y[::2] = np.where(y[::2] < (lo + hi) / 2, lo, hi)
+    array = loss.evaluate_array(yhat, y)
+    assert array.tobytes() == _ARRAY_FORMS[name](yhat, y).tobytes()
+    scalar = np.array([loss.evaluate(a, b) for a, b in zip(yhat, y)])
+    assert scalar.tobytes() == array.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # traces and regret
 # ---------------------------------------------------------------------------

@@ -217,6 +217,61 @@ def test_rademacher_gap_config():
     assert len(outcome.trajectory) == 8
 
 
+class _Follower:
+    """A learner that plays hypothesis h's value at each context, with no oracle calls."""
+
+    proper = False
+
+    def __init__(self, klass, h):
+        self.klass, self.h = klass, h
+        self.oracle = type("NoOracle", (), {"calls": 0})()
+
+    def predict(self, context):
+        return float(self.klass.evaluate_block(context)[self.h, 0])
+
+    def observe(self, context, label):
+        pass
+
+
+def _pow_hazards(count, rng):
+    """Values v in [-1, 1] at which a numpy scalar's ((v - y) / 2) ** 2, which calls pow,
+    rounds apart from the product d * d for a label y = -1 or +1 (about 1 in 1,000)."""
+    found = []
+    while len(found) < count:
+        v = np.float64(rng.uniform(-1.0, 1.0))
+        if any(((v - y) / 2.0) ** 2 != ((v - y) / 2.0) * ((v - y) / 2.0) for y in (-1.0, 1.0)):
+            found.append(float(v))
+    return found
+
+
+def test_a_learner_playing_the_best_hypothesis_has_zero_regret(monkeypatch):
+    """Tie-breaking at T = 10^4 under scaled-square loss: the run's instant losses and
+    the hypotheses' losses round alike, so following the best hypothesis in hindsight
+    leaves a final regret of exactly 0, not a few ulps.  Every table entry is a value
+    at which pow and a product round apart."""
+    from smoothol import harness
+    from smoothol.core import regret_curve
+
+    values = np.reshape(_pow_hazards(80, np.random.default_rng(60)), (5, 16)).tolist()
+    cfg = ExperimentConfig.from_dict(_base_config(
+        T=10_000, loss="scaled_square", learner={"name": "ftpl-dual"},
+        **{"class": {"type": "table", "values": values}}))
+    follow = [0]
+    monkeypatch.setattr(harness, "build_learner",
+                        lambda cfg, klass, *rest: _Follower(klass, follow[0]))
+    first = run_seed(cfg, 3)  # the rounds do not depend on the learner
+    klass, loss = build_class(cfg, build_ground_and_mu(cfg)[0]), LOSSES["scaled_square"]()
+    follow[0] = int(np.argmin(regret_curve(first.trajectory, klass, loss)[1]))
+    outcome = run_seed(cfg, 3)
+    traj = outcome.trajectory
+    assert traj.labels.tobytes() == first.trajectory.labels.tobytes()
+    best = np.concatenate([losses[follow[0]]
+                           for _, _, losses in traj.hypothesis_losses(klass, loss)])
+    assert traj.instant_loss.tobytes() == best.tobytes()
+    assert outcome.final_regret == 0.0
+    assert outcome.regret.min() >= 0.0  # it never leads the best hypothesis so far
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
