@@ -7,8 +7,11 @@ context distribution of each shipped kind keeps its density below 1/sigma
 with respect to mu: an i.i.d. adversary checks its explicit p when it is
 built, and the adaptive mixture holds its ratio at 1/sigma by construction.
 
-Label strategies are parametric (noisy comparator, Rademacher, adversarial
-flip); they do not exhaust what an unconstrained label adversary could do.
+An i.i.d. or adaptive-mixture round takes two doubles: its context's, through
+the CDF of the round's context distribution, and its label's.  A label rule is
+one function ``rule(x, u, last_prediction)`` (see ``LabelRule``).  The rules are
+parametric (noisy comparator, Rademacher, adversarial flip); they do not
+exhaust what an unconstrained label adversary could do.
 """
 
 from __future__ import annotations
@@ -40,46 +43,32 @@ __all__ = [
     "tilted_smooth_probs",
 ]
 
-# A label rule maps (context, last_prediction, rng) -> label in [-1, 1].  A rule that draws
-# one double a round and reads no prediction also has ``block(contexts, u)``: the list of
-# labels of a block of contexts, each at its round's double in u.
-LabelRule = Callable[[ContextBlock, Optional[float], np.random.Generator], float]
+# A label rule maps (x, u, last_prediction) -> label in [-1, 1]: x is the context's coordinate
+# (its atom id where it has none), u the round's label double, drawn whether or not it is read.
+LabelRule = Callable[[float, float, Optional[float]], float]
 
 
 def noisy_comparator_labels(theta: float, flip_prob: float) -> LabelRule:
-    """Labels x >= theta -> +1, else -1, of the coordinate (the id where there is
-    none), sign-flipped with flip_prob."""
+    """Labels x >= theta -> +1, else -1, sign-flipped where u < flip_prob."""
 
-    def label(x, v):  # v: the round's double
+    def rule(x, u, last_prediction):
         y = 1.0 if x >= theta else -1.0
-        return -y if v < flip_prob else y
+        return -y if u < flip_prob else y
 
-    def rule(ctx, last_prediction, rng):
-        return label(ctx.coordinate if ctx.coordinate is not None else ctx.id, rng.random())
-
-    def block(contexts, u):
-        x = contexts.coords if contexts.coords is not None else contexts.ids
-        return list(map(label, x.tolist(), u.tolist()))
-
-    rule.block = block
     return rule
 
 
 def rademacher_labels() -> LabelRule:
-    def label(v):
-        return 1.0 if v < 0.5 else -1.0
+    def rule(x, u, last_prediction):
+        return 1.0 if u < 0.5 else -1.0
 
-    def rule(ctx, last_prediction, rng):
-        return label(rng.random())
-
-    rule.block = lambda contexts, u: list(map(label, u.tolist()))
     return rule
 
 
 def adversarial_flip_labels() -> LabelRule:
     """Label opposite in sign to the learner's previous prediction (+1 on round one)."""
 
-    def rule(ctx, last_prediction, rng):
+    def rule(x, u, last_prediction):
         if last_prediction is None or last_prediction == 0.0:
             return 1.0
         return -1.0 if last_prediction > 0 else 1.0
@@ -96,22 +85,14 @@ class Adversary:
         self.label_rule = label_rule
         self.rng = rng
 
-    def _draw_context(self) -> ContextBlock:
-        raise NotImplementedError
-
-    def next_round(self, last_prediction: Optional[float] = None) -> tuple[ContextBlock, float]:
-        ctx = self._draw_context()
-        return ctx, float(self.label_rule(ctx, last_prediction, self.rng))
-
 
 class IidAdversary(Adversary):
     """Contexts i.i.d. from ``p``: mu, or an explicit p with density <= 1/sigma w.r.t. mu.
 
-    Where a round draws one double for its context (p is not uniform on a finite
-    ground set) and one for its label (the rule has a ``block`` form), rounds are
-    drawn ``BLOCK`` at a time from ``rng.random((BLOCK, 2))``, which holds the
-    doubles that per-round draws would take, in the same order.  The rounds are
-    then the same, but the generator runs up to BLOCK - 1 rounds ahead.
+    A round takes two doubles, its context's (through p's CDF) and its label's.
+    Rounds are drawn ``BLOCK`` at a time from ``rng.random((BLOCK, 2))``, so the
+    generator runs up to BLOCK - 1 rounds ahead; each label is made at its own
+    round, where the last prediction is known.
     """
 
     def __init__(self, certificate: SmoothnessCertificate, label_rule: LabelRule,
@@ -125,22 +106,17 @@ class IidAdversary(Adversary):
                 raise ValueError("explicit p requires a finite base measure")
             self.p = FiniteMeasure(mu.ground, p)
             density_ratio(self.p.probs, mu.probs, certificate.sigma)
-        self._block_labels = None if self.p.draws_integers else getattr(label_rule, "block", None)
-        self._contexts, self._labels, self._next = None, [], 0  # the rounds drawn ahead
-
-    def _draw_context(self) -> ContextBlock:
-        return self.p.sample_point(self.rng)
+        self._contexts, self._x, self._u, self._next = None, [], [], 0  # the rounds drawn ahead
 
     def next_round(self, last_prediction: Optional[float] = None) -> tuple[ContextBlock, float]:
-        if self._block_labels is None:
-            return super().next_round(last_prediction)
-        if self._next == len(self._labels):
+        if self._next == len(self._x):
             u = self.rng.random((BLOCK, 2)).T.copy()  # rows: the contexts', the labels'
-            self._contexts = self.p.block_at(u[0])
-            self._labels, self._next = self._block_labels(self._contexts, u[1]), 0
+            contexts = self.p.block_at(u[0])
+            x = contexts.coords if contexts.coords is not None else contexts.ids
+            self._contexts, self._x, self._u, self._next = contexts, x.tolist(), u[1].tolist(), 0
         i = self._next
         self._next += 1
-        return self._contexts[i:i + 1], self._labels[i]
+        return self._contexts[i:i + 1], self.label_rule(self._x[i], self._u[i], last_prediction)
 
 
 class AdaptiveMixtureAdversary(Adversary):
@@ -174,13 +150,15 @@ class AdaptiveMixtureAdversary(Adversary):
         probs[a] += w
         return probs
 
-    def _draw_context(self) -> ContextBlock:
-        probs = self.conditional_probs()
-        cdf = np.cumsum(probs)
-        atom = int(np.searchsorted(cdf, self.rng.random(), side="right"))
-        atom = min(atom, len(probs) - 1)
+    def next_round(self, last_prediction: Optional[float] = None) -> tuple[ContextBlock, float]:
+        u_context, u_label = self.rng.random(2).tolist()
+        cdf = np.cumsum(self.conditional_probs())
+        atom = int(np.searchsorted(cdf, u_context, side="right"))
+        atom = min(atom, len(cdf) - 1)
         self._counts[atom] += 1
-        return self.certificate.mu.ground.block(np.array([atom]))
+        ctx = self.certificate.mu.ground.block(np.array([atom]))
+        x = ctx.coordinate if ctx.coordinate is not None else ctx.id
+        return ctx, self.label_rule(x, u_label, last_prediction)
 
 
 _DYADIC_BITS = 48  # exact integer/2^48 arithmetic; increments clamp beyond this
@@ -227,7 +205,7 @@ class HiddenMuThresholdAdversary(Adversary):
             y = None  # a Rademacher draw at the new context
         ctx = ContextBlock(coords=np.array([self._x_num / self._scale]))
         if y is None:
-            y = self.label_rule(ctx, last_prediction, self.rng)
+            y = self.label_rule(ctx.coordinate, self.rng.random(), last_prediction)
         if y > 0:
             self._hi_num = min(self._hi_num, self._x_num)
         else:
@@ -264,7 +242,11 @@ def build_rademacher_gap_adversary(sigma: float, shatter_set_size: int,
     mu puts 1 - sigma on a distinguished atom x* where every hypothesis
     vanishes and sigma spread uniformly over the shattering atoms; p is
     uniform on the shattering atoms, with density exactly 1/sigma there.
+    The atoms are shattered at ``scale`` > 0: each sign pattern has a
+    hypothesis with sign * f >= scale / 2 on every atom.
     """
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, not {scale}")
     values = klass.evaluate_block(ground.block(np.arange(ground.size)))
     star_candidates = np.flatnonzero(np.all(values == 0.0, axis=0))
     if len(star_candidates) == 0:

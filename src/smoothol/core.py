@@ -194,7 +194,6 @@ class UniformIntervalMeasure:
 
     ground = None
     probs = None
-    draws_integers = False
 
     @property
     def finite(self) -> bool:

@@ -66,9 +66,11 @@ def epsilon_grid(eps: float, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    ks_lo = math.ceil(lo / eps - 1e-12)
-    ks_hi = math.floor(hi / eps + 1e-12)
-    points = [k * eps for k in range(ks_lo, ks_hi + 1)]
+    ks_lo = lo / eps - 1e-12
+    ks_hi = hi / eps + 1e-12
+    if not ks_hi - ks_lo < 2**63 - 1:  # an infinite quotient too: count before building
+        raise ValueError(f"epsilon = {eps} makes a label grid of more than 2^63 - 1 points")
+    points = [k * eps for k in range(math.ceil(ks_lo), math.floor(ks_hi) + 1)]
     width = hi - lo
     if abs(width / eps - round(width / eps)) < 1e-12:
         points.extend([lo, hi])

@@ -99,7 +99,7 @@ NUMBERS = (
     ("learner", "eta", 0.0, _INF, None), ("learner", "epsilon", _POSITIVE, _INF, None),
     ("learner", "zeta", 0.0, _INF, None), ("learner", "p", -_INF, _INF, None),
     ("adversary", "beta", -_INF, _INF, None), ("adversary", "m", 1, _INF, int),
-    ("adversary", "scale", -_INF, _INF, None),
+    ("adversary", "scale", _POSITIVE, _INF, None),
     ("adversary.labels", "threshold", -_INF, _INF, None),
     ("adversary.labels", "flip_prob", 0.0, 1.0, None), ("bandit", "K", 1, _INF, int),
     ("bandit", "class_seed", 0, _INF, int), ("bandit", "f_star_index", 0, _INF, int),
@@ -441,8 +441,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedOutcome:
     return SeedOutcome(
         seed=seed,
         final_regret=final_regret,
-        checkpoint_regrets={t: float(regret[t - 1]) for t in range(1, cfg.T + 1)
-                            if t in checkpoints},
+        checkpoint_regrets={t: float(regret[t - 1]) for t in sorted(checkpoints)},
         oracle_calls=oracle.calls,
         wall_time_s=time.perf_counter() - t0,
         trajectory=traj,

@@ -184,6 +184,10 @@ def test_gap_adversary_requires_structure():
     constant = TableClass(np.array([[0.0, 1.0, 1.0]]))
     with pytest.raises(ValueError, match="shatter"):
         build_rademacher_gap_adversary(0.5, 2, constant, constant.ground, make_rng(10, 2))
+    zero = TableClass(np.zeros((1, 3)))  # sign * 0 >= scale / 2 holds for every scale <= 0
+    for scale in (0.0, -1.0):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            build_rademacher_gap_adversary(0.5, 2, zero, zero.ground, make_rng(10, 3), scale=scale)
 
 
 def test_gap_adversary_density_and_marginals():
@@ -239,24 +243,24 @@ def test_gap_adversary_at_the_cap_builds_for_a_tiny_sigma():
 # rounds drawn ahead, against the per-round reference
 # ---------------------------------------------------------------------------
 
+def _predictions(T):
+    """A scripted prediction before each round, for the flip rule to read: none before round one."""
+    return [None] + [(0.5, -0.25, 0.0, -1.0, 1.0)[t % 5] for t in range(T - 1)]
+
+
 def _reference_rounds(p, rule, rng, T):
-    """Each round drawn as it comes: p's context, then the rule's label."""
-    rounds, last = [], None
-    for _ in range(T):
-        ctx = p.sample_point(rng)
-        y = float(rule(ctx, last, rng))
-        rounds.append((ctx, y))
-        last = -y  # a prediction for the flip rule to read
+    """Each round drawn as it comes: two doubles, the context through p's CDF at the first,
+    the label from the rule at the second."""
+    rounds = []
+    for last in _predictions(T):
+        ctx = p.block_at(np.array([rng.random()]))
+        x = ctx.coordinate if ctx.coordinate is not None else ctx.id
+        rounds.append((ctx, rule(x, rng.random(), last)))
     return rounds
 
 
 def _adversary_rounds(adv, T):
-    rounds, last = [], None
-    for _ in range(T):
-        ctx, y = adv.next_round(last)
-        rounds.append((ctx, y))
-        last = -y
-    return rounds
+    return [adv.next_round(last) for last in _predictions(T)]
 
 
 def _assert_same_rounds(got, want):
@@ -280,6 +284,10 @@ def _tilted_grid(rule, rng):
                         p=tilted_smooth_probs(mu.probs, 0.3))
 
 
+def _uniform_grid(rule, rng):
+    return IidAdversary(_uniform_cert(20, 0.5), rule, rng)
+
+
 def _interval(rule, rng):
     from smoothol.core import UniformIntervalMeasure
 
@@ -299,11 +307,11 @@ def _ids_only(rule, rng):
                         p=tilted_smooth_probs(mu.probs, 0.5))
 
 
-_SOURCES = {"tilted-grid": _tilted_grid, "interval": _interval, "gap": _gap_source,
-            "ids-only": _ids_only}
+_SOURCES = {"tilted-grid": _tilted_grid, "uniform-grid": _uniform_grid, "interval": _interval,
+            "gap": _gap_source, "ids-only": _ids_only}
 _RULES = {"noisy-comparator": lambda: noisy_comparator_labels(0.4, 0.3),
           "comparator-on-ids": lambda: noisy_comparator_labels(7, 0.2),
-          "rademacher": rademacher_labels}
+          "rademacher": rademacher_labels, "adversarial-flip": adversarial_flip_labels}
 
 
 @pytest.mark.parametrize("T", [1, 63, 64, 65, 200])
@@ -311,31 +319,37 @@ _RULES = {"noisy-comparator": lambda: noisy_comparator_labels(0.4, 0.3),
 @pytest.mark.parametrize("source", sorted(_SOURCES))
 def test_iid_rounds_drawn_ahead_match_per_round_draws(source, rule, T):
     adv = _SOURCES[source](_RULES[rule](), make_rng(40, T))
-    assert adv._block_labels is not None  # this source and rule draw ahead
     reference = make_rng(40, T)
     _assert_same_rounds(_adversary_rounds(adv, T),
                         _reference_rounds(adv.p, _RULES[rule](), reference, T))
     # the generator stands at the end of the last block: up to BLOCK - 1 rounds ahead
-    _reference_rounds(adv.p, _RULES[rule](), reference, -T % BLOCK)
+    reference.random(2 * (-T % BLOCK))
     assert _same_position(adv.rng, reference)
 
 
-@pytest.mark.parametrize("case", ["uniform-p", "adversarial-flip"])
-def test_iid_rounds_that_cannot_draw_ahead_draw_per_round(case):
-    """A uniform p draws integers, and the flip rule reads the last prediction: both
-    still draw round by round, so the generator is never ahead of the rounds asked for."""
-    if case == "uniform-p":
-        adv = IidAdversary(_uniform_cert(16, 0.5), noisy_comparator_labels(0.5, 0.2),
-                           make_rng(41, 0))
-    else:
-        adv = _tilted_grid(adversarial_flip_labels(), make_rng(41, 0))
-    assert adv._block_labels is None
-    reference, done = make_rng(41, 0), 0
-    for T in (1, 63, 64, 65):
-        want = _reference_rounds(adv.p, adv.label_rule, reference, T - done)
-        _assert_same_rounds(_adversary_rounds(adv, T - done), want)
-        assert _same_position(adv.rng, reference)
-        done = T
+@pytest.mark.parametrize("T", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("rule", sorted(_RULES))
+def test_adaptive_mixture_rounds_match_per_round_draws(rule, T):
+    """Each round takes two doubles: its context's, through the CDF of that round's
+    p_t, and its label's; the generator is never ahead of the rounds asked for."""
+    adv = AdaptiveMixtureAdversary(_uniform_cert(10, 0.25), _RULES[rule](), make_rng(41, T))
+    reference_rule, reference = _RULES[rule](), make_rng(41, T)
+    for last in _predictions(T):
+        p_t = FiniteMeasure(adv.certificate.mu.ground, adv.conditional_probs())
+        ctx = p_t.block_at(np.array([reference.random()]))
+        want = (ctx, reference_rule(ctx.coordinate, reference.random(), last))
+        _assert_same_rounds([adv.next_round(last)], [want])
+    assert _same_position(adv.rng, reference)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (7, 1), (100, 2)])
+def test_iid_uniform_p_draws_each_atom_equally_often(n, seed):
+    """A uniform p draws its contexts through its CDF, whose steps 1/n round in floats:
+    the counts still fit n equal cells."""
+    adv = IidAdversary(_uniform_cert(n, 0.5), rademacher_labels(), make_rng(42, seed))
+    rounds = 1000 * n
+    counts = np.bincount([adv.next_round()[0].id for _ in range(rounds)], minlength=n)
+    assert stats.chisquare(counts, np.full(n, rounds / n)).pvalue > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +357,18 @@ def test_iid_rounds_that_cannot_draw_ahead_draw_per_round(case):
 # ---------------------------------------------------------------------------
 
 def test_label_rules():
-    rng = make_rng(13, 0)
-    rule = noisy_comparator_labels(0.5, flip_prob=0.0)
-    from smoothol.core import ContextBlock
-
-    high, low = ContextBlock(coords=np.array([0.9])), ContextBlock(coords=np.array([0.1]))
-    assert rule(high, None, rng) == 1.0
-    assert rule(low, None, rng) == -1.0
+    comparator = noisy_comparator_labels(0.5, flip_prob=0.25)
+    assert comparator(0.9, 0.5, None) == 1.0
+    assert comparator(0.1, 0.5, None) == -1.0
+    assert comparator(0.9, 0.1, None) == -1.0  # u < flip_prob flips the sign
+    assert comparator(7, 0.5, -1.0) == 1.0  # an atom id where there is no coordinate
+    rademacher = rademacher_labels()
+    assert (rademacher(0.9, 0.25, None), rademacher(0.9, 0.75, None)) == (1.0, -1.0)
     flip = adversarial_flip_labels()
-    assert flip(low, None, rng) == 1.0
-    assert flip(low, 0.7, rng) == -1.0
-    assert flip(low, -0.7, rng) == 1.0
+    assert flip(0.1, 0.3, None) == 1.0
+    assert flip(0.1, 0.3, 0.0) == 1.0
+    assert flip(0.1, 0.3, 0.7) == -1.0
+    assert flip(0.1, 0.3, -0.7) == 1.0
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.3, 0.1])

@@ -95,6 +95,13 @@ def test_epsilon_grid_unit_range():
     np.testing.assert_allclose(grid, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+@pytest.mark.parametrize("eps", [1e-300, 5e-324])
+def test_epsilon_grid_refuses_more_points_than_an_index_holds(eps):
+    """About 2e300 points (an infinite quotient at 5e-324): refused before any is built."""
+    with pytest.raises(ValueError, match=f"epsilon = {eps} .* 2\\^63 - 1"):
+        epsilon_grid(eps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.floats(min_value=1e-3, max_value=3.0).map(lambda eps: (eps, False)),
                  st.integers(1, 2000).map(lambda k: (2.0 / k, True))))

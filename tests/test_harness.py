@@ -211,6 +211,12 @@ def _rademacher_gap(m):
             "class": {"type": "table", "values": values}}
 
 
+def _zero_table_gap(scale):
+    """A rademacher_gap run at ``scale`` on a class that is 0 on every atom."""
+    return {**_rademacher_gap(2), "adversary": {"kind": "rademacher_gap", "m": 2, "scale": scale},
+            "class": {"type": "table", "values": [[0.0] * 3]}}
+
+
 def test_rademacher_gap_config():
     cfg = ExperimentConfig.from_dict(_base_config(T=8, **_rademacher_gap(2)))
     outcome = run_seed(cfg, 1)
@@ -455,6 +461,12 @@ def _case(case_id, overrides, *fields):
     _case("numeric-string-threshold", _labels(threshold="0.3"), "adversary.labels.threshold"),
     _case("fractional-adversary-m", _rademacher_gap(2.5), "adversary.m"),
     _case("string-adversary-m", _rademacher_gap("2"), "adversary.m"),
+    # on an all-zero table, sign * 0 >= scale / 2 held for every sign pattern: it ran to exit 0
+    _case("zero-scale-on-a-zero-table", _zero_table_gap(0), "adversary.scale"),
+    _case("negative-scale-on-a-zero-table", _zero_table_gap(-1), "adversary.scale"),
+    # about 2e300 label-grid points: refused before the grid is built
+    _case("tiny-epsilon-ftpl-single", {"learner": {"name": "ftpl-single", "epsilon": 1e-300}},
+          "epsilon = 1e-300"),
     # n = ceil(T / sqrt(sigma)) FTPL anchors pass 2^63 - 1
     _case("tiny-sigma-ftpl-anchors", {"sigma": 1e-40}, "sigma"),
     # (T - 1) * k playout draws do
