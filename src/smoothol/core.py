@@ -273,6 +273,16 @@ class HypothesisClass:
     def identity_dot(self, block: ContextBlock, weights: np.ndarray) -> np.ndarray:
         return self.evaluate_block(block) @ np.asarray(weights, dtype=np.float64)
 
+    def atom_cells(self, mu) -> np.ndarray:
+        """The cell of ``cell_measure(mu)`` that holds each atom of the finite ``mu``."""
+        if not mu.finite:
+            raise ValueError(f"{type(self).__name__} has no finite cell partition "
+                             f"of the continuous base measure")
+        # hashed, not sorted: a first sort pages in numpy's sort kernels, ~0.3 MB of peak RSS
+        cells: dict = {}  # column bytes -> cell, numbered in first-atom order; -0.0 joins 0.0
+        return np.array([cells.setdefault(column.tobytes(), len(cells))
+                         for column in self.evaluate_block(mu.atoms).T + 0.0])
+
     def cell_measure(self, mu) -> FiniteMeasure:
         """``mu`` on cells where every hypothesis is constant, one representative atom
         per cell with the cell's mass.
@@ -282,14 +292,8 @@ class HypothesisClass:
         cells follow their first atoms.  With every column distinct this is
         ``mu`` itself.
         """
-        if not mu.finite:
-            raise ValueError(f"{type(self).__name__} has no finite cell partition "
-                             f"of the continuous base measure")
-        # hashed, not sorted: a first sort pages in numpy's sort kernels, ~0.3 MB of peak RSS
-        cells: dict = {}  # column bytes -> cell, numbered in first-atom order; -0.0 joins 0.0
-        index = np.array([cells.setdefault(column.tobytes(), len(cells))
-                          for column in self.evaluate_block(mu.atoms).T + 0.0])
-        if len(cells) == len(index):
+        index = self.atom_cells(mu)
+        if index.max() + 1 == len(index):  # as many cells as atoms
             return mu
         first = np.flatnonzero(np.diff(np.maximum.accumulate(index), prepend=-1))  # new cells
         reps = mu.ground.block(first)
@@ -437,7 +441,8 @@ class LossFunction:
 
     ``fn`` must accept numpy arrays and broadcast.  ``domain`` is the interval
     predictions and labels are drawn from; ``output_range`` is the declared
-    range of the loss on that domain.
+    range of the loss on that domain.  ``degree`` is the loss's degree as a
+    polynomial in yhat for every label, None where it is none.
     """
 
     kind: str
@@ -445,6 +450,7 @@ class LossFunction:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: tuple[float, float] = (-1.0, 1.0)
     output_range: tuple[float, float] = (0.0, 1.0)
+    degree: Optional[int] = None
 
     def evaluate(self, yhat: float, y: float) -> float:
         return float(self.fn(np.float64(yhat), np.float64(y)))
@@ -452,10 +458,21 @@ class LossFunction:
     def evaluate_array(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.fn(yhat, y)
 
+    def coefficients(self, y: np.ndarray, degree: int) -> np.ndarray:
+        """(degree + 1, len(y)): c_k(y) with l(yhat, y) = sum_k c_k(y) yhat^k, for degree
+        1 or 2, read from ``fn`` at yhat = 1, -1 (and 0).  Exact, up to rounding, for a
+        loss of at most that degree; with degree 1, for any loss on yhat in {-1, +1}."""
+        plus, minus = self.fn(1.0, y), self.fn(-1.0, y)
+        even, odd = (plus + minus) / 2.0, (plus - minus) / 2.0
+        if degree == 1:
+            return np.stack([even, odd])
+        zero = self.fn(0.0, y)
+        return np.stack([zero, odd, even - zero])
+
 
 def linear_loss() -> LossFunction:
     """l(yhat, y) = (1 - yhat*y)/2; the mistake indicator on {-1, +1} pairs."""
-    return LossFunction("linear", 0.5, lambda a, b: (1.0 - a * b) / 2.0)
+    return LossFunction("linear", 0.5, lambda a, b: (1.0 - a * b) / 2.0, degree=1)
 
 
 def absolute_loss() -> LossFunction:
@@ -464,25 +481,28 @@ def absolute_loss() -> LossFunction:
 
 
 # squares by multiplication: a numpy scalar's ** 2 calls pow, which can round differently
-# from the d * d an array's ** 2 computes, so ``evaluate`` would not match ``evaluate_array``
+# from the d * d an array's ** 2 computes, so ``evaluate`` would not match ``evaluate_array``;
+# in place, so an array loss holds one temporary, not two
 def _square(a, b):
     d = a - b
-    return d * d
+    d *= d
+    return d
 
 
 def _scaled_square(a, b):
     d = (a - b) / 2.0
-    return d * d
+    d *= d
+    return d
 
 
 def square_loss() -> LossFunction:
     """l(yhat, y) = (yhat - y)^2 on the [0, 1] prediction/label domain (L = 2)."""
-    return LossFunction("square", 2.0, _square, domain=(0.0, 1.0))
+    return LossFunction("square", 2.0, _square, domain=(0.0, 1.0), degree=2)
 
 
 def scaled_square_loss() -> LossFunction:
     """l(yhat, y) = ((yhat - y)/2)^2 on [-1, 1]^2; strictly convex, L = 1."""
-    return LossFunction("custom", 1.0, _scaled_square)
+    return LossFunction("custom", 1.0, _scaled_square, degree=2)
 
 
 LOSSES = {

@@ -20,6 +20,17 @@ minimizing running loss plus a fresh perturbation -- before the round's
 context is revealed.  The oracle holds the running loss as its history, so
 the call's query is the perturbation's row blocks alone.
 
+Drawn per anchor for an exact oracle, omega' is summed per cell before it
+reaches the oracle wherever the loss is a polynomial of degree d <= 2 in f on
+the class: any loss on a binary class (f = +/-1 makes it affine), and
+``loss.degree`` on a real one.  With l(f, y) = sum_k c_k(y) f^k,
+
+    omega'(f) = sum_k sum_c W_k[c] f(c)^k,  W_k[c] = sum_{j in cell c} gamma'_j c_k(y'_j),
+
+so the oracle takes identity rows over the cells' values 1, f, f^2 instead of
+H x n main-loss rows.  The anchors, labels and normals are drawn as before, so
+no stream moves; only the objective's sums run in another order.
+
 The perturbations never read the history, so the learner draws them for up
 to ``core.BLOCK`` rounds at once (fewer when a round's arrays are large, and
 none past the schedule's horizon), with one call per kind of draw, and the
@@ -41,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BLOCK, MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction
+from .core import BLOCK, MAX_DRAWS, ContextBlock, FiniteMeasure, HypothesisClass, LossFunction
 from .oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 
 __all__ = [
@@ -49,6 +60,8 @@ __all__ = [
     "GaussianPerturbation",
     "fewer_cells",
     "draw_perturbation",
+    "LabelAnchorSums",
+    "label_anchor_sums",
     "FtplSchedule",
     "schedule",
     "ftpl_select_classification",
@@ -135,7 +148,8 @@ def draw_perturbation(mu, n: int, rng: np.random.Generator,
                       grid: Optional[np.ndarray] = None,
                       per_cell: Optional[bool] = None,
                       values: Optional[np.ndarray] = None,
-                      rounds: Optional[int] = None) -> GaussianPerturbation:
+                      rounds: Optional[int] = None,
+                      sums: Optional["LabelAnchorSums"] = None) -> GaussianPerturbation:
     """n anchors from mu with N(0,1) coefficients; eps (or a built ``grid``) adds labels.
 
     Per cell, the atoms of the finite mu (a class's cell measure; times the
@@ -146,7 +160,8 @@ def draw_perturbation(mu, n: int, rng: np.random.Generator,
     anchor is drawn from mu.  ``per_cell`` defaults to ``fewer_cells(mu, n, grid)``.
     With ``rounds``, a block of that many independent rounds is drawn at
     once, each kind of draw in one call: coefficients (rounds, contexts),
-    and per anchor rounds * n anchors, round-major.
+    and per anchor rounds * n anchors, round-major.  Per anchor with labels,
+    ``sums`` returns the same draws summed per cell (``LabelAnchorSums.reduce``).
     """
     if grid is None and eps is not None:
         grid = epsilon_grid(eps)
@@ -156,14 +171,87 @@ def draw_perturbation(mu, n: int, rng: np.random.Generator,
         size = n if rounds is None else rounds * n
         contexts = mu.sample_block(rng, size)
         coeffs = rng.standard_normal(n if rounds is None else (rounds, n))
-        labels = None if grid is None else grid[rng.integers(0, len(grid), size=size)]
-        return GaussianPerturbation(contexts, coeffs, normalization, labels, n)
+        if grid is None:
+            return GaussianPerturbation(contexts, coeffs, normalization, None, n)
+        label_ids = rng.integers(0, len(grid), size=size)
+        if sums is not None:
+            return sums.reduce(contexts, coeffs, label_ids, n)
+        return GaussianPerturbation(contexts, coeffs, normalization, grid[label_ids], n)
     contexts, probs, labels = mu.atoms, mu.probs, None
     if grid is not None:  # each (cell, label) pair has mass mu_c / |grid|
         (contexts, labels), probs = _pairs(mu, grid), np.repeat(probs / len(grid), len(grid))
     counts = rng.multinomial(n, probs, size=rounds)
     coeffs = np.sqrt(counts) * rng.standard_normal(counts.shape)
     return GaussianPerturbation(contexts, coeffs, normalization, labels, n, values)
+
+
+class LabelAnchorSums:
+    """Per-anchor omega' summed per cell, for a loss that is a polynomial in f on the class.
+
+    With l(f, y) = sum_k c_k(y) f^k of degree d <= 2, omega'(f) = sum_k sum_c W_k[c] f(c)^k,
+    where W_k[c] sums gamma_j c_k(y_j) over the anchors j in cell c.  ``reduce`` turns a
+    per-anchor draw into those sums; they enter the oracle as identity rows over the
+    cells once per power, whose ``values`` are the stacked powers [1 | V | V^2] of the
+    class's values V on the cells, so the k = 0 rows carry each round's constant.
+    """
+
+    def __init__(self, coefs: np.ndarray, cells: FiniteMeasure,
+                 atom_cells: Optional[np.ndarray], contexts: ContextBlock, values: np.ndarray):
+        self.coefs = coefs            # (d + 1, |grid|): c_k at each grid label
+        self.cells = cells            # the class's cell measure of mu
+        self.atom_cells = atom_cells  # a finite mu's cell per context id; None: the id itself
+        self.contexts = contexts      # the cells, once per power
+        self.values = values          # (H, (d + 1) * cells): [1 | V | V^2]
+        # per-anchor keys and weights, kept across draws: made anew, a block's arrays
+        # were handed back to the system and faulted in again at every block
+        self._keys, self._weights = np.empty(0, dtype=np.int64), np.empty(0)
+        self._offsets = np.empty(0, dtype=np.int64)
+
+    def reduce(self, contexts: ContextBlock, coeffs: np.ndarray, label_ids: np.ndarray,
+               n: int) -> GaussianPerturbation:
+        """Per-anchor draws of omega' (anchors, (rounds, n) coefficients, grid label
+        indices) as one coefficient per (power, cell) and round: per power, one bincount
+        over the keys round * cells + cell, each bin summed in anchor order."""
+        size, anchors = self.cells.ground.size, coeffs.size
+        rounds = anchors // n
+        if len(self._offsets) != anchors:  # each anchor's round * cells, for its key
+            self._offsets = np.repeat(np.arange(rounds) * size, n)
+            self._keys, self._weights = np.empty(anchors, dtype=np.int64), np.empty(anchors)
+        keys, weights = self._keys, self._weights
+        if contexts.ids is None:  # the interval: gap c is [left_c, left_c+1), and left_0 = 0
+            cells = np.searchsorted(self.cells.ground.coords, contexts.coords, "right") - 1
+        else:
+            cells = contexts.ids if self.atom_cells is None else self.atom_cells[contexts.ids]
+        np.add(cells, self._offsets, out=keys)
+        sums = np.empty((rounds, len(self.coefs), size))
+        for k, coef in enumerate(self.coefs):
+            coef.take(label_ids, out=weights)
+            weights *= coeffs.ravel()
+            sums[:, k] = np.bincount(keys, weights, rounds * size).reshape(rounds, size)
+        return GaussianPerturbation(self.contexts, sums.reshape(coeffs.shape[:-1] + (-1,)),
+                                    "none", None, n, self.values)
+
+
+def label_anchor_sums(klass: HypothesisClass, loss: LossFunction, mu, cells: FiniteMeasure,
+                      grid: np.ndarray) -> Optional[LabelAnchorSums]:
+    """The sums of omega' per cell of ``cells = klass.cell_measure(mu)``, over the label
+    ``grid``, or None where the loss is no polynomial of degree at most 2 in f on the
+    class.  On a binary class every loss is affine in f; on a real one, ``loss.degree``
+    says."""
+    degree = 1 if klass.kind == "binary" else loss.degree
+    if degree not in (1, 2):
+        return None
+    values = klass.evaluate_block(cells.atoms)
+    values = np.concatenate([np.ones_like(values), values, values * values][:degree + 1], axis=1)
+    atom_cells = None
+    if mu.finite:  # anchors carry the ids of mu's atoms
+        ids = mu.atoms.ids
+        atom_cells = np.zeros(ids.max() + 1, dtype=np.int64)
+        atom_cells[ids] = klass.atom_cells(mu)
+        if np.array_equal(atom_cells, np.arange(len(atom_cells))):
+            atom_cells = None  # each atom its own cell, numbered by its id
+    contexts = cells.ground.block(np.tile(np.arange(cells.ground.size), degree + 1))
+    return LabelAnchorSums(loss.coefficients(grid, degree), cells, atom_cells, contexts, values)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +339,8 @@ def schedule(T: int, sigma: float, L: float = 1.0, d_or_p: Optional[float] = Non
 def _query(omega: Optional[GaussianPerturbation], omega_label: Optional[GaussianPerturbation],
            eta: float, label_scale: float) -> ErmQuery:
     """eta * omega(f) as identity rows plus label_scale * omega'(f) as main-loss rows at
-    the label anchors, one round per row of coefficients; a variant may lack either."""
+    the label anchors (identity rows over its values once summed per cell and power),
+    one round per row of coefficients; a variant may lack either."""
     coeffs = (omega or omega_label).coeffs
     query = ErmQuery(1 if coeffs.ndim == 1 else len(coeffs))
     if omega is not None:
@@ -260,9 +349,12 @@ def _query(omega: Optional[GaussianPerturbation], omega_label: Optional[Gaussian
         query.add_block(IDENTITY, omega.contexts, np.zeros(len(omega.contexts)),
                         eta * omega.scale * omega.coeffs, omega.values)
     if omega_label is not None:
-        if omega_label.normalization != "none" or omega_label.labels is None:
-            raise ValueError("omega' is the unnormalized process with label anchors")
-        query.add_block(MAIN, omega_label.contexts, omega_label.labels,
+        summed = omega_label.labels is None  # per cell and power, over its values
+        if omega_label.normalization != "none" or (summed and omega_label.values is None):
+            raise ValueError("omega' is the unnormalized process with label anchors, "
+                             "or their sums per cell")
+        query.add_block(IDENTITY if summed else MAIN, omega_label.contexts,
+                        np.zeros(len(omega_label.contexts)) if summed else omega_label.labels,
                         label_scale * omega_label.coeffs, omega_label.values)
     return query
 
@@ -331,8 +423,9 @@ class FtplLearner:
         self.oracle = oracle
         self.rng = rng
         self.selected: Optional[int] = None
-        # (omega, omega'): each process's draw, per cell or per anchor, is fixed here;
-        # None for a process the variant does not add
+        # (omega, omega'): each process's draw, per cell or per anchor (omega' then summed
+        # per cell where the loss allows), is fixed here; None for a process the variant
+        # does not add
         self._processes = (
             None if variant == "single" else self._process(sched.m or sched.n, None),
             None if variant == "classification" else self._process(sched.n, self.grid))
@@ -343,22 +436,26 @@ class FtplLearner:
         self._t = 0                             # rounds selected
 
     def _process(self, n: int, grid: Optional[np.ndarray]) -> tuple:
-        """The arguments of one process's draws: measure, anchors, labels, per cell, and
-        per cell the class's values on its contexts (the cells, or with labels the
-        cell-major (cell, label) pairs).
+        """The arguments of one process's draws: measure, anchors, labels, per cell, per
+        cell the class's values on its contexts (the cells, or with labels the
+        cell-major (cell, label) pairs), and omega''s per-anchor sums or None.
 
         Per cell only with fewer cells than anchors, and only for an exact
         oracle: the approximate oracle's slack reads sum |w|, which merging
-        a cell's anchors into one coefficient changes.
+        a cell's anchors into one coefficient changes.  For the same reason
+        per-anchor omega' is summed per cell only for an exact oracle.
         """
         if not (self.sched.zeta == 0 and fewer_cells(self.cells, n, grid)):
-            return self.mu, n, grid, False, None
+            sums = None if grid is None or self.sched.zeta else label_anchor_sums(
+                self.klass, self.loss, self.mu, self.cells, grid)
+            return self.mu, n, grid, False, None, sums
         contexts = self.cells.atoms if grid is None else _pairs(self.cells, grid)[0]
-        return self.cells, n, grid, True, self.klass.evaluate_block(contexts)
+        return self.cells, n, grid, True, self.klass.evaluate_block(contexts), None
 
     def _elements(self, process: tuple) -> int:
-        """Elements of one round of the process in a block."""
-        _, n, grid, per_cell, values = process
+        """Elements of one round of the process in a block, as if per-anchor omega' were
+        evaluated (its gather is H x n), whether or not it is summed per cell."""
+        _, n, grid, per_cell, values, _ = process
         if per_cell:
             return values.shape[1]
         return n * (1 if grid is None else len(self.klass))
@@ -366,9 +463,10 @@ class FtplLearner:
     def _draw(self, process: Optional[tuple], rounds: int) -> Optional[GaussianPerturbation]:
         if process is None:
             return None
-        mu, n, grid, per_cell, values = process
+        mu, n, grid, per_cell, values, sums = process
         return draw_perturbation(mu, n, self.rng, "inv_sqrt_n" if grid is None else "none",
-                                 grid=grid, per_cell=per_cell, values=values, rounds=rounds)
+                                 grid=grid, per_cell=per_cell, values=values, rounds=rounds,
+                                 sums=sums)
 
     def _draw_block(self) -> ErmQuery:
         """The next block's perturbations, as one query with a round per row."""

@@ -16,7 +16,10 @@ family of exact queries that differ only in the label of one weight-1
 main-loss row is answered by one evaluation (``ErmOracle.exact_labels``) and
 still counts as one call per label.
 A block over fixed contexts (a learner's cells) may carry the class's values
-there, evaluated once, which the oracle reads instead of the contexts.
+there, evaluated once, which the oracle reads instead of the contexts.  FTPL's
+label-anchor process, summed per cell, is such a block of identity rows whose
+values are the powers 1, f, f^2 of the cells' values, stacked: the main loss
+as a polynomial in f, answered by the same product as any identity block.
 
 A query may stack the history-free rows of several rounds, drawn at once:
 each block then holds one weight row per round.  The oracle evaluates every
@@ -51,7 +54,8 @@ class RowBlock:
     row per round.  ``contexts`` and ``labels`` hold one set of rows shared
     by every round, or one set per round, round-major.  ``values``, if given,
     is f(contexts) for every hypothesis f, (H, len(contexts)), which the
-    oracle reads in place of evaluating the contexts.
+    oracle reads in place of evaluating the contexts; identity rows may carry
+    any function of f(contexts) there instead, such as its powers.
     """
 
     selector: str

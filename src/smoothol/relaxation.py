@@ -178,7 +178,7 @@ def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
     a_plus, a_minus = _branch_values(state, playout, x_t, oracle, np.array([1.0, -1.0]),
                                      index).tolist()
     state.last_branch_values = (a_plus, a_minus)
-    return float(np.clip(a_plus - a_minus, -1.0, 1.0))
+    return min(max(a_plus - a_minus, -1.0), 1.0)
 
 
 def three_point_min(values_oracle: Callable[[int], float], grid: np.ndarray) -> int:

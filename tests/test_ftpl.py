@@ -477,10 +477,11 @@ def test_exact_learner_draws_per_cell_only_below_the_anchor_count(monkeypatch):
     assert omega.n == sched.n and omega.labels is None and omega.coeffs.shape == (60, 9)
     assert np.array_equal(omega.contexts.coords, learner.cells.atoms.coords)
     assert np.array_equal(omega.values, klass.evaluate_block(learner.cells.atoms))
-    # omega' per anchor: one coefficient per anchor drawn from mu, evaluated by the oracle
-    assert omega_label.n == sched.n and omega_label.coeffs.shape == (60, sched.n)
-    assert len(omega_label.contexts) == len(omega_label.labels) == 60 * sched.n
-    assert omega_label.values is None
+    # omega' per anchor, drawn from mu and summed per cell and power of f (any loss is
+    # affine on a binary class): one coefficient per (power, gap) and round, over [1 | V]
+    assert omega_label.n == sched.n and omega_label.labels is None
+    assert omega_label.coeffs.shape == (60, 2 * 9)
+    assert np.array_equal(omega_label.values, np.hstack([np.ones((8, 9)), omega.values]))
 
 
 def test_learner_builds_the_label_grid_once(monkeypatch):
