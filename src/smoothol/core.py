@@ -253,13 +253,10 @@ class HypothesisClass:
     """Finite, enumerable class of functions mapping contexts into [-1, 1].
 
     Subclasses implement ``evaluate_block``, returning a C-contiguous
-    (H, len(block)) array, so that equal value matrices sum in one order;
-    ``identity_dot`` may be overridden
-    with a faster route for computing sum_i w_i f(x_i) simultaneously for all
-    hypotheses (it must agree with the generic one up to float summation order).
-    The oracle calls it only for identity rows that carry no value matrix:
-    per-anchor FTPL draws, whose contexts change every round.  Blocks over a
-    learner's fixed cells carry ``evaluate_block`` of the cells, made once.
+    (H, len(block)) array, so that equal value matrices sum in one order.
+    ``identity_dot`` is sum_i w_i f(x_i) for every f, the oracle's route for
+    identity rows that carry no value matrix; every learner's identity rows
+    lie on its fixed cells and carry ``evaluate_block`` of them, made once.
     """
 
     kind: str = "real"  # "binary" | "real"
@@ -323,7 +320,7 @@ class TableClass(HypothesisClass):
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def _check_ids(self, block: ContextBlock) -> np.ndarray:
+    def evaluate_block(self, block: ContextBlock) -> np.ndarray:
         if block.ids is None:
             raise DomainMismatchError("domain mismatch: table class needs atom ids")
         ids = block.ids
@@ -333,17 +330,7 @@ class TableClass(HypothesisClass):
             lo, hi = (ids.min(), ids.max()) if len(ids) else (0, 0)
         if lo < 0 or hi >= self.values.shape[1]:
             raise DomainMismatchError("domain mismatch: atom id out of range")
-        return ids
-
-    def evaluate_block(self, block: ContextBlock) -> np.ndarray:
-        ids = self._check_ids(block)
         return self.values.take(ids, axis=1)  # C-contiguous, as every class returns
-
-    def identity_dot(self, block: ContextBlock, weights: np.ndarray) -> np.ndarray:
-        ids = self._check_ids(block)
-        agg = np.bincount(ids, weights=np.asarray(weights, dtype=np.float64),
-                          minlength=self.values.shape[1])
-        return self.values @ agg
 
 
 class ThresholdClass(HypothesisClass):
@@ -365,23 +352,10 @@ class ThresholdClass(HypothesisClass):
     def __len__(self) -> int:
         return len(self.thetas)
 
-    def _coords(self, block: ContextBlock) -> np.ndarray:
+    def evaluate_block(self, block: ContextBlock) -> np.ndarray:
         if block.coords is None:
             raise DomainMismatchError("domain mismatch: threshold class needs coordinates")
-        return block.coords
-
-    def evaluate_block(self, block: ContextBlock) -> np.ndarray:
-        x = self._coords(block)
-        return np.where(x[None, :] >= self.thetas[:, None], 1.0, -1.0)
-
-    def identity_dot(self, block: ContextBlock, weights: np.ndarray) -> np.ndarray:
-        # sum_i w_i f_theta(x_i) = W - 2 * sum_{x_i < theta} w_i, via one sort.
-        x = self._coords(block)
-        w = np.asarray(weights, dtype=np.float64)
-        order = np.argsort(x, kind="stable")
-        prefix = np.concatenate(([0.0], np.cumsum(w[order])))
-        below = prefix[np.searchsorted(x[order], self.thetas, side="left")]
-        return prefix[-1] - 2.0 * below
+        return np.where(block.coords[None, :] >= self.thetas[:, None], 1.0, -1.0)
 
     def cell_measure(self, mu) -> FiniteMeasure:
         """On the uniform interval, the m+1 gaps [left, right) between the sorted

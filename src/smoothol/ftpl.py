@@ -7,37 +7,35 @@ anchor points sampled from the base measure:
     omega'(f) = sum_j gamma'_j l(f(Z'_j), y'_j)           (unnormalized, label anchors)
 
 with gamma i.i.d. standard normal and label anchors y'_j uniform on an
-epsilon-grid.  The processes see the anchors only through the sum of gamma
-over each cell of the class's cell measure (each (cell, label) pair for
-omega'); on a finite base measure a cell is a maximal group of atoms with
-equal value columns.  Given the cell counts n_c ~ Multinomial(n, mu) that sum
-is N(0, n_c), so a process is drawn as one multinomial and one normal per
-cell, with the same law, whenever there are fewer cells than anchors; the
-cells are fixed, so the learner evaluates the class on them once and every
-per-cell draw carries that value matrix to the oracle.  Each round the
-learner commits, via a single weighted ERM call, to the hypothesis
-minimizing running loss plus a fresh perturbation -- before the round's
-context is revealed.  The oracle holds the running loss as its history, so
-the call's query is the perturbation's row blocks alone.
+epsilon-grid.  Each round the learner commits, via a single weighted ERM
+call, to the hypothesis minimizing running loss plus a fresh perturbation --
+before the round's context is revealed.  The oracle holds the running loss
+as its history, so the call's query is the perturbation's row blocks alone.
 
-Drawn per anchor for an exact oracle, omega' is summed per cell before it
-reaches the oracle wherever the loss is a polynomial of degree d <= 2 in f on
-the class: any loss on a binary class (f = +/-1 makes it affine), and
+A process sees its anchors only through the sum S_c of gamma over each cell
+of the class's cell measure (each (cell, label) pair for omega'), and the
+approximate oracle's band through sum |gamma|.  Given the cell counts
+n_c ~ Multinomial(n, mu), S_c is N(0, n_c); with the band, it is the sum of
+the c-th run of n_c of n standard normals.  omega is always drawn this way,
+per cell, and omega' too with fewer (cell, label) pairs than anchors; the
+cells are fixed, so the learner evaluates the class on them once and every
+per-cell draw carries that value matrix to the oracle.
+
+Otherwise omega' is drawn per anchor, and summed per cell before it reaches
+the oracle wherever the loss is a polynomial of degree d <= 2 in f on the
+class: any loss on a binary class (f = +/-1 makes it affine), and
 ``loss.degree`` on a real one.  With l(f, y) = sum_k c_k(y) f^k,
 
     omega'(f) = sum_k sum_c W_k[c] f(c)^k,  W_k[c] = sum_{j in cell c} gamma'_j c_k(y'_j),
 
 so the oracle takes identity rows over the cells' values 1, f, f^2 instead of
-H x n main-loss rows.  The anchors, labels and normals are drawn as before, so
-no stream moves; only the objective's sums run in another order.
+H x n main-loss rows.  Every summed draw carries its rounds' sum |gamma|.
 
 The perturbations never read the history, so the learner draws them for up
 to ``core.BLOCK`` rounds at once (fewer when a round's arrays are large, and
 none past the schedule's horizon), with one call per kind of draw, and the
 oracle evaluates the block's rows together at its first round; each round
-still makes its one oracle call.  The rounds' draws are independent as
-before, but they no longer interleave round by round, so the stream differs
-from drawing each round alone.
+still makes its one oracle call.
 
 Three variants ship, differing in which processes they add and how they are
 scaled; ``schedule`` returns each variant's parameter choices as a function of
@@ -100,6 +98,7 @@ class GaussianPerturbation:
     cell's summed coefficients, N(0, n_c) given its anchor count n_c.  A
     block of rounds has one row of coefficients per round, over contexts
     (and labels) shared by every round or drawn per round, round-major.
+    ``abs_sum``, if given, is each round's sum |gamma| over the summed anchors.
     """
 
     contexts: ContextBlock
@@ -108,6 +107,7 @@ class GaussianPerturbation:
     labels: Optional[np.ndarray] = None
     n: Optional[int] = None  # anchors drawn per round; defaults to one per context
     values: Optional[np.ndarray] = None  # f(contexts) per hypothesis f, for the oracle
+    abs_sum: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.normalization not in ("inv_sqrt_n", "none"):
@@ -149,40 +149,48 @@ def draw_perturbation(mu, n: int, rng: np.random.Generator,
                       per_cell: Optional[bool] = None,
                       values: Optional[np.ndarray] = None,
                       rounds: Optional[int] = None,
-                      sums: Optional["LabelAnchorSums"] = None) -> GaussianPerturbation:
+                      sums: Optional["LabelAnchorSums"] = None,
+                      band: bool = False) -> GaussianPerturbation:
     """n anchors from mu with N(0,1) coefficients; eps (or a built ``grid``) adds labels.
 
     Per cell, the atoms of the finite mu (a class's cell measure; times the
-    grid labels) are the cells:
-    one ``rng.multinomial(n, cell masses)`` and one standard normal z_c per
-    cell give the coefficient sqrt(n_c) * z_c, and the draw carries
-    ``values``, the class's value matrix on those cells.  Per anchor, every
-    anchor is drawn from mu.  ``per_cell`` defaults to ``fewer_cells(mu, n, grid)``.
-    With ``rounds``, a block of that many independent rounds is drawn at
-    once, each kind of draw in one call: coefficients (rounds, contexts),
-    and per anchor rounds * n anchors, round-major.  Per anchor with labels,
-    ``sums`` returns the same draws summed per cell (``LabelAnchorSums.reduce``).
+    grid labels) are the cells: one ``rng.multinomial(n, cell masses)`` gives
+    the counts n_c, and cell c's coefficient is sqrt(n_c) z_c, one standard
+    normal per cell; with ``band``, the sum of the c-th run of n_c of n
+    standard normals, whose sum |gamma| the draw carries.  It carries
+    ``values``, the class's value matrix on the cells.  omega is always
+    drawn per cell; omega' per anchor unless ``per_cell`` (default
+    ``fewer_cells(mu, n, grid)``), every anchor drawn from mu with a grid
+    label, and ``sums`` returns the same draws summed per cell
+    (``LabelAnchorSums.reduce``).  With ``rounds``, a block of that many
+    independent rounds is drawn at once, each kind of draw in one call:
+    coefficients (rounds, contexts), and per anchor rounds * n anchors,
+    round-major.
     """
     if grid is None and eps is not None:
         grid = epsilon_grid(eps)
-    if per_cell is None:
-        per_cell = fewer_cells(mu, n, grid)
-    if not per_cell:
+    if grid is not None and not (fewer_cells(mu, n, grid) if per_cell is None else per_cell):
         size = n if rounds is None else rounds * n
         contexts = mu.sample_block(rng, size)
         coeffs = rng.standard_normal(n if rounds is None else (rounds, n))
-        if grid is None:
-            return GaussianPerturbation(contexts, coeffs, normalization, None, n)
         label_ids = rng.integers(0, len(grid), size=size)
         if sums is not None:
             return sums.reduce(contexts, coeffs, label_ids, n)
         return GaussianPerturbation(contexts, coeffs, normalization, grid[label_ids], n)
+    if not mu.finite:
+        raise ValueError("a per-cell draw needs a finite measure: draw on klass.cell_measure(mu)")
     contexts, probs, labels = mu.atoms, mu.probs, None
     if grid is not None:  # each (cell, label) pair has mass mu_c / |grid|
         (contexts, labels), probs = _pairs(mu, grid), np.repeat(probs / len(grid), len(grid))
     counts = rng.multinomial(n, probs, size=rounds)
-    coeffs = np.sqrt(counts) * rng.standard_normal(counts.shape)
-    return GaussianPerturbation(contexts, coeffs, normalization, labels, n, values)
+    if not band:
+        coeffs = np.sqrt(counts) * rng.standard_normal(counts.shape)
+        return GaussianPerturbation(contexts, coeffs, normalization, labels, n, values)
+    normals = rng.standard_normal(counts.shape[:-1] + (n,))
+    runs = np.repeat(np.arange(counts.size), counts.ravel())  # each normal's (round, cell)
+    coeffs = np.bincount(runs, normals.ravel(), counts.size).reshape(counts.shape)
+    return GaussianPerturbation(contexts, coeffs, normalization, labels, n, values,
+                                np.abs(normals).sum(axis=-1))
 
 
 class LabelAnchorSums:
@@ -229,7 +237,7 @@ class LabelAnchorSums:
             weights *= coeffs.ravel()
             sums[:, k] = np.bincount(keys, weights, rounds * size).reshape(rounds, size)
         return GaussianPerturbation(self.contexts, sums.reshape(coeffs.shape[:-1] + (-1,)),
-                                    "none", None, n, self.values)
+                                    "none", None, n, self.values, np.abs(coeffs).sum(axis=-1))
 
 
 def label_anchor_sums(klass: HypothesisClass, loss: LossFunction, mu, cells: FiniteMeasure,
@@ -340,14 +348,17 @@ def _query(omega: Optional[GaussianPerturbation], omega_label: Optional[Gaussian
            eta: float, label_scale: float) -> ErmQuery:
     """eta * omega(f) as identity rows plus label_scale * omega'(f) as main-loss rows at
     the label anchors (identity rows over its values once summed per cell and power),
-    one round per row of coefficients; a variant may lack either."""
+    one round per row of coefficients, each block with its draw's sum |gamma| scaled
+    alike where it carries one; a variant may lack either."""
     coeffs = (omega or omega_label).coeffs
     query = ErmQuery(1 if coeffs.ndim == 1 else len(coeffs))
     if omega is not None:
         if omega.normalization != "inv_sqrt_n" or omega.labels is not None:
             raise ValueError("omega is the normalized, label-free process")
+        s = eta * omega.scale
         query.add_block(IDENTITY, omega.contexts, np.zeros(len(omega.contexts)),
-                        eta * omega.scale * omega.coeffs, omega.values)
+                        s * omega.coeffs, omega.values,
+                        None if omega.abs_sum is None else s * omega.abs_sum)
     if omega_label is not None:
         summed = omega_label.labels is None  # per cell and power, over its values
         if omega_label.normalization != "none" or (summed and omega_label.values is None):
@@ -355,7 +366,8 @@ def _query(omega: Optional[GaussianPerturbation], omega_label: Optional[Gaussian
                              "or their sums per cell")
         query.add_block(IDENTITY if summed else MAIN, omega_label.contexts,
                         np.zeros(len(omega_label.contexts)) if summed else omega_label.labels,
-                        label_scale * omega_label.coeffs, omega_label.values)
+                        label_scale * omega_label.coeffs, omega_label.values,
+                        None if omega_label.abs_sum is None else label_scale * omega_label.abs_sum)
     return query
 
 
@@ -438,27 +450,23 @@ class FtplLearner:
     def _process(self, n: int, grid: Optional[np.ndarray]) -> tuple:
         """The arguments of one process's draws: measure, anchors, labels, per cell, per
         cell the class's values on its contexts (the cells, or with labels the
-        cell-major (cell, label) pairs), and omega''s per-anchor sums or None.
-
-        Per cell only with fewer cells than anchors, and only for an exact
-        oracle: the approximate oracle's slack reads sum |w|, which merging
-        a cell's anchors into one coefficient changes.  For the same reason
-        per-anchor omega' is summed per cell only for an exact oracle.
+        cell-major (cell, label) pairs), and omega''s per-anchor sums or None.  omega
+        is drawn per cell, and omega' with fewer (cell, label) pairs than anchors.
         """
-        if not (self.sched.zeta == 0 and fewer_cells(self.cells, n, grid)):
-            sums = None if grid is None or self.sched.zeta else label_anchor_sums(
+        if grid is not None and not fewer_cells(self.cells, n, grid):
+            return self.mu, n, grid, False, None, label_anchor_sums(
                 self.klass, self.loss, self.mu, self.cells, grid)
-            return self.mu, n, grid, False, None, sums
         contexts = self.cells.atoms if grid is None else _pairs(self.cells, grid)[0]
         return self.cells, n, grid, True, self.klass.evaluate_block(contexts), None
 
     def _elements(self, process: tuple) -> int:
-        """Elements of one round of the process in a block, as if per-anchor omega' were
-        evaluated (its gather is H x n), whether or not it is summed per cell."""
-        _, n, grid, per_cell, values, _ = process
+        """Elements of one round of the process in a block: per cell its contexts, and
+        the n normals of a draw that carries the band; per anchor H x n, as if omega'
+        were evaluated (its gather), whether or not it is summed per cell."""
+        _, n, _, per_cell, values, _ = process
         if per_cell:
-            return values.shape[1]
-        return n * (1 if grid is None else len(self.klass))
+            return values.shape[1] + (n if self.sched.zeta else 0)
+        return n * len(self.klass)
 
     def _draw(self, process: Optional[tuple], rounds: int) -> Optional[GaussianPerturbation]:
         if process is None:
@@ -466,7 +474,7 @@ class FtplLearner:
         mu, n, grid, per_cell, values, sums = process
         return draw_perturbation(mu, n, self.rng, "inv_sqrt_n" if grid is None else "none",
                                  grid=grid, per_cell=per_cell, values=values, rounds=rounds,
-                                 sums=sums)
+                                 sums=sums, band=self.sched.zeta > 0)
 
     def _draw_block(self) -> ErmQuery:
         """The next block's perturbations, as one query with a round per row."""

@@ -7,6 +7,10 @@ slack zeta the returned hypothesis satisfies
 
     objective(f_hat) <= min_f objective(f) + zeta * sum_i |w_i|.
 
+A block whose weights sum drawn rows (FTPL's draws per cell, or summed per
+cell) may carry each round's sum |w| of those rows, which the band reads in
+place of its own weights'.
+
 The oracle holds the observed history: one weight-1 main-loss row per round,
 added by ``extend_prefix`` to a per-hypothesis objective, the ``prefix``.  A
 query is only the rows a learner adds to that history (FTPL's perturbation, a
@@ -56,6 +60,8 @@ class RowBlock:
     is f(contexts) for every hypothesis f, (H, len(contexts)), which the
     oracle reads in place of evaluating the contexts; identity rows may carry
     any function of f(contexts) there instead, such as its powers.
+    ``abs_weight``, if given, is each round's sum |w| of the rows the weights
+    were summed from, (rounds,).
     """
 
     selector: str
@@ -63,6 +69,7 @@ class RowBlock:
     labels: np.ndarray
     weights: np.ndarray
     values: Optional[np.ndarray] = None
+    abs_weight: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.selector not in (MAIN, IDENTITY):
@@ -75,6 +82,8 @@ class RowBlock:
             raise ValueError("block arrays must share a length")
         if self.values is not None and (self.values.ndim != 2 or self.values.shape[1] != n):
             raise ValueError(f"block values must be (H, {n}), not {self.values.shape}")
+        if self.abs_weight is not None:  # one per round, or a bare number for one round
+            self.abs_weight = np.reshape(self.abs_weight, self.rounds)
 
     @property
     def rounds(self) -> int:
@@ -102,8 +111,9 @@ class ErmQuery:
         self.evaluated: Optional[tuple] = None  # (oracle, (rounds, H) objective per block)
 
     def add_block(self, selector: str, contexts: ContextBlock, labels: np.ndarray,
-                  weights: np.ndarray, values: Optional[np.ndarray] = None) -> "ErmQuery":
-        block = RowBlock(selector, contexts, labels, weights, values)
+                  weights: np.ndarray, values: Optional[np.ndarray] = None,
+                  abs_weight: Optional[np.ndarray] = None) -> "ErmQuery":
+        block = RowBlock(selector, contexts, labels, weights, values, abs_weight)
         if block.rounds != self.rounds:
             raise ValueError(f"block holds {block.rounds} rounds, not the query's {self.rounds}")
         if len(block):
@@ -117,8 +127,10 @@ class ErmQuery:
         return sum(len(b) for b in self.blocks)
 
     def total_abs_weight(self, index: int = 0) -> float:
-        """sum |w_i| over round ``index``'s rows."""
+        """sum |w_i| over round ``index``'s rows: a block's ``abs_weight`` where it
+        has one, else the sum of its weights'."""
         return float(sum(np.abs(b.weights.reshape(self.rounds, -1)[index]).sum()
+                         if b.abs_weight is None else b.abs_weight[index]
                          for b in self.blocks))
 
 

@@ -5,7 +5,7 @@ rounds with one call per kind of draw, and the oracle evaluates the block's
 rows together.  These tests hold each fast path to a naive reference: the
 block's rows against one query per round and a direct evaluation, the
 relaxation's stream against drawing every playout at its round, and the FTPL
-selections against per-round draws in law.  They also bound the blocks in
+selections against per-round, per-anchor draws in law.  They also bound the blocks in
 memory and in the horizon.
 """
 
@@ -38,11 +38,8 @@ from smoothol.ftpl import (
     BLOCK_ELEMENTS,
     FtplLearner,
     FtplSchedule,
-    draw_perturbation,
+    GaussianPerturbation,
     epsilon_grid,
-    ftpl_select_classification,
-    ftpl_select_dual,
-    ftpl_select_single,
     schedule,
 )
 from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
@@ -263,7 +260,9 @@ def _same_law_pvalue(a, b):
     return stats.chi2_contingency(table).pvalue
 
 
-DRAWS = {"per-cell": (200, 0.0), "per-anchor": (5, 0.0), "per-anchor-zeta": (200, 0.05)}
+# (anchors, zeta): 200 anchors against 9 cells and 45 (cell, label) pairs, and 5 against
+# both, for an exact and an approximate oracle
+DRAWS = {"n200": (200, 0.0), "n5": (5, 0.0), "n200-zeta": (200, 0.05), "n5-zeta": (5, 0.05)}
 
 
 # each variant's eta, and the history's rows: the leader's lead is of the order of
@@ -271,23 +270,30 @@ DRAWS = {"per-cell": (200, 0.0), "per-anchor": (5, 0.0), "per-anchor-zeta": (200
 VARIANTS = {"classification": (3.0, 3), "dual": (0.5, 3), "single": (None, 9)}
 
 
+@pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
 @pytest.mark.parametrize("draw", list(DRAWS))
 @pytest.mark.parametrize("variant", list(VARIANTS))
-def test_ftpl_block_selections_match_per_round_selections_in_law(variant, draw):
-    """The learner's block draws against one draw per round through the single-round
-    selection rules, under one fixed history: the selected hypothesis has one law."""
+def test_ftpl_block_selections_match_per_round_selections_in_law(variant, draw, interval):
+    """The learner's block draws against the per-anchor reference, drawn one round at a
+    time (every anchor from mu, one N(0, 1) each), under one fixed history: the selected
+    hypothesis has one law, and so, with zeta > 0, has whether the approximate oracle
+    swapped the minimizer for another hypothesis in its band."""
     n, zeta = DRAWS[draw]
     eta, rows = VARIANTS[variant]
-    ground = GroundSet.grid(32)
-    klass = TableClass(ThresholdClass.grid(8).evaluate_block(ContextBlock(coords=ground.coords)),
-                       ground=ground, kind="binary")
-    mu, loss = FiniteMeasure.uniform(ground), linear_loss()
+    ground, thresholds = GroundSet.grid(32), ThresholdClass.grid(8)
+    if interval:
+        klass, mu = thresholds, UniformIntervalMeasure()
+    else:
+        klass = TableClass(thresholds.evaluate_block(ground.block(np.arange(32))),
+                           ground=ground, kind="binary")
+        mu = FiniteMeasure.uniform(ground)
+    loss = linear_loss()
     sched = FtplSchedule(variant, eta=eta or np.sqrt(n), n=n, m=n, zeta=zeta,
                          epsilon=None if variant == "classification" else 0.5)
     learner = FtplLearner(variant, klass, loss, mu, sched, ErmOracle(klass, loss),
                           make_rng(56, 0))
-    per_cell = draw == "per-cell"
-    assert all(p[3] == per_cell for p in learner._processes if p)
+    # omega per cell; omega' per cell with fewer (cell, label) pairs than anchors
+    assert all(p[3] == (p[2] is None or n == 200) for p in learner._processes if p)
     oracle, rng = ErmOracle(klass, loss), make_rng(56, 1)
     for t in range(rows):  # labels of the threshold at 1/2, one row in three flipped
         x = (9 + 7 * t) % 32
@@ -295,28 +301,34 @@ def test_ftpl_block_selections_match_per_round_selections_in_law(variant, draw):
         for o in (learner.oracle, oracle):
             o.extend_prefix(ground.block(np.array([x])), y)
     draws = 4000
-    block = np.array([learner.select() for _ in range(draws)])
-    measure = learner.cells if per_cell else mu
+    block, block_swaps = [], []
+    for _ in range(draws):
+        block.append(learner.select())
+        exact = learner.oracle.objective_vector(learner._query, learner._next - 1).argmin()
+        block_swaps.append(block[-1] != exact)
 
-    def one(grid=None):
-        values = None
-        if per_cell:
-            contexts = measure.atoms if grid is None else ftpl._pairs(measure, grid)[0]
-            values = klass.evaluate_block(contexts)
-        return draw_perturbation(measure, n, rng, "inv_sqrt_n" if grid is None else "none",
-                                 grid=grid, per_cell=per_cell, values=values)
+    def anchors(grid=None):
+        contexts, coeffs = mu.sample_block(rng, n), rng.standard_normal(n)
+        labels = None if grid is None else grid[rng.integers(0, len(grid), n)]
+        return GaussianPerturbation(contexts, coeffs, "inv_sqrt_n" if grid is None else "none",
+                                    labels)
 
-    if variant == "classification":
-        single = [ftpl_select_classification(one(), sched.eta, oracle, zeta, rng)
-                  for _ in range(draws)]
-    elif variant == "dual":
-        single = [ftpl_select_dual(one(), one(learner.grid), sched.eta, oracle, zeta, rng)
-                  for _ in range(draws)]
-    else:
-        single = [ftpl_select_single(one(learner.grid), 1.0, oracle, zeta, rng)
-                  for _ in range(draws)]
+    single, single_swaps = [], []
+    for _ in range(draws):
+        if variant == "classification":
+            query = ftpl._query(anchors(), None, sched.eta, 1.0)
+        elif variant == "dual":
+            query = ftpl._query(anchors(), anchors(learner.grid), sched.eta, 1.0)
+        else:
+            query = ftpl._query(None, anchors(learner.grid), 0.0, 1.0)
+        single.append(oracle.approximate(query, zeta, rng).hypothesis_index)
+        single_swaps.append(single[-1] != oracle.objective_vector(query).argmin())
     assert len(np.unique(block)) >= 3  # the perturbation matters
-    assert _same_law_pvalue(block, np.array(single)) > 1e-3
+    assert _same_law_pvalue(np.array(block), np.array(single)) > 1e-3
+    if zeta:
+        assert _same_law_pvalue(np.array(block_swaps), np.array(single_swaps)) > 1e-3
+    else:
+        assert not any(block_swaps) and not any(single_swaps)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +373,10 @@ def test_block_buffers_hold_the_same_bytes_at_any_horizon(variant):
     assert held[0] == held[1]
 
 
-def test_per_anchor_blocks_stay_under_the_element_cap():
+def test_blocks_stay_under_the_element_cap():
     """ftpl-single on the grid at T = 4,000 and sigma = 0.2 gathers H * n ~ 1.4e5 elements
-    per round, above the cap, so it draws one round at a time; smaller per-anchor
-    processes fill a block up to the cap."""
+    per round, above the cap, so it draws one round at a time; smaller processes fill a
+    block up to the cap."""
     klass, mu = _space(False)
     loss = linear_loss()
     sched = schedule(4000, 0.2, L=loss.lipschitz_L, variant="single")
@@ -373,15 +385,16 @@ def test_per_anchor_blocks_stay_under_the_element_cap():
     process = learner._processes[1]
     assert not process[3] and learner._elements(process) == 64 * sched.n > BLOCK_ELEMENTS
     assert learner._block_rounds == 1
-    # per round, omega's identity rows hold n elements, omega''s main-loss gather H * n
-    for variant, n, rounds in (("classification", 100, BLOCK), ("dual", 100, 20),
-                               ("dual", 1000, 2), ("dual", 4000, 1)):
+    # per round, omega's draw with its band holds its 65 cells and n normals, omega''s
+    # main-loss gather H * n
+    for variant, n, rounds in (("classification", 100, BLOCK), ("classification", 4000, 32),
+                               ("dual", 100, 20), ("dual", 1000, 2), ("dual", 4000, 1)):
         sched = FtplSchedule(variant, eta=1.0, n=n, m=n, epsilon=0.01, zeta=0.05)
         learner = FtplLearner(variant, klass, loss, mu, sched, ErmOracle(klass, loss),
                               make_rng(58, 1))
         assert learner._block_rounds == rounds
         elements = max(learner._elements(p) for p in learner._processes if p)
-        assert elements == (n if variant == "classification" else 64 * n)
+        assert elements == (65 + n if variant == "classification" else 64 * n)
         assert rounds == 1 or rounds * elements <= BLOCK_ELEMENTS
 
 

@@ -181,6 +181,21 @@ def test_perturbation_per_cell_matches_per_atom_in_law(labelled):
         assert _same_law_pvalue(per_cell[:, pair], per_atom[:, pair], bins=10) > 1e-3
 
 
+@pytest.mark.parametrize("labelled", [False, True], ids=["omega", "omega-prime"])
+def test_per_cell_band_is_a_sum_of_n_half_normals(labelled):
+    """A per-cell draw with the band carries sum |gamma| over its n = 30 normals: by KS,
+    a sum of 30 half-normals, and never below the sum of its cells' |coefficients|."""
+    klass, mu = _shuffled_table(make_rng(38, 0))
+    grid = epsilon_grid(1.0) if labelled else None
+    pert = draw_perturbation(klass.cell_measure(mu), 30, make_rng(38, 1),
+                             "none" if labelled else "inv_sqrt_n", grid=grid,
+                             rounds=20_000, band=True)
+    assert pert.abs_sum.shape == (20_000,)
+    assert np.all(np.abs(pert.coeffs).sum(axis=1) <= pert.abs_sum * (1 + 1e-12))
+    reference = np.abs(make_rng(38, 2).standard_normal((20_000, 30))).sum(axis=1)
+    assert stats.ks_2samp(pert.abs_sum, reference).pvalue > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # the value matrix: each learner evaluates the class on its cells once, and its
 # per-cell blocks carry that matrix to the oracle; each route is checked against
@@ -214,7 +229,9 @@ def test_playout_value_matrix_matches_both_evaluations_bit_for_bit(interval):
         w = -6.0 * loss.lipschitz_L * playout.signs.astype(np.float64)
         fast = oracle.objective_vector(
             ErmQuery().add_block(IDENTITY, cells.atoms, np.zeros(65), w, playout.values))
-        assert np.array_equal(fast, klass.identity_dot(cells.atoms, w))
+        evaluated = oracle.objective_vector(ErmQuery().add_block(IDENTITY, cells.atoms,
+                                                                 np.zeros(65), w))
+        assert np.array_equal(fast, evaluated)
         assert np.array_equal(fast, klass.evaluate_block(cells.atoms) @ w)
 
 
@@ -237,10 +254,9 @@ def test_relaxation_rounds_never_reach_identity_dot(interval, monkeypatch):
 
 
 @pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
-def test_per_cell_gaussian_coefficients_match_identity_dot_within_1e12(interval):
-    """V @ w against identity_dot, which sums the same products in another order:
-    within 1e-12 * sum|w|, the scale of the sum.  Against evaluating the cells it is
-    the same product of equal arrays, so equal bit for bit."""
+def test_per_cell_gaussian_coefficients_match_evaluating_the_cells_bit_for_bit(interval):
+    """V @ w of the carried values against evaluating the cells: the same product of
+    equal arrays."""
     klass, mu = _threshold_space(interval)
     cells = klass.cell_measure(mu)
     values = klass.evaluate_block(cells.atoms)
@@ -251,8 +267,6 @@ def test_per_cell_gaussian_coefficients_match_identity_dot_within_1e12(interval)
         fast = oracle.objective_vector(
             ErmQuery().add_block(IDENTITY, pert.contexts, np.zeros(65), w, pert.values))
         assert np.array_equal(fast, klass.evaluate_block(pert.contexts) @ w)
-        tol = 1e-12 * np.abs(w).sum()
-        assert np.abs(fast - klass.identity_dot(pert.contexts, w)).max() <= tol
 
 
 @pytest.mark.parametrize("loss", [linear_loss(), absolute_loss(), scaled_square_loss()],

@@ -133,25 +133,6 @@ def test_threshold_class_outputs_are_signs():
     assert klass.evaluate_block(ContextBlock(coords=np.array([0.0])))[7, 0] == -1.0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_identity_dot_matches_generic_route(seed):
-    rng = make_rng(seed, 0)
-    table = random_table_class(rng, 9, 13)
-    ids = rng.integers(0, 13, size=200)
-    block = table.ground.block(ids)
-    weights = rng.normal(size=200)
-    fast = table.identity_dot(block, weights)
-    slow = table.evaluate_block(block) @ weights
-    np.testing.assert_allclose(fast, slow, atol=1e-9)
-
-    thresholds = ThresholdClass.grid(9)
-    coords = rng.random(200)
-    cblock = ContextBlock(coords=coords)
-    fast = thresholds.identity_dot(cblock, weights)
-    slow = thresholds.evaluate_block(cblock) @ weights
-    np.testing.assert_allclose(fast, slow, atol=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------

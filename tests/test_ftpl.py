@@ -318,6 +318,9 @@ def test_perturbation_validation():
     oracle = ErmOracle(random_table_class(rng, 3, 4), linear_loss())
     with pytest.raises(ValueError, match="normalized"):
         ftpl_select_classification(labeled, 1.0, oracle)
+    # omega is drawn per cell, so only on a finite measure such as a class's cells
+    with pytest.raises(ValueError, match="cell_measure"):
+        draw_perturbation(UniformIntervalMeasure(), 5, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +399,22 @@ def test_perturbation_cells_property(atoms, n, eps, seed):
     else:
         assert pert.scale == 1.0 and set(pert.labels) <= set(grid)
     cells = atoms * (1 if grid is None else len(grid))
-    if cells < n:
+    if grid is None or cells < n:  # omega always per cell, omega' with fewer pairs
         assert len(pert.coeffs) == cells
         if grid is not None:  # every (cell, label) pair exactly once
             assert len(set(zip(pert.contexts.ids, pert.labels))) == cells
         else:
             assert np.array_equal(pert.contexts.ids, np.arange(atoms))
+        # with the band, each cell sums its run of n normals, against np.split's runs
+        banded = draw_perturbation(mu, n, make_rng(seed, 1), normalization, eps=eps, band=True)
+        probs = mu.probs if grid is None else np.repeat(mu.probs / len(grid), len(grid))
+        reference = make_rng(seed, 1)
+        counts = reference.multinomial(n, probs)
+        normals = reference.standard_normal(n)
+        runs = [run.sum() for run in np.split(normals, np.cumsum(counts)[:-1])]
+        assert np.array_equal(banded.contexts.ids, pert.contexts.ids)
+        assert np.abs(banded.coeffs - runs).max(initial=0.0) <= 1e-12 * n
+        assert banded.abs_sum == np.abs(normals).sum()
     else:
         reference = _explicit_perturbation(mu, n, make_rng(seed, 1), grid)
         assert np.array_equal(pert.contexts.ids, reference.contexts.ids)
@@ -411,9 +424,11 @@ def test_perturbation_cells_property(atoms, n, eps, seed):
 
 @pytest.mark.parametrize("variant", ["classification", "dual", "single"])
 @pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
-def test_approximate_oracle_learner_draws_every_anchor(variant, interval):
-    """With zeta > 0 every process is drawn per anchor from mu: the horizon's 60 rounds as
-    one block, each process's anchors, then coefficients, then labels, in one call each."""
+def test_approximate_oracle_learner_matches_its_draws_as_anchors(variant, interval):
+    """With zeta > 0, omega is drawn per cell with its band, and omega' per anchor from mu
+    (then summed per cell): the horizon's 60 rounds as one block, in one call per kind of
+    draw.  Laid out as anchors -- each cell's run of normals on the cell, omega''s anchors
+    as drawn -- and answered one round at a time, they select the same hypotheses."""
     loss = linear_loss()
     if interval:
         klass, mu = ThresholdClass.grid(8), UniformIntervalMeasure()
@@ -423,14 +438,19 @@ def test_approximate_oracle_learner_draws_every_anchor(variant, interval):
     sched = schedule(60, 0.5, L=loss.lipschitz_L, variant=variant, zeta=0.05)
     learner = FtplLearner(variant, klass, loss, mu, sched, ErmOracle(klass, loss),
                           make_rng(16, 1))
+    per_cell = {"classification": [True], "dual": [True, False], "single": [False]}[variant]
+    assert [p[3] for p in learner._processes if p] == per_cell
     oracle, rng = ErmOracle(klass, loss), make_rng(16, 1)
-    grid = learner.grid
     history = make_rng(16, 2)
     blocks = []  # each process's 60 rounds of anchors, in the learner's draw order
     if variant != "single":
-        blocks.append(_explicit_perturbation(mu, 60 * (sched.m or sched.n), rng))
+        m, cells = sched.m or sched.n, learner.cells
+        counts = rng.multinomial(m, cells.probs, size=60)
+        normals = rng.standard_normal((60, m))
+        runs = np.repeat(np.tile(np.arange(cells.ground.size), 60), counts.ravel())
+        blocks.append(GaussianPerturbation(cells.ground.block(runs), normals.ravel()))
     if variant != "classification":
-        blocks.append(_explicit_perturbation(mu, 60 * sched.n, rng, grid))
+        blocks.append(_explicit_perturbation(mu, 60 * sched.n, rng, learner.grid))
 
     def round_of(block, t):
         n = len(block.coeffs) // 60

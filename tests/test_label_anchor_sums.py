@@ -1,10 +1,10 @@
 """omega' summed per cell: the label-anchor process through its loss's coefficients in f.
 
-With an exact oracle, a per-anchor draw of omega'(f) = sum_j gamma_j l(f(Z_j), y_j)
+A per-anchor draw of omega'(f) = sum_j gamma_j l(f(Z_j), y_j)
 reaches the oracle as per-(power, cell) sums over the class's stacked values
 [1 | V | V^2] wherever l is a polynomial of degree at most 2 in f on the class.
-These tests hold that route against evaluating every anchor, and check where it
-must not apply.
+These tests hold that route, and the band it carries for an approximate oracle,
+against evaluating every anchor, and check where it must not apply.
 """
 
 import numpy as np
@@ -153,10 +153,12 @@ def test_loss_coefficients_reproduce_the_loss(name):
     assert np.abs(sum(ck * f**k for k, ck in enumerate(c)) - loss.fn(f, y)).max() <= 1e-14
 
 
-def _learner(space: str, name: str, variant: str, seed: int, reference: bool, monkeypatch):
+def _learner(space: str, name: str, variant: str, seed: int, reference: bool, monkeypatch,
+             zeta: float = 0.0):
     rng = make_rng(94, SPACES.index(space))
     loss, (klass, mu) = LOSSES[name](), _space(space, rng)
-    sched = schedule(150, 0.3, L=loss.lipschitz_L, variant=variant)  # blocks of 64, 64, 22
+    sched = schedule(150, 0.3, L=loss.lipschitz_L, variant=variant,  # blocks of 64, 64, 22
+                     zeta=zeta)
     with monkeypatch.context() as m:
         if reference:
             m.setattr(ftpl, "label_anchor_sums", lambda *a: None)
@@ -191,16 +193,31 @@ def test_learner_selections_match_the_per_anchor_reference(space, name, variant,
         assert fast.rng.integers(2**62) == slow.rng.integers(2**62)  # the same draws made
 
 
-@pytest.mark.parametrize("case", ["approximate", "absolute-real"])
-def test_per_anchor_rows_stay_where_the_reduction_does_not_apply(case):
-    """With zeta > 0 (its band reads sum |w| per anchor), and for absolute loss on a
-    real class, omega' still reaches the oracle as per-anchor main-loss rows."""
+@pytest.mark.parametrize("variant", ["dual", "single"])
+@pytest.mark.parametrize("space,name", [("binary-table", "absolute"),
+                                        ("thresholds-interval", "scaled_square"),
+                                        ("product", "square")])
+def test_summed_label_anchors_carry_the_band_of_their_draws(space, name, variant, monkeypatch):
+    """With zeta > 0, each round's sum |w| of the query with omega' summed against that of
+    the same draws left as per-anchor main-loss rows (same seed): within 1e-12 of it."""
+    fast, _, _ = _learner(space, name, variant, 0, False, monkeypatch, zeta=0.05)
+    slow, _, _ = _learner(space, name, variant, 0, True, monkeypatch, zeta=0.05)
+    fast.select()
+    slow.select()
+    assert fast._query.blocks[-1].abs_weight is not None
+    assert slow._query.blocks[-1].abs_weight is None  # summed from its weights
+    for i in range(fast._query.rounds):
+        reference = slow._query.total_abs_weight(i)
+        assert abs(fast._query.total_abs_weight(i) - reference) <= 1e-12 * reference
+
+
+def test_per_anchor_rows_stay_where_the_reduction_does_not_apply():
+    """For absolute loss on a real class, at any zeta, omega' still reaches the oracle
+    as per-anchor main-loss rows."""
     rng = make_rng(95, 0)
-    klass = random_table_class(rng, 5, 12) if case == "absolute-real" else \
-        random_table_class(rng, 5, 12, binary=True)
+    klass = random_table_class(rng, 5, 12)
     mu, loss = FiniteMeasure.uniform(klass.ground), absolute_loss()
-    zeta = 0.05 if case == "approximate" else 0.0
-    sched = FtplSchedule("dual", eta=1.0, n=40, m=40, epsilon=0.1, zeta=zeta)
+    sched = FtplSchedule("dual", eta=1.0, n=40, m=40, epsilon=0.1, zeta=0.05)
     learner = FtplLearner("dual", klass, loss, mu, sched, ErmOracle(klass, loss),
                           make_rng(95, 1))
     assert learner._processes[1][5] is None

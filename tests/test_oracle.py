@@ -100,6 +100,21 @@ def test_slack_scales_with_total_weight(sign_constants):
     assert seen == {0, 1}
 
 
+def test_total_abs_weight_reads_a_carried_band_and_sums_every_other_block():
+    """A block summed from drawn rows carries each round's sum |w| of them, which the band
+    reads; a block without one (criterion 3's fuzzed rows) sums |w| of its own weights."""
+    contexts = ContextBlock(ids=np.array([0, 1, 0]))
+    weights = np.array([[1.0, -2.0, 0.5], [-0.25, 0.0, 3.0]])
+    query = ErmQuery(2).add_block(MAIN, contexts, np.zeros(3), weights)
+    assert [query.total_abs_weight(i) for i in range(2)] == [3.5, 3.25]
+    query.add_block(IDENTITY, contexts, np.zeros(3), weights, abs_weight=np.array([10.0, 20.0]))
+    assert [query.total_abs_weight(i) for i in range(2)] == [13.5, 23.25]
+    one = ErmQuery().add_block(IDENTITY, contexts, np.zeros(3), weights[0], abs_weight=4.0)
+    assert one.total_abs_weight() == 4.0
+    with pytest.raises(ValueError):
+        ErmQuery(2).add_block(IDENTITY, contexts, np.zeros(3), weights, abs_weight=[1.0])
+
+
 def test_objective_value_matches_row_recomputation():
     rng = make_rng(6, 0)
     klass = random_table_class(rng, 7, 9)
