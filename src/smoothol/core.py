@@ -137,7 +137,8 @@ class GroundSet:
 # ---------------------------------------------------------------------------
 
 class FiniteMeasure:
-    """A probability vector over a finite ground set, with inverse-CDF sampling."""
+    """A probability vector over a finite ground set, with inverse-CDF sampling; a class's
+    cell measure draws a cell instead as the one that holds a draw of its base measure."""
 
     def __init__(self, ground: GroundSet, probs: np.ndarray):
         probs = np.asarray(probs, dtype=np.float64)
@@ -192,9 +193,6 @@ class FiniteMeasure:
 class UniformIntervalMeasure:
     """Lebesgue-uniform base measure on [0, 1]; continuous, so no probability vector."""
 
-    ground = None
-    probs = None
-
     @property
     def finite(self) -> bool:
         return False
@@ -203,11 +201,13 @@ class UniformIntervalMeasure:
         """The points at uniforms ``u``: ``u`` itself."""
         return ContextBlock(ids=None, coords=u)
 
-    def sample_block(self, rng: np.random.Generator, size: int) -> ContextBlock:
-        return self.block_at(rng.random(size))
 
-    def sample_point(self, rng: np.random.Generator) -> ContextBlock:
-        return self.sample_block(rng, 1)
+class _CellMeasure(FiniteMeasure):
+    """Cells whose ``sample_ids(rng, size)`` is ``cell_of``: the cells of a base measure's draw."""
+
+    def __init__(self, ground: GroundSet, probs: np.ndarray, cell_of: Callable):
+        super().__init__(ground, probs)
+        self.sample_ids = cell_of
 
 
 @dataclass(frozen=True)
@@ -270,16 +270,6 @@ class HypothesisClass:
     def identity_dot(self, block: ContextBlock, weights: np.ndarray) -> np.ndarray:
         return self.evaluate_block(block) @ np.asarray(weights, dtype=np.float64)
 
-    def atom_cells(self, mu) -> np.ndarray:
-        """The cell of ``cell_measure(mu)`` that holds each atom of the finite ``mu``."""
-        if not mu.finite:
-            raise ValueError(f"{type(self).__name__} has no finite cell partition "
-                             f"of the continuous base measure")
-        # hashed, not sorted: a first sort pages in numpy's sort kernels, ~0.3 MB of peak RSS
-        cells: dict = {}  # column bytes -> cell, numbered in first-atom order; -0.0 joins 0.0
-        return np.array([cells.setdefault(column.tobytes(), len(cells))
-                         for column in self.evaluate_block(mu.atoms).T + 0.0])
-
     def cell_measure(self, mu) -> FiniteMeasure:
         """``mu`` on cells where every hypothesis is constant, one representative atom
         per cell with the cell's mass.
@@ -287,15 +277,23 @@ class HypothesisClass:
         A cell of a finite ``mu`` is a maximal set of atoms with equal value
         columns; its mass is their sum, its representative its first atom, and
         cells follow their first atoms.  With every column distinct this is
-        ``mu`` itself.
+        ``mu`` itself; otherwise its ``sample_ids`` draws atoms by ``mu``'s own
+        method and returns the cells that hold them.
         """
-        index = self.atom_cells(mu)
-        if index.max() + 1 == len(index):  # as many cells as atoms
+        if not mu.finite:
+            raise ValueError(f"{type(self).__name__} has no finite cell partition "
+                             f"of the continuous base measure")
+        # hashed, not sorted: a first sort pages in numpy's sort kernels, ~0.3 MB of peak RSS
+        cells: dict = {}  # column bytes -> cell, numbered in first-atom order; -0.0 joins 0.0
+        index = np.array([cells.setdefault(column.tobytes(), len(cells))
+                          for column in self.evaluate_block(mu.atoms).T + 0.0])
+        if len(cells) == len(index):
             return mu
         first = np.flatnonzero(np.diff(np.maximum.accumulate(index), prepend=-1))  # new cells
         reps = mu.ground.block(first)
-        return FiniteMeasure(GroundSet(len(first), coords=reps.coords, ids=reps.ids),
-                             np.bincount(index, weights=mu.probs))
+        return _CellMeasure(GroundSet(len(first), coords=reps.coords, ids=reps.ids),
+                            np.bincount(index, weights=mu.probs),
+                            lambda rng, size: index[mu.sample_ids(rng, size)])
 
 
 class TableClass(HypothesisClass):
@@ -359,11 +357,13 @@ class ThresholdClass(HypothesisClass):
 
     def cell_measure(self, mu) -> FiniteMeasure:
         """On the uniform interval, the m+1 gaps [left, right) between the sorted
-        thresholds (clipped to [0, 1]), each represented by its left end, with its length."""
+        thresholds (clipped to [0, 1]), each represented by its left end, with its length;
+        a gap is drawn as the one that holds a uniform double, found among the left ends."""
         if not isinstance(mu, UniformIntervalMeasure):
             return super().cell_measure(mu)
         left = np.concatenate(([0.0], np.sort(np.clip(self.thetas, 0.0, 1.0))))
-        return FiniteMeasure(GroundSet(size=len(left), coords=left), np.diff(left, append=1.0))
+        return _CellMeasure(GroundSet(size=len(left), coords=left), np.diff(left, append=1.0),
+                            lambda rng, size: np.searchsorted(left, rng.random(size), "right") - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +449,16 @@ def linear_loss() -> LossFunction:
     return LossFunction("linear", 0.5, lambda a, b: (1.0 - a * b) / 2.0, degree=1)
 
 
-def absolute_loss() -> LossFunction:
-    """l(yhat, y) = |yhat - y|/2, normalized so the range on [-1,1]^2 is [0,1]."""
-    return LossFunction("absolute", 0.5, lambda a, b: np.abs(a - b) / 2.0)
+# in place, so an array loss holds one temporary, not two; halving is exact (d * 0.5 is
+# d / 2.0), and squares multiply: a numpy scalar's ** 2 calls pow, which can round differently
+# from the d * d an array's ** 2 computes, so ``evaluate`` would not match ``evaluate_array``
+def _absolute(a, b):
+    d = a - b
+    d = np.absolute(d, out=d) if isinstance(d, np.ndarray) else abs(d)
+    d *= 0.5
+    return d
 
 
-# squares by multiplication: a numpy scalar's ** 2 calls pow, which can round differently
-# from the d * d an array's ** 2 computes, so ``evaluate`` would not match ``evaluate_array``;
-# in place, so an array loss holds one temporary, not two
 def _square(a, b):
     d = a - b
     d *= d
@@ -467,6 +469,11 @@ def _scaled_square(a, b):
     d = (a - b) / 2.0
     d *= d
     return d
+
+
+def absolute_loss() -> LossFunction:
+    """l(yhat, y) = |yhat - y|/2, normalized so the range on [-1,1]^2 is [0,1]."""
+    return LossFunction("absolute", 0.5, _absolute)
 
 
 def square_loss() -> LossFunction:

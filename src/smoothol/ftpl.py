@@ -21,7 +21,8 @@ per cell, and omega' too with fewer (cell, label) pairs than anchors; the
 cells are fixed, so the learner evaluates the class on them once and every
 per-cell draw carries that value matrix to the oracle.
 
-Otherwise omega' is drawn per anchor, and summed per cell before it reaches
+Otherwise omega' is drawn per anchor, each anchor as the cell that holds a
+draw of mu made by mu's own method, and summed per cell before it reaches
 the oracle wherever the loss is a polynomial of degree d <= 2 in f on the
 class: any loss on a binary class (f = +/-1 makes it affine), and
 ``loss.degree`` on a real one.  With l(f, y) = sum_k c_k(y) f^k,
@@ -131,9 +132,9 @@ class GaussianPerturbation:
         return 1.0 / math.sqrt(self.n)
 
 
-def fewer_cells(cells, n: int, grid: Optional[np.ndarray] = None) -> bool:
+def fewer_cells(cells: FiniteMeasure, n: int, grid: Optional[np.ndarray] = None) -> bool:
     """Whether the finite measure ``cells`` has fewer (cell, grid label) pairs than n."""
-    return cells.finite and cells.ground.size * (1 if grid is None else len(grid)) < n
+    return cells.ground.size * (1 if grid is None else len(grid)) < n
 
 
 def _pairs(mu, grid: np.ndarray) -> tuple[ContextBlock, np.ndarray]:
@@ -142,43 +143,42 @@ def _pairs(mu, grid: np.ndarray) -> tuple[ContextBlock, np.ndarray]:
             np.tile(grid, mu.ground.size))
 
 
-def draw_perturbation(mu, n: int, rng: np.random.Generator,
+def draw_perturbation(mu: FiniteMeasure, n: int, rng: np.random.Generator,
                       normalization: str = "inv_sqrt_n",
                       eps: Optional[float] = None,
                       grid: Optional[np.ndarray] = None,
-                      per_cell: Optional[bool] = None,
                       values: Optional[np.ndarray] = None,
                       rounds: Optional[int] = None,
                       sums: Optional["LabelAnchorSums"] = None,
                       band: bool = False) -> GaussianPerturbation:
-    """n anchors from mu with N(0,1) coefficients; eps (or a built ``grid``) adds labels.
+    """n anchors from the finite mu with N(0,1) coefficients; eps (or ``grid``) adds labels.
 
-    Per cell, the atoms of the finite mu (a class's cell measure; times the
-    grid labels) are the cells: one ``rng.multinomial(n, cell masses)`` gives
-    the counts n_c, and cell c's coefficient is sqrt(n_c) z_c, one standard
-    normal per cell; with ``band``, the sum of the c-th run of n_c of n
-    standard normals, whose sum |gamma| the draw carries.  It carries
-    ``values``, the class's value matrix on the cells.  omega is always
-    drawn per cell; omega' per anchor unless ``per_cell`` (default
-    ``fewer_cells(mu, n, grid)``), every anchor drawn from mu with a grid
-    label, and ``sums`` returns the same draws summed per cell
-    (``LabelAnchorSums.reduce``).  With ``rounds``, a block of that many
-    independent rounds is drawn at once, each kind of draw in one call:
-    coefficients (rounds, contexts), and per anchor rounds * n anchors,
-    round-major.
+    Per cell, the atoms of mu (a class's cell measure; times the grid labels)
+    are the cells: one ``rng.multinomial(n, cell masses)`` gives the counts
+    n_c, and cell c's coefficient is sqrt(n_c) z_c, one standard normal per
+    cell; with ``band``, the sum of the c-th run of n_c of n standard
+    normals, whose sum |gamma| the draw carries.  It carries ``values``, the
+    class's value matrix on the cells.  omega is always drawn per cell;
+    omega' per cell where ``fewer_cells(mu, n, grid)``, and otherwise per
+    anchor, every anchor drawn by ``mu.sample_ids`` (on a cell measure, the
+    cell of a draw of its base measure) with a grid label, and ``sums``
+    returns the same draws summed per cell (``LabelAnchorSums.reduce``).
+    With ``rounds``, a block of that many independent rounds is drawn at
+    once, each kind of draw in one call: coefficients (rounds, contexts), and
+    per anchor rounds * n anchors, round-major.
     """
+    if not mu.finite:
+        raise ValueError("a draw needs a finite measure: draw on klass.cell_measure(mu)")
     if grid is None and eps is not None:
         grid = epsilon_grid(eps)
-    if grid is not None and not (fewer_cells(mu, n, grid) if per_cell is None else per_cell):
+    if grid is not None and not fewer_cells(mu, n, grid):
         size = n if rounds is None else rounds * n
-        contexts = mu.sample_block(rng, size)
+        ids = mu.sample_ids(rng, size)
         coeffs = rng.standard_normal(n if rounds is None else (rounds, n))
         label_ids = rng.integers(0, len(grid), size=size)
         if sums is not None:
-            return sums.reduce(contexts, coeffs, label_ids, n)
-        return GaussianPerturbation(contexts, coeffs, normalization, grid[label_ids], n)
-    if not mu.finite:
-        raise ValueError("a per-cell draw needs a finite measure: draw on klass.cell_measure(mu)")
+            return sums.reduce(ids, coeffs, label_ids, n)
+        return GaussianPerturbation(mu.ground.block(ids), coeffs, normalization, grid[label_ids], n)
     contexts, probs, labels = mu.atoms, mu.probs, None
     if grid is not None:  # each (cell, label) pair has mass mu_c / |grid|
         (contexts, labels), probs = _pairs(mu, grid), np.repeat(probs / len(grid), len(grid))
@@ -203,34 +203,28 @@ class LabelAnchorSums:
     class's values V on the cells, so the k = 0 rows carry each round's constant.
     """
 
-    def __init__(self, coefs: np.ndarray, cells: FiniteMeasure,
-                 atom_cells: Optional[np.ndarray], contexts: ContextBlock, values: np.ndarray):
-        self.coefs = coefs            # (d + 1, |grid|): c_k at each grid label
-        self.cells = cells            # the class's cell measure of mu
-        self.atom_cells = atom_cells  # a finite mu's cell per context id; None: the id itself
-        self.contexts = contexts      # the cells, once per power
-        self.values = values          # (H, (d + 1) * cells): [1 | V | V^2]
+    def __init__(self, coefs: np.ndarray, cells: FiniteMeasure, values: np.ndarray):
+        self.coefs = coefs    # (d + 1, |grid|): c_k at each grid label
+        self.cells = cells    # the class's cell measure of mu
+        self.values = values  # (H, (d + 1) * cells): [1 | V | V^2]
+        self.contexts = cells.ground.block(np.tile(np.arange(cells.ground.size), len(coefs)))
         # per-anchor keys and weights, kept across draws: made anew, a block's arrays
         # were handed back to the system and faulted in again at every block
         self._keys, self._weights = np.empty(0, dtype=np.int64), np.empty(0)
         self._offsets = np.empty(0, dtype=np.int64)
 
-    def reduce(self, contexts: ContextBlock, coeffs: np.ndarray, label_ids: np.ndarray,
+    def reduce(self, ids: np.ndarray, coeffs: np.ndarray, label_ids: np.ndarray,
                n: int) -> GaussianPerturbation:
-        """Per-anchor draws of omega' (anchors, (rounds, n) coefficients, grid label
-        indices) as one coefficient per (power, cell) and round: per power, one bincount
-        over the keys round * cells + cell, each bin summed in anchor order."""
+        """Per-anchor draws of omega' (each anchor's cell id, (rounds, n) coefficients,
+        grid label indices) as one coefficient per (power, cell) and round: per power,
+        one bincount over the keys round * cells + cell, each bin summed in anchor order."""
         size, anchors = self.cells.ground.size, coeffs.size
         rounds = anchors // n
         if len(self._offsets) != anchors:  # each anchor's round * cells, for its key
             self._offsets = np.repeat(np.arange(rounds) * size, n)
             self._keys, self._weights = np.empty(anchors, dtype=np.int64), np.empty(anchors)
         keys, weights = self._keys, self._weights
-        if contexts.ids is None:  # the interval: gap c is [left_c, left_c+1), and left_0 = 0
-            cells = np.searchsorted(self.cells.ground.coords, contexts.coords, "right") - 1
-        else:
-            cells = contexts.ids if self.atom_cells is None else self.atom_cells[contexts.ids]
-        np.add(cells, self._offsets, out=keys)
+        np.add(ids, self._offsets, out=keys)
         sums = np.empty((rounds, len(self.coefs), size))
         for k, coef in enumerate(self.coefs):
             coef.take(label_ids, out=weights)
@@ -240,7 +234,7 @@ class LabelAnchorSums:
                                     "none", None, n, self.values, np.abs(coeffs).sum(axis=-1))
 
 
-def label_anchor_sums(klass: HypothesisClass, loss: LossFunction, mu, cells: FiniteMeasure,
+def label_anchor_sums(klass: HypothesisClass, loss: LossFunction, cells: FiniteMeasure,
                       grid: np.ndarray) -> Optional[LabelAnchorSums]:
     """The sums of omega' per cell of ``cells = klass.cell_measure(mu)``, over the label
     ``grid``, or None where the loss is no polynomial of degree at most 2 in f on the
@@ -251,15 +245,7 @@ def label_anchor_sums(klass: HypothesisClass, loss: LossFunction, mu, cells: Fin
         return None
     values = klass.evaluate_block(cells.atoms)
     values = np.concatenate([np.ones_like(values), values, values * values][:degree + 1], axis=1)
-    atom_cells = None
-    if mu.finite:  # anchors carry the ids of mu's atoms
-        ids = mu.atoms.ids
-        atom_cells = np.zeros(ids.max() + 1, dtype=np.int64)
-        atom_cells[ids] = klass.atom_cells(mu)
-        if np.array_equal(atom_cells, np.arange(len(atom_cells))):
-            atom_cells = None  # each atom its own cell, numbered by its id
-    contexts = cells.ground.block(np.tile(np.arange(cells.ground.size), degree + 1))
-    return LabelAnchorSums(loss.coefficients(grid, degree), cells, atom_cells, contexts, values)
+    return LabelAnchorSums(loss.coefficients(grid, degree), cells, values)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +413,6 @@ class FtplLearner:
         self.variant = variant
         self.klass = klass
         self.loss = loss
-        self.mu = mu
         self.cells = klass.cell_measure(mu)
         self.sched = sched
         self.grid = None if variant == "classification" else \
@@ -447,41 +432,33 @@ class FtplLearner:
         self._next = 0                          # its next unanswered round
         self._t = 0                             # rounds selected
 
-    def _process(self, n: int, grid: Optional[np.ndarray]) -> tuple:
-        """The arguments of one process's draws: measure, anchors, labels, per cell, per
-        cell the class's values on its contexts (the cells, or with labels the
-        cell-major (cell, label) pairs), and omega''s per-anchor sums or None.  omega
-        is drawn per cell, and omega' with fewer (cell, label) pairs than anchors.
-        """
+    def _process(self, n: int, grid: Optional[np.ndarray]) -> dict:
+        """``draw_perturbation``'s keyword arguments for one process: anchors, labels,
+        normalization, and the class's ``values`` on a per-cell draw's contexts (the cells,
+        or with labels the cell-major (cell, label) pairs) or omega''s per-anchor ``sums``.
+        omega is drawn per cell, and omega' with fewer (cell, label) pairs than anchors."""
+        process = dict(n=n, grid=grid, normalization="inv_sqrt_n" if grid is None else "none")
         if grid is not None and not fewer_cells(self.cells, n, grid):
-            return self.mu, n, grid, False, None, label_anchor_sums(
-                self.klass, self.loss, self.mu, self.cells, grid)
+            return dict(process, sums=label_anchor_sums(self.klass, self.loss, self.cells, grid))
         contexts = self.cells.atoms if grid is None else _pairs(self.cells, grid)[0]
-        return self.cells, n, grid, True, self.klass.evaluate_block(contexts), None
+        return dict(process, values=self.klass.evaluate_block(contexts))
 
-    def _elements(self, process: tuple) -> int:
+    def _elements(self, process: dict) -> int:
         """Elements of one round of the process in a block: per cell its contexts, and
         the n normals of a draw that carries the band; per anchor H x n, as if omega'
         were evaluated (its gather), whether or not it is summed per cell."""
-        _, n, _, per_cell, values, _ = process
-        if per_cell:
-            return values.shape[1] + (n if self.sched.zeta else 0)
-        return n * len(self.klass)
-
-    def _draw(self, process: Optional[tuple], rounds: int) -> Optional[GaussianPerturbation]:
-        if process is None:
-            return None
-        mu, n, grid, per_cell, values, sums = process
-        return draw_perturbation(mu, n, self.rng, "inv_sqrt_n" if grid is None else "none",
-                                 grid=grid, per_cell=per_cell, values=values, rounds=rounds,
-                                 sums=sums, band=self.sched.zeta > 0)
+        if "values" in process:
+            return process["values"].shape[1] + (process["n"] if self.sched.zeta else 0)
+        return process["n"] * len(self.klass)
 
     def _draw_block(self) -> ErmQuery:
         """The next block's perturbations, as one query with a round per row."""
         rounds = self._block_rounds
         if self.sched.T is not None:
             rounds = max(1, min(rounds, self.sched.T - self._t))
-        omega, omega_label = (self._draw(p, rounds) for p in self._processes)
+        omega, omega_label = (None if p is None else draw_perturbation(
+            self.cells, rng=self.rng, rounds=rounds, band=self.sched.zeta > 0, **p)
+            for p in self._processes)
         s = self.sched
         if self.variant == "single":
             return _query(None, omega_label, 0.0, s.eta / math.sqrt(s.n))

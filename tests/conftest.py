@@ -29,3 +29,24 @@ def random_table_class(rng: np.random.Generator, n_hyp: int, n_atoms: int,
 
 def uniform_measure(n_atoms: int) -> FiniteMeasure:
     return FiniteMeasure.uniform(GroundSet.grid(n_atoms))
+
+
+def sample(mu, rng: np.random.Generator, size: int = 1) -> ContextBlock:
+    """``size`` contexts drawn from ``mu``: a finite measure's ``sample_block``, and on the
+    uniform interval the doubles ``rng.random(size)`` as coordinates."""
+    return mu.sample_block(rng, size) if mu.finite else ContextBlock(coords=rng.random(size))
+
+
+class OnDoubles:
+    """A generator whose ``random(size)`` returns the given doubles; every other draw is
+    ``rng``'s."""
+
+    def __init__(self, rng: np.random.Generator, doubles: np.ndarray):
+        self._rng, self._doubles = rng, doubles
+
+    def random(self, size):
+        assert size == len(self._doubles)
+        return self._doubles.copy()
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)

@@ -51,6 +51,8 @@ from smoothol.relaxation import (
     predict_linear,
 )
 
+from conftest import sample
+
 LOSSES = [linear_loss(), absolute_loss(), scaled_square_loss()]
 
 
@@ -89,7 +91,7 @@ def test_block_objective_matches_one_query_per_round(interval, route, loss):
     klass, mu = _space(interval)
     rng, rounds = make_rng(50, 0), 17
     oracle = ErmOracle(klass, loss)
-    for x in (mu.sample_point(rng) for _ in range(5)):
+    for x in (sample(mu, rng) for _ in range(5)):
         oracle.extend_prefix(x, float(rng.choice([-1.0, 1.0])))
     cells = klass.cell_measure(mu)
     selector = IDENTITY if route.startswith("identity") else MAIN
@@ -100,7 +102,7 @@ def test_block_objective_matches_one_query_per_round(interval, route, loss):
         per_round = [(contexts, labels, w) for w in weights]
     else:
         n, values = 50, None
-        contexts, labels = mu.sample_block(rng, rounds * n), rng.uniform(-1.0, 1.0, rounds * n)
+        contexts, labels = sample(mu, rng, rounds * n), rng.uniform(-1.0, 1.0, rounds * n)
         weights = rng.normal(size=(rounds, n)) * 40.0
         per_round = [(contexts[i * n:(i + 1) * n], labels[i * n:(i + 1) * n], weights[i])
                      for i in range(rounds)]
@@ -127,14 +129,14 @@ def test_block_of_playouts_equals_one_query_per_round_bit_for_bit(interval):
     learner = RelaxLinearLearner(klass, loss, mu, 2000, 0.2, ErmOracle(klass, loss),
                                  make_rng(51, 0))
     oracle, rng = learner.oracle, make_rng(51, 1)
-    for x in (mu.sample_point(rng) for _ in range(7)):
+    for x in (sample(mu, rng) for _ in range(7)):
         oracle.extend_prefix(x, float(rng.choice([-1.0, 1.0])))
     rounds_left = rng.integers(0, 2000, size=BLOCK)
     playouts = draw_playout(learner.cells, rounds_left, learner.state.k, rng, learner.values)
     assert playouts.signs.shape == (BLOCK, 65)
     block = learner.state.playout_query(playouts)
     assert learner.state.playout_query(playouts) is block  # built once per block
-    x_t, labels = mu.sample_point(rng), np.array([1.0, -1.0])
+    x_t, labels = sample(mu, rng), np.array([1.0, -1.0])
     for i, signs in enumerate(playouts.signs):
         w = -3.0 * signs.astype(np.float64)
         own = ErmQuery().add_block(IDENTITY, learner.cells.atoms, np.zeros(65), w, learner.values)
@@ -164,7 +166,7 @@ def test_class_values_are_c_contiguous(interval):
     klass, mu = _space(interval)
     rng = make_rng(52, 0)
     for size in (1, 2, 65, 1000):
-        values = klass.evaluate_block(mu.sample_block(rng, size))
+        values = klass.evaluate_block(sample(mu, rng, size))
         assert values.shape == (64, size) and values.flags.c_contiguous
 
 
@@ -206,7 +208,7 @@ def test_relaxation_predictions_equal_one_playout_per_round(rule, interval):
         learners.append(learner)
     rng = make_rng(54, 1)
     for _ in range(T):
-        x, y = mu.sample_point(rng), float(rng.choice([-1.0, 1.0]))
+        x, y = sample(mu, rng), float(rng.choice([-1.0, 1.0]))
         block, single = (learner.predict(x) for learner in learners)
         assert block == single
         assert learners[0].oracle.calls == learners[1].oracle.calls
@@ -293,7 +295,7 @@ def test_ftpl_block_selections_match_per_round_selections_in_law(variant, draw, 
     learner = FtplLearner(variant, klass, loss, mu, sched, ErmOracle(klass, loss),
                           make_rng(56, 0))
     # omega per cell; omega' per cell with fewer (cell, label) pairs than anchors
-    assert all(p[3] == (p[2] is None or n == 200) for p in learner._processes if p)
+    assert all(("values" in p) == (p["grid"] is None or n == 200) for p in learner._processes if p)
     oracle, rng = ErmOracle(klass, loss), make_rng(56, 1)
     for t in range(rows):  # labels of the threshold at 1/2, one row in three flipped
         x = (9 + 7 * t) % 32
@@ -308,7 +310,7 @@ def test_ftpl_block_selections_match_per_round_selections_in_law(variant, draw, 
         block_swaps.append(block[-1] != exact)
 
     def anchors(grid=None):
-        contexts, coeffs = mu.sample_block(rng, n), rng.standard_normal(n)
+        contexts, coeffs = sample(mu, rng, n), rng.standard_normal(n)
         labels = None if grid is None else grid[rng.integers(0, len(grid), n)]
         return GaussianPerturbation(contexts, coeffs, "inv_sqrt_n" if grid is None else "none",
                                     labels)
@@ -383,7 +385,7 @@ def test_blocks_stay_under_the_element_cap():
     learner = FtplLearner("single", klass, loss, mu, sched, ErmOracle(klass, loss),
                           make_rng(58, 0))
     process = learner._processes[1]
-    assert not process[3] and learner._elements(process) == 64 * sched.n > BLOCK_ELEMENTS
+    assert "values" not in process and learner._elements(process) == 64 * sched.n > BLOCK_ELEMENTS
     assert learner._block_rounds == 1
     # per round, omega's draw with its band holds its 65 cells and n normals, omega''s
     # main-loss gather H * n

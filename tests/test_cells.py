@@ -32,6 +32,8 @@ from smoothol.ftpl import FtplLearner, epsilon_grid, draw_perturbation, schedule
 from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 from smoothol.relaxation import RelaxLinearLearner, draw_playout
 
+from conftest import OnDoubles, random_table_class, sample
+
 
 def _cell_of_atoms(klass, mu, cells) -> np.ndarray:
     """Each atom's cell: the one representative whose column equals the atom's."""
@@ -99,6 +101,47 @@ def test_distinct_columns_keep_mu_itself():
     assert klass.cell_measure(mu) is mu
 
 
+@pytest.mark.parametrize("space", ["uniform-merged", "dirichlet-merged", "interval",
+                                   "interval-on-thresholds"])
+def test_cell_measure_draws_the_cell_of_mus_own_draw(space):
+    """At the same seed, byte for byte, a cell measure's ``sample_ids`` is the cell that
+    holds mu's own draw, and that cell holds the draw's value column: on a finite mu,
+    through mu's ``sample_ids`` (integers for a uniform mu, the CDF otherwise); on the
+    interval, the gap [left_c, left_c+1) that holds each double, thresholds repeated and
+    outside [0, 1] included, and doubles placed exactly on every threshold."""
+    rng, size = make_rng(39, 0), 5000
+    if space.endswith("merged"):
+        klass, mu = _shuffled_table(rng)
+        if space == "uniform-merged":
+            mu = FiniteMeasure.uniform(klass.ground)
+            assert mu.draws_integers
+        cells = klass.cell_measure(mu)
+        cell_of = _cell_of_atoms(klass, mu, cells)
+        drawn, reference = make_rng(39, 1), make_rng(39, 1)
+        atoms = mu.sample_ids(reference, size)
+        points, expected = mu.ground.block(atoms), cell_of[atoms]
+    else:
+        klass = ThresholdClass(np.r_[rng.random(6), 0.25, 0.25, 0.0, -0.5, 1.5])
+        cells = klass.cell_measure(UniformIntervalMeasure())
+        left = cells.atoms.coords
+        drawn, reference = make_rng(39, 1), make_rng(39, 1)
+        if space == "interval-on-thresholds":
+            doubles = np.r_[np.clip(klass.thetas, 0.0, 1.0), 0.0, np.nextafter(left[1:], 0.0)]
+            drawn, reference = OnDoubles(drawn, doubles), OnDoubles(reference, doubles)
+            size = len(doubles)
+        u = reference.random(size)
+        points = ContextBlock(coords=u)
+        expected = (left[None, :] <= u[:, None]).sum(axis=1) - 1  # the last left end <= u
+    ids = cells.sample_ids(drawn, size)
+    assert ids.dtype == np.int64 and ids.tobytes() == expected.tobytes()
+    assert drawn.integers(2**62) == reference.integers(2**62)  # the same numbers read
+    assert np.array_equal(klass.evaluate_block(cells.atoms)[:, ids],
+                          klass.evaluate_block(points))
+    distinct = random_table_class(make_rng(39, 2), 3, 12)
+    mu = FiniteMeasure.uniform(distinct.ground)
+    assert distinct.cell_measure(mu) is mu  # every column distinct: mu's own draws
+
+
 def test_threshold_grid_table_has_one_cell_per_gap(monkeypatch):
     """64 thresholds restricted to 256 grid atoms: 65 distinct columns."""
     ground = GroundSet.grid(256)
@@ -152,8 +195,10 @@ def test_playout_per_cell_matches_per_atom_in_law():
 
 
 @pytest.mark.parametrize("labelled", [False, True], ids=["omega", "omega-prime"])
-def test_perturbation_per_cell_matches_per_atom_in_law(labelled):
-    """Each cell's (or each (cell, label) pair's) summed coefficient, n = 30 anchors."""
+def test_perturbation_per_cell_matches_per_atom_in_law(labelled, monkeypatch):
+    """Each cell's (or each (cell, label) pair's) summed coefficient, n = 30 anchors.  The
+    12 atoms have 36 (atom, label) pairs, so the per-cell route is forced on them."""
+    monkeypatch.setattr(ftpl, "fewer_cells", lambda *a: True)
     klass, mu = _shuffled_table(make_rng(33, 0))
     cells = klass.cell_measure(mu)
     cell_of = _cell_of_atoms(klass, mu, cells)
@@ -171,11 +216,10 @@ def test_perturbation_per_cell_matches_per_atom_in_law(labelled):
 
     per_cell, per_atom = [], []
     for _ in range(draws):
-        pert = draw_perturbation(cells, 30, rng_cells, normalization, grid=grid, per_cell=True)
+        pert = draw_perturbation(cells, 30, rng_cells, normalization, grid=grid)
         assert len(pert.coeffs) == pairs
         per_cell.append(folded(pert))
-        per_atom.append(folded(draw_perturbation(mu, 30, rng_atoms, normalization, grid=grid,
-                                                 per_cell=True)))
+        per_atom.append(folded(draw_perturbation(mu, 30, rng_atoms, normalization, grid=grid)))
     per_cell, per_atom = np.array(per_cell), np.array(per_atom)
     for pair in range(pairs):
         assert _same_law_pvalue(per_cell[:, pair], per_atom[:, pair], bins=10) > 1e-3
@@ -248,7 +292,7 @@ def test_relaxation_rounds_never_reach_identity_dot(interval, monkeypatch):
     monkeypatch.setattr(type(klass), "identity_dot", refuse)
     rng = make_rng(35, 1)
     for _ in range(10):
-        x = mu.sample_point(rng)
+        x = sample(mu, rng)
         learner.predict(x)
         learner.observe(x, float(rng.choice([-1.0, 1.0])))
 
@@ -262,7 +306,7 @@ def test_per_cell_gaussian_coefficients_match_evaluating_the_cells_bit_for_bit(i
     values = klass.evaluate_block(cells.atoms)
     rng, oracle = make_rng(36, 0), ErmOracle(klass, linear_loss())
     for _ in range(2000):
-        pert = draw_perturbation(cells, 14_143, rng, per_cell=True, values=values)
+        pert = draw_perturbation(cells, 14_143, rng, values=values)
         w = 71.3 * pert.scale * pert.coeffs
         fast = oracle.objective_vector(
             ErmQuery().add_block(IDENTITY, pert.contexts, np.zeros(65), w, pert.values))

@@ -66,8 +66,7 @@ def test_finite_measure_sampling_is_seeded():
 
 
 @pytest.mark.parametrize("mu", [FiniteMeasure.uniform(GroundSet.grid(7)),
-                                FiniteMeasure(GroundSet.grid(3), np.array([0.2, 0.3, 0.5])),
-                                UniformIntervalMeasure()])
+                                FiniteMeasure(GroundSet.grid(3), np.array([0.2, 0.3, 0.5]))])
 def test_sample_point_is_the_one_row_sample_block(mu):
     for key in range(5):
         x = mu.sample_point(make_rng(4, key))
@@ -77,8 +76,6 @@ def test_sample_point_is_the_one_row_sample_block(mu):
             assert (got is None and want is None) or np.array_equal(got, want)
         assert x.id == (None if row.ids is None else int(row.ids[0]))
         assert x.coordinate == (None if row.coords is None else float(row.coords[0]))
-        if not mu.finite:  # the same double as the scalar draw
-            assert x.coordinate == make_rng(4, key).random()
     with pytest.raises(FrozenInstanceError):
         x.coords = np.array([0.5])
 

@@ -8,6 +8,7 @@ from scipy import stats
 
 from smoothol import ftpl
 from smoothol.core import (
+    ContextBlock,
     FiniteMeasure,
     GroundSet,
     TableClass,
@@ -30,7 +31,7 @@ from smoothol.ftpl import (
 )
 from smoothol.oracle import ErmOracle
 
-from conftest import atom, random_table_class
+from conftest import atom, random_table_class, sample
 
 
 def omega_values(pert, klass, loss=None):
@@ -62,7 +63,7 @@ def with_anchor_point(klass, mu):
 
 def _explicit_perturbation(mu, n, rng, grid=None):
     """Reference: every anchor drawn from mu (with a uniform grid label), N(0, 1) each."""
-    contexts = mu.sample_block(rng, n)
+    contexts = sample(mu, rng, n)
     coeffs = rng.standard_normal(n)
     if grid is None:
         return GaussianPerturbation(contexts, coeffs)
@@ -353,8 +354,10 @@ _CELL_VALUES = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [1.0, -0.5, 0.25]])
 
 
 @pytest.mark.parametrize("labelled", [False, True], ids=["omega", "omega-prime"])
-def test_cell_draws_match_explicit_anchors_in_law(labelled):
-    """3 atoms, n = 4: omega(f) (or omega'(f)) per f, per cell against per anchor, by KS."""
+def test_cell_draws_match_explicit_anchors_in_law(labelled, monkeypatch):
+    """3 atoms, n = 4: omega(f) (or omega'(f)) per f, per cell against per anchor, by KS.
+    omega' has 9 (cell, label) pairs, so the per-cell route is forced."""
+    monkeypatch.setattr(ftpl, "fewer_cells", lambda *a: True)
     mu = FiniteMeasure(GroundSet.grid(3), _CELL_PROBS)
     klass, loss = TableClass(_CELL_VALUES, ground=mu.ground), linear_loss()
     grid = epsilon_grid(1.0) if labelled else None
@@ -363,7 +366,7 @@ def test_cell_draws_match_explicit_anchors_in_law(labelled):
     cells, explicit = [], []
     for _ in range(draws):
         pert = draw_perturbation(mu, n, rng_cells, "none" if labelled else "inv_sqrt_n",
-                                 grid=grid, per_cell=True)
+                                 grid=grid)
         cells.append(omega_values(pert, klass, loss))
         explicit.append(omega_values(_explicit_perturbation(mu, n, rng_explicit, grid),
                                      klass, loss))
@@ -439,7 +442,7 @@ def test_approximate_oracle_learner_matches_its_draws_as_anchors(variant, interv
     learner = FtplLearner(variant, klass, loss, mu, sched, ErmOracle(klass, loss),
                           make_rng(16, 1))
     per_cell = {"classification": [True], "dual": [True, False], "single": [False]}[variant]
-    assert [p[3] for p in learner._processes if p] == per_cell
+    assert [("values" in p) for p in learner._processes if p] == per_cell
     oracle, rng = ErmOracle(klass, loss), make_rng(16, 1)
     history = make_rng(16, 2)
     blocks = []  # each process's 60 rounds of anchors, in the learner's draw order
@@ -469,7 +472,7 @@ def test_approximate_oracle_learner_matches_its_draws_as_anchors(variant, interv
             idx = ftpl_select_single(perts[0], sched.eta / math.sqrt(sched.n), oracle,
                                      sched.zeta, rng)
         assert learner.select() == idx
-        x, y = mu.sample_point(history), float(history.choice([-1.0, 1.0]))
+        x, y = sample(mu, history), float(history.choice([-1.0, 1.0]))
         learner.observe(x, y)
         oracle.extend_prefix(x, y)
 
@@ -489,7 +492,7 @@ def test_exact_learner_draws_per_cell_only_below_the_anchor_count(monkeypatch):
     history = make_rng(17, 1)
     for _ in range(3):
         learner.select()
-        learner.observe(UniformIntervalMeasure().sample_point(history), 1.0)
+        learner.observe(ContextBlock(coords=history.random(1)), 1.0)
     assert len(drawn) == 2  # one block of the horizon's 60 rounds, each process drawn once
     omega, omega_label = drawn
     # omega per cell: one coefficient at each gap's left end per round, with the class's

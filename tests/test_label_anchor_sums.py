@@ -14,7 +14,6 @@ from smoothol import ftpl
 from smoothol.bandit import build_bandit_pieces
 from smoothol.core import (
     LOSSES,
-    ContextBlock,
     FiniteMeasure,
     GroundSet,
     TableClass,
@@ -37,7 +36,7 @@ from smoothol.ftpl import (
 from smoothol.harness import ExperimentConfig
 from smoothol.oracle import IDENTITY, MAIN, ErmOracle
 
-from conftest import random_table_class
+from conftest import OnDoubles, random_table_class, sample
 
 # |reduced - per anchor| per round, relative to that round's sum |gamma_j|: each of the
 # n <= a few hundred terms is at most 4 in size and rounds within 1e-16 of it
@@ -62,12 +61,13 @@ def _space(kind: str, rng: np.random.Generator):
     return ThresholdClass(np.r_[rng.random(6), 0.25, 0.25, -0.5, 1.5]), UniformIntervalMeasure()
 
 
-def _on_thresholds(klass, pert: GaussianPerturbation, rng) -> GaussianPerturbation:
-    """``pert`` with its anchors moved onto every (clipped) threshold, 0 and random points."""
-    points = np.r_[np.clip(klass.thetas, 0.0, 1.0), 0.0]
-    coords = rng.permutation(np.r_[points, rng.random(len(pert.contexts) - len(points))])
-    return GaussianPerturbation(ContextBlock(coords=coords), pert.coeffs, "none", pert.labels,
-                                pert.n)
+def _anchors(mu, n: int, rounds, grid: np.ndarray, rng) -> GaussianPerturbation:
+    """Reference: per-anchor omega' drawn on ``mu`` itself, in ``draw_perturbation``'s order."""
+    size = n * (rounds or 1)
+    contexts = sample(mu, rng, size)
+    coeffs = rng.standard_normal(n if rounds is None else (rounds, n))
+    labels = grid[rng.integers(0, len(grid), size)]
+    return GaussianPerturbation(contexts, coeffs, "none", labels, n)
 
 
 def _per_anchor(klass, loss, pert: GaussianPerturbation) -> np.ndarray:
@@ -87,23 +87,26 @@ SPACES = ["binary-table", "real-table", "product", "thresholds-grid", "threshold
 @pytest.mark.parametrize("name", list(LOSSES))
 def test_reduced_block_matches_every_anchor_evaluated(name, space, rounds):
     """The oracle's objective of the reduced block, every round of it, against
-    loss(values[:, anchors], labels) @ gamma, within TOL * sum |gamma|: the full
-    objective, its constant (the k = 0 rows) included."""
+    loss(values[:, anchors], labels) @ gamma with the anchors drawn on mu, within
+    TOL * sum |gamma|: the full objective, its constant (the k = 0 rows) included.  On
+    the interval, the anchors include every (clipped) threshold and 0."""
     rng = make_rng(91, SPACES.index(space), list(LOSSES).index(name))
     loss, (klass, mu) = LOSSES[name](), _space(space, rng)
     cells, grid = klass.cell_measure(mu), epsilon_grid(0.1, *loss.domain)
-    sums = label_anchor_sums(klass, loss, mu, cells, grid)
+    sums = label_anchor_sums(klass, loss, cells, grid)
     if klass.kind == "real" and loss.degree is None:
         assert sums is None  # absolute loss on a real class keeps per-anchor rows
         return
-    pert = draw_perturbation(mu, 37, make_rng(91), "none", grid=grid, per_cell=False,
-                             rounds=rounds)
-    reduced = draw_perturbation(mu, 37, make_rng(91), "none", grid=grid, per_cell=False,
-                                rounds=rounds, sums=sums)  # the same draws, summed
+    assert not ftpl.fewer_cells(cells, 37, grid)  # per anchor
+    draws = [make_rng(91), make_rng(91)]
     if space == "thresholds-interval":
-        pert = _on_thresholds(klass, pert, rng)
-        label_ids = np.searchsorted(grid, pert.labels)
-        reduced = sums.reduce(pert.contexts, pert.coeffs, label_ids, 37)
+        points = np.r_[np.clip(klass.thetas, 0.0, 1.0), 0.0]
+        size = 37 * (rounds or 1)
+        doubles = rng.permutation(np.r_[points, rng.random(size - len(points))])
+        draws = [OnDoubles(draw, doubles) for draw in draws]
+    pert = _anchors(mu, 37, rounds, grid, draws[0])
+    reduced = draw_perturbation(cells, 37, draws[1], "none", grid=grid, rounds=rounds,
+                                sums=sums)  # the same draws, each anchor as its cell, summed
     assert reduced.labels is None and reduced.n == 37
     columns = len(sums.coefs) * cells.ground.size  # a row per power and cell
     assert reduced.coeffs.shape == pert.coeffs.shape[:-1] + (columns,)
@@ -118,18 +121,19 @@ def test_reduced_block_matches_every_anchor_evaluated(name, space, rounds):
 
 @pytest.mark.parametrize("space", SPACES)
 def test_atom_cells_map_each_anchor_to_a_cell_with_its_values(space):
-    """Every anchor's cell holds the anchor's value column, on thresholds exactly too."""
+    """Every anchor's cell holds the anchor's value column, on thresholds exactly too: the
+    cell measure's ``sample_ids`` against mu's own draw at the same seed."""
     rng = make_rng(92, SPACES.index(space))
     klass, mu = _space(space, rng)
     cells = klass.cell_measure(mu)
-    pert = draw_perturbation(mu, 300, rng, "none", grid=np.array([-1.0, 1.0]), per_cell=False)
+    draws = [make_rng(92), make_rng(92)]
     if space == "thresholds-interval":
-        pert = _on_thresholds(klass, pert, rng)
-        cell = np.searchsorted(cells.ground.coords, pert.contexts.coords, "right") - 1
-    else:
-        cell = klass.atom_cells(mu)[pert.contexts.ids]
+        points = np.r_[np.clip(klass.thetas, 0.0, 1.0), 0.0]
+        doubles = rng.permutation(np.r_[points, rng.random(300 - len(points))])
+        draws = [OnDoubles(draw, doubles) for draw in draws]
+    contexts, cell = sample(mu, draws[0], 300), cells.sample_ids(draws[1], 300)
     assert np.array_equal(klass.evaluate_block(cells.atoms)[:, cell],
-                          klass.evaluate_block(pert.contexts))
+                          klass.evaluate_block(contexts))
 
 
 @pytest.mark.parametrize("name", list(LOSSES))
@@ -164,7 +168,7 @@ def _learner(space: str, name: str, variant: str, seed: int, reference: bool, mo
             m.setattr(ftpl, "label_anchor_sums", lambda *a: None)
         learner = FtplLearner(variant, klass, loss, mu, sched, ErmOracle(klass, loss),
                               make_rng(seed, 1))
-    assert (learner._processes[1][5] is None) == reference
+    assert (learner._processes[1].get("sums") is None) == reference
     return learner, mu, loss
 
 
@@ -184,7 +188,7 @@ def test_learner_selections_match_the_per_anchor_reference(space, name, variant,
         history = make_rng(seed, 2)
         for _ in range(150):
             assert fast.select() == slow.select()
-            x = mu.sample_block(history, 1)
+            x = sample(mu, history)
             y = float(history.uniform(*loss.domain))
             fast.observe(x, y)
             slow.observe(x, y)
@@ -220,7 +224,7 @@ def test_per_anchor_rows_stay_where_the_reduction_does_not_apply():
     sched = FtplSchedule("dual", eta=1.0, n=40, m=40, epsilon=0.1, zeta=0.05)
     learner = FtplLearner("dual", klass, loss, mu, sched, ErmOracle(klass, loss),
                           make_rng(95, 1))
-    assert learner._processes[1][5] is None
+    assert learner._processes[1].get("sums") is None
     learner.select()
     block = learner._query.blocks[-1]
     assert block.selector == MAIN and block.values is None and len(block) == 40
@@ -234,7 +238,7 @@ def test_bench_bandit_regressor_builds_no_per_anchor_main_loss_block():
            "ground": {"atoms": 16}, "class": {"type": "random_product", "H": 4},
            "class_seed": 7, "seeds": [0], "output_dir": None}
     _, regressor, _, _ = build_bandit_pieces(ExperimentConfig.from_dict(raw, bandit=True), 0)
-    assert regressor._processes[1][5] is not None
+    assert regressor._processes[1]["sums"] is not None
     regressor.select()
     assert all(b.selector == IDENTITY and b.values is not None
                for b in regressor._query.blocks)

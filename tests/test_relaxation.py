@@ -33,7 +33,7 @@ from smoothol.relaxation import (
     three_point_min,
 )
 
-from conftest import random_table_class
+from conftest import random_table_class, sample
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,7 @@ def test_shared_playout_matches_per_branch_rows(space):
     s_lin, s_gen = RelaxState(lin, T, 0.5, k=4), RelaxState(gen, T, 0.5, k=4)
     for t in range(1, T + 1):
         playout = draw_playout(cells, T - t, 4, rng)
-        x = mu.sample_point(rng)
+        x = sample(mu, rng)
         predict_linear(s_lin, playout, x, o_lin)
         predict_general(s_gen, playout, x, o_gen)
         assert s_lin.last_branch_values == tuple(
