@@ -12,6 +12,12 @@ the CDF of the round's context distribution, and its label's.  A label rule is
 one function ``rule(x, u, last_prediction)`` (see ``LabelRule``).  The rules are
 parametric (noisy comparator, Rademacher, adversarial flip); they do not
 exhaust what an unconstrained label adversary could do.
+
+``next_run`` hands the harness a run of rounds, the first from
+``next_round``.  An i.i.d. adversary whose rule is ``oblivious`` (it never
+reads the last prediction) adds the rest of its drawn-ahead block, since
+those rounds cannot depend on the learner; every other source's run is one
+round.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ __all__ = [
 
 # A label rule maps (x, u, last_prediction) -> label in [-1, 1]: x is the context's coordinate
 # (its atom id where it has none), u the round's label double, drawn whether or not it is read.
+# A rule marked ``oblivious`` never reads last_prediction, so its rounds can be played ahead.
 LabelRule = Callable[[float, float, Optional[float]], float]
 
 
@@ -55,6 +62,7 @@ def noisy_comparator_labels(theta: float, flip_prob: float) -> LabelRule:
         y = 1.0 if x >= theta else -1.0
         return -y if u < flip_prob else y
 
+    rule.oblivious = True
     return rule
 
 
@@ -62,6 +70,7 @@ def rademacher_labels() -> LabelRule:
     def rule(x, u, last_prediction):
         return 1.0 if u < 0.5 else -1.0
 
+    rule.oblivious = True
     return rule
 
 
@@ -84,6 +93,13 @@ class Adversary:
         self.certificate = certificate
         self.label_rule = label_rule
         self.rng = rng
+
+    def next_run(self, last_prediction: Optional[float],
+                 limit: int) -> tuple[ContextBlock, np.ndarray]:
+        """The next run of at most ``limit`` rounds, as their contexts and labels: here the
+        next round alone, from ``next_round``."""
+        context, label = self.next_round(last_prediction)
+        return context, np.array([label])
 
 
 class IidAdversary(Adversary):
@@ -117,6 +133,19 @@ class IidAdversary(Adversary):
         i = self._next
         self._next += 1
         return self._contexts[i:i + 1], self.label_rule(self._x[i], self._u[i], last_prediction)
+
+    def next_run(self, last_prediction: Optional[float],
+                 limit: int) -> tuple[ContextBlock, np.ndarray]:
+        """The next round, from ``next_round``, and where the label rule is ``oblivious``
+        the rounds drawn ahead after it, up to ``limit`` rounds in all."""
+        context, label = self.next_round(last_prediction)
+        if not getattr(self.label_rule, "oblivious", False):
+            return context, np.array([label])
+        start, stop = self._next - 1, min(len(self._x), self._next + limit - 1)
+        labels = [label] + [self.label_rule(x, u, None)
+                            for x, u in zip(self._x[start + 1:stop], self._u[start + 1:stop])]
+        self._next = stop
+        return self._contexts[start:stop], np.array(labels)
 
 
 class AdaptiveMixtureAdversary(Adversary):

@@ -446,12 +446,19 @@ class LossFunction:
 
 def linear_loss() -> LossFunction:
     """l(yhat, y) = (1 - yhat*y)/2; the mistake indicator on {-1, +1} pairs."""
-    return LossFunction("linear", 0.5, lambda a, b: (1.0 - a * b) / 2.0, degree=1)
+    return LossFunction("linear", 0.5, _linear, degree=1)
 
 
 # in place, so an array loss holds one temporary, not two; halving is exact (d * 0.5 is
 # d / 2.0), and squares multiply: a numpy scalar's ** 2 calls pow, which can round differently
 # from the d * d an array's ** 2 computes, so ``evaluate`` would not match ``evaluate_array``
+def _linear(a, b):
+    d = a * b
+    d = np.subtract(1.0, d, out=d) if isinstance(d, np.ndarray) else 1.0 - d
+    d /= 2.0
+    return d
+
+
 def _absolute(a, b):
     d = a - b
     d = np.absolute(d, out=d) if isinstance(d, np.ndarray) else abs(d)
@@ -530,6 +537,21 @@ class Trajectory:
         self.labels[t], self.predictions[t], self.instant_loss[t] = label, prediction, instant_loss
         self.oracle_calls[t] = oracle_calls
         self.n = t + 1
+
+    def extend(self, contexts: ContextBlock, labels: np.ndarray, predictions: np.ndarray,
+               instant_loss: np.ndarray, oracle_calls: np.ndarray) -> None:
+        """``append`` of a run of rounds, one row each, in one write."""
+        t, n = self.n, len(labels)
+        calls = np.asarray(oracle_calls)
+        if n and ((calls[1:] < calls[:-1]).any() or t and calls[0] < self.oracle_calls[t - 1]):
+            raise ValueError("oracle call count must be nondecreasing")
+        rows = slice(t, t + n)
+        self.ids[rows] = -1 if contexts.ids is None else contexts.ids
+        self.coords[rows] = np.nan if contexts.coords is None else contexts.coords
+        self.labels[rows], self.predictions[rows], self.instant_loss[rows] = \
+            labels, predictions, instant_loss
+        self.oracle_calls[rows] = calls
+        self.n = t + n
 
     def hypothesis_losses(self, klass: HypothesisClass, loss: LossFunction):
         """Yield (start, stop, (H, stop - start) hypothesis losses), chunk by chunk."""

@@ -36,7 +36,10 @@ The perturbations never read the history, so the learner draws them for up
 to ``core.BLOCK`` rounds at once (fewer when a round's arrays are large, and
 none past the schedule's horizon), with one call per kind of draw, and the
 oracle evaluates the block's rows together at its first round; each round
-still makes its one oracle call.
+still makes its one oracle call.  A run of rounds known ahead is played by
+``FtplLearner.play``: one value matrix on the run's contexts, the history
+each round saw from one cumulative sum, and one argmin per round of a
+block, with the approximate oracle's swaps still drawn round by round.
 
 Three variants ship, differing in which processes they add and how they are
 scaled; ``schedule`` returns each variant's parameter choices as a function of
@@ -473,6 +476,31 @@ class FtplLearner:
         self._next += 1
         self._t += 1
         return self.selected
+
+    def play(self, contexts: ContextBlock, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A run of rounds whose contexts and labels are known ahead: the draws, oracle
+        calls and hypotheses of ``select``, ``predict`` then ``observe`` round by round.
+        The class is evaluated once on the run's contexts, which gives the predictions,
+        the history each round saw comes from one cumulative sum, and the rounds of a
+        perturbation block take one argmin each, with the approximate oracle's swaps
+        drawn round by round.  Returns the predictions and the oracle calls made by the
+        end of each round."""
+        values = self.klass.evaluate_block(contexts)
+        calls, rows = self.oracle.calls, self.oracle.prefix_rows
+        seen = self.oracle.extend_run(values, labels)
+        selected = np.empty(len(labels), dtype=np.int64)
+        i = 0
+        while i < len(labels):
+            if self._query is None or self._next == self._query.rounds:
+                self._query, self._next = self._draw_block(), 0
+            m = min(len(labels) - i, self._query.rounds - self._next)
+            selected[i:i + m] = self.oracle.approximate_run(
+                self._query, self.sched.zeta, self.rng, self._next, seen[i:i + m], rows + i)
+            self._next += m
+            self._t += m
+            i += m
+        self.selected = None
+        return values[selected, np.arange(len(labels))], calls + np.arange(1, len(labels) + 1)
 
     def predict(self, x_t: ContextBlock) -> float:
         if self.selected is None:

@@ -3,7 +3,11 @@
 A config names a learner, an adversary, a hypothesis class and a loss, plus
 the horizon, smoothness level and seed list.  Each seed yields one trajectory
 written as a CSV trace; a JSON summary aggregates final regrets, oracle call
-counts and wall times.  All randomness derives from the seed through Philox
+counts and wall times.  A seed is played as a series of runs: the adversary
+hands over up to 64 rounds it has drawn ahead when its labels ignore the
+learner (one round otherwise), the learner plays them with ``play``, and
+the harness checks and records them at once; the trace is that of playing
+round by round.  All randomness derives from the seed through Philox
 streams keyed per component, so a (config, seed) rerun reproduces traces
 byte for byte.
 """
@@ -414,24 +418,14 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedOutcome:
     t0 = time.perf_counter()
     klass, loss, adversary, learner = build_pieces(cfg, make_rng(seed, _STREAM_ADVERSARY),
                                                    make_rng(seed, _STREAM_LEARNER))
-    oracle = learner.oracle
-
-    lo, hi = loss.output_range
     traj = Trajectory(cfg.T)
     last_prediction: Optional[float] = None
-    for t in range(1, cfg.T + 1):
-        if learner.proper:
-            learner.select()
-        context, label = adversary.next_round(last_prediction)
-        yhat = learner.predict(context)
-        if not (-1.0 - 1e-9 <= yhat <= 1.0 + 1e-9):
-            raise InvariantViolation(f"prediction {yhat} outside [-1, 1] at round {t}")
-        instant = loss.evaluate(yhat, label)
-        if not (lo - 1e-9 <= instant <= hi + 1e-9):
-            raise InvariantViolation(f"loss {instant} outside declared range at round {t}")
-        learner.observe(context, label)
-        traj.append(context, label, yhat, instant, oracle.calls)
-        last_prediction = yhat
+    while len(traj) < cfg.T:
+        contexts, labels = adversary.next_run(last_prediction, cfg.T - len(traj))
+        predictions, calls = learner.play(contexts, labels)
+        instant = _checked_losses(loss, predictions, labels, len(traj))
+        traj.extend(contexts, labels, predictions, instant, calls)
+        last_prediction = float(predictions[-1])
 
     regret, totals = regret_curve(traj, klass, loss)
     final_regret = float(regret[-1])
@@ -442,12 +436,32 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedOutcome:
         seed=seed,
         final_regret=final_regret,
         checkpoint_regrets={t: float(regret[t - 1]) for t in sorted(checkpoints)},
-        oracle_calls=oracle.calls,
+        oracle_calls=learner.oracle.calls,
         wall_time_s=time.perf_counter() - t0,
         trajectory=traj,
         regret=regret,
         comparator_range=(float(totals.min()), float(totals.max())),
     )
+
+
+def _checked_losses(loss: LossFunction, predictions: np.ndarray, labels: np.ndarray,
+                    start: int) -> np.ndarray:
+    """A run's instant losses, its first round after ``start``; raises InvariantViolation
+    at the first round whose prediction leaves [-1, 1] (NaN included) or whose loss leaves
+    the loss's declared range, as the rounds would one by one."""
+    lo, hi = loss.output_range
+    ok = np.abs(predictions) <= 1.0 + 1e-9  # False for NaN
+    valid = len(ok) if ok.all() else int(ok.argmin())  # losses only where yhat is valid
+    instant = loss.evaluate_array(predictions[:valid], labels[:valid])
+    ok = (lo - 1e-9 <= instant) & (instant <= hi + 1e-9)
+    if not ok.all():
+        i = int(ok.argmin())
+        raise InvariantViolation(f"loss {float(instant[i])} outside declared range "
+                                 f"at round {start + i + 1}")
+    if valid < len(predictions):
+        raise InvariantViolation(f"prediction {float(predictions[valid])} outside [-1, 1] "
+                                 f"at round {start + valid + 1}")
+    return instant
 
 
 def rows_to_csv(outcome: SeedOutcome) -> str:

@@ -19,6 +19,12 @@ contexts, labels, weights) group; every call answers history + blocks.  A
 family of exact queries that differ only in the label of one weight-1
 main-loss row is answered by one evaluation (``ErmOracle.exact_labels``) and
 still counts as one call per label.
+A run of observed rounds enters the history at once (``extend_run``): one
+sequential cumulative sum, the float additions of ``extend_prefix`` round by
+round, which also returns the history each round saw.  ``approximate_run``
+and ``exact_labels`` answer consecutive rounds of a query over those
+histories, one argmin per round and the approximate oracle's swap rule
+round by round, with the calls counted per round as before.
 A block over fixed contexts (a learner's cells) may carry the class's values
 there, evaluated once, which the oracle reads instead of the contexts.  FTPL's
 label-anchor process, summed per cell, is such a block of identity rows whose
@@ -176,6 +182,18 @@ class ErmOracle:
         self.prefix += self.main_loss.evaluate_array(values, label)
         self.prefix_rows += 1
 
+    def extend_run(self, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Add a run of observed rounds to the history, given the class's (H, rounds) values
+        on their contexts; returns the (rounds + 1, H) history before each round and after
+        the last.  One sequential ``np.cumsum`` makes the float additions ``extend_prefix``
+        makes round by round."""
+        losses = self.main_loss.evaluate_array(values, labels[None, :])
+        seen = np.concatenate((self.prefix[None, :], losses.T))
+        np.cumsum(seen, axis=0, out=seen)
+        self.prefix = seen[-1].copy()
+        self.prefix_rows += len(labels)
+        return seen
+
     # -- objective evaluation -----------------------------------------------
     def _block_objective(self, block: RowBlock) -> np.ndarray:
         """(rounds, H): each round's sum_i w_i l_i(f(x_i), y_i) over the block's rows."""
@@ -199,40 +217,54 @@ class ErmOracle:
         return _row_sums(values, weights, shared)
 
     def objective_vector(self, query: ErmQuery, index: int = 0) -> np.ndarray:
-        """A copy of the history objective plus round ``index``'s row blocks', in order.
-
-        Every round of the query is evaluated at the first call on it.
-        """
-        if query.evaluated is None or query.evaluated[0] is not self:
-            query.evaluated = (self, [self._block_objective(b) for b in query.blocks])
+        """A copy of the history objective plus round ``index``'s row blocks', in order."""
         obj = self.prefix.copy()
-        for block_objective in query.evaluated[1]:
+        for block_objective in self._evaluated(query):
             obj += block_objective[index]
         return obj
+
+    def _objectives(self, query: ErmQuery, index: int, history: np.ndarray) -> np.ndarray:
+        """(rounds, H): row i is ``history[i]`` plus round index + i's row blocks', in order,
+        as ``objective_vector`` sums them over the prefix."""
+        obj = history.copy()
+        for block_objective in self._evaluated(query):
+            obj += block_objective[index:index + len(obj)]
+        return obj
+
+    def _evaluated(self, query: ErmQuery) -> list:
+        """Each block's (rounds, H) objectives, evaluated for every round at the first call
+        on the query."""
+        if query.evaluated is None or query.evaluated[0] is not self:
+            query.evaluated = (self, [self._block_objective(b) for b in query.blocks])
+        return query.evaluated[1]
 
     # -- queries --------------------------------------------------------------
     def exact(self, query: ErmQuery, index: int = 0) -> ErmResult:
         """Exact minimizer (zeta = 0) of round ``index``; ties resolve to the lowest index."""
         return self.approximate(query, 0.0, index=index)
 
-    def exact_labels(self, query: ErmQuery, x_t: ContextBlock, labels: np.ndarray,
-                     index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """``exact`` of round ``index`` plus a weight-1 main-loss row (x_t, y), for each label y.
+    def exact_labels(self, query: ErmQuery, values: np.ndarray, labels: np.ndarray,
+                     index: int, history: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``exact`` of rounds index, index + 1, ... of the query, each plus a weight-1
+        main-loss row (x_t, y) for each label y: round i over the history objective
+        ``history[i]`` (``prefix[None, :]`` for the round at hand), with the class's
+        values ``values[:, i]`` at its x_t.
 
         The query and f(x_t) are evaluated once and every label's objective is
         formed from them with the same float operations ``exact`` performs, so
-        the results are equal to one ``exact`` call per label.  Counts one
-        call per label; returns the minimizing indices and their objective
-        values.
+        the results are equal to one ``exact`` call per round and label.  Counts
+        one call per pair; returns the (rounds, labels) minimizing indices and
+        their objective values.
         """
         labels = np.asarray(labels, dtype=np.float64)
-        base = self.objective_vector(query, index)
-        values = self.klass.evaluate_block(x_t)[:, 0]
-        obj = base[None, :] + self.main_loss.evaluate_array(values[None, :], labels[:, None])
-        idx = obj.argmin(axis=1)
-        best = obj[np.arange(len(labels)), idx]
-        self._calls += len(labels)
-        return idx, best
+        # the objectives are added into the loss array (float addition commutes, so each sum
+        # is exact's), and a run holds one (rounds x labels x H) array
+        obj = self.main_loss.evaluate_array(values.T[:, None, :], labels[None, :, None])
+        obj += self._objectives(query, index, history)[:, None, :]
+        idx = obj.argmin(axis=2)
+        self._calls += idx.size
+        best = obj.reshape(-1, obj.shape[2])[np.arange(idx.size), idx.ravel()]
+        return idx, best.reshape(idx.shape)
 
     def approximate(self, query: ErmQuery, zeta: float,
                     rng: Optional[np.random.Generator] = None, index: int = 0) -> ErmResult:
@@ -245,15 +277,35 @@ class ErmOracle:
         allows.  Without an rng the swap is skipped and the exact minimizer
         is returned (still a valid zeta-approximate answer).
         """
+        obj = self.objective_vector(query, index)
+        idx = self._swap(obj, int(obj.argmin()), query, zeta, rng, index, self.prefix_rows)
+        self._calls += 1
+        return ErmResult(idx, float(obj[idx]))
+
+    def approximate_run(self, query: ErmQuery, zeta: float, rng: Optional[np.random.Generator],
+                        index: int, history: np.ndarray, rows: int) -> np.ndarray:
+        """``approximate``'s hypotheses for rounds index, index + 1, ... of the query, round i
+        over the history objective ``history[i]`` of rows + i weight-1 rows: one argmin
+        per round, then the swap rule round by round."""
+        obj = self._objectives(query, index, history)
+        idx = obj.argmin(axis=1)
+        if zeta:
+            idx = np.array([self._swap(row, best, query, zeta, rng, index + i, rows + i)
+                            for i, (row, best) in enumerate(zip(obj, idx))], dtype=np.int64)
+        self._calls += len(obj)
+        return idx
+
+    def _swap(self, obj: np.ndarray, idx: int, query: ErmQuery, zeta: float,
+              rng: Optional[np.random.Generator], index: int, rows: int) -> int:
+        """idx, the lowest-index argmin of round ``index``'s objectives ``obj`` over a history
+        of ``rows`` rows; with zeta > 0 and an rng, with probability 1/2 a uniformly random
+        other hypothesis inside the band instead, where there is one."""
         if zeta < 0:
             raise ValueError("zeta must be nonnegative")
-        obj = self.objective_vector(query, index)
-        idx = int(obj.argmin())
         if zeta > 0 and rng is not None and rng.random() < 0.5:
-            band = zeta * (query.total_abs_weight(index) + self.prefix_rows)
+            band = zeta * (query.total_abs_weight(index) + rows)
             admissible = np.flatnonzero(obj <= obj[idx] + band)
             others = admissible[admissible != idx]
             if len(others):
                 idx = int(rng.choice(others))
-        self._calls += 1
-        return ErmResult(idx, float(obj[idx]))
+        return idx

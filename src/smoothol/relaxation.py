@@ -26,6 +26,11 @@ rounds_left whose stream is that of the same draws made one by one, and the
 oracle evaluates the block's playout rows as one (block x H) product at its
 first round; each prediction still makes its own oracle calls, and the
 traces are those of drawing every playout at its round.
+The rules are written over a run of rounds (``play_linear``,
+``play_general``), each round with its own playout and the history it saw;
+``RelaxGeneralLearner.play`` hands them the rounds of a run known ahead, as
+many at once as share a playout block and fit ``RUN_ELEMENTS``, and a
+per-round prediction is a run of one.
 For linear loss the outer problem collapses to a closed form needing two
 oracle calls; in general the interval is discretized into ceil(2 L sqrt(T))
 labels and the outer minimization runs a three-point convex search.
@@ -47,13 +52,21 @@ __all__ = [
     "PlayoutDraw",
     "draw_playout",
     "RelaxState",
+    "play_linear",
     "predict_linear",
+    "play_general",
     "predict_general",
     "three_point_min",
     "RelaxLinearLearner",
     "RelaxGeneralLearner",
     "default_playout_width",
 ]
+
+
+# most elements in the (rounds x branch labels x H) objectives of a run's rounds answered
+# at once; a learner plays a longer run in chunks of rounds that fit
+RUN_ELEMENTS = 2**14
+_SIGNS = np.array([1.0, -1.0])  # the linear rule's two branch labels
 
 
 def default_playout_width(T: int, sigma: float) -> int:
@@ -157,28 +170,44 @@ class RelaxState:
         return self._query
 
 
-def _branch_values(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
-                   oracle: ErmOracle, labels: np.ndarray, index: int) -> np.ndarray:
-    """sup_f [ playout(f) - L_t(f) - l(f(x_t), y) ] per label y, one oracle call each,
-    for the playout ``index`` of a block."""
-    return -oracle.exact_labels(state.playout_query(playout), x_t, labels, index)[1]
+def _branch_values(state: RelaxState, playout: PlayoutDraw, values: np.ndarray,
+                   oracle: ErmOracle, labels: np.ndarray, index: int,
+                   history: np.ndarray) -> np.ndarray:
+    """sup_f [ playout(f) - L_t(f) - l(f(x_t), y) ] per round and label y, one oracle call
+    each, for the playouts index, index + 1, ... of a block: round i over the history
+    objective ``history[i]``, with the class's values ``values[:, i]`` at its x_t."""
+    return -oracle.exact_labels(state.playout_query(playout), values, labels, index,
+                                history)[1]
 
 
-def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
-                   oracle: ErmOracle, index: int = 0) -> float:
-    """Two-call closed form for linear loss l(yhat, y) = (1 - yhat*y)/2.
+def play_linear(state: RelaxState, playout: PlayoutDraw, values: np.ndarray,
+                oracle: ErmOracle, index: int, history: np.ndarray) -> np.ndarray:
+    """Two-call closed form for linear loss l(yhat, y) = (1 - yhat*y)/2, over a run of rounds.
 
     The inner maximization over the label is attained at y = +/-1, so two ERM
     calls give the two branch values a_+ and a_-, and the outer minimum sits
     at the intersection of the two affine branches: yhat = a_+ - a_-, which
-    lies in [-1, 1] because |a_+ - a_-| <= 1.
+    lies in [-1, 1] because |a_+ - a_-| <= 1.  Round i of the run plays
+    playout index + i over ``history[i]`` at the contexts whose class values
+    are ``values[:, i]``; ``last_branch_values`` keeps the run's last round.
     """
     if state.loss.kind != "linear":
         raise ValueError("linear loss required")
-    a_plus, a_minus = _branch_values(state, playout, x_t, oracle, np.array([1.0, -1.0]),
-                                     index).tolist()
-    state.last_branch_values = (a_plus, a_minus)
-    return min(max(a_plus - a_minus, -1.0), 1.0)
+    a = _branch_values(state, playout, values, oracle, _SIGNS, index, history)
+    state.last_branch_values = tuple(a[-1].tolist())
+    return np.minimum(np.maximum(a[:, 0] - a[:, 1], -1.0), 1.0)
+
+
+def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
+                   oracle: ErmOracle, index: int = 0) -> float:
+    """``play_linear`` for one round at x_t, over the oracle's history."""
+    return _one_round(play_linear, state, playout, x_t, oracle, index)
+
+
+def _one_round(rule: Callable, state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
+               oracle: ErmOracle, index: int) -> float:
+    return float(rule(state, playout, oracle.klass.evaluate_block(x_t), oracle, index,
+                      oracle.prefix[None, :])[0])
 
 
 def three_point_min(values_oracle: Callable[[int], float], grid: np.ndarray) -> int:
@@ -218,20 +247,26 @@ def three_point_min(values_oracle: Callable[[int], float], grid: np.ndarray) -> 
     return best
 
 
-def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
-                    oracle: ErmOracle, index: int = 0) -> float:
-    """Grid min-max for a general convex Lipschitz loss.
+def play_general(state: RelaxState, playout: PlayoutDraw, values: np.ndarray,
+                 oracle: ErmOracle, index: int, history: np.ndarray) -> np.ndarray:
+    """Grid min-max for a general convex Lipschitz loss, over a run of rounds as
+    ``play_linear`` takes it.
 
     The label-branch values Phi(y) do not depend on yhat, so the exhaustive
     inner scan costs |S| oracle calls once per round; the outer minimization
-    over yhat then runs the three-point search on cached branch values.
+    over yhat then runs the three-point search on cached branch values, round
+    by round.
     """
-    phi = _branch_values(state, playout, x_t, oracle, state.grid, index)
-    state.last_branch_values = tuple(phi.tolist())
-    worst = (state.outer_loss + phi[None, :]).max(axis=1)  # sup_y per candidate yhat
+    phi = _branch_values(state, playout, values, oracle, state.grid, index, history)
+    state.last_branch_values = tuple(phi[-1].tolist())
+    worst = (state.outer_loss + phi[:, None, :]).max(axis=2)  # sup_y per round and yhat
+    return state.grid[[three_point_min(w.__getitem__, state.grid) for w in worst]]
 
-    idx = three_point_min(lambda i: worst[i], state.grid)
-    return float(state.grid[idx])
+
+def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
+                    oracle: ErmOracle, index: int = 0) -> float:
+    """``play_general`` for one round at x_t, over the oracle's history."""
+    return _one_round(play_general, state, playout, x_t, oracle, index)
 
 
 class RelaxGeneralLearner:
@@ -245,7 +280,7 @@ class RelaxGeneralLearner:
 
     name = "relax-general"
     proper = False
-    rule = staticmethod(predict_general)
+    rule = staticmethod(play_general)
 
     def __init__(self, klass: HypothesisClass, loss: LossFunction, mu, T: int,
                  sigma: float, oracle: ErmOracle, rng: np.random.Generator,
@@ -260,16 +295,55 @@ class RelaxGeneralLearner:
         self._next = 0       # its next unused playout
         self._asked = 0      # predictions asked in the current round
         self._per_round = 0  # predictions asked in the last complete round
+        # rounds of a run played at once: their (rounds x branches x H) objectives stay small
+        self._chunk = max(1, RUN_ELEMENTS // (self.branches * max(len(klass), self.branches)))
+
+    @property
+    def branches(self) -> int:
+        """Labels branched on, and oracle calls made, per round."""
+        return len(self.state.grid)
 
     def predict(self, x_t: ContextBlock) -> float:
+        playouts, index, _ = self._playouts_ahead(1)
+        self._asked += 1
+        return _one_round(self.rule, self.state, playouts, x_t, self.oracle, index)
+
+    def play(self, contexts: ContextBlock, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A run of whole rounds, one prediction each, whose contexts and labels are known
+        ahead: the predictions, playouts and oracle calls of ``predict`` then ``observe``
+        round by round.  The class is evaluated once on the run's contexts, the history
+        each round saw comes from one cumulative sum, and up to ``self._chunk`` rounds of a
+        playout block answer their branch queries at once.  Returns the predictions and the
+        oracle calls made by the end of each round."""
+        values, calls = self.klass.evaluate_block(contexts), self.oracle.calls
+        seen = self.oracle.extend_run(values, labels)
+        predictions = np.empty(len(labels))
+        i = 0
+        while i < len(labels):
+            playouts, index, m = self._playouts_ahead(min(self._chunk, len(labels) - i))
+            predictions[i:i + m] = self.rule(self.state, playouts, values[:, i:i + m],
+                                             self.oracle, index, seen[i:i + m])
+            self.state.t += m
+            self._per_round, self._asked = 1, 0
+            i += m
+        return predictions, calls + self.branches * np.arange(1, len(labels) + 1)
+
+    def _playouts_ahead(self, rounds: int) -> tuple[PlayoutDraw, int, int]:
+        """The block and index of the current round's next playout, drawing a new block
+        where the current one cannot serve it, and how many of the next ``rounds`` rounds,
+        one prediction each, take the block's playouts from that index on."""
         rounds_left = self.state.rounds_left
         block = self._playouts
         if block is None or self._next == len(block.rounds_left) or \
                 block.rounds_left[self._next] != rounds_left:
             self._playouts, self._next = self._draw_block(rounds_left), 0
-        self._next += 1
-        self._asked += 1
-        return self.rule(self.state, self._playouts, x_t, self.oracle, self._next - 1)
+        index = self._next
+        ahead = self._playouts.rounds_left[index:index + rounds]
+        # a block's entries fall by at most one each, so if the last of them matches its round
+        # they all do; otherwise the round alone, and the next one looks again
+        m = len(ahead) if ahead[-1] == rounds_left + 1 - len(ahead) else 1
+        self._next += m
+        return self._playouts, index, m
 
     def _draw_block(self, rounds_left: int) -> PlayoutDraw:
         per_round = self._per_round
@@ -284,7 +358,8 @@ class RelaxGeneralLearner:
 
 class RelaxLinearLearner(RelaxGeneralLearner):
     name = "relax-linear"
-    rule = staticmethod(predict_linear)
+    rule = staticmethod(play_linear)
+    branches = 2
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -142,8 +142,9 @@ def test_block_of_playouts_equals_one_query_per_round_bit_for_bit(interval):
         own = ErmQuery().add_block(IDENTITY, learner.cells.atoms, np.zeros(65), w, learner.values)
         assert np.array_equal(oracle.objective_vector(block, i), oracle.objective_vector(own))
         assert np.array_equal(oracle.objective_vector(own), oracle.prefix + learner.values @ w)
-        for a, b in zip(oracle.exact_labels(block, x_t, labels, i),
-                        oracle.exact_labels(own, x_t, labels)):
+        values, prefix = klass.evaluate_block(x_t), oracle.prefix[None, :]
+        for a, b in zip(oracle.exact_labels(block, values, labels, i, prefix),
+                        oracle.exact_labels(own, values, labels, 0, prefix)):
             assert np.array_equal(a, b)
 
 
@@ -190,10 +191,12 @@ def test_equal_table_values_give_equal_row_sums():
 class _OnePlayoutAtATime(RelaxGeneralLearner):
     """Reference: every prediction draws its own playout, as the learner once did."""
 
+    round_rule = staticmethod(predict_general)
+
     def predict(self, x_t):
         playout = draw_playout(self.cells, self.state.rounds_left, self.state.k, self.rng,
                                self.values)
-        return self.rule(self.state, playout, x_t, self.oracle)
+        return self.round_rule(self.state, playout, x_t, self.oracle)
 
 
 @pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
@@ -201,11 +204,10 @@ class _OnePlayoutAtATime(RelaxGeneralLearner):
 def test_relaxation_predictions_equal_one_playout_per_round(rule, interval):
     klass, mu = _space(interval)
     loss, T = (linear_loss(), 150) if rule is predict_linear else (absolute_loss(), 140)
-    learners = []
-    for cls in (RelaxGeneralLearner, _OnePlayoutAtATime):
-        learner = cls(klass, loss, mu, T, 0.2, ErmOracle(klass, loss), make_rng(54, 0))
-        learner.rule = rule
-        learners.append(learner)
+    learners = [cls(klass, loss, mu, T, 0.2, ErmOracle(klass, loss), make_rng(54, 0))
+                for cls in (RelaxLinearLearner if rule is predict_linear else RelaxGeneralLearner,
+                            _OnePlayoutAtATime)]
+    learners[1].round_rule = rule
     rng = make_rng(54, 1)
     for _ in range(T):
         x, y = sample(mu, rng), float(rng.choice([-1.0, 1.0]))

@@ -238,6 +238,9 @@ class _Follower:
     def observe(self, context, label):
         pass
 
+    def play(self, contexts, labels):
+        return self.klass.evaluate_block(contexts)[self.h], np.zeros(len(labels), dtype=np.int64)
+
 
 def _pow_hazards(count, rng):
     """Values v in [-1, 1] at which a numpy scalar's ((v - y) / 2) ** 2, which calls pow,

@@ -227,7 +227,8 @@ def test_exact_labels_matches_one_exact_call_per_label(space, loss):
                 IDENTITY, extra, np.zeros(3), extra_w)
 
         calls = oracle.calls
-        idx, values = oracle.exact_labels(query(), x_t, labels)
+        idx, values = (a[0] for a in oracle.exact_labels(
+            query(), klass.evaluate_block(x_t), labels, 0, oracle.prefix[None, :]))
         assert oracle.calls == calls + len(labels)
         per_label = [oracle.exact(query().add_block(MAIN, x_t, np.array([y]), np.array([1.0])))
                      for y in labels]
@@ -237,8 +238,9 @@ def test_exact_labels_matches_one_exact_call_per_label(space, loss):
             assert idx.max() < 6
 
     calls = oracle.calls
-    idx, values = oracle.exact_labels(query(), x_t, np.array([]))
-    assert (idx.shape, values.shape) == ((0,), (0,))
+    idx, values = oracle.exact_labels(query(), klass.evaluate_block(x_t), np.array([]), 0,
+                                      oracle.prefix[None, :])
+    assert (idx.shape, values.shape) == ((1, 0), (1, 0))
     assert oracle.calls == calls
 
 
