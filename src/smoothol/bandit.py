@@ -3,9 +3,10 @@
 Contexts arrive sigma-smoothly over X; the pair (context, action) is then
 sigma/K-smooth with respect to mu x Unif([K]) because any action rule is
 1/K-smooth on [K].  The regressor -- one of this package's learners, run on
-the product class with square loss -- predicts a loss for every action, the
-action is sampled by inverse-gap weighting, and the observed loss feeds back
-as a square-loss example on the chosen (context, action).
+the product class with square loss -- predicts a loss for every action in one
+``predictions`` call, the action is sampled by inverse-gap weighting, and the
+observed loss feeds back as a square-loss example on the chosen (context,
+action).  The rounds go to a ``Trajectory`` a block at a time.
 """
 
 from __future__ import annotations
@@ -92,11 +93,13 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
     set; ``f_star`` is the (N, K) conditional-mean loss table, realizable
     inside the regressor's class; losses are Bernoulli(f*(x, a)).
     ``regressor`` is a learner over the product class (proper learners commit
-    once per round; improper ones are queried once per action).  Actions are
-    drawn by inverse-gap weighting of the predicted losses.
+    once per round), asked for a round's K predicted losses in one
+    ``predictions`` call.  Actions are drawn by inverse-gap weighting of the
+    predicted losses.
 
     No round's uniforms depend on the history, so they are drawn ``BLOCK``
-    rounds at a time (none past T), in the order per-round draws take them.
+    rounds at a time (none past T), in the order per-round draws take them,
+    and each block's rounds are written to the trajectory in one ``extend``.
     A proper regressor's predictions at x under hypothesis h are fixed, so
     their clamped copy and IGW CDF are computed once per (h, x).
     """
@@ -111,17 +114,13 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
     all_actions = np.arange(K)
     width = K + (K > 1)  # a round's uniforms: its action's (if K > 1), then one per action's loss
     for start in range(0, T, BLOCK):
+        rows = []  # per round: the chosen pair, its loss, its prediction, their square, calls
         for t, u in enumerate(rng.random((min(BLOCK, T - start), width)).tolist(), start + 1):
             h = regressor.select() if regressor.proper else None
             x = context_adversary.next_round(last_prediction=None)[0].id
             law = laws.get((h, x))  # an improper regressor's predictions are never stored
             if law is None:
-                joint_ids = joint_id(x, all_actions, K)
-                if h is not None:
-                    preds = regressor.klass.evaluate_block(ContextBlock(ids=joint_ids))[h]
-                else:
-                    preds = np.array([regressor.predict(ContextBlock(ids=joint_ids[a:a + 1]))
-                                      for a in all_actions])
+                preds = regressor.predictions(ContextBlock(ids=joint_id(x, all_actions, K)))
                 law = _action_law(preds, gamma)
                 if h is not None:
                     laws[h, x] = law
@@ -131,12 +130,14 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
             action = 0 if cdf is None else min(bisect_right(cdf, u[0]), K - 1)
             losses_u, mean = u[width - K:], means[x]
             observed = 1.0 if losses_u[action] < mean[action] else 0.0
-            pair = ContextBlock(ids=np.array([joint_id(x, action, K)]))
-            regressor.observe(pair, observed)
+            pair = joint_id(x, action, K)
+            regressor.observe(ContextBlock(ids=np.array([pair])), observed)
             miss = preds[action] - observed
             # miss * miss rounds as finalize_regret's array square does
-            traj.append(pair, observed, preds[action], miss * miss, regressor.oracle.calls)
+            rows.append((pair, observed, preds[action], miss * miss, regressor.oracle.calls))
             reg_cb += observed - (1.0 if losses_u[greedy[x]] < mean[greedy[x]] else 0.0)
+        pairs, labels, predicted, squares, calls = (np.array(c) for c in zip(*rows))
+        traj.extend(ContextBlock(ids=pairs), labels, predicted, squares, calls)
 
     return BanditResult(traj, reg_cb, finalize_regret(traj, regressor.klass, square_loss()))
 

@@ -322,10 +322,11 @@ class TableClass(HypothesisClass):
         if block.ids is None:
             raise DomainMismatchError("domain mismatch: table class needs atom ids")
         ids = block.ids
-        if len(ids) == 1:  # a round's context: one int compare, no numpy reduction
-            lo = hi = ids.item()
+        if len(ids) <= BLOCK:  # a round's or a run's contexts: no numpy reduction
+            listed = ids.tolist()
+            lo, hi = (min(listed), max(listed)) if listed else (0, 0)
         else:
-            lo, hi = (ids.min(), ids.max()) if len(ids) else (0, 0)
+            lo, hi = ids.min(), ids.max()
         if lo < 0 or hi >= self.values.shape[1]:
             raise DomainMismatchError("domain mismatch: atom id out of range")
         return self.values.take(ids, axis=1)  # C-contiguous, as every class returns
@@ -511,8 +512,9 @@ _REGRET_CHUNK = 1024  # rounds per comparator block: memory O(H * chunk), not O(
 class Trajectory:
     """One seeded run, held columnar and preallocated: round t is row t - 1.
 
-    Contexts without an atom id store -1 in ``ids``, those without a
-    coordinate NaN in ``coords``.  Everything a run reports derives from these.
+    Rounds are written a run at a time by ``extend``.  Contexts without an atom
+    id store -1 in ``ids``, those without a coordinate NaN in ``coords``.
+    Everything a run reports derives from these.
     """
 
     def __init__(self, T: int):
@@ -527,20 +529,10 @@ class Trajectory:
     def __len__(self) -> int:
         return self.n
 
-    def append(self, context: ContextBlock, label: float, prediction: float,
-               instant_loss: float, oracle_calls: int) -> None:
-        t = self.n
-        if t and oracle_calls < self.oracle_calls[t - 1]:
-            raise ValueError("oracle call count must be nondecreasing")
-        self.ids[t] = -1 if context.id is None else context.id
-        self.coords[t] = np.nan if context.coordinate is None else context.coordinate
-        self.labels[t], self.predictions[t], self.instant_loss[t] = label, prediction, instant_loss
-        self.oracle_calls[t] = oracle_calls
-        self.n = t + 1
-
     def extend(self, contexts: ContextBlock, labels: np.ndarray, predictions: np.ndarray,
                instant_loss: np.ndarray, oracle_calls: np.ndarray) -> None:
-        """``append`` of a run of rounds, one row each, in one write."""
+        """Rows for a run of rounds, one each, in one write; the oracle-call column must
+        not decrease."""
         t, n = self.n, len(labels)
         calls = np.asarray(oracle_calls)
         if n and ((calls[1:] < calls[:-1]).any() or t and calls[0] < self.oracle_calls[t - 1]):

@@ -503,9 +503,13 @@ class FtplLearner:
         return values[selected, np.arange(len(labels))], calls + np.arange(1, len(labels) + 1)
 
     def predict(self, x_t: ContextBlock) -> float:
+        return float(self.predictions(x_t)[0])
+
+    def predictions(self, contexts: ContextBlock) -> np.ndarray:
+        """The selected hypothesis at each context of the current round."""
         if self.selected is None:
             raise RuntimeError("select() must run before the context is revealed")
-        return float(self.klass.evaluate_block(x_t)[self.selected, 0])
+        return self.klass.evaluate_block(contexts)[self.selected]
 
     def observe(self, context: ContextBlock, label: float) -> None:
         self.oracle.extend_prefix(context, label)

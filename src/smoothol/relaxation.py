@@ -20,17 +20,17 @@ round's branch queries differ only in the label of the current round's row,
 so they are answered by one ``ErmOracle.exact_labels`` evaluation of the
 history, the playout and f(x_t), which still counts and logs one oracle call
 per label.
-The playouts never read the history, so the learner draws them for up to
-``core.BLOCK`` predictions at once, one multinomial over an array of
-rounds_left whose stream is that of the same draws made one by one, and the
-oracle evaluates the block's playout rows as one (block x H) product at its
-first round; each prediction still makes its own oracle calls, and the
-traces are those of drawing every playout at its round.
-The rules are written over a run of rounds (``play_linear``,
-``play_general``), each round with its own playout and the history it saw;
-``RelaxGeneralLearner.play`` hands them the rounds of a run known ahead, as
-many at once as share a playout block and fit ``RUN_ELEMENTS``, and a
-per-round prediction is a run of one.
+The playouts never read the history, so the learner draws them a block of
+rounds ahead, one multinomial over an array of rounds_left whose stream is
+that of the same draws made one by one, and the oracle evaluates the block's
+playout rows as one (block x H) product at its first round; each prediction
+still makes its own oracle calls, and the traces are those of drawing every
+playout at its round.
+The rules are written over many predictions (``play_linear``,
+``play_general``), each with its own playout and the history its round saw.
+A caller names the predictions it wants: ``RelaxGeneralLearner.predictions``
+several in the current round, ``RelaxGeneralLearner.play`` one in each round
+of a run known ahead; either is answered up to ``RUN_ELEMENTS`` at a time.
 For linear loss the outer problem collapses to a closed form needing two
 oracle calls; in general the interval is discretized into ceil(2 L sqrt(T))
 labels and the outer minimization runs a three-point convex search.
@@ -272,10 +272,11 @@ def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
 class RelaxGeneralLearner:
     """Improper learner: a fresh playout per prediction, predictions via ``rule``.
 
-    Playouts are drawn a block at a time: up to ``BLOCK`` of them, as many
-    per round as the last complete round asked for (one at a time until a
-    round is complete), and none past round T.  A prediction whose round is
-    not the block's next one draws a new block.
+    A call names the predictions it answers: ``per_round`` in each of ``rounds`` rounds
+    from the current one (``predictions``: several in this round; ``play``: one in each
+    round of a run).  It takes the playout block's next entries when they are for exactly
+    those rounds, and otherwise draws a new block of at least ``BLOCK // per_round``
+    rounds, none past round T; the rest of the old block is never used.
     """
 
     name = "relax-general"
@@ -292,68 +293,59 @@ class RelaxGeneralLearner:
         self.rng = rng
         self.state = RelaxState(loss, T, sigma, k=k)
         self._playouts: Optional[PlayoutDraw] = None  # the current block
-        self._next = 0       # its next unused playout
-        self._asked = 0      # predictions asked in the current round
-        self._per_round = 0  # predictions asked in the last complete round
-        # rounds of a run played at once: their (rounds x branches x H) objectives stay small
+        self._next = 0  # its next unused playout
+        # predictions answered at once: their (predictions x branches x H) objectives stay small
         self._chunk = max(1, RUN_ELEMENTS // (self.branches * max(len(klass), self.branches)))
 
     @property
     def branches(self) -> int:
-        """Labels branched on, and oracle calls made, per round."""
+        """Labels branched on, and oracle calls made, per prediction."""
         return len(self.state.grid)
 
     def predict(self, x_t: ContextBlock) -> float:
-        playouts, index, _ = self._playouts_ahead(1)
-        self._asked += 1
-        return _one_round(self.rule, self.state, playouts, x_t, self.oracle, index)
+        return float(self.predictions(x_t)[0])
+
+    def predictions(self, contexts: ContextBlock) -> np.ndarray:
+        """One prediction per context, all in the current round, each with its own playout,
+        over the oracle's history."""
+        values = self.klass.evaluate_block(contexts)
+        history = self.oracle.prefix[None, :].repeat(len(contexts), axis=0)
+        return self._answer(values, history, len(contexts), 1)
 
     def play(self, contexts: ContextBlock, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A run of whole rounds, one prediction each, whose contexts and labels are known
         ahead: the predictions, playouts and oracle calls of ``predict`` then ``observe``
-        round by round.  The class is evaluated once on the run's contexts, the history
-        each round saw comes from one cumulative sum, and up to ``self._chunk`` rounds of a
-        playout block answer their branch queries at once.  Returns the predictions and the
+        round by round.  The class is evaluated once on the run's contexts, and the history
+        each round saw comes from one cumulative sum.  Returns the predictions and the
         oracle calls made by the end of each round."""
         values, calls = self.klass.evaluate_block(contexts), self.oracle.calls
-        seen = self.oracle.extend_run(values, labels)
-        predictions = np.empty(len(labels))
-        i = 0
-        while i < len(labels):
-            playouts, index, m = self._playouts_ahead(min(self._chunk, len(labels) - i))
-            predictions[i:i + m] = self.rule(self.state, playouts, values[:, i:i + m],
-                                             self.oracle, index, seen[i:i + m])
-            self.state.t += m
-            self._per_round, self._asked = 1, 0
-            i += m
+        predictions = self._answer(values, self.oracle.extend_run(values, labels)[:-1], 1,
+                                   len(labels))
+        self.state.t += len(labels)
         return predictions, calls + self.branches * np.arange(1, len(labels) + 1)
 
-    def _playouts_ahead(self, rounds: int) -> tuple[PlayoutDraw, int, int]:
-        """The block and index of the current round's next playout, drawing a new block
-        where the current one cannot serve it, and how many of the next ``rounds`` rounds,
-        one prediction each, take the block's playouts from that index on."""
-        rounds_left = self.state.rounds_left
-        block = self._playouts
-        if block is None or self._next == len(block.rounds_left) or \
-                block.rounds_left[self._next] != rounds_left:
-            self._playouts, self._next = self._draw_block(rounds_left), 0
-        index = self._next
-        ahead = self._playouts.rounds_left[index:index + rounds]
-        # a block's entries fall by at most one each, so if the last of them matches its round
-        # they all do; otherwise the round alone, and the next one looks again
-        m = len(ahead) if ahead[-1] == rounds_left + 1 - len(ahead) else 1
-        self._next += m
-        return self._playouts, index, m
-
-    def _draw_block(self, rounds_left: int) -> PlayoutDraw:
-        per_round = self._per_round
-        rounds = max(1, min(BLOCK // per_round, rounds_left + 1)) if per_round else 1
-        block = np.repeat(np.arange(rounds_left, rounds_left - rounds, -1), max(per_round, 1))
-        return draw_playout(self.cells, block, self.state.k, self.rng, self.values)
+    def _answer(self, values: np.ndarray, history: np.ndarray, per_round: int,
+                rounds: int) -> np.ndarray:
+        """The rule's predictions at the contexts whose class values are ``values``, over
+        ``history``: ``per_round`` in each of the next ``rounds`` rounds, each with its own
+        playout, up to ``self._chunk`` at once."""
+        rounds_left, n, block = self.state.rounds_left, per_round * rounds, self._playouts
+        ahead = [] if block is None else block.rounds_left[self._next:self._next + n].tolist()
+        if ahead != [rounds_left - i // per_round for i in range(n)]:
+            size = min(max(rounds, BLOCK // per_round), rounds_left + 1)
+            block = draw_playout(self.cells, np.arange(rounds_left, rounds_left - size, -1)
+                                 .repeat(per_round), self.state.k, self.rng, self.values)
+            self._playouts, self._next = block, 0
+        index, self._next = self._next, self._next + n
+        predictions = np.empty(n)
+        for i in range(0, n, self._chunk):
+            chunk = slice(i, i + self._chunk)
+            predictions[chunk] = self.rule(self.state, block, values[:, chunk], self.oracle,
+                                           index + i, history[chunk])
+        return predictions
 
     def observe(self, context: ContextBlock, label: float) -> None:
         self.state.observe(context, label, self.oracle)
-        self._per_round, self._asked = self._asked, 0
 
 
 class RelaxLinearLearner(RelaxGeneralLearner):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from smoothol.core import ContextBlock, FiniteMeasure, GroundSet, TableClass
+from smoothol.relaxation import RelaxGeneralLearner, draw_playout, predict_general
 
 
 @pytest.fixture
@@ -37,6 +38,13 @@ def sample(mu, rng: np.random.Generator, size: int = 1) -> ContextBlock:
     return mu.sample_block(rng, size) if mu.finite else ContextBlock(coords=rng.random(size))
 
 
+def plain(state):
+    """A generator state with its arrays as lists, comparable with ==."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
 class OnDoubles:
     """A generator whose ``random(size)`` returns the given doubles; every other draw is
     ``rng``'s."""
@@ -50,3 +58,18 @@ class OnDoubles:
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
+
+
+class OnePlayoutAtATime(RelaxGeneralLearner):
+    """Reference relaxation learner: every prediction draws its own playout when it is
+    asked, none ahead; ``round_rule`` is ``predict_general`` or ``predict_linear``."""
+
+    round_rule = staticmethod(predict_general)
+
+    def predict(self, x_t):
+        playout = draw_playout(self.cells, self.state.rounds_left, self.state.k, self.rng,
+                               self.values)
+        return self.round_rule(self.state, playout, x_t, self.oracle)
+
+    def predictions(self, contexts):
+        return np.array([self.predict(contexts[i:i + 1]) for i in range(len(contexts))])

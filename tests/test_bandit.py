@@ -30,6 +30,9 @@ from smoothol.core import (
 )
 from smoothol.ftpl import FtplLearner, schedule
 from smoothol.oracle import ErmOracle
+from smoothol.relaxation import RelaxGeneralLearner
+
+from conftest import OnePlayoutAtATime
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +213,6 @@ def test_square_cb_realizable_mean_structure():
 
 
 def test_relax_regressor_runs_inside_reduction():
-    from smoothol.relaxation import RelaxGeneralLearner
-
     atoms, K, T = 6, 2, 6
     class_rng = make_rng(88, 0)
     values = class_rng.random((3, atoms, K))
@@ -239,8 +240,8 @@ def test_out_of_range_predictions_are_clamped_with_warning(caplog):
             self.klass = klass
             self.oracle = type("O", (), {"calls": 0})()
 
-        def predict(self, point):
-            return 1.3  # deliberately outside [0, 1]
+        def predictions(self, contexts):
+            return np.full(len(contexts), 1.3)  # deliberately outside [0, 1]
 
         def observe(self, point, label):
             pass
@@ -285,8 +286,6 @@ def test_run_bandit_experiment_keeps_its_rng_streams(regressor):
     """The config path draws exactly what pieces built by hand on the documented
     streams draw: adversary (seed, 0), regressor (seed, 1), actions (seed, 2),
     class (class_seed, 9)."""
-    from smoothol.relaxation import RelaxGeneralLearner
-
     K, atoms, H, T, sigma, class_seed = 2, 6, 3, 25, 0.5, 5
     raw = {"K": K, "sigma": sigma, "T": T, "seeds": [0, 3], "regressor": regressor,
            "ground": {"atoms": atoms}, "class": {"type": "random_product", "H": H},
@@ -322,7 +321,9 @@ def test_run_bandit_experiment_keeps_its_rng_streams(regressor):
 
 def _reference_square_cb(context_adversary, regressor, K, T, f_star, gamma, rng):
     """SquareCB drawn round by round, with every round's predictions and IGW law
-    computed afresh: the loop that ``run_square_cb`` must reproduce bit for bit."""
+    computed afresh, an improper regressor's one action at a time (with
+    ``OnePlayoutAtATime``, each drawing its playout then), and each round written as a
+    one-row ``extend``: the loop that ``run_square_cb`` must reproduce bit for bit."""
     traj = Trajectory(T)
     greedy = np.argmin(f_star, axis=1)
     reg_cb = 0.0
@@ -350,16 +351,16 @@ def _reference_square_cb(context_adversary, regressor, K, T, f_star, gamma, rng)
         pair, observed = ContextBlock(ids=joint_ids[action:action + 1]), float(row_losses[action])
         regressor.observe(pair, observed)
         miss = float(preds[action]) - observed
-        traj.append(pair, observed, float(preds[action]), miss * miss, regressor.oracle.calls)
+        traj.extend(pair, [observed], [float(preds[action])], [miss * miss],
+                    [regressor.oracle.calls])
         reg_cb += observed - row_losses[greedy[x_id]]
     return traj, float(reg_cb), finalize_regret(traj, regressor.klass, square_loss())
 
 
-def _loop_pieces(regressor, K, seed, clamped, atoms=5, H=3, T=150):
+def _loop_pieces(regressor, K, seed, clamped, atoms=5, H=3, T=150, relax=RelaxGeneralLearner):
     """Pieces on a fresh seed each call, so two runs see the same streams.  With
-    ``clamped`` the class's table has negative entries, which the loop clamps."""
-    from smoothol.relaxation import RelaxGeneralLearner
-
+    ``clamped`` the class's table has negative entries, which the loop clamps; ``relax``
+    is the class of a relax-general regressor."""
     values = make_rng(90, K).random((H, atoms, K))
     if clamped:
         values[1:] = 2.0 * values[1:] - 1.0  # values in [-1, 1): not a product class
@@ -374,8 +375,8 @@ def _loop_pieces(regressor, K, seed, clamped, atoms=5, H=3, T=150):
                               oracle, make_rng(seed, 1))
     else:
         T = 20  # K * |S| oracle calls a round
-        learner = RelaxGeneralLearner(klass, square_loss(), product_measure(mu_x, K), T,
-                                      sigma_joint, oracle, make_rng(seed, 1), k=2)
+        learner = relax(klass, square_loss(), product_measure(mu_x, K), T, sigma_joint, oracle,
+                        make_rng(seed, 1), k=2)
     f_star = np.clip(values[0], 0.0, 1.0)
     return adversary, learner, K, T, f_star, 6.0, make_rng(seed, 2)
 
@@ -386,7 +387,7 @@ def _loop_pieces(regressor, K, seed, clamped, atoms=5, H=3, T=150):
 def test_square_cb_matches_the_per_round_loop(regressor, K, clamped, caplog):
     with caplog.at_level(logging.WARNING):
         want_traj, want_cb, want_sq = _reference_square_cb(
-            *_loop_pieces(regressor, K, 7, clamped))
+            *_loop_pieces(regressor, K, 7, clamped, relax=OnePlayoutAtATime))
         want_warnings = [rec.getMessage() for rec in caplog.records]
         caplog.clear()
         result = run_square_cb(*_loop_pieces(regressor, K, 7, clamped))

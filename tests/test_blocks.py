@@ -51,7 +51,7 @@ from smoothol.relaxation import (
     predict_linear,
 )
 
-from conftest import sample
+from conftest import OnePlayoutAtATime, plain, sample
 
 LOSSES = [linear_loss(), absolute_loss(), scaled_square_loss()]
 
@@ -188,17 +188,6 @@ def test_equal_table_values_give_equal_row_sums():
 # the relaxation: the stream of drawing every playout at its round
 # ---------------------------------------------------------------------------
 
-class _OnePlayoutAtATime(RelaxGeneralLearner):
-    """Reference: every prediction draws its own playout, as the learner once did."""
-
-    round_rule = staticmethod(predict_general)
-
-    def predict(self, x_t):
-        playout = draw_playout(self.cells, self.state.rounds_left, self.state.k, self.rng,
-                               self.values)
-        return self.round_rule(self.state, playout, x_t, self.oracle)
-
-
 @pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
 @pytest.mark.parametrize("rule", [predict_linear, predict_general], ids=["linear", "general"])
 def test_relaxation_predictions_equal_one_playout_per_round(rule, interval):
@@ -206,7 +195,7 @@ def test_relaxation_predictions_equal_one_playout_per_round(rule, interval):
     loss, T = (linear_loss(), 150) if rule is predict_linear else (absolute_loss(), 140)
     learners = [cls(klass, loss, mu, T, 0.2, ErmOracle(klass, loss), make_rng(54, 0))
                 for cls in (RelaxLinearLearner if rule is predict_linear else RelaxGeneralLearner,
-                            _OnePlayoutAtATime)]
+                            OnePlayoutAtATime)]
     learners[1].round_rule = rule
     rng = make_rng(54, 1)
     for _ in range(T):
@@ -218,8 +207,97 @@ def test_relaxation_predictions_equal_one_playout_per_round(rule, interval):
             learner.observe(x, y)
 
 
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
+@pytest.mark.parametrize("rule", [predict_linear, predict_general], ids=["linear", "general"])
+def test_predictions_equal_one_context_predictions_drawing_no_playout_ahead(rule, interval, K):
+    """A round's K predictions from one ``predictions`` call against K ``predict`` calls of
+    the reference, which draws each playout when it is asked: bit for bit, with equal oracle
+    calls, branch values and generator states, at horizons around the block."""
+    klass, mu = _space(interval)
+    loss = linear_loss() if rule is predict_linear else absolute_loss()
+    for T in (1, 63, 64, 65, 130):
+        learners = [cls(klass, loss, mu, T, 0.2, ErmOracle(klass, loss), make_rng(60, T))
+                    for cls in (RelaxLinearLearner if rule is predict_linear
+                                else RelaxGeneralLearner, OnePlayoutAtATime)]
+        learner, reference = learners
+        reference.round_rule = rule
+        rng = make_rng(61, T)
+        for _ in range(T):
+            contexts, y = sample(mu, rng, K), float(rng.choice([-1.0, 1.0]))
+            got = learner.predictions(contexts)
+            want = np.array([reference.predict(contexts[i:i + 1]) for i in range(K)])
+            assert got.tobytes() == want.tobytes()
+            assert learner.oracle.calls == reference.oracle.calls
+            assert learner.state.last_branch_values == reference.state.last_branch_values
+            for each in learners:
+                each.observe(contexts[:1], y)
+        assert plain(learner.rng.bit_generator.state) == plain(reference.rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_ftpl_predictions_are_the_selected_hypothesis_at_each_context(K):
+    klass, mu = _space(True)
+    loss = linear_loss()
+    sched = schedule(20, 0.2, L=loss.lipschitz_L, variant="classification")
+    learner = FtplLearner("classification", klass, loss, mu, sched, ErmOracle(klass, loss),
+                          make_rng(62, 0))
+    rng = make_rng(62, 1)
+    with pytest.raises(RuntimeError, match="select"):
+        learner.predictions(sample(mu, rng, K))
+    for _ in range(20):
+        h, contexts = learner.select(), sample(mu, rng, K)
+        got = learner.predictions(contexts)
+        assert got.tobytes() == klass.evaluate_block(contexts)[h].tobytes()
+        assert got.tolist() == [learner.predict(contexts[i:i + 1]) for i in range(K)]
+        learner.observe(contexts[:1], 1.0)
+
+
+def test_no_drawn_playout_answers_twice(monkeypatch):
+    """A second ``predict`` in one round, and ``play`` after a partly used ``predictions``
+    block, take playouts no call has taken, each drawn for its own round; the rest of a
+    block left behind is never used."""
+    klass, mu = _space(False)
+    loss, T = linear_loss(), 12
+    learner = RelaxLinearLearner(klass, loss, mu, T, 0.2, ErmOracle(klass, loss),
+                                 make_rng(63, 0))
+    drawn = _spy(monkeypatch, relaxation, "draw_playout")
+    taken, rule = [], learner.rule  # (block, index, its rounds_left) of each playout answered
+
+    def spy(state, playout, values, oracle, index, history):
+        block = next(b for b, p in enumerate(drawn) if p is playout)
+        taken.extend((block, i, playout.rounds_left[i])
+                     for i in range(index, index + values.shape[1]))
+        return rule(state, playout, values, oracle, index, history)
+
+    learner.rule = spy
+    rng = make_rng(63, 1)
+
+    def answered(calls, rounds_left):
+        """The last ``calls`` playouts were for these rounds, and none was taken twice."""
+        assert [left for *_, left in taken[-calls:]] == rounds_left
+        assert len({(block, i) for block, i, _ in taken}) == len(taken)
+
+    x = sample(mu, rng)
+    learner.predict(x)
+    learner.predict(x)  # a second prediction in round 1 draws a new block
+    answered(2, [T - 1] * 2)
+    assert len(drawn) == 2
+    learner.observe(x, 1.0)
+    learner.predictions(sample(mu, rng, 3))  # round 2 draws 3 playouts a round
+    answered(3, [T - 2] * 3)
+    assert len(drawn) == 3
+    learner.observe(x, -1.0)
+    learner.predictions(sample(mu, rng, 2))  # round 3 takes two of its three
+    answered(2, [T - 3] * 2)
+    learner.observe(x, 1.0)
+    learner.play(sample(mu, rng, 3), np.array([1.0, -1.0, 1.0]))  # rounds 4..6: a new block
+    answered(3, [T - 4, T - 5, T - 6])
+    assert len(drawn) == 4 and drawn[-1].rounds_left.tolist() == list(range(T - 4, -1, -1))
+
+
 def _bandit_relax(cls, T):
-    """The run's trajectory and every prediction its regressor made, in order."""
+    """The run's trajectory and the predictions of each of its regressor's calls, in order."""
     atoms, K = 6, 3
     values = make_rng(55, 0).random((4, atoms, K))
     klass = product_class(values)
@@ -228,24 +306,30 @@ def _bandit_relax(cls, T):
                              make_rng(55, 1))
     regressor = cls(klass, square_loss(), product_measure(mu_x, K), T, compose_smoothness(0.5, K),
                     ErmOracle(klass, square_loss()), make_rng(55, 2), k=3)
-    predictions, predict = [], regressor.predict
-    regressor.predict = lambda x: predictions.append(predict(x)) or predictions[-1]
+    asked, answer = [], regressor.predictions
+
+    def spy(contexts):
+        asked.append(answer(contexts).tolist())
+        return np.array(asked[-1])
+
+    regressor.predictions = spy
     result = run_square_cb(adversary, regressor, K=K, T=T, f_star=values[0], gamma=10.0,
                            rng=make_rng(55, 3))
-    return result.trajectory, predictions
+    return result.trajectory, asked
 
 
 def test_bandit_relax_regressor_gets_a_fresh_playout_per_prediction(monkeypatch):
-    """K predictions per round, each with its own playout: the first round one at a time,
-    then K per round of each block, with the stream of drawing them one by one."""
+    """One call for a round's K predictions, each with its own playout: blocks of
+    BLOCK // K rounds, K playouts each, with the stream of drawing them one by one."""
     T = 40
     drawn = _spy(monkeypatch, relaxation, "draw_playout")
-    traj, predictions = _bandit_relax(RelaxGeneralLearner, T)
+    traj, asked = _bandit_relax(RelaxGeneralLearner, T)
     rounds_left = np.concatenate([np.atleast_1d(p.rounds_left) for p in drawn])
     assert np.array_equal(rounds_left, np.repeat(np.arange(T - 1, -1, -1), 3))
-    assert [np.size(p.rounds_left) for p in drawn] == [1, 1, 1, 63, 54]
-    reference_traj, reference = _bandit_relax(_OnePlayoutAtATime, T)
-    assert len(predictions) == T * 3 and predictions == reference  # bit for bit
+    assert [np.size(p.rounds_left) for p in drawn] == [63, 57]
+    assert [len(a) for a in asked] == [3] * T
+    reference_traj, reference = _bandit_relax(OnePlayoutAtATime, T)
+    assert asked == reference  # bit for bit
     assert np.array_equal(traj.ids, reference_traj.ids)  # the chosen (x, a) pairs
 
 
@@ -361,9 +445,9 @@ def test_block_buffers_hold_the_same_bytes_at_any_horizon(variant):
         if variant == "relax-linear":
             learner = RelaxLinearLearner(klass, loss, mu, T, 0.2, oracle, rng)
             x = mu.sample_point(rng)
-            learner.predict(x)  # the first round's playout is drawn alone,
+            learner.predict(x)  # a block of BLOCK rounds, the second of which is next
             learner.observe(x, 1.0)
-            learner.predict(x)  # then a block of BLOCK rounds
+            learner.predict(x)
             playouts = learner._playouts
             assert len(playouts.rounds_left) == BLOCK
             held.append(_held_bytes(learner.state.playout_query(playouts), playouts.signs,
@@ -422,4 +506,4 @@ def test_no_learner_draws_past_the_horizon(monkeypatch):
         learner.predict(x)
         learner.observe(x, 1.0)
     assert [p.rounds_left.tolist() for p in playouts] == [
-        [T - 1], list(range(T - 2, T - 2 - BLOCK, -1)), list(range(T - 2 - BLOCK, -1, -1))]
+        list(range(T - 1, T - 1 - BLOCK, -1)), list(range(T - 1 - BLOCK, -1, -1))]

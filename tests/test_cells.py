@@ -158,7 +158,7 @@ def test_threshold_grid_table_has_one_cell_per_gap(monkeypatch):
         x = FiniteMeasure.uniform(ground).sample_point(make_rng(31, 1 + t))
         learner.predict(x)
         learner.observe(x, 1.0)
-    assert len(drawn) == 2  # round 1 alone, then rounds 2..6 as one block
+    assert len(drawn) == 1  # rounds 1..6 as one block
     assert all(playout.contexts is learner.cells.atoms for playout in drawn)
 
 

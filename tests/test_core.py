@@ -107,10 +107,12 @@ def test_table_class_domain_mismatch():
 
 
 @pytest.mark.parametrize("method", ["evaluate_block", "identity_dot"])
-@pytest.mark.parametrize("ids", [[-1], [2], [0, -1, 1], [1, 2, 0]],
-                         ids=["one-row-minus-1", "one-row-width", "rows-minus-1", "rows-width"])
+@pytest.mark.parametrize("ids", [[-1], [2], [0, -1, 1], [1, 2, 0], [0] * 64 + [-1], [1] * 64 + [2]],
+                         ids=["one-row-minus-1", "one-row-width", "rows-minus-1", "rows-width",
+                              "long-rows-minus-1", "long-rows-width"])
 def test_table_class_rejects_ids_outside_the_table(method, ids):
-    """Id -1 would wrap to the last atom in ``take``; id = width is past the end."""
+    """Id -1 would wrap to the last atom in ``take``; id = width is past the end.  Up to
+    ``BLOCK`` rows are checked in Python, longer blocks by numpy reductions."""
     klass = TableClass(np.array([[1.0, -1.0], [0.5, 0.25]]))  # width 2
     block = ContextBlock(ids=np.array(ids))
     args = (block,) if method == "evaluate_block" else (block, np.ones(len(ids)))
@@ -188,7 +190,7 @@ def test_loss_scalar_and_array_forms_are_bit_equal(name):
 def _trace(rows):
     trace = Trajectory(len(rows))
     for i, (ctx, y, yhat, inst) in enumerate(rows, start=1):
-        trace.append(ctx, y, yhat, inst, oracle_calls=i)
+        trace.extend(ctx, [y], [yhat], [inst], [i])
     return trace
 
 
@@ -244,7 +246,7 @@ def test_regret_curve_chunks_match_per_round_recurrence():
         ctx = atom(klass.ground, int(rng.integers(9)))
         y, yhat = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
         inst = loss.evaluate(yhat, y)
-        trace.append(ctx, y, yhat, inst, oracle_calls=t)
+        trace.extend(ctx, [y], [yhat], [inst], [t])
         comparator += loss.evaluate_array(
             klass.evaluate_block(ctx)[:, 0], y)
         cum_loss += inst
@@ -257,8 +259,9 @@ def test_regret_curve_chunks_match_per_round_recurrence():
 
 def test_trajectory_columns_hold_ids_and_coordinates():
     trace = Trajectory(3)
-    trace.append(ContextBlock(ids=np.array([2]), coords=np.array([0.5])), 1.0, 0.25, 0.375, 1)
-    trace.append(ContextBlock(coords=np.array([0.75])), -1.0, -0.5, 0.25, 1)
+    trace.extend(ContextBlock(ids=np.array([2]), coords=np.array([0.5])), [1.0], [0.25], [0.375],
+                 [1])
+    trace.extend(ContextBlock(coords=np.array([0.75])), [-1.0], [-0.5], [0.25], [1])
     assert len(trace) == 2
     assert trace.ids[:2].tolist() == [2, -1]
     assert trace.coords[:2].tolist() == [0.5, 0.75]
@@ -299,11 +302,15 @@ def test_regret_lower_bounds(sign_constants):
 
 
 def test_oracle_call_counter_must_be_nondecreasing():
-    trace = Trajectory(2)
+    trace = Trajectory(3)
     ctx = ContextBlock(ids=np.array([0]), coords=np.array([0.0]))
-    trace.append(ctx, 1.0, 1.0, 0.0, oracle_calls=5)
-    with pytest.raises(ValueError):
-        trace.append(ctx, 1.0, 1.0, 0.0, oracle_calls=4)
+    trace.extend(ctx, [1.0], [1.0], [0.0], [5])
+    with pytest.raises(ValueError):  # against the last round written
+        trace.extend(ctx, [1.0], [1.0], [0.0], [4])
+    pair = ContextBlock(ids=np.array([0, 0]), coords=np.array([0.0, 0.0]))
+    with pytest.raises(ValueError):  # within a run
+        trace.extend(pair, [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [7, 6])
+    assert len(trace) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -857,6 +857,135 @@ def test_config_fuzzer_refuses_an_unknown_key_naming_it(command, section):
     assert err.startswith("config error:") and f"{section}.colour".lstrip(".") in err, err
 
 
+# ---------------------------------------------------------------------------
+# config fuzzer: configs drawn from the tables run on the paper's budget or are refused
+# ---------------------------------------------------------------------------
+
+# drawn numbers stay in these ranges (within each row's bounds), so that every run is small
+_CAPS = {"T": (1, 25), "seeds": (0, 99), "sigma": (0.05, 1.0),
+         "atoms": (1, 40), "m": (1, 8), "H": (1, 8), "k": (1, 8), "n": (1, 40),
+         "eta": (0.0, 4.0), "epsilon": (0.05, 1.0), "zeta": (0.0, 0.2), "p": (-2.0, 2.0),
+         "beta": (-2.0, 2.0), "scale": (0.1, 2.0), "threshold": (-1.5, 1.5),
+         "flip_prob": (0.0, 1.0), "K": (1, 3), "class_seed": (0, 99), "gamma": (0.1, 100.0)}
+_LIPSCHITZ = {"linear": 0.5, "absolute": 0.5, "square": 2.0, "scaled_square": 1.0}
+
+
+def _draw_number(rng, section, key):
+    """A value for the NUMBERS row (section, key): a bound, or a draw between the caps."""
+    low, high, kind = next(row[2:] for row in NUMBERS if row[:2] == (section, key))
+    lo, hi = max(low, _CAPS[key][0]), min(high, _CAPS[key][1])
+    if kind is int:
+        return int(rng.integers(lo, hi + 1))
+    return float(rng.choice([lo, hi])) if rng.random() < 0.2 else float(rng.uniform(lo, hi))
+
+
+def _draw_spec(rng, section, kind, skip=()):
+    """A section naming ``kind``, with each number it reads set at even odds."""
+    spec = {KINDS[section][0]: kind}
+    for key in KINDS[section][2][kind].split():
+        if key not in skip and rng.random() < 0.5 and any(row[:2] == (section, key)
+                                                          for row in NUMBERS):
+            spec[key] = _draw_number(rng, section, key)
+    return spec
+
+
+def _draw_run(rng):
+    """A run config of every kind the tables name, and its oracle calls per round.  The
+    ground follows the adversary where only one type serves it, and a table class needs a
+    grid; every other combination is drawn, and some of them are refused."""
+    pick = lambda section, kinds=None: str(rng.choice(kinds or list(KINDS[section][2])))
+    adversary = _draw_spec(rng, "adversary", pick("adversary"))
+    ground = {"hidden_mu_threshold": "interval", "adaptive_mixture": "grid",
+              "rademacher_gap": "grid"}.get(adversary["kind"]) or pick("ground")
+    ground = _draw_spec(rng, "ground", ground)
+    if ground["type"] == "grid":
+        ground["atoms"] = _draw_number(rng, "ground", "atoms")
+        klass = {"type": "table" if adversary["kind"] == "rademacher_gap"
+                 else pick("class", NAMED["run"]["class"])}
+    else:
+        klass = {"type": "thresholds"}
+    if klass["type"] == "thresholds":
+        klass["m"] = _draw_number(rng, "class", "m")
+    else:  # binary or real values on the grid's atoms; the Rademacher gap's x* is atom 0
+        values = rng.uniform(-1.0, 1.0, (_draw_number(rng, "class", "H"), ground["atoms"]))
+        values = np.sign(values) if rng.random() < 0.5 else values
+        if adversary["kind"] == "rademacher_gap":
+            values[:, 0] = 0.0
+        klass["values"] = values.tolist()
+    if "labels" in KINDS["adversary"][2][adversary["kind"]].split() and rng.random() < 0.8:
+        adversary["labels"] = _draw_spec(rng, "adversary.labels", pick("adversary.labels"))
+    if adversary["kind"] == "iid" and ("beta" in adversary or rng.random() < 0.5):
+        adversary["p"] = "tilted"  # refused on the interval
+    learner, loss = pick("learner"), pick("learner", list(LOSSES))
+    T = _draw_number(rng, "", "T")
+    # ftpl-single's eta follows its n
+    spec = _draw_spec(rng, "learner", learner, skip=("eta",) if learner == "ftpl-single" else ())
+    raw = {"learner": spec, "adversary": adversary, "class": klass, "loss": loss, "T": T,
+           "sigma": _draw_number(rng, "", "sigma"), "seeds": [_draw_number(rng, "", "seeds")],
+           "ground": ground}
+    if rng.random() < 0.2:
+        raw["checkpoints"] = [int(rng.integers(1, T + 1))]
+    budget = {"relax-linear": 2, "relax-general": _labels_per_round(_LIPSCHITZ[loss], T)}
+    return raw, budget.get(learner, 1)
+
+
+def _labels_per_round(L, T):
+    """|S|, the relaxation's label grid: max(2, ceil(2 L sqrt(T)))."""
+    return max(2, math.ceil(2.0 * L * math.sqrt(T) - 1e-9))
+
+
+def _draw_bandit(rng, regressor, K):
+    """A bandit config with this regressor and K actions, and its oracle calls per round."""
+    T, atoms = _draw_number(rng, "", "T"), _draw_number(rng, "ground", "atoms")
+    raw = {"K": K, "T": T, "sigma": _draw_number(rng, "", "sigma"), "regressor": regressor,
+           "seeds": [_draw_number(rng, "", "seeds")], "ground": {"atoms": atoms}}
+    if rng.random() < 0.5:
+        raw["class"] = {"type": "random_product", "H": _draw_number(rng, "class", "H")}
+    else:
+        raw["class"] = {"type": "table", "values": rng.random(
+            (_draw_number(rng, "class", "H"), atoms, K)).tolist()}
+    for section, key in (("learner", "k"), ("bandit", "class_seed"), ("bandit", "gamma")):
+        if rng.random() < 0.5:
+            raw[key] = _draw_number(rng, section, key)
+    if rng.random() < 0.5:  # an index past H is refused
+        raw["f_star_index"] = int(rng.integers(0, 5))
+    return raw, 1 if regressor == "ftpl-dual" else K * _labels_per_round(2.0, T)
+
+
+def _draws():
+    """(command, raw config, oracle calls per round): 200 run configs, then 6 bandit configs
+    for each regressor and K in {1, 2, 3}; the same draws at every call."""
+    rng = np.random.default_rng(2025)
+    for _ in range(200):
+        yield ("run", *_draw_run(rng))
+    for regressor in NAMED["bandit"]["learner"]:
+        for K in (1, 2, 3):
+            for _ in range(6):
+                yield ("bandit", *_draw_bandit(rng, regressor, K))
+
+
+def test_config_fuzzer_runs_drawn_configs_on_the_paper_oracle_budget():
+    """Each drawn config exits 2 with a config error, or exits 0 silently having made exactly
+    its oracle calls per round: 2 for relax-linear, |S| for relax-general and 1 for FTPL, and
+    for a bandit 1 (ftpl-dual) or K |S| at L = 2 (relax-general).  None exits 1 or 3, and
+    none raises a RuntimeWarning."""
+    ran = {"run": 0, "bandit": 0}
+    for command, raw, per_round in _draws():
+        with tempfile.TemporaryDirectory() as out:
+            rc, err = _exit_of(command, {**raw, "output_dir": out})
+            assert rc in (0, 2), (raw, rc, err)
+            if rc == 2:
+                assert err.startswith("config error:") and "Traceback" not in err, (raw, err)
+                continue
+            assert err == "", (raw, err)
+            name = "summary.json" if command == "run" else "bandit_summary.json"
+            summary = json.loads((Path(out) / name).read_text())
+        assert [row["oracle_calls"] for row in summary["per_seed"]] == \
+            [per_round * raw["T"]] * len(raw["seeds"]), raw
+        ran[command] += 1
+    assert ran["run"] >= 60 and ran["bandit"] >= 24, ran  # the draws reach the rounds
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
 def test_each_shipped_config_runs(tmp_path, capsys, path):
     raw = json.loads(path.read_text())

@@ -537,6 +537,5 @@ def test_relax_learner_round_trip_and_fresh_playouts(monkeypatch):
         yhat = learner.predict(x)
         assert -1 <= yhat <= 1
         learner.observe(x, 1.0)
-    # one fresh playout per round, shrinking with the horizon: the first round's alone,
-    # then the rest as one block that stops at round T
-    assert [p.rounds_left.tolist() for p in drawn] == [[4], [3, 2, 1, 0]]
+    # one fresh playout per round, shrinking with the horizon: one block that stops at round T
+    assert [p.rounds_left.tolist() for p in drawn] == [[4, 3, 2, 1, 0]]

@@ -2,7 +2,7 @@
 
 ``harness.run_seed`` hands a learner whole runs of an oblivious adversary's
 rounds through ``play``.  The reference here is the loop it replaced: select,
-next_round, predict, the checks, observe and append, one round at a time.
+next_round, predict, the checks, observe and a one-row extend, one round at a time.
 Both must give the same trace bytes, oracle-call column, branch values and
 generator states, and a run must never let a round see what comes after it.
 """
@@ -14,11 +14,13 @@ import json
 import numpy as np
 import pytest
 
-from smoothol import adversaries, ftpl, harness
+from smoothol import adversaries, ftpl, harness, relaxation
 from smoothol.cli import main as cli_main
 from smoothol.core import LOSSES, ContextBlock, LossFunction, Trajectory, make_rng, regret_curve
 from smoothol.harness import ExperimentConfig, InvariantViolation, build_pieces, run_seed
 from smoothol.oracle import ErmOracle
+
+from conftest import plain
 
 _NOISY = {"rule": "noisy_comparator", "threshold": 0.5, "flip_prob": 0.1}
 _RULES = {"noisy": _NOISY, "rademacher": {"rule": "rademacher"},
@@ -72,7 +74,7 @@ def _per_round(cfg, seed):
         if not (lo - 1e-9 <= instant <= hi + 1e-9):
             raise InvariantViolation(f"loss {instant} outside declared range at round {t}")
         learner.observe(context, label)
-        traj.append(context, label, yhat, instant, oracle.calls)
+        traj.extend(context, [label], [yhat], [instant], [oracle.calls])
         last_prediction = yhat
     return traj, regret_curve(traj, klass, loss)[0], learner, rngs
 
@@ -92,13 +94,6 @@ def _in_runs(cfg, seed, monkeypatch):
     return outcome.trajectory, outcome.regret, seen["learner"], seen["rngs"]
 
 
-def _plain(state):
-    """A generator state with its arrays as lists, comparable with ==."""
-    if isinstance(state, dict):
-        return {key: _plain(value) for key, value in state.items()}
-    return state.tolist() if isinstance(state, np.ndarray) else state
-
-
 def _assert_same(cfg, seed, monkeypatch):
     traj, regret, learner, rngs = _in_runs(cfg, seed, monkeypatch)
     want_traj, want_regret, want_learner, want_rngs = _per_round(cfg, seed)
@@ -110,7 +105,7 @@ def _assert_same(cfg, seed, monkeypatch):
     if hasattr(learner, "state"):
         assert learner.state.last_branch_values == want_learner.state.last_branch_values
     for rng, want in zip(rngs, want_rngs):
-        assert _plain(rng.bit_generator.state) == _plain(want.bit_generator.state)
+        assert plain(rng.bit_generator.state) == plain(want.bit_generator.state)
 
 
 @pytest.mark.parametrize("rule", _RULES)
@@ -255,6 +250,24 @@ def _round_starts():
             if cls.__module__ == module.__name__ and name in cls.__dict__]
 
 
+def _stops_at_round_one(monkeypatch, argv):
+    """``cli.main(argv)`` with every round-start method raising: it must stop there, before
+    any learner answers, observes or plays a round and before a trajectory row is written."""
+    def start(*args, **kwargs):
+        raise _RoundOne
+
+    work = []
+    for cls, name in _round_starts():
+        monkeypatch.setattr(cls, name, start)
+    for cls, name in [(Trajectory, "extend"),
+                      *((cls, name) for cls in (ftpl.FtplLearner, relaxation.RelaxGeneralLearner)
+                        for name in ("play", "predict", "predictions", "observe"))]:
+        monkeypatch.setattr(cls, name, lambda *args, name=name: work.append(name))
+    with pytest.raises(_RoundOne):
+        cli_main(argv)
+    assert work == []
+
+
 @pytest.mark.parametrize("learner, kind",
                          _on(["iid", "adaptive_mixture", "hidden_mu_threshold", "rademacher_gap"]))
 def test_the_first_round_starts_at_a_round_start_method(learner, kind, monkeypatch, tmp_path):
@@ -266,17 +279,14 @@ def test_the_first_round_starts_at_a_round_start_method(learner, kind, monkeypat
     cfg = _config(learner, adversary, ground, 5, klass)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
+    _stops_at_round_one(monkeypatch, ["run", "--config", str(path)])
 
-    def start(*args, **kwargs):
-        raise _RoundOne
 
-    work = []
-    for cls, name in _round_starts():
-        monkeypatch.setattr(cls, name, start)
-    for cls, name in [(Trajectory, "append"), (Trajectory, "extend"),
-                      *((type(build_pieces(cfg, make_rng(0), make_rng(0))[3]), name)
-                        for name in ("play", "predict", "observe"))]:
-        monkeypatch.setattr(cls, name, lambda *args, name=name: work.append(name))
-    with pytest.raises(_RoundOne):
-        cli_main(["run", "--config", str(path)])
-    assert work == []
+@pytest.mark.parametrize("regressor", ["ftpl-dual", "relax-general"])
+def test_the_first_bandit_round_starts_at_a_round_start_method(regressor, monkeypatch, tmp_path):
+    """SquareCB opens a round at the regressor's select (a proper one) or at the context's
+    next_round: no prediction, observation or trajectory row comes before either."""
+    path = tmp_path / "bandit.json"
+    path.write_text(json.dumps({"K": 2, "sigma": 0.5, "T": 5, "seeds": [0], "k": 2,
+                                "regressor": regressor, "ground": {"atoms": 4}}))
+    _stops_at_round_one(monkeypatch, ["bandit", "--config", str(path)])
