@@ -1,23 +1,12 @@
 """Smooth data sources: i.i.d. (the Rademacher-gap instance among them), adaptive-mixture,
 and the hidden-mu threshold adversary.
 
-Every adversary emits (context, label) pairs round by round and carries a
-smoothness certificate (sigma, mu).  On finite ground sets the conditional
-context distribution of each shipped kind keeps its density below 1/sigma
-with respect to mu: an i.i.d. adversary checks its explicit p when it is
-built, and the adaptive mixture holds its ratio at 1/sigma by construction.
-
-An i.i.d. or adaptive-mixture round takes two doubles: its context's, through
-the CDF of the round's context distribution, and its label's.  A label rule is
-one function ``rule(x, u, last_prediction)`` (see ``LabelRule``).  The rules are
-parametric (noisy comparator, Rademacher, adversarial flip); they do not
-exhaust what an unconstrained label adversary could do.
-
-``next_run`` hands the harness a run of rounds, the first from
-``next_round``.  An i.i.d. adversary whose rule is ``oblivious`` (it never
-reads the last prediction) adds the rest of its drawn-ahead block, since
-those rounds cannot depend on the learner; every other source's run is one
-round.
+Every adversary carries a smoothness certificate (sigma, mu).  On a finite ground set each
+shipped kind keeps its conditional context density at most 1/sigma with respect to mu: an
+i.i.d. adversary checks its explicit p when it is built, and the adaptive mixture holds its
+ratio at 1/sigma by construction.  ``next_run`` adds to a round from ``next_round`` only
+rounds that cannot depend on the learner, with the draws and labels ``next_round`` makes.
+README ("Smooth adversaries") describes the sources and label rules.
 """
 
 from __future__ import annotations
@@ -103,13 +92,8 @@ class Adversary:
 
 
 class IidAdversary(Adversary):
-    """Contexts i.i.d. from ``p``: mu, or an explicit p with density <= 1/sigma w.r.t. mu.
-
-    A round takes two doubles, its context's (through p's CDF) and its label's.
-    Rounds are drawn ``BLOCK`` at a time from ``rng.random((BLOCK, 2))``, so the
-    generator runs up to BLOCK - 1 rounds ahead; each label is made at its own
-    round, where the last prediction is known.
-    """
+    """Contexts i.i.d. from ``p``: mu, or an explicit p with density <= 1/sigma w.r.t. mu;
+    rounds are drawn ``BLOCK`` at a time, and each label at its own round."""
 
     def __init__(self, certificate: SmoothnessCertificate, label_rule: LabelRule,
                  rng: np.random.Generator, p: Optional[np.ndarray] = None):

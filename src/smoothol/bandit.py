@@ -1,12 +1,9 @@
-"""Smoothed contextual bandits: inverse-gap weighting over an online square-loss regressor.
+"""Smoothed contextual bandits: SquareCB's inverse-gap weighting over an online regressor.
 
-Contexts arrive sigma-smoothly over X; the pair (context, action) is then
-sigma/K-smooth with respect to mu x Unif([K]) because any action rule is
-1/K-smooth on [K].  The regressor -- one of this package's learners, run on
-the product class with square loss -- predicts a loss for every action in one
-``predictions`` call, the action is sampled by inverse-gap weighting, and the
-observed loss feeds back as a square-loss example on the chosen (context,
-action).  The rounds go to a ``Trajectory`` a block at a time.
+The regressor, one of this package's learners, runs with square loss on the product class
+over (context, action) pairs, which are sigma/K-smooth with respect to mu x Unif([K]); it
+makes one ``predictions`` call per round.  Outputs are those of drawing and computing
+everything round by round.
 """
 
 from __future__ import annotations
@@ -87,21 +84,12 @@ class BanditResult:
 def run_square_cb(context_adversary, regressor, K: int, T: int,
                   f_star: np.ndarray, gamma: float,
                   rng: np.random.Generator) -> BanditResult:
-    """SquareCB with a plugged-in online square-loss regressor.
+    """SquareCB with a plugged-in online square-loss regressor over the product class.
 
-    ``context_adversary`` yields sigma-smooth contexts over a finite ground
-    set; ``f_star`` is the (N, K) conditional-mean loss table, realizable
-    inside the regressor's class; losses are Bernoulli(f*(x, a)).
-    ``regressor`` is a learner over the product class (proper learners commit
-    once per round), asked for a round's K predicted losses in one
-    ``predictions`` call.  Actions are drawn by inverse-gap weighting of the
-    predicted losses.
-
-    No round's uniforms depend on the history, so they are drawn ``BLOCK``
-    rounds at a time (none past T), in the order per-round draws take them,
-    and each block's rounds are written to the trajectory in one ``extend``.
-    A proper regressor's predictions at x under hypothesis h are fixed, so
-    their clamped copy and IGW CDF are computed once per (h, x).
+    ``context_adversary`` yields sigma-smooth contexts over a finite ground set;
+    ``f_star`` is the (N, K) conditional-mean loss table, realizable inside the
+    regressor's class; losses are Bernoulli(f*(x, a)).  Actions are drawn by
+    inverse-gap weighting of the round's K predicted losses.
     """
     if K < 1:
         raise ValueError("K must be positive")

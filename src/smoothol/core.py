@@ -254,9 +254,7 @@ class HypothesisClass:
 
     Subclasses implement ``evaluate_block``, returning a C-contiguous
     (H, len(block)) array, so that equal value matrices sum in one order.
-    ``identity_dot`` is sum_i w_i f(x_i) for every f, the oracle's route for
-    identity rows that carry no value matrix; every learner's identity rows
-    lie on its fixed cells and carry ``evaluate_block`` of them, made once.
+    ``identity_dot`` is sum_i w_i f(x_i) for every f.
     """
 
     kind: str = "real"  # "binary" | "real"
@@ -271,15 +269,9 @@ class HypothesisClass:
         return self.evaluate_block(block) @ np.asarray(weights, dtype=np.float64)
 
     def cell_measure(self, mu) -> FiniteMeasure:
-        """``mu`` on cells where every hypothesis is constant, one representative atom
-        per cell with the cell's mass.
-
-        A cell of a finite ``mu`` is a maximal set of atoms with equal value
-        columns; its mass is their sum, its representative its first atom, and
-        cells follow their first atoms.  With every column distinct this is
-        ``mu`` itself; otherwise its ``sample_ids`` draws atoms by ``mu``'s own
-        method and returns the cells that hold them.
-        """
+        """``mu`` on cells where every hypothesis is constant: on a finite ``mu``, the
+        maximal sets of atoms with equal value columns, in the order of their first atoms,
+        each represented by its first atom with the set's mass; ``mu`` itself where none merge."""
         if not mu.finite:
             raise ValueError(f"{type(self).__name__} has no finite cell partition "
                              f"of the continuous base measure")

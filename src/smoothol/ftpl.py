@@ -1,49 +1,12 @@
 """Proper follow-the-perturbed-leader learners with Gaussian-process perturbations.
 
-The perturbation is a Gaussian process over the class, approximated through
-anchor points sampled from the base measure:
-
-    omega(f)  = (1/sqrt n) sum_i gamma_i f(Z_i)          (normalized)
-    omega'(f) = sum_j gamma'_j l(f(Z'_j), y'_j)           (unnormalized, label anchors)
-
-with gamma i.i.d. standard normal and label anchors y'_j uniform on an
-epsilon-grid.  Each round the learner commits, via a single weighted ERM
-call, to the hypothesis minimizing running loss plus a fresh perturbation --
-before the round's context is revealed.  The oracle holds the running loss
-as its history, so the call's query is the perturbation's row blocks alone.
-
-A process sees its anchors only through the sum S_c of gamma over each cell
-of the class's cell measure (each (cell, label) pair for omega'), and the
-approximate oracle's band through sum |gamma|.  Given the cell counts
-n_c ~ Multinomial(n, mu), S_c is N(0, n_c); with the band, it is the sum of
-the c-th run of n_c of n standard normals.  omega is always drawn this way,
-per cell, and omega' too with fewer (cell, label) pairs than anchors; the
-cells are fixed, so the learner evaluates the class on them once and every
-per-cell draw carries that value matrix to the oracle.
-
-Otherwise omega' is drawn per anchor, each anchor as the cell that holds a
-draw of mu made by mu's own method, and summed per cell before it reaches
-the oracle wherever the loss is a polynomial of degree d <= 2 in f on the
-class: any loss on a binary class (f = +/-1 makes it affine), and
-``loss.degree`` on a real one.  With l(f, y) = sum_k c_k(y) f^k,
-
-    omega'(f) = sum_k sum_c W_k[c] f(c)^k,  W_k[c] = sum_{j in cell c} gamma'_j c_k(y'_j),
-
-so the oracle takes identity rows over the cells' values 1, f, f^2 instead of
-H x n main-loss rows.  Every summed draw carries its rounds' sum |gamma|.
-
-The perturbations never read the history, so the learner draws them for up
-to ``core.BLOCK`` rounds at once (fewer when a round's arrays are large, and
-none past the schedule's horizon), with one call per kind of draw, and the
-oracle evaluates the block's rows together at its first round; each round
-still makes its one oracle call.  A run of rounds known ahead is played by
-``FtplLearner.play``: one value matrix on the run's contexts, the history
-each round saw from one cumulative sum, and one argmin per round of a
-block, with the approximate oracle's swaps still drawn round by round.
-
-Three variants ship, differing in which processes they add and how they are
-scaled; ``schedule`` returns each variant's parameter choices as a function of
-the horizon, smoothness, Lipschitz constant and class-complexity exponent.
+Oracle budget: one call per round.  Before a round's context arrives, the learner commits
+to the minimizer of its running loss, the oracle's history, plus a fresh perturbation, the
+query: eta * omega and omega' for ``dual``, one of them for ``classification`` and
+``single``.  Invariants: every route that draws a process (per cell, per anchor, summed per
+cell, a block of rounds at once) has the law of drawing every anchor from mu; a learner
+whose schedule sets T answers rounds 1..T and raises on a later one.  README ("Learners")
+gives the processes and their routes.
 """
 
 from __future__ import annotations
@@ -95,15 +58,9 @@ def epsilon_grid(eps: float, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
 
 @dataclass
 class GaussianPerturbation:
-    """n anchors as contexts with normal coefficients; labels present for omega'.
-
-    Drawn per anchor there is one context per anchor with an N(0, 1)
-    coefficient; drawn per cell there is one context per cell with the
-    cell's summed coefficients, N(0, n_c) given its anchor count n_c.  A
-    block of rounds has one row of coefficients per round, over contexts
-    (and labels) shared by every round or drawn per round, round-major.
-    ``abs_sum``, if given, is each round's sum |gamma| over the summed anchors.
-    """
+    """n anchors as contexts with normal coefficients, and labels for omega': one context
+    per anchor, or per cell with the cell's summed coefficient.  A block of rounds has one
+    row of coefficients per round; ``abs_sum``, if given, is each round's sum |gamma|."""
 
     contexts: ContextBlock
     coeffs: np.ndarray
@@ -135,9 +92,9 @@ class GaussianPerturbation:
         return 1.0 / math.sqrt(self.n)
 
 
-def fewer_cells(cells: FiniteMeasure, n: int, grid: Optional[np.ndarray] = None) -> bool:
+def fewer_cells(cells: FiniteMeasure, n: int, grid: np.ndarray) -> bool:
     """Whether the finite measure ``cells`` has fewer (cell, grid label) pairs than n."""
-    return cells.ground.size * (1 if grid is None else len(grid)) < n
+    return cells.ground.size * len(grid) < n
 
 
 def _pairs(mu, grid: np.ndarray) -> tuple[ContextBlock, np.ndarray]:
@@ -154,22 +111,11 @@ def draw_perturbation(mu: FiniteMeasure, n: int, rng: np.random.Generator,
                       rounds: Optional[int] = None,
                       sums: Optional["LabelAnchorSums"] = None,
                       band: bool = False) -> GaussianPerturbation:
-    """n anchors from the finite mu with N(0,1) coefficients; eps (or ``grid``) adds labels.
-
-    Per cell, the atoms of mu (a class's cell measure; times the grid labels)
-    are the cells: one ``rng.multinomial(n, cell masses)`` gives the counts
-    n_c, and cell c's coefficient is sqrt(n_c) z_c, one standard normal per
-    cell; with ``band``, the sum of the c-th run of n_c of n standard
-    normals, whose sum |gamma| the draw carries.  It carries ``values``, the
-    class's value matrix on the cells.  omega is always drawn per cell;
-    omega' per cell where ``fewer_cells(mu, n, grid)``, and otherwise per
-    anchor, every anchor drawn by ``mu.sample_ids`` (on a cell measure, the
-    cell of a draw of its base measure) with a grid label, and ``sums``
-    returns the same draws summed per cell (``LabelAnchorSums.reduce``).
-    With ``rounds``, a block of that many independent rounds is drawn at
-    once, each kind of draw in one call: coefficients (rounds, contexts), and
-    per anchor rounds * n anchors, round-major.
-    """
+    """n anchors from the finite mu (a class's cell measure) with N(0, 1) coefficients; eps
+    (or ``grid``) adds labels.  omega is drawn per cell, carrying ``values``, and with
+    ``band`` the sum |gamma| of n normals; omega' per cell where ``fewer_cells``, else per
+    anchor, summed per cell by ``sums`` where given.  ``rounds`` draws a block of that many
+    rounds, each kind of draw in one call."""
     if not mu.finite:
         raise ValueError("a draw needs a finite measure: draw on klass.cell_measure(mu)")
     if grid is None and eps is not None:
@@ -197,14 +143,9 @@ def draw_perturbation(mu: FiniteMeasure, n: int, rng: np.random.Generator,
 
 
 class LabelAnchorSums:
-    """Per-anchor omega' summed per cell, for a loss that is a polynomial in f on the class.
-
-    With l(f, y) = sum_k c_k(y) f^k of degree d <= 2, omega'(f) = sum_k sum_c W_k[c] f(c)^k,
-    where W_k[c] sums gamma_j c_k(y_j) over the anchors j in cell c.  ``reduce`` turns a
-    per-anchor draw into those sums; they enter the oracle as identity rows over the
-    cells once per power, whose ``values`` are the stacked powers [1 | V | V^2] of the
-    class's values V on the cells, so the k = 0 rows carry each round's constant.
-    """
+    """Per-anchor omega' summed per cell and power of f: with l(f, y) = sum_k c_k(y) f^k,
+    omega'(f) = sum_k sum_c W_k[c] f(c)^k, identity rows over the stacked powers
+    [1 | V | V^2] of the class's values V on the cells."""
 
     def __init__(self, coefs: np.ndarray, cells: FiniteMeasure, values: np.ndarray):
         self.coefs = coefs    # (d + 1, |grid|): c_k at each grid label
@@ -239,10 +180,8 @@ class LabelAnchorSums:
 
 def label_anchor_sums(klass: HypothesisClass, loss: LossFunction, cells: FiniteMeasure,
                       grid: np.ndarray) -> Optional[LabelAnchorSums]:
-    """The sums of omega' per cell of ``cells = klass.cell_measure(mu)``, over the label
-    ``grid``, or None where the loss is no polynomial of degree at most 2 in f on the
-    class.  On a binary class every loss is affine in f; on a real one, ``loss.degree``
-    says."""
+    """The sums of omega' per cell of ``cells`` over the label ``grid``, or None where the
+    loss is no polynomial of degree <= 2 in f on the class (any loss is affine on a binary one)."""
     degree = 1 if klass.kind == "binary" else loss.degree
     if degree not in (1, 2):
         return None
@@ -335,10 +274,8 @@ def schedule(T: int, sigma: float, L: float = 1.0, d_or_p: Optional[float] = Non
 
 def _query(omega: Optional[GaussianPerturbation], omega_label: Optional[GaussianPerturbation],
            eta: float, label_scale: float) -> ErmQuery:
-    """eta * omega(f) as identity rows plus label_scale * omega'(f) as main-loss rows at
-    the label anchors (identity rows over its values once summed per cell and power),
-    one round per row of coefficients, each block with its draw's sum |gamma| scaled
-    alike where it carries one; a variant may lack either."""
+    """eta * omega(f) plus label_scale * omega'(f), either of which may be absent, one round
+    per row of coefficients, each block with its draw's sum |gamma| scaled alike."""
     coeffs = (omega or omega_label).coeffs
     query = ErmQuery(1 if coeffs.ndim == 1 else len(coeffs))
     if omega is not None:
@@ -363,11 +300,7 @@ def _query(omega: Optional[GaussianPerturbation], omega_label: Optional[Gaussian
 def ftpl_select_classification(pert: GaussianPerturbation, eta: float,
                                oracle: ErmOracle, zeta: float = 0.0,
                                rng: Optional[np.random.Generator] = None) -> int:
-    """argmin_f L(f) + eta * omega(f), one oracle call.
-
-    L(f) is the running loss held in the oracle's history; the perturbation
-    enters as identity rows.
-    """
+    """argmin_f L(f) + eta * omega(f), one oracle call; L(f) from the history."""
     return oracle.approximate(_query(pert, None, eta, 1.0), zeta, rng).hypothesis_index
 
 
@@ -396,12 +329,7 @@ BLOCK_ELEMENTS = 2**17
 
 
 class FtplLearner:
-    """Proper learner: commits to a hypothesis before each round's context arrives.
-
-    Perturbations are drawn a block of rounds at a time: ``BLOCK`` rounds, or
-    fewer so that the block's arrays stay within ``BLOCK_ELEMENTS`` (one
-    round at least), and none past the schedule's horizon ``sched.T``.
-    """
+    """Proper learner: commits to a hypothesis before each round's context arrives."""
 
     proper = True
 
@@ -436,10 +364,8 @@ class FtplLearner:
         self._t = 0                             # rounds selected
 
     def _process(self, n: int, grid: Optional[np.ndarray]) -> dict:
-        """``draw_perturbation``'s keyword arguments for one process: anchors, labels,
-        normalization, and the class's ``values`` on a per-cell draw's contexts (the cells,
-        or with labels the cell-major (cell, label) pairs) or omega''s per-anchor ``sums``.
-        omega is drawn per cell, and omega' with fewer (cell, label) pairs than anchors."""
+        """``draw_perturbation``'s keyword arguments for one process: with the class's
+        ``values`` on a per-cell draw's contexts, or omega''s per-anchor ``sums``."""
         process = dict(n=n, grid=grid, normalization="inv_sqrt_n" if grid is None else "none")
         if grid is not None and not fewer_cells(self.cells, n, grid):
             return dict(process, sums=label_anchor_sums(self.klass, self.loss, self.cells, grid))
@@ -455,10 +381,13 @@ class FtplLearner:
         return process["n"] * len(self.klass)
 
     def _draw_block(self) -> ErmQuery:
-        """The next block's perturbations, as one query with a round per row."""
+        """The next block's perturbations, as one query with a round per row: ``BLOCK``
+        rounds, fewer to stay within ``BLOCK_ELEMENTS``, and none past ``sched.T``."""
         rounds = self._block_rounds
         if self.sched.T is not None:
-            rounds = max(1, min(rounds, self.sched.T - self._t))
+            if self._t >= self.sched.T:
+                raise ValueError(f"round {self._t + 1} is past the horizon T = {self.sched.T}")
+            rounds = min(rounds, self.sched.T - self._t)
         omega, omega_label = (None if p is None else draw_perturbation(
             self.cells, rng=self.rng, rounds=rounds, band=self.sched.zeta > 0, **p)
             for p in self._processes)
@@ -478,13 +407,9 @@ class FtplLearner:
         return self.selected
 
     def play(self, contexts: ContextBlock, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A run of rounds whose contexts and labels are known ahead: the draws, oracle
-        calls and hypotheses of ``select``, ``predict`` then ``observe`` round by round.
-        The class is evaluated once on the run's contexts, which gives the predictions,
-        the history each round saw comes from one cumulative sum, and the rounds of a
-        perturbation block take one argmin each, with the approximate oracle's swaps
-        drawn round by round.  Returns the predictions and the oracle calls made by the
-        end of each round."""
+        """A run of rounds known ahead, played as ``select``, ``predict`` then ``observe``
+        round by round would: returns the predictions and the oracle calls made by the end
+        of each round."""
         values = self.klass.evaluate_block(contexts)
         calls, rows = self.oracle.calls, self.oracle.prefix_rows
         seen = self.oracle.extend_run(values, labels)

@@ -1,15 +1,9 @@
 """Experiment runner: JSON configs, seeded replication, CSV traces, JSON summaries.
 
-A config names a learner, an adversary, a hypothesis class and a loss, plus
-the horizon, smoothness level and seed list.  Each seed yields one trajectory
-written as a CSV trace; a JSON summary aggregates final regrets, oracle call
-counts and wall times.  A seed is played as a series of runs: the adversary
-hands over up to 64 rounds it has drawn ahead when its labels ignore the
-learner (one round otherwise), the learner plays them with ``play``, and
-the harness checks and records them at once; the trace is that of playing
-round by round.  All randomness derives from the seed through Philox
-streams keyed per component, so a (config, seed) rerun reproduces traces
-byte for byte.
+A config is checked and its pieces built when it loads, so a bad one fails before round 1.
+Each seed is played as runs of rounds (README, "Experiment harness"), and its trace is
+that of playing round by round.  All randomness derives from the seed through Philox
+streams keyed per component, so a (config, seed) rerun reproduces traces byte for byte.
 """
 
 from __future__ import annotations

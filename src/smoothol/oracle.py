@@ -1,44 +1,16 @@
-"""Weighted approximate ERM oracle with call accounting.
+"""Weighted ERM oracle over a finite class, with call accounting: the unit of cost.
 
-The oracle minimizes sum_i w_i * l_i(f(x_i), y_i) over the hypothesis class,
-where each row selects either the problem's main loss or the identity "loss"
-l_id(yhat, y) = yhat.  Weights may be negative; for an approximate oracle with
-slack zeta the returned hypothesis satisfies
+A call minimizes over the class the history objective, one weight-1 main-loss row per
+observed round (``prefix``), plus a query's row blocks; a row has a real weight w_i and
+selects the main loss l(f(x), y) or the identity "loss" f(x).  The exact oracle returns
+the lowest-index minimizer; the zeta-approximate one any f_hat with
 
-    objective(f_hat) <= min_f objective(f) + zeta * sum_i |w_i|.
+    objective(f_hat) <= min_f objective(f) + zeta * sum_i |w_i|,
 
-A block whose weights sum drawn rows (FTPL's draws per cell, or summed per
-cell) may carry each round's sum |w| of those rows, which the band reads in
-place of its own weights'.
-
-The oracle holds the observed history: one weight-1 main-loss row per round,
-added by ``extend_prefix`` to a per-hypothesis objective, the ``prefix``.  A
-query is only the rows a learner adds to that history (FTPL's perturbation, a
-relaxation round's playout), as columnar row blocks, each block a (selector,
-contexts, labels, weights) group; every call answers history + blocks.  A
-family of exact queries that differ only in the label of one weight-1
-main-loss row is answered by one evaluation (``ErmOracle.exact_labels``) and
-still counts as one call per label.
-A run of observed rounds enters the history at once (``extend_run``): one
-sequential cumulative sum, the float additions of ``extend_prefix`` round by
-round, which also returns the history each round saw.  ``approximate_run``
-and ``exact_labels`` answer consecutive rounds of a query over those
-histories, one argmin per round and the approximate oracle's swap rule
-round by round, with the calls counted per round as before.
-A block over fixed contexts (a learner's cells) may carry the class's values
-there, evaluated once, which the oracle reads instead of the contexts.  FTPL's
-label-anchor process, summed per cell, is such a block of identity rows whose
-values are the powers 1, f, f^2 of the cells' values, stacked: the main loss
-as a polynomial in f, answered by the same product as any identity block.
-
-A query may stack the history-free rows of several rounds, drawn at once:
-each block then holds one weight row per round.  The oracle evaluates every
-round of a query together at its first call on it (a (rounds x H) product
-for blocks over fixed contexts; one gather, one loss and one row sum for
-per-round main-loss contexts) and keeps the result with the query, so each
-later call on round i adds only the history.  A call is still counted when
-a round is answered, not when its rows are evaluated; a single-round query
-is the one-round case of the same evaluation.
+the sum running over the query's rows and the history's.  Invariants: each round answered
+counts one call (``exact_labels`` one per label) however many rounds one evaluation covers,
+and a run's history (``extend_run``) or a block's rounds give the floats of answering round
+by round.  README ("Weighted ERM oracle") describes how.
 """
 
 from __future__ import annotations
@@ -58,16 +30,12 @@ IDENTITY = "identity_loss"
 
 @dataclass
 class RowBlock:
-    """Rows sharing a loss selector, for one round or a stack of rounds.
+    """Rows sharing a loss selector: ``weights`` (rows,) for one round or (rounds, rows),
+    over contexts and labels shared by every round or given per round, round-major.
 
-    ``weights`` is (rows,) for one round, or (rounds, rows) with one weight
-    row per round.  ``contexts`` and ``labels`` hold one set of rows shared
-    by every round, or one set per round, round-major.  ``values``, if given,
-    is f(contexts) for every hypothesis f, (H, len(contexts)), which the
-    oracle reads in place of evaluating the contexts; identity rows may carry
-    any function of f(contexts) there instead, such as its powers.
-    ``abs_weight``, if given, is each round's sum |w| of the rows the weights
-    were summed from, (rounds,).
+    ``values``, if given, is f(contexts) per hypothesis, (H, len(contexts)), read in place
+    of evaluating the contexts (identity rows may carry any function of it, such as its
+    powers); ``abs_weight``, each round's sum |w| of the rows the weights were summed from.
     """
 
     selector: str
@@ -101,13 +69,9 @@ class RowBlock:
 
 
 class ErmQuery:
-    """The rows a weighted ERM instance adds to the oracle's history, as row blocks.
-
-    A query holds ``rounds`` rounds, and each block one weight row per round
-    (a plain weight vector for one round); round i's instance is row i of
-    every block.  The oracle's first call on the query evaluates every
-    round and keeps the result in ``evaluated``; adding a block drops it.
-    """
+    """The rows ``rounds`` weighted ERM instances add to the oracle's history: round i's
+    are row i of every block.  The oracle's first call evaluates every round and keeps the
+    result in ``evaluated``; adding a block drops it."""
 
     def __init__(self, rounds: int = 1):
         if rounds < 1:
@@ -156,11 +120,7 @@ def _row_sums(terms: np.ndarray, weights: np.ndarray, shared: bool) -> np.ndarra
 
 
 class ErmOracle:
-    """Exact and zeta-approximate weighted ERM over a finite class.
-
-    The approximate oracle's admissible band is zeta * sum|w_i| wide, the sum
-    running over the query's rows and the history's weight-1 rows.
-    """
+    """Exact and zeta-approximate weighted ERM over a finite class."""
 
     def __init__(self, klass: HypothesisClass, main_loss: LossFunction):
         self.klass = klass
@@ -183,10 +143,9 @@ class ErmOracle:
         self.prefix_rows += 1
 
     def extend_run(self, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Add a run of observed rounds to the history, given the class's (H, rounds) values
-        on their contexts; returns the (rounds + 1, H) history before each round and after
-        the last.  One sequential ``np.cumsum`` makes the float additions ``extend_prefix``
-        makes round by round."""
+        """Add a run of observed rounds, given the class's (H, rounds) values at their
+        contexts, with the float additions of ``extend_prefix`` round by round; returns the
+        (rounds + 1, H) history before each round and after the last."""
         losses = self.main_loss.evaluate_array(values, labels[None, :])
         seen = np.concatenate((self.prefix[None, :], losses.T))
         np.cumsum(seen, axis=0, out=seen)
@@ -239,23 +198,17 @@ class ErmOracle:
         return query.evaluated[1]
 
     # -- queries --------------------------------------------------------------
-    def exact(self, query: ErmQuery, index: int = 0) -> ErmResult:
-        """Exact minimizer (zeta = 0) of round ``index``; ties resolve to the lowest index."""
-        return self.approximate(query, 0.0, index=index)
+    def exact(self, query: ErmQuery) -> ErmResult:
+        """Exact minimizer (zeta = 0); ties resolve to the lowest index."""
+        return self.approximate(query, 0.0)
 
     def exact_labels(self, query: ErmQuery, values: np.ndarray, labels: np.ndarray,
                      index: int, history: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``exact`` of rounds index, index + 1, ... of the query, each plus a weight-1
-        main-loss row (x_t, y) for each label y: round i over the history objective
-        ``history[i]`` (``prefix[None, :]`` for the round at hand), with the class's
-        values ``values[:, i]`` at its x_t.
-
-        The query and f(x_t) are evaluated once and every label's objective is
-        formed from them with the same float operations ``exact`` performs, so
-        the results are equal to one ``exact`` call per round and label.  Counts
-        one call per pair; returns the (rounds, labels) minimizing indices and
-        their objective values.
-        """
+        main-loss row (x_t, y) per label y: round i over the history objective ``history[i]``,
+        with the class's values ``values[:, i]`` at its x_t.  Equal, bit for bit, to one
+        ``exact`` call per round and label, and counted so; returns the (rounds, labels)
+        minimizing indices and their objective values."""
         labels = np.asarray(labels, dtype=np.float64)
         # the objectives are added into the loss array (float addition commutes, so each sum
         # is exact's), and a run holds one (rounds x labels x H) array
@@ -268,15 +221,8 @@ class ErmOracle:
 
     def approximate(self, query: ErmQuery, zeta: float,
                     rng: Optional[np.random.Generator] = None, index: int = 0) -> ErmResult:
-        """zeta-approximate minimizer of round ``index``; with zeta = 0 the exact one, and no
-        rng draw.
-
-        Runs the exact scan, then with probability 1/2 returns a uniformly
-        random *other* hypothesis still inside the admissible slack band, so
-        downstream consumers are exercised against the worst the contract
-        allows.  Without an rng the swap is skipped and the exact minimizer
-        is returned (still a valid zeta-approximate answer).
-        """
+        """zeta-approximate minimizer of round ``index``: the exact one, swapped by ``_swap``
+        for another in the band, which tests callers against the worst the contract allows."""
         obj = self.objective_vector(query, index)
         idx = self._swap(obj, int(obj.argmin()), query, zeta, rng, index, self.prefix_rows)
         self._calls += 1

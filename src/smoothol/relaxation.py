@@ -1,39 +1,11 @@
-"""Improper relaxation learner driven by random playouts of future rounds.
+"""Improper relaxation learners: each prediction plays against a fresh random playout.
 
-Each round the learner samples k fresh hypothetical continuations of the
-horizon from the base measure with Rademacher signs, and plays
-
-    yhat_t = argmin_{yhat} sup_{y} { l(yhat, y) + sup_f [ 6L sum eps f(x_future) - L_t(f) ] }
-
-where L_t(f) is the running loss of f including the candidate label y for the
-current round.  The inner supremum over the class is one weighted ERM call:
-the oracle holds the observed history, and the playout enters as one block of
-identity rows, with negated weights because the oracle minimizes.  The
-playout reaches the oracle only through sum eps f(x), so it is drawn as one
-signed count per cell of the class's cell measure instead of point by point;
-the law is the same.  A cell is a set on which every hypothesis is constant:
-on a finite base measure, a maximal group of atoms with equal value columns,
-drawn as its first atom with the group's mass.  The cells are the same
-every round, so the learner evaluates the class on them once and each
-playout carries that value matrix to the oracle.  A
-round's branch queries differ only in the label of the current round's row,
-so they are answered by one ``ErmOracle.exact_labels`` evaluation of the
-history, the playout and f(x_t), which still counts and logs one oracle call
-per label.
-The playouts never read the history, so the learner draws them a block of
-rounds ahead, one multinomial over an array of rounds_left whose stream is
-that of the same draws made one by one, and the oracle evaluates the block's
-playout rows as one (block x H) product at its first round; each prediction
-still makes its own oracle calls, and the traces are those of drawing every
-playout at its round.
-The rules are written over many predictions (``play_linear``,
-``play_general``), each with its own playout and the history its round saw.
-A caller names the predictions it wants: ``RelaxGeneralLearner.predictions``
-several in the current round, ``RelaxGeneralLearner.play`` one in each round
-of a run known ahead; either is answered up to ``RUN_ELEMENTS`` at a time.
-For linear loss the outer problem collapses to a closed form needing two
-oracle calls; in general the interval is discretized into ceil(2 L sqrt(T))
-labels and the outer minimization runs a three-point convex search.
+Oracle budget: 2 calls per prediction under linear loss (``play_linear``), and |S| =
+ceil(2 L sqrt(T)), one per label of the grid S, under any convex Lipschitz loss
+(``play_general``).  Invariants: every prediction has its own playout, with the law of
+drawing every point, and none answers twice; playouts drawn a block ahead give the stream
+and the traces of drawing each at its round; a learner made for horizon T answers rounds
+1..T and raises on a later one.  README ("Learners") gives the rule and how it is played.
 """
 
 from __future__ import annotations
@@ -76,13 +48,9 @@ def default_playout_width(T: int, sigma: float) -> int:
 
 @dataclass
 class PlayoutDraw:
-    """Rounds t+1..T, k draws each, as net Rademacher counts per cell.
-
-    ``signs[c]`` is n_c^+ - n_c^-, the +1 draws landing in cell c minus the -1
-    draws; sum_i eps_i f(x_i) = sum_c signs[c] * f(contexts[c]) for every f
-    constant on each cell.  A block of playouts has an array ``rounds_left``
-    and one row of ``signs`` per entry.
-    """
+    """Rounds t+1..T, k draws each, as net Rademacher counts per cell: ``signs[c]`` is
+    n_c^+ - n_c^-, so sum_i eps_i f(x_i) = sum_c signs[c] f(contexts[c]).  A block of
+    playouts has an array ``rounds_left`` and one row of ``signs`` per entry."""
 
     contexts: ContextBlock  # one representative per cell
     signs: np.ndarray       # int, one net count per cell (per playout of a block)
@@ -100,13 +68,9 @@ class PlayoutDraw:
 
 def draw_playout(mu, rounds_left: int | np.ndarray, k: int, rng: np.random.Generator,
                  values: Optional[np.ndarray] = None) -> PlayoutDraw:
-    """rounds_left * k i.i.d. draws from the finite measure mu (a class's cell
-    measure) with Rademacher signs, counted per (atom, sign) by one multinomial;
-    ``values`` is the class's value matrix on mu's atoms, carried by the draw.
-
-    An array of rounds_left draws a block, one playout per entry, with one
-    multinomial call whose stream is that of the same calls made one by one.
-    """
+    """rounds_left * k i.i.d. signed draws from the finite mu (a class's cell measure),
+    counted per (atom, sign) by one multinomial, whose stream for an array of rounds_left is
+    that of one call per entry; the draw carries ``values``, the class's values on mu's atoms."""
     half = mu.probs / 2.0
     counts = rng.multinomial(rounds_left * k, np.concatenate((half, half)))
     size = len(half)
@@ -115,11 +79,7 @@ def draw_playout(mu, rounds_left: int | np.ndarray, k: int, rng: np.random.Gener
 
 
 class RelaxState:
-    """Shared bookkeeping for the relaxation ops: horizon, playout width, round count.
-
-    The observed rounds live in the oracle's history as weight-1
-    main-loss rows, appended via ``observe``.
-    """
+    """The relaxation's horizon, playout width, label grid and rounds observed."""
 
     def __init__(self, loss: LossFunction, T: int, sigma: float,
                  k: Optional[int] = None):
@@ -138,8 +98,6 @@ class RelaxState:
         self.t = 0
         # (a_+, a_-) after predict_linear, Phi(y) over the grid after predict_general
         self.last_branch_values: Optional[tuple[float, ...]] = None
-        self._playout: Optional[PlayoutDraw] = None  # the last playout and its query
-        self._query: Optional[ErmQuery] = None
 
     @cached_property
     def outer_loss(self) -> np.ndarray:
@@ -158,65 +116,49 @@ class RelaxState:
     def playout_query(self, playout: PlayoutDraw) -> ErmQuery:
         """The playout's identity rows, one round per playout of a block, weighted 6L
         per net sign and negated, because the oracle minimizes while the relaxation
-        takes a supremum.  The last playout's query is kept, so that the oracle
-        evaluates a block's playouts once."""
-        if self._playout is not playout:
-            weights = -6.0 * self.loss.lipschitz_L * playout.signs.astype(np.float64)
-            query = ErmQuery(1 if weights.ndim == 1 else len(weights))
-            self._query = query.add_block(IDENTITY, playout.contexts,
-                                          np.zeros(len(playout.contexts)), weights,
-                                          playout.values)
-            self._playout = playout
-        return self._query
+        takes a supremum."""
+        weights = -6.0 * self.loss.lipschitz_L * playout.signs.astype(np.float64)
+        return ErmQuery(1 if weights.ndim == 1 else len(weights)).add_block(
+            IDENTITY, playout.contexts, np.zeros(len(playout.contexts)), weights, playout.values)
 
 
-def _branch_values(state: RelaxState, playout: PlayoutDraw, values: np.ndarray,
-                   oracle: ErmOracle, labels: np.ndarray, index: int,
-                   history: np.ndarray) -> np.ndarray:
+def _branch_values(query: ErmQuery, values: np.ndarray, oracle: ErmOracle, labels: np.ndarray,
+                   index: int, history: np.ndarray) -> np.ndarray:
     """sup_f [ playout(f) - L_t(f) - l(f(x_t), y) ] per round and label y, one oracle call
-    each, for the playouts index, index + 1, ... of a block: round i over the history
-    objective ``history[i]``, with the class's values ``values[:, i]`` at its x_t."""
-    return -oracle.exact_labels(state.playout_query(playout), values, labels, index,
-                                history)[1]
+    each, for the playout rounds index, index + 1, ... of the query: round i over the
+    history objective ``history[i]``, with the class's values ``values[:, i]`` at its x_t."""
+    return -oracle.exact_labels(query, values, labels, index, history)[1]
 
 
-def play_linear(state: RelaxState, playout: PlayoutDraw, values: np.ndarray,
+def play_linear(state: RelaxState, query: ErmQuery, values: np.ndarray,
                 oracle: ErmOracle, index: int, history: np.ndarray) -> np.ndarray:
-    """Two-call closed form for linear loss l(yhat, y) = (1 - yhat*y)/2, over a run of rounds.
-
-    The inner maximization over the label is attained at y = +/-1, so two ERM
-    calls give the two branch values a_+ and a_-, and the outer minimum sits
-    at the intersection of the two affine branches: yhat = a_+ - a_-, which
-    lies in [-1, 1] because |a_+ - a_-| <= 1.  Round i of the run plays
-    playout index + i over ``history[i]`` at the contexts whose class values
-    are ``values[:, i]``; ``last_branch_values`` keeps the run's last round.
-    """
+    """Linear loss: the branch values a_+, a_- at y = +/-1 (two calls) and yhat = a_+ - a_-,
+    where the affine branches meet, per round: round i plays the query's round index + i
+    over ``history[i]`` at the x_t with class values ``values[:, i]``.  ``last_branch_values``
+    keeps the last round's."""
     if state.loss.kind != "linear":
         raise ValueError("linear loss required")
-    a = _branch_values(state, playout, values, oracle, _SIGNS, index, history)
+    a = _branch_values(query, values, oracle, _SIGNS, index, history)
     state.last_branch_values = tuple(a[-1].tolist())
     return np.minimum(np.maximum(a[:, 0] - a[:, 1], -1.0), 1.0)
 
 
 def predict_linear(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
-                   oracle: ErmOracle, index: int = 0) -> float:
+                   oracle: ErmOracle) -> float:
     """``play_linear`` for one round at x_t, over the oracle's history."""
-    return _one_round(play_linear, state, playout, x_t, oracle, index)
+    return _one_round(play_linear, state, playout, x_t, oracle)
 
 
 def _one_round(rule: Callable, state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
-               oracle: ErmOracle, index: int) -> float:
-    return float(rule(state, playout, oracle.klass.evaluate_block(x_t), oracle, index,
-                      oracle.prefix[None, :])[0])
+               oracle: ErmOracle) -> float:
+    return float(rule(state, state.playout_query(playout), oracle.klass.evaluate_block(x_t),
+                      oracle, 0, oracle.prefix[None, :])[0])
 
 
 def three_point_min(values_oracle: Callable[[int], float], grid: np.ndarray) -> int:
-    """Exact minimizer of a convex function over a sorted grid, lowest index on ties.
-
-    Keeps an index interval guaranteed to contain the lowest-index minimizer
-    and shrinks it by at least half per iteration using three quartile
-    evaluations; distinct value-oracle calls stay within 3*ceil(log2 |S|) + 3.
-    """
+    """Exact minimizer of a convex function over a sorted grid, lowest index on ties, in at
+    most 3*ceil(log2 |S|) + 3 distinct value-oracle calls: each step's three quartile
+    evaluations halve an interval that holds the lowest-index minimizer."""
     m = len(grid)
     if m == 0:
         raise ValueError("empty grid")
@@ -247,37 +189,25 @@ def three_point_min(values_oracle: Callable[[int], float], grid: np.ndarray) -> 
     return best
 
 
-def play_general(state: RelaxState, playout: PlayoutDraw, values: np.ndarray,
+def play_general(state: RelaxState, query: ErmQuery, values: np.ndarray,
                  oracle: ErmOracle, index: int, history: np.ndarray) -> np.ndarray:
-    """Grid min-max for a general convex Lipschitz loss, over a run of rounds as
-    ``play_linear`` takes it.
-
-    The label-branch values Phi(y) do not depend on yhat, so the exhaustive
-    inner scan costs |S| oracle calls once per round; the outer minimization
-    over yhat then runs the three-point search on cached branch values, round
-    by round.
-    """
-    phi = _branch_values(state, playout, values, oracle, state.grid, index, history)
+    """Any convex Lipschitz loss, over rounds as ``play_linear`` takes them: the branch
+    values Phi(y) for every y in the grid (|S| calls), then the three-point search over yhat
+    of max_y l(yhat, y) + Phi(y)."""
+    phi = _branch_values(query, values, oracle, state.grid, index, history)
     state.last_branch_values = tuple(phi[-1].tolist())
     worst = (state.outer_loss + phi[:, None, :]).max(axis=2)  # sup_y per round and yhat
     return state.grid[[three_point_min(w.__getitem__, state.grid) for w in worst]]
 
 
 def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
-                    oracle: ErmOracle, index: int = 0) -> float:
+                    oracle: ErmOracle) -> float:
     """``play_general`` for one round at x_t, over the oracle's history."""
-    return _one_round(play_general, state, playout, x_t, oracle, index)
+    return _one_round(play_general, state, playout, x_t, oracle)
 
 
 class RelaxGeneralLearner:
-    """Improper learner: a fresh playout per prediction, predictions via ``rule``.
-
-    A call names the predictions it answers: ``per_round`` in each of ``rounds`` rounds
-    from the current one (``predictions``: several in this round; ``play``: one in each
-    round of a run).  It takes the playout block's next entries when they are for exactly
-    those rounds, and otherwise draws a new block of at least ``BLOCK // per_round``
-    rounds, none past round T; the rest of the old block is never used.
-    """
+    """Improper learner: a fresh playout per prediction, predictions via ``rule``."""
 
     name = "relax-general"
     proper = False
@@ -292,7 +222,8 @@ class RelaxGeneralLearner:
         self.oracle = oracle
         self.rng = rng
         self.state = RelaxState(loss, T, sigma, k=k)
-        self._playouts: Optional[PlayoutDraw] = None  # the current block
+        self._playouts: Optional[PlayoutDraw] = None  # the current block, and its query
+        self._query: Optional[ErmQuery] = None
         self._next = 0  # its next unused playout
         # predictions answered at once: their (predictions x branches x H) objectives stay small
         self._chunk = max(1, RUN_ELEMENTS // (self.branches * max(len(klass), self.branches)))
@@ -313,11 +244,8 @@ class RelaxGeneralLearner:
         return self._answer(values, history, len(contexts), 1)
 
     def play(self, contexts: ContextBlock, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A run of whole rounds, one prediction each, whose contexts and labels are known
-        ahead: the predictions, playouts and oracle calls of ``predict`` then ``observe``
-        round by round.  The class is evaluated once on the run's contexts, and the history
-        each round saw comes from one cumulative sum.  Returns the predictions and the
-        oracle calls made by the end of each round."""
+        """A run of rounds known ahead, played as ``predict`` then ``observe`` round by round
+        would: returns the predictions and the oracle calls made by the end of each round."""
         values, calls = self.klass.evaluate_block(contexts), self.oracle.calls
         predictions = self._answer(values, self.oracle.extend_run(values, labels)[:-1], 1,
                                    len(labels))
@@ -326,22 +254,26 @@ class RelaxGeneralLearner:
 
     def _answer(self, values: np.ndarray, history: np.ndarray, per_round: int,
                 rounds: int) -> np.ndarray:
-        """The rule's predictions at the contexts whose class values are ``values``, over
-        ``history``: ``per_round`` in each of the next ``rounds`` rounds, each with its own
-        playout, up to ``self._chunk`` at once."""
+        """The rule's predictions at the contexts with class values ``values``, over
+        ``history``: ``per_round`` in each of the next ``rounds`` rounds.  It takes the
+        playout block's next entries when they are for exactly those rounds, and otherwise
+        draws a block of at least ``BLOCK // per_round`` rounds, none past T."""
         rounds_left, n, block = self.state.rounds_left, per_round * rounds, self._playouts
+        if rounds > rounds_left + 1:
+            raise ValueError(f"round {self.state.t + rounds} is past the horizon "
+                             f"T = {self.state.T}")
         ahead = [] if block is None else block.rounds_left[self._next:self._next + n].tolist()
         if ahead != [rounds_left - i // per_round for i in range(n)]:
             size = min(max(rounds, BLOCK // per_round), rounds_left + 1)
             block = draw_playout(self.cells, np.arange(rounds_left, rounds_left - size, -1)
                                  .repeat(per_round), self.state.k, self.rng, self.values)
-            self._playouts, self._next = block, 0
+            self._playouts, self._query, self._next = block, self.state.playout_query(block), 0
         index, self._next = self._next, self._next + n
         predictions = np.empty(n)
         for i in range(0, n, self._chunk):
             chunk = slice(i, i + self._chunk)
-            predictions[chunk] = self.rule(self.state, block, values[:, chunk], self.oracle,
-                                           index + i, history[chunk])
+            predictions[chunk] = self.rule(self.state, self._query, values[:, chunk],
+                                           self.oracle, index + i, history[chunk])
         return predictions
 
     def observe(self, context: ContextBlock, label: float) -> None:

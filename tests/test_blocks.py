@@ -135,7 +135,6 @@ def test_block_of_playouts_equals_one_query_per_round_bit_for_bit(interval):
     playouts = draw_playout(learner.cells, rounds_left, learner.state.k, rng, learner.values)
     assert playouts.signs.shape == (BLOCK, 65)
     block = learner.state.playout_query(playouts)
-    assert learner.state.playout_query(playouts) is block  # built once per block
     x_t, labels = sample(mu, rng), np.array([1.0, -1.0])
     for i, signs in enumerate(playouts.signs):
         w = -3.0 * signs.astype(np.float64)
@@ -264,11 +263,13 @@ def test_no_drawn_playout_answers_twice(monkeypatch):
     drawn = _spy(monkeypatch, relaxation, "draw_playout")
     taken, rule = [], learner.rule  # (block, index, its rounds_left) of each playout answered
 
-    def spy(state, playout, values, oracle, index, history):
-        block = next(b for b, p in enumerate(drawn) if p is playout)
-        taken.extend((block, i, playout.rounds_left[i])
+    def spy(state, query, values, oracle, index, history):
+        assert query is learner._query  # the query of the block drawn last
+        playouts = learner._playouts
+        block = next(b for b, p in enumerate(drawn) if p is playouts)
+        taken.extend((block, i, playouts.rounds_left[i])
                      for i in range(index, index + values.shape[1]))
-        return rule(state, playout, values, oracle, index, history)
+        return rule(state, query, values, oracle, index, history)
 
     learner.rule = spy
     rng = make_rng(63, 1)
@@ -496,8 +497,9 @@ def test_no_learner_draws_past_the_horizon(monkeypatch):
     for _ in range(T):
         learner.select()
     assert [len(p.coeffs) for p in perts] == [BLOCK, T - BLOCK]
-    learner.select()  # a round past the horizon draws that round alone
-    assert len(perts[-1].coeffs) == 1
+    with pytest.raises(ValueError, match=f"round {T + 1} is past the horizon T = {T}"):
+        learner.select()  # a round past the horizon draws nothing
+    assert len(perts) == 2
     playouts = _spy(monkeypatch, relaxation, "draw_playout")
     learner = RelaxLinearLearner(klass, loss, mu, T, 0.2, ErmOracle(klass, loss),
                                  make_rng(59, 1))
@@ -507,3 +509,62 @@ def test_no_learner_draws_past_the_horizon(monkeypatch):
         learner.observe(x, 1.0)
     assert [p.rounds_left.tolist() for p in playouts] == [
         list(range(T - 1, T - 1 - BLOCK, -1)), list(range(T - 1 - BLOCK, -1, -1))]
+
+
+@pytest.mark.parametrize("T", [1, 2, 64, 65])
+def test_a_learner_answers_rounds_one_to_T_and_refuses_round_T_plus_one(T):
+    """Both learners answer rounds 1..T, and asked for round T + 1 raise a ValueError that
+    names it and T: round by round, after a run of T rounds, and in a run past T."""
+    klass, mu = _space(False)
+    loss, rng = linear_loss(), make_rng(64, T)
+    past = f"round {T + 1} is past the horizon T = {T}"
+
+    def learners():
+        sched = schedule(T, 0.2, L=loss.lipschitz_L, variant="classification")
+        return (RelaxLinearLearner(klass, loss, mu, T, 0.2, ErmOracle(klass, loss),
+                                   make_rng(64, 0)),
+                FtplLearner("classification", klass, loss, mu, sched, ErmOracle(klass, loss),
+                            make_rng(64, 1)))
+
+    for learner in learners():
+        for _ in range(T):
+            if learner.proper:
+                learner.select()
+            x = sample(mu, rng)
+            assert -1.0 <= learner.predict(x) <= 1.0
+            learner.observe(x, 1.0)
+        with pytest.raises(ValueError, match=past):
+            learner.select() if learner.proper else learner.predict(sample(mu, rng))
+        if not learner.proper:
+            with pytest.raises(ValueError, match=past):
+                learner.predictions(sample(mu, rng, 3))
+    for learner in learners():
+        assert len(learner.play(sample(mu, rng, T), np.ones(T))[0]) == T
+        with pytest.raises(ValueError, match=past):
+            learner.play(sample(mu, rng), np.ones(1))
+    for learner in learners():
+        with pytest.raises(ValueError, match=past):
+            learner.play(sample(mu, rng, T + 1), np.ones(T + 1))
+
+
+@pytest.mark.parametrize("T", [1, 63, 64, 65, 130])
+def test_relaxation_builds_and_evaluates_one_query_per_drawn_block(T, monkeypatch):
+    """The learner builds its block's query when it draws the block, and the oracle
+    evaluates each block's rows once, whatever rounds of it a call answers."""
+    klass, mu = _space(False)
+    loss, rng = linear_loss(), make_rng(65, T)
+    drawn = _spy(monkeypatch, relaxation, "draw_playout")
+    built = _spy(monkeypatch, relaxation.RelaxState, "playout_query")
+    evaluated, objective = [], ErmOracle._block_objective
+    monkeypatch.setattr(ErmOracle, "_block_objective",
+                        lambda self, block: evaluated.append(block) or objective(self, block))
+    learner = RelaxLinearLearner(klass, loss, mu, T, 0.2, ErmOracle(klass, loss),
+                                 make_rng(65, 0))
+    half = T // 2
+    for _ in range(half):
+        x = sample(mu, rng)
+        learner.predict(x)
+        learner.observe(x, 1.0)
+    learner.play(sample(mu, rng, T - half), np.ones(T - half))
+    assert len(drawn) == len(built) == -(-T // BLOCK)
+    assert [id(block) for block in evaluated] == [id(query.blocks[0]) for query in built]

@@ -320,16 +320,17 @@ def test_per_cell_label_anchor_values_match_evaluating_the_pairs_bit_for_bit(los
     the oracle's loss(values, labels) @ w of evaluating the pairs, bit for bit, round
     by round; the block's rounds, evaluated together, agree within 1e-12 * sum|w|."""
     klass, mu = _threshold_space(False)
-    sched = schedule(40, 0.5, L=loss.lipschitz_L, variant="single")
-    sched = replace(sched, n=10**6, eta=1e3)  # more anchors than (cell, label) pairs
-    learner = FtplLearner("single", klass, loss, mu, sched, ErmOracle(klass, loss),
-                          make_rng(37, 0))
     drawn, draw = [], ftpl.draw_perturbation
     monkeypatch.setattr(ftpl, "draw_perturbation", lambda *a, **kw: drawn.append(draw(*a, **kw))
                         or drawn[-1])
-    for _ in range(50):
-        learner.select()
-    assert [len(pert.coeffs) for pert in drawn] == [40] + [1] * 10  # T = 40, then one by one
+    for T in (40, 1):  # a block of the horizon's 40 rounds, and a one-round block
+        sched = schedule(40, 0.5, L=loss.lipschitz_L, variant="single")
+        sched = replace(sched, n=10**6, eta=1e3, T=T)  # more anchors than (cell, label) pairs
+        learner = FtplLearner("single", klass, loss, mu, sched, ErmOracle(klass, loss),
+                              make_rng(37, 0))
+        for _ in range(T):
+            learner.select()
+    assert [len(pert.coeffs) for pert in drawn] == [40, 1]
     block_oracle = ErmOracle(klass, loss)
     for pert in drawn:
         assert pert.values is not None and pert.coeffs.shape[1] == 65 * len(learner.grid)
