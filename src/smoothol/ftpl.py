@@ -383,10 +383,9 @@ class FtplLearner:
     def _draw_block(self) -> ErmQuery:
         """The next block's perturbations, as one query with a round per row: ``BLOCK``
         rounds, fewer to stay within ``BLOCK_ELEMENTS``, and none past ``sched.T``."""
+        self._refuse_past_horizon(1)
         rounds = self._block_rounds
         if self.sched.T is not None:
-            if self._t >= self.sched.T:
-                raise ValueError(f"round {self._t + 1} is past the horizon T = {self.sched.T}")
             rounds = min(rounds, self.sched.T - self._t)
         omega, omega_label = (None if p is None else draw_perturbation(
             self.cells, rng=self.rng, rounds=rounds, band=self.sched.zeta > 0, **p)
@@ -395,6 +394,11 @@ class FtplLearner:
         if self.variant == "single":
             return _query(None, omega_label, 0.0, s.eta / math.sqrt(s.n))
         return _query(omega, omega_label, s.eta, 1.0)
+
+    def _refuse_past_horizon(self, rounds: int) -> None:
+        """Refuse rounds past a set ``sched.T`` before anything is drawn or added to the history."""
+        if self.sched.T is not None and self._t + rounds > self.sched.T:
+            raise ValueError(f"round {self._t + rounds} is past the horizon T = {self.sched.T}")
 
     def select(self) -> int:
         """Commit to this round's hypothesis, under the round's fresh perturbations."""
@@ -410,6 +414,7 @@ class FtplLearner:
         """A run of rounds known ahead, played as ``select``, ``predict`` then ``observe``
         round by round would: returns the predictions and the oracle calls made by the end
         of each round."""
+        self._refuse_past_horizon(len(labels))
         values = self.klass.evaluate_block(contexts)
         calls, rows = self.oracle.calls, self.oracle.prefix_rows
         seen = self.oracle.extend_run(values, labels)

@@ -5,7 +5,8 @@ ceil(2 L sqrt(T)), one per label of the grid S, under any convex Lipschitz loss
 (``play_general``).  Invariants: every prediction has its own playout, with the law of
 drawing every point, and none answers twice; playouts drawn a block ahead give the stream
 and the traces of drawing each at its round; a learner made for horizon T answers rounds
-1..T and raises on a later one.  README ("Learners") gives the rule and how it is played.
+1..T and refuses a later one before touching anything.  ``three_point_min`` is off the run
+path, the reference of criterion 5 and the tests; README ("Learners") gives the rule.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ def _one_round(rule: Callable, state: RelaxState, playout: PlayoutDraw, x_t: Con
 def three_point_min(values_oracle: Callable[[int], float], grid: np.ndarray) -> int:
     """Exact minimizer of a convex function over a sorted grid, lowest index on ties, in at
     most 3*ceil(log2 |S|) + 3 distinct value-oracle calls: each step's three quartile
-    evaluations halve an interval that holds the lowest-index minimizer."""
+    evaluations halve an interval that holds the lowest-index minimizer.  Off the run
+    path: the reference of criterion 5 and of the tests for ``play_general``."""
     m = len(grid)
     if m == 0:
         raise ValueError("empty grid")
@@ -192,12 +194,12 @@ def three_point_min(values_oracle: Callable[[int], float], grid: np.ndarray) -> 
 def play_general(state: RelaxState, query: ErmQuery, values: np.ndarray,
                  oracle: ErmOracle, index: int, history: np.ndarray) -> np.ndarray:
     """Any convex Lipschitz loss, over rounds as ``play_linear`` takes them: the branch
-    values Phi(y) for every y in the grid (|S| calls), then the three-point search over yhat
-    of max_y l(yhat, y) + Phi(y)."""
+    values Phi(y) for every y in the grid (|S| calls), then one lowest-index argmin over yhat
+    of max_y l(yhat, y) + Phi(y) for every round (``three_point_min`` is its reference)."""
     phi = _branch_values(query, values, oracle, state.grid, index, history)
     state.last_branch_values = tuple(phi[-1].tolist())
     worst = (state.outer_loss + phi[:, None, :]).max(axis=2)  # sup_y per round and yhat
-    return state.grid[[three_point_min(w.__getitem__, state.grid) for w in worst]]
+    return state.grid[worst.argmin(axis=1)]
 
 
 def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
@@ -246,6 +248,7 @@ class RelaxGeneralLearner:
     def play(self, contexts: ContextBlock, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A run of rounds known ahead, played as ``predict`` then ``observe`` round by round
         would: returns the predictions and the oracle calls made by the end of each round."""
+        self._refuse_past_horizon(len(labels))
         values, calls = self.klass.evaluate_block(contexts), self.oracle.calls
         predictions = self._answer(values, self.oracle.extend_run(values, labels)[:-1], 1,
                                    len(labels))
@@ -258,10 +261,8 @@ class RelaxGeneralLearner:
         ``history``: ``per_round`` in each of the next ``rounds`` rounds.  It takes the
         playout block's next entries when they are for exactly those rounds, and otherwise
         draws a block of at least ``BLOCK // per_round`` rounds, none past T."""
+        self._refuse_past_horizon(rounds)
         rounds_left, n, block = self.state.rounds_left, per_round * rounds, self._playouts
-        if rounds > rounds_left + 1:
-            raise ValueError(f"round {self.state.t + rounds} is past the horizon "
-                             f"T = {self.state.T}")
         ahead = [] if block is None else block.rounds_left[self._next:self._next + n].tolist()
         if ahead != [rounds_left - i // per_round for i in range(n)]:
             size = min(max(rounds, BLOCK // per_round), rounds_left + 1)
@@ -275,6 +276,12 @@ class RelaxGeneralLearner:
             predictions[chunk] = self.rule(self.state, self._query, values[:, chunk],
                                            self.oracle, index + i, history[chunk])
         return predictions
+
+    def _refuse_past_horizon(self, rounds: int) -> None:
+        """Refuse rounds past T before anything is drawn or added to the history."""
+        if self.state.t + rounds > self.state.T:
+            raise ValueError(f"round {self.state.t + rounds} is past the horizon "
+                             f"T = {self.state.T}")
 
     def observe(self, context: ContextBlock, label: float) -> None:
         self.state.observe(context, label, self.oracle)

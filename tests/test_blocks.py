@@ -547,6 +547,43 @@ def test_a_learner_answers_rounds_one_to_T_and_refuses_round_T_plus_one(T):
             learner.play(sample(mu, rng, T + 1), np.ones(T + 1))
 
 
+@pytest.mark.parametrize("T", [2, 65])
+def test_a_play_past_the_horizon_refuses_before_it_touches_the_oracle(T):
+    """A ``play`` that would run past T raises before it adds a row to the oracle's history,
+    counts a call or draws: at round 1 and again halfway, the oracle's history, rows and
+    calls and the learner's generator are unchanged, and the learner then plays rounds 1..T
+    as a fresh one does, byte for byte."""
+    klass, mu = _space(False)
+    rng, half = make_rng(66, T), T // 2
+    contexts, labels = sample(mu, rng, T + 1), rng.choice([-1.0, 1.0], size=T + 1)
+
+    def learners():
+        linear, absolute = linear_loss(), absolute_loss()
+        sched = schedule(T, 0.2, L=linear.lipschitz_L, variant="classification")
+        return (RelaxLinearLearner(klass, linear, mu, T, 0.2, ErmOracle(klass, linear),
+                                   make_rng(66, 0)),
+                RelaxGeneralLearner(klass, absolute, mu, T, 0.2, ErmOracle(klass, absolute),
+                                    make_rng(66, 1)),
+                FtplLearner("classification", klass, linear, mu, sched,
+                            ErmOracle(klass, linear), make_rng(66, 2)))
+
+    def untouched(learner):
+        oracle = learner.oracle
+        return (oracle.prefix.tobytes(), oracle.prefix_rows, oracle.calls,
+                plain(learner.rng.bit_generator.state))
+
+    for learner, fresh in zip(learners(), learners()):
+        for start, stop in ((0, half), (half, T)):
+            before = untouched(learner)
+            with pytest.raises(ValueError, match=f"round {T + 1} is past the horizon T = {T}"):
+                learner.play(contexts[start:], labels[start:])
+            assert untouched(learner) == before
+            got = learner.play(contexts[start:stop], labels[start:stop])
+            want = fresh.play(contexts[start:stop], labels[start:stop])
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert untouched(learner) == untouched(fresh)
+
+
 @pytest.mark.parametrize("T", [1, 63, 64, 65, 130])
 def test_relaxation_builds_and_evaluates_one_query_per_drawn_block(T, monkeypatch):
     """The learner builds its block's query when it draws the block, and the oracle

@@ -21,6 +21,8 @@ from smoothol.core import (
     scaled_square_loss,
 )
 from smoothol import relaxation
+from smoothol.bandit import build_bandit_pieces, run_square_cb
+from smoothol.harness import ExperimentConfig, run_seed
 from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 from smoothol.relaxation import (
     PlayoutDraw,
@@ -28,6 +30,7 @@ from smoothol.relaxation import (
     RelaxState,
     default_playout_width,
     draw_playout,
+    play_general,
     predict_general,
     predict_linear,
     three_point_min,
@@ -101,6 +104,38 @@ def test_three_point_random_convex_with_plateaus(seed):
     idx = three_point_min(oracle, np.arange(m, dtype=float))
     assert idx == int(np.argmin(vals))
     assert oracle.calls <= 3 * math.ceil(math.log2(max(m, 2))) + 3
+
+
+def _convex_rows(rng, m, steps):
+    """50 rows over a grid of m points, exactly convex in floating point: integer slopes
+    drawn from ``steps`` and sorted, summed from a random integer start."""
+    slopes = np.sort(rng.choice(steps, size=(50, m - 1)), axis=1)
+    return np.concatenate((np.zeros((50, 1)), np.cumsum(slopes, axis=1)), axis=1) \
+        + rng.integers(-2**20, 2**20, size=(50, 1))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 15, 16, 17, 64, 90, 199, 200])
+def test_row_argmin_is_the_three_point_search(m, monkeypatch):
+    """``play_general``'s lowest-index argmin over each round's worst case equals
+    ``three_point_min`` on that row: random convex rows, rows with plateaus (all equal,
+    and ties at the minimum), and near-flat rows whose neighbours differ by 0 or 1 ulp.
+    The rows reach the rule as its rounds' worst cases: each is a round's branch values,
+    under an outer loss of 0 where yhat = y and -inf elsewhere."""
+    rng, grid = make_rng(210, m), np.linspace(-1.0, 1.0, m)
+    state = RelaxState(absolute_loss(), 1, 0.5)
+    state.grid, state.outer_loss = grid, np.where(np.eye(m, dtype=bool), 0.0, -np.inf)
+    v = rng.uniform(1.0, 1.9, size=(50, 1))  # v + j ulp is exact while it stays in [1, 2)
+    rows = np.concatenate([
+        _convex_rows(rng, m, np.arange(-2**20, 2**20)) * 2.0**-20,  # random convex
+        _convex_rows(rng, m, np.arange(-3, 4)) * 2.0**-20,          # plateaus
+        _convex_rows(rng, m, np.array([-1, 0, 0, 0, 1])),           # long ties at the minimum
+        np.full((1, m), 0.75),                                      # all equal
+        v + _convex_rows(rng, m, np.array([-1, 1])) * np.spacing(v),     # 1 ulp steps
+        v + _convex_rows(rng, m, np.array([-1, 0, 1])) * np.spacing(v),  # 0 or 1 ulp steps
+    ])
+    monkeypatch.setattr(relaxation, "_branch_values", lambda *args: rows)
+    predictions = play_general(state, None, None, None, 0, None)
+    assert predictions.tolist() == [grid[three_point_min(row.__getitem__, grid)] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -539,3 +574,68 @@ def test_relax_learner_round_trip_and_fresh_playouts(monkeypatch):
         learner.observe(x, 1.0)
     # one fresh playout per round, shrinking with the horizon: one block that stops at round T
     assert [p.rounds_left.tolist() for p in drawn] == [[4, 3, 2, 1, 0]]
+
+
+# ---------------------------------------------------------------------------
+# the outer minimum: one argmin against the three-point search, over whole runs
+# ---------------------------------------------------------------------------
+
+def _three_point_rule(state, query, values, oracle, index, history):
+    """``play_general`` with its outer minimum taken by ``three_point_min``, row by row."""
+    phi = relaxation._branch_values(query, values, oracle, state.grid, index, history)
+    state.last_branch_values = tuple(phi[-1].tolist())
+    worst = (state.outer_loss + phi[:, None, :]).max(axis=2)
+    return state.grid[[three_point_min(w.__getitem__, state.grid) for w in worst]]
+
+
+def _rule_answers(monkeypatch, rule, play):
+    """Each call of ``rule`` that ``play()`` makes: its predictions' bytes and the branch
+    values it leaves, and the number of predictions made."""
+    answers = []
+
+    def recorded(state, *args):
+        predictions = rule(state, *args)
+        answers.append((predictions.tobytes(), state.last_branch_values))
+        return predictions
+
+    monkeypatch.setattr(relaxation.RelaxGeneralLearner, "rule", staticmethod(recorded))
+    play()
+    return answers, sum(len(predictions) // 8 for predictions, _ in answers)
+
+
+def _assert_rules_agree(monkeypatch, play, predictions):
+    got = _rule_answers(monkeypatch, play_general, play)
+    assert got == _rule_answers(monkeypatch, _three_point_rule, play)
+    assert got[1] == predictions
+
+
+@pytest.mark.parametrize("loss", ["absolute", "scaled_square", "linear"])
+def test_the_argmin_plays_runs_as_the_three_point_search(loss, monkeypatch):
+    """relax-general runs at T = 300 on the grid and the interval, with noisy-comparator,
+    adversarial-flip and Rademacher labels and three seeds: every prediction and the
+    branch values of the shipping rule are those of the three-point search, byte for byte."""
+    for ground, rule, seed in itertools.product(
+            ({"type": "grid", "atoms": 16}, {"type": "interval"}),
+            ({"rule": "noisy_comparator", "threshold": 0.5, "flip_prob": 0.1},
+             {"rule": "adversarial_flip"}, {"rule": "rademacher"}), range(3)):
+        cfg = ExperimentConfig.from_dict({
+            "learner": {"name": "relax-general"}, "loss": loss, "T": 300, "sigma": 0.5,
+            "adversary": {"kind": "iid", "labels": rule}, "seeds": [seed], "ground": ground,
+            "class": {"type": "thresholds", "m": 8}})
+        _assert_rules_agree(monkeypatch, lambda: run_seed(cfg, seed), 300)
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_the_argmin_plays_the_bandit_regressor_as_the_three_point_search(K, monkeypatch):
+    """The bandit's relax-general regressor, K predictions a round at T = 500 and three
+    seeds, as the run test above."""
+    for seed in range(3):
+        cfg = ExperimentConfig.from_dict({"K": K, "T": 500, "sigma": 0.5, "seeds": [seed],
+                                          "regressor": "relax-general",
+                                          "ground": {"atoms": 8}}, bandit=True)
+
+        def play():
+            adversary, regressor, f_star, gamma = build_bandit_pieces(cfg, seed)
+            run_square_cb(adversary, regressor, K, cfg.T, f_star, gamma, make_rng(seed, 2))
+
+        _assert_rules_agree(monkeypatch, play, K * 500)

@@ -17,10 +17,12 @@ import pytest
 from smoothol import adversaries, ftpl, harness, relaxation
 from smoothol.cli import main as cli_main
 from smoothol.core import LOSSES, ContextBlock, LossFunction, Trajectory, make_rng, regret_curve
-from smoothol.harness import ExperimentConfig, InvariantViolation, build_pieces, run_seed
+from smoothol.harness import (ConfigError, ExperimentConfig, InvariantViolation, build_pieces,
+                              run_seed)
 from smoothol.oracle import ErmOracle
 
 from conftest import plain
+from test_harness import _draws
 
 _NOISY = {"rule": "noisy_comparator", "threshold": 0.5, "flip_prob": 0.1}
 _RULES = {"noisy": _NOISY, "rademacher": {"rule": "rademacher"},
@@ -137,6 +139,23 @@ def test_other_sources_match_the_per_round_loop(learner, source, monkeypatch):
         "hidden_mu": ({"kind": "hidden_mu_threshold"}, "interval", None)}[source]
     for T in (2, 70):
         _assert_same(_config(learner, adversary, ground, T, klass), T, monkeypatch)
+
+
+def test_fuzzed_run_configs_match_the_per_round_loop():
+    """Every run config that the valid-config fuzzer of ``test_harness.py`` draws and that
+    loads: learners, losses, classes, grounds, adversaries and label rules drawn together."""
+    loaded = 0
+    for command, raw, _ in _draws():
+        if command != "run":
+            continue
+        try:
+            cfg = ExperimentConfig.from_dict(raw)
+        except ConfigError:
+            continue  # the fuzzer draws some configs that must be refused
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _assert_same(cfg, cfg.seeds[0], monkeypatch)
+        loaded += 1
+    assert loaded >= 60, loaded  # the draws reach the rounds
 
 
 # ---------------------------------------------------------------------------
