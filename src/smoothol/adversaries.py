@@ -135,9 +135,9 @@ class IidAdversary(Adversary):
 class AdaptiveMixtureAdversary(Adversary):
     """Maximally adaptive mixture: a history-dependent point mass blended with mu.
 
-    Each round targets the least-sampled atom a (ties to the lowest id) with
-    the largest point-mass weight that keeps the density ratio at exactly
-    1/sigma: p_t = w * delta_a + (1 - w) * mu.
+    Each round targets the least-sampled atom a that mu charges (ties to the
+    lowest id) with the largest point-mass weight that keeps the density
+    ratio at exactly 1/sigma: p_t = w * delta_a + (1 - w) * mu.
     """
 
     def __init__(self, certificate: SmoothnessCertificate, label_rule: LabelRule,
@@ -147,14 +147,12 @@ class AdaptiveMixtureAdversary(Adversary):
         super().__init__(certificate, label_rule, rng)
         self._counts = np.zeros(certificate.mu.ground.size, dtype=np.int64)
 
-    def _target_atom(self) -> int:
-        return int(np.argmin(self._counts))
-
     def conditional_probs(self) -> np.ndarray:
         """The next round's context distribution, p_t above."""
         mu = self.certificate.mu.probs
         sigma = self.certificate.sigma
-        a = self._target_atom()
+        # an atom with mu = 0 is never drawn, and as the target it would stay one with w = 0
+        a = int(np.argmin(np.where(mu > 0, self._counts, np.iinfo(np.int64).max)))
         if mu[a] >= 1.0 - 1e-15:
             w = 1.0
         else:
@@ -174,7 +172,7 @@ class AdaptiveMixtureAdversary(Adversary):
         return ctx, self.label_rule(x, u_label, last_prediction)
 
 
-_DYADIC_BITS = 48  # exact integer/2^48 arithmetic; increments clamp beyond this
+_DYADIC_BITS = 48  # coordinates in 2^-48 Z, exact in a double; increments clamp beyond this
 
 
 class HiddenMuThresholdAdversary(Adversary):
@@ -194,10 +192,8 @@ class HiddenMuThresholdAdversary(Adversary):
         super().__init__(SmoothnessCertificate(sigma=1.0 / T, mu=None),
                          rademacher_labels(), rng)
         self._t = 0
-        self._scale = 1 << _DYADIC_BITS
-        self._x_num = 0  # current coordinate, times 2^48
-        self._lo_num = 0  # consistent thresholds lie in (lo, hi]
-        self._hi_num = self._scale
+        self._x = 0.0  # current coordinate
+        self._lo, self._hi = 0.0, 1.0  # consistent thresholds lie in (lo, hi]
         # (context, label, last_prediction) per round, for the recurrence
         self.history: list[tuple[ContextBlock, float, Optional[float]]] = []
 
@@ -205,32 +201,31 @@ class HiddenMuThresholdAdversary(Adversary):
         self._t += 1
         t = self._t
         if t == 1:
-            self._x_num = 0
+            self._x = 0.0
             y = -1.0
         elif t == 2:
-            self._x_num = self._scale
+            self._x = 1.0
             y = 1.0
         else:
             prev_y = self.history[-1][1]
-            step = 1 << (_DYADIC_BITS - min(t - 2, _DYADIC_BITS))
-            self._x_num = self._x_num - int(prev_y) * step
-            self._x_num = min(max(self._x_num, 0), self._scale)
+            step = 2.0 ** -min(t - 2, _DYADIC_BITS)
+            self._x = min(max(self._x - prev_y * step, 0.0), 1.0)
             y = None  # a Rademacher draw at the new context
-        ctx = ContextBlock(coords=np.array([self._x_num / self._scale]))
+        ctx = ContextBlock(coords=np.array([self._x]))
         if y is None:
             y = self.label_rule(ctx.coordinate, self.rng.random(), last_prediction)
         if y > 0:
-            self._hi_num = min(self._hi_num, self._x_num)
+            self._hi = min(self._hi, self._x)
         else:
-            self._lo_num = max(self._lo_num, self._x_num)
+            self._lo = max(self._lo, self._x)
         self.history.append((ctx, y, last_prediction))
         return ctx, y
 
     def realizable_threshold(self) -> float:
         """A threshold consistent with every label emitted so far (x >= theta -> +1)."""
-        if self._lo_num >= self._hi_num:
+        if self._lo >= self._hi:
             raise ValueError("constraint interval collapsed (only exact for t <= 50)")
-        return self._hi_num / self._scale
+        return self._hi
 
 
 def _is_shattered(klass: HypothesisClass, ground: GroundSet,

@@ -62,7 +62,7 @@ KINDS = {
                                 "f_star_index gamma output_dir"}),
     "learner": ("name", None, {"relax-linear": "k", "relax-general": "k",
                                "ftpl-cls": "eta n zeta", "ftpl-dual": "eta n m epsilon zeta p",
-                               "ftpl-single": "eta n epsilon zeta"}),
+                               "ftpl-single": "n epsilon zeta"}),
     "adversary": ("kind", None, {"iid": "p beta labels",  # beta only with p "tilted"
                                  "adaptive_mixture": "labels", "hidden_mu_threshold": "",
                                  "rademacher_gap": "m scale labels"}),
@@ -148,11 +148,14 @@ class ExperimentConfig:
                 output_dir=spec.get("output_dir"),
                 checkpoints=spec.get("checkpoints"),
             )
-            if bandit:  # an absent gamma is the default
-                cfg.bandit = {"K": raw["K"], "class_seed": raw.get("class_seed", 7),
-                              "f_star_index": raw.get("f_star_index", 0),
-                              **{key: raw[key] for key in ("gamma",) if key in raw}}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            if bandit:  # an absent class_seed or gamma is the default
+                cfg.bandit = {"K": raw["K"], "f_star_index": raw.get("f_star_index", 0),
+                              **{key: raw[key] for key in ("class_seed", "gamma") if key in raw}}
+        except KeyError as exc:  # a top-level field, which the other command's config lacks
+            command, key = ("run", "learner") if bandit else ("bandit", "K")
+            hint = f": it is a `smoothol {command}` config" if key in raw else ""
+            raise ConfigError(f"the config has no field {exc}{hint}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         cfg.validate(raw)
         return cfg
@@ -178,7 +181,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown {'regressor' if regressor else f'{section}.{key}'} "
                                   f"{kind!r}; valid: {', '.join(names)}")
             reads = [f for f in kinds[kind].split() if f != "beta" or spec.get("p") == "tilted"]
-            reads += ["k"] * regressor  # both regressors share a bandit's k
             unread = [f"{section}.{f}".lstrip(".") for f in spec if f not in (key, *reads)]
             if unread:
                 raise ConfigError(f"{unread[0]} is not a field of {section or 'config'} {kind!r}, "
@@ -287,8 +289,10 @@ def build_class(cfg: ExperimentConfig, ground) -> HypothesisClass:
     if cfg.bandit is not None:  # f(x, a) in [0, 1] for the grid's atoms x and K actions a
         K = cfg.bandit["K"]
         if kind == "random_product":
-            return product_class(make_rng(cfg.bandit["class_seed"], 9).random(
+            return product_class(make_rng(cfg.bandit.get("class_seed", 7), 9).random(
                 (cfg.klass["H"], ground.size, K)))
+        if "class_seed" in cfg.bandit:
+            raise ConfigError("class_seed draws a random_product class; a table reads none")
         return product_class(_array(cfg.klass["values"], "class.values", (None, ground.size, K),
                                      0, 1))
     if kind == "thresholds":
@@ -340,6 +344,8 @@ def build_adversary(cfg: ExperimentConfig, mu, klass, rng: np.random.Generator):
         return adv.HiddenMuThresholdAdversary(cfg.T, rng)
     if mu is None or not mu.finite:
         raise ConfigError("rademacher_gap needs a finite ground set")
+    if "mu_probs" in cfg.ground:
+        raise ConfigError("rademacher_gap builds its own mu: it reads no ground.mu_probs")
     return adv.build_rademacher_gap_adversary(cfg.sigma, cfg.adversary.get("m", 2), klass,
         mu.ground, rng, scale=cfg.adversary.get("scale", 1.0), label_rule=label_rule)
 
@@ -386,7 +392,7 @@ def build_schedule(cfg: ExperimentConfig, loss: LossFunction) -> FtplSchedule:
     except ValueError as exc:  # a tiny sigma drives eta or the anchor count out of range
         raise ValueError(f"FTPL schedule for T = {cfg.T}, sigma = {cfg.sigma}: {exc}") from exc
     overrides = {k: spec[k] for k in ("eta", "n", "m", "epsilon") if k in spec}
-    if variant == "single" and "n" in overrides and "eta" not in overrides:
+    if variant == "single" and "n" in overrides:  # eta = sqrt(n)
         overrides["eta"] = math.sqrt(overrides["n"])
     return replace(sched, **overrides)
 

@@ -211,7 +211,6 @@ def predict_general(state: RelaxState, playout: PlayoutDraw, x_t: ContextBlock,
 class RelaxGeneralLearner:
     """Improper learner: a fresh playout per prediction, predictions via ``rule``."""
 
-    name = "relax-general"
     proper = False
     rule = staticmethod(play_general)
 
@@ -288,7 +287,6 @@ class RelaxGeneralLearner:
 
 
 class RelaxLinearLearner(RelaxGeneralLearner):
-    name = "relax-linear"
     rule = staticmethod(play_linear)
     branches = 2
 

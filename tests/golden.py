@@ -73,6 +73,19 @@ def configs() -> dict:
             out[f"{learner}/rademacher-gap/{loss}"] = ("run", _run(
                 learner, {"kind": "rademacher_gap", "m": 2}, {"type": "grid", "atoms": 9},
                 130, _GAP_CLASS, loss, seeds=(0, 1)))
+    # omega' per (cell, label) pair, where the pairs are fewer than the anchors: dual at
+    # p >= 2 (17 cells x 9 labels < 200 anchors) and single on two cells (2 x 43 < 183)
+    iid = {"kind": "iid", "labels": _LABELS["noisy"]}
+    for zeta in (0.0, 0.05):
+        raw = _run(f"ftpl-dual-zeta{zeta}", iid, _GROUNDS["grid"], 200)
+        raw["learner"]["p"] = 2
+        out[f"ftpl-dual-zeta{zeta}/p2"] = ("run", raw)
+    out["ftpl-single-zeta0.0/one-threshold"] = ("run", dict(_run(
+        "ftpl-single-zeta0.0", iid, _GROUNDS["grid"], 130, {"type": "thresholds", "m": 1}),
+        sigma=0.1))
+    raw = _run("ftpl-single-zeta0.0", iid, _GROUNDS["grid"], 130)
+    raw["learner"]["n"] = 9  # eta follows n
+    out["ftpl-single-zeta0.0/n9"] = ("run", raw)
     for regressor in ("ftpl-dual", "relax-general"):
         for K in (1, 2, 3):
             out[f"bandit/{regressor}/K{K}"] = ("bandit", {

@@ -91,6 +91,24 @@ def test_adaptive_mixture_density_bound_exact_every_round():
         assert len(targets) > 1  # adaptivity: the point mass moves with history
 
 
+@pytest.mark.parametrize("zero", [0, 5], ids=["zero-mass-first", "zero-mass-last"])
+def test_adaptive_mixture_targets_only_atoms_that_mu_charges(zero):
+    """An atom with mu = 0 is never drawn, so it is never the target: every round reaches
+    the density cap 1/sigma on the least-sampled charged atom, lowest id on ties."""
+    sigma, mu = 0.25, np.full(6, 0.2)  # each charged atom can carry density 1/sigma
+    mu[zero] = 0.0
+    cert = SmoothnessCertificate(sigma=sigma, mu=FiniteMeasure(GroundSet.grid(6), mu))
+    adv = AdaptiveMixtureAdversary(cert, rademacher_labels(), make_rng(3, 0))
+    counts = np.zeros(6, dtype=np.int64)
+    for _ in range(200):
+        probs = adv.conditional_probs()
+        target = min(np.flatnonzero(mu > 0), key=lambda a: (counts[a], a))
+        assert probs[zero] == 0.0
+        assert probs[target] / mu[target] == pytest.approx(1.0 / sigma, rel=1e-12)
+        counts[adv.next_round(last_prediction=0.5)[0].id] += 1
+    assert counts[zero] == 0 and counts.sum() == 200
+
+
 def test_verify_smoothness_adaptive_quarter():
     cert = _uniform_cert(10, 0.25)
     adv = AdaptiveMixtureAdversary(cert, rademacher_labels(), make_rng(8, 0))

@@ -289,7 +289,7 @@ def test_run_bandit_experiment_keeps_its_rng_streams(regressor):
     K, atoms, H, T, sigma, class_seed = 2, 6, 3, 25, 0.5, 5
     raw = {"K": K, "sigma": sigma, "T": T, "seeds": [0, 3], "regressor": regressor,
            "ground": {"atoms": atoms}, "class": {"type": "random_product", "H": H},
-           "class_seed": class_seed, "k": 2}
+           "class_seed": class_seed, **({"k": 2} if regressor == "relax-general" else {})}
     values = make_rng(class_seed, 9).random((H, atoms, K))
     klass = product_class(values)
     mu_x = FiniteMeasure.uniform(GroundSet.grid(atoms))

@@ -3,7 +3,9 @@
 The set (``tests/golden.py``) covers every learner on the grid and the interval, FTPL at
 an exact and an approximate oracle, noisy-comparator and adversarial-flip labels at one
 round and at two blocks and a bit, the adaptive mixture, hidden mu, the Rademacher gap,
-the bandit with both regressors at K = 1, 2, 3, and ``configs/*.json`` at reduced T.
+omega' per (cell, label) pair (ftpl-dual at p = 2, ftpl-single on one threshold), the
+single variant's n override, the bandit with both regressors at K = 1, 2, 3, and
+``configs/*.json`` at reduced T.
 """
 
 import json

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothol.bandit import run_bandit_experiment
 from smoothol.cli import main as cli_main
 from smoothol.core import ContextBlock, LOSSES
 from smoothol.harness import (
@@ -389,6 +390,30 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, names", [
+    ("run", "bandit_small.json", ("no field 'learner'", "`smoothol bandit` config")),
+    ("sweep", "bandit_small.json", ("no field 'learner'", "`smoothol bandit` config")),
+    ("bandit", "thresholds_iid.json", ("no field 'K'", "`smoothol run` config")),
+    ("run", "thresholds_iid.json without loss", ("no field 'loss'",)),
+    ("bandit", "bandit_small.json without sigma", ("no field 'sigma'",)),
+])
+def test_cli_config_error_names_the_missing_field(tmp_path, capsys, command, config, names):
+    """A config that lacks a field exits 2 naming it, and says when the config is one of
+    the other command's."""
+    name, _, missing = config.partition(" without ")
+    raw = json.loads((ROOT / "configs" / name).read_text())
+    raw.pop(missing, None)
+    cfg_path = tmp_path / name
+    cfg_path.write_text(json.dumps(raw))
+    sweep_args = ["--param", "T", "--values", "5"] if command == "sweep" else []
+    assert cli_main([command, "--config", str(cfg_path), *sweep_args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    for text in names:
+        assert text in err, err
+    assert ("smoothol" in err) == (len(names) == 2), err
+
+
 def _labels(**rule):
     labels = {"rule": "noisy_comparator", "threshold": 0.5, "flip_prob": 0.1, **rule}
     return {"adversary": {"kind": "iid", "p": "tilted", "labels": labels}}
@@ -513,6 +538,13 @@ def _case(case_id, overrides, *fields):
     _case("epsilon-on-ftpl-cls", {"learner": {"name": "ftpl-cls", "epsilon": 0.5}},
           "learner.epsilon"),
     _case("k-on-ftpl-dual", {"learner": {"name": "ftpl-dual", "k": 7}}, "learner.k"),
+    # the single variant's eta is sqrt(n), and the Rademacher gap builds its own mu
+    _case("eta-on-ftpl-single", {"learner": {"name": "ftpl-single", "eta": 5.0}},
+          "learner.eta", "ftpl-single"),
+    _case("mu-probs-under-rademacher-gap",
+          {**_rademacher_gap(2), "ground": {"type": "grid", "atoms": 3,
+                                            "mu_probs": [0.5, 0.25, 0.25]}},
+          "ground.mu_probs", "rademacher_gap"),
     _case("p-on-ftpl-single", {"learner": {"name": "ftpl-single", "p": 3.0}}, "learner.p"),
     _case("m-on-ftpl-single", {"learner": {"name": "ftpl-single", "m": 7}}, "learner.m"),
     _case("unknown-learner-field", {"learner": {"name": "ftpl-dual", "lr": 0.1}}, "learner.lr"),
@@ -610,6 +642,131 @@ def test_each_kind_loads_with_every_field_it_reads(section, kind):
     assert loaded == spec
 
 
+# a second value of each field, beside _FIELD_VALUES's or the base config's; top-level
+# fields are named "command.field"
+_OTHER_VALUES = {
+    "learner.k": 3, "learner.eta": 50.0, "learner.n": 9, "learner.m": 9, "learner.epsilon": 1.0,
+    "learner.zeta": 0.5, "learner.p": 2.0, "adversary.p": "mu", "adversary.beta": -1.0,
+    "adversary.labels": {"rule": "rademacher"}, "adversary.m": 1,
+    "adversary.labels.threshold": -1.5, "adversary.labels.flip_prob": 0.9, "class.m": 2,
+    "class.values": [[1.0] * 8 + [-1.0] * 8, [-1.0] * 16], "class.H": 2, "ground.atoms": 12,
+    "ground.mu_probs": [1 / 8] * 4 + [1 / 24] * 12,
+    "run.learner": {"name": "relax-linear"}, "run.adversary": {"kind": "adaptive_mixture"},
+    "run.class": {"type": "thresholds", "m": 2}, "run.loss": "scaled_square", "run.T": 7,
+    "run.sigma": 0.25, "run.seeds": [1], "run.ground": {"type": "grid", "atoms": 12},
+    "run.checkpoints": [3],
+    "bandit.K": 3, "bandit.T": 7, "bandit.sigma": 0.25, "bandit.seeds": [1],
+    "bandit.regressor": "ftpl-dual", "bandit.k": 3, "bandit.ground": {"atoms": 5},
+    "bandit.class": {"type": "random_product", "H": 2}, "bandit.class_seed": 8,
+    "bandit.f_star_index": 1, "bandit.gamma": 1.0,
+}
+# what a field needs beside it for its effect to show in 8 rounds: ftpl-dual's omega, at
+# its default eta, outweighs the omega' that epsilon's label grid sets
+_BESIDE = {"learner.epsilon-ftpl-dual": {"eta": 0.0}}
+# the fields whose value is no part of the run, and why the loader takes them
+_NOT_THE_RUN = {"output_dir": "it says where the outputs go",
+                "adversary.scale": "it sets the shattering check, not the draws"}
+
+
+def _set(raw, path, value):
+    """raw with the field at path set to value (raw itself, changed in place)."""
+    spec = raw
+    for part in path[:-1]:
+        spec = spec.setdefault(part, {})
+    spec[path[-1]] = value
+    return raw
+
+
+def _field_cases():
+    """(command, config, path, value, other value) for each field KINDS lets a kind read, on
+    its kind's base at T = 8 with four seeds.  Where what a field does hangs on another
+    section's kind (a bandit's k on its regressor, its class_seed on its class, a grid's
+    mu_probs on the adversary), on each such kind, where the loader may refuse it instead."""
+    elsewhere = ("k", "class_seed")  # a bandit's, on each regressor and class type below
+    for section, (key, default, kinds) in KINDS.items():
+        path = tuple(section.split(".")) if section else ()
+        for kind, fields in kinds.items():
+            bandit, base = _kind_base(kind)
+            base.update(T=8, seeds=[0, 1, 2, 3])
+            if not section:
+                base = {f: v for f, v in base.items() if f not in elsewhere}
+            spec = base
+            for part in path:
+                spec = spec.get(part, {})
+            if section and spec.get(key, default) != kind:
+                _set(base, path, {key: kind})
+            for f in fields.split():
+                name = f"{section or kind}.{f}"
+                case = f"{name}-{kind}" if section else name
+                if (name if section else f) in (*_NOT_THE_RUN, *elsewhere):
+                    continue
+                raw = json.loads(json.dumps(base))
+                for g, v in _BESIDE.get(case, {}).items():
+                    _set(raw, (*path, g), v)
+                yield pytest.param("bandit" if bandit else "run", raw, (*path, f),
+                                   _FIELD_VALUES.get(name, base.get(f)), _OTHER_VALUES[name],
+                                   id=case)
+    bandit = {f: v for f, v in _FULL_BANDIT.items() if f not in elsewhere}
+    bandit.update(T=8, seeds=[0, 1, 2, 3])
+    for regressor in NAMED["bandit"]["learner"]:
+        yield pytest.param("bandit", {**bandit, "regressor": regressor}, ("k",),
+                           _FULL_BANDIT["k"], _OTHER_VALUES["bandit.k"], id=f"bandit.k-{regressor}")
+    table = {"type": "table", "values": np.linspace(0, 1, 24).reshape(3, 4, 2).tolist()}
+    for klass in (_FULL_BANDIT["class"], table):
+        yield pytest.param("bandit", {**bandit, "class": klass}, ("class_seed",),
+                           _FULL_BANDIT["class_seed"], _OTHER_VALUES["bandit.class_seed"],
+                           id=f"bandit.class_seed-{klass['type']}")
+    for adversary in ("adaptive_mixture", "rademacher_gap"):
+        base = {**_kind_base(adversary)[1], "T": 8, "seeds": [0, 1, 2, 3]}
+        if adversary == "adaptive_mixture":  # the gap's base names its own adversary
+            base["adversary"] = {"kind": adversary}
+        atoms = base["ground"]["atoms"]
+        yield pytest.param("run", base, ("ground", "mu_probs"), [1 / atoms] * atoms,
+                           [0.5] + [0.5 / (atoms - 1)] * (atoms - 1),
+                           id=f"ground.mu_probs-{adversary}")
+
+
+def _outputs(command, raw, out):
+    """What a config's run writes to out: each trace CSV, and the summary without its wall
+    times and its echo of the config."""
+    raw = {**raw, "output_dir": str(out)}
+    if command == "run":
+        run_experiment(ExperimentConfig.from_dict(raw))
+    else:
+        run_bandit_experiment(raw)
+    files = {}
+    for path in sorted(out.iterdir()):
+        files[path.name] = path.read_text()
+        if path.suffix == ".json":
+            summary = json.loads(files[path.name])
+            for row in summary["per_seed"]:
+                row.pop("wall_time_s", None)
+            summary["aggregate"].pop("total_wall_time_s", None)
+            del summary["config"]
+            files[path.name] = summary
+    return files
+
+
+@pytest.mark.parametrize("command, raw, path, value, other", list(_field_cases()))
+def test_every_field_the_loader_accepts_changes_the_run(tmp_path, command, raw, path, value,
+                                                        other):
+    """Two accepted values of a field give two different runs: no field is taken and then
+    ignored.  Where another section's kind leaves the field unread, the loader refuses it
+    at either value, naming it."""
+    runs, refused = [], []
+    for i, v in enumerate((value, other)):
+        try:
+            runs.append(_outputs(command, _set(json.loads(json.dumps(raw)), path, v),
+                                 tmp_path / str(i)))
+        except ConfigError as exc:
+            refused.append(str(exc))
+    name = "learner.k" if path == ("k",) else ".".join(path)
+    if refused:
+        assert len(refused) == 2 and all(name in err for err in refused), refused
+    else:
+        assert runs[0] != runs[1], f"{name} = {value!r} and {other!r} give the same run"
+
+
 def _bandit_table_outside_unit_interval():
     values = np.full((2, 4, 2), 0.5)
     values[1, 0, 0] = 1.5
@@ -638,6 +795,11 @@ def _bandit_table_outside_unit_interval():
     _case("loss", {"loss": "linear"}, "loss"),
     _case("thresholds-class", {"class": {"type": "thresholds", "m": 8}}, "class.type"),
     _case("ftpl-cls-regressor", {"regressor": "ftpl-cls"}, "regressor", "relax-general"),
+    # ftpl-dual has no playout width, and a table class is drawn from no seed
+    _case("k-on-ftpl-dual", {"regressor": "ftpl-dual", "k": 7}, "learner.k", "ftpl-dual"),
+    _case("class-seed-on-a-table", {"ground": {"atoms": 2}, "class_seed": 7,
+                                    "class": {"type": "table", "values": [[[0.5] * 2] * 2]}},
+          "class_seed", "random_product"),
     _case("number-output-dir", {"output_dir": 5}, "output_dir"),
     _case("class-as-pairs", {"class": [["type", "table"]]}, "class must be an object"),
     _case("ground-as-pairs", {"ground": [["atoms", 4]]}, "ground must be an object"),
@@ -683,8 +845,7 @@ def _raw_path(command, section, key):
     if section in ("", "bandit"):
         return (key,) if key in KINDS[""][2][command].split() else None
     if command == "bandit" and section not in ("class", "ground"):
-        # the bandit mapping passes on k for its regressor, and the class and ground objects
-        return ("k",) if (section, key) == ("learner", "k") else None
+        return None  # the bandit mapping fixes the rest; its k is read by relax-general only
     return (*section.split("."), key)
 
 
@@ -879,12 +1040,11 @@ def _draw_number(rng, section, key):
     return float(rng.choice([lo, hi])) if rng.random() < 0.2 else float(rng.uniform(lo, hi))
 
 
-def _draw_spec(rng, section, kind, skip=()):
+def _draw_spec(rng, section, kind):
     """A section naming ``kind``, with each number it reads set at even odds."""
     spec = {KINDS[section][0]: kind}
     for key in KINDS[section][2][kind].split():
-        if key not in skip and rng.random() < 0.5 and any(row[:2] == (section, key)
-                                                          for row in NUMBERS):
+        if rng.random() < 0.5 and any(row[:2] == (section, key) for row in NUMBERS):
             spec[key] = _draw_number(rng, section, key)
     return spec
 
@@ -918,8 +1078,7 @@ def _draw_run(rng):
         adversary["p"] = "tilted"  # refused on the interval
     learner, loss = pick("learner"), pick("learner", list(LOSSES))
     T = _draw_number(rng, "", "T")
-    # ftpl-single's eta follows its n
-    spec = _draw_spec(rng, "learner", learner, skip=("eta",) if learner == "ftpl-single" else ())
+    spec = _draw_spec(rng, "learner", learner)
     raw = {"learner": spec, "adversary": adversary, "class": klass, "loss": loss, "T": T,
            "sigma": _draw_number(rng, "", "sigma"), "seeds": [_draw_number(rng, "", "seeds")],
            "ground": ground}
@@ -944,8 +1103,11 @@ def _draw_bandit(rng, regressor, K):
     else:
         raw["class"] = {"type": "table", "values": rng.random(
             (_draw_number(rng, "class", "H"), atoms, K)).tolist()}
-    for section, key in (("learner", "k"), ("bandit", "class_seed"), ("bandit", "gamma")):
-        if rng.random() < 0.5:
+    # k only where the regressor has a playout width, class_seed only where it draws the class
+    for section, key, read in (("learner", "k", regressor == "relax-general"),
+                               ("bandit", "class_seed", raw["class"]["type"] == "random_product"),
+                               ("bandit", "gamma", True)):
+        if read and rng.random() < 0.5:
             raw[key] = _draw_number(rng, section, key)
     if rng.random() < 0.5:  # an index past H is refused
         raw["f_star_index"] = int(rng.integers(0, 5))
