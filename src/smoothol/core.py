@@ -62,6 +62,12 @@ MAX_DRAWS = 2**63 - 1
 BLOCK = 64
 
 
+def refuse_past_horizon(t: int, rounds: int, T: Optional[int]) -> None:
+    """Refuse rounds t + 1..t + rounds past the horizon T (None: none), before any draw."""
+    if T is not None and t + rounds > T:
+        raise ValueError(f"round {t + rounds} is past the horizon T = {T}")
+
+
 def make_rng(seed: int, *key: int) -> np.random.Generator:
     """Philox generator for ``seed``, split hierarchically by integer ``key``.
 

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BLOCK, MAX_DRAWS, ContextBlock, FiniteMeasure, HypothesisClass, LossFunction
+from .core import (BLOCK, MAX_DRAWS, ContextBlock, FiniteMeasure, HypothesisClass, LossFunction,
+                   refuse_past_horizon)
 from .oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 
 __all__ = [
@@ -199,7 +200,6 @@ VARIANTS = ("classification", "dual", "single")
 
 @dataclass(frozen=True)
 class FtplSchedule:
-    variant: str
     eta: float
     n: int
     m: Optional[int] = None
@@ -208,9 +208,8 @@ class FtplSchedule:
     T: Optional[int] = None  # the horizon it was made for; no learner draws past it
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
         if not (0 <= self.eta < math.inf and 0 <= self.zeta < math.inf) or self.n < 1 or (
+                self.m is not None and self.m < 1) or (
                 self.epsilon is not None and not 0 < self.epsilon < math.inf):
             raise ValueError("schedule parameters out of range")
         if self.T is not None and self.T < 1:
@@ -218,9 +217,6 @@ class FtplSchedule:
         if self.n > MAX_DRAWS or (self.m is not None and self.m > MAX_DRAWS):
             raise ValueError(f"anchor counts must be at most 2^63 - 1, the most draws one "
                              f"multinomial takes (n = {self.n}, m = {self.m})")
-        if self.variant == "single":
-            if abs(self.eta - math.sqrt(self.n)) > 1e-9:
-                raise ValueError("single variant couples eta = sqrt(n)")
 
 
 def _ceil(x: float) -> int:
@@ -247,8 +243,7 @@ def schedule(T: int, sigma: float, L: float = 1.0, d_or_p: Optional[float] = Non
         # log floored at zero so degenerate horizons fall back to plain FTL
         log_term = max(math.log(T * L / sigma), 0.0)
         eta = math.sqrt(T * log_term / sigma)
-        return FtplSchedule("classification", eta=eta, n=_ceil(T / math.sqrt(sigma)),
-                            zeta=zeta, T=T)
+        return FtplSchedule(eta=eta, n=_ceil(T / math.sqrt(sigma)), zeta=zeta, T=T)
     if variant == "dual":
         p = d_or_p
         if p is not None and p >= 2.0:
@@ -259,12 +254,12 @@ def schedule(T: int, sigma: float, L: float = 1.0, d_or_p: Optional[float] = Non
             eta = T ** (2.0 / 3.0) * sigma ** (-1.0 / 3.0)
             n = _ceil(math.sqrt(T / sigma))
             eps = T ** (-1.0 / 3.0)
-        return FtplSchedule("dual", eta=eta, n=n, m=n, epsilon=eps, zeta=zeta, T=T)
+        return FtplSchedule(eta=eta, n=n, m=n, epsilon=eps, zeta=zeta, T=T)
     if variant == "single":
         eta0 = T ** (5.0 / 12.0) * sigma ** (-0.25)
         n = _ceil(eta0 ** 2)
         eps = T ** (-0.75) * sigma ** (-0.25)
-        return FtplSchedule("single", eta=math.sqrt(n), n=n, epsilon=eps, zeta=zeta, T=T)
+        return FtplSchedule(eta=math.sqrt(n), n=n, epsilon=eps, zeta=zeta, T=T)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -276,8 +271,7 @@ def _query(omega: Optional[GaussianPerturbation], omega_label: Optional[Gaussian
            eta: float, label_scale: float) -> ErmQuery:
     """eta * omega(f) plus label_scale * omega'(f), either of which may be absent, one round
     per row of coefficients, each block with its draw's sum |gamma| scaled alike."""
-    coeffs = (omega or omega_label).coeffs
-    query = ErmQuery(1 if coeffs.ndim == 1 else len(coeffs))
+    query = ErmQuery()
     if omega is not None:
         if omega.normalization != "inv_sqrt_n" or omega.labels is not None:
             raise ValueError("omega is the normalized, label-free process")
@@ -341,7 +335,8 @@ class FtplLearner:
             raise ValueError("classification variant needs a binary class")
         if variant in ("dual", "single") and sched.epsilon is None:
             raise ValueError(f"{variant} variant needs epsilon in its schedule")
-        self.variant = variant
+        if variant == "single" and abs(sched.eta - math.sqrt(sched.n)) > 1e-9:
+            raise ValueError("single variant couples eta = sqrt(n)")
         self.klass = klass
         self.loss = loss
         self.cells = klass.cell_measure(mu)
@@ -355,7 +350,8 @@ class FtplLearner:
         # per cell where the loss allows), is fixed here; None for a process the variant
         # does not add
         self._processes = (
-            None if variant == "single" else self._process(sched.m or sched.n, None),
+            None if variant == "single" else self._process(
+                sched.n if sched.m is None else sched.m, None),
             None if variant == "classification" else self._process(sched.n, self.grid))
         self._block_rounds = max(1, min(BLOCK, BLOCK_ELEMENTS // max(
             self._elements(p) for p in self._processes if p)))
@@ -383,22 +379,14 @@ class FtplLearner:
     def _draw_block(self) -> ErmQuery:
         """The next block's perturbations, as one query with a round per row: ``BLOCK``
         rounds, fewer to stay within ``BLOCK_ELEMENTS``, and none past ``sched.T``."""
-        self._refuse_past_horizon(1)
+        refuse_past_horizon(self._t, 1, self.sched.T)
         rounds = self._block_rounds
         if self.sched.T is not None:
             rounds = min(rounds, self.sched.T - self._t)
         omega, omega_label = (None if p is None else draw_perturbation(
             self.cells, rng=self.rng, rounds=rounds, band=self.sched.zeta > 0, **p)
             for p in self._processes)
-        s = self.sched
-        if self.variant == "single":
-            return _query(None, omega_label, 0.0, s.eta / math.sqrt(s.n))
-        return _query(omega, omega_label, s.eta, 1.0)
-
-    def _refuse_past_horizon(self, rounds: int) -> None:
-        """Refuse rounds past a set ``sched.T`` before anything is drawn or added to the history."""
-        if self.sched.T is not None and self._t + rounds > self.sched.T:
-            raise ValueError(f"round {self._t + rounds} is past the horizon T = {self.sched.T}")
+        return _query(omega, omega_label, self.sched.eta, 1.0)
 
     def select(self) -> int:
         """Commit to this round's hypothesis, under the round's fresh perturbations."""
@@ -414,7 +402,7 @@ class FtplLearner:
         """A run of rounds known ahead, played as ``select``, ``predict`` then ``observe``
         round by round would: returns the predictions and the oracle calls made by the end
         of each round."""
-        self._refuse_past_horizon(len(labels))
+        refuse_past_horizon(self._t, len(labels), self.sched.T)
         values = self.klass.evaluate_block(contexts)
         calls, rows = self.oracle.calls, self.oracle.prefix_rows
         seen = self.oracle.extend_run(values, labels)

@@ -182,6 +182,9 @@ class ExperimentConfig:
                                   f"{kind!r}; valid: {', '.join(names)}")
             reads = [f for f in kinds[kind].split() if f != "beta" or spec.get("p") == "tilted"]
             unread = [f"{section}.{f}".lstrip(".") for f in spec if f not in (key, *reads)]
+            if unread and regressor:  # a bandit passes its regressor k alone
+                raise ConfigError(f"k is not a field of regressor {kind!r}: only the "
+                                  f"relax-general regressor reads it")
             if unread:
                 raise ConfigError(f"{unread[0]} is not a field of {section or 'config'} {kind!r}, "
                                   f"which reads {', '.join(reads) or 'no other field'}")
@@ -392,6 +395,9 @@ def build_schedule(cfg: ExperimentConfig, loss: LossFunction) -> FtplSchedule:
     except ValueError as exc:  # a tiny sigma drives eta or the anchor count out of range
         raise ValueError(f"FTPL schedule for T = {cfg.T}, sigma = {cfg.sigma}: {exc}") from exc
     overrides = {k: spec[k] for k in ("eta", "n", "m", "epsilon") if k in spec}
+    if "p" in spec and len(overrides) == 4:
+        raise ValueError("learner.p sets eta, n, m and epsilon, which the config gives: "
+                         "it changes nothing")
     if variant == "single" and "n" in overrides:  # eta = sqrt(n)
         overrides["eta"] = math.sqrt(overrides["n"])
     return replace(sched, **overrides)

@@ -30,8 +30,8 @@ IDENTITY = "identity_loss"
 
 @dataclass
 class RowBlock:
-    """Rows sharing a loss selector: ``weights`` (rows,) for one round or (rounds, rows),
-    over contexts and labels shared by every round or given per round, round-major.
+    """Rows sharing a loss selector: ``weights`` (rounds, rows), given as (rows,) for one
+    round, over contexts and labels shared by every round or given per round, round-major.
 
     ``values``, if given, is f(contexts) per hypothesis, (H, len(contexts)), read in place
     of evaluating the contexts (identity rows may carry any function of it, such as its
@@ -50,8 +50,10 @@ class RowBlock:
             raise ValueError(f"unknown loss selector {self.selector!r}")
         self.labels = np.asarray(self.labels, dtype=np.float64)
         self.weights = np.asarray(self.weights, dtype=np.float64)
+        if self.weights.ndim == 1:
+            self.weights = self.weights[None, :]
         n = len(self.contexts)
-        if self.weights.ndim not in (1, 2) or len(self.labels) != n or \
+        if self.weights.ndim != 2 or len(self.labels) != n or \
                 n not in (len(self), self.rounds * len(self)):
             raise ValueError("block arrays must share a length")
         if self.values is not None and (self.values.ndim != 2 or self.values.shape[1] != n):
@@ -61,7 +63,7 @@ class RowBlock:
 
     @property
     def rounds(self) -> int:
-        return 1 if self.weights.ndim == 1 else len(self.weights)
+        return len(self.weights)
 
     def __len__(self) -> int:
         """Rows per round."""
@@ -70,13 +72,12 @@ class RowBlock:
 
 class ErmQuery:
     """The rows ``rounds`` weighted ERM instances add to the oracle's history: round i's
-    are row i of every block.  The oracle's first call evaluates every round and keeps the
-    result in ``evaluated``; adding a block drops it."""
+    are row i of every block.  The first block stored sets ``rounds``, one while there is
+    none.  The oracle's first call evaluates every round and keeps the result in
+    ``evaluated``; adding a block drops it."""
 
-    def __init__(self, rounds: int = 1):
-        if rounds < 1:
-            raise ValueError("a query holds at least one round")
-        self.rounds = rounds
+    def __init__(self):
+        self.rounds = 1
         self.blocks: list[RowBlock] = []
         self.evaluated: Optional[tuple] = None  # (oracle, (rounds, H) objective per block)
 
@@ -84,9 +85,10 @@ class ErmQuery:
                   weights: np.ndarray, values: Optional[np.ndarray] = None,
                   abs_weight: Optional[np.ndarray] = None) -> "ErmQuery":
         block = RowBlock(selector, contexts, labels, weights, values, abs_weight)
-        if block.rounds != self.rounds:
+        if block.rounds != self.rounds and (self.blocks or block.rounds < 1):
             raise ValueError(f"block holds {block.rounds} rounds, not the query's {self.rounds}")
         if len(block):
+            self.rounds = block.rounds
             self.blocks.append(block)
             self.evaluated = None
         return self
@@ -99,7 +101,7 @@ class ErmQuery:
     def total_abs_weight(self, index: int = 0) -> float:
         """sum |w_i| over round ``index``'s rows: a block's ``abs_weight`` where it
         has one, else the sum of its weights'."""
-        return float(sum(np.abs(b.weights.reshape(self.rounds, -1)[index]).sum()
+        return float(sum(np.abs(b.weights[index]).sum()
                          if b.abs_weight is None else b.abs_weight[index]
                          for b in self.blocks))
 
@@ -156,15 +158,9 @@ class ErmOracle:
     # -- objective evaluation -----------------------------------------------
     def _block_objective(self, block: RowBlock) -> np.ndarray:
         """(rounds, H): each round's sum_i w_i l_i(f(x_i), y_i) over the block's rows."""
-        rows = len(block)
-        weights = block.weights.reshape(block.rounds, rows)
-        shared = len(block.contexts) == rows  # one set of rows for every round
+        shared = len(block.contexts) == len(block)  # one set of rows for every round
         values = block.values
         if values is None:
-            if block.selector == IDENTITY:  # identity rows ignore labels: sum_i w_i f(x_i)
-                return np.array([self.klass.identity_dot(
-                    block.contexts if shared else block.contexts[i * rows:(i + 1) * rows], w)
-                    for i, w in enumerate(weights)])
             values = self.klass.evaluate_block(block.contexts)
         elif len(values) != len(self.prefix):
             raise ValueError(f"block values hold {len(values)} hypotheses, not {len(self.prefix)}")
@@ -172,8 +168,8 @@ class ErmOracle:
             # the loss matrix is freed before the values: the other order let the allocator
             # return both (H x rows) arrays to the system every round, and fault them back in
             return _row_sums(self.main_loss.evaluate_array(values, block.labels[None, :]),
-                             weights, shared)
-        return _row_sums(values, weights, shared)
+                             block.weights, shared)
+        return _row_sums(values, block.weights, shared)  # identity rows: sum_i w_i f(x_i)
 
     def objective_vector(self, query: ErmQuery, index: int = 0) -> np.ndarray:
         """A copy of the history objective plus round ``index``'s row blocks', in order."""

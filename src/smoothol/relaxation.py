@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BLOCK, MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction
+from .core import BLOCK, MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction, refuse_past_horizon
 from .oracle import IDENTITY, ErmOracle, ErmQuery
 
 __all__ = [
@@ -119,7 +119,7 @@ class RelaxState:
         per net sign and negated, because the oracle minimizes while the relaxation
         takes a supremum."""
         weights = -6.0 * self.loss.lipschitz_L * playout.signs.astype(np.float64)
-        return ErmQuery(1 if weights.ndim == 1 else len(weights)).add_block(
+        return ErmQuery().add_block(
             IDENTITY, playout.contexts, np.zeros(len(playout.contexts)), weights, playout.values)
 
 
@@ -247,7 +247,7 @@ class RelaxGeneralLearner:
     def play(self, contexts: ContextBlock, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A run of rounds known ahead, played as ``predict`` then ``observe`` round by round
         would: returns the predictions and the oracle calls made by the end of each round."""
-        self._refuse_past_horizon(len(labels))
+        refuse_past_horizon(self.state.t, len(labels), self.state.T)
         values, calls = self.klass.evaluate_block(contexts), self.oracle.calls
         predictions = self._answer(values, self.oracle.extend_run(values, labels)[:-1], 1,
                                    len(labels))
@@ -260,7 +260,7 @@ class RelaxGeneralLearner:
         ``history``: ``per_round`` in each of the next ``rounds`` rounds.  It takes the
         playout block's next entries when they are for exactly those rounds, and otherwise
         draws a block of at least ``BLOCK // per_round`` rounds, none past T."""
-        self._refuse_past_horizon(rounds)
+        refuse_past_horizon(self.state.t, rounds, self.state.T)
         rounds_left, n, block = self.state.rounds_left, per_round * rounds, self._playouts
         ahead = [] if block is None else block.rounds_left[self._next:self._next + n].tolist()
         if ahead != [rounds_left - i // per_round for i in range(n)]:
@@ -275,12 +275,6 @@ class RelaxGeneralLearner:
             predictions[chunk] = self.rule(self.state, self._query, values[:, chunk],
                                            self.oracle, index + i, history[chunk])
         return predictions
-
-    def _refuse_past_horizon(self, rounds: int) -> None:
-        """Refuse rounds past T before anything is drawn or added to the history."""
-        if self.state.t + rounds > self.state.T:
-            raise ValueError(f"round {self.state.t + rounds} is past the horizon "
-                             f"T = {self.state.T}")
 
     def observe(self, context: ContextBlock, label: float) -> None:
         self.state.observe(context, label, self.oracle)

@@ -80,6 +80,10 @@ def configs() -> dict:
         raw = _run(f"ftpl-dual-zeta{zeta}", iid, _GROUNDS["grid"], 200)
         raw["learner"]["p"] = 2
         out[f"ftpl-dual-zeta{zeta}/p2"] = ("run", raw)
+        # fewer omega anchors than omega' anchors: m = 3 beside n = 17
+        raw = _run(f"ftpl-dual-zeta{zeta}", iid, _GROUNDS["grid"], 130)
+        raw["learner"]["m"] = 3
+        out[f"ftpl-dual-zeta{zeta}/m3"] = ("run", raw)
     out["ftpl-single-zeta0.0/one-threshold"] = ("run", dict(_run(
         "ftpl-single-zeta0.0", iid, _GROUNDS["grid"], 130, {"type": "thresholds", "m": 1}),
         sigma=0.1))

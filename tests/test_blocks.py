@@ -106,7 +106,7 @@ def test_block_objective_matches_one_query_per_round(interval, route, loss):
         weights = rng.normal(size=(rounds, n)) * 40.0
         per_round = [(contexts[i * n:(i + 1) * n], labels[i * n:(i + 1) * n], weights[i])
                      for i in range(rounds)]
-    block = ErmQuery(rounds).add_block(selector, contexts, labels, weights, values)
+    block = ErmQuery().add_block(selector, contexts, labels, weights, values)
     for i, (ctx, y, w) in enumerate(per_round):
         own = oracle.objective_vector(ErmQuery().add_block(
             selector, ctx, y, w, None if values is None else values))
@@ -150,11 +150,30 @@ def test_block_of_playouts_equals_one_query_per_round_bit_for_bit(interval):
 def test_queries_refuse_blocks_of_another_round_count():
     ctx = ContextBlock(ids=np.array([0, 1]))
     with pytest.raises(ValueError, match="holds 3 rounds, not the query's 2"):
-        ErmQuery(2).add_block(IDENTITY, ctx, np.zeros(2), np.ones((3, 2)))
+        ErmQuery().add_block(IDENTITY, ctx, np.zeros(2), np.ones((2, 2))).add_block(
+            IDENTITY, ctx, np.zeros(2), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="holds 1 rounds, not the query's 2"):  # (rows,): one
+        ErmQuery().add_block(IDENTITY, ctx, np.zeros(2), np.ones((2, 2))).add_block(
+            IDENTITY, ctx, np.zeros(2), np.ones(2))
     with pytest.raises(ValueError, match="share a length"):  # 2 rounds of 3 rows over 2 contexts
-        ErmQuery(2).add_block(IDENTITY, ctx, np.zeros(2), np.ones((2, 3)))
-    with pytest.raises(ValueError, match="at least one round"):
-        ErmQuery(0)
+        ErmQuery().add_block(IDENTITY, ctx, np.zeros(2), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="holds 0 rounds, not the query's 1"):
+        ErmQuery().add_block(IDENTITY, ctx, np.zeros(2), np.ones((0, 2)))
+
+
+def test_a_query_counts_the_rounds_of_its_first_stored_block():
+    """An empty query holds one round; its first block with rows sets the count, and a
+    block of no rows is not stored, so it sets none."""
+    ctx, none = ContextBlock(ids=np.array([0, 1])), ContextBlock(ids=np.array([], dtype=int))
+    assert ErmQuery().rounds == 1 and ErmQuery().n_rows == 0
+    query = ErmQuery().add_block(IDENTITY, none, np.zeros(0), np.ones((3, 0)))
+    assert query.rounds == 1 and query.blocks == []
+    query.add_block(MAIN, ctx, np.zeros(2), np.ones((4, 2)))
+    assert query.rounds == 4 and query.blocks[0].weights.shape == (4, 2)
+    query.add_block(IDENTITY, ctx, np.zeros(2), np.ones((4, 2)))
+    assert query.rounds == 4 and len(query.blocks) == 2
+    one = ErmQuery().add_block(IDENTITY, ctx, np.zeros(2), np.ones(2))
+    assert one.rounds == 1 and one.blocks[0].weights.shape == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +396,7 @@ def test_ftpl_block_selections_match_per_round_selections_in_law(variant, draw, 
                            ground=ground, kind="binary")
         mu = FiniteMeasure.uniform(ground)
     loss = linear_loss()
-    sched = FtplSchedule(variant, eta=eta or np.sqrt(n), n=n, m=n, zeta=zeta,
+    sched = FtplSchedule(eta=eta or np.sqrt(n), n=n, m=n, zeta=zeta,
                          epsilon=None if variant == "classification" else 0.5)
     learner = FtplLearner(variant, klass, loss, mu, sched, ErmOracle(klass, loss),
                           make_rng(56, 0))
@@ -478,7 +497,7 @@ def test_blocks_stay_under_the_element_cap():
     # main-loss gather H * n
     for variant, n, rounds in (("classification", 100, BLOCK), ("classification", 4000, 32),
                                ("dual", 100, 20), ("dual", 1000, 2), ("dual", 4000, 1)):
-        sched = FtplSchedule(variant, eta=1.0, n=n, m=n, epsilon=0.01, zeta=0.05)
+        sched = FtplSchedule(eta=1.0, n=n, m=n, epsilon=0.01, zeta=0.05)
         learner = FtplLearner(variant, klass, loss, mu, sched, ErmOracle(klass, loss),
                               make_rng(58, 1))
         assert learner._block_rounds == rounds

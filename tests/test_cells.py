@@ -280,21 +280,29 @@ def test_playout_value_matrix_matches_both_evaluations_bit_for_bit(interval):
 
 
 @pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
-def test_relaxation_rounds_never_reach_identity_dot(interval, monkeypatch):
+def test_relaxation_rounds_never_evaluate_the_playout_cells(interval, monkeypatch):
+    """The learner evaluates its cells once, when it is made; a round's playout rows carry
+    those values, so its rounds evaluate the class only at their contexts."""
     klass, mu = _threshold_space(interval)
     loss = linear_loss()
     learner = RelaxLinearLearner(klass, loss, mu, 50, 0.2, ErmOracle(klass, loss),
                                  make_rng(35, 0))
+    cells, evaluate, evaluated = learner.cells.atoms, type(klass).evaluate_block, []
 
-    def refuse(*args):
-        raise AssertionError("a playout was evaluated again")
+    def refuse_the_cells(self, block):
+        if len(block) == len(cells) and all(np.array_equal(a, b) for a, b in (
+                (block.ids, cells.ids), (block.coords, cells.coords))):
+            raise AssertionError("a playout's cells were evaluated again")
+        evaluated.append(len(block))
+        return evaluate(self, block)
 
-    monkeypatch.setattr(type(klass), "identity_dot", refuse)
+    monkeypatch.setattr(type(klass), "evaluate_block", refuse_the_cells)
     rng = make_rng(35, 1)
     for _ in range(10):
         x = sample(mu, rng)
         learner.predict(x)
         learner.observe(x, float(rng.choice([-1.0, 1.0])))
+    assert evaluated == [1] * 20  # each round's context, to predict and to observe
 
 
 @pytest.mark.parametrize("interval", [False, True], ids=["grid", "interval"])
@@ -335,8 +343,8 @@ def test_per_cell_label_anchor_values_match_evaluating_the_pairs_bit_for_bit(los
     for pert in drawn:
         assert pert.values is not None and pert.coeffs.shape[1] == 65 * len(learner.grid)
         losses = loss.evaluate_array(klass.evaluate_block(pert.contexts), pert.labels[None, :])
-        stacked = ErmQuery(len(pert.coeffs)).add_block(MAIN, pert.contexts, pert.labels,
-                                                      pert.coeffs, pert.values)
+        stacked = ErmQuery().add_block(MAIN, pert.contexts, pert.labels, pert.coeffs,
+                                       pert.values)
         for i, w in enumerate(pert.coeffs):
             reference = losses @ w
             carried = ErmQuery().add_block(MAIN, pert.contexts, pert.labels, w, pert.values)

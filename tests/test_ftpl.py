@@ -165,10 +165,30 @@ def test_schedule_unknown_variant():
         schedule(10, 0.5, variant="mystery")
 
 
-def test_single_schedule_enforces_coupling():
-    with pytest.raises(ValueError, match="couples"):
-        FtplSchedule("single", eta=3.0, n=4)
-    FtplSchedule("single", eta=2.0, n=4)
+def test_single_learner_enforces_coupling():
+    """The learner names the variant, so it checks eta = sqrt(n): a dual schedule (eta /
+    sqrt(n) about 5.4) is refused by the single learner, and played by the dual one."""
+    rng = make_rng(13, 0)
+    klass = random_table_class(rng, 4, 6, binary=False)
+    mu, loss = FiniteMeasure.uniform(klass.ground), linear_loss()
+
+    def learner(variant, sched):
+        return FtplLearner(variant, klass, loss, mu, sched, ErmOracle(klass, loss),
+                           make_rng(13, 1))
+
+    dual = schedule(50, 0.5, variant="dual")
+    assert dual.eta / math.sqrt(dual.n) > 5
+    learner("dual", dual).select()
+    for sched in (dual, FtplSchedule(eta=3.0, n=4, epsilon=0.5)):
+        with pytest.raises(ValueError, match="couples eta = sqrt"):
+            learner("single", sched)
+    learner("single", FtplSchedule(eta=2.0, n=4, epsilon=0.5)).select()
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_schedule_refuses_anchor_counts_below_one(m):
+    with pytest.raises(ValueError, match="out of range"):
+        FtplSchedule(eta=1.0, n=5, m=m, epsilon=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -538,6 +538,10 @@ def _case(case_id, overrides, *fields):
     _case("epsilon-on-ftpl-cls", {"learner": {"name": "ftpl-cls", "epsilon": 0.5}},
           "learner.epsilon"),
     _case("k-on-ftpl-dual", {"learner": {"name": "ftpl-dual", "k": 7}}, "learner.k"),
+    # p sets only the schedule values that the config gives
+    _case("p-beside-every-value-it-sets", {"learner": {"name": "ftpl-dual", "p": 3.0, "eta": 2.0,
+                                                       "n": 4, "m": 4, "epsilon": 0.5}},
+          "learner.p"),
     # the single variant's eta is sqrt(n), and the Rademacher gap builds its own mu
     _case("eta-on-ftpl-single", {"learner": {"name": "ftpl-single", "eta": 5.0}},
           "learner.eta", "ftpl-single"),
@@ -630,16 +634,19 @@ def test_each_kind_loads_with_every_field_it_reads(section, kind):
         assert sorted(raw) == sorted(kinds[kind].split())
         ExperimentConfig.from_dict(raw, bandit=bandit)
         return
-    spec = {key: kind, **{f: _FIELD_VALUES[f"{section}.{f}"] for f in kinds[kind].split()}}
-    *parents, last = section.split(".")
-    target = raw
-    for part in parents:
-        target = target[part]
-    target[last] = spec
-    loaded = ExperimentConfig.from_dict(raw, bandit=bandit).to_dict()
-    for part in section.split("."):
-        loaded = loaded[part]
-    assert loaded == spec
+    # p sets eta, n, m and epsilon, and is refused beside all four: it loads without eta
+    for left_out in {"ftpl-dual": ("p", "eta")}.get(kind, (None,)):
+        spec = {key: kind, **{f: _FIELD_VALUES[f"{section}.{f}"] for f in kinds[kind].split()
+                              if f != left_out}}
+        *parents, last = section.split(".")
+        target = raw
+        for part in parents:
+            target = target[part]
+        target[last] = spec
+        loaded = ExperimentConfig.from_dict(raw, bandit=bandit).to_dict()
+        for part in section.split("."):
+            loaded = loaded[part]
+        assert loaded == spec
 
 
 # a second value of each field, beside _FIELD_VALUES's or the base config's; top-level
@@ -663,6 +670,8 @@ _OTHER_VALUES = {
 # what a field needs beside it for its effect to show in 8 rounds: ftpl-dual's omega, at
 # its default eta, outweighs the omega' that epsilon's label grid sets
 _BESIDE = {"learner.epsilon-ftpl-dual": {"eta": 0.0}}
+# every value ftpl-dual's p sets: beside all four, p changes nothing, and the loader refuses it
+_P_SETS = {"eta": 2.0, "n": 4, "m": 4, "epsilon": 0.5}
 # the fields whose value is no part of the run, and why the loader takes them
 _NOT_THE_RUN = {"output_dir": "it says where the outputs go",
                 "adversary.scale": "it sets the shattering check, not the draws"}
@@ -706,6 +715,10 @@ def _field_cases():
                 yield pytest.param("bandit" if bandit else "run", raw, (*path, f),
                                    _FIELD_VALUES.get(name, base.get(f)), _OTHER_VALUES[name],
                                    id=case)
+    yield pytest.param("run", {**_kind_base("ftpl-dual")[1], "T": 8, "seeds": [0, 1, 2, 3],
+                               "learner": {"name": "ftpl-dual", **_P_SETS}},
+                       ("learner", "p"), _FIELD_VALUES["learner.p"], _OTHER_VALUES["learner.p"],
+                       id="learner.p-ftpl-dual-beside-all")
     bandit = {f: v for f, v in _FULL_BANDIT.items() if f not in elsewhere}
     bandit.update(T=8, seeds=[0, 1, 2, 3])
     for regressor in NAMED["bandit"]["learner"]:
@@ -760,7 +773,7 @@ def test_every_field_the_loader_accepts_changes_the_run(tmp_path, command, raw, 
                                  tmp_path / str(i)))
         except ConfigError as exc:
             refused.append(str(exc))
-    name = "learner.k" if path == ("k",) else ".".join(path)
+    name = "k is not a field" if path == ("k",) else ".".join(path)
     if refused:
         assert len(refused) == 2 and all(name in err for err in refused), refused
     else:
@@ -796,7 +809,8 @@ def _bandit_table_outside_unit_interval():
     _case("thresholds-class", {"class": {"type": "thresholds", "m": 8}}, "class.type"),
     _case("ftpl-cls-regressor", {"regressor": "ftpl-cls"}, "regressor", "relax-general"),
     # ftpl-dual has no playout width, and a table class is drawn from no seed
-    _case("k-on-ftpl-dual", {"regressor": "ftpl-dual", "k": 7}, "learner.k", "ftpl-dual"),
+    _case("k-on-ftpl-dual", {"regressor": "ftpl-dual", "k": 7},
+          "k is not a field of regressor 'ftpl-dual'", "only the relax-general regressor"),
     _case("class-seed-on-a-table", {"ground": {"atoms": 2}, "class_seed": 7,
                                     "class": {"type": "table", "values": [[[0.5] * 2] * 2]}},
           "class_seed", "random_product"),

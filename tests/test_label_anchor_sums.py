@@ -221,7 +221,7 @@ def test_per_anchor_rows_stay_where_the_reduction_does_not_apply():
     rng = make_rng(95, 0)
     klass = random_table_class(rng, 5, 12)
     mu, loss = FiniteMeasure.uniform(klass.ground), absolute_loss()
-    sched = FtplSchedule("dual", eta=1.0, n=40, m=40, epsilon=0.1, zeta=0.05)
+    sched = FtplSchedule(eta=1.0, n=40, m=40, epsilon=0.1, zeta=0.05)
     learner = FtplLearner("dual", klass, loss, mu, sched, ErmOracle(klass, loss),
                           make_rng(95, 1))
     assert learner._processes[1].get("sums") is None

@@ -105,14 +105,14 @@ def test_total_abs_weight_reads_a_carried_band_and_sums_every_other_block():
     reads; a block without one (criterion 3's fuzzed rows) sums |w| of its own weights."""
     contexts = ContextBlock(ids=np.array([0, 1, 0]))
     weights = np.array([[1.0, -2.0, 0.5], [-0.25, 0.0, 3.0]])
-    query = ErmQuery(2).add_block(MAIN, contexts, np.zeros(3), weights)
+    query = ErmQuery().add_block(MAIN, contexts, np.zeros(3), weights)
     assert [query.total_abs_weight(i) for i in range(2)] == [3.5, 3.25]
     query.add_block(IDENTITY, contexts, np.zeros(3), weights, abs_weight=np.array([10.0, 20.0]))
     assert [query.total_abs_weight(i) for i in range(2)] == [13.5, 23.25]
     one = ErmQuery().add_block(IDENTITY, contexts, np.zeros(3), weights[0], abs_weight=4.0)
     assert one.total_abs_weight() == 4.0
     with pytest.raises(ValueError):
-        ErmQuery(2).add_block(IDENTITY, contexts, np.zeros(3), weights, abs_weight=[1.0])
+        ErmQuery().add_block(IDENTITY, contexts, np.zeros(3), weights, abs_weight=[1.0])
 
 
 def test_objective_value_matches_row_recomputation():
@@ -128,7 +128,7 @@ def test_objective_value_matches_row_recomputation():
     res = oracle.exact(q)
     manual = 0.0
     for block in q.blocks:
-        for ctx_id, y, w in zip(block.contexts.ids, block.labels, block.weights):
+        for ctx_id, y, w in zip(block.contexts.ids, block.labels, block.weights[0]):
             v = klass.evaluate_block(atom(klass.ground, int(ctx_id)))[res.hypothesis_index, 0]
             term = v if block.selector == IDENTITY else loss.evaluate(v, float(y))
             manual += float(w) * term
