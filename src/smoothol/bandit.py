@@ -98,14 +98,17 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
     means = f_star.tolist()
     greedy = np.argmin(f_star, axis=1).tolist()  # reg_cb's comparator policy
     laws: dict = {}  # (h, x) -> _action_law of a proper regressor's h at x: at most H * N
+    blocks: dict = {}  # pair -> its one-row block, made on its first round: at most N * K
     reg_cb = 0.0
     all_actions = np.arange(K)
     width = K + (K > 1)  # a round's uniforms: its action's (if K > 1), then one per action's loss
     for start in range(0, T, BLOCK):
+        rounds, xs = min(BLOCK, T - start), []
+        while len(xs) < rounds:  # the block's contexts, by the run
+            xs += context_adversary.next_run(None, rounds - len(xs))[0].ids.tolist()
         rows = []  # per round: the chosen pair, its loss, its prediction, their square, calls
-        for t, u in enumerate(rng.random((min(BLOCK, T - start), width)).tolist(), start + 1):
+        for t, u, x in zip(range(start + 1, T + 1), rng.random((rounds, width)).tolist(), xs):
             h = regressor.select() if regressor.proper else None
-            x = context_adversary.next_round(last_prediction=None)[0].id
             law = laws.get((h, x))  # an improper regressor's predictions are never stored
             if law is None:
                 preds = regressor.predictions(ContextBlock(ids=joint_id(x, all_actions, K)))
@@ -119,7 +122,10 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
             losses_u, mean = u[width - K:], means[x]
             observed = 1.0 if losses_u[action] < mean[action] else 0.0
             pair = joint_id(x, action, K)
-            regressor.observe(ContextBlock(ids=np.array([pair])), observed)
+            block = blocks.get(pair)
+            if block is None:
+                block = blocks[pair] = ContextBlock(ids=np.array([pair]))
+            regressor.observe(block, observed)
             miss = preds[action] - observed
             # miss * miss rounds as finalize_regret's array square does
             rows.append((pair, observed, preds[action], miss * miss, regressor.oracle.calls))

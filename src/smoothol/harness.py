@@ -189,10 +189,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{unread[0]} is not a field of {section or 'config'} {kind!r}, "
                                   f"which reads {', '.join(reads) or 'no other field'}")
         sections.update({"": vars(self), "bandit": self.bandit})
+        # sections whose fields a config holds at its top level: a bandit's k too
+        top = ("", "bandit") if command == "run" else ("", "bandit", "learner")
         for section, key, low, high, kind in NUMBERS:  # checked numbers are stored in place
             spec = sections[section]  # None checkpoints: the default
             if type(spec) is dict and key in spec and (spec[key], key) != (None, "checkpoints"):
-                name = f"{section}.{key}" if section not in ("", "bandit") else key
+                name = key if section in top else f"{section}.{key}"
                 spec[key] = ([_number(v, name, low, high, kind) for v in spec[key]]
                              if key in ("seeds", "checkpoints")
                              else _number(spec[key], name, low, high, kind))

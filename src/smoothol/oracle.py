@@ -130,6 +130,7 @@ class ErmOracle:
         self._calls = 0
         self.prefix = np.zeros(len(klass), dtype=np.float64)  # history objective per hypothesis
         self.prefix_rows = 0
+        self._rows: dict = {}  # (atom id, coordinate, label) -> its main-loss row
 
     # -- call accounting ----------------------------------------------------
     @property
@@ -139,9 +140,15 @@ class ErmOracle:
 
     # -- history ---------------------------------------------------------------
     def extend_prefix(self, context: ContextBlock, label: float) -> None:
-        """Add the observed round's weight-1 main-loss row to the history."""
-        values = self.klass.evaluate_block(context)[:, 0]
-        self.prefix += self.main_loss.evaluate_array(values, label)
+        """Add the observed round's weight-1 main-loss row to the history: a row at an
+        atom, with a label equal to itself, is computed once and kept."""
+        key = (context.id, context.coordinate, label)
+        row = self._rows.get(key)
+        if row is None:
+            row = self.main_loss.evaluate_array(self.klass.evaluate_block(context)[:, 0], label)
+            if key[0] is not None and label == label:
+                self._rows[key] = row
+        self.prefix += row
         self.prefix_rows += 1
 
     def extend_run(self, values: np.ndarray, labels: np.ndarray) -> np.ndarray:

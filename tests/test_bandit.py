@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothol.adversaries import IidAdversary, rademacher_labels, tilted_smooth_probs
+from smoothol.adversaries import (
+    IidAdversary,
+    adversarial_flip_labels,
+    rademacher_labels,
+    tilted_smooth_probs,
+)
 from smoothol.bandit import (
     default_gamma,
     igw_distribution,
@@ -357,16 +362,17 @@ def _reference_square_cb(context_adversary, regressor, K, T, f_star, gamma, rng)
     return traj, float(reg_cb), finalize_regret(traj, regressor.klass, square_loss())
 
 
-def _loop_pieces(regressor, K, seed, clamped, atoms=5, H=3, T=150, relax=RelaxGeneralLearner):
+def _loop_pieces(regressor, K, seed, clamped, atoms=5, H=3, T=150, relax=RelaxGeneralLearner,
+                 labels=rademacher_labels):
     """Pieces on a fresh seed each call, so two runs see the same streams.  With
     ``clamped`` the class's table has negative entries, which the loop clamps; ``relax``
-    is the class of a relax-general regressor."""
+    is the class of a relax-general regressor, ``labels`` the context source's label rule."""
     values = make_rng(90, K).random((H, atoms, K))
     if clamped:
         values[1:] = 2.0 * values[1:] - 1.0  # values in [-1, 1): not a product class
     klass = TableClass(values.reshape(H, atoms * K))
     mu_x = FiniteMeasure.uniform(GroundSet.grid(atoms))
-    adversary = IidAdversary(SmoothnessCertificate(sigma=0.5, mu=mu_x), rademacher_labels(),
+    adversary = IidAdversary(SmoothnessCertificate(sigma=0.5, mu=mu_x), labels(),
                              make_rng(seed, 0), p=tilted_smooth_probs(mu_x.probs, 0.5))
     sigma_joint, oracle = compose_smoothness(0.5, K), ErmOracle(klass, square_loss())
     if regressor == "ftpl-dual":
@@ -386,11 +392,12 @@ def _loop_pieces(regressor, K, seed, clamped, atoms=5, H=3, T=150, relax=RelaxGe
 @pytest.mark.parametrize("regressor", ["ftpl-dual", "relax-general"])
 def test_square_cb_matches_the_per_round_loop(regressor, K, clamped, caplog):
     with caplog.at_level(logging.WARNING):
-        want_traj, want_cb, want_sq = _reference_square_cb(
-            *_loop_pieces(regressor, K, 7, clamped, relax=OnePlayoutAtATime))
+        want_pieces = _loop_pieces(regressor, K, 7, clamped, relax=OnePlayoutAtATime)
+        want_traj, want_cb, want_sq = _reference_square_cb(*want_pieces)
         want_warnings = [rec.getMessage() for rec in caplog.records]
         caplog.clear()
-        result = run_square_cb(*_loop_pieces(regressor, K, 7, clamped))
+        pieces = _loop_pieces(regressor, K, 7, clamped)
+        result = run_square_cb(*pieces)
         warnings = [rec.getMessage() for rec in caplog.records]
     traj = result.trajectory
     assert len(traj) == len(want_traj)
@@ -400,6 +407,34 @@ def test_square_cb_matches_the_per_round_loop(regressor, K, clamped, caplog):
     assert result.reg_sq == want_sq
     assert warnings == want_warnings  # one per clamped round, with its round number
     assert bool(warnings) == clamped
+    assert pieces[0].rng.integers(2**62) == want_pieces[0].rng.integers(2**62)
+
+
+@pytest.mark.parametrize("regressor", ["ftpl-dual", "relax-general"])
+def test_square_cb_fills_its_blocks_from_one_round_runs(regressor):
+    """A context source whose label rule reads the learner hands over one round per
+    ``next_run``: the loop fills each block from such runs (T = 150 leaves a partial last
+    block), gives the per-round loop's bytes, and leaves the source's generator where that
+    loop does."""
+    want_pieces = _loop_pieces(regressor, 2, 11, False, relax=OnePlayoutAtATime,
+                               labels=adversarial_flip_labels)
+    want_traj, want_cb, want_sq = _reference_square_cb(*want_pieces)
+    pieces = _loop_pieces(regressor, 2, 11, False, labels=adversarial_flip_labels)
+    adversary, runs = pieces[0], []
+    next_run = adversary.next_run
+
+    def recording_next_run(last_prediction, limit):
+        contexts, labels = next_run(last_prediction, limit)
+        runs.append(len(contexts))
+        return contexts, labels
+
+    adversary.next_run = recording_next_run
+    result = run_square_cb(*pieces)
+    assert runs == [1] * len(want_traj)
+    for name in ("ids", "coords", "labels", "predictions", "instant_loss", "oracle_calls"):
+        assert getattr(result.trajectory, name).tobytes() == getattr(want_traj, name).tobytes()
+    assert (result.reg_cb, result.reg_sq) == (want_cb, want_sq)
+    assert adversary.rng.integers(2**62) == want_pieces[0].rng.integers(2**62)
 
 
 @pytest.mark.parametrize("K", [2, 3])

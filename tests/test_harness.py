@@ -789,7 +789,7 @@ def _bandit_table_outside_unit_interval():
 @pytest.mark.parametrize("overrides, fields", [
     _case("fractional-atoms", {"ground": {"atoms": 4.7}}, "ground.atoms"),
     # a bandit's k is its regressor's playout width
-    _case("string-k", {"regressor": "relax-general", "k": "x"}, "learner.k"),
+    _case("string-k", {"regressor": "relax-general", "k": "x"}, "k must be an integer"),
     _case("negative-gamma", {"gamma": -3}, "gamma"),
     _case("bool-gamma", {"gamma": True}, "gamma"),
     _case("numeric-string-gamma", {"gamma": "3"}, "gamma"),
@@ -838,6 +838,7 @@ def test_cli_bandit_config_errors_exit_2(tmp_path, capsys, monkeypatch, override
     assert "config error:" in err
     for field in fields:  # the message names the cause
         assert field in err
+    assert "learner." not in err  # a bandit config has no learner section: its k is top-level
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from smoothol.core import (
     ContextBlock,
     DomainMismatchError,
+    GroundSet,
     TableClass,
     ThresholdClass,
     absolute_loss,
@@ -192,6 +193,49 @@ def test_prefix_is_the_in_order_sum_of_one_row_partials(space, loss):
         expected += fresh.objective_vector(ErmQuery().add_block(MAIN, x, [y], [1.0]))
     assert np.array_equal(oracle.prefix, expected)
     assert oracle.prefix_rows == 40
+
+
+_LABEL_SETS = {"signs": [-1.0, 1.0], "bits": [0.0, 1.0],
+               "reals": [-0.75, -0.2, 0.0, 0.35, 0.9]}
+
+
+@pytest.mark.parametrize("loss", [linear_loss, absolute_loss, scaled_square_loss],
+                         ids=["linear", "absolute", "scaled-square"])
+@pytest.mark.parametrize("labels", list(_LABEL_SETS))
+@pytest.mark.parametrize("space", ["table-ids", "thresholds-grid", "interval"])
+def test_kept_history_rows_give_the_uncached_prefix_bytes(space, labels, loss):
+    """``extend_prefix`` keeps a row per (atom, label) and adds it again: the prefix is the
+    recurrence that evaluates every row afresh, byte for byte, and it keeps no more rows
+    than the (id, label) pairs it saw, and none for a context without an id."""
+    rng = make_rng(31, 0)
+    if space == "table-ids":
+        klass = TableClass(np.round(rng.uniform(-1.0, 1.0, (6, 8)), 6), ground=GroundSet(8))
+        points = [atom(klass.ground, int(i)) for i in rng.integers(8, size=500)]
+    elif space == "thresholds-grid":
+        klass, ground = ThresholdClass.grid(16), GroundSet.grid(24)
+        points = [atom(ground, int(i)) for i in rng.integers(24, size=500)]
+    else:
+        klass = ThresholdClass.grid(16)
+        points = [ContextBlock(coords=rng.random(1)) for _ in range(500)]
+    ys = rng.choice(_LABEL_SETS[labels], size=500).tolist()
+    loss = loss()
+    oracle, expected = ErmOracle(klass, loss), np.zeros(len(klass))
+    for ctx, y in zip(points, ys):
+        oracle.extend_prefix(ctx, y)
+        expected += loss.evaluate_array(klass.evaluate_block(ctx)[:, 0], y)
+        assert oracle.prefix.tobytes() == expected.tobytes()
+    seen = {(ctx.id, y) for ctx, y in zip(points, ys) if ctx.ids is not None}
+    assert len(oracle._rows) <= len(seen)
+    assert (len(oracle._rows) == 0) == (space == "interval")
+    assert oracle.prefix_rows == 500
+
+
+def test_no_row_is_kept_for_a_label_unequal_to_itself():
+    klass = ThresholdClass.grid(4)
+    oracle, x = ErmOracle(klass, linear_loss()), atom(GroundSet.grid(8), 3)
+    for _ in range(3):
+        oracle.extend_prefix(x, float("nan"))
+    assert not oracle._rows and np.isnan(oracle.prefix).all()
 
 
 @pytest.mark.parametrize("loss", [linear_loss, absolute_loss, scaled_square_loss],
