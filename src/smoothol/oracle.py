@@ -26,6 +26,7 @@ __all__ = ["RowBlock", "ErmQuery", "ErmResult", "ErmOracle"]
 
 MAIN = "main_loss"
 IDENTITY = "identity_loss"
+KEPT_ROW_FLOATS = 1 << 16  # extend_prefix keeps rows until they hold this many floats (512 KiB)
 
 
 @dataclass
@@ -141,12 +142,14 @@ class ErmOracle:
     # -- history ---------------------------------------------------------------
     def extend_prefix(self, context: ContextBlock, label: float) -> None:
         """Add the observed round's weight-1 main-loss row to the history: a row at an
-        atom, with a label equal to itself, is computed once and kept."""
+        atom, with a label equal to itself, is computed once and kept, up to
+        ``KEPT_ROW_FLOATS`` floats of kept rows."""
         key = (context.id, context.coordinate, label)
         row = self._rows.get(key)
         if row is None:
             row = self.main_loss.evaluate_array(self.klass.evaluate_block(context)[:, 0], label)
-            if key[0] is not None and label == label:
+            if key[0] is not None and label == label \
+                    and len(self._rows) < KEPT_ROW_FLOATS // len(self.prefix):
                 self._rows[key] = row
         self.prefix += row
         self.prefix_rows += 1

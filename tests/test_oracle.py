@@ -12,7 +12,7 @@ from smoothol.core import (
     make_rng,
     scaled_square_loss,
 )
-from smoothol.oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
+from smoothol.oracle import IDENTITY, KEPT_ROW_FLOATS, MAIN, ErmOracle, ErmQuery
 
 from conftest import atom, random_table_class
 
@@ -228,6 +228,21 @@ def test_kept_history_rows_give_the_uncached_prefix_bytes(space, labels, loss):
     assert len(oracle._rows) <= len(seen)
     assert (len(oracle._rows) == 0) == (space == "interval")
     assert oracle.prefix_rows == 500
+
+
+def test_kept_rows_stop_at_their_float_budget_under_distinct_real_labels():
+    """Every round at a new real label makes a new key; the kept rows stop at
+    ``KEPT_ROW_FLOATS`` floats and the prefix stays the uncached recurrence."""
+    rng = make_rng(31, 1)
+    klass = TableClass(np.round(rng.uniform(-1.0, 1.0, (4096, 8)), 6), ground=GroundSet(8))
+    loss = absolute_loss()
+    oracle, expected = ErmOracle(klass, loss), np.zeros(len(klass))
+    for i, y in zip(rng.integers(8, size=300), rng.uniform(-1.0, 1.0, 300).tolist()):
+        ctx = atom(klass.ground, int(i))
+        oracle.extend_prefix(ctx, y)
+        expected += loss.evaluate_array(klass.evaluate_block(ctx)[:, 0], y)
+    assert oracle.prefix.tobytes() == expected.tobytes()
+    assert len(oracle._rows) == KEPT_ROW_FLOATS // 4096 == 16
 
 
 def test_no_row_is_kept_for_a_label_unequal_to_itself():

@@ -4,7 +4,7 @@
 
 PARENT and CHANGE are two checkouts of the repository (the parent commit can be unpacked
 with ``git archive`` or added with ``git worktree add`` under a scratch directory).  Each
-pair runs ``python3 bench/run.py --workload W --seed S --seconds N`` once in each tree, one
+pair runs ``python3 bench/run.py --workload W --seconds N`` once in each tree, one
 run at a time; even pairs run the parent first, odd pairs the change.  For every end-to-end
 metric the script prints each side's median and quartiles, the pairs the change wins (ties
 count for neither side), whether the change's median stays within the metric's bound, and
@@ -12,8 +12,8 @@ whether a gain holds: the change wins at least nine tenths of the pairs, and its
 better than the parent's by more than the parent's interquartile distance.  Directions and
 bounds are read from the change's ``BENCHMARK.json``.
 
-The script writes nothing itself, except the JSON of every run with ``--out``; each bench
-run writes its record under its own tree's ``bench/runs/``.  It exits 1 if any run reports
+The script writes nothing itself; each bench run writes its record under its own tree's
+``bench/runs/``.  It exits 1 if any run reports
 ``correct: false`` or prints no result line, and 0 otherwise.
 """
 
@@ -27,10 +27,10 @@ import sys
 from pathlib import Path
 
 
-def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_once(tree: Path, workload: str, seconds: float) -> dict:
     """The result line of one ``bench/run.py`` run in ``tree``, or a failed stand-in."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds)],
+                           "--seconds", str(seconds)],
                           cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -76,8 +76,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=22.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, help="write every run's result line here as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds > 0")
@@ -89,7 +87,7 @@ def main(argv=None) -> int:
     runs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {side: bench_once(trees[side], args.workload, args.seed, args.seconds)
+        pair = {side: bench_once(trees[side], args.workload, args.seconds)
                 for side in order}
         runs.append((pair["parent"], pair["change"]))
         shown = "  ".join(f"{side} {pair[side]['metrics'].get('ms_per_round', {}).get('value')}"
@@ -98,7 +96,7 @@ def main(argv=None) -> int:
 
     metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     rows = compare(runs, metrics)
-    print(f"\n{args.workload}: {args.pairs} pairs, --seconds {args.seconds}, seed {args.seed}")
+    print(f"\n{args.workload}: {args.pairs} pairs, --seconds {args.seconds}")
     print(f"{'metric':<24} {'parent q1 / median / q3':>30} {'change q1 / median / q3':>30} "
           f"{'wins':>6}  bound  gain")
     for row in rows:
@@ -110,11 +108,6 @@ def main(argv=None) -> int:
               for side, run in zip(("parent", "change"), pair) if not run.get("correct")]
     for i, side in failed:
         print(f"pair {i}: the {side} run reported correct: false", file=sys.stderr)
-    if args.out:
-        args.out.write_text(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                                        "seed": args.seed, "summary": rows,
-                                        "runs": [{"parent": p, "change": c} for p, c in runs]},
-                                       indent=1) + "\n")
     return 1 if failed else 0
 
 
