@@ -504,11 +504,12 @@ LOSSES = {
 # Trajectories and regret
 # ---------------------------------------------------------------------------
 
-_REGRET_CHUNK = 1024  # rounds per comparator block: memory O(H * chunk), not O(H * T)
+CHUNK = 1024  # rounds a run holds, and a comparator block: memory O(H * CHUNK), not O(H * T)
 
 
 class Trajectory:
-    """One seeded run, held columnar and preallocated: round t is row t - 1.
+    """Rounds of one seeded run, held columnar and preallocated: row 0 is the first round
+    written since the buffer was made or last cleared.
 
     Rounds are written a run at a time by ``extend``.  Contexts without an atom
     id store -1 in ``ids``, those without a coordinate NaN in ``coords``.
@@ -523,6 +524,13 @@ class Trajectory:
         self.instant_loss = np.empty(T)
         self.oracle_calls = np.zeros(T, dtype=np.int64)  # completed by the end of each round
         self.n = 0
+        self.calls_before = 0  # oracle calls completed before row 0
+
+    def clear(self) -> None:
+        """Empty the buffer for the run's next rounds; the oracle-call count carries."""
+        if self.n:
+            self.calls_before = int(self.oracle_calls[self.n - 1])
+        self.n = 0
 
     def __len__(self) -> int:
         return self.n
@@ -533,7 +541,8 @@ class Trajectory:
         not decrease."""
         t, n = self.n, len(labels)
         calls = np.asarray(oracle_calls)
-        if n and ((calls[1:] < calls[:-1]).any() or t and calls[0] < self.oracle_calls[t - 1]):
+        last = self.oracle_calls[t - 1] if t else self.calls_before
+        if n and ((calls[1:] < calls[:-1]).any() or calls[0] < last):
             raise ValueError("oracle call count must be nondecreasing")
         rows = slice(t, t + n)
         self.ids[rows] = -1 if contexts.ids is None else contexts.ids
@@ -545,8 +554,8 @@ class Trajectory:
 
     def hypothesis_losses(self, klass: HypothesisClass, loss: LossFunction):
         """Yield (start, stop, (H, stop - start) hypothesis losses), chunk by chunk."""
-        for start in range(0, self.n, _REGRET_CHUNK):
-            stop = min(start + _REGRET_CHUNK, self.n)
+        for start in range(0, self.n, CHUNK):
+            stop = min(start + CHUNK, self.n)
             ids, coords = self.ids[start:stop], self.coords[start:stop]
             block = ContextBlock(ids=ids if np.all(ids >= 0) else None,
                                  coords=None if np.isnan(coords).any() else coords)
@@ -554,22 +563,46 @@ class Trajectory:
             yield start, stop, loss.evaluate_array(values, self.labels[None, start:stop])
 
 
+class RunningRegret:
+    """A run's cumulative regret, accounted chunk by chunk: ``add`` takes a ``Trajectory``
+    of the run's next rounds and returns the regret after each of them.
+
+    The sums run round by round (``np.cumsum`` is sequential) from the totals carried in
+    as a leading entry, so every entry equals the per-round ``total += loss`` recurrence
+    bit for bit, however the run is cut.  Each chunk's pairwise sums, a different order,
+    are kept for ``finalized`` to check the last entry against.
+    """
+
+    def __init__(self, klass: HypothesisClass, loss: LossFunction):
+        self.klass, self.loss = klass, loss
+        self.learner, self.totals = 0.0, np.zeros(len(klass))  # the learner's, each h's
+        self.pairwise, self.pairwise_totals = 0.0, np.zeros(len(klass))
+
+    def add(self, traj: Trajectory) -> np.ndarray:
+        instant = traj.instant_loss[:traj.n]
+        learner = np.cumsum(np.concatenate(([self.learner], instant)))[1:]
+        regret = np.empty(traj.n)
+        for start, stop, losses in traj.hypothesis_losses(self.klass, self.loss):
+            running = np.cumsum(np.hstack([self.totals[:, None], losses]), axis=1)[:, 1:]
+            regret[start:stop] = learner[start:stop] - running.min(axis=0)
+            self.totals = running[:, -1]
+            self.pairwise_totals += losses.sum(axis=1)
+        if traj.n:
+            self.learner = float(learner[-1])
+            self.pairwise += float(instant.sum())
+        return regret
+
+    def finalized(self) -> float:
+        """The regret against the best hypothesis in hindsight, from the pairwise sums."""
+        return self.pairwise - float(self.pairwise_totals.min())
+
+
 def regret_curve(traj: Trajectory, klass: HypothesisClass,
                  loss: LossFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative regret after every round, and each hypothesis's total loss.
-
-    Both sums run round by round (``np.cumsum`` is sequential) from a leading
-    0.0, with each chunk's running totals carried in as a leading column, so
-    every entry equals the per-round ``total += loss`` recurrence bit for bit.
-    """
-    learner = np.cumsum(np.concatenate(([0.0], traj.instant_loss[:traj.n])))[1:]
-    regret = np.empty(traj.n)
-    totals = np.zeros(len(klass))
-    for start, stop, losses in traj.hypothesis_losses(klass, loss):
-        running = np.cumsum(np.hstack([totals[:, None], losses]), axis=1)[:, 1:]
-        regret[start:stop] = learner[start:stop] - running.min(axis=0)
-        totals = running[:, -1]
-    return regret, totals
+    """Cumulative regret after every round of a whole trajectory, and each hypothesis's
+    total loss."""
+    running = RunningRegret(klass, loss)
+    return running.add(traj), running.totals
 
 
 def finalize_regret(traj: Trajectory, klass: HypothesisClass, loss: LossFunction) -> float:

@@ -19,23 +19,24 @@ import numpy as np
 
 from . import adversaries as adv
 from .core import (
+    CHUNK,
     ContextBlock,
     FiniteMeasure,
     GroundSet,
     HypothesisClass,
     LOSSES,
     LossFunction,
+    RunningRegret,
     SmoothnessCertificate,
     TableClass,
     ThresholdClass,
     Trajectory,
     UniformIntervalMeasure,
     compose_smoothness,
-    finalize_regret,
+    finalize_regret,  # unused here; bound so the bench's tracer finds it by name
     make_rng,
     product_class,
     product_measure,
-    regret_curve,
 )
 from .ftpl import FtplLearner, FtplSchedule, schedule
 from .oracle import ErmOracle
@@ -84,7 +85,7 @@ _STREAM_ADVERSARY = 0
 _STREAM_LEARNER = 1
 
 _INF, _POSITIVE = math.inf, 5e-324  # as a low bound, the least positive float means > 0
-_MAX = float(np.finfo(np.float64).max)
+_MAX, _EPS = float(np.finfo(np.float64).max), float(np.finfo(np.float64).eps)
 # Every numeric config field, read once at load: (section, key, low, high, kind).  A value
 # is a finite JSON number in [low, high], integral for kind int, stored as kind (None: as
 # given, for the config echo).  Section "" is the top level, where seeds and checkpoints
@@ -416,39 +417,51 @@ class SeedOutcome:
     checkpoint_regrets: dict[int, float]
     oracle_calls: int
     wall_time_s: float
-    trajectory: Trajectory
-    regret: np.ndarray  # cumulative regret after each round
     comparator_range: tuple[float, float]  # (best, worst) hypothesis cumulative loss
 
 
-def run_seed(cfg: ExperimentConfig, seed: int) -> SeedOutcome:
-    """One full trajectory; returns its record plus summary figures."""
+def run_seed(cfg: ExperimentConfig, seed: int, trace=None) -> SeedOutcome:
+    """One full trajectory, held ``CHUNK`` rounds at a time; returns its summary figures.
+
+    When the chunk fills, and after round T, its rounds are accounted (regret, checkpoints,
+    the cross-check's sums) and their CSV lines written to ``trace``, a text sink, if
+    given; then the buffer is reused, so a run holds O(H * CHUNK) floats whatever T."""
     t0 = time.perf_counter()
     klass, loss, adversary, learner = build_pieces(cfg, make_rng(seed, _STREAM_ADVERSARY),
                                                    make_rng(seed, _STREAM_LEARNER))
-    traj = Trajectory(cfg.T)
-    last_prediction: Optional[float] = None
-    while len(traj) < cfg.T:
-        contexts, labels = adversary.next_run(last_prediction, cfg.T - len(traj))
+    size = min(cfg.T, CHUNK)
+    chunk, running = Trajectory(size), RunningRegret(klass, loss)
+    checkpoints = sorted(set(cfg.checkpoints or [max(1, cfg.T // 2), cfg.T]))
+    checkpoint_regrets = {}
+    played, last_prediction = 0, None
+    while played < cfg.T:
+        contexts, labels = adversary.next_run(last_prediction,
+                                              min(cfg.T - played, size - len(chunk)))
         predictions, calls = learner.play(contexts, labels)
-        instant = _checked_losses(loss, predictions, labels, len(traj))
-        traj.extend(contexts, labels, predictions, instant, calls)
+        instant = _checked_losses(loss, predictions, labels, played)
+        chunk.extend(contexts, labels, predictions, instant, calls)
+        played += len(labels)
         last_prediction = float(predictions[-1])
+        if len(chunk) == size or played == cfg.T:
+            done, regret = played - len(chunk), running.add(chunk)
+            checkpoint_regrets.update({t: float(regret[t - done - 1]) for t in checkpoints
+                                       if done < t <= played})
+            if trace is not None:
+                trace.write(rows_to_csv(chunk, regret, done))
+            chunk.clear()
 
-    regret, totals = regret_curve(traj, klass, loss)
     final_regret = float(regret[-1])
-    if abs(finalize_regret(traj, klass, loss) - final_regret) > 1e-9:
+    # a sum of T terms in [0, 1] rounds off by at most T^2 eps / 2 in any order, so two
+    # regrets, each a difference of such sums, differ by at most 2 T^2 eps
+    if abs(running.finalized() - final_regret) > max(1e-9, 2 * cfg.T ** 2 * _EPS):
         raise InvariantViolation("running regret disagrees with finalized regret")
-    checkpoints = set(cfg.checkpoints or [max(1, cfg.T // 2), cfg.T])
     return SeedOutcome(
         seed=seed,
         final_regret=final_regret,
-        checkpoint_regrets={t: float(regret[t - 1]) for t in sorted(checkpoints)},
+        checkpoint_regrets=checkpoint_regrets,
         oracle_calls=learner.oracle.calls,
         wall_time_s=time.perf_counter() - t0,
-        trajectory=traj,
-        regret=regret,
-        comparator_range=(float(totals.min()), float(totals.max())),
+        comparator_range=(float(running.totals.min()), float(running.totals.max())),
     )
 
 
@@ -472,13 +485,15 @@ def _checked_losses(loss: LossFunction, predictions: np.ndarray, labels: np.ndar
     return instant
 
 
-def rows_to_csv(outcome: SeedOutcome) -> str:
-    """The per-round CSV trace; floats print as Python reprs, so reruns match byte for byte."""
-    traj = outcome.trajectory
-    rows = zip(range(1, len(traj) + 1), traj.ids.tolist(), traj.coords.tolist(),
-               traj.labels.tolist(), traj.predictions.tolist(), traj.instant_loss.tolist(),
-               outcome.regret.tolist(), traj.oracle_calls.tolist())
-    lines = ["t,context,label,prediction,instant_loss,cumulative_regret,oracle_calls"]
+def rows_to_csv(traj: Trajectory, regret: np.ndarray, done: int) -> str:
+    """The CSV lines of a chunk of rounds, the first being round ``done + 1``, with the
+    header before round 1; floats print as Python reprs, so reruns match byte for byte."""
+    n = len(traj)
+    rows = zip(range(done + 1, done + n + 1), traj.ids[:n].tolist(), traj.coords[:n].tolist(),
+               traj.labels[:n].tolist(), traj.predictions[:n].tolist(),
+               traj.instant_loss[:n].tolist(), regret.tolist(), traj.oracle_calls[:n].tolist())
+    lines = [] if done else ["t,context,label,prediction,instant_loss,cumulative_regret,"
+                             "oracle_calls"]
     lines += [f"{t},{i if i >= 0 else repr(c)},{y!r},{yhat!r},{inst!r},{reg!r},{calls}"
               for t, i, c, y, yhat, inst, reg, calls in rows]
     return "\n".join(lines) + "\n"
@@ -505,22 +520,49 @@ def summarize(cfg: ExperimentConfig, outcomes: list[SeedOutcome]) -> dict:
     return {"per_seed": per_seed, "aggregate": aggregate, "config": cfg.to_dict()}
 
 
-def write_outputs(cfg: ExperimentConfig, name: str, summary: dict,
-                  outcomes: list[SeedOutcome] = ()) -> None:
-    """Write each outcome's trace CSV and the summary as ``name`` under output_dir, if set."""
+class _TraceFile:
+    """A seed's trace file, made with its directory at the first write; a run that raises
+    leaves none behind."""
+
+    def __init__(self, path: Path):
+        self.path, self.file = path, None
+
+    def write(self, text: str) -> None:
+        if self.file is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.file = self.path.open("w")
+        self.file.write(text)
+
+    def __enter__(self) -> "_TraceFile":
+        return self
+
+    def __exit__(self, error, *_) -> None:
+        if self.file is not None:
+            self.file.close()
+            if error is not None:
+                self.path.unlink()
+
+
+def write_outputs(cfg: ExperimentConfig, name: str, summary: dict) -> None:
+    """Write the summary as ``name`` under output_dir, if set."""
     if cfg.output_dir:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for o in outcomes:
-            (out / f"trace_seed{o.seed}.csv").write_text(rows_to_csv(o))
         (out / name).write_text(json.dumps(summary, indent=2) + "\n")
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """All seeds of one config; returns the summary and persists it with the traces."""
-    outcomes = [run_seed(cfg, seed) for seed in cfg.seeds]
+    """All seeds of one config; returns the summary and, with an output_dir, writes each
+    seed's trace as it runs and the summary after the last."""
+    outcomes = []
+    for seed in cfg.seeds:
+        if not cfg.output_dir:
+            outcomes.append(run_seed(cfg, seed))
+            continue
+        with _TraceFile(Path(cfg.output_dir) / f"trace_seed{seed}.csv") as trace:
+            outcomes.append(run_seed(cfg, seed, trace))
     summary = summarize(cfg, outcomes)
-    write_outputs(cfg, "summary.json", summary, outcomes)
+    write_outputs(cfg, "summary.json", summary)
     return summary
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from smoothol.bandit import run_bandit_experiment
 from smoothol.cli import main as cli_main
-from smoothol.core import ContextBlock, LOSSES
+from smoothol.core import ContextBlock, LOSSES, Trajectory
 from smoothol.harness import (
     ConfigError,
     ExperimentConfig,
@@ -24,7 +24,6 @@ from smoothol.harness import (
     NUMBERS,
     build_class,
     build_ground_and_mu,
-    rows_to_csv,
     run_experiment,
     run_seed,
     sweep,
@@ -80,6 +79,40 @@ def test_config_validation_errors():
 # single runs
 # ---------------------------------------------------------------------------
 
+_HEADER = "t,context,label,prediction,instant_loss,cumulative_regret,oracle_calls"
+
+
+def _traced(cfg, seed):
+    """``run_seed``'s outcome and the trace it writes."""
+    sink = io.StringIO()
+    return run_seed(cfg, seed, sink), sink.getvalue()
+
+
+def _trajectory(trace):
+    """The trajectory and regret column whose rounds a trace's lines record; a context with
+    an atom id keeps no coordinate there."""
+    _, context, labels, predictions, instant, regret, calls = zip(
+        *(line.split(",") for line in trace.splitlines()[1:]))
+    floats = lambda column: np.array([float(v) for v in column])
+    ids = context[0].isdigit()
+    traj = Trajectory(len(context))
+    traj.extend(ContextBlock(ids=np.array([int(i) for i in context]) if ids else None,
+                             coords=None if ids else floats(context)),
+                floats(labels), floats(predictions), floats(instant),
+                np.array([int(c) for c in calls]))
+    return traj, floats(regret)
+
+
+def whole_run_csv(traj, regret):
+    """A whole trajectory's trace, every line made at once: the reference for a trace
+    written chunk by chunk."""
+    rows = zip(range(1, len(traj) + 1), traj.ids.tolist(), traj.coords.tolist(),
+               traj.labels.tolist(), traj.predictions.tolist(), traj.instant_loss.tolist(),
+               regret.tolist(), traj.oracle_calls.tolist())
+    lines = [_HEADER] + [f"{t},{i if i >= 0 else repr(c)},{y!r},{yhat!r},{inst!r},{reg!r},"
+                         f"{calls}" for t, i, c, y, yhat, inst, reg, calls in rows]
+    return "\n".join(lines) + "\n"
+
 def test_single_round_single_seed(tmp_path):
     cfg = ExperimentConfig.from_dict(
         _base_config(T=1, seeds=[3], output_dir=str(tmp_path)))
@@ -88,7 +121,7 @@ def test_single_round_single_seed(tmp_path):
     csv_path = tmp_path / "trace_seed3.csv"
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 2  # header + one round
-    assert lines[0] == "t,context,label,prediction,instant_loss,cumulative_regret,oracle_calls"
+    assert lines[0] == _HEADER
     assert (tmp_path / "summary.json").exists()
 
 
@@ -105,21 +138,21 @@ def test_aggregate_mean_matches_per_seed_rows():
 @pytest.mark.parametrize("learner", list(LEARNER_NAMES))
 def test_every_learner_is_deterministic_per_seed(learner):
     cfg = ExperimentConfig.from_dict(_base_config(learner={"name": learner}, T=6))
-    a = run_seed(cfg, 7)
-    b = run_seed(cfg, 7)
-    assert rows_to_csv(a) == rows_to_csv(b)
-    c = run_seed(cfg, 8)
-    assert rows_to_csv(a) != rows_to_csv(c)
+    a = _traced(cfg, 7)[1]
+    b = _traced(cfg, 7)[1]
+    assert a == b
+    c = _traced(cfg, 8)[1]
+    assert a != c
 
 
 def test_trace_oracle_accounting_totals():
     cfg = ExperimentConfig.from_dict(_base_config(learner={"name": "relax-linear"}, T=9))
-    outcome = run_seed(cfg, 0)
-    assert outcome.oracle_calls == outcome.trajectory.oracle_calls[-1] == 2 * 9
+    outcome, trace = _traced(cfg, 0)
+    assert outcome.oracle_calls == _trajectory(trace)[0].oracle_calls[-1] == 2 * 9
     for name in ("ftpl-cls", "ftpl-dual", "ftpl-single"):
         cfg = ExperimentConfig.from_dict(_base_config(learner={"name": name}, T=9))
-        outcome = run_seed(cfg, 0)
-        assert outcome.oracle_calls == outcome.trajectory.oracle_calls[-1] == 9
+        outcome, trace = _traced(cfg, 0)
+        assert outcome.oracle_calls == _trajectory(trace)[0].oracle_calls[-1] == 9
 
 
 # learner -> a loss it runs with, so every loss shape is exercised
@@ -138,11 +171,11 @@ def test_regret_column_matches_per_round_reference(learner, ground):
                               "flip_prob": 0.1}},
         ground={"type": "grid", "atoms": 16} if ground == "grid" else {"type": "interval"},
         checkpoints=[1, 7, 25]))
-    outcome = run_seed(cfg, 3)
+    outcome, trace = _traced(cfg, 3)
     klass = build_class(cfg, build_ground_and_mu(cfg)[0])
     loss = LOSSES[cfg.loss]()
 
-    traj = outcome.trajectory
+    traj = _trajectory(trace)[0]
     comparator = np.zeros(len(klass))
     cum_loss = 0.0
     expected = []
@@ -154,7 +187,7 @@ def test_regret_column_matches_per_round_reference(learner, ground):
         cum_loss += inst
         expected.append(cum_loss - float(comparator.min()))
 
-    column = [line.split(",")[5] for line in rows_to_csv(outcome).splitlines()[1:]]
+    column = [line.split(",")[5] for line in trace.splitlines()[1:]]
     assert column == [repr(r) for r in expected]
     assert outcome.final_regret == expected[-1]
     assert outcome.checkpoint_regrets == {t: expected[t - 1] for t in (1, 7, 25)}
@@ -164,8 +197,7 @@ def test_regret_column_matches_per_round_reference(learner, ground):
 def test_dual_learner_heavy_tail_complexity_regime():
     cfg = ExperimentConfig.from_dict(_base_config(
         learner={"name": "ftpl-dual", "p": 4.0}, T=16))
-    outcome = run_seed(cfg, 0)
-    assert len(outcome.trajectory) == 16
+    assert len(_trajectory(_traced(cfg, 0)[1])[0]) == 16
 
 
 def test_hidden_mu_config_runs_on_interval_ground():
@@ -175,8 +207,7 @@ def test_hidden_mu_config_runs_on_interval_ground():
         ground={"type": "interval"},
         T=12, sigma=1 / 12, seeds=[0],
     ))
-    outcome = run_seed(cfg, 0)
-    assert len(outcome.trajectory) == 12
+    assert len(_trajectory(_traced(cfg, 0)[1])[0]) == 12
 
 
 def test_schedule_overrides_reach_the_learner():
@@ -220,8 +251,7 @@ def _zero_table_gap(scale):
 
 def test_rademacher_gap_config():
     cfg = ExperimentConfig.from_dict(_base_config(T=8, **_rademacher_gap(2)))
-    outcome = run_seed(cfg, 1)
-    assert len(outcome.trajectory) == 8
+    assert len(_trajectory(_traced(cfg, 1)[1])[0]) == 8
 
 
 class _Follower:
@@ -269,17 +299,187 @@ def test_a_learner_playing_the_best_hypothesis_has_zero_regret(monkeypatch):
     follow = [0]
     monkeypatch.setattr(harness, "build_learner",
                         lambda cfg, klass, *rest: _Follower(klass, follow[0]))
-    first = run_seed(cfg, 3)  # the rounds do not depend on the learner
+    first = _trajectory(_traced(cfg, 3)[1])[0]  # the rounds do not depend on the learner
     klass, loss = build_class(cfg, build_ground_and_mu(cfg)[0]), LOSSES["scaled_square"]()
-    follow[0] = int(np.argmin(regret_curve(first.trajectory, klass, loss)[1]))
-    outcome = run_seed(cfg, 3)
-    traj = outcome.trajectory
-    assert traj.labels.tobytes() == first.trajectory.labels.tobytes()
+    follow[0] = int(np.argmin(regret_curve(first, klass, loss)[1]))
+    outcome, trace = _traced(cfg, 3)
+    traj, regret = _trajectory(trace)
+    assert traj.labels.tobytes() == first.labels.tobytes()
     best = np.concatenate([losses[follow[0]]
                            for _, _, losses in traj.hypothesis_losses(klass, loss)])
     assert traj.instant_loss.tobytes() == best.tobytes()
     assert outcome.final_regret == 0.0
-    assert outcome.regret.min() >= 0.0  # it never leads the best hypothesis so far
+    assert regret.min() >= 0.0  # it never leads the best hypothesis so far
+
+
+# ---------------------------------------------------------------------------
+# traces written a chunk of rounds at a time
+# ---------------------------------------------------------------------------
+
+def _whole_run(cfg, seed):
+    """The run played into one ``Trajectory(T)`` and accounted at the end, every line of
+    its trace made at once: the trace and the outcome, with a wall time of 0."""
+    from smoothol.core import make_rng, regret_curve
+    from smoothol.harness import SeedOutcome, build_pieces
+
+    klass, loss, adversary, learner = build_pieces(cfg, make_rng(seed, 0), make_rng(seed, 1))
+    traj, last = Trajectory(cfg.T), None
+    while len(traj) < cfg.T:
+        contexts, labels = adversary.next_run(last, cfg.T - len(traj))
+        predictions, calls = learner.play(contexts, labels)
+        traj.extend(contexts, labels, predictions, loss.evaluate_array(predictions, labels),
+                    calls)
+        last = float(predictions[-1])
+    regret, totals = regret_curve(traj, klass, loss)
+    checkpoints = sorted(set(cfg.checkpoints or [max(1, cfg.T // 2), cfg.T]))
+    outcome = SeedOutcome(seed, float(regret[-1]), {t: float(regret[t - 1]) for t in checkpoints},
+                          learner.oracle.calls, 0.0, (float(totals.min()), float(totals.max())))
+    return whole_run_csv(traj, regret), outcome
+
+
+def _timeless(summary):
+    """A summary's JSON text without its wall times and output_dir."""
+    for row in summary["per_seed"]:
+        row.pop("wall_time_s")
+    summary["aggregate"].pop("total_wall_time_s")
+    summary["config"].pop("output_dir")
+    return json.dumps(summary, indent=2)
+
+
+@pytest.mark.parametrize("rule", ["noisy_comparator", "adversarial_flip"])
+@pytest.mark.parametrize("ground", ["grid", "interval"])
+@pytest.mark.parametrize("T", [1023, 1024, 1025, 2500])
+def test_chunked_traces_match_the_whole_run(T, ground, rule, tmp_path):
+    """Traces and summaries, byte for byte, at horizons on both sides of a chunk boundary:
+    i.i.d. runs of 64 rounds (noisy labels) and runs of one round (adversarial flips),
+    with checkpoints on both sides of the first boundary."""
+    from smoothol.harness import summarize
+
+    cfg = ExperimentConfig.from_dict(_base_config(
+        T=T, seeds=[0, 1], output_dir=str(tmp_path),
+        checkpoints=sorted({t for t in (1, 1024, 1025, T) if t <= T}),
+        adversary={"kind": "iid", "p": "tilted" if ground == "grid" else "mu",
+                   "labels": {"rule": rule}},
+        ground={"type": "grid", "atoms": 16} if ground == "grid" else {"type": "interval"}))
+    got = run_experiment(cfg)
+    want = [_whole_run(cfg, seed) for seed in cfg.seeds]
+    for seed, (trace, outcome) in zip(cfg.seeds, want):
+        assert (tmp_path / f"trace_seed{seed}.csv").read_bytes() == trace.encode()
+        assert run_seed(cfg, seed).comparator_range == outcome.comparator_range
+    assert (tmp_path / "summary.json").read_text() == json.dumps(got, indent=2) + "\n"
+    assert _timeless(got) == _timeless(summarize(cfg, [outcome for _, outcome in want]))
+
+
+def test_a_seed_that_raises_mid_run_leaves_no_partial_trace(tmp_path, monkeypatch, capsys):
+    """Seed 1 raises at round 1,500, after its first chunk was written: the CLI exits 3,
+    seed 0's trace stays whole, seed 1's is removed and no summary is written."""
+    from smoothol import harness
+    from smoothol.harness import InvariantViolation
+
+    out = tmp_path / "out"
+    checked, starts = harness._checked_losses, []
+
+    def raising(loss, predictions, labels, start):
+        starts.append(start)
+        if starts.count(0) == 2 and start < 1500 <= start + len(labels):
+            assert len((out / "trace_seed1.csv").read_text().splitlines()) == 1 + 1024
+            raise InvariantViolation("loss 2.0 outside declared range at round 1500")
+        return checked(loss, predictions, labels, start)
+
+    monkeypatch.setattr(harness, "_checked_losses", raising)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(T=2000, seeds=[0, 1], output_dir=str(out))))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 3
+    assert "at round 1500" in capsys.readouterr().err
+    assert len((out / "trace_seed0.csv").read_text().splitlines()) == 1 + 2000
+    assert sorted(path.name for path in out.iterdir()) == ["trace_seed0.csv"]
+
+
+def test_the_regret_cross_check_holds_at_long_horizons_and_sees_a_moved_loss(monkeypatch):
+    """At T = 10^5 an honest run's running regret and its pairwise-summed check differ by
+    about 1e-8 (a follower of a hypothesis that is not the best, scaled-square loss on a
+    table of tenths): the check's tolerance grows with the rounding bound of summing T
+    terms.  A loss moved by 1e-3 in the running sums still raises."""
+    from smoothol import harness
+    from smoothol.harness import InvariantViolation
+
+    values = (np.random.default_rng(1).integers(-9, 10, (6, 9)) / 10).tolist()
+    cfg = ExperimentConfig.from_dict(_base_config(
+        T=100_000, loss="scaled_square", learner={"name": "ftpl-dual"},
+        adversary={"kind": "iid", "labels": _labels()["adversary"]["labels"]},
+        ground={"type": "grid", "atoms": 9}, **{"class": {"type": "table", "values": values}}))
+    monkeypatch.setattr(harness, "build_learner",
+                        lambda cfg, klass, *rest: _Follower(klass, 0))
+    assert run_seed(cfg, 0).final_regret > 3000.0  # hypothesis 0 is far from the best
+
+    from smoothol.core import RunningRegret
+
+    add, moved = RunningRegret.add, []
+
+    def moving(self, traj):
+        regret = add(self, traj)
+        if not moved:  # as if a round of the first chunk had lost 1e-3 more
+            self.learner += 1e-3
+            moved.append(True)
+        return regret
+
+    monkeypatch.setattr(RunningRegret, "add", moving)
+    with pytest.raises(InvariantViolation, match="running regret disagrees"):
+        run_seed(cfg, 0)
+
+
+def _ftpl_long(T):
+    """The bench's ftpl-cls-long workload at horizon T."""
+    return _base_config(T=T, sigma=0.2, **{"class": {"type": "thresholds", "m": 64}},
+                        ground={"type": "grid", "atoms": 256})
+
+
+def _peak_bytes(run):
+    """The most bytes that Python's allocators held at once during ``run()``."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_run_with_a_trace_holds_memory_independent_of_T(tmp_path):
+    """Eight times the rounds, with every line written to a trace file, within 1.25 times
+    the peak: a run holds one chunk of rounds, not the whole trajectory."""
+    peaks = {}
+    for T in (2048, 16384):
+        cfg = ExperimentConfig.from_dict(_ftpl_long(T))
+        with (tmp_path / f"trace{T}.csv").open("w") as trace:
+            peaks[T] = _peak_bytes(lambda: run_seed(cfg, 0, trace))
+        assert len((tmp_path / f"trace{T}.csv").read_text().splitlines()) == 1 + T
+    assert peaks[16384] <= 1.25 * peaks[2048], peaks
+
+
+def test_a_huge_horizon_allocates_nothing_of_its_size_before_its_first_chunk(monkeypatch):
+    """T = 10^15 loads and plays its first run of 64 rounds in under 1 MB.  One float per
+    round would be 8 PB, more than any address space, so an allocation of that size fails
+    at once rather than touching memory."""
+    from smoothol import harness
+
+    class _Stop(Exception):
+        pass
+
+    extend = Trajectory.extend
+
+    def once(self, *args):
+        extend(self, *args)
+        raise _Stop
+
+    monkeypatch.setattr(harness.Trajectory, "extend", once)
+
+    def run():
+        with pytest.raises(_Stop):
+            run_seed(ExperimentConfig.from_dict(_ftpl_long(10**15)), 0)
+
+    assert _peak_bytes(run) < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ generator states, and a run must never let a round see what comes after it.
 
 import copy
 import inspect
+import io
 import json
 
 import numpy as np
@@ -22,7 +23,7 @@ from smoothol.harness import (ConfigError, ExperimentConfig, InvariantViolation,
 from smoothol.oracle import ErmOracle
 
 from conftest import plain
-from test_harness import _draws
+from test_harness import _draws, whole_run_csv
 
 _NOISY = {"rule": "noisy_comparator", "threshold": 0.5, "flip_prob": 0.1}
 _RULES = {"noisy": _NOISY, "rademacher": {"rule": "rademacher"},
@@ -82,7 +83,7 @@ def _per_round(cfg, seed):
 
 
 def _in_runs(cfg, seed, monkeypatch):
-    """``run_seed``'s trajectory, regret, learner and rngs, read through ``build_pieces``."""
+    """``run_seed``'s trace, learner and rngs, read through ``build_pieces``."""
     seen = {}
     build = harness.build_pieces
 
@@ -92,16 +93,15 @@ def _in_runs(cfg, seed, monkeypatch):
         return pieces
 
     monkeypatch.setattr(harness, "build_pieces", spy)
-    outcome = run_seed(cfg, seed)
-    return outcome.trajectory, outcome.regret, seen["learner"], seen["rngs"]
+    trace = io.StringIO()
+    run_seed(cfg, seed, trace)
+    return trace.getvalue(), seen["learner"], seen["rngs"]
 
 
 def _assert_same(cfg, seed, monkeypatch):
-    traj, regret, learner, rngs = _in_runs(cfg, seed, monkeypatch)
+    trace, learner, rngs = _in_runs(cfg, seed, monkeypatch)
     want_traj, want_regret, want_learner, want_rngs = _per_round(cfg, seed)
-    for name in ("ids", "coords", "labels", "predictions", "instant_loss", "oracle_calls"):
-        assert getattr(traj, name).tobytes() == getattr(want_traj, name).tobytes(), name
-    assert regret.tobytes() == want_regret.tobytes()
+    assert trace == whole_run_csv(want_traj, want_regret)
     assert learner.oracle.calls == want_learner.oracle.calls
     assert learner.oracle.prefix.tobytes() == want_learner.oracle.prefix.tobytes()
     if hasattr(learner, "state"):

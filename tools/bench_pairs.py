@@ -6,11 +6,12 @@ PARENT and CHANGE are two checkouts of the repository (the parent commit can be 
 with ``git archive`` or added with ``git worktree add`` under a scratch directory).  Each
 pair runs ``python3 bench/run.py --workload W --seconds N`` once in each tree, one
 run at a time; even pairs run the parent first, odd pairs the change.  For every end-to-end
-metric the script prints each side's median and quartiles, the pairs the change wins (ties
-count for neither side), whether the change's median stays within the metric's bound, and
-whether a gain holds: the change wins at least nine tenths of the pairs, and its median is
-better than the parent's by more than the parent's interquartile distance.  Directions and
-bounds are read from the change's ``BENCHMARK.json``.
+metric the script prints each pair's two values, each side's median and quartiles, the
+pairs the change wins (ties count for neither side), whether the change's median stays
+within the metric's bound, and whether a gain holds: the change wins at least nine tenths
+of the pairs, and its median is better than the parent's by more than the parent's
+interquartile distance.  Directions and bounds are read from the change's
+``BENCHMARK.json``.
 
 The script writes nothing itself; each bench run writes its record under its own tree's
 ``bench/runs/``.  It exits 1 if any run reports
@@ -84,17 +85,19 @@ def main(argv=None) -> int:
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"no bench/run.py under {tree}")
 
+    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {side: bench_once(trees[side], args.workload, args.seconds)
                 for side in order}
         runs.append((pair["parent"], pair["change"]))
-        shown = "  ".join(f"{side} {pair[side]['metrics'].get('ms_per_round', {}).get('value')}"
-                          for side in order)
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): ms_per_round {shown}", flush=True)
+        shown = "  ".join(f"{m['name']} " + " -> ".join(
+            f"{pair[side]['metrics'].get(m['name'], {}).get('value', float('nan')):.6g}"
+            for side in ("parent", "change")) for m in metrics)
+        print(f"pair {i + 1}/{args.pairs} ({order[0]} first), parent -> change: {shown}",
+              flush=True)
 
-    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     rows = compare(runs, metrics)
     print(f"\n{args.workload}: {args.pairs} pairs, --seconds {args.seconds}")
     print(f"{'metric':<24} {'parent q1 / median / q3':>30} {'change q1 / median / q3':>30} "
