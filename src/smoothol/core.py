@@ -38,7 +38,7 @@ __all__ = [
     "SmoothnessViolation",
     "density_ratio",
     "Trajectory",
-    "regret_curve",
+    "RunningRegret",
     "finalize_regret",
     "make_rng",
     "DomainMismatchError",
@@ -597,17 +597,9 @@ class RunningRegret:
         return self.pairwise - float(self.pairwise_totals.min())
 
 
-def regret_curve(traj: Trajectory, klass: HypothesisClass,
-                 loss: LossFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative regret after every round of a whole trajectory, and each hypothesis's
-    total loss."""
-    running = RunningRegret(klass, loss)
-    return running.add(traj), running.totals
-
-
 def finalize_regret(traj: Trajectory, klass: HypothesisClass, loss: LossFunction) -> float:
     """Regret against the best hypothesis in hindsight, summed in a different
-    order from ``regret_curve`` (pairwise), so each checks the other."""
+    order from ``RunningRegret.add`` (pairwise), so each checks the other."""
     if not traj.n:
         raise EmptyTraceError("empty trace")
     totals = np.zeros(len(klass))

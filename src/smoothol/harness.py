@@ -431,7 +431,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, trace=None) -> SeedOutcome:
                                                    make_rng(seed, _STREAM_LEARNER))
     size = min(cfg.T, CHUNK)
     chunk, running = Trajectory(size), RunningRegret(klass, loss)
-    checkpoints = sorted(set(cfg.checkpoints or [max(1, cfg.T // 2), cfg.T]))
+    pending = sorted(set(cfg.checkpoints or [max(1, cfg.T // 2), cfg.T]), reverse=True)
     checkpoint_regrets = {}
     played, last_prediction = 0, None
     while played < cfg.T:
@@ -444,8 +444,9 @@ def run_seed(cfg: ExperimentConfig, seed: int, trace=None) -> SeedOutcome:
         last_prediction = float(predictions[-1])
         if len(chunk) == size or played == cfg.T:
             done, regret = played - len(chunk), running.add(chunk)
-            checkpoint_regrets.update({t: float(regret[t - done - 1]) for t in checkpoints
-                                       if done < t <= played})
+            while pending and pending[-1] <= played:
+                t = pending.pop()
+                checkpoint_regrets[t] = float(regret[t - done - 1])
             if trace is not None:
                 trace.write(rows_to_csv(chunk, regret, done))
             chunk.clear()
@@ -520,29 +521,6 @@ def summarize(cfg: ExperimentConfig, outcomes: list[SeedOutcome]) -> dict:
     return {"per_seed": per_seed, "aggregate": aggregate, "config": cfg.to_dict()}
 
 
-class _TraceFile:
-    """A seed's trace file, made with its directory at the first write; a run that raises
-    leaves none behind."""
-
-    def __init__(self, path: Path):
-        self.path, self.file = path, None
-
-    def write(self, text: str) -> None:
-        if self.file is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.file = self.path.open("w")
-        self.file.write(text)
-
-    def __enter__(self) -> "_TraceFile":
-        return self
-
-    def __exit__(self, error, *_) -> None:
-        if self.file is not None:
-            self.file.close()
-            if error is not None:
-                self.path.unlink()
-
-
 def write_outputs(cfg: ExperimentConfig, name: str, summary: dict) -> None:
     """Write the summary as ``name`` under output_dir, if set."""
     if cfg.output_dir:
@@ -553,14 +531,24 @@ def write_outputs(cfg: ExperimentConfig, name: str, summary: dict) -> None:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """All seeds of one config; returns the summary and, with an output_dir, writes each
-    seed's trace as it runs and the summary after the last."""
+    seed's trace as it runs and the summary after the last.  A seed that raises leaves no
+    trace, and the run no summary: an earlier run's is removed before the first seed."""
+    out = Path(cfg.output_dir) if cfg.output_dir else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "summary.json").unlink(missing_ok=True)
     outcomes = []
     for seed in cfg.seeds:
-        if not cfg.output_dir:
+        if out is None:
             outcomes.append(run_seed(cfg, seed))
             continue
-        with _TraceFile(Path(cfg.output_dir) / f"trace_seed{seed}.csv") as trace:
-            outcomes.append(run_seed(cfg, seed, trace))
+        path = out / f"trace_seed{seed}.csv"
+        try:
+            with path.open("w") as trace:
+                outcomes.append(run_seed(cfg, seed, trace))
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
     summary = summarize(cfg, outcomes)
     write_outputs(cfg, "summary.json", summary)
     return summary

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smoothol.core import ContextBlock, FiniteMeasure, GroundSet, TableClass
+from smoothol.core import ContextBlock, FiniteMeasure, GroundSet, RunningRegret, TableClass
 from smoothol.relaxation import RelaxGeneralLearner, draw_playout, predict_general
 
 
@@ -36,6 +36,13 @@ def sample(mu, rng: np.random.Generator, size: int = 1) -> ContextBlock:
     """``size`` contexts drawn from ``mu``: a finite measure's ``sample_block``, and on the
     uniform interval the doubles ``rng.random(size)`` as coordinates."""
     return mu.sample_block(rng, size) if mu.finite else ContextBlock(coords=rng.random(size))
+
+
+def regret_curve(traj, klass, loss):
+    """Cumulative regret after every round of a whole trajectory, accounted in one
+    ``RunningRegret.add``, and each hypothesis's total loss."""
+    running = RunningRegret(klass, loss)
+    return running.add(traj), running.totals
 
 
 def plain(state):

@@ -20,10 +20,9 @@ from smoothol.core import (
     finalize_regret,
     linear_loss,
     make_rng,
-    regret_curve,
 )
 
-from conftest import atom, random_table_class
+from conftest import atom, random_table_class, regret_curve
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from smoothol.harness import (
     sweep_to_long_csv,
 )
 
+from conftest import regret_curve
+
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -290,7 +292,6 @@ def test_a_learner_playing_the_best_hypothesis_has_zero_regret(monkeypatch):
     leaves a final regret of exactly 0, not a few ulps.  Every table entry is a value
     at which pow and a product round apart."""
     from smoothol import harness
-    from smoothol.core import regret_curve
 
     values = np.reshape(_pow_hazards(80, np.random.default_rng(60)), (5, 16)).tolist()
     cfg = ExperimentConfig.from_dict(_base_config(
@@ -319,7 +320,7 @@ def test_a_learner_playing_the_best_hypothesis_has_zero_regret(monkeypatch):
 def _whole_run(cfg, seed):
     """The run played into one ``Trajectory(T)`` and accounted at the end, every line of
     its trace made at once: the trace and the outcome, with a wall time of 0."""
-    from smoothol.core import make_rng, regret_curve
+    from smoothol.core import make_rng
     from smoothol.harness import SeedOutcome, build_pieces
 
     klass, loss, adversary, learner = build_pieces(cfg, make_rng(seed, 0), make_rng(seed, 1))
@@ -372,11 +373,14 @@ def test_chunked_traces_match_the_whole_run(T, ground, rule, tmp_path):
 
 def test_a_seed_that_raises_mid_run_leaves_no_partial_trace(tmp_path, monkeypatch, capsys):
     """Seed 1 raises at round 1,500, after its first chunk was written: the CLI exits 3,
-    seed 0's trace stays whole, seed 1's is removed and no summary is written."""
+    seed 0's trace stays whole, seed 1's is removed, no summary is written and an earlier
+    run's summary is gone, so none sits beside traces it does not describe."""
     from smoothol import harness
     from smoothol.harness import InvariantViolation
 
     out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_text("{}\n")
     checked, starts = harness._checked_losses, []
 
     def raising(loss, predictions, labels, start):

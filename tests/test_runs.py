@@ -17,12 +17,12 @@ import pytest
 
 from smoothol import adversaries, ftpl, harness, relaxation
 from smoothol.cli import main as cli_main
-from smoothol.core import LOSSES, ContextBlock, LossFunction, Trajectory, make_rng, regret_curve
+from smoothol.core import LOSSES, ContextBlock, LossFunction, Trajectory, make_rng
 from smoothol.harness import (ConfigError, ExperimentConfig, InvariantViolation, build_pieces,
                               run_seed)
 from smoothol.oracle import ErmOracle
 
-from conftest import plain
+from conftest import plain, regret_curve
 from test_harness import _draws, whole_run_csv
 
 _NOISY = {"rule": "noisy_comparator", "threshold": 0.5, "flip_prob": 0.1}
@@ -83,25 +83,42 @@ def _per_round(cfg, seed):
 
 
 def _in_runs(cfg, seed, monkeypatch):
-    """``run_seed``'s trace, learner and rngs, read through ``build_pieces``."""
-    seen = {}
+    """``run_seed``'s trace, the ids and coordinates of the contexts it played (-1 and NaN
+    where a context has none, as ``Trajectory`` stores them), learner and rngs, read
+    through ``build_pieces``."""
+    seen, ids, coords = {}, [], []
     build = harness.build_pieces
 
     def spy(cfg, adversary_rng, learner_rng):
         pieces = build(cfg, adversary_rng, learner_rng)
         seen.update(learner=pieces[3], rngs=(adversary_rng, learner_rng))
+        next_run = pieces[2].next_run
+
+        def recording(*args):
+            contexts, labels = next_run(*args)
+            n = len(labels)
+            ids.append(np.full(n, -1) if contexts.ids is None else np.array(contexts.ids))
+            coords.append(np.full(n, np.nan) if contexts.coords is None
+                          else np.array(contexts.coords, dtype=float))
+            return contexts, labels
+
+        pieces[2].next_run = recording
         return pieces
 
     monkeypatch.setattr(harness, "build_pieces", spy)
     trace = io.StringIO()
     run_seed(cfg, seed, trace)
-    return trace.getvalue(), seen["learner"], seen["rngs"]
+    return (trace.getvalue(), np.concatenate(ids).astype(np.int64), np.concatenate(coords),
+            seen["learner"], seen["rngs"])
 
 
 def _assert_same(cfg, seed, monkeypatch):
-    trace, learner, rngs = _in_runs(cfg, seed, monkeypatch)
+    trace, ids, coords, learner, rngs = _in_runs(cfg, seed, monkeypatch)
     want_traj, want_regret, want_learner, want_rngs = _per_round(cfg, seed)
     assert trace == whole_run_csv(want_traj, want_regret)
+    # the trace prints a context's id, not its coordinate, where it has both
+    assert ids.tobytes() == want_traj.ids.tobytes()
+    assert coords.tobytes() == want_traj.coords.tobytes()
     assert learner.oracle.calls == want_learner.oracle.calls
     assert learner.oracle.prefix.tobytes() == want_learner.oracle.prefix.tobytes()
     if hasattr(learner, "state"):
