@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .adversaries import tilted_smooth_probs
@@ -82,6 +83,7 @@ def cmd_bandit(args) -> int:
     return 0
 
 
+@cache  # built once per process: a parse reads the parser and changes nothing in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="smoothol",
                                      description="smoothed online learning experiments")

@@ -36,9 +36,13 @@ __all__ = [
     "FtplLearner",
 ]
 
+# most points of a label grid: every default schedule up to T = 10^8 builds at most 2 * 10^6,
+# and building the grid holds about 140 B per point
+MAX_GRID_POINTS = 2**22
+
 
 def epsilon_grid(eps: float, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    """The label grid eps*Z intersected with [lo, hi].
+    """The label grid eps*Z intersected with [lo, hi], of at most ``MAX_GRID_POINTS`` points.
 
     Both endpoints join the grid when eps divides the interval width exactly,
     so eps = 2 on [-1, 1] yields {-1, 0, 1} rather than the bare {0}.
@@ -47,8 +51,9 @@ def epsilon_grid(eps: float, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
         raise ValueError("eps must be positive")
     ks_lo = lo / eps - 1e-12
     ks_hi = hi / eps + 1e-12
-    if not ks_hi - ks_lo < 2**63 - 1:  # an infinite quotient too: count before building
-        raise ValueError(f"epsilon = {eps} makes a label grid of more than 2^63 - 1 points")
+    if not ks_hi - ks_lo < MAX_GRID_POINTS:  # an infinite quotient too: count before building
+        raise ValueError(f"epsilon = {eps} makes a label grid of more than 2^22 points on "
+                         f"[{lo}, {hi}]")
     points = [k * eps for k in range(math.ceil(ks_lo), math.floor(ks_hi) + 1)]
     width = hi - lo
     if abs(width / eps - round(width / eps)) < 1e-12:

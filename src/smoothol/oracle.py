@@ -27,6 +27,7 @@ __all__ = ["RowBlock", "ErmQuery", "ErmResult", "ErmOracle"]
 MAIN = "main_loss"
 IDENTITY = "identity_loss"
 KEPT_ROW_FLOATS = 1 << 16  # extend_prefix keeps rows until they hold this many floats (512 KiB)
+SIGNS = np.array([1.0, -1.0])  # a binary class's two values, the linear relaxation's labels
 
 
 @dataclass
@@ -209,21 +210,26 @@ class ErmOracle:
         return self.approximate(query, 0.0)
 
     def exact_labels(self, query: ErmQuery, values: np.ndarray, labels: np.ndarray,
-                     index: int, history: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``exact`` of rounds index, index + 1, ... of the query, each plus a weight-1
-        main-loss row (x_t, y) per label y: round i over the history objective ``history[i]``,
-        with the class's values ``values[:, i]`` at its x_t.  Equal, bit for bit, to one
-        ``exact`` call per round and label, and counted so; returns the (rounds, labels)
-        minimizing indices and their objective values."""
+                     index: int, history: np.ndarray) -> np.ndarray:
+        """``exact``'s objective values for rounds index, index + 1, ... of the query, each
+        plus a weight-1 main-loss row (x_t, y) per label y: round i over the history objective
+        ``history[i]``, with the class's values ``values[:, i]`` at its x_t.  Equal, bit for
+        bit, to one ``exact`` call per round and label, and counted so; returns the
+        (rounds, labels) minimum objective values.  A binary class's come from the minima of
+        the objective over the hypotheses with f(x_t) = +1 and -1 (README gives why)."""
         labels = np.asarray(labels, dtype=np.float64)
-        # the objectives are added into the loss array (float addition commutes, so each sum
-        # is exact's), and a run holds one (rounds x labels x H) array
-        obj = self.main_loss.evaluate_array(values.T[:, None, :], labels[None, :, None])
-        obj += self._objectives(query, index, history)[:, None, :]
-        idx = obj.argmin(axis=2)
-        self._calls += idx.size
-        best = obj.reshape(-1, obj.shape[2])[np.arange(idx.size), idx.ravel()]
-        return idx, best.reshape(idx.shape)
+        obj = self._objectives(query, index, history)
+        self._calls += len(obj) * len(labels)
+        if self.klass.kind == "binary":  # the least objective where f(x_t) = +1, and -1
+            plus, rows = values.T > 0, np.arange(len(obj))
+            least = [group[rows, group.argmin(axis=1)][:, None]
+                     for group in (np.where(plus, obj, np.inf), np.where(plus, np.inf, obj))]
+            loss = self.main_loss.evaluate_array(SIGNS[:, None], labels)
+            return np.minimum(loss[0] + least[0], loss[1] + least[1])
+        # a (rounds x labels x H) array; float addition commutes, so each sum is exact's
+        full = self.main_loss.evaluate_array(values.T[:, None, :], labels[None, :, None])
+        full += obj[:, None, :]
+        return np.take_along_axis(full, full.argmin(axis=2)[..., None], 2)[..., 0]
 
     def approximate(self, query: ErmQuery, zeta: float,
                     rng: Optional[np.random.Generator] = None, index: int = 0) -> ErmResult:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import BLOCK, MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction, refuse_past_horizon
-from .oracle import IDENTITY, ErmOracle, ErmQuery
+from .oracle import IDENTITY, SIGNS, ErmOracle, ErmQuery
 
 __all__ = [
     "PlayoutDraw",
@@ -36,10 +36,9 @@ __all__ = [
 ]
 
 
-# most elements in the (rounds x branch labels x H) objectives of a run's rounds answered
-# at once; a learner plays a longer run in chunks of rounds that fit
+# most elements in one array the rule builds for a run's rounds answered at once; a learner
+# plays a longer run in chunks of rounds that fit
 RUN_ELEMENTS = 2**14
-_SIGNS = np.array([1.0, -1.0])  # the linear rule's two branch labels
 
 
 def default_playout_width(T: int, sigma: float) -> int:
@@ -128,7 +127,7 @@ def _branch_values(query: ErmQuery, values: np.ndarray, oracle: ErmOracle, label
     """sup_f [ playout(f) - L_t(f) - l(f(x_t), y) ] per round and label y, one oracle call
     each, for the playout rounds index, index + 1, ... of the query: round i over the
     history objective ``history[i]``, with the class's values ``values[:, i]`` at its x_t."""
-    return -oracle.exact_labels(query, values, labels, index, history)[1]
+    return -oracle.exact_labels(query, values, labels, index, history)
 
 
 def play_linear(state: RelaxState, query: ErmQuery, values: np.ndarray,
@@ -139,7 +138,7 @@ def play_linear(state: RelaxState, query: ErmQuery, values: np.ndarray,
     keeps the last round's."""
     if state.loss.kind != "linear":
         raise ValueError("linear loss required")
-    a = _branch_values(query, values, oracle, _SIGNS, index, history)
+    a = _branch_values(query, values, oracle, SIGNS, index, history)
     state.last_branch_values = tuple(a[-1].tolist())
     return np.minimum(np.maximum(a[:, 0] - a[:, 1], -1.0), 1.0)
 
@@ -226,8 +225,10 @@ class RelaxGeneralLearner:
         self._playouts: Optional[PlayoutDraw] = None  # the current block, and its query
         self._query: Optional[ErmQuery] = None
         self._next = 0  # its next unused playout
-        # predictions answered at once: their (predictions x branches x H) objectives stay small
-        self._chunk = max(1, RUN_ELEMENTS // (self.branches * max(len(klass), self.branches)))
+        # predictions answered at once: the largest array the rule builds per prediction (a
+        # binary class's H objectives, a real one's branches x H, branches x branches) stays small
+        width = len(klass) if klass.kind == "binary" else self.branches * len(klass)
+        self._chunk = max(1, RUN_ELEMENTS // max(width, self.branches ** 2))
 
     @property
     def branches(self) -> int:

@@ -142,9 +142,8 @@ def test_block_of_playouts_equals_one_query_per_round_bit_for_bit(interval):
         assert np.array_equal(oracle.objective_vector(block, i), oracle.objective_vector(own))
         assert np.array_equal(oracle.objective_vector(own), oracle.prefix + learner.values @ w)
         values, prefix = klass.evaluate_block(x_t), oracle.prefix[None, :]
-        for a, b in zip(oracle.exact_labels(block, values, labels, i, prefix),
-                        oracle.exact_labels(own, values, labels, 0, prefix)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(oracle.exact_labels(block, values, labels, i, prefix),
+                              oracle.exact_labels(own, values, labels, 0, prefix))
 
 
 def test_queries_refuse_blocks_of_another_round_count():
@@ -504,6 +503,27 @@ def test_blocks_stay_under_the_element_cap():
         elements = max(learner._elements(p) for p in learner._processes if p)
         assert elements == (65 + n if variant == "classification" else 64 * n)
         assert rounds == 1 or rounds * elements <= BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
+def test_relax_general_answers_a_run_in_pieces_of_its_largest_array(binary):
+    """At |S| = 15 and H = 64 the rule's largest array per round is the (|S| x |S|) outer
+    array for a binary class, so 72 rounds fit ``RUN_ELEMENTS`` and a 64-round run is one
+    piece; a real class's (|S| x H) objectives take 17 rounds a piece."""
+    klass, mu = _space(False)
+    if not binary:
+        klass = TableClass(klass.values * 0.5, ground=klass.ground)
+    loss = absolute_loss()
+    learner = RelaxGeneralLearner(klass, loss, mu, 200, 0.2, ErmOracle(klass, loss),
+                                  make_rng(60, 0))
+    assert learner.branches == 15 and klass.kind == ("binary" if binary else "real")
+    pieces, answer = [], learner.oracle.exact_labels
+    learner.oracle.exact_labels = lambda *a: pieces.append(a[1].shape[1]) or answer(*a)
+    rng = make_rng(60, 1)
+    _, calls = learner.play(sample(mu, rng, 64), rng.choice([-1.0, 1.0], 64))
+    assert pieces == ([64] if binary else [17, 17, 17, 13])
+    assert learner._chunk * max(15 * 15, (1 if binary else 15) * 64) <= relaxation.RUN_ELEMENTS
+    assert calls[-1] == learner.oracle.calls == 64 * 15
 
 
 def test_no_learner_draws_past_the_horizon(monkeypatch):

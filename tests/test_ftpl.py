@@ -99,8 +99,18 @@ def test_epsilon_grid_unit_range():
 @pytest.mark.parametrize("eps", [1e-300, 5e-324])
 def test_epsilon_grid_refuses_more_points_than_an_index_holds(eps):
     """About 2e300 points (an infinite quotient at 5e-324): refused before any is built."""
-    with pytest.raises(ValueError, match=f"epsilon = {eps} .* 2\\^63 - 1"):
+    with pytest.raises(ValueError, match=f"epsilon = {eps} .* 2\\^22 points"):
         epsilon_grid(eps)
+
+
+@pytest.mark.parametrize("variant, p", [("dual", None), ("dual", 2.0), ("dual", 5.0),
+                                        ("single", None)])
+@pytest.mark.parametrize("sigma", [1.0, 0.5, 0.01])
+def test_every_default_label_grid_up_to_T_1e8_fits_the_cap(variant, p, sigma):
+    """Counted, not built: ``ftpl-single`` at T = 10^8 and sigma = 1 asks for the most,
+    2 * 10^6 points on [-1, 1], half the cap."""
+    sched = schedule(10**8, sigma, L=1.0, d_or_p=p, variant=variant)
+    assert 2.0 / sched.epsilon <= ftpl.MAX_GRID_POINTS / 2
 
 
 @settings(max_examples=200, deadline=None)

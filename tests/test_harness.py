@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothol.bandit import run_bandit_experiment
-from smoothol.cli import main as cli_main
+from smoothol.cli import build_parser, main as cli_main
 from smoothol.core import ContextBlock, LOSSES, Trajectory
 from smoothol.harness import (
     ConfigError,
@@ -1392,6 +1395,48 @@ def test_cli_couple_test(capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert {"x_marginal_pvalue", "z_marginal_pvalue", "miss_rate", "bound"} <= set(report)
+
+
+def test_cli_refuses_an_ftpl_label_grid_too_large_to_build(tmp_path):
+    """``"epsilon": 1e-10`` asks for about 2e10 label points; the load counts them before
+    building any and exits 2.  Run in a child limited to 1.5 GB of address space, so a grid
+    built anyway ends in a MemoryError there instead of filling the host's memory."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(learner={"name": "ftpl-dual", "epsilon": 1e-10})))
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1536 << 20,) * 2); "
+            "from smoothol.cli import main; sys.exit(main(['run', '--config', sys.argv[1]]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "config error: epsilon = 1e-10 makes a label grid of more than 2^22 points" \
+        in proc.stderr and not proc.stdout
+
+
+def test_cli_calls_in_one_process_each_give_their_own_code_and_output(tmp_path, capsys):
+    """``main`` builds its parser once per process; each later call still parses its own
+    command and arguments, and returns its own exit code and output."""
+    run_cfg, bandit_cfg, bad_cfg = (tmp_path / name for name in ("run.json", "bandit.json",
+                                                                 "bad.json"))
+    run_cfg.write_text(json.dumps(_base_config(T=4)))
+    bandit_cfg.write_text(json.dumps({"K": 2, "sigma": 0.5, "T": 6, "seeds": [0],
+                                      "ground": {"atoms": 4}}))
+    bad_cfg.write_text(json.dumps(_base_config(learner={"name": "nope"})))
+    assert cli_main(["run", "--config", str(run_cfg)]) == 0
+    out = capsys.readouterr()
+    assert "aggregate" in json.loads(out.out) and not out.err
+    assert cli_main(["bandit", "--config", str(bandit_cfg)]) == 0
+    out = capsys.readouterr()
+    assert "per_seed" in json.loads(out.out) and not out.err
+    assert cli_main(["run", "--config", str(bad_cfg)]) == 2
+    out = capsys.readouterr()
+    assert not out.out and "config error" in out.err and "nope" in out.err
+    assert cli_main(["couple-test", "--sigma", "0.5", "--k", "3", "--trials", "2000"]) == 0
+    out = capsys.readouterr()
+    assert "miss_rate" in json.loads(out.out) and not out.err
+    assert build_parser() is build_parser()
 
 
 # with the default beta = 0.35, the tilt e^(beta i) overflows past atom 2028;

@@ -11,6 +11,7 @@ from smoothol.core import (
     linear_loss,
     make_rng,
     scaled_square_loss,
+    square_loss,
 )
 from smoothol.oracle import IDENTITY, KEPT_ROW_FLOATS, MAIN, ErmOracle, ErmQuery
 
@@ -255,13 +256,14 @@ def test_no_row_is_kept_for_a_label_unequal_to_itself():
 
 @pytest.mark.parametrize("loss", [linear_loss, absolute_loss, scaled_square_loss],
                          ids=["linear", "absolute", "scaled-square"])
-@pytest.mark.parametrize("space", ["table-grid", "thresholds-interval"])
+@pytest.mark.parametrize("space", ["table-grid", "thresholds-interval", "real-table-grid"])
 def test_exact_labels_matches_one_exact_call_per_label(space, loss):
     """One evaluation for a family of queries that differ in one row's label gives
-    each label's ``exact`` answer bit for bit, with its call count."""
+    each label's ``exact`` answer bit for bit, with its call count: through a binary
+    class's two groups, and through a real class's array over every hypothesis."""
     rng = make_rng(12, 0)
-    if space == "table-grid":
-        table = random_table_class(rng, 6, 8, binary=True)
+    if space != "thresholds-interval":
+        table = random_table_class(rng, 6, 8, binary=space == "table-grid")
         # each hypothesis twice: every minimum is a tie, won by the first copy
         klass = TableClass(np.vstack([table.values, table.values]), ground=table.ground)
 
@@ -286,21 +288,121 @@ def test_exact_labels_matches_one_exact_call_per_label(space, loss):
                 IDENTITY, extra, np.zeros(3), extra_w)
 
         calls = oracle.calls
-        idx, values = (a[0] for a in oracle.exact_labels(
-            query(), klass.evaluate_block(x_t), labels, 0, oracle.prefix[None, :]))
+        values = oracle.exact_labels(query(), klass.evaluate_block(x_t), labels, 0,
+                                     oracle.prefix[None, :])[0]
         assert oracle.calls == calls + len(labels)
         per_label = [oracle.exact(query().add_block(MAIN, x_t, np.array([y]), np.array([1.0])))
                      for y in labels]
-        assert idx.tolist() == [r.hypothesis_index for r in per_label]
         assert values.tolist() == [r.objective_value for r in per_label]
-        if space == "table-grid":
-            assert idx.max() < 6
+        if space != "thresholds-interval":
+            assert max(r.hypothesis_index for r in per_label) < 6
 
     calls = oracle.calls
-    idx, values = oracle.exact_labels(query(), klass.evaluate_block(x_t), np.array([]), 0,
-                                      oracle.prefix[None, :])
-    assert (idx.shape, values.shape) == ((1, 0), (1, 0))
+    values = oracle.exact_labels(query(), klass.evaluate_block(x_t), np.array([]), 0,
+                                 oracle.prefix[None, :])
+    assert values.shape == (1, 0)
     assert oracle.calls == calls
+
+
+ALL_LOSSES = [linear_loss, absolute_loss, square_loss, scaled_square_loss]
+
+
+def _least_over_every_hypothesis(loss, values, labels, objectives):
+    """Reference for ``exact_labels``: the (rounds x labels x H) array of every round's
+    objective plus each hypothesis's main loss at its x_t and each label, and each
+    (round, label)'s lowest-index minimum in it, gathered as ``exact`` reads it."""
+    full = loss.evaluate_array(values.T[:, None, :], labels[None, :, None])
+    full += objectives[:, None, :]
+    return np.take_along_axis(full, full.argmin(axis=2)[..., None], 2)[..., 0]
+
+
+def _binary_space(space, rng):
+    """A binary class with every hypothesis twice, and 12 contexts for it: the last two
+    where every hypothesis is -1, and where every one is +1."""
+    if space == "thresholds-interval":
+        klass = ThresholdClass(np.repeat(ThresholdClass.grid(16).thetas, 2))
+        return klass, ContextBlock(coords=np.append(rng.random(10), [0.0, 1.0]))
+    table = random_table_class(rng, 8, 12, binary=True).values
+    table[:, -2:] = [-1.0, 1.0]
+    klass = TableClass(np.vstack([table, table]), ground=GroundSet.grid(12))
+    return klass, klass.ground.block(np.append(rng.integers(10, size=10), [10, 11]))
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("space", ["table-grid", "thresholds-interval"])
+def test_binary_exact_labels_equal_the_array_over_every_hypothesis(space, loss):
+    """A binary class's values from its two groups equal, bit for bit, the lowest-index
+    minimum over every hypothesis, on labels on and off the dyadic grid, with duplicated
+    hypotheses and rounds where one group is empty; each round and label counts a call."""
+    rng, loss = make_rng(14, 0), loss()
+    klass, x_t = _binary_space(space, rng)
+    oracle, rounds = ErmOracle(klass, loss), len(x_t)
+    for i, y in zip(rng.integers(rounds, size=7), rng.choice([-1.0, 1.0], size=7)):
+        oracle.extend_prefix(x_t[i:i + 1], float(y))
+    shared = klass.ground.block(np.arange(5)) if space == "table-grid" else \
+        ContextBlock(coords=rng.random(5))
+    query = ErmQuery().add_block(IDENTITY, shared, np.zeros(5), rng.normal(size=(rounds, 5)))
+    values = klass.evaluate_block(x_t)
+    assert (values[:, -2] == -1.0).all() and (values[:, -1] == 1.0).all()
+    objectives = np.array([oracle.objective_vector(query, i) for i in range(rounds)])
+    history = oracle.prefix[None, :].repeat(rounds, axis=0)
+    for labels in (np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 7),
+                   rng.uniform(-1.0, 1.0, 5), np.array([0.1, 1.0 / 3.0, -0.7])):
+        calls = oracle.calls
+        got = oracle.exact_labels(query, values, labels, 0, history)
+        assert oracle.calls == calls + rounds * len(labels)
+        assert got.shape == (rounds, len(labels))
+        assert got.tobytes() == _least_over_every_hypothesis(
+            loss, values, labels, objectives).tobytes()
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda f: f.__name__)
+def test_binary_exact_labels_at_ulp_gaps_infinities_nans_and_no_labels(loss):
+    """Objectives one ulp apart across the groups, infinite and NaN objectives (a NaN
+    prefix), and an empty group give the reference's floats, NaN where it has NaN; no
+    labels give (rounds, 0) and count no call."""
+    loss = loss()
+    plus, minus = np.array([1.0, 1.0, -1.0, -1.0]), np.array([-1.0, -1.0, 1.0, 1.0])
+    klass = TableClass(np.stack([plus, minus, plus, minus], axis=1))  # 4 hypotheses, 4 atoms
+    oracle = ErmOracle(klass, loss)
+    x, up = 0.1, np.nextafter(0.1, 1.0)
+    history = np.array([[x, x, up, up],             # one group one ulp above the other
+                        [up, x, up, x],
+                        [x, 1.0, 2.0, np.nan],       # a NaN in one group
+                        [np.nan] * 4,                # a NaN prefix
+                        [np.inf, x, -np.inf, 0.5],   # infinite objectives
+                        [3.0, np.inf, np.inf, 0.25],  # an empty group
+                        [np.inf] * 4])               # an empty group, the other all +inf
+    values = np.stack([plus, plus, minus, minus, plus, np.ones(4), -np.ones(4)], axis=1)
+    labels = np.array([-1.0, -0.5, 0.0, 1.0 / 3.0, 0.1, 1.0, np.nextafter(1.0, 0.0)])
+    got = oracle.exact_labels(ErmQuery(), values, labels, 0, history)
+    assert got.tobytes() == _least_over_every_hypothesis(loss, values, labels, history).tobytes()
+    assert np.isnan(got[2:4]).all() and not np.isnan(got[[0, 1, 4, 5, 6]]).any()
+    assert (got[6] == np.inf).all()
+    calls = oracle.calls
+    none = oracle.exact_labels(ErmQuery(), values, np.array([]), 0, history)
+    assert none.shape == (7, 0) and oracle.calls == calls
+
+
+def test_binary_exact_labels_hold_no_array_over_labels_and_hypotheses():
+    """At H = 4,096, |S| = 64 and 64 rounds the (rounds x labels x H) array alone is
+    134 MB; the two groups' path holds a few (rounds x H) arrays, 2 MB each."""
+    import tracemalloc
+
+    rng = make_rng(15, 0)
+    klass = ThresholdClass.grid(4096)
+    oracle = ErmOracle(klass, absolute_loss())
+    values = klass.evaluate_block(ContextBlock(coords=rng.random(64)))
+    history, labels = rng.normal(size=(64, 4096)), np.linspace(-1.0, 1.0, 64)
+    assert 64 * len(labels) * len(klass) * 8 > 134e6
+    tracemalloc.start()
+    try:
+        got = oracle.exact_labels(ErmQuery(), values, labels, 0, history)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (64, 64)
+    assert peak < 8e6
 
 
 def test_add_block_rejects_unknown_selector(sign_constants):
