@@ -54,12 +54,11 @@ def epsilon_grid(eps: float, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
     if not ks_hi - ks_lo < MAX_GRID_POINTS:  # an infinite quotient too: count before building
         raise ValueError(f"epsilon = {eps} makes a label grid of more than 2^22 points on "
                          f"[{lo}, {hi}]")
-    points = [k * eps for k in range(math.ceil(ks_lo), math.floor(ks_hi) + 1)]
+    points = np.arange(math.ceil(ks_lo), math.floor(ks_hi) + 1) * eps
     width = hi - lo
     if abs(width / eps - round(width / eps)) < 1e-12:
-        points.extend([lo, hi])
-    grid = np.unique(np.clip(np.array(sorted(set(np.round(points, 15)))), lo, hi))
-    return grid
+        points = np.append(points, [lo, hi])
+    return np.unique(np.clip(np.round(points, 15), lo, hi))
 
 
 @dataclass

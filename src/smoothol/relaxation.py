@@ -24,6 +24,7 @@ from .oracle import IDENTITY, SIGNS, ErmOracle, ErmQuery
 __all__ = [
     "PlayoutDraw",
     "draw_playout",
+    "fair_heads",
     "RelaxState",
     "play_linear",
     "predict_linear",
@@ -67,15 +68,38 @@ class PlayoutDraw:
 
 
 def draw_playout(mu, rounds_left: int | np.ndarray, k: int, rng: np.random.Generator,
-                 values: Optional[np.ndarray] = None) -> PlayoutDraw:
-    """rounds_left * k i.i.d. signed draws from the finite mu (a class's cell measure),
-    counted per (atom, sign) by one multinomial, whose stream for an array of rounds_left is
-    that of one call per entry; the draw carries ``values``, the class's values on mu's atoms."""
-    half = mu.probs / 2.0
-    counts = rng.multinomial(rounds_left * k, np.concatenate((half, half)))
-    size = len(half)
-    return PlayoutDraw(contexts=mu.atoms, signs=counts[..., :size] - counts[..., size:],
+                 values: Optional[np.ndarray] = None, coins=None) -> PlayoutDraw:
+    """rounds_left * k i.i.d. signed draws from the finite mu (a class's cell measure): the
+    draws per atom by a multinomial from ``rng`` and their signs by ``fair_heads`` from ``coins``
+    (``rng`` if omitted), each read row by row; the draw carries ``values``, f on mu's atoms."""
+    counts = rng.multinomial(rounds_left * k, mu.probs)
+    return PlayoutDraw(contexts=mu.atoms, signs=2 * fair_heads(counts, coins or rng) - counts,
                        rounds_left=rounds_left, k=k, values=values)
+
+
+# a row with more draws than this per count on average takes its heads by binomials, a
+# lighter one from raw bits: the routes cross at about 700, 450 and 400 draws a count for
+# 17, 65 and 257 counts (64-row blocks, 2 shared x86-64 cores, numpy 2.4.6)
+BIT_DRAWS = 512
+
+
+def fair_heads(counts: np.ndarray, coins: np.random.Generator) -> np.ndarray:
+    """Bin(n, 1/2) heads for every count n of the rows ``counts``, read from ``coins`` row by
+    row when the rows' totals do not increase: a heavy row by one binomial, a light one as
+    the set bits of ceil(n / 64) raw 64-bit words per count, the last cut to n mod 64 bits."""
+    heads, heavy = np.zeros_like(counts), counts.sum(axis=-1) > BIT_DRAWS * counts.shape[-1]
+    if heavy.any():
+        heads[heavy] = coins.binomial(counts[heavy], 0.5)
+    n = counts[~heavy].ravel()
+    words = (n + 63) >> 6
+    some = np.flatnonzero(words)
+    if some.size:
+        ends = np.cumsum(words[some])
+        raw = coins.bit_generator.random_raw(int(ends[-1]))
+        raw[ends - 1] >>= (-n[some] & 63).astype(np.uint64)
+        n[some] = np.add.reduceat(np.bitwise_count(raw), ends - words[some])
+        heads[~heavy] = n.reshape(-1, counts.shape[-1])
+    return heads
 
 
 class RelaxState:
@@ -230,6 +254,11 @@ class RelaxGeneralLearner:
         width = len(klass) if klass.kind == "binary" else self.branches * len(klass)
         self._chunk = max(1, RUN_ELEMENTS // max(width, self.branches ** 2))
 
+    @cached_property
+    def coins(self) -> np.random.Generator:
+        """The playouts' sign flips: a generator spawned from ``rng`` at the first draw."""
+        return self.rng.spawn(1)[0]
+
     @property
     def branches(self) -> int:
         """Labels branched on, and oracle calls made, per prediction."""
@@ -267,7 +296,8 @@ class RelaxGeneralLearner:
         if ahead != [rounds_left - i // per_round for i in range(n)]:
             size = min(max(rounds, BLOCK // per_round), rounds_left + 1)
             block = draw_playout(self.cells, np.arange(rounds_left, rounds_left - size, -1)
-                                 .repeat(per_round), self.state.k, self.rng, self.values)
+                                 .repeat(per_round), self.state.k, self.rng, self.values,
+                                 self.coins)
             self._playouts, self._query, self._next = block, self.state.playout_query(block), 0
         index, self._next = self._next, self._next + n
         predictions = np.empty(n)

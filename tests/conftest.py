@@ -75,7 +75,7 @@ class OnePlayoutAtATime(RelaxGeneralLearner):
 
     def predict(self, x_t):
         playout = draw_playout(self.cells, self.state.rounds_left, self.state.k, self.rng,
-                               self.values)
+                               self.values, self.coins)
         return self.round_rule(self.state, playout, x_t, self.oracle)
 
     def predictions(self, contexts):

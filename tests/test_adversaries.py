@@ -247,6 +247,19 @@ def test_gap_adversary_sigma_one_density_ratio_one():
     assert ratio.max() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("excess, refused", [(2e-9, True), (0.5e-9, False)])
+def test_density_ratio_tolerance_is_one_part_in_a_billion(excess, refused):
+    """A p whose density is (1 + 2e-9)/sigma is refused; at (1 + 0.5e-9)/sigma it is
+    rounding, and passes."""
+    mu, sigma = np.full(4, 0.25), 0.5
+    p = np.array([0.5 * (1 + excess), 0.5 * (1 - excess), 0.0, 0.0])
+    if refused:
+        with pytest.raises(SmoothnessViolation, match="above 1/sigma"):
+            density_ratio(p, mu, sigma)
+    else:
+        assert sigma * density_ratio(p, mu, sigma).max() == pytest.approx(1 + excess)
+
+
 def test_gap_adversary_at_the_cap_builds_for_a_tiny_sigma():
     """Its density is 1/sigma up to rounding, which at sigma = 1e-9 passes 1/sigma + 1e-9;
     the check's tolerance is relative, so the construction still builds."""

@@ -96,6 +96,41 @@ def test_epsilon_grid_unit_range():
     np.testing.assert_allclose(grid, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+def _epsilon_grid_by_list(eps, lo=-1.0, hi=1.0):
+    """Reference: the grid built through a Python list, a set and ``sorted``."""
+    ks_lo, ks_hi = lo / eps - 1e-12, hi / eps + 1e-12
+    points = [k * eps for k in range(math.ceil(ks_lo), math.floor(ks_hi) + 1)]
+    width = hi - lo
+    if abs(width / eps - round(width / eps)) < 1e-12:
+        points.extend([lo, hi])
+    return np.unique(np.clip(np.array(sorted(set(np.round(points, 15)))), lo, hi))
+
+
+@pytest.mark.parametrize("domain", [(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0), (0.1, 0.9),
+                                    (-3.0, -1.0)])
+@pytest.mark.parametrize("eps", [2.0, 1.0, 0.5, 0.3, 0.25, 0.1, 1 / 3, 1 / 7, 0.07, 1e-3,
+                                 2.5e-5, 2e-5])
+def test_epsilon_grid_is_the_list_route_byte_for_byte(eps, domain):
+    """Widths that eps divides (0.25 on [0, 1], 2e-5 on [-1, 1]: 100,001 points) and
+    widths it does not, every grid up to 10^5 points."""
+    got, want = epsilon_grid(eps, *domain), _epsilon_grid_by_list(eps, *domain)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_epsilon_grid_at_the_cap():
+    """2^22 - 1 points build, each the rounded k * eps of its k, and one more point is
+    refused; the list route is too slow at this size to compare whole."""
+    eps = 2.0 / (ftpl.MAX_GRID_POINTS - 2)
+    grid = epsilon_grid(eps)
+    assert len(grid) == ftpl.MAX_GRID_POINTS - 1 and np.all(np.diff(grid) > 0)
+    k0 = math.ceil(-1.0 / eps - 1e-12)
+    for i in (0, 1, 12345, len(grid) // 2, len(grid) - 2):
+        assert grid[i] == np.round((k0 + i) * eps, 15)
+    assert (grid[0], grid[-1]) == (-1.0, 1.0)
+    with pytest.raises(ValueError, match="2\\^22 points"):
+        epsilon_grid(2.0 / ftpl.MAX_GRID_POINTS)
+
+
 @pytest.mark.parametrize("eps", [1e-300, 5e-324])
 def test_epsilon_grid_refuses_more_points_than_an_index_holds(eps):
     """About 2e300 points (an infinite quotient at 5e-324): refused before any is built."""

@@ -374,6 +374,20 @@ def test_chunked_traces_match_the_whole_run(T, ground, rule, tmp_path):
     assert _timeless(got) == _timeless(summarize(cfg, [outcome for _, outcome in want]))
 
 
+@pytest.mark.parametrize("excess, refused", [(2e-9, True), (0.5e-9, False)])
+def test_a_prediction_past_one_by_more_than_rounding_is_an_invariant_violation(excess, refused):
+    """|yhat| <= 1 + 1e-9: a prediction of 1 + 2e-9 at round 2 raises, 1 + 0.5e-9 passes."""
+    from smoothol import harness
+    from smoothol.harness import InvariantViolation
+
+    predictions, labels = np.array([0.5, 1.0 + excess, 0.0]), np.ones(3)
+    if refused:
+        with pytest.raises(InvariantViolation, match="outside \\[-1, 1\\] at round 12"):
+            harness._checked_losses(LOSSES["linear"](), predictions, labels, 10)
+    else:
+        assert len(harness._checked_losses(LOSSES["linear"](), predictions, labels, 10)) == 3
+
+
 def test_a_seed_that_raises_mid_run_leaves_no_partial_trace(tmp_path, monkeypatch, capsys):
     """Seed 1 raises at round 1,500, after its first chunk was written: the CLI exits 3,
     seed 0's trace stays whole, seed 1's is removed, no summary is written and an earlier

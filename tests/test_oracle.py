@@ -254,6 +254,20 @@ def test_no_row_is_kept_for_a_label_unequal_to_itself():
     assert not oracle._rows and np.isnan(oracle.prefix).all()
 
 
+def test_one_id_at_two_coordinates_keeps_a_row_for_each():
+    """Library contexts may carry one id at different coordinates; thresholds on the
+    interval read the coordinate, so each (id, coordinate, label) gets its own kept row and
+    the prefix is the uncached recurrence byte for byte."""
+    klass, loss = ThresholdClass.grid(16), absolute_loss()
+    points = [ContextBlock(ids=np.array([0]), coords=np.array([c])) for c in (0.2, 0.8)]
+    oracle, expected = ErmOracle(klass, loss), np.zeros(len(klass))
+    for ctx in points * 3:
+        oracle.extend_prefix(ctx, 1.0)
+        expected += loss.evaluate_array(klass.evaluate_block(ctx)[:, 0], 1.0)
+        assert oracle.prefix.tobytes() == expected.tobytes()
+    assert sorted(oracle._rows) == [(0, 0.2, 1.0), (0, 0.8, 1.0)]
+
+
 @pytest.mark.parametrize("loss", [linear_loss, absolute_loss, scaled_square_loss],
                          ids=["linear", "absolute", "scaled-square"])
 @pytest.mark.parametrize("space", ["table-grid", "thresholds-interval", "real-table-grid"])

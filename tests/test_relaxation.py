@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,13 +31,14 @@ from smoothol.relaxation import (
     RelaxState,
     default_playout_width,
     draw_playout,
+    fair_heads,
     play_general,
     predict_general,
     predict_linear,
     three_point_min,
 )
 
-from conftest import random_table_class, sample
+from conftest import plain, random_table_class, sample
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +201,160 @@ def test_playout_counts_property(atoms, rounds_left, k, seed):
     n, drawn = rounds_left * k, int(np.abs(playout.signs).sum())
     assert len(playout.signs) == len(playout.contexts) == atoms
     assert drawn <= n and (n - drawn) % 2 == 0
+
+
+def test_fair_heads_runs_on_the_installed_numpy():
+    """``np.bitwise_count`` and ``Generator.spawn`` came in numpy 2.0, the floor that
+    pyproject.toml declares; an older numpy fails here, not in a run's first round."""
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml") as f:
+        assert '"numpy>=2.0"' in f.read()
+    counts = np.array([[4000, 3000, 9000], [0, 65, 1]])
+    heads = fair_heads(counts, make_rng(66, 0).spawn(1)[0])
+    assert heads.dtype == counts.dtype and np.all((0 <= heads) & (heads <= counts))
+
+
+class _OneFace:
+    """A coin generator whose every coin shows ``face``: raw words of all ones (1) or all
+    zeros (0), and a binomial that returns n or 0.  It counts what each route reads."""
+
+    def __init__(self, face: int):
+        self.face, self.bit_generator, self.words, self.binomials = face, self, 0, []
+
+    def random_raw(self, size):
+        self.words += size
+        return np.full(size, np.iinfo(np.uint64).max * self.face, dtype=np.uint64)
+
+    def binomial(self, n, p):
+        assert p == 0.5
+        self.binomials.append(n.copy())
+        return n * self.face
+
+
+_EDGE_COUNTS = np.array([0, 1, 63, 64, 65, 127, 128])  # 0, 1, 1, 1, 2, 2, 2 raw words
+
+
+@pytest.mark.parametrize("face", [0, 1])
+def test_fair_heads_takes_one_word_per_64_coins_and_binomials_past_the_crossover(face):
+    """Rows of 7 counts: a heavy one (past ``BIT_DRAWS`` per count), one at the crossover
+    (light) and the edge counts; with every coin one face the heads are all or none of each
+    count, a heavy row is read by one binomial and a light count n by ceil(n / 64) words,
+    the last one cut to n mod 64 bits."""
+    at_crossover = _EDGE_COUNTS.copy()
+    at_crossover[-1] = relaxation.BIT_DRAWS * 7 - _EDGE_COUNTS[:-1].sum()
+    heavy = _EDGE_COUNTS.copy()
+    heavy[-1] = relaxation.BIT_DRAWS * 7
+    counts = np.array([heavy, at_crossover, _EDGE_COUNTS])
+    coins = _OneFace(face)
+    assert np.array_equal(fair_heads(counts, coins), face * counts)
+    assert len(coins.binomials) == 1 and np.array_equal(coins.binomials[0], heavy[None, :])
+    assert coins.words == 9 + (9 - 2 + math.ceil(at_crossover[-1] / 64))
+    for row in counts:  # one row alone, as one call per round draws it
+        assert np.array_equal(fair_heads(row, _OneFace(face)), face * row)
+    assert np.array_equal(fair_heads(np.zeros((2, 7), dtype=np.int64), _OneFace(1)),
+                          np.zeros((2, 7)))
+
+
+@pytest.mark.parametrize("face", [0, 1])
+def test_playout_signs_are_twice_the_heads_less_the_counts(face):
+    """The cells come from ``rng`` alone: with every coin one face the signs are the
+    multinomial's counts, or their negation, on both routes."""
+    mu = FiniteMeasure(GroundSet.grid(7), np.array([0.3, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05]))
+    k = relaxation.BIT_DRAWS // 10  # rows past 70 rounds left are heavy
+    rounds_left = np.array([75, 71, 70, 3, 0])
+    playout = draw_playout(mu, rounds_left, k, make_rng(5, 0), coins=_OneFace(face))
+    counts = make_rng(5, 0).multinomial(rounds_left * k, mu.probs)
+    assert np.array_equal(playout.signs, (2 * face - 1) * counts)
+
+
+_FIVE_CELLS = np.array([0.4, 0.3, 0.15, 0.1, 0.05])
+
+
+@pytest.mark.parametrize("rounds_left", [np.arange(60, 40, -1), np.arange(54, 46, -1).repeat(3),
+                                         np.array([51, 51, 50, 50, 1, 0, 0])],
+                         ids=["straddles", "repeated", "edges"])
+def test_a_block_of_playouts_reads_both_generators_as_one_call_per_entry(rounds_left):
+    """A nonincreasing block that crosses from binomial to bit rows, and one with each
+    entry repeated as ``predictions`` draws them, give the signs of one call per entry bit
+    for bit, and leave both generators where those calls leave them."""
+    mu, k = FiniteMeasure(GroundSet.grid(5), _FIVE_CELLS), relaxation.BIT_DRAWS // 10
+    rng, coins = make_rng(61, 0), make_rng(61, 1)
+    block = draw_playout(mu, rounds_left, k, rng, coins=coins)  # rows past 50 are heavy
+    one_rng, one_coins = make_rng(61, 0), make_rng(61, 1)
+    one = [draw_playout(mu, int(r), k, one_rng, coins=one_coins).signs for r in rounds_left]
+    assert np.array_equal(block.signs, np.array(one))
+    assert plain(rng.bit_generator.state) == plain(one_rng.bit_generator.state)
+    assert plain(coins.bit_generator.state) == plain(one_coins.bit_generator.state)
+
+
+def test_the_learner_spawns_its_coins_at_the_first_draw():
+    """No generator is made before round 1; the coins are ``rng``'s first spawned child,
+    and spawning moves no draw of ``rng``."""
+    klass, loss = ThresholdClass.grid(8), linear_loss()
+    learner = RelaxLinearLearner(klass, loss, UniformIntervalMeasure(), 20, 0.5,
+                                 ErmOracle(klass, loss), make_rng(64, 1))
+    assert "coins" not in vars(learner)
+    learner.predict(ContextBlock(coords=np.array([0.3])))
+    assert learner.coins.bit_generator.seed_seq.spawn_key == (1, 0)
+    counts = learner.rng.multinomial(10, learner.cells.probs)
+    twin = make_rng(64, 1)
+    twin.multinomial(np.arange(19, -1, -1) * learner.state.k, learner.cells.probs)
+    assert np.array_equal(counts, twin.multinomial(10, learner.cells.probs))
+
+
+def _signs_pmf(probs: np.ndarray, n: int, heads: float = 0.5) -> dict:
+    """The law of the net signs of n draws from ``probs``, each + with chance ``heads``."""
+    pmf: dict[tuple, float] = {}
+    for draws in itertools.product(range(len(probs)), (1, -1), repeat=n):
+        net, mass = [0] * len(probs), 1.0
+        for cell, sign in zip(draws[::2], draws[1::2]):
+            net[cell] += sign
+            mass *= probs[cell] * (heads if sign > 0 else 1.0 - heads)
+        pmf[tuple(net)] = pmf.get(tuple(net), 0.0) + mass
+    return pmf
+
+
+def _chi_square_pvalue(signs: np.ndarray, pmf: dict) -> float:
+    """Chi-square of the rows of ``signs`` against ``pmf``, outcomes expected fewer than 5
+    times pooled into one bin."""
+    outcomes, counts = np.unique(signs, axis=0, return_counts=True)
+    seen = dict(zip(map(tuple, outcomes.tolist()), counts.tolist()))
+    assert set(seen) <= set(pmf)
+    expected = np.array([pmf[o] for o in pmf]) * len(signs)
+    observed = np.array([seen.get(o, 0) for o in pmf])
+    rare = expected < 5
+    if rare.any():
+        expected = np.append(expected[~rare], expected[rare].sum())
+        observed = np.append(observed[~rare], observed[rare].sum())
+    return stats.chisquare(observed, expected).pvalue
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_learner_route_signs_follow_their_enumerated_law(n):
+    """n <= 5 draws on 3 cells, 20,000 rows of one block, cells from ``rng`` and heads from
+    ``coins``: the signs pass a chi-square against their exact pmf, and the same sample is
+    refused against the law of coins that show heads with chance 0.52 (the deviation this
+    test detects at its seed: p < 1e-8 for every n; moving 5% of a cell's mass gives
+    p < 1e-15)."""
+    probs = np.array([0.5, 0.3, 0.2])
+    mu = FiniteMeasure(GroundSet.grid(3), probs)
+    signs = draw_playout(mu, np.full(20_000, n), 1, make_rng(62, n), coins=make_rng(63, n)).signs
+    assert _chi_square_pvalue(signs, _signs_pmf(probs, n)) > 1e-3
+    assert _chi_square_pvalue(signs, _signs_pmf(probs, n, heads=0.52)) < 1e-6
+
+
+@pytest.mark.parametrize("n", [relaxation.BIT_DRAWS * 3 // 2, 60_000], ids=["bits", "binomials"])
+def test_playout_signs_have_mean_zero_variance_n_mu_and_no_covariance(n):
+    """Each cell's net sign is 2 Bin(N_c, 1/2) - N_c with N_c ~ Bin(n, mu_c): mean 0,
+    variance n mu_c, and uncorrelated across cells.  4,000 rows by each route; z-scores
+    within 4 (a 9% error in the variance, or a correlation of 0.063, reaches 4)."""
+    probs = np.array([0.5, 0.3, 0.2])
+    rows, variance = 4_000, n * probs
+    mu = FiniteMeasure(GroundSet.grid(3), probs)
+    signs = draw_playout(mu, np.full(rows, n), 1, make_rng(65, 0),
+                         coins=make_rng(65, 1)).signs.astype(np.float64)
+    assert np.all(np.abs(signs.mean(axis=0) / np.sqrt(variance / rows)) < 4)
+    assert np.all(np.abs((signs.var(axis=0) / variance - 1) / np.sqrt(2 / rows)) < 4)
+    assert np.all(np.abs(np.corrcoef(signs.T)[np.triu_indices(3, 1)] * np.sqrt(rows)) < 4)
 
 
 @pytest.mark.parametrize("seed", range(5))
