@@ -230,13 +230,15 @@ class HiddenMuThresholdAdversary(Adversary):
 
 def _is_shattered(klass: HypothesisClass, ground: GroundSet,
                   ids: np.ndarray, scale: float) -> bool:
+    """Whether every sign pattern s on the atoms ``ids`` has an f with s * f >= scale / 2
+    there: as scale / 2 > 0, f meets only the pattern sign(f), and only where |f| >= scale / 2
+    on every atom, so the class shatters them iff those f give 2^m distinct sign codes."""
     m = len(ids)
-    if m > 16:
-        raise ValueError("shattering check enumerates 2^m sign patterns; keep m <= 16")
+    if len(klass) < 2 ** m:
+        return False
     values = klass.evaluate_block(ground.block(ids))  # (H, m)
-    signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * m), indexing="ij")).reshape(m, -1).T
-    hit = (signs[:, None, :] * values[None, :, :] >= scale / 2.0).all(axis=2)
-    return bool(hit.any(axis=1).all())
+    meets = (np.abs(values) >= scale / 2.0).all(axis=1)
+    return len(np.unique((values[meets] > 0) @ (1 << np.arange(m)))) == 2 ** m
 
 
 def build_rademacher_gap_adversary(sigma: float, shatter_set_size: int,
@@ -253,14 +255,14 @@ def build_rademacher_gap_adversary(sigma: float, shatter_set_size: int,
     The atoms are shattered at ``scale`` > 0: each sign pattern has a
     hypothesis with sign * f >= scale / 2 on every atom.
     """
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, not {scale}")
+    if not scale / 2.0 > 0:  # the margin: half of 5e-324, the least positive float, is 0
+        raise ValueError(f"scale must be positive, and its half too, not {scale}")
     values = klass.evaluate_block(ground.block(np.arange(ground.size)))
     star_candidates = np.flatnonzero(np.all(values == 0.0, axis=0))
     if len(star_candidates) == 0:
         raise ValueError("class has no distinguished point with f(x*) = 0 for all f")
     star_id = int(star_candidates[0])
-    others = np.array([i for i in range(ground.size) if i != star_id], dtype=np.int64)
+    others = np.delete(np.arange(ground.size), star_id)
     if len(others) < shatter_set_size:
         raise ValueError("ground set too small for the requested shattering set")
     ids = others[:shatter_set_size]

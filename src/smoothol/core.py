@@ -598,11 +598,10 @@ class RunningRegret:
 
 
 def finalize_regret(traj: Trajectory, klass: HypothesisClass, loss: LossFunction) -> float:
-    """Regret against the best hypothesis in hindsight, summed in a different
-    order from ``RunningRegret.add`` (pairwise), so each checks the other."""
+    """Regret against the best hypothesis in hindsight: ``RunningRegret.finalized`` over
+    the whole record."""
     if not traj.n:
         raise EmptyTraceError("empty trace")
-    totals = np.zeros(len(klass))
-    for _, _, losses in traj.hypothesis_losses(klass, loss):
-        totals += losses.sum(axis=1)
-    return float(traj.instant_loss[:traj.n].sum()) - float(totals.min())
+    running = RunningRegret(klass, loss)
+    running.add(traj)
+    return running.finalized()

@@ -157,10 +157,10 @@ class LabelAnchorSums:
         self.cells = cells    # the class's cell measure of mu
         self.values = values  # (H, (d + 1) * cells): [1 | V | V^2]
         self.contexts = cells.ground.block(np.tile(np.arange(cells.ground.size), len(coefs)))
-        # per-anchor keys and weights, kept across draws: made anew, a block's arrays
-        # were handed back to the system and faulted in again at every block
-        self._keys, self._weights = np.empty(0, dtype=np.int64), np.empty(0)
-        self._offsets = np.empty(0, dtype=np.int64)
+        # per-anchor offsets, keys and weights, kept across draws of one coefficient shape:
+        # made anew, a block's arrays were handed back to the system and faulted in again
+        # at every block
+        self._shape = self._offsets = self._keys = self._weights = None
 
     def reduce(self, ids: np.ndarray, coeffs: np.ndarray, label_ids: np.ndarray,
                n: int) -> GaussianPerturbation:
@@ -169,8 +169,8 @@ class LabelAnchorSums:
         one bincount over the keys round * cells + cell, each bin summed in anchor order."""
         size, anchors = self.cells.ground.size, coeffs.size
         rounds = anchors // n
-        if len(self._offsets) != anchors:  # each anchor's round * cells, for its key
-            self._offsets = np.repeat(np.arange(rounds) * size, n)
+        if coeffs.shape != self._shape:  # each anchor's round * cells, for its key
+            self._shape, self._offsets = coeffs.shape, np.repeat(np.arange(rounds) * size, n)
             self._keys, self._weights = np.empty(anchors, dtype=np.int64), np.empty(anchors)
         keys, weights = self._keys, self._weights
         np.add(ids, self._offsets, out=keys)
@@ -380,23 +380,24 @@ class FtplLearner:
             return process["values"].shape[1] + (process["n"] if self.sched.zeta else 0)
         return process["n"] * len(self.klass)
 
-    def _draw_block(self) -> ErmQuery:
-        """The next block's perturbations, as one query with a round per row: ``BLOCK``
-        rounds, fewer to stay within ``BLOCK_ELEMENTS``, and none past ``sched.T``."""
-        refuse_past_horizon(self._t, 1, self.sched.T)
-        rounds = self._block_rounds
-        if self.sched.T is not None:
-            rounds = min(rounds, self.sched.T - self._t)
-        omega, omega_label = (None if p is None else draw_perturbation(
-            self.cells, rng=self.rng, rounds=rounds, band=self.sched.zeta > 0, **p)
-            for p in self._processes)
-        return _query(omega, omega_label, self.sched.eta, 1.0)
+    def _block(self) -> ErmQuery:
+        """The current block's query, with a round per row; once all its rounds are
+        answered, the next block's perturbations: ``BLOCK`` rounds, fewer to stay within
+        ``BLOCK_ELEMENTS``, and none past ``sched.T``."""
+        if self._query is None or self._next == self._query.rounds:
+            refuse_past_horizon(self._t, 1, self.sched.T)
+            rounds = self._block_rounds
+            if self.sched.T is not None:
+                rounds = min(rounds, self.sched.T - self._t)
+            omega, omega_label = (None if p is None else draw_perturbation(
+                self.cells, rng=self.rng, rounds=rounds, band=self.sched.zeta > 0, **p)
+                for p in self._processes)
+            self._query, self._next = _query(omega, omega_label, self.sched.eta, 1.0), 0
+        return self._query
 
     def select(self) -> int:
         """Commit to this round's hypothesis, under the round's fresh perturbations."""
-        if self._query is None or self._next == self._query.rounds:
-            self._query, self._next = self._draw_block(), 0
-        self.selected = self.oracle.approximate(self._query, self.sched.zeta, self.rng,
+        self.selected = self.oracle.approximate(self._block(), self.sched.zeta, self.rng,
                                                 self._next).hypothesis_index
         self._next += 1
         self._t += 1
@@ -413,11 +414,10 @@ class FtplLearner:
         selected = np.empty(len(labels), dtype=np.int64)
         i = 0
         while i < len(labels):
-            if self._query is None or self._next == self._query.rounds:
-                self._query, self._next = self._draw_block(), 0
-            m = min(len(labels) - i, self._query.rounds - self._next)
+            query = self._block()
+            m = min(len(labels) - i, query.rounds - self._next)
             selected[i:i + m] = self.oracle.approximate_run(
-                self._query, self.sched.zeta, self.rng, self._next, seen[i:i + m], rows + i)
+                query, self.sched.zeta, self.rng, self._next, seen[i:i + m], rows + i)
             self._next += m
             self._t += m
             i += m

@@ -184,14 +184,10 @@ class ErmOracle:
 
     def objective_vector(self, query: ErmQuery, index: int = 0) -> np.ndarray:
         """A copy of the history objective plus round ``index``'s row blocks', in order."""
-        obj = self.prefix.copy()
-        for block_objective in self._evaluated(query):
-            obj += block_objective[index]
-        return obj
+        return self._objectives(query, index, self.prefix[None, :])[0]
 
     def _objectives(self, query: ErmQuery, index: int, history: np.ndarray) -> np.ndarray:
-        """(rounds, H): row i is ``history[i]`` plus round index + i's row blocks', in order,
-        as ``objective_vector`` sums them over the prefix."""
+        """(rounds, H): row i is ``history[i]`` plus round index + i's row blocks', in order."""
         obj = history.copy()
         for block_objective in self._evaluated(query):
             obj += block_objective[index:index + len(obj)]

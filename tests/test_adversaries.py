@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +12,14 @@ from smoothol.adversaries import (
     AdaptiveMixtureAdversary,
     HiddenMuThresholdAdversary,
     IidAdversary,
+    _is_shattered,
     adversarial_flip_labels,
     build_rademacher_gap_adversary,
     noisy_comparator_labels,
     rademacher_labels,
     tilted_smooth_probs,
 )
+from smoothol.cli import main as cli_main
 from smoothol.core import (
     BLOCK,
     FiniteMeasure,
@@ -206,6 +210,79 @@ def test_gap_adversary_requires_structure():
     for scale in (0.0, -1.0):
         with pytest.raises(ValueError, match="scale must be positive"):
             build_rademacher_gap_adversary(0.5, 2, zero, zero.ground, make_rng(10, 3), scale=scale)
+
+
+def _shattered_by_enumeration(values: np.ndarray, scale: float) -> bool:
+    """Reference: every one of the 2^m sign patterns s has a row f with s * f >= scale / 2
+    on all m columns."""
+    m = values.shape[1]
+    signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * m), indexing="ij")).reshape(m, -1).T
+    hit = (signs[:, None, :] * values[None, :, :] >= scale / 2.0).all(axis=2)
+    return bool(hit.any(axis=1).all())
+
+
+def _random_table(rng: np.random.Generator, m: int, scale: float) -> np.ndarray:
+    """Rows for atoms 1..m: each sign pattern a few times or not at all, each entry at
+    exactly scale / 2, zero, a float below the margin, or above it, up to 1."""
+    patterns = np.array(np.meshgrid(*([[-1.0, 1.0]] * m), indexing="ij")).reshape(m, -1).T
+    rows = patterns[rng.integers(0, 2 ** m, rng.integers(1, 3 * 2 ** m + 1))]
+    if rng.random() < 0.5:  # every pattern at least once, so some tables shatter
+        rows = np.vstack([patterns, rows])
+    half = scale / 2.0
+    magnitudes = np.array([half, 0.0, np.nextafter(half, 0.0), min(scale, 1.0), 1.0])
+    return rows * rng.choice(magnitudes, rows.shape, p=[0.8, 0.02, 0.02, 0.08, 0.08])
+
+
+def test_sign_codes_decide_shattering_as_the_enumeration_does():
+    """``_is_shattered``, one sign code per hypothesis, against every sign pattern
+    enumerated, on 600 random tables over 1..5 atoms: values at exactly +/-scale/2, at 0,
+    and a float below the margin; and a full sign table on 8 atoms, which is shattered."""
+    rng = make_rng(99, 0)
+    outcomes = []
+    for case in range(600):
+        m, scale = 1 + case % 5, float(rng.choice([2.0, 0.5, 0.3]))
+        rows = _random_table(rng, m, scale)
+        klass = TableClass(np.hstack([np.zeros((len(rows), 1)), rows]))
+        expected = _shattered_by_enumeration(rows, scale)
+        assert _is_shattered(klass, klass.ground, np.arange(1, m + 1), scale) == expected
+        outcomes.append(expected)
+    assert 100 < sum(outcomes) < 500  # both answers are tested
+    full = _gap_class(8)
+    assert len(full) == 2 ** 8
+    assert _is_shattered(full, full.ground, np.arange(1, 9), 2.0)
+    assert not _is_shattered(full, full.ground, np.arange(1, 9), 2.0 + 1e-12)
+    assert not _is_shattered(TableClass(full.values[1:]), full.ground, np.arange(1, 9), 2.0)
+
+
+def test_a_scale_whose_half_is_zero_is_refused():
+    """At scale 5e-324 the margin scale / 2 rounds to 0, where a zero value met every sign
+    pattern: an all-zero class "shattered" any set."""
+    zero = TableClass(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="scale must be positive"):
+        build_rademacher_gap_adversary(0.5, 2, zero, zero.ground, make_rng(10, 4), scale=5e-324)
+    klass = _gap_class(2)
+    build_rademacher_gap_adversary(0.5, 2, klass, klass.ground, make_rng(10, 5), scale=1e-323)
+
+
+@pytest.mark.parametrize("m", [16, 20])
+def test_a_large_candidate_set_is_refused_in_little_memory(m, tmp_path, capsys):
+    """A 64-row table cannot shatter 16 or 20 atoms: the run exits 2, having allocated
+    under 8 MB (enumerating the 2^16 patterns against every row took about 0.6 GB)."""
+    values = np.hstack([np.zeros((64, 1)), make_rng(99, m).choice([-1.0, 1.0], (64, m))])
+    raw = {"learner": {"name": "ftpl-dual"}, "loss": "linear", "T": 8, "sigma": 0.5,
+           "seeds": [0], "adversary": {"kind": "rademacher_gap", "m": m, "scale": 2.0},
+           "ground": {"type": "grid", "atoms": m + 1},
+           "class": {"type": "table", "values": values.tolist()}}
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(raw))
+    tracemalloc.start()
+    try:
+        code = cli_main(["run", "--config", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "does not shatter" in capsys.readouterr().err
+    assert peak < 8 * 2**20
 
 
 def test_gap_adversary_density_and_marginals():

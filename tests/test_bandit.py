@@ -19,11 +19,13 @@ from smoothol.bandit import (
     run_square_cb,
 )
 from smoothol.core import (
+    CHUNK,
     ContextBlock,
     FiniteMeasure,
     GroundSet,
     SmoothnessCertificate,
     TableClass,
+    ThresholdClass,
     Trajectory,
     compose_smoothness,
     finalize_regret,
@@ -472,3 +474,44 @@ def test_square_cb_holds_one_igw_law_per_hypothesis_and_context(K, monkeypatch):
         assert clamped == bool(np.any(rows[h, x] < 0.0))
         assert np.array(clamped_preds).tobytes() == row.tobytes()
         assert np.array(cdf).tobytes() == np.cumsum(igw_distribution(row, gamma)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the regret of square-loss predictions, past one chunk
+# ---------------------------------------------------------------------------
+
+def _record(kind: str, rng: np.random.Generator, T: int = 2500):
+    """(class, contexts) of a T-round record: atom ids of a real or binary table, or
+    coordinates on the interval under thresholds."""
+    if kind == "interval":
+        return ThresholdClass(rng.random(9)), ContextBlock(coords=rng.random(T))
+    values = rng.choice([-1.0, 1.0], (6, 12)) if kind == "binary" else rng.random((6, 12))
+    return TableClass(values), ContextBlock(ids=rng.integers(0, 12, T))
+
+
+def _reg_sq_reference(klass, contexts: ContextBlock, labels, squares) -> float:
+    """The sum of the squares minus the least hypothesis total, each total summed chunk by
+    chunk: a chunk's square losses summed per hypothesis, added in chunk order."""
+    totals = np.zeros(len(klass))
+    for start in range(0, len(labels), CHUNK):
+        rows = slice(start, start + CHUNK)
+        chunk = ContextBlock(ids=None if contexts.ids is None else contexts.ids[rows],
+                             coords=None if contexts.coords is None else contexts.coords[rows])
+        totals += ((klass.evaluate_block(chunk) - labels[None, rows]) ** 2).sum(axis=1)
+    return float(squares.sum()) - float(totals.min())
+
+
+@pytest.mark.parametrize("kind", ["real", "binary", "interval"])
+def test_reg_sq_is_the_chunked_square_regret_bit_for_bit(kind):
+    """``finalize_regret`` under square loss, the bandit's reg_sq, on a record of 2,500
+    rounds (three chunks), equal bit for bit to its reference above."""
+    rng = make_rng(97, ["real", "binary", "interval"].index(kind))
+    klass, contexts = _record(kind, rng)
+    labels = (rng.random(len(contexts)) < 0.5).astype(float)
+    predicted = rng.random(len(contexts))
+    squares = (predicted - labels) * (predicted - labels)
+    traj = Trajectory(len(labels))
+    traj.extend(contexts, labels, predicted, squares, np.arange(1, len(labels) + 1))
+    assert len(labels) > 2 * CHUNK
+    assert finalize_regret(traj, klass, square_loss()) == \
+        _reg_sq_reference(klass, contexts, labels, squares)

@@ -243,3 +243,25 @@ def test_bench_bandit_regressor_builds_no_per_anchor_main_loss_block():
     assert all(b.selector == IDENTITY and b.values is not None
                for b in regressor._query.blocks)
     assert regressor._query.blocks[-1].weights.shape == (64, 3 * 32)  # 1, f, f^2 per cell
+
+
+@pytest.mark.parametrize("shapes", [[(8, 3), (6, 4)], [(6, 4), (8, 3)], [(24, None), (24, 1)],
+                                    [(24, 1), (24, None)]], ids=str)
+def test_kept_buffers_follow_the_coefficient_shape(shapes):
+    """Draws of (n, rounds) with one anchor count but another shape, through one kept
+    ``LabelAnchorSums``, each equal bit for bit to a fresh object's draw at the same seed:
+    keyed by the anchor count, (6, 4) after (8, 3) kept the old round offsets, and (8, 3)
+    after (6, 4) failed to reshape."""
+    rng = make_rng(96, 0)
+    klass, loss = random_table_class(rng, 4, 5), LOSSES["square"]()
+    cells = klass.cell_measure(FiniteMeasure.uniform(klass.ground))
+    grid = epsilon_grid(0.1, *loss.domain)
+    kept = label_anchor_sums(klass, loss, cells, grid)
+    for i, (n, rounds) in enumerate(shapes):
+        assert not ftpl.fewer_cells(cells, n, grid)  # per anchor, so summed by ``sums``
+        drawn = [draw_perturbation(cells, n, make_rng(96, 1, i), "none", grid=grid,
+                                   rounds=rounds, sums=sums)
+                 for sums in (kept, label_anchor_sums(klass, loss, cells, grid))]
+        assert drawn[0].coeffs.shape == drawn[1].coeffs.shape
+        assert np.array_equal(drawn[0].coeffs, drawn[1].coeffs)
+        assert np.array_equal(drawn[0].abs_sum, drawn[1].abs_sum)

@@ -3,12 +3,20 @@
 Run from anywhere: ``python tools/src_lines.py``.  A line inside a docstring counts as
 docstring, blank or not; a comment line is one whose first non-blank character is ``#``;
 a blank line outside docstrings is blank; every other line is code.
+
+``python tools/src_lines.py --against REF`` prints three tables: the modules at the git
+revision REF (read with ``git ls-tree`` and ``git show``, nothing checked out), in the
+working tree, and the change from the first to the second.  On a clean tree
+``--against HEAD`` prints a change of zero everywhere.
 """
 
+import argparse
 import ast
+import subprocess
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 KINDS = ("code", "docstring", "comment", "blank")
 
 
@@ -24,8 +32,7 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def split(path: Path) -> dict[str, int]:
-    text = path.read_text()
+def split(text: str) -> dict[str, int]:
     docs = docstring_lines(ast.parse(text))
     counts = dict.fromkeys(KINDS, 0)
     for number, line in enumerate(text.splitlines(), 1):
@@ -36,16 +43,51 @@ def split(path: Path) -> dict[str, int]:
     return counts
 
 
-def main() -> None:
+def tree_counts() -> dict[str, dict[str, int]]:
+    """Each module of the working tree's src/, by its path under src/."""
+    return {str(p.relative_to(SRC)): split(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
+                          text=True).stdout
+
+
+def revision_counts(ref: str) -> dict[str, dict[str, int]]:
+    """Each module of src/ at the git revision ``ref``, by its path under src/."""
+    paths = _git("ls-tree", "-r", "--name-only", ref, "--", "src").split()
+    return {path[len("src/"):]: split(_git("show", f"{ref}:{path}"))
+            for path in sorted(paths) if path.endswith(".py")}
+
+
+def table(title: str, modules: dict[str, dict[str, int]]) -> None:
     total = dict.fromkeys(KINDS, 0)
+    if title:
+        print(title)
     print(f"{'module':<28}{'lines':>7}" + "".join(f"{k:>11}" for k in KINDS))
-    for path in sorted(SRC.rglob("*.py")):
-        counts = split(path)
+    for name, counts in modules.items():
         for kind in KINDS:
             total[kind] += counts[kind]
-        name = str(path.relative_to(SRC))
         print(f"{name:<28}{sum(counts.values()):>7}" + "".join(f"{counts[k]:>11}" for k in KINDS))
     print(f"{'total':<28}{sum(total.values()):>7}" + "".join(f"{total[k]:>11}" for k in KINDS))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REF",
+                        help="also print src/ at this git revision, and the change from it")
+    args = parser.parse_args()
+    after = tree_counts()
+    if args.against is None:
+        table("", after)
+        return
+    before = revision_counts(args.against)
+    zero = dict.fromkeys(KINDS, 0)
+    names = sorted(set(before) | set(after))
+    table(f"before ({args.against})", {n: before.get(n, zero) for n in names})
+    table("\nafter (working tree)", {n: after.get(n, zero) for n in names})
+    table(f"\nchange from {args.against}",
+          {n: {k: after.get(n, zero)[k] - before.get(n, zero)[k] for k in KINDS} for n in names})
 
 
 if __name__ == "__main__":
