@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BLOCK, ContextBlock, Trajectory, finalize_regret, joint_id, make_rng, square_loss
-from .harness import ExperimentConfig, build_pieces, write_outputs
+from .harness import ExperimentConfig, build_pieces, clear_output, write_outputs
 
 logger = logging.getLogger(__name__)
 
@@ -94,11 +94,10 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
     if K < 1:
         raise ValueError("K must be positive")
 
-    traj = Trajectory(T)
+    traj, loss = Trajectory(T), square_loss()
     means = f_star.tolist()
     greedy = np.argmin(f_star, axis=1).tolist()  # reg_cb's comparator policy
     laws: dict = {}  # (h, x) -> _action_law of a proper regressor's h at x: at most H * N
-    blocks: dict = {}  # pair -> its one-row block, made on its first round: at most N * K
     reg_cb = 0.0
     all_actions = np.arange(K)
     width = K + (K > 1)  # a round's uniforms: its action's (if K > 1), then one per action's loss
@@ -106,7 +105,7 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
         rounds, xs = min(BLOCK, T - start), []
         while len(xs) < rounds:  # the block's contexts, by the run
             xs += context_adversary.next_run(None, rounds - len(xs))[0].ids.tolist()
-        rows = []  # per round: the chosen pair, its loss, its prediction, their square, calls
+        rows = []  # per round: the chosen pair, its loss, its prediction, calls
         for t, u, x in zip(range(start + 1, T + 1), rng.random((rounds, width)).tolist(), xs):
             h = regressor.select() if regressor.proper else None
             law = laws.get((h, x))  # an improper regressor's predictions are never stored
@@ -122,18 +121,14 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
             losses_u, mean = u[width - K:], means[x]
             observed = 1.0 if losses_u[action] < mean[action] else 0.0
             pair = joint_id(x, action, K)
-            block = blocks.get(pair)
-            if block is None:
-                block = blocks[pair] = ContextBlock(ids=np.array([pair]))
-            regressor.observe(block, observed)
-            miss = preds[action] - observed
-            # miss * miss rounds as finalize_regret's array square does
-            rows.append((pair, observed, preds[action], miss * miss, regressor.oracle.calls))
+            regressor.observe(ContextBlock(ids=np.array([pair])), observed)
+            rows.append((pair, observed, preds[action], regressor.oracle.calls))
             reg_cb += observed - (1.0 if losses_u[greedy[x]] < mean[greedy[x]] else 0.0)
-        pairs, labels, predicted, squares, calls = (np.array(c) for c in zip(*rows))
-        traj.extend(ContextBlock(ids=pairs), labels, predicted, squares, calls)
+        pairs, labels, predicted, calls = (np.array(c) for c in zip(*rows))
+        traj.extend(ContextBlock(ids=pairs), labels, predicted,
+                    loss.evaluate_array(predicted, labels), calls)
 
-    return BanditResult(traj, reg_cb, finalize_regret(traj, regressor.klass, square_loss()))
+    return BanditResult(traj, reg_cb, finalize_regret(traj, regressor.klass, loss))
 
 
 def _action_law(preds: np.ndarray, gamma: float) -> tuple[list, Optional[list], bool]:
@@ -165,8 +160,10 @@ def build_bandit_pieces(cfg: ExperimentConfig, seed: int):
 
 
 def run_bandit_experiment(raw: dict) -> dict:
-    """All seeds of a bandit config; returns the summary, also written under output_dir."""
+    """All seeds of a bandit config; returns the summary, also written under output_dir after
+    the last seed, where an earlier run's is removed before the first."""
     cfg = ExperimentConfig.from_dict(raw, bandit=True)
+    clear_output(cfg, "bandit_summary.json")
     per_seed = []
     for seed in cfg.seeds:
         adversary, regressor, f_star, gamma = build_bandit_pieces(cfg, seed)

@@ -9,7 +9,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from pathlib import Path
 
 from .adversaries import tilted_smooth_probs
 from .bandit import run_bandit_experiment
@@ -49,12 +48,7 @@ def cmd_sweep(args) -> int:
     cfg = ExperimentConfig.from_dict(read_config(args.config))
     values = _parse_values(args.values)
     summaries = sweep(cfg, args.param, values)
-    csv_text = sweep_to_long_csv(args.param, values, summaries)
-    if cfg.output_dir:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"sweep_{args.param}.csv").write_text(csv_text)
-    sys.stdout.write(csv_text)
+    sys.stdout.write(sweep_to_long_csv(args.param, values, summaries))
     return 0
 
 

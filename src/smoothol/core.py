@@ -61,6 +61,10 @@ MAX_DRAWS = 2**63 - 1
 # SquareCB's uniforms) are made at once
 BLOCK = 64
 
+# most elements the per-round arrays of one block of rounds may hold, summed over its rounds:
+# FTPL's perturbation blocks and the relaxation's pieces of a run
+BLOCK_ELEMENTS = 2**17
+
 
 def refuse_past_horizon(t: int, rounds: int, T: Optional[int]) -> None:
     """Refuse rounds t + 1..t + rounds past the horizon T (None: none), before any draw."""

@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (BLOCK, MAX_DRAWS, ContextBlock, FiniteMeasure, HypothesisClass, LossFunction,
-                   refuse_past_horizon)
+from .core import (BLOCK, BLOCK_ELEMENTS, MAX_DRAWS, ContextBlock, FiniteMeasure,
+                   HypothesisClass, LossFunction, refuse_past_horizon)
 from .oracle import IDENTITY, MAIN, ErmOracle, ErmQuery
 
 __all__ = [
@@ -320,11 +320,6 @@ def ftpl_select_single(pert: GaussianPerturbation, eta_over_sqrt_n: float,
 # ---------------------------------------------------------------------------
 # Learner wrapper
 # ---------------------------------------------------------------------------
-
-# most elements the per-round arrays of a block may hold, summed over its rounds: a
-# process's contexts per round, times H for per-anchor main-loss rows (their gather)
-BLOCK_ELEMENTS = 2**17
-
 
 class FtplLearner:
     """Proper learner: commits to a hypothesis before each round's context arrives."""

@@ -522,21 +522,28 @@ def summarize(cfg: ExperimentConfig, outcomes: list[SeedOutcome]) -> dict:
 
 
 def write_outputs(cfg: ExperimentConfig, name: str, summary: dict) -> None:
-    """Write the summary as ``name`` under output_dir, if set."""
+    """Write the summary as ``name`` under output_dir, if set (``clear_output`` made it)."""
     if cfg.output_dir:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(json.dumps(summary, indent=2) + "\n")
+        (Path(cfg.output_dir) / name).write_text(json.dumps(summary, indent=2) + "\n")
+
+
+def clear_output(cfg: ExperimentConfig, name: str) -> Optional[Path]:
+    """Make output_dir, if set, and remove the ``name`` an earlier run left in it; returns
+    the directory, or None.  Called once everything has loaded and before the first seed,
+    so a run that fails writes no ``name`` and leaves none that it did not produce."""
+    if not cfg.output_dir:
+        return None
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).unlink(missing_ok=True)
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """All seeds of one config; returns the summary and, with an output_dir, writes each
     seed's trace as it runs and the summary after the last.  A seed that raises leaves no
     trace, and the run no summary: an earlier run's is removed before the first seed."""
-    out = Path(cfg.output_dir) if cfg.output_dir else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "summary.json").unlink(missing_ok=True)
+    out = clear_output(cfg, "summary.json")
     outcomes = []
     for seed in cfg.seeds:
         if out is None:
@@ -557,7 +564,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[dict]:
     """One run_experiment per parameter value, checked by the loader; a seeds value is one seed.
 
-    A k on an FTPL learner, which has no playout width, is refused like any unread field."""
+    With an output_dir, value v runs in ``<param>=v`` under it and ``sweep_to_long_csv`` is
+    written there as ``sweep_<param>.csv`` after the last, an earlier one removed before the
+    first.  A k on an FTPL learner, which has no playout width, is refused like any unread field."""
     if param not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {param!r}; valid: {', '.join(SWEEPABLE)}")
     subs = []  # every value loads before any runs, so a bad one exits 2 with no output
@@ -574,7 +583,12 @@ def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[dict]:
         subs.append(ExperimentConfig.from_dict(raw))
         if cfg.output_dir:
             subs[-1].output_dir = str(Path(cfg.output_dir) / f"{param}={value}")
-    return [run_experiment(sub) for sub in subs]
+    name = f"sweep_{param}.csv"
+    out = clear_output(cfg, name)
+    summaries = [run_experiment(sub) for sub in subs]
+    if out is not None:
+        (out / name).write_text(sweep_to_long_csv(param, values, summaries))
+    return summaries
 
 
 def sweep_to_long_csv(param: str, values: list, summaries: list[dict]) -> str:

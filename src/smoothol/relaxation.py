@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BLOCK, MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction, refuse_past_horizon
+from .core import (BLOCK, BLOCK_ELEMENTS, MAX_DRAWS, ContextBlock, HypothesisClass, LossFunction,
+                   refuse_past_horizon)
 from .oracle import IDENTITY, SIGNS, ErmOracle, ErmQuery
 
 __all__ = [
@@ -35,11 +36,6 @@ __all__ = [
     "RelaxGeneralLearner",
     "default_playout_width",
 ]
-
-
-# most elements in one array the rule builds for a run's rounds answered at once; a learner
-# plays a longer run in chunks of rounds that fit
-RUN_ELEMENTS = 2**14
 
 
 def default_playout_width(T: int, sigma: float) -> int:
@@ -252,7 +248,7 @@ class RelaxGeneralLearner:
         # predictions answered at once: the largest array the rule builds per prediction (a
         # binary class's H objectives, a real one's branches x H, branches x branches) stays small
         width = len(klass) if klass.kind == "binary" else self.branches * len(klass)
-        self._chunk = max(1, RUN_ELEMENTS // max(width, self.branches ** 2))
+        self._chunk = max(1, BLOCK_ELEMENTS // max(width, self.branches ** 2))
 
     @cached_property
     def coins(self) -> np.random.Generator:

@@ -17,6 +17,7 @@ from smoothol import ftpl, relaxation
 from smoothol.bandit import run_square_cb
 from smoothol.core import (
     BLOCK,
+    BLOCK_ELEMENTS,
     ContextBlock,
     FiniteMeasure,
     GroundSet,
@@ -35,7 +36,6 @@ from smoothol.core import (
 )
 from smoothol.adversaries import IidAdversary, rademacher_labels
 from smoothol.ftpl import (
-    BLOCK_ELEMENTS,
     FtplLearner,
     FtplSchedule,
     GaussianPerturbation,
@@ -505,25 +505,55 @@ def test_blocks_stay_under_the_element_cap():
         assert rounds == 1 or rounds * elements <= BLOCK_ELEMENTS
 
 
-@pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
-def test_relax_general_answers_a_run_in_pieces_of_its_largest_array(binary):
-    """At |S| = 15 and H = 64 the rule's largest array per round is the (|S| x |S|) outer
-    array for a binary class, so 72 rounds fit ``RUN_ELEMENTS`` and a 64-round run is one
-    piece; a real class's (|S| x H) objectives take 17 rounds a piece."""
+def _relax_general(binary, T, seed):
+    """``relax-general`` under absolute loss on the 256-atom grid's 64 thresholds, as a
+    binary table or halved to a real one, for horizon T at sigma = 0.2."""
     klass, mu = _space(False)
     if not binary:
         klass = TableClass(klass.values * 0.5, ground=klass.ground)
     loss = absolute_loss()
-    learner = RelaxGeneralLearner(klass, loss, mu, 200, 0.2, ErmOracle(klass, loss),
-                                  make_rng(60, 0))
-    assert learner.branches == 15 and klass.kind == ("binary" if binary else "real")
-    pieces, answer = [], learner.oracle.exact_labels
-    learner.oracle.exact_labels = lambda *a: pieces.append(a[1].shape[1]) or answer(*a)
+    learner = RelaxGeneralLearner(klass, loss, mu, T, 0.2, ErmOracle(klass, loss),
+                                  make_rng(seed, 0))
+    assert klass.kind == ("binary" if binary else "real")
+    return learner, mu
+
+
+@pytest.mark.parametrize("binary, T, rounds, pieces", [
+    (True, 20_000, 64, [6] * 10 + [4]),
+    (False, 20_000, 64, [6] * 10 + [4]),
+    (False, 200, 200, [136, 64]),
+], ids=["binary", "real", "real-short"])
+def test_relax_general_answers_a_run_in_pieces_of_its_largest_array(binary, T, rounds, pieces):
+    """The rule's largest array per round is the (|S| x |S|) outer array, or a real class's
+    (|S| x H) objectives where larger; a piece holds ``BLOCK_ELEMENTS`` of it.  At T = 20,000
+    (|S| = 142) that is 6 rounds for either class; at T = 200 (|S| = 15, H = 64) a real
+    class takes 136 rounds a piece."""
+    learner, mu = _relax_general(binary, T, 60)
+    S = learner.branches
+    assert S == (142 if T == 20_000 else 15)
+    answered, answer = [], learner.oracle.exact_labels
+    learner.oracle.exact_labels = lambda *a: answered.append(a[1].shape[1]) or answer(*a)
     rng = make_rng(60, 1)
-    _, calls = learner.play(sample(mu, rng, 64), rng.choice([-1.0, 1.0], 64))
-    assert pieces == ([64] if binary else [17, 17, 17, 13])
-    assert learner._chunk * max(15 * 15, (1 if binary else 15) * 64) <= relaxation.RUN_ELEMENTS
-    assert calls[-1] == learner.oracle.calls == 64 * 15
+    _, calls = learner.play(sample(mu, rng, rounds), rng.choice([-1.0, 1.0], rounds))
+    assert answered == pieces
+    assert learner._chunk * max(S * S, (1 if binary else S) * 64) <= BLOCK_ELEMENTS
+    assert calls[-1] == learner.oracle.calls == rounds * S
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
+def test_pieces_never_change_a_prediction(binary):
+    """The same two 64-round runs at T = 20,000, answered in pieces of 1 round, of the
+    computed 6, and of the whole run: byte-equal predictions and oracle-call columns."""
+    played = []
+    for chunk in (1, None, 10**6):
+        learner, mu = _relax_general(binary, 20_000, 61)
+        assert learner._chunk == 6
+        learner._chunk = chunk or learner._chunk
+        rng, columns = make_rng(61, 1), []
+        for _ in range(2):
+            columns += learner.play(sample(mu, rng, 64), rng.choice([-1.0, 1.0], 64))
+        played.append([column.tobytes() for column in columns])
+    assert played[0] == played[1] == played[2]
 
 
 def test_no_learner_draws_past_the_horizon(monkeypatch):

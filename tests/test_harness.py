@@ -416,6 +416,56 @@ def test_a_seed_that_raises_mid_run_leaves_no_partial_trace(tmp_path, monkeypatc
     assert sorted(path.name for path in out.iterdir()) == ["trace_seed0.csv"]
 
 
+def test_a_failed_bandit_rerun_leaves_no_earlier_summary(tmp_path, monkeypatch, capsys):
+    """A good ``bandit`` run writes its summary; a rerun whose reduction raises exits 3 and
+    leaves no summary, not the first run's."""
+    from smoothol import bandit
+    from smoothol.harness import InvariantViolation
+
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "K": 2, "sigma": 0.5, "T": 10, "seeds": [0], "regressor": "ftpl-dual",
+        "ground": {"atoms": 6}, "class": {"type": "random_product", "H": 3},
+        "output_dir": str(out)}))
+    assert cli_main(["bandit", "--config", str(cfg_path)]) == 0
+    assert (out / "bandit_summary.json").exists()
+
+    def raising(*args, **kwargs):
+        raise InvariantViolation("a regressor prediction went missing")
+
+    monkeypatch.setattr(bandit, "run_square_cb", raising)
+    assert cli_main(["bandit", "--config", str(cfg_path)]) == 3
+    assert "went missing" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_a_failed_sweep_rerun_leaves_no_earlier_csv(tmp_path, monkeypatch, capsys):
+    """A good ``sweep`` over T writes ``sweep_T.csv``; a rerun whose T = 20 seed exits 3
+    leaves no CSV, not the first sweep's, which lists rows this sweep never produced."""
+    from smoothol import harness
+    from smoothol.harness import InvariantViolation
+
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(output_dir=str(out))))
+    args = ["sweep", "--config", str(cfg_path), "--param", "T", "--values", "10,20"]
+    assert cli_main(args) == 0
+    assert (out / "sweep_T.csv").read_text() == capsys.readouterr().out
+    run_seed = harness.run_seed
+
+    def raising(cfg, seed, trace=None):
+        if cfg.T == 20:
+            raise InvariantViolation("loss outside declared range at round 1")
+        return run_seed(cfg, seed, trace)
+
+    monkeypatch.setattr(harness, "run_seed", raising)
+    assert cli_main(args) == 3
+    assert "at round 1" in capsys.readouterr().err
+    assert not (out / "sweep_T.csv").exists()
+    assert (out / "T=10" / "summary.json").exists() and not (out / "T=20" / "summary.json").exists()
+
+
 def test_the_regret_cross_check_holds_at_long_horizons_and_sees_a_moved_loss(monkeypatch):
     """At T = 10^5 an honest run's running regret and its pairwise-summed check differ by
     about 1e-8 (a follower of a hypothesis that is not the best, scaled-square loss on a
