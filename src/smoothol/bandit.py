@@ -89,7 +89,9 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
     ``context_adversary`` yields sigma-smooth contexts over a finite ground set;
     ``f_star`` is the (N, K) conditional-mean loss table, realizable inside the
     regressor's class; losses are Bernoulli(f*(x, a)).  Actions are drawn by
-    inverse-gap weighting of the round's K predicted losses.
+    inverse-gap weighting of the round's K predicted losses.  A regressor with
+    ``play_adaptive`` (FTPL) plays each 64-round block in that one call; any other
+    (``relax-general``, a stub) selects and observes round by round, through the same body.
     """
     if K < 1:
         raise ValueError("K must be positive")
@@ -101,29 +103,42 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
     reg_cb = 0.0
     all_actions = np.arange(K)
     width = K + (K > 1)  # a round's uniforms: its action's (if K > 1), then one per action's loss
+    adaptive = getattr(regressor, "play_adaptive", None)  # a proper regressor's block loop
+
+    def play(h: Optional[int]) -> tuple[int, float]:
+        """The block's next round under hypothesis h (None: an improper regressor's): its
+        action, observed loss and record row; returns the chosen pair and its loss."""
+        nonlocal reg_cb
+        t, u, x = next(todo)
+        law = laws.get((h, x))  # an improper regressor's predictions are never stored
+        if law is None:
+            preds = regressor.predictions(ContextBlock(ids=joint_id(x, all_actions, K)))
+            law = _action_law(preds, gamma)
+            if h is not None:
+                laws[h, x] = law
+        preds, cdf, clamped = law
+        if clamped:
+            logger.warning("round %d: regressor prediction outside [0, 1]; clamping", t)
+        action = 0 if cdf is None else min(bisect_right(cdf, u[0]), K - 1)
+        losses_u, mean = u[width - K:], means[x]
+        observed = 1.0 if losses_u[action] < mean[action] else 0.0
+        pair = joint_id(x, action, K)
+        rows.append((pair, observed, preds[action], regressor.oracle.calls))
+        reg_cb += observed - (1.0 if losses_u[greedy[x]] < mean[greedy[x]] else 0.0)
+        return pair, observed
+
     for start in range(0, T, BLOCK):
         rounds, xs = min(BLOCK, T - start), []
         while len(xs) < rounds:  # the block's contexts, by the run
             xs += context_adversary.next_run(None, rounds - len(xs))[0].ids.tolist()
+        todo = zip(range(start + 1, T + 1), rng.random((rounds, width)).tolist(), xs)
         rows = []  # per round: the chosen pair, its loss, its prediction, calls
-        for t, u, x in zip(range(start + 1, T + 1), rng.random((rounds, width)).tolist(), xs):
-            h = regressor.select() if regressor.proper else None
-            law = laws.get((h, x))  # an improper regressor's predictions are never stored
-            if law is None:
-                preds = regressor.predictions(ContextBlock(ids=joint_id(x, all_actions, K)))
-                law = _action_law(preds, gamma)
-                if h is not None:
-                    laws[h, x] = law
-            preds, cdf, clamped = law
-            if clamped:
-                logger.warning("round %d: regressor prediction outside [0, 1]; clamping", t)
-            action = 0 if cdf is None else min(bisect_right(cdf, u[0]), K - 1)
-            losses_u, mean = u[width - K:], means[x]
-            observed = 1.0 if losses_u[action] < mean[action] else 0.0
-            pair = joint_id(x, action, K)
-            regressor.observe(ContextBlock(ids=np.array([pair])), observed)
-            rows.append((pair, observed, preds[action], regressor.oracle.calls))
-            reg_cb += observed - (1.0 if losses_u[greedy[x]] < mean[greedy[x]] else 0.0)
+        if adaptive is not None:
+            adaptive(rounds, play)
+        else:
+            for _ in range(rounds):
+                pair, observed = play(regressor.select() if regressor.proper else None)
+                regressor.observe(ContextBlock(ids=np.array([pair])), observed)
         pairs, labels, predicted, calls = (np.array(c) for c in zip(*rows))
         traj.extend(ContextBlock(ids=pairs), labels, predicted,
                     loss.evaluate_array(predicted, labels), calls)

@@ -9,14 +9,15 @@ the lowest-index minimizer; the zeta-approximate one any f_hat with
 
 the sum running over the query's rows and the history's.  Invariants: each round answered
 counts one call (``exact_labels`` one per label) however many rounds one evaluation covers,
-and a run's history (``extend_run``) or a block's rounds give the floats of answering round
-by round.  README ("Weighted ERM oracle") describes how.
+and a run's history (``extend_run``), a block's rounds or rounds observed one at a time
+(``approximate_adaptive``) give the floats of answering round by round.  README ("Weighted
+ERM oracle") describes how.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -145,9 +146,16 @@ class ErmOracle:
         """Add the observed round's weight-1 main-loss row to the history: a row at an
         atom, with a label equal to itself, is computed once and kept, up to
         ``KEPT_ROW_FLOATS`` floats of kept rows."""
-        key = (context.id, context.coordinate, label)
+        self._extend((context.id, context.coordinate, label), context)
+
+    def _extend(self, key: tuple, context: Optional[ContextBlock] = None) -> None:
+        """``extend_prefix`` for the round keyed (atom id, coordinate, label), at ``context``,
+        or at the atom's one-row block ``ContextBlock(ids=[atom id])`` where None."""
         row = self._rows.get(key)
         if row is None:
+            if context is None:
+                context = ContextBlock(ids=np.array([key[0]]))
+            label = key[2]
             row = self.main_loss.evaluate_array(self.klass.evaluate_block(context)[:, 0], label)
             if key[0] is not None and label == label \
                     and len(self._rows) < KEPT_ROW_FLOATS // len(self.prefix):
@@ -248,6 +256,26 @@ class ErmOracle:
                             for i, (row, best) in enumerate(zip(obj, idx))], dtype=np.int64)
         self._calls += len(obj)
         return idx
+
+    def approximate_adaptive(self, query: ErmQuery, zeta: float,
+                             rng: Optional[np.random.Generator], index: int, rounds: int,
+                             observe: Callable[[int], tuple]) -> None:
+        """``approximate`` then ``extend_prefix`` for rounds index, ..., index + rounds - 1 of
+        the query, where each round's observation may read its hypothesis h: ``observe(h)``
+        returns the round's (atom id, label), whose row at ``ContextBlock(ids=[atom id])``
+        joins the history before the next round.  The floats, draws and calls of answering
+        and observing round by round."""
+        blocks = self._evaluated(query)
+        for i in range(index, index + rounds):
+            obj = self.prefix
+            for block_objective in blocks:
+                obj = obj + block_objective[i]
+            idx = int(obj.argmin())
+            if zeta:
+                idx = self._swap(obj, idx, query, zeta, rng, i, self.prefix_rows)
+            self._calls += 1
+            atom, label = observe(idx)
+            self._extend((atom, None, label))
 
     def _swap(self, obj: np.ndarray, idx: int, query: ErmQuery, zeta: float,
               rng: Optional[np.random.Generator], index: int, rows: int) -> int:

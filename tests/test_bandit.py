@@ -456,14 +456,18 @@ def test_square_cb_holds_one_igw_law_per_hypothesis_and_context(K, monkeypatch):
     monkeypatch.setattr(bandit, "_action_law", spy)
     pieces = _loop_pieces("ftpl-dual", K, 8, clamped=True)
     regressor = pieces[1]
-    select = regressor.select
+    play_adaptive = regressor.play_adaptive
 
-    def recording_select():
-        selected.append(select())
-        return selected[-1]
+    def recording_play_adaptive(rounds, observe):  # each round's hypothesis, as it is played
+        def recording_observe(h):
+            selected.append(h)
+            return observe(h)
 
-    regressor.select = recording_select
+        play_adaptive(rounds, recording_observe)
+
+    regressor.play_adaptive = recording_play_adaptive
     traj = run_square_cb(*pieces).trajectory
+    assert len(selected) == len(traj)
     rows = regressor.klass.values.reshape(len(regressor.klass), -1, K)
     visited = list(dict.fromkeys(zip(selected, (traj.ids // K).tolist())))
     assert len(laws) == len(visited) <= rows.shape[0] * rows.shape[1]

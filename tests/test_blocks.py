@@ -674,3 +674,80 @@ def test_relaxation_builds_and_evaluates_one_query_per_drawn_block(T, monkeypatc
     learner.play(sample(mu, rng, T - half), np.ones(T - half))
     assert len(drawn) == len(built) == -(-T // BLOCK)
     assert [id(block) for block in evaluated] == [id(query.blocks[0]) for query in built]
+
+
+def _adaptive_learner(space: str, zeta: float) -> FtplLearner:
+    """An ftpl-dual regressor built directly (a bandit config has no zeta): the bench
+    bandit's product class (H = 4, 16 atoms, K = 2; blocks of 64 rounds), or H = 300 on 10
+    atoms, whose blocks hold 10 rounds and whose kept rows fill at 218."""
+    H, atoms, T = (4, 16, 150) if space == "bandit" else (300, 10, 400)
+    klass = product_class(make_rng(33, H).random((H, atoms, 2)))
+    mu = product_measure(FiniteMeasure.uniform(GroundSet.grid(atoms)), 2)
+    sched = schedule(T, compose_smoothness(0.5, 2), L=2.0, variant="dual", zeta=zeta)
+    return FtplLearner("dual", klass, square_loss(), mu, sched,
+                       ErmOracle(klass, square_loss()), make_rng(33, 1))
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.05])
+@pytest.mark.parametrize("space", ["bandit", "large"])
+def test_play_adaptive_is_select_then_observe_round_by_round(space, zeta):
+    """13 rounds of ``select``/``observe``, then ``play_adaptive`` to ten rounds before T,
+    then ``select``/``observe`` to T, each observation read from the round's hypothesis,
+    against ``select``/``observe`` throughout: the same hypotheses, history bytes, kept
+    rows, calls, generator state and block cursor.  The twin's run starts mid-block and
+    crosses block boundaries (64 rounds, or 10), and with real labels the large class's
+    kept rows reach their budget."""
+    learners, chosen, cursors = [_adaptive_learner(space, zeta) for _ in range(2)], [[], []], []
+    T, H = learners[0].sched.T, len(learners[0].klass)
+    assert learners[0]._block_rounds == (64 if space == "bandit" else 10)
+    for learner, hs, adaptive in zip(learners, chosen, (True, False)):
+        draws = make_rng(33, 2)
+
+        def observe(h, learner=learner, hs=hs, draws=draws):
+            assert learner.selected == h
+            hs.append(h)
+            pair = int(draws.integers(len(learner.cells.atoms)))
+            label = round(float(draws.random()), 2) if space == "large" else float(h % 2)
+            return pair, label
+
+        def round_by_round(rounds, learner=learner, observe=observe):
+            for _ in range(rounds):
+                pair, label = observe(learner.select())
+                learner.observe(ContextBlock(ids=np.array([pair])), label)
+
+        round_by_round(13)
+        if adaptive:
+            learner.play_adaptive(T - 23, observe)
+            assert learner.selected is None
+        else:
+            round_by_round(T - 23)
+        cursors.append((learner._t, learner._next, learner._query.rounds))
+        round_by_round(10)
+    fast, slow = learners
+    assert chosen[0] == chosen[1] and len(chosen[0]) == T
+    assert cursors[0] == cursors[1] and cursors[0][0] == T - 10
+    assert fast.oracle.prefix.tobytes() == slow.oracle.prefix.tobytes()
+    assert fast.oracle.calls == slow.oracle.calls == fast.oracle.prefix_rows == T
+    assert list(fast.oracle._rows) == list(slow.oracle._rows)
+    assert (len(fast.oracle._rows) == 65536 // H) == (space == "large")
+    assert plain(fast.rng.bit_generator.state) == plain(slow.rng.bit_generator.state)
+
+
+def test_play_adaptive_past_the_horizon_refuses_before_any_draw():
+    """Rounds past T raise before a draw, a call or a history row, at round 1 and midway;
+    the rounds up to T then play as they would have."""
+    learner = _adaptive_learner("bandit", 0.0)
+    T, observe = learner.sched.T, lambda h: (0, 1.0)
+
+    def untouched():
+        oracle = learner.oracle
+        return (oracle.prefix.tobytes(), oracle.prefix_rows, oracle.calls, learner._t,
+                plain(learner.rng.bit_generator.state))
+
+    for done, rounds in ((0, 100), (100, T - 100)):
+        before = untouched()
+        with pytest.raises(ValueError, match=f"round {T + 1} is past the horizon T = {T}"):
+            learner.play_adaptive(T + 1 - done, observe)
+        assert untouched() == before
+        learner.play_adaptive(rounds, observe)
+    assert learner.oracle.calls == T

@@ -268,6 +268,82 @@ def test_one_id_at_two_coordinates_keeps_a_row_for_each():
     assert sorted(oracle._rows) == [(0, 0.2, 1.0), (0, 0.8, 1.0)]
 
 
+def _adaptive_query(klass, rng: np.random.Generator, rounds: int) -> ErmQuery:
+    """A query of ``rounds`` rounds, as FTPL draws them: identity rows over every atom,
+    carrying their values, then five main-loss rows per round at contexts drawn per round."""
+    atoms = klass.ground.block(np.arange(klass.ground.size))
+    drawn = klass.ground.block(rng.integers(klass.ground.size, size=5 * rounds))
+    return (ErmQuery()
+            .add_block(IDENTITY, atoms, np.zeros(len(atoms)),
+                       rng.standard_normal((rounds, len(atoms))), klass.evaluate_block(atoms))
+            .add_block(MAIN, drawn, rng.choice([-1.0, 0.0, 1.0], size=len(drawn)),
+                       rng.standard_normal((rounds, 5))))
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.05])
+@pytest.mark.parametrize("H", [5, 2048], ids=["rows-kept", "rows-past-the-budget"])
+def test_adaptive_rounds_are_approximate_then_extend_prefix_round_by_round(H, zeta):
+    """``approximate_adaptive`` over rounds 7..106 of a 120-round query, each round's
+    observation read from its hypothesis, against ``approximate`` then ``extend_prefix``
+    round by round on a twin oracle: the same hypotheses, history bytes, kept rows, calls
+    and generator state, and the history is the uncached recurrence.  At H = 2,048 the
+    kept rows fill their ``KEPT_ROW_FLOATS`` budget (32 rows) and later rows are computed."""
+    klass = random_table_class(make_rng(32, H), H, 40)
+    loss, before = absolute_loss(), [(3, 1.0), (8, -1.0), (3, 1.0)]
+    oracles, chosen, states = [ErmOracle(klass, loss), ErmOracle(klass, loss)], [[], []], []
+    for oracle, hs, adaptive in zip(oracles, chosen, (True, False)):
+        query, rng, seen = _adaptive_query(klass, make_rng(32, 0), 120), make_rng(32, 1), []
+        for i, y in before:
+            oracle.extend_prefix(atom(klass.ground, i), y)
+
+        def observe(h, hs=hs, draws=make_rng(32, 2)):
+            hs.append(h)
+            x = int(draws.integers(40))
+            seen.append((x, (-1.0, 0.0, 1.0)[(h + x) % 3]))
+            return seen[-1]
+
+        if adaptive:
+            oracle.approximate_adaptive(query, zeta, rng, 7, 100, observe)
+        else:
+            for i in range(7, 107):
+                x, y = observe(oracle.approximate(query, zeta, rng, i).hypothesis_index)
+                oracle.extend_prefix(ContextBlock(ids=np.array([x])), y)
+        states.append(rng.integers(2**62))
+    fast, slow = oracles
+    assert chosen[0] == chosen[1] and len(chosen[0]) == 100
+    assert fast.prefix.tobytes() == slow.prefix.tobytes()
+    assert (fast.prefix_rows, fast.calls) == (slow.prefix_rows, slow.calls) == (103, 100)
+    assert list(fast._rows) == list(slow._rows)
+    assert all(fast._rows[key].tobytes() == slow._rows[key].tobytes() for key in fast._rows)
+    assert states[0] == states[1]
+    expected = np.zeros(H)
+    for x, y in before + seen:
+        expected += loss.evaluate_array(klass.evaluate_block(atom(klass.ground, x))[:, 0], y)
+    assert fast.prefix.tobytes() == expected.tobytes()
+    assert (len(fast._rows) == KEPT_ROW_FLOATS // H) == (H == 2048)
+    assert len(set(seen)) > KEPT_ROW_FLOATS // 2048
+
+
+def test_adaptive_rounds_add_the_blocks_in_the_query_order():
+    """Round i's objective is (history + block 0) + block 1, the additions of ``approximate``:
+    at 2^53, where float addition does not associate, (1 + 2^53) + 1 = 2^53 ties hypothesis
+    0 with hypothesis 1's (0 + 2^53) + 1, while the other order, (1 + 1) + 2^53, would make
+    hypothesis 1 the least."""
+    klass, one = TableClass(np.zeros((2, 1))), ContextBlock(ids=np.array([0]))
+    picks = []
+    for adaptive in (True, False):
+        oracle = ErmOracle(klass, linear_loss())
+        oracle.prefix = np.array([1.0, 0.0])
+        query = (ErmQuery().add_block(IDENTITY, one, [0.0], [2.0**53], np.ones((2, 1)))
+                 .add_block(IDENTITY, one, [0.0], [1.0], np.ones((2, 1))))
+        if adaptive:
+            oracle.approximate_adaptive(query, 0.0, None, 0, 1,
+                                        lambda h: picks.append(h) or (0, 1.0))
+        else:
+            picks.append(oracle.approximate(query, 0.0).hypothesis_index)
+    assert picks == [0, 0]
+
+
 @pytest.mark.parametrize("loss", [linear_loss, absolute_loss, scaled_square_loss],
                          ids=["linear", "absolute", "scaled-square"])
 @pytest.mark.parametrize("space", ["table-grid", "thresholds-interval", "real-table-grid"])

@@ -13,8 +13,9 @@ of the pairs, and its median is better than the parent's by more than the parent
 interquartile distance.  Directions and bounds are read from the change's
 ``BENCHMARK.json``.
 
-The script writes nothing itself; each bench run writes its record under its own tree's
-``bench/runs/``.  It exits 1 if any run reports
+With ``--out PATH`` the script writes the pairs (each side's result line, and which side
+ran first) and the table as JSON to PATH; otherwise it writes nothing itself.  Each bench
+run writes its record under its own tree's ``bench/runs/``.  It exits 1 if any run reports
 ``correct: false`` or prints no result line, and 0 otherwise.
 """
 
@@ -77,6 +78,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=22.0)
+    parser.add_argument("--out", type=Path, help="write the pairs and the table as JSON here")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds > 0")
@@ -107,6 +109,12 @@ def main(argv=None) -> int:
         print(f"{row['metric']:<24} {sides[0]:>30} {sides[1]:>30} "
               f"{row['wins']:>3}/{row['pairs']:<2}  {'ok' if row['within_bound'] else 'WORSE':<5}  "
               f"{'holds' if row['gain_holds'] else 'no'}")
+    if args.out is not None:
+        args.out.write_text(json.dumps({
+            "workload": args.workload, "seconds": args.seconds,
+            "pairs": [{"first": "change" if i % 2 else "parent", "parent": p, "change": c}
+                      for i, (p, c) in enumerate(runs)],
+            "table": rows}, indent=1) + "\n")
     failed = [(i + 1, side) for i, pair in enumerate(runs)
               for side, run in zip(("parent", "change"), pair) if not run.get("correct")]
     for i, side in failed:
