@@ -89,9 +89,9 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
     ``context_adversary`` yields sigma-smooth contexts over a finite ground set;
     ``f_star`` is the (N, K) conditional-mean loss table, realizable inside the
     regressor's class; losses are Bernoulli(f*(x, a)).  Actions are drawn by
-    inverse-gap weighting of the round's K predicted losses.  A regressor with
-    ``play_adaptive`` (FTPL) plays each 64-round block in that one call; any other
-    (``relax-general``, a stub) selects and observes round by round, through the same body.
+    inverse-gap weighting of the round's K predicted losses.  A proper regressor (FTPL)
+    plays each 64-round block in one ``play_adaptive`` call; an improper one
+    (``relax-general``) predicts and observes round by round, through the same body.
     """
     if K < 1:
         raise ValueError("K must be positive")
@@ -103,7 +103,6 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
     reg_cb = 0.0
     all_actions = np.arange(K)
     width = K + (K > 1)  # a round's uniforms: its action's (if K > 1), then one per action's loss
-    adaptive = getattr(regressor, "play_adaptive", None)  # a proper regressor's block loop
 
     def play(h: Optional[int]) -> tuple[int, float]:
         """The block's next round under hypothesis h (None: an improper regressor's): its
@@ -133,11 +132,11 @@ def run_square_cb(context_adversary, regressor, K: int, T: int,
             xs += context_adversary.next_run(None, rounds - len(xs))[0].ids.tolist()
         todo = zip(range(start + 1, T + 1), rng.random((rounds, width)).tolist(), xs)
         rows = []  # per round: the chosen pair, its loss, its prediction, calls
-        if adaptive is not None:
-            adaptive(rounds, play)
+        if regressor.proper:
+            regressor.play_adaptive(rounds, play)
         else:
             for _ in range(rounds):
-                pair, observed = play(regressor.select() if regressor.proper else None)
+                pair, observed = play(None)
                 regressor.observe(ContextBlock(ids=np.array([pair])), observed)
         pairs, labels, predicted, calls = (np.array(c) for c in zip(*rows))
         traj.extend(ContextBlock(ids=pairs), labels, predicted,

@@ -165,30 +165,20 @@ class LabelAnchorSums:
     def reduce(self, ids: np.ndarray, coeffs: np.ndarray, label_ids: np.ndarray,
                n: int) -> GaussianPerturbation:
         """Per-anchor draws of omega' (each anchor's cell id, (rounds, n) coefficients,
-        grid label indices) as one coefficient per (power, cell) and round.  Where the
-        (round, cell, label) bins fit in ``BLOCK_ELEMENTS``: one bincount of gamma over the
-        keys (round * cells + cell) * |grid| + label, times c_k; else per power, one
-        bincount of gamma * c_k(label) over the keys round * cells + cell.  Each bin is
-        summed in anchor order."""
-        size, labels, anchors = self.cells.ground.size, self.coefs.shape[1], coeffs.size
+        grid label indices) as one coefficient per (power, cell) and round: per power,
+        one bincount over the keys round * cells + cell, each bin summed in anchor order."""
+        size, anchors = self.cells.ground.size, coeffs.size
         rounds = anchors // n
         if coeffs.shape != self._shape:  # each anchor's round * cells, for its key
             self._shape, self._offsets = coeffs.shape, np.repeat(np.arange(rounds) * size, n)
             self._keys, self._weights = np.empty(anchors, dtype=np.int64), np.empty(anchors)
         keys, weights = self._keys, self._weights
         np.add(ids, self._offsets, out=keys)
-        if rounds * size * labels <= BLOCK_ELEMENTS:
-            keys *= labels
-            keys += label_ids
-            bins = np.bincount(keys, coeffs.ravel(), rounds * size * labels)
-            sums = (bins.reshape(rounds * size, labels) @ self.coefs.T).reshape(
-                rounds, size, -1).transpose(0, 2, 1)
-        else:
-            sums = np.empty((rounds, len(self.coefs), size))
-            for k, coef in enumerate(self.coefs):
-                coef.take(label_ids, out=weights)
-                weights *= coeffs.ravel()
-                sums[:, k] = np.bincount(keys, weights, rounds * size).reshape(rounds, size)
+        sums = np.empty((rounds, len(self.coefs), size))
+        for k, coef in enumerate(self.coefs):
+            coef.take(label_ids, out=weights)
+            weights *= coeffs.ravel()
+            sums[:, k] = np.bincount(keys, weights, rounds * size).reshape(rounds, size)
         return GaussianPerturbation(self.contexts, sums.reshape(coeffs.shape[:-1] + (-1,)),
                                     "none", None, n, self.values, np.abs(coeffs).sum(axis=-1))
 
@@ -431,13 +421,16 @@ class FtplLearner:
 
     def play_adaptive(self, rounds: int, observe: Callable[[int], tuple]) -> None:
         """``rounds`` rounds played as ``select`` then ``observe`` round by round would, each
-        round's observation made from its hypothesis h: ``observe(h)``, called with
-        ``selected`` = h, returns the round's (atom id, label)
-        (``ErmOracle.approximate_adaptive``)."""
+        round's observation made from its hypothesis h: ``observe(h)``, called once the
+        round is selected (``selected`` = h), returns the round's (atom id, label)
+        (``ErmOracle.approximate_adaptive``).  Should ``observe`` raise, the learner
+        stands as after that round's ``select``."""
         refuse_past_horizon(self._t, rounds, self.sched.T)
 
         def observed(h: int) -> tuple:
             self.selected = h
+            self._next += 1
+            self._t += 1
             return observe(h)
 
         while rounds > 0:
@@ -445,8 +438,6 @@ class FtplLearner:
             m = min(rounds, query.rounds - self._next)
             self.oracle.approximate_adaptive(query, self.sched.zeta, self.rng, self._next, m,
                                              observed)
-            self._next += m
-            self._t += m
             rounds -= m
         self.selected = None
 

@@ -751,3 +751,28 @@ def test_play_adaptive_past_the_horizon_refuses_before_any_draw():
         assert untouched() == before
         learner.play_adaptive(rounds, observe)
     assert learner.oracle.calls == T
+
+
+def test_play_adaptive_stops_where_select_would_when_an_observation_raises():
+    """An observation raising at round 20 leaves the learner as 19 rounds of
+    ``select``/``observe`` then round 20's ``select``: the same cursor, selection, calls and
+    history."""
+    learners = [_adaptive_learner("bandit", 0.0) for _ in range(2)]
+
+    def observe(h):
+        if learners[0]._t == 20:
+            raise RuntimeError("round 20")
+        return h, 1.0
+
+    with pytest.raises(RuntimeError, match="round 20"):
+        learners[0].play_adaptive(30, observe)
+    slow = learners[1]
+    for _ in range(19):
+        h = slow.select()
+        slow.observe(ContextBlock(ids=np.array([h])), 1.0)
+    slow.select()
+    fast = learners[0]
+    assert (fast._t, fast._next, fast.selected) == (slow._t, slow._next, slow.selected)
+    assert (fast.oracle.calls, fast.oracle.prefix_rows) == (slow.oracle.calls,
+                                                            slow.oracle.prefix_rows) == (20, 19)
+    assert fast.oracle.prefix.tobytes() == slow.oracle.prefix.tobytes()

@@ -7,15 +7,12 @@ These tests hold that route, and the band it carries for an approximate oracle,
 against evaluating every anchor, and check where it must not apply.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from smoothol import ftpl
 from smoothol.bandit import build_bandit_pieces
 from smoothol.core import (
-    BLOCK_ELEMENTS,
     LOSSES,
     FiniteMeasure,
     GroundSet,
@@ -92,22 +89,7 @@ def test_reduced_block_matches_every_anchor_evaluated(name, space, rounds):
     """The oracle's objective of the reduced block, every round of it, against
     loss(values[:, anchors], labels) @ gamma with the anchors drawn on mu, within
     TOL * sum |gamma|: the full objective, its constant (the k = 0 rows) included.  On
-    the interval, the anchors include every (clipped) threshold and 0.  Every case fits
-    its (round, cell, label) bins in ``BLOCK_ELEMENTS``, so it takes the bins' route."""
-    _check_reduced_block(name, space, rounds, bins=True)
-
-
-@pytest.mark.parametrize("rounds", [None, 7, 64])
-@pytest.mark.parametrize("space", SPACES)
-@pytest.mark.parametrize("name", ["linear", "square"])
-def test_reduced_block_per_power_matches_every_anchor_evaluated(name, space, rounds,
-                                                                monkeypatch):
-    """The same cases with the budget one element short of the bins: one bincount per
-    power, against every anchor evaluated."""
-    _check_reduced_block(name, space, rounds, bins=False, monkeypatch=monkeypatch)
-
-
-def _check_reduced_block(name, space, rounds, bins, monkeypatch=None):
+    the interval, the anchors include every (clipped) threshold and 0."""
     rng = make_rng(91, SPACES.index(space), list(LOSSES).index(name))
     loss, (klass, mu) = LOSSES[name](), _space(space, rng)
     cells, grid = klass.cell_measure(mu), epsilon_grid(0.1, *loss.domain)
@@ -116,10 +98,6 @@ def _check_reduced_block(name, space, rounds, bins, monkeypatch=None):
         assert sums is None  # absolute loss on a real class keeps per-anchor rows
         return
     assert not ftpl.fewer_cells(cells, 37, grid)  # per anchor
-    elements = (rounds or 1) * cells.ground.size * len(grid)
-    assert elements <= BLOCK_ELEMENTS
-    if not bins:
-        monkeypatch.setattr(ftpl, "BLOCK_ELEMENTS", elements - 1)
     draws = [make_rng(91), make_rng(91)]
     if space == "thresholds-interval":
         points = np.r_[np.clip(klass.thetas, 0.0, 1.0), 0.0]
@@ -287,32 +265,3 @@ def test_kept_buffers_follow_the_coefficient_shape(shapes):
         assert drawn[0].coeffs.shape == drawn[1].coeffs.shape
         assert np.array_equal(drawn[0].coeffs, drawn[1].coeffs)
         assert np.array_equal(drawn[0].abs_sum, drawn[1].abs_sum)
-
-
-@pytest.mark.parametrize("eps, route", [(None, "bins"), (1e-3, "per-power")])
-def test_label_bins_stay_within_the_block_budget(eps, route, monkeypatch):
-    """The bench bandit's regressor (T = 20,000: 64 rounds x 32 cells x 28 labels) sums
-    into (round, cell, label) bins; with a grid of 1,001 labels the bins would pass
-    ``BLOCK_ELEMENTS`` and it sums per power.  No bincount's output passes the budget."""
-    raw = {"K": 2, "sigma": 0.5, "T": 20000, "regressor": "ftpl-dual",
-           "ground": {"atoms": 16}, "class": {"type": "random_product", "H": 4},
-           "class_seed": 7, "seeds": [0], "output_dir": None}
-    _, regressor, _, _ = build_bandit_pieces(ExperimentConfig.from_dict(raw, bandit=True), 0)
-    if eps is not None:
-        sched = dataclasses.replace(regressor.sched, epsilon=eps)
-        regressor = FtplLearner("dual", regressor.klass, regressor.loss, product_measure(
-            FiniteMeasure.uniform(GroundSet.grid(16)), 2), sched, regressor.oracle,
-            make_rng(0, 1))
-    sums, lengths, bincount = regressor._processes[1]["sums"], [], np.bincount
-
-    def spy(keys, weights=None, minlength=0):
-        lengths.append(minlength)
-        return bincount(keys, weights, minlength)
-
-    monkeypatch.setattr(ftpl.np, "bincount", spy)
-    regressor.select()
-    rounds, size = regressor._query.rounds, sums.cells.ground.size
-    labels = rounds * size * len(regressor.grid)
-    assert (labels <= BLOCK_ELEMENTS) == (route == "bins")
-    assert lengths == ([labels] if route == "bins" else [rounds * size] * len(sums.coefs))
-    assert max(lengths) <= BLOCK_ELEMENTS

@@ -280,8 +280,9 @@ class _RoundOne(Exception):
 
 def _round_starts():
     """(class, name) of every method that opens a round: an adversary's next_round, a
-    proper learner's select."""
-    return [(cls, name) for module, name in ((adversaries, "next_round"), (ftpl, "select"))
+    proper learner's select or play_adaptive."""
+    return [(cls, name) for module, name in ((adversaries, "next_round"), (ftpl, "select"),
+                                             (ftpl, "play_adaptive"))
             for _, cls in inspect.getmembers(module, inspect.isclass)
             if cls.__module__ == module.__name__ and name in cls.__dict__]
 
@@ -320,8 +321,9 @@ def test_the_first_round_starts_at_a_round_start_method(learner, kind, monkeypat
 
 @pytest.mark.parametrize("regressor", ["ftpl-dual", "relax-general"])
 def test_the_first_bandit_round_starts_at_a_round_start_method(regressor, monkeypatch, tmp_path):
-    """SquareCB opens a round at the regressor's select (a proper one) or at the context's
-    next_round: no prediction, observation or trajectory row comes before either."""
+    """SquareCB opens a round at the context's next_round, which draws a block's contexts
+    before a proper regressor's play_adaptive plays them: no prediction, observation or
+    trajectory row comes before either."""
     path = tmp_path / "bandit.json"
     k = {"k": 2} if regressor == "relax-general" else {}  # ftpl-dual has no playout width
     path.write_text(json.dumps({"K": 2, "sigma": 0.5, "T": 5, "seeds": [0], **k,
