@@ -117,10 +117,10 @@ def draw_perturbation(mu: FiniteMeasure, n: int, rng: np.random.Generator,
                       sums: Optional["LabelAnchorSums"] = None,
                       band: bool = False) -> GaussianPerturbation:
     """n anchors from the finite mu (a class's cell measure) with N(0, 1) coefficients; eps
-    (or ``grid``) adds labels.  omega is drawn per cell, carrying ``values``, and with
-    ``band`` the sum |gamma| of n normals; omega' per cell where ``fewer_cells``, else per
-    anchor, summed per cell by ``sums`` where given.  ``rounds`` draws a block of that many
-    rounds, each kind of draw in one call."""
+    (or ``grid``) adds labels.  omega is drawn per cell, carrying ``values``; omega' per
+    cell where ``fewer_cells``, else per anchor, summed per cell by ``sums`` where given.
+    With ``band`` each carries the sum |gamma| of its n normals.  ``rounds`` draws a block
+    of that many rounds, each kind of draw in one call."""
     if not mu.finite:
         raise ValueError("a draw needs a finite measure: draw on klass.cell_measure(mu)")
     if grid is None and eps is not None:
@@ -131,7 +131,7 @@ def draw_perturbation(mu: FiniteMeasure, n: int, rng: np.random.Generator,
         coeffs = rng.standard_normal(n if rounds is None else (rounds, n))
         label_ids = rng.integers(0, len(grid), size=size)
         if sums is not None:
-            return sums.reduce(ids, coeffs, label_ids, n)
+            return sums.reduce(ids, coeffs, label_ids, n, band)
         return GaussianPerturbation(mu.ground.block(ids), coeffs, normalization, grid[label_ids], n)
     contexts, probs, labels = mu.atoms, mu.probs, None
     if grid is not None:  # each (cell, label) pair has mass mu_c / |grid|
@@ -163,10 +163,11 @@ class LabelAnchorSums:
         self._shape = self._offsets = self._keys = self._weights = None
 
     def reduce(self, ids: np.ndarray, coeffs: np.ndarray, label_ids: np.ndarray,
-               n: int) -> GaussianPerturbation:
+               n: int, band: bool) -> GaussianPerturbation:
         """Per-anchor draws of omega' (each anchor's cell id, (rounds, n) coefficients,
         grid label indices) as one coefficient per (power, cell) and round: per power,
-        one bincount over the keys round * cells + cell, each bin summed in anchor order."""
+        one bincount over the keys round * cells + cell, each bin summed in anchor order.
+        With ``band``, each round's sum |gamma| too."""
         size, anchors = self.cells.ground.size, coeffs.size
         rounds = anchors // n
         if coeffs.shape != self._shape:  # each anchor's round * cells, for its key
@@ -180,7 +181,8 @@ class LabelAnchorSums:
             weights *= coeffs.ravel()
             sums[:, k] = np.bincount(keys, weights, rounds * size).reshape(rounds, size)
         return GaussianPerturbation(self.contexts, sums.reshape(coeffs.shape[:-1] + (-1,)),
-                                    "none", None, n, self.values, np.abs(coeffs).sum(axis=-1))
+                                    "none", None, n, self.values,
+                                    np.abs(coeffs).sum(axis=-1) if band else None)
 
 
 def label_anchor_sums(klass: HypothesisClass, loss: LossFunction, cells: FiniteMeasure,

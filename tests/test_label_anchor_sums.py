@@ -233,7 +233,7 @@ def test_per_anchor_rows_stay_where_the_reduction_does_not_apply():
 def test_bench_bandit_regressor_builds_no_per_anchor_main_loss_block():
     """The bandit workload's setup (K = 2, 16 atoms, H = 4, T = 20,000, sigma = 0.5):
     its ftpl-dual regressor's omega' is summed per cell, so no round evaluates
-    per-anchor main-loss rows."""
+    per-anchor main-loss rows, and at zeta = 0 no round sums |gamma| for a band."""
     raw = {"K": 2, "sigma": 0.5, "T": 20000, "regressor": "ftpl-dual",
            "ground": {"atoms": 16}, "class": {"type": "random_product", "H": 4},
            "class_seed": 7, "seeds": [0], "output_dir": None}
@@ -243,6 +243,7 @@ def test_bench_bandit_regressor_builds_no_per_anchor_main_loss_block():
     assert all(b.selector == IDENTITY and b.values is not None
                for b in regressor._query.blocks)
     assert regressor._query.blocks[-1].weights.shape == (64, 3 * 32)  # 1, f, f^2 per cell
+    assert regressor._query.blocks[-1].abs_weight is None
 
 
 @pytest.mark.parametrize("shapes", [[(8, 3), (6, 4)], [(6, 4), (8, 3)], [(24, None), (24, 1)],
@@ -260,7 +261,7 @@ def test_kept_buffers_follow_the_coefficient_shape(shapes):
     for i, (n, rounds) in enumerate(shapes):
         assert not ftpl.fewer_cells(cells, n, grid)  # per anchor, so summed by ``sums``
         drawn = [draw_perturbation(cells, n, make_rng(96, 1, i), "none", grid=grid,
-                                   rounds=rounds, sums=sums)
+                                   rounds=rounds, sums=sums, band=True)
                  for sums in (kept, label_anchor_sums(klass, loss, cells, grid))]
         assert drawn[0].coeffs.shape == drawn[1].coeffs.shape
         assert np.array_equal(drawn[0].coeffs, drawn[1].coeffs)
