@@ -44,7 +44,7 @@ def row(record, figure="ms"):
     return next(r for r in record["table"] if r["figure"] == figure)
 
 
-def test_even_pairs_run_the_parent_first(tmp_path, monkeypatch):
+def test_odd_numbered_pairs_run_the_parent_first(tmp_path, monkeypatch):
     code, record, order = drive(tmp_path, monkeypatch, [1.0] * 4, [1.0] * 4)
     assert code == 0
     assert order == ["parent", "change", "change", "parent"] * 2

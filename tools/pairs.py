@@ -1,14 +1,15 @@
 """Alternating pairs of one measurement on two checkouts, and the gain rule applied to them.
 
-    python3 tools/pairs.py TOPIC PARENT CHANGE --out PATH [--pairs N] [--workload W] [--seconds S]
+    python3 tools/pairs.py TOPIC PARENT CHANGE --out PATH [--pairs N] [--workload W]
 
 PARENT and CHANGE are two checkouts of the repository (the parent commit can be unpacked
 with ``git archive`` under a scratch directory).  Each pair measures TOPIC once in each
-tree, one run at a time; even pairs run the parent first, odd pairs the change.  Every
-interpreter a run starts is fresh and has its tree's ``src`` first on ``PYTHONPATH``.
+tree, one run at a time; pairs 1, 3, 5, ... run the parent first, pairs 2, 4, 6, ... the
+change.  Every interpreter a run starts is fresh and has its tree's ``src`` first on
+``PYTHONPATH``.
 
-  bench    ``bench/run.py --workload W --seconds S``, S by default the change's
-           ``BENCHMARK.json`` ``run_seconds``: the end-to-end metrics of its result line.
+  bench    ``bench/run.py --workload W --seconds S``, S the change's ``BENCHMARK.json``
+           ``run_seconds``: the end-to-end metrics of its result line.
   tier1    ROADMAP's tier-1 command plus ``-p no:cacheprovider``, so that no run reads
            another's cache: the run's wall and CPU seconds, and pytest's passed count.
   stream   ``smoothol run`` of the bench's ``ftpl-cls-long`` config at T = 10^4, 10^5 and
@@ -315,23 +316,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="write the record here")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", choices=list(WORKLOADS), help="bench only")
-    parser.add_argument("--seconds", type=float, help="bench only; default: run_seconds")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    if (args.topic == "bench") != (args.workload is not None) or (
-            args.topic != "bench" and args.seconds is not None):
-        parser.error("--workload is required for bench, and it and --seconds are bench only")
+    if (args.topic == "bench") != (args.workload is not None):
+        parser.error("--workload is required for bench, and bench only")
     trees = {side: getattr(args, side).resolve() for side in SIDES}
     for tree in trees.values():
         for part in ("src", "bench", "tests", "BENCHMARK.json"):
             if not (tree / part).exists():
                 parser.error(f"no {part} under {tree}")
     benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    if args.topic == "bench":
-        args.seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
-        if args.seconds <= 0:
-            parser.error("--seconds must be > 0")
+    args.seconds = benchmark["run_seconds"] if args.topic == "bench" else None
 
     env = environment()
     runs = measure(TOPICS[args.topic], trees, args)
